@@ -405,6 +405,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _equivalence_status(report: dict) -> int:
+    """A bench run's exit status: 1 when any equivalence check is false."""
+    failed = [
+        name for name, value in report.get("equivalence", {}).items() if value is False
+    ]
+    if failed:
+        print(f"error: equivalence check failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.suite == "schedule":
         return _cmd_bench_schedule(args)
@@ -450,7 +461,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         print(f"wrote {args.out}")
-    return 0
+    return _equivalence_status(report)
 
 
 def _cmd_bench_schedule(args: argparse.Namespace) -> int:
@@ -479,7 +490,7 @@ def _cmd_bench_schedule(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         print(f"wrote {args.out}")
-    return 0
+    return _equivalence_status(report)
 
 
 def _cmd_bench_zones(args: argparse.Namespace) -> int:
@@ -513,7 +524,7 @@ def _cmd_bench_zones(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         print(f"wrote {args.out}")
-    return 0
+    return _equivalence_status(report)
 
 
 def _cmd_bench_market(args: argparse.Namespace) -> int:
@@ -546,7 +557,7 @@ def _cmd_bench_market(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         print(f"wrote {args.out}")
-    return 0
+    return _equivalence_status(report)
 
 
 def _cmd_bench_scale(args: argparse.Namespace) -> int:
@@ -582,7 +593,7 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         print(f"wrote {args.out}")
-    return 0
+    return _equivalence_status(report)
 
 
 def _cmd_bench_uncertainty(args: argparse.Namespace) -> int:
@@ -614,7 +625,7 @@ def _cmd_bench_uncertainty(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         print(f"wrote {args.out}")
-    return 0
+    return _equivalence_status(report)
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:

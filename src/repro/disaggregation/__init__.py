@@ -7,11 +7,14 @@ refinement, usage-frequency estimation and habit-window mining.
 Subsystem contract:
 
 * **Engine equivalence** — the matching-pursuit engine is selectable via
-  ``MatchingConfig(engine=...)``: the vectorized engine (shared residual
-  FFT, incremental correlation patching) reproduces the seed
-  ``"reference"`` loop's detections within ``rtol=1e-9`` on every offer
-  energy, asserted by the fleet benchmark and the conformance matrix's
-  ``engine-fidelity`` invariant.
+  ``MatchingConfig(engine=...)``: the vectorized engine (lockstep pursuit
+  over a tile of households, shared residual FFT, incremental correlation
+  patching) reproduces the seed ``"reference"`` loop's detections within
+  ``rtol=1e-9`` on every offer energy, asserted by the fleet benchmark and
+  the conformance matrix's ``engine-fidelity`` invariant.
+* **Tile independence** — :func:`match_pursuit_many` gives every household
+  bitwise the result :func:`match_pursuit` gives it alone, whatever tile it
+  shares (pinned by ``tests/data/golden/matching_detections.json``).
 * **Determinism** — disaggregation consumes no randomness; identical
   series and database give identical detections in any process.
 """
@@ -37,6 +40,7 @@ from repro.disaggregation.matching import (
     DetectionResult,
     MatchingConfig,
     match_pursuit,
+    match_pursuit_many,
 )
 from repro.disaggregation.schedule_mining import (
     MinedSchedule,
@@ -62,6 +66,7 @@ __all__ = [
     "DetectionResult",
     "MatchingConfig",
     "match_pursuit",
+    "match_pursuit_many",
     "MinedSchedule",
     "count_day_types",
     "mine_schedule",

@@ -8,15 +8,17 @@ scaled template best explains the residual series, subtracts it, and repeats.
 
 Two engines implement the same greedy semantics:
 
-* ``"vectorized"`` (default) — the fleet-scale hot path.  Per-offset energy
-  maps are kept alive across iterations and *patched* in the region a
-  subtraction touched (direct correlation over the changed window), the
-  initial maps share one FFT of the residual against the database's cached
-  template FFTs, and candidate selection (per-day non-max suppression plus
-  placement scoring) runs as numpy array passes instead of Python loops.
-* ``"reference"`` — the original per-call implementation, kept both as the
-  behavioural reference and as the baseline the fleet benchmark measures
-  speedups against.
+* ``"vectorized"`` (default) — the fleet-scale hot path, a *lockstep*
+  engine: the pursuits of a tile of households run together over one
+  (households × minutes) residual matrix.  Per-offset energy maps come
+  from one FFT over the tile and are then *patched* by direct correlation
+  where a subtraction touched the residual; each iteration refreshes the
+  stale (household, appliance, day) candidates of one appliance in a
+  single array pass and patches every household's maps of one template in
+  one correlation.  Every batched primitive works row by row, so a
+  household's result does not depend on which households share its tile.
+* ``"reference"`` — the original per-call implementation, kept as the
+  behavioural oracle the tests and the conformance matrix compare against.
 
 Both engines are deterministic; they may differ in float round-off (FFT vs
 direct correlation) and can therefore make different greedy picks on
@@ -26,9 +28,13 @@ compares matching against the combinatorial and event-based alternatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
@@ -86,14 +92,6 @@ class DetectionResult:
         for det in self.detections:
             groups.setdefault(det.appliance, []).append(det)
         return groups
-
-
-def _fit_energy(window: np.ndarray, shape: np.ndarray) -> float:
-    """Least-squares scale of a unit-energy shape against a residual window."""
-    denom = float(np.dot(shape, shape))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(window, shape) / denom)
 
 
 def _correlation_scores(
@@ -159,131 +157,125 @@ def match_pursuit(
     window) is accepted if it clears ``config.min_score`` and its fitted
     energy is inside the appliance's (slack-widened) range.  Its profile is
     subtracted and the search repeats.
+
+    This is :func:`match_pursuit_many` over one series — unless ``series``
+    belongs to an open :func:`pursuit_tile`, whose shared lockstep run then
+    answers the call.
     """
-    if series.axis.resolution != ONE_MINUTE:
+    tile = _TILE.get()
+    if tile is not None:
+        result = tile.resolve(series, database, config, household_id)
+        if result is not None:
+            return result
+    return match_pursuit_many([series], database, config, [household_id])[0]
+
+
+def match_pursuit_many(
+    series: Sequence[TimeSeries],
+    database: ApplianceDatabase,
+    config: MatchingConfig | None = None,
+    household_ids: Sequence[str] | None = None,
+) -> list[DetectionResult]:
+    """:func:`match_pursuit` over many households, in lockstep.
+
+    Series of equal length run as one tile of the vectorized engine; a list
+    mixing lengths runs one tile per length.  Each result is bitwise what
+    the series would get alone.  ``household_ids`` stamps the detections
+    of each series (default: unstamped).
+    """
+    series = list(series)
+    if any(s.axis.resolution != ONE_MINUTE for s in series):
         raise DataError("match_pursuit expects a 1-minute series")
+    ids = [""] * len(series) if household_ids is None else list(household_ids)
+    if len(ids) != len(series):
+        raise DataError(f"{len(ids)} household ids for {len(series)} series")
     config = config or MatchingConfig()
     if config.engine == "reference":
-        return _match_pursuit_reference(series, database, config, household_id)
-    return _match_pursuit_vectorized(series, database, config, household_id)
+        return [
+            _match_pursuit_reference(s, database, config, household_id)
+            for s, household_id in zip(series, ids)
+        ]
+    by_length: dict[int, list[int]] = {}
+    for index, s in enumerate(series):
+        by_length.setdefault(s.axis.length, []).append(index)
+    results: list[DetectionResult] = [None] * len(series)  # type: ignore[list-item]
+    for members in by_length.values():
+        tile = _Lockstep([series[i] for i in members], database, config)
+        for index, result in zip(members, tile.run([ids[i] for i in members])):
+            results[index] = result
+    return results
 
 
 # ---------------------------------------------------------------------- #
-# Vectorized engine (fleet hot path)
+# Tiles: per-household calls answered by one shared lockstep run
 # ---------------------------------------------------------------------- #
 
 
-def _initial_energy_maps(
-    residual: np.ndarray, templates: list[ApplianceTemplate]
-) -> list[np.ndarray]:
-    """Per-offset energy maps for every template, off one residual FFT.
+@dataclass
+class _Tile:
+    series: list[TimeSeries]
+    database: ApplianceDatabase
+    config: MatchingConfig | None
+    results: list[DetectionResult] | None = None
 
-    The residual is transformed once; each template contributes only a
-    cached frequency-domain multiply plus one inverse transform, instead of
-    a full :func:`fftconvolve` per appliance.
+    def resolve(
+        self,
+        series: TimeSeries,
+        database: ApplianceDatabase,
+        config: MatchingConfig | None,
+        household_id: str,
+    ) -> DetectionResult | None:
+        """This tile's result for ``series``, or ``None`` when the call is
+        not one the tile answers."""
+        if household_id or database is not self.database or config != self.config:
+            return None
+        for index, member in enumerate(self.series):
+            if member is series:
+                if self.results is None:
+                    self.results = match_pursuit_many(self.series, database, config)
+                return self.results[index]
+        return None
+
+
+_TILE: ContextVar[_Tile | None] = ContextVar("matching_tile", default=None)
+
+
+@contextmanager
+def pursuit_tile(
+    series: Sequence[TimeSeries],
+    database: ApplianceDatabase,
+    config: MatchingConfig | None = None,
+) -> Iterator[None]:
+    """Answer ``match_pursuit`` calls on ``series`` from one lockstep run.
+
+    Inside the block, the first :func:`match_pursuit` call on a member (by
+    identity, same database and config, no household id) runs
+    :func:`match_pursuit_many` over every member; later calls return their
+    share of that run.  Callers keep one call per household — and whatever
+    observes those calls keeps seeing one per household — while the
+    pursuit itself runs batched.
     """
-    n = len(residual)
-    lengths = [t.length for t in templates if t.length <= n]
-    if not lengths:
-        return [np.zeros(0) for _ in templates]
-    nfft = next_fast_len(n + max(lengths) - 1)
-    residual_fft = np.fft.rfft(residual, nfft)
-    maps: list[np.ndarray] = []
-    for template in templates:
-        m = template.length
-        if m > n:
-            maps.append(np.zeros(0))
-            continue
-        corr = np.fft.irfft(residual_fft * template.rfft_reversed(nfft), nfft)
-        maps.append(corr[m - 1 : n] / template.denom)
-    return maps
+    token = _TILE.set(_Tile(list(series), database, config))
+    try:
+        yield
+    finally:
+        _TILE.reset(token)
 
 
-def _patch_energy_map(
-    energies: np.ndarray,
-    residual: np.ndarray,
-    template: ApplianceTemplate,
-    changed_lo: int,
-    changed_hi: int,
-) -> None:
-    """Recompute the energy map only where the residual changed.
-
-    A subtraction at ``[changed_lo, changed_hi)`` perturbs the correlation
-    at offsets ``[changed_lo − m + 1, changed_hi)``; those entries are
-    refreshed with an exact direct correlation over the affected window.
-    """
-    m = template.length
-    if energies.size == 0:
-        return
-    lo = max(0, changed_lo - m + 1)
-    hi = min(energies.size, changed_hi)
-    if lo >= hi:
-        return
-    segment = residual[lo : hi + m - 1]
-    energies[lo:hi] = np.correlate(segment, template.shape, mode="valid") / template.denom
+# ---------------------------------------------------------------------- #
+# Vectorized engine: lockstep pursuit over a tile of households
+# ---------------------------------------------------------------------- #
 
 
-def _day_nms_candidates(
-    day_idx: np.ndarray, day_energies: np.ndarray, cycle_minutes: int
-) -> list[int]:
-    """Top candidates of one day with non-max suppression, in selection order.
-
-    Feasible offsets are taken in decreasing fitted-energy order, keeping at
-    most :data:`_PER_DAY_QUOTA` that are at least half a cycle apart.  The
-    per-day quota guarantees every day's local events stay in the running
-    even when other days carry much larger loads — a global top-K would
-    crowd them out.
-
-    Selection runs as repeated masked argmax passes rather than a Python
-    scan of the sorted order; exact energy ties break deterministically
-    towards the largest offset (the reference engine's ``argsort`` order
-    is unspecified on exact ties, which the engine-equivalence disclaimer
-    at module level already covers).
-    """
-    half = cycle_minutes // 2
-    spread: list[int] = []
-    masked = day_energies.copy()
-    reversed_view = masked[::-1]
-    for _ in range(_PER_DAY_QUOTA):
-        j = masked.size - 1 - int(reversed_view.argmax())
-        if masked[j] == -np.inf:
-            break
-        t = int(day_idx[j])
-        spread.append(t)
-        masked[np.abs(day_idx - t) < half] = -np.inf
-        masked[j] = -np.inf
-    return spread
-
-
-def _window_view(
-    residual: np.ndarray, m: int, cache: dict[int, np.ndarray] | None
+def _placement_scores(
+    windows: np.ndarray, shape: np.ndarray, energies: np.ndarray
 ) -> np.ndarray:
-    """The (n − m + 1, m) sliding-window view of the residual, cached.
+    """:func:`_placement_score` for many (window, energy) placements at once.
 
-    The pursuit mutates the residual *in place*, so a stride-trick view
-    built once per template length stays valid for the whole run; building
-    it per scoring call is pure per-call overhead (it dominated the batch
-    scorer's profile at fleet scale).
+    ``windows`` is one residual window per row; all row reductions run
+    along the contiguous last axis, so each row's score is independent of
+    the other rows.
     """
-    if cache is None:
-        return np.lib.stride_tricks.sliding_window_view(residual, m)
-    view = cache.get(m)
-    if view is None:
-        view = np.lib.stride_tricks.sliding_window_view(residual, m)
-        cache[m] = view
-    return view
-
-
-def _placement_scores_batch(
-    residual: np.ndarray,
-    starts: np.ndarray,
-    shape: np.ndarray,
-    energies: np.ndarray,
-    window_cache: dict[int, np.ndarray] | None = None,
-) -> np.ndarray:
-    """:func:`_placement_score` for many placements of one template at once."""
-    m = len(shape)
-    windows = _window_view(residual, m, window_cache)[starts]
     positive = np.maximum(windows, 0.0)
     templates = energies[:, None] * shape[None, :]
     safe_energy = np.where(energies > 0.0, energies, 1.0)
@@ -297,157 +289,336 @@ def _placement_scores_batch(
     return scores
 
 
-def _day_best_candidate(
-    residual: np.ndarray,
-    energies: np.ndarray,
-    day: int,
-    spec: ApplianceSpec,
-    template: ApplianceTemplate,
-    config: MatchingConfig,
-    accepted: list[int],
-    window_cache: dict[int, np.ndarray] | None = None,
-) -> tuple[float, int, float] | None:
-    """Best (score, start, energy) placement of one appliance in one day.
+def _nms_picks(
+    block: np.ndarray, feasible: np.ndarray, cycle_minutes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row top candidates with non-max suppression, in selection order.
 
-    Placements overlapping an already-accepted run of the *same* appliance
-    are skipped — one machine cannot run two cycles concurrently.
+    ``block`` holds one day of fitted energies per row and ``feasible``
+    marks the offsets whose energy is in range.  Each pass takes every
+    row's largest feasible energy (exact ties break towards the largest
+    offset), then suppresses the offsets less than half a cycle from it.
+    At most :data:`_PER_DAY_QUOTA` picks per row survive; the per-day quota
+    keeps every day's local events in the running even when other days
+    carry much larger loads.  Returns ``(picks, valid)``, both
+    ``(rows, quota)``.
+
+    The passes run on a reversed copy of the rows (so a first-occurrence
+    argmax finds the largest offset), padded with half a cycle of ``-inf``
+    on both sides so every suppression window stays inside its row.
     """
-    first = day * _MINUTES_PER_DAY
-    if first >= energies.size:
-        return None
-    segment = energies[first : first + _MINUTES_PER_DAY]
-    lo = spec.energy_min_kwh * (1.0 - config.energy_slack)
-    hi = spec.energy_max_kwh * (1.0 + config.energy_slack)
-    relative = np.flatnonzero((segment >= lo) & (segment <= hi))
-    if relative.size == 0:
-        return None
-    day_idx = relative + first
-    spread = _day_nms_candidates(day_idx, segment[relative], template.length)
-    if not spread:
-        return None
-    starts = np.asarray(spread)
-    if accepted:
-        accepted_arr = np.asarray(accepted)
-        far = (np.abs(starts[:, None] - accepted_arr[None, :]) >= template.length).all(axis=1)
-        starts = starts[far]
-        if starts.size == 0:
-            return None
-    clamped = np.clip(energies[starts], lo, hi)
-    scores = _placement_scores_batch(
-        residual, starts, template.shape, clamped, window_cache
-    )
-    best = int(scores.argmax())
-    return float(scores[best]), int(starts[best]), float(clamped[best])
-
-
-def _match_pursuit_vectorized(
-    series: TimeSeries,
-    database: ApplianceDatabase,
-    config: MatchingConfig,
-    household_id: str,
-) -> DetectionResult:
-    residual = series.values.copy()
-    n = residual.size
-    detections: list[Activation] = []
-    accepted_starts: dict[str, list[int]] = {}
-    explained = 0.0
-
-    specs = list(database)
-    templates = database.templates()
-    energy_maps = _initial_energy_maps(residual, templates)
-    n_days = -(-n // _MINUTES_PER_DAY)
-
-    # Incremental candidate cache: each (appliance, day) keeps its best
-    # placement between iterations and is recomputed only when a subtraction
-    # touched offsets that could change it.  Per-day non-max suppression,
-    # score windows and same-appliance overlap exclusion are all local to
-    # the patched region, so the cache is exact, not approximate.
-    day_best: list[list[tuple[float, int, float] | None]] = [
-        [None] * n_days for _ in specs
-    ]
-    dirty = np.ones((len(specs), n_days), dtype=bool)
-    # Cached candidate scores, −inf for "no feasible placement".  The greedy
-    # pick is then a single row-major argmax instead of a Python scan over
-    # every cached (appliance, day) cell each iteration; first-occurrence
-    # argmax reproduces the scan's tie-break exactly (earliest appliance,
-    # then earliest day).
-    scores2d = np.full((len(specs), n_days), -np.inf)
-    # Sliding windows over the (in-place mutated) residual, one view per
-    # template length, shared by every scoring call of the whole pursuit.
-    window_cache: dict[int, np.ndarray] = {}
-
-    for _ in range(config.max_iterations):
-        for index, spec in enumerate(specs):
-            energies = energy_maps[index]
-            if energies.size == 0 or not dirty[index].any():
-                continue
-            accepted = accepted_starts.get(spec.name, [])
-            for day in np.flatnonzero(dirty[index]):
-                day = int(day)
-                candidate = _day_best_candidate(
-                    residual,
-                    energies,
-                    day,
-                    spec,
-                    templates[index],
-                    config,
-                    accepted,
-                    window_cache,
-                )
-                day_best[index][day] = candidate
-                scores2d[index, day] = -np.inf if candidate is None else candidate[0]
-            dirty[index] = False
-        flat = int(scores2d.argmax())
-        best_score = float(scores2d.flat[flat])
-        if best_score == -np.inf or best_score < config.min_score:
+    rows, width = block.shape
+    half = cycle_minutes // 2
+    span = np.arange(1 - half, half) if half else np.zeros(1, dtype=np.intp)
+    stride = width + 2 * half
+    masked = np.full((rows, stride), -np.inf)
+    np.copyto(masked[:, half : half + width], block[:, ::-1], where=feasible[:, ::-1])
+    flat = masked.reshape(-1)
+    base = np.arange(rows) * stride
+    picks = np.zeros((rows, _PER_DAY_QUOTA), dtype=np.intp)
+    valid = np.zeros((rows, _PER_DAY_QUOTA), dtype=bool)
+    for q in range(_PER_DAY_QUOTA):
+        k = base + masked.argmax(axis=1)
+        ok = flat[k] != -np.inf
+        if not ok.any():
             break
-        index, day = divmod(flat, n_days)
-        _, t, energy = day_best[index][day]
-        spec = specs[index]
+        picks[:, q] = np.where(ok, half + width - 1 - (k - base), 0)
+        valid[:, q] = ok
+        flat[k[:, None] + span] = -np.inf
+    return picks, valid
+
+
+#: One accepted run's footprint: household, changed hull ``[lo, hi)`` and,
+#: when the hull spans minutes the run left alone, the ``(firsts, lasts)``
+#: bounds of the runs of changed minutes in it.
+_Change = tuple[int, int, int, "tuple[np.ndarray, np.ndarray] | None"]
+
+
+class _Lockstep:
+    """The greedy pursuit of equal-length households, run side by side.
+
+    State per tile: the residual matrix, one day-padded energy map per
+    appliance (``-inf`` past the last offset), and a candidate cache of
+    each (household, appliance, day) cell's best placement, refreshed only
+    when a subtraction touched offsets that could change it.  Per-day
+    non-max suppression, score windows and same-appliance overlap
+    exclusion are all local to the patched region, so the cache is exact.
+    """
+
+    def __init__(
+        self, series: list[TimeSeries], database: ApplianceDatabase, config: MatchingConfig
+    ) -> None:
+        self.series = series
+        self.config = config
+        self.specs: list[ApplianceSpec] = list(database)
+        self.templates: list[ApplianceTemplate] = database.templates()
+        self.residual = np.stack([s.values for s in series]).astype(float, copy=False)
+        households, n = self.residual.shape
+        self.n = n
+        self.n_days = -(-n // _MINUTES_PER_DAY)
+        width = self.n_days * _MINUTES_PER_DAY
+        self.bounds = [
+            (
+                spec.energy_min_kwh * (1.0 - config.energy_slack),
+                spec.energy_max_kwh * (1.0 + config.energy_slack),
+            )
+            for spec in self.specs
+        ]
+        self.maps = self._initial_maps(width)
+        self.windows = [
+            None if energies is None else sliding_window_view(self.residual, t.length, axis=1)
+            for energies, t in zip(self.maps, self.templates)
+        ]
+        # Offsets no run of the same appliance may start at (a machine
+        # cannot run two cycles concurrently).
+        self.blocked = [
+            None if energies is None else np.zeros((households, width), dtype=bool)
+            for energies in self.maps
+        ]
+        # Map entries computed by direct correlation (the rest hold their
+        # initial FFT values).
+        self.direct = [
+            None if energies is None else np.zeros((households, width), dtype=bool)
+            for energies in self.maps
+        ]
+        cells = (households, len(self.specs), self.n_days)
+        self.score = np.full(cells, -np.inf)
+        self.start = np.zeros(cells, dtype=np.intp)
+        self.energy = np.zeros(cells)
+        self.dirty = np.ones(cells, dtype=bool)
+
+    def _initial_maps(self, width: int) -> list[np.ndarray | None]:
+        """Per-offset energy maps of every template, off one FFT of the tile.
+
+        The residual matrix is transformed once; each template contributes
+        a cached frequency-domain multiply plus one inverse transform.  The
+        transform writes into a buffer laid out so that its valid span
+        (offsets ``m − 1 … n − 1`` of the full correlation) *is* the
+        template's day-padded map, scaled in place: no second copy exists.
+        """
+        households, n = self.residual.shape
+        lengths = [t.length for t in self.templates if t.length <= n]
+        if not lengths:
+            return [None] * len(self.templates)
+        nfft = next_fast_len(n + max(lengths) - 1)
+        spectrum = np.fft.rfft(self.residual, nfft, axis=1)
+        maps: list[np.ndarray | None] = []
+        for template in self.templates:
+            m = template.length
+            if m > n:
+                maps.append(None)
+                continue
+            buffer = np.empty((households, max(nfft, m - 1 + width)))
+            np.fft.irfft(
+                spectrum * template.rfft_reversed(nfft), nfft, axis=1, out=buffer[:, :nfft]
+            )
+            energies = buffer[:, m - 1 : m - 1 + width]
+            valid = energies[:, : n - m + 1]
+            np.divide(valid, template.denom, out=valid)
+            energies[:, n - m + 1 :] = -np.inf
+            maps.append(energies)
+        return maps
+
+    def _refresh(self, index: int, households: np.ndarray, days: np.ndarray) -> None:
+        """Recompute the cached best placement of appliance ``index`` in the
+        given (household, day) cells."""
+        template = self.templates[index]
+        lo, hi = self.bounds[index]
+        block = self.maps[index].reshape(len(self.series), self.n_days, _MINUTES_PER_DAY)[
+            households, days
+        ]
+        feasible = (block >= lo) & (block <= hi)
+        some = feasible.any(axis=1)
+        self.score[households[~some], index, days[~some]] = -np.inf
+        if not some.all():
+            households, days = households[some], days[some]
+            block, feasible = block[some], feasible[some]
+        if not households.size:
+            return
+        picks, valid = _nms_picks(block, feasible, template.length)
+        starts = days[:, None] * _MINUTES_PER_DAY + picks
+        valid &= ~self.blocked[index][households[:, None], starts]
+        rows = np.arange(len(households))
+        clamped = np.clip(block[rows[:, None], picks], lo, hi)
+        scores = np.full(picks.shape, -np.inf)
+        cell, pick = np.nonzero(valid)
+        if cell.size:
+            scores[cell, pick] = _placement_scores(
+                self.windows[index][households[cell], starts[cell, pick]],
+                template.shape,
+                clamped[cell, pick],
+            )
+        best = scores.argmax(axis=1)
+        self.score[households, index, days] = scores[rows, best]
+        self.start[households, index, days] = starts[rows, best]
+        self.energy[households, index, days] = clamped[rows, best]
+
+    def _accept(self, household: int, index: int, t: int, energy: float) -> _Change:
+        """Subtract one accepted run and describe what it changed."""
+        spec = self.specs[index]
         m = spec.cycle_minutes
-        template = spec.shape * energy
-        residual[t : t + m] -= template
+        residual = self.residual[household]
+        residual[t : t + m] -= spec.shape * energy
         # Allow small negative residual (estimation error) but keep mass sane.
-        floor = -(templates[index].peak * energy)
+        floor = -(self.templates[index].peak * energy)
         below = residual < floor
         changed_lo, changed_hi = t, t + m
+        changed_runs = None
         if below.any():
             below_idx = np.flatnonzero(below)
             residual[below_idx] = floor
             changed_lo = min(changed_lo, int(below_idx[0]))
             changed_hi = max(changed_hi, int(below_idx[-1]) + 1)
-        for spec_index, spec_template in enumerate(templates):
-            _patch_energy_map(
-                energy_maps[spec_index], residual, spec_template, changed_lo, changed_hi
-            )
-            # Candidates whose feasibility, suppression, score window or
-            # overlap exclusion could have moved all start within
-            # [changed_lo - m + 1, changed_hi); flag the days covering it.
-            patch_lo = max(0, changed_lo - spec_template.length + 1)
-            first_day = patch_lo // _MINUTES_PER_DAY
-            last_day = min(changed_hi - 1, n - 1) // _MINUTES_PER_DAY
-            dirty[spec_index, first_day : last_day + 1] = True
-        accepted_starts.setdefault(spec.name, []).append(t)
-        detections.append(
-            Activation(
-                appliance=spec.name,
-                start=series.axis.time_at(t),
-                energy_kwh=energy,
-                duration=spec.cycle_duration,
-                flexible=spec.flexible,
-                household_id=household_id,
+            if (changed_lo, changed_hi) != (t, t + m):
+                # Clamped minutes outside the run: keep the runs of changed
+                # minutes, for the patch to skip offsets none of them reach.
+                breaks = np.flatnonzero(np.diff(below_idx) > 1)
+                changed_runs = (
+                    np.concatenate(([t], below_idx[np.concatenate(([0], breaks + 1))])),
+                    np.concatenate(([t + m], below_idx[np.concatenate((breaks, [-1]))] + 1)),
+                )
+        self.blocked[index][household, max(0, t - m + 1) : t + m] = True
+        return household, changed_lo, changed_hi, changed_runs
+
+    def _patch_runs(
+        self, index: int, change: _Change, lo: int, hi: int
+    ) -> list[tuple[int, int]]:
+        """The offset runs in ``[lo, hi)`` whose map entries must be recomputed.
+
+        An entry needs it when a changed minute lies in its window, or when
+        it still holds its FFT value (the reference semantics re-correlate
+        the whole patch range directly; an entry already computed by
+        direct correlation over an unchanged window would come out the
+        same bits).  Runs less than a cycle apart are merged: correlating
+        the gap costs no more than the outputs a run boundary wastes.
+        """
+        household, _, _, (changed_first, changed_last) = change
+        m = self.templates[index].length
+        direct = self.direct[index][household, lo:hi]
+        first = np.maximum(changed_first - m + 1, lo)
+        last = np.minimum(changed_last, hi)
+        stale = np.flatnonzero(~direct)
+        if stale.size:
+            breaks = np.flatnonzero(np.diff(stale) > 1)
+            first = np.concatenate((first, stale[np.concatenate(([0], breaks + 1))] + lo))
+            last = np.concatenate((last, stale[np.concatenate((breaks, [-1]))] + lo + 1))
+        order = np.argsort(first, kind="stable")
+        first = first[order]
+        last = np.maximum.accumulate(last[order])
+        split = np.flatnonzero(first[1:] - last[:-1] >= m)
+        direct[:] = True
+        return list(
+            zip(
+                first[np.concatenate(([0], split + 1))].tolist(),
+                last[np.concatenate((split, [-1]))].tolist(),
             )
         )
-        explained += energy
-        if float(np.maximum(residual, 0.0).sum()) < config.residual_floor_kwh:
-            break
 
-    detections.sort(key=lambda a: a.start)
-    return DetectionResult(
-        detections=detections,
-        residual=series.with_values(np.maximum(residual, 0.0)).with_name("residual"),
-        explained_kwh=explained,
-    )
+    def _patch(self, changes: list[_Change]) -> None:
+        """Refresh the energy maps where the residual changed.
+
+        A change at ``[changed_lo, changed_hi)`` perturbs a template's map at
+        offsets ``[changed_lo − m + 1, changed_hi)``; for each template, the
+        runs of those offsets that need it (see :meth:`_patch_runs`) are
+        re-correlated for every changed household in one exact direct
+        correlation over their concatenated segments (outputs straddling
+        two segments are dropped).  The days covering the offsets are
+        flagged for a candidate refresh.
+        """
+        for index, template in enumerate(self.templates):
+            m = template.length
+            energies = self.maps[index]
+            segments: list[np.ndarray] = []
+            targets: list[tuple[int, int, int]] = []
+            for change in changes:
+                household, changed_lo, changed_hi, _ = change
+                patch_lo = max(0, changed_lo - m + 1)
+                first_day = patch_lo // _MINUTES_PER_DAY
+                last_day = min(changed_hi - 1, self.n - 1) // _MINUTES_PER_DAY
+                self.dirty[household, index, first_day : last_day + 1] = True
+                hi = min(self.n - m + 1, changed_hi)
+                if energies is None or patch_lo >= hi:
+                    continue
+                if change[3] is None:
+                    self.direct[index][household, patch_lo:hi] = True
+                    runs = [(patch_lo, hi)]
+                else:
+                    runs = self._patch_runs(index, change, patch_lo, hi)
+                for lo, run_hi in runs:
+                    segments.append(self.residual[household, lo : run_hi + m - 1])
+                    targets.append((household, lo, run_hi))
+            if not segments:
+                continue
+            corr = np.correlate(np.concatenate(segments), template.shape, mode="valid")
+            corr /= template.denom
+            offset = 0
+            for (household, lo, hi), segment in zip(targets, segments):
+                energies[household, lo:hi] = corr[offset : offset + hi - lo]
+                offset += segment.size
+
+    def run(self, household_ids: list[str]) -> list[DetectionResult]:
+        config = self.config
+        households = len(self.series)
+        detections: list[list[Activation]] = [[] for _ in range(households)]
+        explained = [0.0] * households
+        accepted = [0] * households
+        alive = np.arange(households)
+        while alive.size:
+            for index, energies in enumerate(self.maps):
+                if energies is None:
+                    continue
+                rows, days = np.nonzero(self.dirty[alive, index])
+                if rows.size:
+                    cells = alive[rows]
+                    self._refresh(index, cells, days)
+                    self.dirty[cells, index, days] = False
+            scores = self.score[alive].reshape(alive.size, -1)
+            flat = scores.argmax(axis=1)
+            best = scores[np.arange(alive.size), flat]
+            survivors: list[int] = []
+            changes: list[_Change] = []
+            for household, cell, score in zip(alive.tolist(), flat.tolist(), best.tolist()):
+                if score == -np.inf or score < config.min_score:
+                    continue
+                index, day = divmod(cell, self.n_days)
+                t = int(self.start[household, index, day])
+                energy = float(self.energy[household, index, day])
+                change = self._accept(household, index, t, energy)
+                spec = self.specs[index]
+                detections[household].append(
+                    Activation(
+                        appliance=spec.name,
+                        start=self.series[household].axis.time_at(t),
+                        energy_kwh=energy,
+                        duration=spec.cycle_duration,
+                        flexible=spec.flexible,
+                        household_id=household_ids[household],
+                    )
+                )
+                explained[household] += energy
+                accepted[household] += 1
+                if accepted[household] == config.max_iterations:
+                    continue
+                mass = float(np.maximum(self.residual[household], 0.0).sum())
+                if mass < config.residual_floor_kwh:
+                    continue
+                survivors.append(household)
+                changes.append(change)
+            self._patch(changes)
+            alive = np.asarray(survivors, dtype=np.intp)
+
+        results: list[DetectionResult] = []
+        for household, series in enumerate(self.series):
+            detections[household].sort(key=lambda a: a.start)
+            residual = np.maximum(self.residual[household], 0.0)
+            results.append(
+                DetectionResult(
+                    detections=detections[household],
+                    residual=series.with_values(residual).with_name("residual"),
+                    explained_kwh=explained[household],
+                )
+            )
+        return results
 
 
 # ---------------------------------------------------------------------- #

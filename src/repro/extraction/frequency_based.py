@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import timedelta
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +26,12 @@ from repro.appliances.database import ApplianceDatabase, default_database
 from repro.disaggregation.baseline import remove_baseline
 from repro.disaggregation.frequency import FrequencyTable, estimate_frequencies
 from repro.api.registry import register_extractor
-from repro.disaggregation.matching import DetectionResult, MatchingConfig, match_pursuit
+from repro.disaggregation.matching import (
+    DetectionResult,
+    MatchingConfig,
+    match_pursuit,
+    pursuit_tile,
+)
 from repro.errors import ExtractionError
 from repro.extraction.base import ExtractionResult, FlexibilityExtractor
 from repro.extraction.params import FlexOfferParams
@@ -33,6 +39,37 @@ from repro.flexoffer.model import FlexOffer
 from repro.simulation.activations import Activation
 from repro.timeseries.axis import ONE_MINUTE, TimeAxis
 from repro.timeseries.series import TimeSeries
+
+
+def detect_appliances(
+    series: Sequence[TimeSeries],
+    database: ApplianceDatabase,
+    matching: MatchingConfig | None = None,
+    baseline_window_minutes: int = 150,
+    baseline_quantile: float = 0.15,
+) -> list[DetectionResult]:
+    """Step 1 of every appliance-level approach, over many households.
+
+    Checks the §4 granularity requirement, removes each series' base load
+    and disaggregates the appliance components in one lockstep matching
+    pursuit (:func:`~repro.disaggregation.matching.pursuit_tile`), one
+    :func:`~repro.disaggregation.matching.match_pursuit` call per household.
+    """
+    if any(s.axis.resolution != ONE_MINUTE for s in series):
+        raise ExtractionError(
+            "appliance-level extraction requires 1-minute data "
+            "(the paper's §4 granularity requirement)"
+        )
+    appliance = [
+        remove_baseline(s, baseline_window_minutes, baseline_quantile)[0] for s in series
+    ]
+    with pursuit_tile(appliance, database, matching):
+        return [match_pursuit(s, database, matching) for s in appliance]
+
+
+def observation_days(series: TimeSeries) -> int:
+    """Whole days a series covers (at least one)."""
+    return max(1, series.axis.length // series.axis.intervals_per_day)
 
 
 def slice_energies_on_grid(
@@ -106,22 +143,29 @@ class FrequencyBasedExtractor(FlexibilityExtractor):
 
     def detect(self, series: TimeSeries) -> FrequencyDetection:
         """Step 1: derive the appliance shortlist by disaggregation."""
-        if series.axis.resolution != ONE_MINUTE:
-            raise ExtractionError(
-                "appliance-level extraction requires 1-minute data "
-                "(the paper's §4 granularity requirement)"
+        return self.detect_many([series])[0]
+
+    def detect_many(self, series: Sequence[TimeSeries]) -> list[FrequencyDetection]:
+        """Step 1 over many households, disaggregated in lockstep."""
+        detections = detect_appliances(
+            series,
+            self.database,
+            self.matching,
+            self.baseline_window_minutes,
+            self.baseline_quantile,
+        )
+        return [
+            FrequencyDetection(
+                detection=detection,
+                table=estimate_frequencies(
+                    detection.detections,
+                    self.database,
+                    observation_days(s),
+                    self.min_detections,
+                ),
             )
-        appliance_series, _base = remove_baseline(
-            series, self.baseline_window_minutes, self.baseline_quantile
-        )
-        detection = match_pursuit(appliance_series, self.database, self.matching)
-        observation_days = max(
-            1, series.axis.length // series.axis.intervals_per_day
-        )
-        table = estimate_frequencies(
-            detection.detections, self.database, observation_days, self.min_detections
-        )
-        return FrequencyDetection(detection=detection, table=table)
+            for s, detection in zip(series, detections)
+        ]
 
     def formulate(
         self,

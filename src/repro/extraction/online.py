@@ -27,12 +27,11 @@ import numpy as np
 
 from repro.appliances.database import ApplianceDatabase, default_database
 from repro.appliances.model import ApplianceSpec
-from repro.disaggregation.baseline import remove_baseline
 from repro.disaggregation.frequency import FrequencyTable, estimate_frequencies
-from repro.disaggregation.matching import MatchingConfig, match_pursuit
+from repro.disaggregation.matching import MatchingConfig
 from repro.disaggregation.schedule_mining import MinedSchedule, count_day_types, mine_schedule
 from repro.errors import ExtractionError
-from repro.extraction.frequency_based import _snap
+from repro.extraction.frequency_based import _snap, detect_appliances, observation_days
 from repro.extraction.params import FlexOfferParams
 from repro.flexoffer.model import FlexOffer, ProfileSlice, next_offer_id
 from repro.timeseries.axis import ONE_MINUTE
@@ -136,12 +135,9 @@ class OnlineFlexOfferGenerator:
         matching: MatchingConfig | None = None,
     ) -> "OnlineFlexOfferGenerator":
         """Learn shortlist, schedules and typical energies from history."""
-        if history.axis.resolution != ONE_MINUTE:
-            raise ExtractionError("training requires a 1-minute history")
         database = database or default_database()
-        appliance_series, _ = remove_baseline(history)
-        detection = match_pursuit(appliance_series, database, matching)
-        days = max(1, history.axis.length // history.axis.intervals_per_day)
+        (detection,) = detect_appliances([history], database, matching)
+        days = observation_days(history)
         table = estimate_frequencies(detection.detections, database, days)
         day_counts = count_day_types(history.axis.start.date(), days)
         schedules = {

@@ -17,22 +17,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from typing import Sequence
 
 import numpy as np
 
 from repro.appliances.database import ApplianceDatabase, default_database
-from repro.disaggregation.baseline import remove_baseline
 from repro.disaggregation.frequency import FrequencyTable, estimate_frequencies
-from repro.disaggregation.matching import DetectionResult, MatchingConfig, match_pursuit
+from repro.disaggregation.matching import DetectionResult, MatchingConfig
 from repro.api.registry import register_extractor
 from repro.disaggregation.schedule_mining import MinedSchedule, count_day_types, mine_schedule
-from repro.errors import ExtractionError
 from repro.extraction.base import ExtractionResult, FlexibilityExtractor
-from repro.extraction.frequency_based import slice_energies_on_grid, _snap
+from repro.extraction.frequency_based import (
+    _snap,
+    detect_appliances,
+    observation_days,
+    slice_energies_on_grid,
+)
 from repro.extraction.params import FlexOfferParams
 from repro.flexoffer.model import FlexOffer
 from repro.simulation.activations import Activation
-from repro.timeseries.axis import ONE_MINUTE, TimeAxis
+from repro.timeseries.axis import TimeAxis
 from repro.timeseries.calendar import DailyWindow, day_type, minutes_since_midnight
 from repro.timeseries.series import TimeSeries
 
@@ -82,20 +86,25 @@ class ScheduleBasedExtractor(FlexibilityExtractor):
 
     def detect(self, series: TimeSeries) -> ScheduleDetection:
         """Step 1: disaggregate and mine per-appliance habit schedules."""
-        if series.axis.resolution != ONE_MINUTE:
-            raise ExtractionError(
-                "appliance-level extraction requires 1-minute data "
-                "(the paper's §4 granularity requirement)"
-            )
-        appliance_series, _base = remove_baseline(
-            series, self.baseline_window_minutes, self.baseline_quantile
+        return self.detect_many([series])[0]
+
+    def detect_many(self, series: Sequence[TimeSeries]) -> list[ScheduleDetection]:
+        """Step 1 over many households, disaggregated in lockstep."""
+        detections = detect_appliances(
+            series,
+            self.database,
+            self.matching,
+            self.baseline_window_minutes,
+            self.baseline_quantile,
         )
-        detection = match_pursuit(appliance_series, self.database, self.matching)
-        observation_days = max(1, series.axis.length // series.axis.intervals_per_day)
+        return [self._mine(s, detection) for s, detection in zip(series, detections)]
+
+    def _mine(self, series: TimeSeries, detection: DetectionResult) -> ScheduleDetection:
+        days = observation_days(series)
         table = estimate_frequencies(
-            detection.detections, self.database, observation_days, self.min_detections
+            detection.detections, self.database, days, self.min_detections
         )
-        day_counts = count_day_types(series.axis.start.date(), observation_days)
+        day_counts = count_day_types(series.axis.start.date(), days)
         schedules: dict[str, MinedSchedule] = {
             entry.appliance: mine_schedule(
                 detection.detections,

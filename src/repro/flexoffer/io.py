@@ -324,6 +324,29 @@ def quantile_forecast_from_dict(data: dict[str, Any]) -> "QuantileForecast":
 #: Wire-format version of report deltas; bump on incompatible change.
 REPORT_DELTA_VERSION = 1
 
+#: Top-level fields a snapshot dict must carry to be diffed or patched.
+_DELTA_SOURCE_FIELDS = ("state_version", "households", "aggregates", "committed")
+
+#: Top-level fields of a report delta (``version`` defaults to the current).
+_DELTA_FIELDS = (
+    "base_state_version",
+    "state_version",
+    "watermark",
+    "households",
+    "aggregates",
+    "committed",
+    "schedule",
+)
+
+
+def _require(payload: Any, fields: tuple[str, ...], what: str) -> None:
+    """Raise :class:`DataError` unless ``payload`` is a dict with ``fields``."""
+    if not isinstance(payload, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    for name in fields:
+        if name not in payload:
+            raise DataError(f"{what} missing field {name!r}")
+
 
 def _keyed_delta(old_items: list, new_items: list, key) -> dict[str, Any]:
     """Diff two keyed lists: upserted entries, removed keys, final order.
@@ -411,6 +434,8 @@ def report_delta(old: dict[str, Any], new: dict[str, Any]) -> dict[str, Any]:
     ``apply_report_delta(report_delta(a, b), a) == b`` for any two
     snapshots of the same session (property-tested).
     """
+    _require(old, _DELTA_SOURCE_FIELDS, "old snapshot")
+    _require(new, _DELTA_SOURCE_FIELDS + ("watermark",), "new snapshot")
     return {
         "version": REPORT_DELTA_VERSION,
         "base_state_version": old["state_version"],
@@ -427,9 +452,12 @@ def report_delta(old: dict[str, Any], new: dict[str, Any]) -> dict[str, Any]:
 
 def apply_report_delta(delta: dict[str, Any], base: dict[str, Any]) -> dict[str, Any]:
     """Reconstruct the newer snapshot dict from the older one plus a delta."""
+    _require(delta, (), "report delta")
     version = delta.get("version", REPORT_DELTA_VERSION)
     if version != REPORT_DELTA_VERSION:
         raise DataError(f"unsupported report-delta version {version}")
+    _require(delta, _DELTA_FIELDS, "report delta")
+    _require(base, _DELTA_SOURCE_FIELDS + ("version",), "base snapshot")
     if delta["base_state_version"] != base["state_version"]:
         raise DataError(
             f"report delta applies to state version {delta['base_state_version']}, "

@@ -50,7 +50,7 @@ from repro.timeseries.axis import TimeAxis
 from repro.timeseries.series import TimeSeries
 
 #: Pipeline stages, in execution order.  ``disaggregate`` is only non-zero
-#: for extractors exposing the detect/formulate split (the appliance-level
+#: for extractors exposing the detect_many/formulate split (the appliance-level
 #: approaches); household-level extractors do all their work in ``extract``;
 #: ``schedule`` runs only when a target series is supplied (the market-
 #: facing placement of the fleet aggregates against e.g. RES surplus).
@@ -445,37 +445,49 @@ def _pack_jobs(
     return matrix, axis, rows
 
 
+#: Households whose disaggregation runs in lockstep; one tile is detected
+#: and formulated before the next, so only one tile's energy maps and
+#: detections are alive at a time.
+_TILE_WIDTH = 16
+
+
 def _run_chunk(
     extractor: FlexibilityExtractor,
     seed: int,
     jobs: list[tuple[int, str, TimeSeries]],
 ) -> tuple[list[HouseholdOutput], dict[str, float]]:
-    """Extract one chunk of households; returns outputs plus stage seconds."""
-    split = hasattr(extractor, "detect") and hasattr(extractor, "formulate")
+    """Extract one chunk of households; returns outputs plus stage seconds.
+
+    Extractors exposing ``detect_many``/``formulate`` (the appliance-level
+    approaches) detect each tile of :data:`_TILE_WIDTH` households in one
+    batched call, then formulate them one by one.
+    """
+    split = hasattr(extractor, "detect_many") and hasattr(extractor, "formulate")
     timings = {"disaggregate": 0.0, "extract": 0.0}
     outputs: list[HouseholdOutput] = []
-    for index, household_id, series in jobs:
-        rng = np.random.default_rng(seed + SEED_STRIDE * index)
-        with offer_id_scope(f"h{index}"):
-            if split:
-                t0 = time.perf_counter()
-                detected = extractor.detect(series)
-                timings["disaggregate"] += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                result = extractor.formulate(series, detected, rng)
-                timings["extract"] += time.perf_counter() - t0
-            else:
-                t0 = time.perf_counter()
-                result = extractor.extract(series, rng)
-                timings["extract"] += time.perf_counter() - t0
-        outputs.append(
-            HouseholdOutput(
-                index=index,
-                household_id=household_id,
-                offers=stamp_household(result.offers, household_id),
-                summary=result.summary(),
+    for first in range(0, len(jobs), _TILE_WIDTH):
+        tile = jobs[first : first + _TILE_WIDTH]
+        if split:
+            t0 = time.perf_counter()
+            detected = extractor.detect_many([series for _, _, series in tile])
+            timings["disaggregate"] += time.perf_counter() - t0
+        for position, (index, household_id, series) in enumerate(tile):
+            rng = np.random.default_rng(seed + SEED_STRIDE * index)
+            t0 = time.perf_counter()
+            with offer_id_scope(f"h{index}"):
+                if split:
+                    result = extractor.formulate(series, detected[position], rng)
+                else:
+                    result = extractor.extract(series, rng)
+            timings["extract"] += time.perf_counter() - t0
+            outputs.append(
+                HouseholdOutput(
+                    index=index,
+                    household_id=household_id,
+                    offers=stamp_household(result.offers, household_id),
+                    summary=result.summary(),
+                )
             )
-        )
     return outputs, timings
 
 
@@ -486,14 +498,15 @@ class FleetPipeline:
     ----------
     extractor:
         Any :class:`FlexibilityExtractor`; appliance-level extractors that
-        expose ``detect``/``formulate`` get their disaggregation stage
+        expose ``detect_many``/``formulate`` get their disaggregation stage
         timed (and fanned out) separately.  Defaults to the frequency-based
         appliance-level approach.
     grouping:
         Grid parameters for fleet-wide offer grouping before aggregation.
     chunk_size:
-        Households per batch; bounds both task-submission overhead and
-        per-worker peak memory.
+        Households per dispatched batch when fanning out; bounds both
+        task-submission overhead and per-worker peak memory.  In-process
+        runs extract the whole fleet in one pass (tile by tile).
     workers:
         ``None``/``1`` runs in-process; larger values fan chunks out over a
         process pool.  Results are independent of the worker count.
@@ -594,10 +607,10 @@ class FleetPipeline:
         ]
         outputs: list[HouseholdOutput] = []
         if self.workers is None or self.workers == 1 or len(chunks) == 1:
-            for chunk in chunks:
-                chunk_outputs, chunk_timings = _run_chunk(self.extractor, self.seed, chunk)
-                outputs.extend(chunk_outputs)
-                timings.merge(chunk_timings)
+            # In process, chunks are no dispatch unit: one call keeps the
+            # lockstep tiles full whatever the chunk size.
+            outputs, chunk_timings = _run_chunk(self.extractor, self.seed, jobs)
+            timings.merge(chunk_timings)
         else:
             t0 = time.perf_counter()
             self._fan_out(jobs, chunks, outputs, timings)

@@ -201,3 +201,16 @@ class TestEvaluate:
                      "--approaches", "zorp"])
         assert code == 1
         assert "unknown extractor 'zorp'" in capsys.readouterr().err
+
+
+class TestBench:
+    def test_fleet_suite_exits_zero_when_equivalent(self, capsys):
+        assert main(["bench", "--households", "2", "--days", "1"]) == 0
+        assert "batched == sequential: True" in capsys.readouterr().out
+
+    def test_a_false_equivalence_check_fails_the_run(self, monkeypatch, capsys):
+        monkeypatch.setattr("repro.pipeline.bench.results_identical", lambda a, b: False)
+        assert main(["bench", "--households", "2", "--days", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "batched == sequential: False" in captured.out
+        assert "equivalence check failed: batched_equals_sequential" in captured.err

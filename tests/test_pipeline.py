@@ -53,6 +53,13 @@ class TestFleetPipeline:
         assert offers_equivalent(batched.offers, sequential.offers)
         assert results_identical(batched, sequential)
 
+    def test_lockstep_tiles_across_a_boundary_equal_sequential(self):
+        # 19 households: one full 16-household tile plus a ragged one.
+        fleet = generate_fleet(19, START, 1, seed=11)
+        extractor = FrequencyBasedExtractor()
+        batched = FleetPipeline(extractor).run(fleet)
+        assert results_identical(batched, run_sequential(fleet, extractor))
+
     def test_chunk_size_invariance(self, tiny_fleet):
         extractor = PeakBasedExtractor(params=FlexOfferParams(flexible_share=0.05))
         one = FleetPipeline(extractor, chunk_size=1).run(tiny_fleet)

@@ -257,6 +257,54 @@ class TestReportDelta:
         with pytest.raises(DataError, match="base"):
             apply_report_delta(delta, b)
 
+    def test_apply_to_empty_dicts_names_the_missing_field(self):
+        with pytest.raises(DataError, match="^report delta missing field 'base_state_version'$"):
+            apply_report_delta({}, {})
+
+    @pytest.mark.parametrize(
+        "field",
+        ["base_state_version", "state_version", "watermark", "households",
+         "aggregates", "committed", "schedule"],
+    )
+    def test_delta_missing_a_top_level_field_raises(self, session_fleet, target, field):
+        a, b = self.snapshots(session_fleet, target)
+        delta = report_delta(a, b)
+        del delta[field]
+        with pytest.raises(DataError, match=f"^report delta missing field '{field}'$"):
+            apply_report_delta(delta, a)
+
+    @pytest.mark.parametrize(
+        "field", ["version", "state_version", "households", "aggregates", "committed"]
+    )
+    def test_base_missing_a_top_level_field_raises(self, session_fleet, target, field):
+        a, b = self.snapshots(session_fleet, target)
+        delta = report_delta(a, b)
+        del a[field]
+        with pytest.raises(DataError, match=f"^base snapshot missing field '{field}'$"):
+            apply_report_delta(delta, a)
+
+    @pytest.mark.parametrize(
+        "field", ["state_version", "watermark", "households", "aggregates", "committed"]
+    )
+    def test_diffing_a_snapshot_missing_a_field_raises(self, session_fleet, target, field):
+        a, b = self.snapshots(session_fleet, target)
+        del b[field]
+        with pytest.raises(DataError, match=f"^new snapshot missing field '{field}'$"):
+            report_delta(a, b)
+        if field != "watermark":
+            with pytest.raises(DataError, match=f"^old snapshot missing field '{field}'$"):
+                report_delta(b, a)
+
+    def test_unsupported_version_is_reported_before_missing_fields(self):
+        with pytest.raises(DataError, match="^unsupported report-delta version 2$"):
+            apply_report_delta({"version": 2}, {})
+
+    def test_non_object_payloads_raise(self):
+        with pytest.raises(DataError, match="^report delta must be a JSON object, got list$"):
+            apply_report_delta([], {})
+        with pytest.raises(DataError, match="^old snapshot must be a JSON object, got NoneType$"):
+            report_delta(None, {})
+
     def test_unsupported_delta_version_raises(self, session_fleet, target):
         a, b = self.snapshots(session_fleet, target)
         delta = report_delta(a, b)
