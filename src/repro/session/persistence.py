@@ -80,15 +80,36 @@ JOURNAL_EVENT_TYPES = ("ingest", "replan", "retarget", "commit")
 # ---------------------------------------------------------------------- #
 
 
-def _checksum(seq: int, kind: str, data: dict[str, Any]) -> int:
-    canonical = json.dumps([seq, kind, data], sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canonical.encode("utf-8"))
+def _canonical(payload: Any) -> bytes:
+    """The canonical JSON encoding of ``payload`` (one pass of the C encoder).
+
+    ``ensure_ascii`` holds, so the text is ASCII and encoding it is exact.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _checksum(seq: int, kind: str, data: Any) -> int:
+    """CRC-32 of the canonical ``[seq, kind, data]`` (what readers verify)."""
+    return zlib.crc32(_canonical([seq, kind, data]))
+
+
+def _framed_crc(seq: int, kind: str, canonical: bytes) -> int:
+    """:func:`_checksum` for a payload already encoded by :func:`_canonical`,
+    computed over ``[seq,"kind",`` + payload + ``]`` without copying it."""
+    crc = zlib.crc32(b"[%d,%b," % (seq, _canonical(kind)))
+    return zlib.crc32(b"]", zlib.crc32(canonical, crc))
 
 
 def _encode_record(seq: int, kind: str, data: dict[str, Any]) -> bytes:
-    record = {"seq": seq, "type": kind, "data": data, "crc": _checksum(seq, kind, data)}
-    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
+    # Byte-identical to canonically encoding the whole record dict, whose
+    # sorted keys are crc, data, seq, type; ``data`` is encoded once.
+    canonical = _canonical(data)
+    crc = _framed_crc(seq, kind, canonical)
+    return b'{"crc":%d,"data":%b,"seq":%d,"type":%b}\n' % (
+        crc,
+        canonical,
+        seq,
+        _canonical(kind),
     )
 
 
@@ -155,7 +176,7 @@ def encode_state(session: "FlexibilitySession") -> dict[str, Any]:
                 "household_id": h.household_id,
                 "series_name": h.series_name,
                 "axis": _axis_to_dict(h.axis),
-                "values": [float(v) for v in h.values],
+                "values": h.values.tolist(),
                 "covered": _mask_runs(h.covered),
                 "dirty": bool(h.dirty),
                 "offers": [flexoffer_to_dict(o) for o in h.offers],
@@ -178,7 +199,7 @@ def encode_state(session: "FlexibilitySession") -> dict[str, Any]:
             if session.target is None
             else {
                 "name": session.target.name,
-                "values": [float(v) for v in session.target.values],
+                "values": session.target.values.tolist(),
             }
         ),
     }
@@ -275,11 +296,14 @@ class SessionJournal:
         spec: dict[str, Any] | None,
         snapshot_every: int,
         last_seq: int,
+        header: bytes,
     ) -> None:
         self.directory = directory
         self.spec = spec
         self.snapshot_every = snapshot_every
         self._last_seq = last_seq
+        #: The WAL's ``open`` header line, all a compacted WAL keeps.
+        self._header = header
         self._wal = directory / WAL_NAME
         self._fh = open(self._wal, "ab")
 
@@ -322,7 +346,7 @@ class SessionJournal:
             fh.write(header)
             fh.flush()
             os.fsync(fh.fileno())
-        return cls(directory, spec, every, last_seq=0)
+        return cls(directory, spec, every, last_seq=0, header=header)
 
     @classmethod
     def open(cls, directory: str | Path) -> "SessionJournal":
@@ -338,6 +362,8 @@ class SessionJournal:
         if header["seq"] != 0 or header["type"] != "open":
             raise PersistenceError(f"{wal} does not start with an 'open' header")
         meta = header["data"]
+        if not isinstance(meta, dict):
+            raise PersistenceError(f"{wal}: 'open' header data is not a JSON object")
         if meta.get("version") != JOURNAL_VERSION:
             raise PersistenceError(
                 f"unsupported journal version {meta.get('version')} in {wal}"
@@ -347,12 +373,14 @@ class SessionJournal:
             # event was never applied durably, so dropping it is exactly
             # the at-boundary semantics recovery promises.
             os.truncate(wal, keep_bytes)
-        last_seq = records[-1]["seq"]
+        with open(wal, "rb") as fh:
+            header_line = fh.readline()
         journal = cls(
             directory,
             meta.get("spec"),
             meta.get("snapshot_every", DEFAULT_SNAPSHOT_EVERY),
-            last_seq=last_seq,
+            last_seq=records[-1]["seq"],
+            header=header_line,
         )
         # Snapshots may outrun the (compacted) WAL records.
         newest = journal.latest_snapshot()
@@ -439,35 +467,49 @@ class SessionJournal:
         a crash mid-write leaves either no snapshot or an ignorable torn
         one — never a plausible-looking wrong one.  Compaction then prunes
         older snapshots and drops the WAL records the snapshot covers.
+
+        The state is encoded once, canonically; the body is the canonical
+        encoding of ``{"crc", "seq", "state", "version"}`` built around
+        that text, and the CRC frames the same text.  The
+        ``snapshot-write`` fault point simulates dying mid-write: a prefix
+        of the temp file is persisted, then
+        :class:`~repro.testing.faults.InjectedCrash` flies before the
+        rename.
         """
         seq = self._last_seq
-        body = {
-            "version": JOURNAL_VERSION,
-            "seq": seq,
-            "state": state_payload,
-            "crc": _checksum(seq, "snapshot", state_payload),
-        }
+        state = _canonical(state_payload)
+        crc = _framed_crc(seq, "snapshot", state)
+        body = b'{"crc":%d,"seq":%d,"state":%b,"version":%d}' % (
+            crc,
+            seq,
+            state,
+            JOURNAL_VERSION,
+        )
         path = self._snapshot_path(seq)
         tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(body, fh)
+        cut = faults.torn_cut("snapshot-write", seq, len(body))
+        with open(tmp, "wb") as fh:
+            fh.write(body if cut is None else body[:cut])
             fh.flush()
             os.fsync(fh.fileno())
+        if cut is not None:
+            raise faults.InjectedCrash(f"torn snapshot write at seq {seq}")
         os.replace(tmp, path)
-        self._compact(seq)
+        self._compact(path)
         return path
 
-    def _compact(self, through_seq: int) -> None:
-        """Prune snapshots and WAL records made redundant by ``through_seq``."""
-        for stale in self.directory.glob("snapshot-*.json"):
-            if stale != self._snapshot_path(through_seq):
+    def _compact(self, snapshot: Path) -> None:
+        """Prune everything ``snapshot`` (as of :attr:`last_seq`) supersedes.
+
+        Older snapshots and leftover temp files go; the snapshot covers
+        every logged event, so the WAL is atomically reset to its header.
+        """
+        for stale in self.directory.glob("snapshot-*.json*"):
+            if stale != snapshot:
                 stale.unlink()
-        records, _, _ = self._scan(self._wal)
-        keep = [records[0]] + [r for r in records[1:] if r["seq"] > through_seq]
         tmp = self._wal.with_suffix(".jsonl.tmp")
         with open(tmp, "wb") as fh:
-            for record in keep:
-                fh.write(_encode_record(record["seq"], record["type"], record["data"]))
+            fh.write(self._header)
             fh.flush()
             os.fsync(fh.fileno())
         self._fh.close()
@@ -477,19 +519,27 @@ class SessionJournal:
     def latest_snapshot(self) -> tuple[int, dict[str, Any]] | None:
         """The newest intact snapshot as ``(seq, state payload)``, if any.
 
-        Torn or checksum-failing snapshots are skipped (an older one, or a
-        full-log replay, still recovers the session).
+        Torn, checksum-failing or malformed snapshots (a body that is not
+        an object, a non-integer ``seq``, a state that is not an object)
+        are skipped: an older one, or a full-log replay, still recovers
+        the session.
         """
         for path in sorted(self.directory.glob("snapshot-*.json"), reverse=True):
             try:
                 body = json.loads(path.read_text())
-                if body["crc"] != _checksum(body["seq"], "snapshot", body["state"]):
+                if not isinstance(body, dict):
                     continue
-                if body.get("version") != JOURNAL_VERSION:
+                if body["crc"] != _checksum(body["seq"], "snapshot", body["state"]):
                     continue
             except (ValueError, KeyError, OSError):
                 continue
-            return int(body["seq"]), body["state"]
+            seq, state = body["seq"], body["state"]
+            if (
+                body.get("version") == JOURNAL_VERSION
+                and type(seq) is int
+                and isinstance(state, dict)
+            ):
+                return seq, state
         return None
 
     def tail(self, after_seq: int) -> Iterator[dict[str, Any]]:
@@ -506,6 +556,24 @@ class SessionJournal:
 # ---------------------------------------------------------------------- #
 # Recovery
 # ---------------------------------------------------------------------- #
+
+
+def _fields(record: dict[str, Any], *names: str) -> tuple[Any, ...]:
+    """``record["data"][name]`` for each name, or a PersistenceError that
+    names the record's seq and the first absent field."""
+    data = record["data"]
+    if not isinstance(data, dict):
+        raise PersistenceError(
+            f"WAL record seq {record['seq']} ({record['type']}): data is not a "
+            "JSON object"
+        )
+    for name in names:
+        if name not in data:
+            raise PersistenceError(
+                f"WAL record seq {record['seq']} ({record['type']}) missing "
+                f"field {name!r}"
+            )
+    return tuple(data[name] for name in names)
 
 
 def restore_session(
@@ -540,23 +608,28 @@ def restore_session(
             decode_state(session, payload)
             after = seq
         for record in journal.tail(after):
-            kind, data = record["type"], record["data"]
+            kind = record["type"]
             if kind == "ingest":
-                session.ingest(data["household"], data["first"], data["values"])
+                household, first, values = _fields(
+                    record, "household", "first", "values"
+                )
+                session.ingest(household, first, values)
             elif kind == "replan":
                 session.replan()
             elif kind == "retarget":
                 from repro.timeseries.series import TimeSeries
 
+                name, values = _fields(record, "name", "values")
                 session.retarget(
                     TimeSeries(
                         session.target.axis,
-                        np.asarray(data["values"], dtype=np.float64),
-                        data["name"],
+                        np.asarray(values, dtype=np.float64),
+                        name,
                     )
                 )
             elif kind == "commit":
-                session.commit(datetime.fromisoformat(data["through"]))
+                (through,) = _fields(record, "through")
+                session.commit(datetime.fromisoformat(through))
             else:  # pragma: no cover - _scan admits only encodable records
                 raise PersistenceError(f"unknown journal record type {kind!r}")
     finally:

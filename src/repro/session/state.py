@@ -476,7 +476,7 @@ class FlexibilitySession:
             "retarget",
             {
                 "name": new_target.name,
-                "values": [float(v) for v in new_target.values],
+                "values": new_target.values.tolist(),
             },
         )
         self.target = new_target.copy()

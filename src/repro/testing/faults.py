@@ -11,6 +11,7 @@ that can die in the wild::
     conformance-cell    conformance worker, per cell         crash
     shm-create          SharedFleetBuffer.create (owner)     oserror
     wal-append          SessionJournal record append         torn
+    snapshot-write      SessionJournal snapshot temp file    torn
     session-event       replay_session, per event            crash / kill
 
 A probe is a no-op unless :data:`FAULTS_ENV_VAR` holds an encoded
@@ -31,9 +32,10 @@ Modes:
 * ``oserror`` — raises ``OSError(ENOSPC)``: a full ``/dev/shm``.
 * ``error`` — raises :class:`InjectedFault`, an ordinary exception.
 * ``hang`` — sleeps ``seconds``: a wedged worker, for timeout tests.
-* ``torn`` — cooperative: :func:`torn_cut` tells the WAL writer to stop
-  mid-record and raise :class:`InjectedCrash` (a ``BaseException``, so a
-  stray ``except Exception`` cannot swallow the simulated death).
+* ``torn`` — cooperative: :func:`torn_cut` tells a journal writer (WAL
+  append or snapshot temp file) to stop mid-write and raise
+  :class:`InjectedCrash` (a ``BaseException``, so a stray
+  ``except Exception`` cannot swallow the simulated death).
 """
 
 from __future__ import annotations
@@ -183,10 +185,10 @@ def fire(point: str, index: int | None = None) -> None:
 
 
 def torn_cut(point: str, index: int | None, size: int) -> int | None:
-    """Cooperative torn-write probe for WAL appends.
+    """Cooperative torn-write probe for journal writes.
 
     When a ``torn`` fault is armed at ``(point, index)``, returns how many
-    of the record's ``size`` bytes the writer should persist before
+    of the write's ``size`` bytes the writer should persist before
     simulating death (half, but at least one and never all); otherwise
     ``None``.  The writer persists the prefix and raises
     :class:`InjectedCrash`.

@@ -14,14 +14,18 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import zlib
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PersistenceError, SessionError, SessionReplayError
 from repro.evaluation.comparison import input_series_for
@@ -33,10 +37,32 @@ from repro.session import (
     restore_session,
     session_for_spec,
 )
-from repro.session.persistence import WAL_NAME, decode_state, encode_state
+from repro.session.persistence import (
+    JOURNAL_EVENT_TYPES,
+    WAL_NAME,
+    _canonical,
+    _checksum,
+    _encode_record,
+    _framed_crc,
+    decode_state,
+    encode_state,
+)
 from repro.testing import faults
 
 EVENTS_FILE = Path(__file__).parent.parent / "examples" / "specs" / "session_events.json"
+#: The same stream journaled with a snapshot after every replan.
+SNAPSHOT_EVENTS_FILE = EVENTS_FILE.with_name("session_events_snapshot.json")
+#: A snapshot of the CI stream at seq 6 in the original ``json.dump``
+#: layout (insertion-ordered keys, default separators).  Never regenerate.
+LEGACY_SNAPSHOT = (
+    Path(__file__).parent / "data" / "golden" / "compat" / "session_snapshot_v1.json"
+)
+
+
+def _crc_valid_body(seq, state) -> str:
+    return json.dumps(
+        {"version": 1, "seq": seq, "state": state, "crc": _checksum(seq, "snapshot", state)}
+    )
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +210,45 @@ class TestJournal:
         assert journal.latest_snapshot() == (1, {"fake": "state"})
         assert path.exists()
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "null",
+            "[1,2]",
+            '"x"',
+            _crc_valid_body("2", {"fake": "new"}),
+            _crc_valid_body(2.5, {"fake": "new"}),
+            _crc_valid_body(2, [1]),
+        ],
+        ids=["null", "list", "string", "str-seq", "float-seq", "list-state"],
+    )
+    def test_malformed_snapshot_is_skipped(self, tmp_path, body):
+        journal = SessionJournal.create(tmp_path)
+        journal.append("replan", {})
+        journal.write_snapshot({"fake": "state"})
+        (tmp_path / "snapshot-00000002.json").write_text(body)
+        assert journal.latest_snapshot() == (1, {"fake": "state"})
+        journal.close()
+
+    def test_open_refuses_non_object_header(self, tmp_path):
+        (tmp_path / WAL_NAME).write_bytes(_encode_record(0, "open", [1]))
+        with pytest.raises(PersistenceError, match="header data is not a JSON object"):
+            SessionJournal.open(tmp_path)
+
+    def test_compacted_wal_keeps_the_header_bytes(self, tmp_path):
+        journal = SessionJournal.create(tmp_path, spec={"name": "é"})
+        header = (tmp_path / WAL_NAME).read_bytes()
+        journal.append("replan", {})
+        journal.write_snapshot({"fake": "state"})
+        assert (tmp_path / WAL_NAME).read_bytes() == header
+        journal.close()
+        reopened = SessionJournal.open(tmp_path)
+        reopened.append("replan", {})
+        reopened.write_snapshot({"fake": "later"})
+        assert (tmp_path / WAL_NAME).read_bytes() == header
+        assert reopened.latest_snapshot() == (2, {"fake": "later"})
+        reopened.close()
+
     def test_attach_requires_pristine_session_and_fresh_journal(
         self, tmp_path, stream
     ):
@@ -199,6 +264,84 @@ class TestJournal:
         attached.attach_journal(SessionJournal.create(tmp_path / "c"))
         with pytest.raises(PersistenceError, match="already has a journal"):
             attached.attach_journal(SessionJournal.create(tmp_path / "d"))
+
+
+# ---------------------------------------------------------------------- #
+# Wire formats: WAL record bytes and snapshot bodies
+# ---------------------------------------------------------------------- #
+
+
+def _two_pass_crc(seq, kind, data) -> int:
+    """The original CRC: the canonical ``[seq, kind, data]``, encoded whole."""
+    canonical = json.dumps([seq, kind, data], sort_keys=True, separators=(",", ":"))
+    return zlib.crc32(canonical.encode())
+
+
+def _two_pass_record(seq, kind, data) -> bytes:
+    """The original WAL encoder: checksum pass, then the whole record."""
+    record = {"seq": seq, "type": kind, "data": data, "crc": _two_pass_crc(seq, kind, data)}
+    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestWireFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seq=st.integers(min_value=0, max_value=2**53),
+        kind=st.sampled_from(("open",) + JOURNAL_EVENT_TYPES),
+        data=st.dictionaries(st.text(max_size=8), _json_values, max_size=5),
+    )
+    @example(seq=1, kind="ingest", data={"values": [-0.0, 1e-05, 2.5e300]})
+    @example(seq=7, kind="retarget", data={"name": "Zürich wind ☀", "values": [0.5]})
+    @example(seq=3, kind="commit", data={"through": "2012-03-06T12:00:00"})
+    def test_record_bytes_match_the_two_pass_encoder(self, seq, kind, data):
+        assert _encode_record(seq, kind, data) == _two_pass_record(seq, kind, data)
+        crc = _two_pass_crc(seq, kind, data)
+        assert _framed_crc(seq, kind, _canonical(data)) == crc
+        assert _checksum(seq, kind, data) == crc
+
+    def test_snapshot_body_is_canonical_with_the_same_crc(self, tmp_path, stream):
+        session = _fresh(stream)
+        _apply(session, stream)
+        state = encode_state(session)
+        journal = SessionJournal.create(tmp_path)
+        journal.append("replan", {})
+        path = journal.write_snapshot(state)
+        raw = path.read_bytes()
+        body = json.loads(raw)
+        assert raw == _canonical(body)
+        assert body["crc"] == _checksum(1, "snapshot", state)
+        assert journal.latest_snapshot() == (1, json.loads(json.dumps(state)))
+
+    def test_legacy_snapshot_layout_still_restores_bitwise(
+        self, tmp_path, stream, uninterrupted_final
+    ):
+        text = LEGACY_SNAPSHOT.read_text()
+        assert text.startswith('{"version": 1, "seq": 6, "state": {')
+        body = json.loads(text)
+        # The canonical writer frames the same CRC around the same state.
+        assert body["crc"] == _framed_crc(6, "snapshot", _canonical(body["state"]))
+        SessionJournal.create(tmp_path).close()
+        shutil.copy(LEGACY_SNAPSHOT, tmp_path / "snapshot-00000006.json")
+        recovered = restore_session(_fresh(stream), tmp_path)
+        assert recovered.journal.last_seq == 6
+        live = _fresh(stream)
+        _apply(live, stream, stop=6)
+        assert recovered.snapshot().to_dict() == live.snapshot().to_dict()
+        assert encode_state(recovered) == encode_state(live)
+        _apply(recovered, stream, start=6)
+        assert recovered.snapshot().to_dict() == uninterrupted_final
 
 
 # ---------------------------------------------------------------------- #
@@ -294,6 +437,86 @@ class TestRecovery:
         _apply(recovered, stream, start=3)
         assert recovered.snapshot().to_dict() == uninterrupted_final
 
+    @pytest.mark.parametrize("replan_seq", [3, 6])
+    def test_torn_snapshot_write_recovers_bitwise(
+        self, tmp_path, stream, uninterrupted_final, replan_seq
+    ):
+        session = _fresh(stream)
+        session.attach_journal(SessionJournal.create(tmp_path, snapshot_every=1))
+        with faults.inject_faults(
+            faults.FaultSpec("snapshot-write", mode="torn", index=replan_seq)
+        ):
+            with pytest.raises(faults.InjectedCrash, match="torn snapshot write"):
+                _apply(session, stream)
+        session.journal.close()
+        torn = tmp_path / f"snapshot-{replan_seq:08d}.json.tmp"
+        assert torn.exists() and not torn.with_suffix("").exists()
+        # The replan record is durable, so recovery replays it on top of
+        # the previous snapshot (or the whole log).
+        recovered = restore_session(_fresh(stream), tmp_path)
+        assert recovered.journal.last_seq == replan_seq
+        _apply(recovered, stream, start=replan_seq)
+        assert recovered.snapshot().to_dict() == uninterrupted_final
+        if replan_seq == 3:  # the next compaction sweeps the torn temp file
+            assert not torn.exists()
+
+    @pytest.mark.parametrize("replan_seq", [3, 6])
+    def test_crash_between_snapshot_rename_and_compaction_recovers_bitwise(
+        self, tmp_path, stream, uninterrupted_final, replan_seq, monkeypatch
+    ):
+        session = _fresh(stream)
+        session.attach_journal(SessionJournal.create(tmp_path, snapshot_every=1))
+        _apply(session, stream, stop=replan_seq - 1)
+
+        def die(self, snapshot):
+            raise faults.InjectedCrash(f"died before compacting {snapshot.name}")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(SessionJournal, "_compact", die)
+            with pytest.raises(faults.InjectedCrash, match="before compacting"):
+                _apply(session, stream, start=replan_seq - 1, stop=replan_seq)
+        session.journal.close()
+        # The snapshot landed but the WAL still holds the records it covers.
+        assert (tmp_path / f"snapshot-{replan_seq:08d}.json").exists()
+        reopened = SessionJournal.open(tmp_path)
+        assert [r["seq"] for r in reopened.tail(0)][-1] == replan_seq
+        reopened.close()
+        recovered = restore_session(_fresh(stream), tmp_path)
+        assert recovered.journal.last_seq == replan_seq
+        _apply(recovered, stream, start=replan_seq)
+        assert recovered.snapshot().to_dict() == uninterrupted_final
+
+    @pytest.mark.parametrize(
+        "kind, data, field",
+        [
+            ("ingest", {"household": 0}, "first"),
+            ("ingest", {"household": 0, "first": 0}, "values"),
+            ("commit", {}, "through"),
+            ("retarget", {"name": "wind"}, "values"),
+            ("retarget", {"values": []}, "name"),
+        ],
+    )
+    def test_record_missing_a_field_raises_persistence_error(
+        self, tmp_path, stream, kind, data, field
+    ):
+        journal = SessionJournal.create(tmp_path)
+        journal.append("replan", {})
+        journal.append(kind, data)
+        journal.close()
+        with pytest.raises(
+            PersistenceError, match=rf"seq 2 \({kind}\) missing field '{field}'"
+        ):
+            restore_session(_fresh(stream), tmp_path)
+
+    def test_record_with_non_object_data_raises_persistence_error(
+        self, tmp_path, stream
+    ):
+        journal = SessionJournal.create(tmp_path)
+        journal.append("ingest", [0, 0, []])
+        journal.close()
+        with pytest.raises(PersistenceError, match=r"seq 1 \(ingest\).*not a JSON object"):
+            restore_session(_fresh(stream), tmp_path)
+
     def test_restore_refuses_a_used_session(self, tmp_path, stream):
         self._crash_at(stream, tmp_path, boundary=2)
         used = _fresh(stream)
@@ -337,6 +560,29 @@ class TestReplaySurface:
         assert resumed["final"] == baseline["final"]
         assert resumed["committed"] == baseline["committed"]
         assert resumed["deltas"] == []
+
+    def test_resume_from_a_snapshot_at_the_commit_event(self, tmp_path):
+        # The CI snapshot smoke: a snapshot after every replan, the run dies
+        # at the commit, and the resume loads snapshot 6 with an empty tail.
+        baseline = replay_session(SNAPSHOT_EVENTS_FILE)
+        journal_dir = tmp_path / "j"
+        with faults.inject_faults(
+            faults.FaultSpec("session-event", mode="error", index=6)
+        ):
+            with pytest.raises(SessionReplayError, match=r"events\[6\]"):
+                replay_session(SNAPSHOT_EVENTS_FILE, journal_dir=journal_dir)
+        assert [p.name for p in journal_dir.glob("snapshot-*")] == [
+            "snapshot-00000006.json"
+        ]
+        reopened = SessionJournal.open(journal_dir)
+        assert list(reopened.tail(0)) == []
+        reopened.close()
+        resumed = replay_session(
+            SNAPSHOT_EVENTS_FILE, journal_dir=journal_dir, resume=True
+        )
+        assert resumed["committed_stable"]
+        assert resumed["final"] == baseline["final"]
+        assert resumed["committed"] == baseline["committed"]
 
     def test_resume_rejects_foreign_spec(self, tmp_path, stream):
         spec, _, _, _ = stream
