@@ -1,18 +1,15 @@
 """Scale-out benchmark: the million-household path, measured end to end.
 
-A small-ladder run of the four scale-out claims (the committed
+A small-ladder run of the three scale-out claims (the committed
 ``BENCH_scale.json`` carries the full 1k/10k/100k ladder):
 
 * streaming throughput — households/second through the full
-  stream → aggregate (``keep_members=False``) → autotuned schedule loop;
+  stream → aggregate (``keep_members=False``) → schedule loop;
 * shared-memory fan-out — dispatching workers a buffer name + row range
   beats pickling matrix slices by ≥2× on one fleet matrix;
 * O(chunk) aggregation memory — tripling the household count barely moves
   the streaming aggregator's tracemalloc peak, and the streaming path
-  stays under materializing the offer list;
-* engine crossover — a sparse rung where ``engine="incremental"``
-  measurably beats ``engine="vectorized"`` and ``engine="auto"`` picks
-  it, with placements bitwise identical on every rung.
+  stays under materializing the offer list.
 
 Kept deliberately below the committed baseline's sizes so the tier-1 run
 stays fast; ``repro bench --suite scale --out BENCH_scale.json``
@@ -24,29 +21,11 @@ from __future__ import annotations
 from repro.pipeline import run_scale_benchmark, scale_table_rows
 
 
-def test_scale_throughput_fanout_memory_and_crossover(report):
-    bench_report = run_scale_benchmark(
-        sizes=(500, 2_000),
-        fanout_households=4_000,
-        sweep_repeats=2,
-    )
+def test_scale_throughput_fanout_and_memory(report):
+    bench_report = run_scale_benchmark(sizes=(500, 2_000), fanout_households=4_000)
     report(
-        "Scale-out — stream -> aggregate -> autotuned schedule",
+        "Scale-out — stream -> aggregate -> schedule",
         scale_table_rows(bench_report),
-    )
-    report(
-        "Scale-out — engine-crossover density ladder",
-        [
-            {
-                "days": row["axis_days"],
-                "density": round(row["density"], 2),
-                "vectorized_s": row["vectorized_seconds"],
-                "incremental_s": row["incremental_seconds"],
-                "winner": row["measured_winner"],
-                "auto": row["auto_choice"],
-            }
-            for row in bench_report["crossover"]["rows"]
-        ],
     )
 
     for rung in bench_report["throughput"]:
@@ -54,20 +33,11 @@ def test_scale_throughput_fanout_memory_and_crossover(report):
         assert rung["placed"] + rung["unplaced"] == rung["aggregates"]
 
     # Shared-memory fan-out: same results, ≥2x faster than pickling.
-    fanout = bench_report["fanout"]
-    assert fanout["results_identical"] is True
-    assert fanout["meets_min_speedup"] is True
+    assert bench_report["equivalence"]["fanout_results_identical"] is True
+    assert bench_report["fanout"]["meets_min_speedup"] is True
 
     # Streaming aggregation peak memory is chunk-bound, not offer-bound.
     streaming = bench_report["streaming"]
     assert streaming["peak_is_chunk_bound"] is True
     assert streaming["peak_growth_at_3x_households"] < 2.0
 
-    # The autotuner's contract: auto agrees with the measured winner on
-    # both ends of the density ladder, and the choice never changes
-    # placements (bitwise engine equivalence on every rung).
-    crossover = bench_report["crossover"]
-    assert crossover["sparse_winner_is_incremental"] is True
-    assert crossover["auto_picks_sparse_winner"] is True
-    assert crossover["auto_picks_dense_winner"] is True
-    assert crossover["all_rungs_bitwise_identical"] is True

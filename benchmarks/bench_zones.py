@@ -1,9 +1,9 @@
-"""Zoned-market benchmark: incremental-gain engine on sharded zone markets.
+"""Zoned-market benchmark: the vectorized engine on sharded zone markets.
 
 The 220-offer suite sharded into four zone markets (half explicitly
-assigned by routing key, half hash-sharded).  Asserts the incremental-gain
-engine is ≥2× the ``engine="reference"`` per-start loop with placements
-*bitwise identical* to the vectorized engine, that every aggregate is
+assigned by routing key, half hash-sharded).  Asserts the vectorized
+engine is ≥2× the ``engine="reference"`` per-start loop with identical
+placements (cost within 1e-9), that every aggregate is
 scheduled in exactly one zone, and that the ``schedule_zones(workers=2)``
 process-pool fan-out reproduces the sequential report exactly — then
 refreshes the repository's ``BENCH_zones.json`` baseline.
@@ -32,7 +32,7 @@ def test_zones_speedup_and_equivalence(report):
                 "engine": name,
                 "seconds": greedy[f"{name}_seconds"],
             }
-            for name in ("reference", "vectorized", "incremental")
+            for name in ("reference", "vectorized")
         ],
     )
 
@@ -43,10 +43,7 @@ def test_zones_speedup_and_equivalence(report):
     assert 0 < workload["mapped_keys"] < workload["aggregates"]
 
     equivalence = bench_report["equivalence"]
-    # The incremental engine is a pure execution-plan change: placements,
-    # starts and slice energies bitwise equal to the vectorized engine.
-    assert equivalence["incremental_identical_to_vectorized"] is True
-    # ... and identical placements to the reference loop (cost to 1e-9).
+    # Identical placements to the reference loop (cost to 1e-9).
     assert equivalence["reference_identical_placements"] is True
     assert equivalence["cost_match"] is True
     # Zones are independent: the process-pool fan-out reproduces the

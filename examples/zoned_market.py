@@ -4,7 +4,7 @@ Runs the shipped ``examples/specs/zones.json`` spec end to end — simulate
 a fleet, extract flex-offers, aggregate them fleet-wide, then shard the
 aggregates across three zone markets (explicit household assignment for
 ``north``/``south``, hash-shard fallback for the rest) and schedule every
-zone independently on the incremental-gain engine.  Finishes with the
+zone independently on the default (vectorized) engine.  Finishes with the
 library-level ``schedule_zones`` driver to show the worker fan-out
 producing an identical report.
 
@@ -61,7 +61,7 @@ def main() -> None:
     fleet = generate_fleet(5, spec.scenario.start, spec.scenario.days, seed=42)
     aggregates = FleetPipeline(chunk_size=4).run(fleet).aggregates
     zoned = fleet_zoned_target(fleet, zones=3)
-    config = ScheduleConfig(engine="incremental")
+    config = ScheduleConfig()
     sequential = schedule_zones(aggregates, zoned, config)
     fanned = schedule_zones(aggregates, zoned, config, workers=2)
     print(

@@ -167,6 +167,9 @@ SCHEDULE_TARGETS: tuple[str, ...] = ("wind", "flat")
 
 #: Placement orders / engines — mirror ``repro.scheduling.greedy`` (kept in
 #: sync by a test; duplicated here so the spec layer stays import-light).
+#: ``"incremental"`` and ``"auto"`` are legacy aliases of ``"vectorized"``:
+#: a spec keeps (and re-encodes) the name it was given, and only
+#: :meth:`ScheduleSpec.config` resolves it.
 SCHEDULE_ORDERS: tuple[str, ...] = ("least-flexible-first", "largest-first", "as-given")
 SCHEDULE_ENGINES: tuple[str, ...] = ("vectorized", "incremental", "reference", "auto")
 
@@ -509,18 +512,11 @@ class ScheduleSpec:
                 "schedule.market requires schedule.zones: merit-order "
                 "clearing runs on zoned targets only"
             )
-        if self.robust is not None:
-            if self.zones:
-                raise SpecError(
-                    "schedule.robust applies to plain targets only; zoned "
-                    "markets keep point scheduling"
-                )
-            if self.engine == "incremental":
-                raise SpecError(
-                    "schedule.robust supports the vectorized and reference "
-                    'engines (and "auto"); the incremental engine is '
-                    "point-target only"
-                )
+        if self.robust is not None and self.zones:
+            raise SpecError(
+                "schedule.robust applies to plain targets only; zoned "
+                "markets keep point scheduling"
+            )
 
     def config(self):
         """The stage configuration as the scheduling layer's own dataclass."""

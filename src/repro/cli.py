@@ -57,13 +57,13 @@ BENCH_SUITES: dict[str, str] = {
     "sequential loop (BENCH_fleet.json)",
     "schedule": "vectorized vs reference placement engine on aggregated "
     "offers (BENCH_schedule.json)",
-    "zones": "zone-sharded multi-market scheduling, incremental-gain vs "
+    "zones": "zone-sharded multi-market scheduling, vectorized vs "
     "reference engine (BENCH_zones.json)",
     "market": "merit-order market clearing on the priced 220-aggregate "
     "suite, batched vs reference bid derivation (BENCH_market.json)",
     "scale": "million-household scale-out: streaming throughput ladder, "
-    "shared-memory fan-out vs pickling, O(chunk) memory proof and the "
-    "engine-crossover sweep (BENCH_scale.json)",
+    "shared-memory fan-out vs pickling and O(chunk) memory proof "
+    "(BENCH_scale.json)",
     "uncertainty": "robust quantile-fan scheduling vs point scheduling: "
     "overhead gate, bitwise engine equivalence and per-quantile realized "
     "costs (BENCH_uncertainty.json)",
@@ -515,11 +515,10 @@ def _cmd_bench_zones(args: argparse.Namespace) -> int:
     greedy = report["greedy"]
     equivalence = report["equivalence"]
     print(
-        f"\nincremental engine: {greedy['incremental_seconds']}s "
-        f"({greedy['speedup_vs_reference']}x vs reference, "
-        f"{greedy['speedup_vs_vectorized']}x vs vectorized); placements "
-        f"identical to vectorized: "
-        f"{equivalence['incremental_identical_to_vectorized']}; "
+        f"\nvectorized engine: {greedy['vectorized_seconds']}s "
+        f"({greedy['speedup_vs_reference']}x vs reference); placements "
+        f"identical to reference: "
+        f"{equivalence['reference_identical_placements']}; "
         f"workers fan-out identical: {equivalence['workers_match_sequential']}"
     )
     if args.out is not None:
@@ -581,15 +580,13 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     print(format_table(scale_table_rows(report)))
     fanout = report["fanout"]
     streaming = report["streaming"]
-    crossover = report["crossover"]
     print(
         f"\nshared-memory fan-out: {fanout['speedup']}x over pickling "
-        f"(gate >= 2x: {fanout['meets_min_speedup']}); streaming peak "
-        f"chunk-bound: {streaming['peak_is_chunk_bound']} "
+        f"(gate >= 2x: {fanout['meets_min_speedup']}; results identical: "
+        f"{report['equivalence']['fanout_results_identical']}); streaming "
+        f"peak chunk-bound: {streaming['peak_is_chunk_bound']} "
         f"({streaming['peak_growth_at_3x_households']}x peak at 3x "
-        f"households); auto picks the sparse winner: "
-        f"{crossover['auto_picks_sparse_winner']}; engines bitwise "
-        f"identical on every rung: {crossover['all_rungs_bitwise_identical']}"
+        f"households)"
     )
     if args.out is not None:
         print(f"wrote {args.out}")

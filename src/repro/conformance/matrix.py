@@ -49,8 +49,8 @@ class ConformanceScenario:
         (``appliance`` admits the strict 1-minute approaches, ``tariff``
         admits the multi-tariff approach, ...) and by the runner
         (``zoned`` pairs the scenario's schedule stage with a multi-zone
-        :class:`~repro.scheduling.zones.ZonedTarget` on the incremental
-        engine instead of a single market target).
+        :class:`~repro.scheduling.zones.ZonedTarget` instead of a single
+        market target).
     seed:
         Base seed for the per-household extraction rng streams.
     chunk_size:
@@ -178,7 +178,7 @@ def scenario_matrix() -> tuple[ConformanceScenario, ...]:
         ConformanceScenario(
             name="zoned-market",
             description="Three-zone market: aggregates sharded by household, "
-            "zoned schedule stage on the incremental engine",
+            "zoned schedule stage",
             build=w.zoned_market_fleet,
             tags=frozenset({"appliance", "zoned", "market"}),
         ),

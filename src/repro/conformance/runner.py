@@ -52,16 +52,12 @@ CONFORMANCE_VERSION = 1
 
 #: Every cell runs the schedule stage with this configuration (greedy
 #: placement only; the scheduling-feasibility invariant exercises the
-#: stochastic improver separately on the greedy output).  Cells of
-#: ``zoned``-tagged scenarios use the incremental-gain engine instead —
-#: the zone-sharded hot path — so its bitwise-equivalence contract is
-#: proven on every extractor's real fleet aggregates, not just benchmarks.
+#: stochastic improver separately on the greedy output).
 CELL_SCHEDULE_CONFIG = ScheduleConfig()
-CELL_ZONED_SCHEDULE_CONFIG = ScheduleConfig(engine="incremental")
 #: ``priced``-tagged scenarios additionally clear a merit-order market
 #: before placement (small coupling so the spill pass is a live code path).
 CELL_PRICED_SCHEDULE_CONFIG = ScheduleConfig(
-    engine="incremental", market=MarketConfig(slices=6, coupling_kwh=2.0)
+    market=MarketConfig(slices=6, coupling_kwh=2.0)
 )
 
 
@@ -282,8 +278,6 @@ def cell_schedule_config(scenario: ConformanceScenario) -> ScheduleConfig:
     """The schedule-stage configuration of a scenario's cells."""
     if "priced" in scenario.tags:
         return CELL_PRICED_SCHEDULE_CONFIG
-    if "zoned" in scenario.tags:
-        return CELL_ZONED_SCHEDULE_CONFIG
     return CELL_SCHEDULE_CONFIG
 
 

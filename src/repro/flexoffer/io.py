@@ -9,11 +9,13 @@ round-trippable without loss.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from contextlib import contextmanager
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import DataError
+from repro.errors import DataError, ReproError
 from repro.flexoffer.model import FlexOffer, ProfileSlice
 from repro.flexoffer.schedule import ScheduledFlexOffer
 
@@ -31,6 +33,26 @@ def _dt(value: datetime | None) -> str | None:
 
 def _parse_dt(value: str | None) -> datetime | None:
     return None if value is None else datetime.fromisoformat(value)
+
+
+@contextmanager
+def _decoding(what: str) -> Iterator[None]:
+    """Raise malformed ``what`` input as :class:`DataError`, never bare.
+
+    A missing field names it; a value of the wrong shape or type (a list
+    in place of an object, an unparsable timestamp, a string energy) names
+    the cause.  Errors of the repo's own types — a nested decoder's
+    :class:`DataError`, a model constructor's validation error — pass
+    through unchanged.
+    """
+    try:
+        yield
+    except ReproError:
+        raise
+    except KeyError as exc:
+        raise DataError(f"{what} dict missing field: {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed {what} dict: {exc}") from exc
 
 
 def flexoffer_to_dict(offer: FlexOffer) -> dict[str, Any]:
@@ -58,7 +80,7 @@ def flexoffer_to_dict(offer: FlexOffer) -> dict[str, Any]:
 
 def flexoffer_from_dict(data: dict[str, Any]) -> FlexOffer:
     """Decode a flex-offer from its dict encoding."""
-    try:
+    with _decoding("flex-offer"):
         version = data.get("version", _FORMAT_VERSION)
         if version != _FORMAT_VERSION:
             raise DataError(f"unsupported flex-offer format version {version}")
@@ -81,8 +103,6 @@ def flexoffer_from_dict(data: dict[str, Any]) -> FlexOffer:
             total_energy_min=data.get("total_energy_min"),
             total_energy_max=data.get("total_energy_max"),
         )
-    except KeyError as exc:
-        raise DataError(f"flex-offer dict missing field: {exc}") from exc
 
 
 def schedule_to_dict(schedule: ScheduledFlexOffer) -> dict[str, Any]:
@@ -96,14 +116,12 @@ def schedule_to_dict(schedule: ScheduledFlexOffer) -> dict[str, Any]:
 
 def schedule_from_dict(data: dict[str, Any]) -> ScheduledFlexOffer:
     """Decode a scheduled flex-offer."""
-    try:
+    with _decoding("schedule"):
         return ScheduledFlexOffer(
             offer=flexoffer_from_dict(data["offer"]),
             start=_parse_dt(data["start"]),
             slice_energies=tuple(data["slice_energies"]),
         )
-    except KeyError as exc:
-        raise DataError(f"schedule dict missing field: {exc}") from exc
 
 
 def aggregated_to_dict(aggregate: "AggregatedFlexOffer") -> dict[str, Any]:
@@ -124,14 +142,12 @@ def aggregated_from_dict(data: dict[str, Any]) -> "AggregatedFlexOffer":
     """Decode an aggregated flex-offer from its dict encoding."""
     from repro.aggregation.aggregate import AggregatedFlexOffer
 
-    try:
+    with _decoding("aggregated flex-offer"):
         return AggregatedFlexOffer(
             offer=flexoffer_from_dict(data["offer"]),
             members=tuple(flexoffer_from_dict(m) for m in data["members"]),
             member_offsets=tuple(int(o) for o in data["member_offsets"]),
         )
-    except KeyError as exc:
-        raise DataError(f"aggregated flex-offer dict missing field: {exc}") from exc
 
 
 def schedule_result_to_dict(result: "ScheduleResult") -> dict[str, Any]:
@@ -165,7 +181,7 @@ def schedule_result_from_dict(data: dict[str, Any]) -> "ScheduleResult":
     from repro.timeseries.axis import TimeAxis
     from repro.timeseries.series import TimeSeries
 
-    try:
+    with _decoding("schedule result"):
         axis = TimeAxis(
             start=_parse_dt(data["axis"]["start"]),
             resolution=timedelta(seconds=data["axis"]["resolution_seconds"]),
@@ -176,14 +192,12 @@ def schedule_result_from_dict(data: dict[str, Any]) -> "ScheduleResult":
         )
         schedules = [schedule_from_dict(s) for s in data["schedules"]]
         unplaced = [flexoffer_from_dict(o) for o in data["unplaced"]]
-    except KeyError as exc:
-        raise DataError(f"schedule result dict missing field: {exc}") from exc
-    return ScheduleResult(
-        schedules=schedules,
-        demand=schedules_to_series(schedules, axis),
-        target=target,
-        unplaced=unplaced,
-    )
+        return ScheduleResult(
+            schedules=schedules,
+            demand=schedules_to_series(schedules, axis),
+            target=target,
+            unplaced=unplaced,
+        )
 
 
 def zoned_result_to_dict(result: "ZonedScheduleResult") -> dict[str, Any]:
@@ -221,7 +235,7 @@ def zoned_result_from_dict(data: dict[str, Any]) -> "ZonedScheduleResult":
 
     zones = []
     results = []
-    try:
+    with _decoding("zoned schedule"):
         for entry in data["zones"]:
             zone_result = schedule_result_from_dict(entry["result"])
             zones.append(
@@ -233,13 +247,12 @@ def zoned_result_from_dict(data: dict[str, Any]) -> "ZonedScheduleResult":
                 )
             )
             results.append(zone_result)
-    except KeyError as exc:
-        raise DataError(f"zoned schedule dict missing field: {exc}") from exc
+        clearing_data = data.get("clearing")
     clearing = None
-    if data.get("clearing") is not None:
+    if clearing_data is not None:
         from repro.market.clearing import ClearingResult
 
-        clearing = ClearingResult.from_dict(data["clearing"])
+        clearing = ClearingResult.from_dict(clearing_data)
     return ZonedScheduleResult(
         zones=tuple(zones), results=tuple(results), clearing=clearing
     )
@@ -298,7 +311,7 @@ def quantile_forecast_from_dict(data: dict[str, Any]) -> "QuantileForecast":
     from repro.timeseries.axis import TimeAxis
     from repro.timeseries.series import TimeSeries
 
-    try:
+    with _decoding("quantile forecast"):
         axis = TimeAxis(
             start=_parse_dt(data["axis"]["start"]),
             resolution=timedelta(seconds=data["axis"]["resolution_seconds"]),
@@ -312,8 +325,6 @@ def quantile_forecast_from_dict(data: dict[str, Any]) -> "QuantileForecast":
             TimeSeries(axis, curve["values"], name=curve.get("name", ""))
             for curve in data["curves"]
         )
-    except KeyError as exc:
-        raise DataError(f"quantile forecast dict missing field: {exc}") from exc
     return QuantileForecast(point=point, levels=levels, curves=curves)
 
 

@@ -178,7 +178,7 @@ def stage_table_rows(report: dict, result: FleetResult) -> list[dict]:
 
 
 # ---------------------------------------------------------------------- #
-# Scale benchmark: streaming aggregation + autotuned scheduling ladder
+# Scale benchmark: streaming aggregation + scheduling ladder
 # ---------------------------------------------------------------------- #
 
 #: The committed ``BENCH_scale.json`` ladder: throughput is measured at
@@ -227,9 +227,8 @@ def scale_offer_stream(count: int, axis, seed: int = 0):
 
 
 def _throughput_rung(households: int, days: int, seed: int) -> dict:
-    """One ladder rung: stream → aggregate → autotuned schedule, timed."""
+    """One ladder rung: stream → aggregate → schedule, timed."""
     from repro.aggregation.streaming import aggregate_stream
-    from repro.scheduling.autotune import placement_density, resolve_engine
     from repro.scheduling.greedy import greedy_schedule
     from repro.simulation.res import simulate_wind_production
     from repro.timeseries.axis import FIFTEEN_MINUTES, TimeAxis
@@ -247,17 +246,14 @@ def _throughput_rung(households: int, days: int, seed: int) -> dict:
 
     offers = [aggregate.offer for aggregate in aggregates]
     target = simulate_wind_production(axis, np.random.default_rng(seed))
-    config = resolve_engine(ScheduleConfig(engine="auto"), offers, axis)
     begin = time.perf_counter()
-    result = greedy_schedule(offers, target, config=config)
+    result = greedy_schedule(offers, target)
     schedule_seconds = time.perf_counter() - begin
 
     total = aggregate_seconds + schedule_seconds
     return {
         "households": households,
         "aggregates": len(aggregates),
-        "density": round(placement_density(offers, axis), 4),
-        "engine_resolved": config.engine,
         "aggregate_seconds": round(aggregate_seconds, 4),
         "schedule_seconds": round(schedule_seconds, 4),
         "total_seconds": round(total, 4),
@@ -280,13 +276,16 @@ def _fanout_shared_worker(spec, lo: int, hi: int) -> float:
         return float(buffer.array[lo:hi].sum())
 
 
-def _fanout_comparison(households: int, days: int, seed: int, repeats: int = 3) -> dict:
+def _fanout_comparison(
+    households: int, days: int, seed: int, repeats: int = 3
+) -> tuple[dict, bool]:
     """Shared-memory vs pickling worker dispatch on one fleet matrix.
 
     Times the *dispatch* of a ``households × intervals`` metered matrix to
     a worker pool with identical trivial per-chunk work, so the measured
     gap is serialization, the thing shared memory removes.  One warm pool
-    serves both paths; best-of-``repeats`` per path, interleaved.
+    serves both paths; best-of-``repeats`` per path, interleaved.  Returns
+    ``(section, results_identical)``.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -334,8 +333,7 @@ def _fanout_comparison(households: int, days: int, seed: int, repeats: int = 3) 
         "shared_seconds": round(best_shared, 4),
         "speedup": round(speedup, 2),
         "meets_min_speedup": speedup >= SCALE_FANOUT_MIN_SPEEDUP,
-        "results_identical": pickled_sums == shared_sums,
-    }
+    }, pickled_sums == shared_sums
 
 
 def _streaming_peak_mb(households: int, days: int, seed: int, materialize: bool) -> float:
@@ -394,37 +392,25 @@ def run_scale_benchmark(
     days: int = 30,
     seed: int = 23,
     fanout_households: int = SCALE_FANOUT_HOUSEHOLDS,
-    sweep_repeats: int = 3,
     out_path: Path | str | None = None,
 ) -> dict:
     """Run the scale-out benchmark; returns (and optionally writes) the report.
 
-    Four sections, matching the scale-out layer's four claims:
+    Three sections, matching the scale-out layer's three claims, plus the
+    equivalence booleans:
 
     * ``throughput`` — households/second at each ladder size over the full
-      stream → aggregate (``keep_members=False``) → autotuned schedule
-      loop;
+      stream → aggregate (``keep_members=False``) → schedule loop;
     * ``fanout`` — shared-memory worker dispatch vs pickling dispatch on
       one fleet matrix, gated at ≥ :data:`SCALE_FANOUT_MIN_SPEEDUP`;
     * ``streaming`` — tracemalloc proof that the streaming aggregator's
       peak memory is O(chunk), not O(offers);
-    * ``crossover`` — the engine-crossover sweep behind
-      ``ScheduleConfig(engine="auto")``, including the sparse rung where
-      the incremental engine beats the vectorized one and ``auto`` picks
-      it, and the bitwise-identity booleans for every rung.
+    * ``equivalence`` — ``fanout_results_identical``: both dispatch paths
+      returned the same per-chunk sums.
     """
-    from repro.scheduling.autotune import (
-        AUTO_DENSITY_CROSSOVER,
-        AUTO_MIN_OFFERS,
-        crossover_sweep,
-    )
-
     throughput = [_throughput_rung(size, days, seed) for size in sizes]
-    fanout = _fanout_comparison(fanout_households, 7, seed)
+    fanout, fanout_identical = _fanout_comparison(fanout_households, 7, seed)
     streaming = _streaming_section(days, seed)
-    crossover = crossover_sweep(repeats=sweep_repeats, seed=seed)
-    sparse = crossover[-1]
-    dense = crossover[0]
     report = {
         "workload": {
             "sizes": list(sizes),
@@ -435,20 +421,7 @@ def run_scale_benchmark(
         "throughput": throughput,
         "fanout": fanout,
         "streaming": streaming,
-        "crossover": {
-            "density_crossover": AUTO_DENSITY_CROSSOVER,
-            "min_offers": AUTO_MIN_OFFERS,
-            "rows": crossover,
-            "sparse_winner_is_incremental": sparse["measured_winner"]
-            == "incremental",
-            "auto_picks_sparse_winner": sparse["auto_choice"]
-            == sparse["measured_winner"],
-            "auto_picks_dense_winner": dense["auto_choice"]
-            == dense["measured_winner"],
-            "all_rungs_bitwise_identical": all(
-                row["engines_bitwise_identical"] for row in crossover
-            ),
-        },
+        "equivalence": {"fanout_results_identical": fanout_identical},
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -465,8 +438,7 @@ def scale_table_rows(report: dict) -> list[dict]:
     """Human-readable rows for the CLI scale table."""
     rows = [
         {
-            "stage": f"{rung['households']} households "
-            f"({rung['engine_resolved']})",
+            "stage": f"{rung['households']} households",
             "seconds": rung["total_seconds"],
             "share": f"{rung['households_per_second']}/s",
         }

@@ -40,7 +40,6 @@ from repro.evaluation.comparison import SEED_STRIDE, input_series_for
 from repro.extraction.base import FlexibilityExtractor
 from repro.flexoffer.model import FlexOffer, offer_id_scope
 from repro.pipeline.sharedmem import SharedArraySpec, SharedFleetBuffer
-from repro.scheduling.autotune import resolve_engine
 from repro.scheduling.greedy import ScheduleConfig, ScheduleResult, greedy_schedule
 from repro.scheduling.stochastic import improve_schedule
 from repro.scheduling.zones import ZonedScheduleResult, ZonedTarget, schedule_zones
@@ -350,11 +349,6 @@ def schedule_aggregates(
             )
         return schedule_zones(aggregates, target, config)
     config = config if config is not None else ScheduleConfig()
-    # Resolve engine="auto" once for the whole stage, so the greedy pass
-    # and the improver run the same concrete engine.
-    config = resolve_engine(
-        config, [aggregate.offer for aggregate in aggregates], target.axis
-    )
     result = greedy_schedule(
         [aggregate.offer for aggregate in aggregates],
         target,

@@ -12,14 +12,10 @@ Subsystem contract:
   config, seed); repeated runs, worker fan-outs (``schedule_zones
   (workers=N)``) and process boundaries produce identical placements.
 * **Engine equivalence** — ``ScheduleConfig(engine=...)`` selects an
-  execution plan, never a behaviour: ``"vectorized"`` and
-  ``"incremental"`` make placements *bitwise identical* to each other and
-  identical to the ``"reference"`` per-start loop (cost within
-  ``rtol=1e-9``), asserted by ``benchmarks/bench_schedule.py``,
+  execution plan, never a behaviour: the batched ``"vectorized"`` engine
+  makes placements identical to the ``"reference"`` per-start loop (cost
+  within ``rtol=1e-9``), asserted by ``benchmarks/bench_schedule.py``,
   ``benchmarks/bench_zones.py`` and the conformance matrix.
-  ``"auto"`` resolves to one of that bitwise pair from the workload's
-  placement density (:mod:`repro.scheduling.autotune`), so autotuning is
-  a wall-clock decision that can never change a schedule.
 * **Performance baselines** — the reference engines are kept runnable;
   ``BENCH_schedule.json`` / ``BENCH_zones.json`` /
   ``BENCH_uncertainty.json`` pin the measured speedups, overheads and
@@ -32,14 +28,6 @@ Subsystem contract:
   reference/vectorized bitwise pair extends to the robust paths.
 """
 
-from repro.scheduling.autotune import (
-    AUTO_DENSITY_CROSSOVER,
-    AUTO_MIN_OFFERS,
-    choose_engine,
-    crossover_sweep,
-    placement_density,
-    resolve_engine,
-)
 from repro.scheduling.bench import (
     SCHEDULE_FIDELITY_RTOL,
     build_schedule_workload,
@@ -91,12 +79,6 @@ from repro.scheduling.zones import (
 )
 
 __all__ = [
-    "AUTO_DENSITY_CROSSOVER",
-    "AUTO_MIN_OFFERS",
-    "choose_engine",
-    "crossover_sweep",
-    "placement_density",
-    "resolve_engine",
     "SCHEDULE_FIDELITY_RTOL",
     "build_schedule_workload",
     "build_zoned_workload",

@@ -15,7 +15,7 @@ repository carries a refreshable speedup baseline; re-run via
 The zoned companion (:func:`build_zoned_workload`,
 :func:`run_zones_benchmark` → ``BENCH_zones.json``, ``repro bench --suite
 zones``) shards the same 220-offer suite across four zone markets and
-measures the zone-sharded scheduler across all three placement engines.
+measures the zone-sharded scheduler under the same two engines.
 """
 
 from __future__ import annotations
@@ -282,16 +282,15 @@ def run_zones_benchmark(
     zones: int = 4,
     out_path: Path | str | None = None,
 ):
-    """Benchmark the zone-sharded scheduler across all three engines.
+    """Benchmark the zone-sharded scheduler: vectorized vs reference engine.
 
     Times :func:`~repro.scheduling.zones.schedule_zones` on the 220-offer
-    suite under the reference, vectorized and incremental engines, gates
-    the incremental engine ≥2× over the reference full-re-scoring loop
-    with placements *bitwise identical* to the vectorized engine, and
-    proves the ``workers=2`` process-pool fan-out produces a report
-    identical to the sequential path.  Returns ``(report_dict,
-    incremental_result)``; ``out_path`` writes the repository's
-    ``BENCH_zones.json`` baseline.
+    suite under the reference and vectorized engines, gates the vectorized
+    engine ≥2× over the reference per-start loop with identical placements
+    (cost within :data:`SCHEDULE_FIDELITY_RTOL`), and proves the
+    ``workers=2`` process-pool fan-out produces a report identical to the
+    sequential path.  Returns ``(report_dict, vectorized_result)``;
+    ``out_path`` writes the repository's ``BENCH_zones.json`` baseline.
     """
     from repro.scheduling.zones import assign_zones, schedule_zones
 
@@ -301,7 +300,7 @@ def run_zones_benchmark(
     buckets = assign_zones(aggregates, zoned)
 
     # Warm-up (numpy dispatch, axis caches) before any timed pass.
-    for engine in ("reference", "vectorized", "incremental"):
+    for engine in ("reference", "vectorized"):
         schedule_zones(aggregates[:8], zoned, ScheduleConfig(engine=engine))
 
     reference_seconds, reference_result = _timed(
@@ -310,52 +309,35 @@ def run_zones_benchmark(
     vectorized_seconds, vectorized_result = _timed(
         lambda: schedule_zones(aggregates, zoned, ScheduleConfig(engine="vectorized"))
     )
-    incremental_seconds, incremental_result = _timed(
-        lambda: schedule_zones(aggregates, zoned, ScheduleConfig(engine="incremental"))
-    )
 
-    def _placements(result):
+    def _starts(result):
         return [
-            (s.offer.offer_id, s.start, s.slice_energies)
-            for zone_result in result.results
-            for s in zone_result.schedules
+            (s.offer.offer_id, s.start) for r in result.results for s in r.schedules
         ]
 
-    incremental_identical = _placements(incremental_result) == _placements(
+    reference_identical_starts = _starts(reference_result) == _starts(
         vectorized_result
     )
-    reference_identical_starts = [
-        (s.offer.offer_id, s.start) for r in reference_result.results for s in r.schedules
-    ] == [
-        (s.offer.offer_id, s.start)
-        for r in incremental_result.results
-        for s in r.schedules
-    ]
     cost_match = bool(
         np.isclose(
             reference_result.cost,
-            incremental_result.cost,
+            vectorized_result.cost,
             rtol=SCHEDULE_FIDELITY_RTOL,
         )
     )
 
     fanned = schedule_zones(
-        aggregates, zoned, ScheduleConfig(engine="incremental"), workers=2
+        aggregates, zoned, ScheduleConfig(engine="vectorized"), workers=2
     )
-    workers_match = fanned == incremental_result
+    workers_match = fanned == vectorized_result
 
-    routed = incremental_result.assignment()
+    routed = vectorized_result.assignment()
     aggregate_ids = [a.offer.offer_id for a in aggregates]
     partition_ok = sorted(routed) == sorted(aggregate_ids)
 
     speedup_vs_reference = (
-        reference_seconds / incremental_seconds
-        if incremental_seconds > 0
-        else float("inf")
-    )
-    speedup_vs_vectorized = (
-        vectorized_seconds / incremental_seconds
-        if incremental_seconds > 0
+        reference_seconds / vectorized_seconds
+        if vectorized_seconds > 0
         else float("inf")
     )
 
@@ -381,17 +363,14 @@ def run_zones_benchmark(
         "greedy": {
             "reference_seconds": round(reference_seconds, 4),
             "vectorized_seconds": round(vectorized_seconds, 4),
-            "incremental_seconds": round(incremental_seconds, 4),
             "speedup_vs_reference": round(speedup_vs_reference, 2),
-            "speedup_vs_vectorized": round(speedup_vs_vectorized, 2),
-            "placed": len(incremental_result.schedules),
-            "unplaced": len(incremental_result.unplaced),
-            "cost": round(incremental_result.cost, 6),
-            "improvement": round(incremental_result.improvement, 6),
-            "value_eur": round(incremental_result.market_value, 6),
+            "placed": len(vectorized_result.schedules),
+            "unplaced": len(vectorized_result.unplaced),
+            "cost": round(vectorized_result.cost, 6),
+            "improvement": round(vectorized_result.improvement, 6),
+            "value_eur": round(vectorized_result.market_value, 6),
         },
         "equivalence": {
-            "incremental_identical_to_vectorized": incremental_identical,
             "reference_identical_placements": reference_identical_starts,
             "cost_match": cost_match,
             "workers_match_sequential": workers_match,
@@ -407,7 +386,7 @@ def run_zones_benchmark(
     }
     if out_path is not None:
         Path(out_path).write_text(json.dumps(report, indent=2) + "\n")
-    return report, incremental_result
+    return report, vectorized_result
 
 
 def run_uncertainty_benchmark(

@@ -8,7 +8,7 @@ offers grab their slots before flexible ones fill the gaps); each offer
 tries every feasible grid start, its slice energies water-fill the remaining
 target, and the start with the largest squared-imbalance reduction wins.
 
-Three engines implement the same greedy semantics, mirroring the matching
+Two engines implement the same greedy semantics, mirroring the matching
 layer's :class:`~repro.disaggregation.matching.MatchingConfig` pattern:
 
 * ``"vectorized"`` (default) — the market-scale hot path.  Each offer's
@@ -17,37 +17,24 @@ layer's :class:`~repro.disaggregation.matching.MatchingConfig` pattern:
   and offers sharing a profile length share one window view over the
   residual (the view is a stride trick, so placements flow through it
   without rebuilding).
-* ``"incremental"`` — batches offers *across* placements: offers are
-  scored in lookahead blocks (gains + water-filled energies cached in one
-  batched pass per profile-length group, against the residual at the
-  block boundary), and within a block a placement only dirties the
-  candidate starts whose windows it overlaps; at each offer's turn, only
-  its dirtied starts are re-scored (with the same arithmetic the
-  vectorized engine uses on the same residual values, so the two engines'
-  gain arrays — and therefore their placements — are **bitwise
-  identical**; asserted by ``benchmarks/bench_zones.py`` and the
-  conformance matrix).  Wins on sparse workloads, where blocks amortize
-  the per-offer scoring calls and placements rarely dirty anything.
-* ``"reference"`` — the original per-start Python loop, kept both as the
-  behavioural reference and as the baseline the schedule benchmarks
-  measure speedups against.
-* ``"auto"`` — not a fourth implementation: resolves to vectorized or
-  incremental from the workload's placement density before any scoring
-  happens (see :mod:`repro.scheduling.autotune`).  Because that pair is
-  bitwise identical, the autotuner can only change wall-clock, never
-  placements.
+* ``"reference"`` — the original per-start Python loop, kept as the
+  oracle the equivalence tests and the schedule benchmarks compare
+  against.
 
-All engines are deterministic and resolve gain ties toward the earliest
-feasible start; the vectorized/incremental pair may differ from the
-reference in float round-off on the gain reductions and can therefore flip
-near-tie placements, but all agree on every placement and on the final
-cost within ``rtol=1e-9`` on realistic targets (asserted by
+``"incremental"`` and ``"auto"`` are accepted as aliases of
+``"vectorized"`` (:data:`ENGINE_ALIASES`), so configurations and spec
+files that name them keep their placements bit for bit.
+
+Both engines are deterministic and resolve gain ties toward the earliest
+feasible start; the vectorized engine may differ from the reference in
+float round-off on the gain reductions and can therefore flip near-tie
+placements, but both agree on every placement and on the final cost
+within ``rtol=1e-9`` on realistic targets (asserted by
 ``benchmarks/bench_schedule.py`` and ``benchmarks/bench_zones.py``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 
@@ -60,6 +47,12 @@ from repro.flexoffer.schedule import ScheduledFlexOffer, schedules_to_series
 from repro.timeseries.axis import TimeAxis
 from repro.timeseries.series import TimeSeries
 
+#: Legacy engine names, still accepted so existing configs, spec files and
+#: journals load, and the engine each one runs.
+ENGINE_ALIASES = {"incremental": "vectorized", "auto": "vectorized"}
+
+#: Every accepted ``engine`` name; after construction a
+#: :class:`ScheduleConfig` holds ``"vectorized"`` or ``"reference"``.
 _ENGINES = ("vectorized", "incremental", "reference", "auto")
 
 _ORDERS = ("least-flexible-first", "largest-first", "as-given")
@@ -72,7 +65,8 @@ class ScheduleConfig:
     ``order`` is the placement order heuristic (the paper's default places
     the least flexible offers first).  ``engine`` selects the
     implementation: the vectorized market-scale engine or the original
-    per-start reference.  ``improve_iterations``/``improve_seed`` configure
+    per-start reference (legacy names resolve through
+    :data:`ENGINE_ALIASES`).  ``improve_iterations``/``improve_seed`` configure
     the optional stochastic hill-climbing pass the fleet pipeline runs
     after the greedy placement (0 disables it).  ``market`` (a
     :class:`repro.market.model.MarketConfig`) enables merit-order clearing
@@ -84,7 +78,7 @@ class ScheduleConfig:
     """
 
     order: str = "least-flexible-first"
-    engine: str = "vectorized"  # "vectorized" | "incremental" | "reference" | "auto"
+    engine: str = "vectorized"  # "vectorized" | "reference"
     improve_iterations: int = 0
     improve_seed: int = 0
     market: object | None = None
@@ -97,6 +91,8 @@ class ScheduleConfig:
             raise SchedulingError(
                 f"engine must be one of {_ENGINES}, got {self.engine!r}"
             )
+        if self.engine in ENGINE_ALIASES:
+            object.__setattr__(self, "engine", ENGINE_ALIASES[self.engine])
         if self.improve_iterations < 0:
             raise SchedulingError("improve_iterations must be >= 0")
         if self.market is not None:
@@ -113,12 +109,6 @@ class ScheduleConfig:
             if not isinstance(self.robust, RobustConfig):
                 raise SchedulingError(
                     f"robust must be a RobustConfig or None, got {self.robust!r}"
-                )
-            if self.engine == "incremental":
-                raise SchedulingError(
-                    "robust mode supports the vectorized and reference engines "
-                    '(and "auto", which resolves to vectorized); the incremental '
-                    "engine's gain cache is point-target only"
                 )
 
 
@@ -292,30 +282,14 @@ def _best_start_batched(
     if plan.start_indices.size == 0:
         return None
     windows = windows_view[plan.start_indices]
-    energies, gains = _score_windows(windows, plan.lows, plan.highs)
-    best = _pick_best(gains, lambda rows: windows[rows], plan.lows, plan.highs)
-    start = plan.offer.earliest_start + plan.offer.resolution * int(plan.steps[best])
-    return start, energies[best]
-
-
-def _score_windows(
-    windows: np.ndarray, lows: np.ndarray, highs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Water-fill + gain for a batch of residual windows.
-
-    The single home of the scoring arithmetic (elementwise clip, one
-    einsum reduction per row): the vectorized and incremental engines both
-    call it, so their gains are bitwise equal by construction — the
-    identity gates in ``bench_zones.py`` and the conformance matrix rest
-    on this arithmetic existing exactly once.  Returns ``(energies,
-    gains)``.
-    """
-    energies = np.clip(windows, lows, highs)
+    energies = np.clip(windows, plan.lows, plan.highs)
     diff = windows - energies
     gains = np.einsum("ij,ij->i", windows, windows) - np.einsum(
         "ij,ij->i", diff, diff
     )
-    return energies, gains
+    best = _pick_best(gains, lambda rows: windows[rows], plan.lows, plan.highs)
+    start = plan.offer.earliest_start + plan.offer.resolution * int(plan.steps[best])
+    return start, energies[best]
 
 
 # --------------------------------------------------------------------- #
@@ -428,206 +402,6 @@ def _best_start_batched_robust(
     return start, energies[best]
 
 
-#: Row budget of one upfront scoring call: small plans coalesce up to this
-#: many candidate rows per call, larger plans score alone in slabs of it.
-_UPFRONT_CHUNK_ROWS = 4096
-
-#: Offers per incremental scoring block.  The incremental engine scores
-#: the next this-many offers' candidates in one batched pass against the
-#: *current* residual, so a cached gain can only be dirtied by the (at
-#: most) this-many placements of its own block — the rescore fraction is
-#: block-local, not run-global — while the batch still amortizes the
-#: per-offer call overhead the vectorized engine pays at every turn.
-#: 128 is the measured sweet spot on the scale benchmark's workloads:
-#: larger blocks amortize little more but dirty noticeably more.
-_INCREMENTAL_LOOKAHEAD = 128
-
-
-def _score_group_upfront(
-    plans: list[_PlacementPlan],
-    positions: list[int],
-    n: int,
-    view: np.ndarray,
-    caches: list[tuple[np.ndarray, np.ndarray | None] | None],
-) -> None:
-    """Cache every candidate gain of one profile-length group.
-
-    Small plans coalesce into batched scoring calls — amortizing the
-    per-call numpy overhead is exactly what the incremental engine saves
-    over the vectorized engine's one-call-per-offer pass — and the batch
-    itself is assembled with whole-batch numpy verbs (``concatenate`` the
-    candidate indices, ``stack``/``repeat`` the water-fill bounds,
-    ``split`` the gains back out as per-plan views), so the per-plan
-    Python cost is a few list appends.  Plans bigger than the chunk budget
-    score alone, in slabs, with their ``(n,)`` bounds broadcast, so the
-    upfront pass never materializes much more than ``chunk × n`` floats
-    however many candidates the group holds.  Batch composition cannot
-    change a single bit: the scoring arithmetic of :func:`_score_windows`
-    is row-independent, and ``np.repeat`` of the stacked bounds feeds each
-    row exactly the values its own plan would broadcast.
-
-    ``caches[position]`` receives ``(gains, energies)`` — the plan's gain
-    row and water-filled candidate energies, both views into the batch's
-    arrays; the per-plan slices are disjoint, so in-place dirty rescores
-    through one view never touch another plan's rows.  Keeping the
-    energies means a placement reads its interval energies straight out
-    of the cache, the way the vectorized engine reads ``energies[best]``
-    from its per-turn scoring.  (Plans big enough to score alone in slabs
-    skip the energies cache — ``None`` — and water-fill at their turn.)
-    """
-    pending: list[int] = []
-    pending_sizes: list[int] = []
-    pending_rows = 0
-
-    def flush() -> None:
-        nonlocal pending, pending_sizes, pending_rows
-        if not pending:
-            return
-        indices = np.concatenate(
-            [plans[position].start_indices for position in pending]
-        )
-        lows = np.repeat(
-            np.stack([plans[position].lows for position in pending]),
-            pending_sizes,
-            axis=0,
-        )
-        highs = np.repeat(
-            np.stack([plans[position].highs for position in pending]),
-            pending_sizes,
-            axis=0,
-        )
-        energies, gains = _score_windows(view[indices], lows, highs)
-        splits = np.cumsum(pending_sizes)[:-1]
-        gain_rows = np.split(gains, splits)
-        energy_rows = np.split(energies, splits)
-        for position, gain_row, energy_row in zip(pending, gain_rows, energy_rows):
-            caches[position] = (gain_row, energy_row)
-        pending = []
-        pending_sizes = []
-        pending_rows = 0
-
-    for position in positions:
-        plan = plans[position]
-        size = plan.start_indices.size
-        if size >= _UPFRONT_CHUNK_ROWS:
-            gains = np.empty(size)
-            for first in range(0, size, _UPFRONT_CHUNK_ROWS):
-                stop = min(first + _UPFRONT_CHUNK_ROWS, size)
-                _, gains[first:stop] = _score_windows(
-                    view[plan.start_indices[first:stop]], plan.lows, plan.highs
-                )
-            caches[position] = (gains, None)
-            continue
-        if pending_rows + size > _UPFRONT_CHUNK_ROWS:
-            flush()
-        pending.append(position)
-        pending_sizes.append(size)
-        pending_rows += size
-    flush()
-
-
-def _greedy_incremental(
-    queue: list[FlexOffer],
-    axis: TimeAxis,
-    remaining: np.ndarray,
-    earliest_allowed: datetime | None = None,
-) -> tuple[list[ScheduledFlexOffer], list[FlexOffer]]:
-    """The ``engine="incremental"`` placement loop.
-
-    Works through the queue in lookahead blocks of
-    :data:`_INCREMENTAL_LOOKAHEAD` offers: each block's candidate starts
-    are scored in batched per-profile-length passes against the residual
-    *as it stands at the block boundary* — everything placed earlier is
-    already baked in — and within the block a candidate is re-scored at
-    its offer's turn only if one of the block's own placements overlapped
-    its window (ROADMAP: "batch offers across placements").  Clean
-    candidates keep their cached gain: their residual window is untouched,
-    so the cached value is bitwise equal to what a fresh scoring would
-    produce, and the selection (shared :func:`_pick_best` tie resolution
-    included) is identical to the vectorized engine's.  Peak cache memory
-    is one block's gains, not the whole queue's.
-    """
-    plans = [_build_plan(offer, axis, earliest_allowed) for offer in queue]
-    views: dict[int, np.ndarray] = {
-        n: sliding_window_view(remaining, n)
-        for n in {plan.n for plan in plans}
-        if n <= remaining.size
-    }
-    total = len(queue)
-    caches: list[tuple[np.ndarray, np.ndarray | None] | None] = [None] * total
-    schedules: list[ScheduledFlexOffer] = []
-    unplaced: list[FlexOffer] = []
-    for block_first in range(0, total, _INCREMENTAL_LOOKAHEAD):
-        block_stop = min(block_first + _INCREMENTAL_LOOKAHEAD, total)
-        groups: dict[int, list[int]] = {}
-        for position in range(block_first, block_stop):
-            plan = plans[position]
-            if plan.n in views and plan.start_indices.size:
-                groups.setdefault(plan.n, []).append(position)
-        for n, positions in groups.items():
-            _score_group_upfront(plans, positions, n, views[n], caches)
-        # Sorted bounds of this block's placements, reset each block.
-        # Python lists + bisect, not numpy: a block holds at most
-        # _INCREMENTAL_LOOKAHEAD placements, and at that size C-level
-        # bisect/insort cost nanoseconds where each numpy searchsorted
-        # call costs microseconds of dispatch — so the clean-turn fast
-        # path is two bisects and nothing else.  The numpy arrays are
-        # materialized only on the rare turns the scalar stab flags.
-        firsts_list: list[int] = []
-        lasts_list: list[int] = []
-        for position in range(block_first, block_stop):
-            offer = queue[position]
-            plan = plans[position]
-            cache = caches[position]
-            if cache is None:
-                unplaced.append(offer)
-                continue
-            caches[position] = None
-            gains, energies = cache
-            view = views[plan.n]
-            indices = plan.start_indices
-            if firsts_list:
-                # Placement [a, b) intersects window [s, s+n) iff a < s+n
-                # and b > s.  Stab the offer's whole contiguous candidate
-                # range first: in sparse markets none of the block's
-                # placements land anywhere near most offers, and their
-                # turns then cost no per-candidate work at all.
-                touching = bisect_left(
-                    firsts_list, int(indices[-1]) + plan.n
-                ) - bisect_right(lasts_list, int(indices[0]))
-                if touching:
-                    firsts_sorted = np.array(firsts_list, dtype=np.int64)
-                    lasts_sorted = np.array(lasts_list, dtype=np.int64)
-                    current = firsts_sorted.searchsorted(
-                        indices + plan.n, side="left"
-                    ) - lasts_sorted.searchsorted(indices, side="right")
-                    dirty = np.flatnonzero(current)
-                    if dirty.size:
-                        fresh_energies, gains[dirty] = _score_windows(
-                            view[indices[dirty]], plan.lows, plan.highs
-                        )
-                        if energies is not None:
-                            energies[dirty] = fresh_energies
-            best = _pick_best(
-                gains, lambda rows: view[indices[rows]], plan.lows, plan.highs
-            )
-            start = offer.earliest_start + offer.resolution * int(plan.steps[best])
-            # start_grid guarantees indices[best] == axis.index_of(start).
-            first = int(indices[best])
-            if energies is not None:
-                interval_energies = energies[best]
-            else:
-                interval_energies = np.clip(view[first], plan.lows, plan.highs)
-            schedule = ScheduledFlexOffer(
-                offer, start, _intervals_to_slices(offer, interval_energies)
-            )
-            schedules.append(schedule)
-            remaining[first : first + plan.n] -= schedule.interval_energies()
-            insort(firsts_list, first)
-            insort(lasts_list, first + plan.n)
-    return schedules, unplaced
-
-
 def greedy_schedule(
     offers: list[FlexOffer],
     target: TimeSeries,
@@ -681,31 +455,12 @@ def greedy_schedule(
     else:
         queue = list(offers)
 
-    if config.engine == "auto":
-        # Purely a performance decision: vectorized and incremental place
-        # bitwise identically, so the autotuner can never change results.
-        # Robust mode skips the tuner — its incremental engine does not
-        # exist, so vectorized is the only batched option.
-        from repro.scheduling.autotune import choose_engine
-
-        engine = "vectorized" if robust is not None else choose_engine(queue, axis)
-        config = replace(config, engine=engine)
     remaining = target.values.copy()
     if robust is not None:
         from repro.scheduling.robust import resolve_fan
 
         scenario_remaining, weights = resolve_fan(target, robust, scenarios)
-    if config.engine == "incremental":
-        schedules, unplaced = _greedy_incremental(
-            queue, axis, remaining, earliest_allowed
-        )
-        return ScheduleResult(
-            schedules=schedules,
-            demand=schedules_to_series(schedules, axis),
-            target=target,
-            unplaced=unplaced,
-        )
-    vectorized = config.engine == "vectorized"
+    vectorized = config.engine != "reference"
     if vectorized:
         # Hoist every offer's bounds/starts once; offers sharing a profile
         # length share a single window view over the residual.

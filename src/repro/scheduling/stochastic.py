@@ -51,9 +51,6 @@ def improve_schedule(
         return result
     if engine == "reference":
         return _improve_reference(result, schedules, rng, iterations)
-    # "incremental" is a greedy-placement strategy; the hill climber's moves
-    # are already window-local, so it shares the vectorized improver (and
-    # stays bitwise identical to the reference engine either way).
     return _improve_vectorized(result, schedules, rng, iterations)
 
 
@@ -65,7 +62,7 @@ def _improve_reference(
 ) -> ScheduleResult:
     """The seed implementation: per-iteration rebuilds and residual copies."""
     axis = result.target.axis
-    # residual = target - scheduled demand (updated incrementally).
+    # residual = target - scheduled demand (updated in place).
     residual = result.target.values - result.demand.values
 
     for _ in range(iterations):

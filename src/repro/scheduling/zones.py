@@ -25,11 +25,9 @@ past one market:
   contract the fleet pipeline and the conformance runner already enforce.
 
 Inside each zone the placement engine is selectable via
-:class:`~repro.scheduling.greedy.ScheduleConfig`; the zone-sharded hot
-path defaults to ``engine="auto"``, resolved per zone from that zone's
-own workload shape (:mod:`repro.scheduling.autotune`).  All engines are
-gated bitwise-identical (vectorized/incremental) or
-placement-identical (reference) and benchmarked in
+:class:`~repro.scheduling.greedy.ScheduleConfig` and defaults to the
+vectorized engine, like the single-market path; it is gated
+placement-identical to the reference loop and benchmarked in
 ``benchmarks/bench_zones.py`` (``BENCH_zones.json``).
 """
 
@@ -51,14 +49,6 @@ from repro.timeseries.series import TimeSeries
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.market.clearing import ClearingResult
     from repro.pipeline.dispatch import RetryPolicy
-
-#: Engine the zone-sharded scheduler uses unless the caller says otherwise.
-#: ``"auto"`` resolves per zone from that zone's own workload shape (see
-#: :mod:`repro.scheduling.autotune`): dense shards take the vectorized
-#: engine, sparse ones the incremental engine — placements are bitwise
-#: identical either way, so the default is purely a wall-clock choice.
-ZONE_DEFAULT_CONFIG = ScheduleConfig(engine="auto")
-
 
 @dataclass(frozen=True)
 class MarketZone:
@@ -441,7 +431,7 @@ def schedule_zones(
     """
     if workers is not None and workers < 1:
         raise SchedulingError("workers must be >= 1 (or None)")
-    config = config if config is not None else ZONE_DEFAULT_CONFIG
+    config = config if config is not None else ScheduleConfig()
     clearing = None
     rejected: dict[str, list] = {}
     if config.market is not None:

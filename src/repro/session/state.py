@@ -63,7 +63,6 @@ from repro.pipeline.fleet import (
     schedule_aggregates,
     stamp_household,
 )
-from repro.scheduling.autotune import resolve_engine
 from repro.scheduling.greedy import ScheduleConfig, ScheduleResult, greedy_schedule
 from repro.timeseries.axis import TimeAxis
 from repro.timeseries.series import TimeSeries
@@ -525,7 +524,7 @@ class FlexibilitySession:
             return
         if not state.committed:
             # No frozen window: the schedule stage is exactly the batch
-            # pipeline's (engine resolution, improver and all) — this arm
+            # pipeline's (improver and all) — this arm
             # is what the one-shot equivalence oracle exercises.
             result = schedule_aggregates(
                 state.aggregates, self.target, self.schedule_config
@@ -540,18 +539,13 @@ class FlexibilitySession:
             self.target.name,
         )
         offers = [aggregate.offer for aggregate in state.aggregates]
-        config = resolve_engine(
-            self.schedule_config if self.schedule_config is not None else ScheduleConfig(),
-            offers,
-            axis,
-        )
         # The stochastic improver is not commit-aware (it may move a
         # placement across the boundary), so it only runs on the
         # no-commitment arm above.
         open_result = greedy_schedule(
             offers,
             residual,
-            config=config,
+            config=self.schedule_config,
             earliest_allowed=state.commit_boundary,
         )
         open_result = self._better_open_plan(open_result, residual, offers)

@@ -174,6 +174,24 @@ class TestScheduleSpec:
         assert SCHEDULE_ENGINES == greedy._ENGINES
         assert SCHEDULE_ORDERS == greedy._ORDERS
 
+    def test_engine_key_omitted_defaults_to_vectorized(self):
+        # Spec files without an "engine" key load with the default engine.
+        spec = ScheduleSpec.from_dict({"target": "wind"})
+        assert spec.engine == "vectorized"
+
+    @pytest.mark.parametrize("engine", ["auto", "incremental"])
+    def test_legacy_engine_names_round_trip_and_run_vectorized(self, engine):
+        # Old spec files and WAL headers name these engines: the spec keeps
+        # and re-encodes the name, and its config runs the vectorized engine.
+        from repro.api.spec import RobustSpec
+
+        spec = ScheduleSpec(engine=engine)
+        assert ScheduleSpec.from_dict(spec.to_dict()) == spec
+        assert spec.to_dict()["engine"] == engine
+        assert spec.config().engine == "vectorized"
+        robust = ScheduleSpec(engine=engine, robust=RobustSpec())
+        assert robust.config().engine == "vectorized"
+
     def test_config_maps_onto_schedule_config(self):
         spec = ScheduleSpec(
             order="largest-first", engine="reference", improve_iterations=7,

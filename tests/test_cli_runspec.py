@@ -214,3 +214,26 @@ class TestBench:
         captured = capsys.readouterr()
         assert "batched == sequential: False" in captured.out
         assert "equivalence check failed: batched_equals_sequential" in captured.err
+
+    def test_a_false_fanout_identity_fails_the_scale_suite(self, monkeypatch, capsys):
+        # Stub the two fleet-sized sections; the ladder itself runs for real.
+        fanout = {
+            "households": 10,
+            "matrix_mb": 0.1,
+            "jobs": 1,
+            "pickled_seconds": 0.02,
+            "shared_seconds": 0.01,
+            "speedup": 2.0,
+            "meets_min_speedup": True,
+        }
+        streaming = {"peak_is_chunk_bound": True, "peak_growth_at_3x_households": 1.0}
+        monkeypatch.setattr(
+            "repro.pipeline.bench._fanout_comparison", lambda *args: (fanout, False)
+        )
+        monkeypatch.setattr(
+            "repro.pipeline.bench._streaming_section", lambda *args: streaming
+        )
+        assert main(["bench", "--suite", "scale", "--sizes", "50", "--days", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "results identical: False" in captured.out
+        assert "equivalence check failed: fanout_results_identical" in captured.err

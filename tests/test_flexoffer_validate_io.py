@@ -6,14 +6,17 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from repro.errors import DataError
+from repro.errors import DataError, ReproError
 from repro.flexoffer.io import (
+    aggregated_from_dict,
     flexoffer_from_dict,
     flexoffer_to_dict,
     load_flexoffers,
     save_flexoffers,
     schedule_from_dict,
+    schedule_result_from_dict,
     schedule_to_dict,
+    zoned_result_from_dict,
 )
 from repro.flexoffer.model import FlexOffer, ProfileSlice, figure1_flexoffer
 from repro.flexoffer.schedule import default_schedule
@@ -101,6 +104,67 @@ class TestIO:
         del data["slices"]
         with pytest.raises(DataError):
             flexoffer_from_dict(data)
+
+    @pytest.mark.parametrize(
+        ("decode", "mutate", "kind"),
+        [
+            (flexoffer_from_dict, lambda d: [d], "flex-offer"),
+            (flexoffer_from_dict, lambda d: {**d, "earliest_start": "garbage"}, "flex-offer"),
+            (flexoffer_from_dict, lambda d: {**d, "earliest_start": 5}, "flex-offer"),
+            (flexoffer_from_dict, lambda d: {**d, "earliest_start": None}, "flex-offer"),
+            (flexoffer_from_dict, lambda d: {**d, "resolution_seconds": "x"}, "flex-offer"),
+            (flexoffer_from_dict, lambda d: {**d, "slices": 5}, "flex-offer"),
+            (flexoffer_from_dict, lambda d: {**d, "slices": [1]}, "flex-offer"),
+            (
+                flexoffer_from_dict,
+                lambda d: {**d, "slices": [{"energy_min": "a", "energy_max": 1.0}]},
+                "flex-offer",
+            ),
+            (
+                schedule_from_dict,
+                lambda d: {**schedule_to_dict(default_schedule(offer())), "start": "zz"},
+                "schedule",
+            ),
+            (
+                schedule_from_dict,
+                lambda d: {**schedule_to_dict(default_schedule(offer())), "slice_energies": 3},
+                "schedule",
+            ),
+            (schedule_from_dict, lambda d: [schedule_to_dict(default_schedule(offer()))], "schedule"),
+            (aggregated_from_dict, lambda d: [d], "aggregated flex-offer"),
+            (schedule_result_from_dict, lambda d: [d], "schedule result"),
+            (zoned_result_from_dict, lambda d: [d], "zoned schedule"),
+        ],
+        ids=[
+            "offer-list-body",
+            "offer-unparsable-start",
+            "offer-int-start",
+            "offer-null-start",
+            "offer-string-resolution",
+            "offer-int-slices",
+            "offer-int-slice",
+            "offer-string-energy",
+            "schedule-unparsable-start",
+            "schedule-int-energies",
+            "schedule-list-body",
+            "aggregate-list-body",
+            "schedule-result-list-body",
+            "zoned-list-body",
+        ],
+    )
+    def test_malformed_input_raises_data_error_naming_the_kind(
+        self, decode, mutate, kind
+    ):
+        data = mutate(flexoffer_to_dict(offer()))
+        with pytest.raises(DataError, match=f"^malformed {kind} dict: "):
+            decode(data)
+
+    def test_model_validation_errors_pass_through(self):
+        data = flexoffer_to_dict(offer())
+        data["latest_start"] = (START - timedelta(hours=1)).isoformat()
+        with pytest.raises(ReproError) as excinfo:
+            flexoffer_from_dict(data)
+        assert not isinstance(excinfo.value, DataError)
 
     def test_unknown_version_raises(self):
         data = flexoffer_to_dict(offer())

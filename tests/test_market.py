@@ -497,10 +497,7 @@ class TestScheduleIntegration:
     @pytest.fixture(scope="class")
     def cleared_schedule(self, fleet_clearing_inputs):
         aggregates, zoned = fleet_clearing_inputs
-        config = ScheduleConfig(
-            engine="incremental",
-            market=MarketConfig(slices=6, coupling_kwh=2.0),
-        )
+        config = ScheduleConfig(market=MarketConfig(slices=6, coupling_kwh=2.0))
         return aggregates, zoned, schedule_zones(aggregates, zoned, config)
 
     def test_clearing_is_attached_and_summarised(self, cleared_schedule):
@@ -586,7 +583,6 @@ def _golden_market_run():
     ]
     aggregates = [make_aggregate(offer) for offer in offers]
     config = ScheduleConfig(
-        engine="incremental",
         market=MarketConfig(slices=2, coupling_kwh=3.0, engine="reference"),
     )
     return schedule_zones(aggregates, zoned, config)

@@ -86,9 +86,10 @@ class TestRobustConfig:
         with pytest.raises(SchedulingError):
             RobustConfig(**kwargs)
 
-    def test_incremental_engine_rejected(self):
-        with pytest.raises(SchedulingError):
-            ScheduleConfig(engine="incremental", robust=RobustConfig())
+    def test_legacy_engine_names_run_vectorized(self):
+        for engine in ("incremental", "auto"):
+            config = ScheduleConfig(engine=engine, robust=RobustConfig())
+            assert config.engine == "vectorized"
 
     def test_auto_and_reference_engines_accepted(self):
         ScheduleConfig(engine="auto", robust=RobustConfig())

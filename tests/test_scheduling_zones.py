@@ -7,9 +7,9 @@ Covers the tentpole contract of the zones subsystem:
 * :func:`schedule_zones` — zone partition, per-zone independence, and the
   ``workers=N`` process-pool fan-out reproducing the sequential report
   *exactly*;
-* the ``engine="incremental"`` placement engine — bitwise identical to the
-  vectorized engine (and placement-identical to the reference loop) on
-  real fleet aggregates, including the gap-ridden and DST fall-back
+* the vectorized placement engine (which the legacy ``"incremental"``
+  name selects) — placement-identical to the reference loop on real
+  fleet aggregates, including the gap-ridden and DST fall-back
   conformance scenarios;
 * the zone wire format — spec and report round trips, a pinned golden for
   the zoned encoding, and backward-compatible loads of pre-zone goldens.
@@ -18,6 +18,7 @@ Covers the tentpole contract of the zones subsystem:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from repro.api import (
     ZoneSpec,
 )
 from repro.api.registry import create_extractor
+from repro.api.spec import MarketSpec
 from repro.errors import SchedulingError, SpecError
 from repro.flexoffer.io import (
     any_schedule_from_dict,
@@ -242,8 +244,8 @@ class TestScheduleZones:
 
 
 class TestIncrementalEngine:
-    """ROADMAP: placements only re-score overlapping candidates — and stay
-    bitwise identical to the vectorized engine, scenario by scenario."""
+    """``engine="incremental"`` runs the vectorized engine; its placements
+    match the reference loop's, scenario by scenario."""
 
     def _aggregates_on(self, fleet):
         extractor = create_extractor("peak-based", flexible_share=0.05)
@@ -264,27 +266,19 @@ class TestIncrementalEngine:
         if target.total() > 0 and flexible > 0:
             target = target * (flexible / target.total())
         vectorized = greedy_schedule(offers, target)
-        incremental = greedy_schedule(
-            offers, target, config=ScheduleConfig(engine="incremental")
-        )
         reference = greedy_schedule(
             offers, target, config=ScheduleConfig(engine="reference")
         )
-        assert [
-            (s.offer.offer_id, s.start, s.slice_energies)
-            for s in incremental.schedules
-        ] == [
-            (s.offer.offer_id, s.start, s.slice_energies)
-            for s in vectorized.schedules
-        ]
-        assert [o.offer_id for o in incremental.unplaced] == [
-            o.offer_id for o in vectorized.unplaced
-        ]
-        assert incremental.cost == vectorized.cost
-        assert [(s.offer.offer_id, s.start) for s in incremental.schedules] == [
+        assert greedy_schedule(
+            offers, target, config=ScheduleConfig(engine="incremental")
+        ) == vectorized
+        assert [(s.offer.offer_id, s.start) for s in vectorized.schedules] == [
             (s.offer.offer_id, s.start) for s in reference.schedules
         ]
-        assert incremental.cost == pytest.approx(reference.cost, rel=1e-9)
+        assert [o.offer_id for o in vectorized.unplaced] == [
+            o.offer_id for o in reference.unplaced
+        ]
+        assert vectorized.cost == pytest.approx(reference.cost, rel=1e-9)
 
     def test_identical_on_offers_off_the_axis_grid(self):
         # The same degenerate terrain the vectorized engine is tested on:
@@ -311,14 +305,18 @@ class TestIncrementalEngine:
             ),
         ]
         vectorized = greedy_schedule(offers, target)
-        incremental = greedy_schedule(
-            offers, target, config=ScheduleConfig(engine="incremental")
+        reference = greedy_schedule(
+            offers, target, config=ScheduleConfig(engine="reference")
         )
-        assert [(s.start, s.slice_energies) for s in vectorized.schedules] == [
-            (s.start, s.slice_energies) for s in incremental.schedules
+        assert [s.start for s in vectorized.schedules] == [
+            s.start for s in reference.schedules
         ]
+        for fast, slow in zip(vectorized.schedules, reference.schedules):
+            np.testing.assert_allclose(
+                fast.slice_energies, slow.slice_energies, rtol=1e-12
+            )
         assert [o.offer_id for o in vectorized.unplaced] == [
-            o.offer_id for o in incremental.unplaced
+            o.offer_id for o in reference.unplaced
         ]
 
     def test_identical_on_every_order(self, fleet_aggregates):
@@ -329,14 +327,14 @@ class TestIncrementalEngine:
         )
         for order in ("least-flexible-first", "largest-first", "as-given"):
             vectorized = greedy_schedule(offers, target, order=order)
-            incremental = greedy_schedule(
+            reference = greedy_schedule(
                 offers,
                 target,
                 order=order,
-                config=ScheduleConfig(engine="incremental"),
+                config=ScheduleConfig(engine="reference"),
             )
             assert [s.start for s in vectorized.schedules] == [
-                s.start for s in incremental.schedules
+                s.start for s in reference.schedules
             ]
 
 
@@ -420,7 +418,6 @@ ZONED_SPEC = RunSpec(
     pipeline=PipelineSpec(
         chunk_size=4,
         schedule=ScheduleSpec(
-            engine="incremental",
             zones=(
                 ZoneSpec(
                     name="north",
@@ -502,3 +499,47 @@ class TestZonedServiceRun:
         schedule = reloaded.get("peak-based").schedule
         assert isinstance(schedule, ZonedScheduleResult)
         assert schedule == report.get("peak-based").schedule
+
+
+def _priced_zoned_spec(engine: str) -> RunSpec:
+    """:data:`ZONED_SPEC` with every zone priced, clearing on, ``engine``."""
+    zones = tuple(
+        replace(zone, price_floor=0.02 + 0.01 * index, price_cap=0.12 + 0.02 * index)
+        for index, zone in enumerate(ZONED_SPEC.pipeline.schedule.zones)
+    )
+    schedule = replace(
+        ZONED_SPEC.pipeline.schedule,
+        engine=engine,
+        zones=zones,
+        market=MarketSpec(slices=4, coupling_kwh=2.0),
+    )
+    return replace(
+        ZONED_SPEC,
+        name="priced-zoned-spec-test",
+        pipeline=replace(ZONED_SPEC.pipeline, schedule=schedule),
+    )
+
+
+def _untimed(report: RunReport) -> dict:
+    """A report's wire encoding without the wall-clock stage timings."""
+    encoded = report.to_dict()
+    for result in encoded["results"]:
+        result.pop("stage_seconds")
+    return encoded
+
+
+class TestLegacyEngineNames:
+    """``"auto"``/``"incremental"`` specs run the vectorized engine."""
+
+    @pytest.fixture(scope="class")
+    def vectorized(self):
+        return _untimed(FlexibilityService().run(_priced_zoned_spec("vectorized")))
+
+    @pytest.mark.parametrize("engine", ["auto", "incremental"])
+    def test_priced_zoned_report_is_vectorized(self, vectorized, engine):
+        report = _untimed(FlexibilityService().run(_priced_zoned_spec(engine)))
+        # The spec echoes the name it was given; everything else is bitwise.
+        assert report["spec"]["pipeline"]["schedule"]["engine"] == engine
+        report["spec"]["pipeline"]["schedule"]["engine"] = "vectorized"
+        assert report == vectorized
+        assert report["results"][0]["schedule"]["zones"]

@@ -538,6 +538,30 @@ class TestRecovery:
         _apply(recovered, stream, start=5)
         assert recovered.snapshot().to_dict() == uninterrupted_final
 
+    def test_resume_from_a_legacy_engine_spec_is_bitwise(
+        self, tmp_path, stream, uninterrupted_final
+    ):
+        # Journals written before "auto" became an alias of "vectorized"
+        # store that name in their header; they must resume bitwise.
+        from repro.api import RunSpec
+
+        spec, fleet, _, _ = stream
+        encoded = spec.to_dict()
+        encoded["pipeline"]["schedule"]["engine"] = "auto"
+        legacy = RunSpec.from_dict(encoded)
+        session = session_for_spec(legacy, fleet=fleet)
+        session.attach_journal(
+            SessionJournal.create(tmp_path, spec=legacy.to_dict(), snapshot_every=2)
+        )
+        _apply(session, stream, stop=5)
+        session.journal.close()
+        reopened = SessionJournal.open(tmp_path)
+        assert reopened.spec["pipeline"]["schedule"]["engine"] == "auto"
+        reopened.close()
+        recovered = FlexibilitySession.resume(tmp_path, fleet=fleet)
+        _apply(recovered, stream, start=5)
+        assert recovered.snapshot().to_dict() == uninterrupted_final
+
     def test_resume_without_stored_spec_raises(self, tmp_path, stream):
         self._crash_at(stream, tmp_path, boundary=2)
         with pytest.raises(PersistenceError, match="stores no run spec"):
