@@ -147,6 +147,11 @@ class TestScheduleConfig:
         with pytest.raises(SchedulingError):
             ScheduleConfig(improve_iterations=-1)
 
+    def test_auto_accepted_by_config_validation(self):
+        assert ScheduleConfig(engine="auto").engine == "vectorized"
+        with pytest.raises(SchedulingError):
+            ScheduleConfig(engine="warp")
+
     def test_order_argument_overrides_config(self):
         axis = axis_for_days(START, 1)
         target = TimeSeries.full(axis, 0.5)

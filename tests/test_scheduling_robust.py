@@ -86,14 +86,13 @@ class TestRobustConfig:
         with pytest.raises(SchedulingError):
             RobustConfig(**kwargs)
 
-    def test_legacy_engine_names_run_vectorized(self):
-        for engine in ("incremental", "auto"):
-            config = ScheduleConfig(engine=engine, robust=RobustConfig())
-            assert config.engine == "vectorized"
+    def test_incremental_engine_accepted_as_vectorized(self):
+        config = ScheduleConfig(engine="incremental", robust=RobustConfig())
+        assert config.engine == "vectorized"
 
     def test_auto_and_reference_engines_accepted(self):
-        ScheduleConfig(engine="auto", robust=RobustConfig())
-        ScheduleConfig(engine="reference", robust=RobustConfig())
+        assert ScheduleConfig(engine="auto", robust=RobustConfig()).engine == "vectorized"
+        assert ScheduleConfig(engine="reference", robust=RobustConfig()).engine == "reference"
 
 
 class TestRiskArithmetic:
