@@ -3,28 +3,28 @@
 "Individual flex-offers have to be aggregated from thousands consumers
 before the actual scheduling" — the batched :class:`FleetPipeline` is the
 throughput answer.  This bench runs the canonical 20-household × 7-day
-workload, asserts the batched result is identical to the per-household
-sequential path, requires a ≥5× wall-clock speedup over the seed-shaped
-reference loop, and refreshes the repository's ``BENCH_fleet.json``
-baseline.
+workload (the ``fleet`` preset of :mod:`repro.bench`), asserts every
+equivalence check (batched identical to the per-household sequential
+path, reference offers within ``FIDELITY_RTOL``), requires the preset's
+wall-clock speedup gate over the seed-shaped reference loop, and
+refreshes the repository's ``BENCH_fleet.json`` baseline.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.pipeline import run_fleet_benchmark, stage_table_rows
+from repro.bench import PRESETS, equivalence_failures, run_preset
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 
 
 def test_fleet_pipeline_speedup_and_equivalence(report):
-    bench_report, result = run_fleet_benchmark(
-        n_households=20, days=7, seed=13, out_path=BENCH_JSON
-    )
+    preset = PRESETS["fleet"]
+    bench_report, result = run_preset("fleet", out_path=BENCH_JSON)
     report(
         "Fleet pipeline — 20 households x 7 days, per-stage wall clock",
-        stage_table_rows(bench_report, result),
+        preset.rows(bench_report, result),
     )
     report(
         "Fleet pipeline — summary",
@@ -40,16 +40,11 @@ def test_fleet_pipeline_speedup_and_equivalence(report):
         ],
     )
 
-    equivalence = bench_report["equivalence"]
-    # Batching must never change results: bitwise identical offers
-    # (modulo process-global offer ids).
-    assert equivalence["batched_equals_sequential"] is True
-    # Reference-vs-vectorized agreement is recorded in the JSON baseline but
-    # not hard-gated: the engines may legitimately flip near-tie greedy
-    # picks on platforms with a different FFT round-off profile.
-    assert "reference_matches_vectorized" in equivalence
-    # The batched path must beat the seed-shaped sequential loop >= 5x.
-    assert bench_report["speedup"] >= 5.0
+    # Batching must never change results (bitwise identical offers), and
+    # the reference engines must agree within the fidelity tolerance.
+    assert equivalence_failures(bench_report) == []
+    # The batched path must beat the seed-shaped sequential loop.
+    assert preset.gate_failures(bench_report) == []
     assert BENCH_JSON.exists()
 
 

@@ -2,8 +2,8 @@
 
 The priced 220-aggregate suite (EV-fleet-scale profiles, four price-banded
 zones, 25 kWh couplings) cleared under both engines.  Asserts the
-vectorized engine is ≥3× the ``engine="reference"`` scalar loops with
-*identical* acceptance sets, bitwise-equal clearing prices, quantities and
+vectorized engine meets the ``market`` preset's speedup gate over the
+``engine="reference"`` scalar loops with *identical* acceptance sets, bitwise-equal clearing prices, quantities and
 payments, welfare reconciled at 1e-9, and payments equal to revenue
 (budget balance) — then refreshes the repository's ``BENCH_market.json``
 baseline.
@@ -13,19 +13,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.market import market_table_rows, run_market_benchmark
+from repro.bench import PRESETS, equivalence_failures, run_preset
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_market.json"
 
-#: The acceptance gate: batched derivation + array walk vs scalar loops.
-MARKET_SPEEDUP_GATE = 3.0
-
 
 def test_market_speedup_and_equivalence(report):
-    bench_report, result = run_market_benchmark(out_path=BENCH_JSON)
+    preset = PRESETS["market"]
+    bench_report, result = run_preset("market", out_path=BENCH_JSON)
     report(
         "Market clearing — 220 aggregates x 4 zones x 8 market slices",
-        market_table_rows(bench_report),
+        preset.rows(bench_report, result),
     )
     clearing = bench_report["clearing"]
     report(
@@ -44,19 +42,14 @@ def test_market_speedup_and_equivalence(report):
     # Fleet-scale profiles: this is where batched derivation matters.
     assert workload["avg_profile_slices"] >= 20
 
-    equivalence = bench_report["equivalence"]
     # The engine contract: decisions are made on bitwise-identical floats,
-    # so the acceptance sets cannot diverge — and don't.
-    assert equivalence["acceptance_identical"] is True
-    assert equivalence["settlements_identical"] is True
-    assert equivalence["prices_identical"] is True
-    # Welfare is the only engine-specific arithmetic (valuation integral).
-    assert equivalence["welfare_match"] is True
-    # Uniform pricing settles every bid at the slice price: money in = out.
-    assert equivalence["budget_balanced"] is True
+    # so acceptance sets, settlements and prices cannot diverge; welfare
+    # (the valuation integral) is the only engine-specific arithmetic; and
+    # uniform pricing settles every bid at the slice price (budget balance).
+    assert equivalence_failures(bench_report) == []
 
-    # The acceptance gate: ≥3x over the reference scalar loops.
-    assert clearing["speedup"] >= MARKET_SPEEDUP_GATE
+    # The acceptance gate over the reference scalar loops.
+    assert preset.gate_failures(bench_report) == []
 
     # The auction does real work on this suite: every disposition occurs.
     assert clearing["accepted"] > 0

@@ -1,10 +1,12 @@
-"""Scale-out benchmark: the million-household path, measured end to end.
+"""Scale-out benchmark: aggregate+schedule only, on a synthetic stream.
 
 A small-ladder run of the three scale-out claims (the committed
-``BENCH_scale.json`` carries the full 1k/10k/100k ladder):
+``BENCH_scale.json`` carries the full 1k/10k/100k ladder).  The ladder
+feeds one synthetic offer per household straight into aggregation:
+simulation and extraction never run.
 
-* streaming throughput — households/second through the full
-  stream → aggregate (``keep_members=False``) → schedule loop;
+* streaming throughput — households/second through
+  stream → aggregate (``keep_members=False``) → schedule;
 * shared-memory fan-out — dispatching workers a buffer name + row range
   beats pickling matrix slices by ≥2× on one fleet matrix;
 * O(chunk) aggregation memory — tripling the household count barely moves
@@ -18,23 +20,25 @@ refreshes the real ladder.
 
 from __future__ import annotations
 
-from repro.pipeline import run_scale_benchmark, scale_table_rows
+from repro.bench import PRESETS, equivalence_failures, run_preset
 
 
 def test_scale_throughput_fanout_and_memory(report):
-    bench_report = run_scale_benchmark(sizes=(500, 2_000), fanout_households=4_000)
+    preset = PRESETS["scale"]
+    bench_report, _ = run_preset("scale", sizes=(500, 2_000), fanout_households=4_000)
     report(
-        "Scale-out — stream -> aggregate -> schedule",
-        scale_table_rows(bench_report),
+        "Scale-out — stream -> aggregate -> schedule (aggregate+schedule only)",
+        preset.rows(bench_report, None),
     )
 
     for rung in bench_report["throughput"]:
         assert rung["households_per_second"] > 0
         assert rung["placed"] + rung["unplaced"] == rung["aggregates"]
 
-    # Shared-memory fan-out: same results, ≥2x faster than pickling.
-    assert bench_report["equivalence"]["fanout_results_identical"] is True
-    assert bench_report["fanout"]["meets_min_speedup"] is True
+    # Shared-memory fan-out: same results, and the preset's speedup gate
+    # over pickling.
+    assert equivalence_failures(bench_report) == []
+    assert preset.gate_failures(bench_report) == []
 
     # Streaming aggregation peak memory is chunk-bound, not offer-bound.
     streaming = bench_report["streaming"]

@@ -2,8 +2,8 @@
 
 The 220-offer suite sharded into four zone markets (half explicitly
 assigned by routing key, half hash-sharded).  Asserts the vectorized
-engine is ≥2× the ``engine="reference"`` per-start loop with identical
-placements (cost within 1e-9), that every aggregate is
+engine meets the ``zones`` preset's speedup gate over the
+``engine="reference"`` per-start loop with identical placements (cost within 1e-9), that every aggregate is
 scheduled in exactly one zone, and that the ``schedule_zones(workers=2)``
 process-pool fan-out reproduces the sequential report exactly — then
 refreshes the repository's ``BENCH_zones.json`` baseline.
@@ -13,16 +13,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.scheduling import run_zones_benchmark, zones_table_rows
+from repro.bench import PRESETS, equivalence_failures, run_preset
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_zones.json"
 
 
 def test_zones_speedup_and_equivalence(report):
-    bench_report, result = run_zones_benchmark(out_path=BENCH_JSON)
+    preset = PRESETS["zones"]
+    bench_report, result = run_preset("zones", out_path=BENCH_JSON)
     report(
         "Zoned market — 220 aggregates x 4 zones x 1 week targets",
-        zones_table_rows(bench_report),
+        preset.rows(bench_report, result),
     )
     greedy = bench_report["greedy"]
     report(
@@ -42,17 +43,13 @@ def test_zones_speedup_and_equivalence(report):
     # Both assignment paths must actually be exercised.
     assert 0 < workload["mapped_keys"] < workload["aggregates"]
 
-    equivalence = bench_report["equivalence"]
-    # Identical placements to the reference loop (cost to 1e-9).
-    assert equivalence["reference_identical_placements"] is True
-    assert equivalence["cost_match"] is True
-    # Zones are independent: the process-pool fan-out reproduces the
-    # sequential report exactly, and every offer lands in exactly one zone.
-    assert equivalence["workers_match_sequential"] is True
-    assert equivalence["zone_partition"] is True
-    # The acceptance gate: ≥2x over the reference full-re-scoring loop on
-    # the 220-offer suite.
-    assert greedy["speedup_vs_reference"] >= 2.0
+    # Identical placements to the reference loop (cost to 1e-9); zones are
+    # independent, so the process-pool fan-out reproduces the sequential
+    # report exactly, and every offer lands in exactly one zone.
+    assert equivalence_failures(bench_report) == []
+    # The acceptance gate over the reference full-re-scoring loop on the
+    # 220-offer suite.
+    assert preset.gate_failures(bench_report) == []
     # Every zone received a non-trivial share of the shard.
     assert all(zone["offers"] > 0 for zone in bench_report["zones"])
     assert result.cost < result.baseline_cost

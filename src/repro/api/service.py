@@ -14,7 +14,7 @@ routes by spec kind:
     .compare_on_traces`): every approach on every household, scored
     against simulation ground truth.
 ``bench``
-    The fleet benchmark (:func:`repro.pipeline.run_fleet_benchmark`):
+    The fleet benchmark (the ``fleet`` preset of :mod:`repro.bench`):
     batched engine vs the sequential reference loop, speedup and
     equivalence checks included.
 
@@ -414,7 +414,7 @@ class FlexibilityService:
 
     def _run_bench(self, spec: RunSpec) -> RunReport:
         from repro.errors import SpecError
-        from repro.pipeline.bench import run_fleet_benchmark
+        from repro.bench import run_preset
 
         # The benchmark pins its own extractor pair (vectorized-vs-reference
         # frequency-based); a spec naming anything else would be recorded as
@@ -426,8 +426,9 @@ class FlexibilityService:
                 "spec must name exactly one parameterless 'frequency-based' "
                 f"extractor (got: {', '.join(names)})"
             )
-        report, timed_result = run_fleet_benchmark(
-            n_households=spec.scenario.households,
+        report, timed_result = run_preset(
+            "fleet",
+            households=spec.scenario.households,
             days=spec.scenario.days,
             seed=spec.scenario.seed,
             workers=spec.pipeline.workers,

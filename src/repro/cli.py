@@ -38,36 +38,15 @@ from repro.api import (
     load_run_spec,
     registry_rows,
 )
+from repro.bench import PRESETS, equivalence_failures, run_preset
 from repro.errors import ReproError
 from repro.evaluation.comparison import DEFAULT_SUITE
 from repro.evaluation.realism import format_table
 from repro.flexoffer.io import save_flexoffers
-from repro.pipeline import stage_table_rows
 from repro.simulation import generate_fleet
 from repro.timeseries.io import load_series_csv, save_series_csv
 
 _SERVICE = FlexibilityService()
-
-#: The benchmark suites `repro bench --suite` accepts, with one-line
-#: descriptions.  Both the argparse choices and the help text are generated
-#: from this table, so the help can no longer drift from the real suite
-#: names (it previously did when the schedule suite landed).
-BENCH_SUITES: dict[str, str] = {
-    "fleet": "batched extract->aggregate->schedule pipeline vs the "
-    "sequential loop (BENCH_fleet.json)",
-    "schedule": "vectorized vs reference placement engine on aggregated "
-    "offers (BENCH_schedule.json)",
-    "zones": "zone-sharded multi-market scheduling, vectorized vs "
-    "reference engine (BENCH_zones.json)",
-    "market": "merit-order market clearing on the priced 220-aggregate "
-    "suite, batched vs reference bid derivation (BENCH_market.json)",
-    "scale": "million-household scale-out: streaming throughput ladder, "
-    "shared-memory fan-out vs pickling and O(chunk) memory proof "
-    "(BENCH_scale.json)",
-    "uncertainty": "robust quantile-fan scheduling vs point scheduling: "
-    "overhead gate, bitwise engine equivalence and per-quantile realized "
-    "costs (BENCH_uncertainty.json)",
-}
 
 
 def _parse_date(text: str) -> datetime:
@@ -104,6 +83,45 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
             f"bad sizes {text!r}: expected positive integers"
         )
     return sizes
+
+
+#: The ``repro bench`` parameters a preset may take, as (flag, type,
+#: help).  Each defaults to None: the chosen preset supplies the value, and
+#: a flag its preset does not take is an error, not silently ignored.
+BENCH_FLAGS: tuple[tuple[str, object, str], ...] = (
+    ("--households", int, "fleet size"),
+    ("--days", int, "target axis length in days"),
+    ("--seed", int, "workload seed; the default is the committed baseline's, so "
+     "`--out BENCH_*.json` refreshes it on the workload the pytest gate measures"),
+    ("--workers", int, "fan extraction out over N worker processes"),
+    ("--chunk-size", int, "households per batch"),
+    ("--aggregates", int, "aggregated offers to place"),
+    ("--zones", int, "market zones to shard into"),
+    ("--sizes", _parse_sizes, "comma-separated household ladder"),
+)
+
+
+def _bench_dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _bench_takers(flag: str) -> list[str]:
+    """The presets that take ``flag``."""
+    return [name for name, preset in PRESETS.items() if _bench_dest(flag) in preset.defaults]
+
+
+def _bench_flag_help(flag: str, text: str) -> str:
+    """``text`` plus each preset's default, suites with equal defaults merged."""
+    by_default: dict[str, list[str]] = {}
+    for name in _bench_takers(flag):
+        value = PRESETS[name].defaults[_bench_dest(flag)]
+        if isinstance(value, tuple):
+            shown = ",".join(map(str, value))
+        else:
+            shown = "off" if value is None else str(value)
+        by_default.setdefault(shown, []).append(name)
+    defaults = "; ".join(f"{'/'.join(names)}: {shown}" for shown, names in by_default.items())
+    return f"{text} (default {defaults})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,42 +205,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include the random baseline")
 
     bench = sub.add_parser(
-        "bench",
-        help="run a benchmark suite: the fleet pipeline, the scheduling "
-        "engine, or the zone-sharded multi-market scheduler",
+        "bench", help=f"run a benchmark suite: {', '.join(PRESETS)}"
     )
     bench.add_argument(
-        "--suite", choices=tuple(BENCH_SUITES), default="fleet",
-        help="; ".join(f"'{name}' = {text}" for name, text in BENCH_SUITES.items()),
+        "--suite", choices=tuple(PRESETS), default="fleet",
+        help="; ".join(
+            f"'{name}' = {preset.description} ({preset.artefact})"
+            for name, preset in PRESETS.items()
+        ),
     )
-    bench.add_argument("--households", type=int, default=20,
-                       help="fleet size (fleet suite)")
-    bench.add_argument("--days", type=int, default=None,
-                       help="target axis length; defaults to the suite's "
-                       "canonical baseline (fleet/schedule/zones/market: 7, "
-                       "scale: 30)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="workload seed; defaults to the suite's canonical "
-                       "baseline seed (fleet: 13, schedule/zones/market: 17, "
-                       "scale: 23), so `--out BENCH_*.json` refreshes the "
-                       "committed baseline on the same workload the pytest "
-                       "gate measures")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="fan extraction out over N worker processes (fleet suite)")
-    bench.add_argument("--chunk-size", type=int, default=8,
-                       help="households per batch (fleet suite)")
-    bench.add_argument("--aggregates", type=int, default=220,
-                       help="aggregated offers to place "
-                       "(schedule/zones/market suites)")
-    bench.add_argument("--zones", type=int, default=4,
-                       help="market zones to shard into (zones/market suites)")
-    bench.add_argument("--sizes", type=_parse_sizes, default=None,
-                       metavar="N,N,...",
-                       help="comma-separated household ladder for the scale "
-                       "suite (default: 1000,10000,100000)")
-    bench.add_argument("--out", type=Path, default=None,
-                       help="write the JSON report here (e.g. BENCH_fleet.json, "
-                       "BENCH_schedule.json or BENCH_zones.json)")
+    for flag, kind, text in BENCH_FLAGS:
+        bench.add_argument(
+            flag, type=kind, default=None, help=_bench_flag_help(flag, text),
+            metavar="N,N,..." if flag == "--sizes" else None,
+        )
+    bench.add_argument(
+        "--out", type=Path, default=None,
+        help="write the JSON report here ("
+        + ", ".join(f"{name}: {preset.artefact}" for name, preset in PRESETS.items())
+        + ")",
+    )
 
     conf = sub.add_parser(
         "conformance",
@@ -405,224 +407,43 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _equivalence_status(report: dict) -> int:
-    """A bench run's exit status: 1 when any equivalence check is false."""
-    failed = [
-        name for name, value in report.get("equivalence", {}).items() if value is False
-    ]
+def _bench_flag_error(args: argparse.Namespace) -> str | None:
+    """Why ``args`` cannot run: a given flag its suite does not take."""
+    for flag, _, _ in BENCH_FLAGS:
+        takers = _bench_takers(flag)
+        if getattr(args, _bench_dest(flag)) is not None and args.suite not in takers:
+            return (
+                f"{flag} is not used by the {args.suite!r} suite "
+                f"(accepted by: {', '.join(takers)})"
+            )
+    return None
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    preset = PRESETS[args.suite]
+    params = {
+        **preset.defaults,
+        **{
+            dest: value
+            for flag, _, _ in BENCH_FLAGS
+            if (value := getattr(args, dest := _bench_dest(flag))) is not None
+        },
+    }
+    print(preset.header(params))
+    report, result = run_preset(preset.name, out_path=args.out, **params)
+    print(format_table(preset.rows(report, result)))
+    print(f"\n{preset.summary(report)}")
+    # Gates hold at the canonical sizes only, so a miss is a note and
+    # the exit status follows equivalence alone.
+    for failure in preset.gate_failures(report):
+        print(f"note: gate not met: {failure}", file=sys.stderr)
+    if args.out is not None:
+        print(f"wrote {args.out}")
+    failed = equivalence_failures(report)
     if failed:
         print(f"error: equivalence check failed: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "schedule":
-        return _cmd_bench_schedule(args)
-    if args.suite == "zones":
-        return _cmd_bench_zones(args)
-    if args.suite == "market":
-        return _cmd_bench_market(args)
-    if args.suite == "scale":
-        return _cmd_bench_scale(args)
-    if args.suite == "uncertainty":
-        return _cmd_bench_uncertainty(args)
-    from repro.pipeline import run_fleet_benchmark
-
-    if args.seed is None:
-        args.seed = 13  # the committed BENCH_fleet.json workload
-    if args.days is None:
-        args.days = 7
-    print(
-        f"Fleet benchmark: {args.households} households x {args.days} days "
-        f"(seed {args.seed}, workers {args.workers or 1}) ..."
-    )
-    report, result = run_fleet_benchmark(
-        n_households=args.households,
-        days=args.days,
-        seed=args.seed,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        out_path=args.out,
-    )
-    print(format_table(stage_table_rows(report, result)))
-    schedule = report["schedule"]
-    equivalence = report["equivalence"]
-    print(
-        f"\nschedule stage: {schedule['placed']} aggregates placed on a "
-        f"{schedule['target_kwh']:.1f} kWh target "
-        f"({schedule['improvement']:.1%} imbalance reduction)"
-    )
-    print(
-        f"speedup: {report['speedup']}x over the sequential reference loop; "
-        f"batched == sequential: {equivalence['batched_equals_sequential']}; "
-        f"reference matches within {equivalence['fidelity_rtol']:g}: "
-        f"{equivalence['reference_matches_vectorized']}"
-    )
-    if args.out is not None:
-        print(f"wrote {args.out}")
-    return _equivalence_status(report)
-
-
-def _cmd_bench_schedule(args: argparse.Namespace) -> int:
-    from repro.scheduling import run_schedule_benchmark, schedule_table_rows
-
-    if args.seed is None:
-        args.seed = 17  # the committed BENCH_schedule.json workload
-    if args.days is None:
-        args.days = 7
-    print(
-        f"Schedule benchmark: {args.aggregates} aggregated offers x "
-        f"{args.days} day target (seed {args.seed}) ..."
-    )
-    report, _ = run_schedule_benchmark(
-        n_aggregates=args.aggregates,
-        days=args.days,
-        seed=args.seed,
-        out_path=args.out,
-    )
-    print(format_table(schedule_table_rows(report)))
-    equivalence = report["equivalence"]
-    print(
-        f"\ngreedy speedup: {report['greedy']['speedup']}x; placements "
-        f"identical: {equivalence['placements_identical']}; cost within "
-        f"{equivalence['fidelity_rtol']:g}: {equivalence['cost_match']}"
-    )
-    if args.out is not None:
-        print(f"wrote {args.out}")
-    return _equivalence_status(report)
-
-
-def _cmd_bench_zones(args: argparse.Namespace) -> int:
-    from repro.scheduling import run_zones_benchmark, zones_table_rows
-
-    if args.seed is None:
-        args.seed = 17  # the committed BENCH_zones.json workload
-    if args.days is None:
-        args.days = 7
-    print(
-        f"Zones benchmark: {args.aggregates} aggregated offers sharded into "
-        f"{args.zones} market zones x {args.days} day targets (seed {args.seed}) ..."
-    )
-    report, _ = run_zones_benchmark(
-        n_aggregates=args.aggregates,
-        days=args.days,
-        seed=args.seed,
-        zones=args.zones,
-        out_path=args.out,
-    )
-    print(format_table(zones_table_rows(report)))
-    greedy = report["greedy"]
-    equivalence = report["equivalence"]
-    print(
-        f"\nvectorized engine: {greedy['vectorized_seconds']}s "
-        f"({greedy['speedup_vs_reference']}x vs reference); placements "
-        f"identical to reference: "
-        f"{equivalence['reference_identical_placements']}; "
-        f"workers fan-out identical: {equivalence['workers_match_sequential']}"
-    )
-    if args.out is not None:
-        print(f"wrote {args.out}")
-    return _equivalence_status(report)
-
-
-def _cmd_bench_market(args: argparse.Namespace) -> int:
-    from repro.market import market_table_rows, run_market_benchmark
-
-    if args.seed is None:
-        args.seed = 17  # the committed BENCH_market.json workload
-    if args.days is None:
-        args.days = 7
-    print(
-        f"Market benchmark: {args.aggregates} priced aggregates cleared over "
-        f"{args.zones} zone markets x {args.days} day targets (seed {args.seed}) ..."
-    )
-    report, _ = run_market_benchmark(
-        n_aggregates=args.aggregates,
-        days=args.days,
-        seed=args.seed,
-        zones=args.zones,
-        out_path=args.out,
-    )
-    print(format_table(market_table_rows(report)))
-    clearing = report["clearing"]
-    equivalence = report["equivalence"]
-    print(
-        f"\nclearing speedup: {clearing['speedup']}x over the reference "
-        f"scalar loops; acceptance sets identical: "
-        f"{equivalence['acceptance_identical']}; prices bitwise: "
-        f"{equivalence['prices_identical']}; welfare within "
-        f"{equivalence['fidelity_rtol']:g}: {equivalence['welfare_match']}"
-    )
-    if args.out is not None:
-        print(f"wrote {args.out}")
-    return _equivalence_status(report)
-
-
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    from repro.pipeline import SCALE_SIZES, run_scale_benchmark, scale_table_rows
-
-    if args.seed is None:
-        args.seed = 23  # the committed BENCH_scale.json workload
-    if args.days is None:
-        args.days = 30
-    sizes = args.sizes if args.sizes is not None else SCALE_SIZES
-    print(
-        f"Scale benchmark: {', '.join(str(s) for s in sizes)} households x "
-        f"{args.days} days (seed {args.seed}) ..."
-    )
-    report = run_scale_benchmark(
-        sizes=sizes,
-        days=args.days,
-        seed=args.seed,
-        out_path=args.out,
-    )
-    print(format_table(scale_table_rows(report)))
-    fanout = report["fanout"]
-    streaming = report["streaming"]
-    print(
-        f"\nshared-memory fan-out: {fanout['speedup']}x over pickling "
-        f"(gate >= 2x: {fanout['meets_min_speedup']}; results identical: "
-        f"{report['equivalence']['fanout_results_identical']}); streaming "
-        f"peak chunk-bound: {streaming['peak_is_chunk_bound']} "
-        f"({streaming['peak_growth_at_3x_households']}x peak at 3x "
-        f"households)"
-    )
-    if args.out is not None:
-        print(f"wrote {args.out}")
-    return _equivalence_status(report)
-
-
-def _cmd_bench_uncertainty(args: argparse.Namespace) -> int:
-    from repro.scheduling import run_uncertainty_benchmark, uncertainty_table_rows
-
-    if args.seed is None:
-        args.seed = 17  # the committed BENCH_uncertainty.json workload
-    if args.days is None:
-        args.days = 7
-    print(
-        f"Uncertainty benchmark: {args.aggregates} aggregated offers x "
-        f"{args.days} day target, robust quantile fan vs point scheduling "
-        f"(seed {args.seed}) ..."
-    )
-    report, _ = run_uncertainty_benchmark(
-        n_aggregates=args.aggregates,
-        days=args.days,
-        seed=args.seed,
-        out_path=args.out,
-    )
-    print(format_table(uncertainty_table_rows(report)))
-    greedy = report["greedy"]
-    equivalence = report["equivalence"]
-    print(
-        f"\nrobust overhead: {greedy['overhead']}x point scheduling "
-        f"(gate <= {greedy['overhead_gate']:g}x: {greedy['meets_overhead_gate']}); "
-        f"reference identical: {equivalence['robust_reference_identical']}; "
-        f"deterministic: {equivalence['deterministic_across_runs']}"
-    )
-    if args.out is not None:
-        print(f"wrote {args.out}")
-    return _equivalence_status(report)
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
@@ -695,6 +516,8 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bench" and (problem := _bench_flag_error(args)):
+        parser.error(problem)
     handlers = {
         "simulate": _cmd_simulate,
         "extract": _cmd_extract,

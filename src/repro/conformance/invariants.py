@@ -366,7 +366,7 @@ def check_engine_fidelity(run: CellRun) -> InvariantResult:
     import dataclasses
 
     from repro.api.registry import input_series_for
-    from repro.pipeline.bench import FIDELITY_RTOL
+    from repro.bench import FIDELITY_RTOL
     from repro.pipeline.fleet import offers_equivalent
 
     if "matching" not in {f.name for f in dataclasses.fields(run.entry.cls)}:

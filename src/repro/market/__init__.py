@@ -10,8 +10,10 @@ The subsystem contract:
   merit-order clearing (:func:`clear_zones`) with a bounded-capacity
   cross-zone spill pass, producing a :class:`ClearingResult` (acceptance
   sets, per-slice prices, consumer surplus / producer revenue / welfare).
-- :mod:`repro.market.bench` — the reference↔vectorized reconciliation
-  benchmark behind ``BENCH_market.json`` and ``repro bench --suite market``.
+
+The reference↔vectorized reconciliation benchmark behind
+``BENCH_market.json`` is the ``market`` preset of :mod:`repro.bench`
+(``repro bench --suite market``).
 
 Clearing threads into scheduling through
 ``ScheduleConfig(market=MarketConfig(...))``: on zoned targets,
@@ -19,12 +21,6 @@ Clearing threads into scheduling through
 cleared bids.
 """
 
-from repro.market.bench import (
-    MARKET_FIDELITY_RTOL,
-    build_market_workload,
-    market_table_rows,
-    run_market_benchmark,
-)
 from repro.market.clearing import (
     BidOutcome,
     ClearingResult,
@@ -43,18 +39,14 @@ from repro.market.model import (
 
 __all__ = [
     "MARKET_ENGINES",
-    "MARKET_FIDELITY_RTOL",
     "BatchedBids",
     "BidOutcome",
     "ClearingResult",
     "MarketConfig",
     "PricedBid",
     "ZoneClearing",
-    "build_market_workload",
     "clear_zones",
-    "market_table_rows",
     "price_offer",
     "price_offers_batched",
-    "run_market_benchmark",
     "shift_utility",
 ]

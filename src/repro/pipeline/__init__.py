@@ -5,9 +5,9 @@ single series.  This subsystem runs the extraction stages as chunked
 batches over whole fleets, with optional multiprocessing fan-out,
 per-stage wall-clock capture, an optional market-facing schedule stage
 (single-target or zone-sharded via
-:class:`~repro.scheduling.zones.ZonedTarget`), and a benchmark harness
-that guards the batched-equals-sequential contract and the speedup
-baseline (``BENCH_fleet.json``).
+:class:`~repro.scheduling.zones.ZonedTarget`).  The ``fleet`` preset of
+:mod:`repro.bench` guards the batched-equals-sequential contract and the
+speedup baseline (``BENCH_fleet.json``).
 
 Subsystem contract:
 
@@ -27,16 +27,6 @@ from repro.pipeline.dispatch import (
     RetryPolicy,
     backoff_seconds,
     dispatch_chunks,
-)
-from repro.pipeline.bench import (
-    FIDELITY_RTOL,
-    SCALE_FANOUT_MIN_SPEEDUP,
-    SCALE_SIZES,
-    run_fleet_benchmark,
-    run_scale_benchmark,
-    scale_offer_stream,
-    scale_table_rows,
-    stage_table_rows,
 )
 from repro.pipeline.fleet import (
     SEED_STRIDE,
@@ -69,14 +59,6 @@ __all__ = [
     "SharedArraySpec",
     "SharedFleetBuffer",
     "leaked_segments",
-    "FIDELITY_RTOL",
-    "SCALE_FANOUT_MIN_SPEEDUP",
-    "SCALE_SIZES",
-    "run_fleet_benchmark",
-    "run_scale_benchmark",
-    "scale_offer_stream",
-    "scale_table_rows",
-    "stage_table_rows",
     "SEED_STRIDE",
     "STAGES",
     "FleetPipeline",

@@ -19,7 +19,8 @@ Subsystem contract:
 * **Performance baselines** — the reference engines are kept runnable;
   ``BENCH_schedule.json`` / ``BENCH_zones.json`` /
   ``BENCH_uncertainty.json`` pin the measured speedups, overheads and
-  equivalence booleans (refresh via ``repro bench``).
+  equivalence booleans (refresh via ``repro bench``; the suites are
+  presets in :mod:`repro.bench`).
 * **Uncertainty** — ``ScheduleConfig(robust=RobustConfig(...))`` scores
   every candidate placement against a quantile scenario fan
   (:mod:`repro.scheduling.robust`) under an expected or CVaR risk
@@ -28,17 +29,6 @@ Subsystem contract:
   reference/vectorized bitwise pair extends to the robust paths.
 """
 
-from repro.scheduling.bench import (
-    SCHEDULE_FIDELITY_RTOL,
-    build_schedule_workload,
-    build_zoned_workload,
-    run_schedule_benchmark,
-    run_uncertainty_benchmark,
-    run_zones_benchmark,
-    schedule_table_rows,
-    uncertainty_table_rows,
-    zones_table_rows,
-)
 from repro.scheduling.robust import (
     DEFAULT_ROBUST_QUANTILES,
     RISK_MEASURES,
@@ -79,15 +69,6 @@ from repro.scheduling.zones import (
 )
 
 __all__ = [
-    "SCHEDULE_FIDELITY_RTOL",
-    "build_schedule_workload",
-    "build_zoned_workload",
-    "run_schedule_benchmark",
-    "run_uncertainty_benchmark",
-    "run_zones_benchmark",
-    "schedule_table_rows",
-    "uncertainty_table_rows",
-    "zones_table_rows",
     "DEFAULT_ROBUST_QUANTILES",
     "RISK_MEASURES",
     "RealizedEvaluation",

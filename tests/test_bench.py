@@ -1,4 +1,4 @@
-"""The benchmark workloads, pinned.
+"""The ``repro.bench`` harness: pinned workloads and the preset table.
 
 ``tests/data/golden/bench_workloads.json`` was generated from the workload
 builders before they were merged into one; the merged builders must
@@ -8,18 +8,25 @@ and zone routing, which means the same RNG draw order and id scopes.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 from pathlib import Path
 
-from repro.market import build_market_workload
-from repro.pipeline import scale_offer_stream
-from repro.scheduling import build_schedule_workload, build_zoned_workload
+from repro.bench import (
+    PRESETS,
+    Gate,
+    build_schedule_workload,
+    build_zoned_workload,
+    equivalence_failures,
+    scale_offer_stream,
+)
 from repro.scheduling.zones import assign_zones
 from repro.timeseries.axis import FIFTEEN_MINUTES, TimeAxis
 from repro.workloads.scenarios import SCENARIO_START
 
-GOLDEN = Path(__file__).parent / "data" / "golden" / "bench_workloads.json"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = REPO_ROOT / "tests" / "data" / "golden" / "bench_workloads.json"
 
 
 def _offer_row(offer) -> dict:
@@ -71,11 +78,47 @@ class TestWorkloadGolden:
         ]
 
     def test_market_workload(self):
-        assert _zoned_rows(*build_market_workload(n_aggregates=12)) == self.golden[
-            "market"
-        ]
+        workload = build_zoned_workload(n_aggregates=12, shape="market")
+        assert _zoned_rows(*workload) == self.golden["market"]
 
     def test_scale_offer_stream(self):
         axis = TimeAxis(SCENARIO_START, FIFTEEN_MINUTES, 96 * 30)
         offers = itertools.islice(scale_offer_stream(1_000, axis, seed=23), 50)
         assert [_offer_row(o) for o in offers] == self.golden["scale"]
+
+
+class TestPresets:
+    def test_defaults_are_exactly_the_run_parameters(self):
+        for preset in PRESETS.values():
+            assert list(preset.defaults) == list(
+                inspect.signature(preset.run).parameters
+            ), preset.name
+
+    def test_every_preset_has_a_gate_and_its_own_artefact(self):
+        assert [p.artefact for p in PRESETS.values()] == [
+            f"BENCH_{name}.json" for name in PRESETS
+        ]
+        assert all(preset.gates for preset in PRESETS.values())
+
+    def test_gate_failures_name_the_number_and_the_bound(self):
+        report = {"greedy": {"speedup": 4.2, "overhead": 2.5}}
+        floor = Gate(("greedy", "speedup"), 5.0)
+        cap = Gate(("greedy", "overhead"), 2.0, upper=True)
+        assert floor.failure(report) == "greedy.speedup = 4.2, gate >= 5"
+        assert cap.failure(report) == "greedy.overhead = 2.5, gate <= 2"
+        assert Gate(("greedy", "speedup"), 4.0).failure(report) is None
+        assert PRESETS["schedule"].gate_failures(report) == [
+            "greedy.speedup = 4.2, gate >= 5"
+        ]
+
+    def test_equivalence_failures_name_only_false_booleans(self):
+        report = {"equivalence": {"a": True, "b": False, "fidelity_rtol": 1e-9}}
+        assert equivalence_failures(report) == ["b"]
+        assert equivalence_failures({}) == []
+
+    def test_the_scale_ladder_rows_say_aggregate_schedule_only(self):
+        report = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())
+        rows = PRESETS["scale"].rows(report, None)
+        ladder = rows[: len(report["throughput"])]
+        assert all("aggregate+schedule only" in row["stage"] for row in ladder)
+        assert "aggregate+schedule only" in PRESETS["scale"].description

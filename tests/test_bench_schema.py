@@ -4,13 +4,15 @@ Seven machine-readable bench artefacts are load-bearing outside this repo:
 ``BENCH_fleet.json`` (the committed fleet-pipeline speedup baseline),
 ``BENCH_schedule.json`` (the scheduling-engine speedup baseline),
 ``BENCH_zones.json`` (the zone-sharded multi-market baseline),
-``BENCH_scale.json`` (the million-household scale-out baseline),
+``BENCH_scale.json`` (the aggregate+schedule-only scale-out baseline),
 ``BENCH_market.json`` (the merit-order clearing baseline),
 ``BENCH_uncertainty.json`` (the robust quantile-fan scheduling baseline)
 and the ``--bench-json`` table dump ``benchmarks/conftest.py`` writes for CI
 archiving.  Their *schemas* are pinned here — a drifted key, a renamed
 stage or a silently dropped section fails loudly instead of breaking
-downstream consumers at read time.
+downstream consumers at read time.  The semantic checks hold each
+committed report to its :mod:`repro.bench` preset: every equivalence
+boolean true and every speedup gate met.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.bench import PRESETS, equivalence_failures
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -46,6 +50,12 @@ def type_schema(value):
     return type(value).__name__
 
 
+def assert_meets_preset(suite: str, report: dict) -> None:
+    """Every equivalence boolean true and every gate of the preset met."""
+    assert equivalence_failures(report) == []
+    assert PRESETS[suite].gate_failures(report) == []
+
+
 class TestFleetBenchBaseline:
     def test_bench_fleet_json_schema_matches_golden(self):
         report = json.loads((REPO_ROOT / "BENCH_fleet.json").read_text())
@@ -54,9 +64,7 @@ class TestFleetBenchBaseline:
 
     def test_bench_fleet_json_semantics(self):
         report = json.loads((REPO_ROOT / "BENCH_fleet.json").read_text())
-        assert report["speedup"] > 1.0
-        assert report["equivalence"]["batched_equals_sequential"] is True
-        assert report["equivalence"]["reference_matches_vectorized"] is True
+        assert_meets_preset("fleet", report)
         assert report["baseline"]["offers"] == report["pipeline"]["offers"]
         stages = report["pipeline"]["stages"]
         assert {
@@ -85,13 +93,8 @@ class TestScheduleBenchBaseline:
     def test_bench_schedule_json_semantics(self):
         report = json.loads((REPO_ROOT / "BENCH_schedule.json").read_text())
         assert report["workload"]["aggregates"] >= 200
-        assert report["greedy"]["speedup"] >= 5.0
-        equivalence = report["equivalence"]
-        assert equivalence["placements_identical"] is True
-        assert equivalence["cost_match"] is True
-        assert equivalence["energies_match"] is True
-        assert equivalence["fidelity_rtol"] == 1e-9
-        assert report["improve"]["identical"] is True
+        assert_meets_preset("schedule", report)
+        assert report["equivalence"]["fidelity_rtol"] == 1e-9
         # The improver only ever lowers cost.
         assert report["improve"]["cost"] <= report["greedy"]["cost"] + 1e-9
 
@@ -110,14 +113,9 @@ class TestZonesBenchBaseline:
         # Both assignment paths (explicit mapping, hash shard) exercised.
         assert 0 < workload["mapped_keys"] < workload["aggregates"]
         greedy = report["greedy"]
-        assert greedy["speedup_vs_reference"] >= 2.0
         assert greedy["placed"] + greedy["unplaced"] == workload["aggregates"]
-        equivalence = report["equivalence"]
-        assert equivalence["reference_identical_placements"] is True
-        assert equivalence["cost_match"] is True
-        assert equivalence["workers_match_sequential"] is True
-        assert equivalence["zone_partition"] is True
-        assert equivalence["fidelity_rtol"] == 1e-9
+        assert_meets_preset("zones", report)
+        assert report["equivalence"]["fidelity_rtol"] == 1e-9
         # Every zone is a real market: named, priced, offers routed to it.
         for zone in report["zones"]:
             assert zone["name"]
@@ -138,8 +136,8 @@ class TestMarketBenchBaseline:
         assert workload["zones"] >= 2
         # Both assignment paths (explicit mapping, hash shard) exercised.
         assert 0 < workload["mapped_keys"] < workload["aggregates"]
+        assert_meets_preset("market", report)
         clearing = report["clearing"]
-        assert clearing["speedup"] >= 3.0
         # Every disposition and the spill pass are live on the baseline.
         assert clearing["accepted"] > 0
         assert clearing["partial"] > 0
@@ -150,13 +148,7 @@ class TestMarketBenchBaseline:
             clearing["accepted"] + clearing["partial"] + clearing["rejected"]
             == workload["aggregates"]
         )
-        equivalence = report["equivalence"]
-        assert equivalence["acceptance_identical"] is True
-        assert equivalence["settlements_identical"] is True
-        assert equivalence["prices_identical"] is True
-        assert equivalence["welfare_match"] is True
-        assert equivalence["budget_balanced"] is True
-        assert equivalence["fidelity_rtol"] == 1e-9
+        assert report["equivalence"]["fidelity_rtol"] == 1e-9
         # Per-zone books: settled revenue stays inside the price band.
         for zone in report["zones"]:
             assert zone["bids"] > 0
@@ -172,8 +164,9 @@ class TestScaleBenchBaseline:
 
     def test_bench_scale_json_semantics(self):
         report = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())
-        # The throughput ladder covers the 1k/10k/100k rungs, each placing
-        # the whole fleet through stream -> aggregate -> schedule.
+        # The aggregate+schedule-only ladder covers the 1k/10k/100k rungs,
+        # each placing the whole synthetic stream through aggregate ->
+        # schedule.
         sizes = report["workload"]["sizes"]
         assert sizes == [1_000, 10_000, 100_000]
         for rung in report["throughput"]:
@@ -184,7 +177,7 @@ class TestScaleBenchBaseline:
         fanout = report["fanout"]
         assert fanout["households"] == 10_000
         assert fanout["meets_min_speedup"] is True
-        assert fanout["speedup"] >= 2.0
+        assert_meets_preset("scale", report)
         assert report["equivalence"] == {"fanout_results_identical": True}
         # Streaming aggregation's peak memory is O(chunk): tripling the
         # household count must not grow the tracemalloc peak ~3x, and the
@@ -211,15 +204,14 @@ class TestUncertaintyBenchBaseline:
         assert list(workload["quantiles"]) == sorted(workload["quantiles"])
         assert workload["risk"] in ("expected", "cvar")
         greedy = report["greedy"]
-        # The acceptance gate: robust scoring costs at most 2x point mode.
-        assert greedy["overhead_gate"] == 2.0
+        # The acceptance gate: robust scoring stays within the preset's
+        # overhead cap over point mode, and the report records that cap.
+        (gate,) = PRESETS["uncertainty"].gates
+        assert greedy["overhead_gate"] == gate.bound
         assert greedy["meets_overhead_gate"] is True
-        assert greedy["overhead"] <= greedy["overhead_gate"]
         assert greedy["placed"] + greedy["unplaced"] == workload["aggregates"]
-        equivalence = report["equivalence"]
-        assert equivalence["robust_reference_identical"] is True
-        assert equivalence["deterministic_across_runs"] is True
-        assert equivalence["fidelity_rtol"] == 1e-9
+        assert_meets_preset("uncertainty", report)
+        assert report["equivalence"]["fidelity_rtol"] == 1e-9
         # Realized-cost fan: one point/robust cost pair per quantile level,
         # and the risk measure's hedge shows up on the lowest quantile.
         realized = report["realized"]

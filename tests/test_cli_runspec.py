@@ -203,37 +203,181 @@ class TestEvaluate:
         assert "unknown extractor 'zorp'" in capsys.readouterr().err
 
 
+#: Each suite at a tiny size, and the flags it takes.
+BENCH_SMOKES = {
+    "fleet": ["--households", "2", "--days", "1"],
+    "schedule": ["--aggregates", "12", "--days", "2"],
+    "zones": ["--aggregates", "12", "--days", "2"],
+    "market": ["--aggregates", "12", "--days", "2"],
+    "scale": ["--sizes", "50", "--days", "2"],
+    "uncertainty": ["--aggregates", "12", "--days", "2"],
+}
+BENCH_ACCEPTS = {
+    "fleet": {"--households", "--days", "--seed", "--workers", "--chunk-size"},
+    "schedule": {"--aggregates", "--days", "--seed"},
+    "zones": {"--aggregates", "--days", "--seed", "--zones"},
+    "market": {"--aggregates", "--days", "--seed", "--zones"},
+    "scale": {"--sizes", "--days", "--seed"},
+    "uncertainty": {"--aggregates", "--days", "--seed"},
+}
+BENCH_PARAMETER_FLAGS = set().union(*BENCH_ACCEPTS.values())
+
+
+def _stub_scale_sections(monkeypatch, fanout_identical=True):
+    """Stub the scale suite's two fleet-sized sections; the ladder runs for real."""
+    fanout = {
+        "households": 10,
+        "matrix_mb": 0.1,
+        "jobs": 1,
+        "pickled_seconds": 0.02,
+        "shared_seconds": 0.01,
+        "speedup": 2.0,
+        "meets_min_speedup": True,
+    }
+    streaming = {"peak_is_chunk_bound": True, "peak_growth_at_3x_households": 1.0}
+    monkeypatch.setattr(
+        "repro.bench._fanout_comparison", lambda *args: (fanout, fanout_identical)
+    )
+    monkeypatch.setattr("repro.bench._streaming_section", lambda *args: streaming)
+
+
+@pytest.fixture(scope="module")
+def tiny_run():
+    """``tiny_run(suite)``: the suite's ``(report, result)`` at its tiny size,
+    run once per module through the CLI."""
+    import repro.cli
+
+    runs: dict[str, tuple] = {}
+    real = repro.cli.run_preset
+
+    def run(suite: str) -> tuple:
+        if suite not in runs:
+            with pytest.MonkeyPatch.context() as patch:
+                _stub_scale_sections(patch)
+                patch.setattr(
+                    repro.cli,
+                    "run_preset",
+                    lambda *args, **kwargs: runs.setdefault(suite, real(*args, **kwargs)),
+                )
+                assert main(["bench", "--suite", suite, *BENCH_SMOKES[suite]]) == 0
+        return runs[suite]
+
+    return run
+
+
 class TestBench:
     def test_fleet_suite_exits_zero_when_equivalent(self, capsys):
         assert main(["bench", "--households", "2", "--days", "1"]) == 0
         assert "batched == sequential: True" in capsys.readouterr().out
 
     def test_a_false_equivalence_check_fails_the_run(self, monkeypatch, capsys):
-        monkeypatch.setattr("repro.pipeline.bench.results_identical", lambda a, b: False)
+        monkeypatch.setattr("repro.pipeline.fleet.results_identical", lambda a, b: False)
         assert main(["bench", "--households", "2", "--days", "1"]) == 1
         captured = capsys.readouterr()
         assert "batched == sequential: False" in captured.out
         assert "equivalence check failed: batched_equals_sequential" in captured.err
 
     def test_a_false_fanout_identity_fails_the_scale_suite(self, monkeypatch, capsys):
-        # Stub the two fleet-sized sections; the ladder itself runs for real.
-        fanout = {
-            "households": 10,
-            "matrix_mb": 0.1,
-            "jobs": 1,
-            "pickled_seconds": 0.02,
-            "shared_seconds": 0.01,
-            "speedup": 2.0,
-            "meets_min_speedup": True,
-        }
-        streaming = {"peak_is_chunk_bound": True, "peak_growth_at_3x_households": 1.0}
-        monkeypatch.setattr(
-            "repro.pipeline.bench._fanout_comparison", lambda *args: (fanout, False)
-        )
-        monkeypatch.setattr(
-            "repro.pipeline.bench._streaming_section", lambda *args: streaming
-        )
+        _stub_scale_sections(monkeypatch, fanout_identical=False)
         assert main(["bench", "--suite", "scale", "--sizes", "50", "--days", "2"]) == 1
         captured = capsys.readouterr()
         assert "results identical: False" in captured.out
         assert "equivalence check failed: fanout_results_identical" in captured.err
+
+    def test_a_disagreeing_improver_fails_the_schedule_suite(self, monkeypatch, capsys):
+        # The reference improver hands back the greedy schedule unimproved,
+        # so the two engines disagree on the improved placements.
+        from repro.scheduling import stochastic
+
+        real = stochastic.improve_schedule
+
+        def improve(result, rng, *, engine, **kwargs):
+            return result if engine == "reference" else real(
+                result, rng, engine=engine, **kwargs
+            )
+
+        monkeypatch.setattr(stochastic, "improve_schedule", improve)
+        assert main(["bench", "--suite", "schedule", *BENCH_SMOKES["schedule"]]) == 1
+        assert (
+            "equivalence check failed: improve_identical" in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("suite", list(BENCH_SMOKES))
+    def test_every_suite_exits_zero_at_a_tiny_size(
+        self, suite, monkeypatch, tmp_path, capsys
+    ):
+        _stub_scale_sections(monkeypatch)
+        out = tmp_path / "report.json"
+        argv = ["bench", "--suite", suite, *BENCH_SMOKES[suite], "--out", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert f"wrote {out}" in captured.out
+        assert "equivalence check failed" not in captured.err
+        assert json.loads(out.read_text())["equivalence"]
+
+    @pytest.mark.parametrize(
+        "suite, check",
+        [
+            (suite, check)
+            for suite, checks in {
+                "fleet": ["batched_equals_sequential", "reference_matches_vectorized"],
+                "schedule": [
+                    "placements_identical",
+                    "cost_match",
+                    "energies_match",
+                    "improve_identical",
+                ],
+                "zones": [
+                    "reference_identical_placements",
+                    "cost_match",
+                    "workers_match_sequential",
+                    "zone_partition",
+                ],
+                "market": [
+                    "acceptance_identical",
+                    "settlements_identical",
+                    "prices_identical",
+                    "welfare_match",
+                    "budget_balanced",
+                ],
+                "scale": ["fanout_results_identical"],
+                "uncertainty": ["robust_reference_identical", "deterministic_across_runs"],
+            }.items()
+            for check in checks
+        ],
+    )
+    def test_every_false_equivalence_boolean_fails_its_suite(
+        self, suite, check, tiny_run, monkeypatch, capsys
+    ):
+        import copy
+
+        report, result = tiny_run(suite)
+        assert report["equivalence"][check] is True
+        forced = copy.deepcopy(report)
+        forced["equivalence"][check] = False
+        monkeypatch.setattr("repro.cli.run_preset", lambda *a, **k: (forced, result))
+        assert main(["bench", "--suite", suite, *BENCH_SMOKES[suite]]) == 1
+        assert f"equivalence check failed: {check}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [
+            (suite, flag)
+            for suite, accepted in BENCH_ACCEPTS.items()
+            for flag in sorted(BENCH_PARAMETER_FLAGS - accepted)
+        ],
+    )
+    def test_a_flag_the_suite_does_not_take_is_an_error(self, suite, flag, capsys):
+        value = "5,6" if flag == "--sizes" else "5"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--suite", suite, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} is not used by the {suite!r} suite" in err
+        takers = [name for name, accepted in BENCH_ACCEPTS.items() if flag in accepted]
+        assert f"accepted by: {', '.join(takers)}" in err
+
+    def test_every_parameter_flag_is_listed(self):
+        from repro.cli import BENCH_FLAGS
+
+        assert {flag for flag, _, _ in BENCH_FLAGS} == BENCH_PARAMETER_FLAGS

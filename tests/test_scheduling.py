@@ -168,7 +168,7 @@ class TestEngineEquivalence:
 
     @pytest.fixture(scope="class")
     def workload(self):
-        from repro.scheduling import build_schedule_workload
+        from repro.bench import build_schedule_workload
 
         aggregates, target = build_schedule_workload(n_aggregates=40, seed=23)
         return [a.offer for a in aggregates], target
@@ -297,7 +297,7 @@ class TestEarliestAllowed:
             assert [o.offer_id for o in result.unplaced] == [fo.offer_id], engine
 
     def test_none_is_bitwise_the_default(self):
-        from repro.scheduling import build_schedule_workload
+        from repro.bench import build_schedule_workload
 
         aggregates, target = build_schedule_workload(n_aggregates=20, seed=29)
         offers = [a.offer for a in aggregates]
@@ -306,7 +306,7 @@ class TestEarliestAllowed:
         assert gated == plain
 
     def test_engines_agree_under_a_boundary(self):
-        from repro.scheduling import build_schedule_workload
+        from repro.bench import build_schedule_workload
 
         aggregates, target = build_schedule_workload(n_aggregates=30, seed=31)
         offers = [a.offer for a in aggregates]

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.api.spec import RobustSpec, ScheduleSpec
+from repro.bench import build_schedule_workload
 from repro.conformance.invariants import (
     FAIRNESS_GINI_BOUND,
     FAIRNESS_MIN_SHARE,
@@ -31,7 +32,6 @@ from repro.flexoffer.model import FlexOffer, ProfileSlice
 from repro.scheduling import (
     RobustConfig,
     ScheduleConfig,
-    build_schedule_workload,
     cvar_count,
     evaluate_realized,
     greedy_schedule,
