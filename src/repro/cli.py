@@ -421,14 +421,8 @@ def _bench_flag_error(args: argparse.Namespace) -> str | None:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     preset = PRESETS[args.suite]
-    params = {
-        **preset.defaults,
-        **{
-            dest: value
-            for flag, _, _ in BENCH_FLAGS
-            if (value := getattr(args, dest := _bench_dest(flag))) is not None
-        },
-    }
+    given = {_bench_dest(flag): getattr(args, _bench_dest(flag)) for flag, _, _ in BENCH_FLAGS}
+    params = {**preset.defaults, **{k: v for k, v in given.items() if v is not None}}
     print(preset.header(params))
     report, result = run_preset(preset.name, out_path=args.out, **params)
     print(format_table(preset.rows(report, result)))
