@@ -36,6 +36,7 @@ from repro.pipeline.fleet import (
     HouseholdOutput,
     StageTimings,
     canonical_offer,
+    extract_households,
     fleet_schedule_target,
     fleet_zoned_target,
     offers_equivalent,
@@ -66,6 +67,7 @@ __all__ = [
     "HouseholdOutput",
     "StageTimings",
     "canonical_offer",
+    "extract_households",
     "fleet_schedule_target",
     "fleet_zoned_target",
     "offers_equivalent",

@@ -389,7 +389,7 @@ def _run_chunk_in_worker(
 ) -> tuple[list[HouseholdOutput], dict[str, float]]:
     assert _WORKER_EXTRACTOR is not None, "worker pool initializer did not run"
     faults.fire("fleet-chunk", chunk_index)
-    return _run_chunk(_WORKER_EXTRACTOR, seed, jobs)
+    return extract_households(_WORKER_EXTRACTOR, seed, jobs)
 
 
 def _run_shared_chunk_in_worker(
@@ -415,7 +415,7 @@ def _run_shared_chunk_in_worker(
             (index, household_id, TimeSeries(axis, matrix[row], name))
             for row, index, household_id, name in rows
         ]
-        return _run_chunk(_WORKER_EXTRACTOR, seed, jobs)
+        return extract_households(_WORKER_EXTRACTOR, seed, jobs)
 
 
 def _pack_jobs(
@@ -445,16 +445,22 @@ def _pack_jobs(
 _TILE_WIDTH = 16
 
 
-def _run_chunk(
+def extract_households(
     extractor: FlexibilityExtractor,
     seed: int,
     jobs: list[tuple[int, str, TimeSeries]],
 ) -> tuple[list[HouseholdOutput], dict[str, float]]:
-    """Extract one chunk of households; returns outputs plus stage seconds.
+    """Extract ``(index, household_id, series)`` jobs; returns outputs (in
+    job order) plus stage seconds.
 
-    Extractors exposing ``detect_many``/``formulate`` (the appliance-level
-    approaches) detect each tile of :data:`_TILE_WIDTH` households in one
-    batched call, then formulate them one by one.
+    The one place a household's extraction is seeded and scoped: household
+    ``index`` draws from ``default_rng(seed + SEED_STRIDE·index)`` and mints
+    its offer ids in ``offer_id_scope(f"h{index}")``, so the batch pipeline,
+    session replans and snapshot restores produce bitwise-identical offers
+    for the same input.  Extractors exposing ``detect_many``/``formulate``
+    (the appliance-level approaches) detect each tile of
+    :data:`_TILE_WIDTH` households in one batched call, then formulate them
+    one by one.
     """
     split = hasattr(extractor, "detect_many") and hasattr(extractor, "formulate")
     timings = {"disaggregate": 0.0, "extract": 0.0}
@@ -603,7 +609,7 @@ class FleetPipeline:
         if self.workers is None or self.workers == 1 or len(chunks) == 1:
             # In process, chunks are no dispatch unit: one call keeps the
             # lockstep tiles full whatever the chunk size.
-            outputs, chunk_timings = _run_chunk(self.extractor, self.seed, jobs)
+            outputs, chunk_timings = extract_households(self.extractor, self.seed, jobs)
             timings.merge(chunk_timings)
         else:
             t0 = time.perf_counter()
@@ -701,7 +707,7 @@ class FleetPipeline:
                 pool_factory,
                 # Degraded chunks recompute from the original in-process
                 # jobs — same seeds, same id scopes, bitwise-same outputs.
-                lambda index: _run_chunk(self.extractor, self.seed, chunks[index]),
+                lambda index: extract_households(self.extractor, self.seed, chunks[index]),
                 policy=self.retry,
                 label="fleet extraction",
             )

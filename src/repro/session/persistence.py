@@ -15,10 +15,24 @@ This module makes the session durable with the classic WAL recipe:
   fsynced on ``commit`` records (the events that promise durability to the
   market side) and on snapshots.
 * **Snapshot compaction** — every :attr:`SessionJournal.snapshot_every`
-  replans the session's full state is encoded into ``snapshot-<seq>.json``
-  (checksummed, written via temp-file + rename).  Compaction then prunes
-  older snapshots and drops the WAL prefix the snapshot covers, so the
-  journal's size tracks the live state, not the session's lifetime.
+  replans the session's durable state is encoded into
+  ``snapshot-<seq>.json`` (checksummed, written via temp-file + rename).
+  Compaction then prunes older snapshots and drops the WAL prefix the
+  snapshot covers, so the journal's size tracks the live state, not the
+  session's lifetime.
+* **Snapshot format v2** — a snapshot stores the session's inputs and
+  decisions, not what extraction derives from them.  Each household's
+  input buffer (and a retargeted target's values) is base64 of its
+  little-endian float64 bytes, exact by construction.  Offers ride along
+  only for *dirty* households (their offers predate their newest
+  readings); a clean household's offers are re-extracted on restore with
+  its own seed and id scope, exactly as a replan would, and the
+  re-derived summary must encode to the stored one's bytes or the restore
+  raises :class:`~repro.errors.PersistenceError` (the snapshot came from
+  a different extractor or seed).  Aggregates, placements and commit
+  bookkeeping are stored as they are.  :func:`encode_state` writes v2
+  only; :func:`decode_state` reads v1 (float lists, every household's
+  offers) and v2.
 * **Recovery** — :func:`restore_session` (and
   :meth:`FlexibilitySession.resume`) loads the newest *intact* snapshot,
   replays the WAL tail on top of it, and re-attaches the journal so new
@@ -36,16 +50,18 @@ snapshot is bitwise identical to the uninterrupted run's.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import zlib
+from contextlib import contextmanager
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
-from repro.errors import PersistenceError
+from repro.errors import PersistenceError, ReproError
 from repro.flexoffer.io import (
     aggregated_from_dict,
     aggregated_to_dict,
@@ -62,8 +78,15 @@ from repro.timeseries.axis import TimeAxis
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.session.state import FlexibilitySession
 
-#: Wire-format version of journal records and snapshot files.
+#: Wire-format version of the WAL header and its records.
 JOURNAL_VERSION = 1
+
+#: Format version of the snapshot files :meth:`SessionJournal.write_snapshot`
+#: writes (the body's ``"version"``; see the module docstring).
+SNAPSHOT_FORMAT_VERSION = 2
+
+#: Snapshot format versions recovery reads.
+SNAPSHOT_FORMAT_VERSIONS = (1, 2)
 
 #: WAL file name inside a journal directory.
 WAL_NAME = "wal.jsonl"
@@ -162,28 +185,82 @@ def _runs_to_mask(runs: list[list[int]], length: int) -> np.ndarray:
     return mask
 
 
+def _buffer_to_text(values: np.ndarray) -> str:
+    """A float64 buffer as base64 of its little-endian bytes (bitwise exact)."""
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _buffer_from_wire(stored: Any, length: int, version: int) -> np.ndarray:
+    """Decode a stored buffer (v1 float list, v2 base64) of ``length`` floats.
+
+    The result is a fresh writable array: ``ingest`` writes into it.
+    """
+    if version == 1:
+        values = np.asarray(stored, dtype=np.float64)
+        if values.shape != (length,):
+            raise PersistenceError(
+                f"snapshot buffer holds {values.size} value(s), its axis has {length}"
+            )
+        return values
+    if not isinstance(stored, str):
+        raise TypeError(f"buffer is {type(stored).__name__}, not base64 text")
+    raw = base64.b64decode(stored, validate=True)
+    if len(raw) != 8 * length:
+        raise PersistenceError(
+            f"snapshot buffer holds {len(raw)} byte(s), its axis needs {8 * length}"
+        )
+    return np.frombuffer(raw, "<f8").copy()
+
+
+def _summary_to_wire(summary: dict[str, float]) -> dict[str, float]:
+    return {k: float(v) for k, v in summary.items()}
+
+
+@contextmanager
+def _decoding(where: str) -> Iterator[None]:
+    """Raise a malformed snapshot ``where`` as :class:`PersistenceError`.
+
+    A missing field names it; a value of the wrong type or shape names the
+    cause; a nested decoder's typed error keeps its message.
+    """
+    try:
+        yield
+    except PersistenceError:
+        raise
+    except KeyError as exc:
+        raise PersistenceError(f"snapshot {where} missing field {exc}") from exc
+    except (ReproError, AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise PersistenceError(f"malformed snapshot {where}: {exc}") from exc
+
+
 def encode_state(session: "FlexibilitySession") -> dict[str, Any]:
-    """The session's full durable state (everything recovery must restore)."""
+    """The session's durable state in snapshot format v2.
+
+    Everything recovery must restore except what re-extraction derives:
+    clean households carry no offers (see the module docstring).
+    """
     state = session.state
+    households = []
+    for h in state.households:
+        record = {
+            "index": h.index,
+            "household_id": h.household_id,
+            "series_name": h.series_name,
+            "axis": _axis_to_dict(h.axis),
+            "values": _buffer_to_text(h.values),
+            "covered": _mask_runs(h.covered),
+            "dirty": bool(h.dirty),
+            "summary": _summary_to_wire(h.summary),
+        }
+        if h.dirty:
+            record["offers"] = [flexoffer_to_dict(o) for o in h.offers]
+        households.append(record)
     return {
         "state_version": state.version,
         "commit_boundary": (
             None if state.commit_boundary is None else state.commit_boundary.isoformat()
         ),
-        "households": [
-            {
-                "index": h.index,
-                "household_id": h.household_id,
-                "series_name": h.series_name,
-                "axis": _axis_to_dict(h.axis),
-                "values": h.values.tolist(),
-                "covered": _mask_runs(h.covered),
-                "dirty": bool(h.dirty),
-                "offers": [flexoffer_to_dict(o) for o in h.offers],
-                "summary": {k: float(v) for k, v in h.summary.items()},
-            }
-            for h in state.households
-        ],
+        "households": households,
         "aggregates": [aggregated_to_dict(a) for a in state.aggregates],
         "open_schedules": [schedule_to_dict(s) for s in state.open_schedules],
         "schedule": (
@@ -199,73 +276,111 @@ def encode_state(session: "FlexibilitySession") -> dict[str, Any]:
             if session.target is None
             else {
                 "name": session.target.name,
-                "values": session.target.values.tolist(),
+                "values": _buffer_to_text(session.target.values),
             }
         ),
     }
 
 
-def decode_state(session: "FlexibilitySession", payload: dict[str, Any]) -> None:
+def decode_state(
+    session: "FlexibilitySession",
+    payload: dict[str, Any],
+    version: int = SNAPSHOT_FORMAT_VERSION,
+) -> None:
     """Restore a durable state payload into a freshly constructed session.
 
-    The session must have been built with the same constructor inputs as
-    the journaled one (same fleet axes, extractor, seed, target…) — the
+    ``version`` is the snapshot format the payload was written in.  The
+    session must have been built with the same constructor inputs as the
+    journaled one (same fleet axes, extractor, seed, target…) — the
     payload carries state, not configuration.  ``committed_demand`` is not
     stored: it is rebuilt by re-accumulating the committed placements in
-    commit order, which reproduces the original float sums bitwise.
+    commit order, which reproduces the original float sums bitwise.  A v2
+    payload's clean households are re-extracted (see the module
+    docstring).  Malformed payloads raise :class:`PersistenceError`.
     """
+    if version not in SNAPSHOT_FORMAT_VERSIONS:
+        raise PersistenceError(f"unsupported snapshot format version {version}")
     state = session.state
-    households = payload["households"]
+    with _decoding("state"):
+        if not isinstance(payload, dict):
+            raise TypeError(f"state is {type(payload).__name__}, not a JSON object")
+        households = payload["households"]
+        if not isinstance(households, list):
+            raise TypeError(f"'households' is {type(households).__name__}, not a list")
     if len(households) != len(state.households):
         raise PersistenceError(
             f"snapshot has {len(households)} household(s), session has "
             f"{len(state.households)}; resume with the session the journal "
             "was recorded from"
         )
-    for live, stored in zip(state.households, households):
-        axis = _axis_from_dict(stored["axis"])
-        if (
-            live.index != stored["index"]
-            or live.household_id != stored["household_id"]
-            or live.axis != axis
-        ):
+    rederive = []
+    for position, (live, stored) in enumerate(zip(state.households, households)):
+        with _decoding(f"household {position}"):
+            axis = _axis_from_dict(stored["axis"])
+            if (
+                live.index != stored["index"]
+                or live.household_id != stored["household_id"]
+                or live.axis != axis
+            ):
+                raise PersistenceError(
+                    f"household {stored['index']} ({stored['household_id']!r}) "
+                    "does not match the session being restored; resume with the "
+                    "session the journal was recorded from"
+                )
+            live.series_name = stored["series_name"]
+            live.values = _buffer_from_wire(stored["values"], axis.length, version)
+            live.covered = _runs_to_mask(stored["covered"], axis.length)
+            live.recount_prefix()
+            live.dirty = bool(stored["dirty"])
+            live.summary = dict(stored["summary"])
+            if version == 1 or live.dirty:
+                live.offers = tuple(flexoffer_from_dict(o) for o in stored["offers"])
+            elif live.summary:
+                rederive.append(live)
+            else:
+                live.offers = ()
+    for live, output in zip(rederive, session._extract(rederive)):
+        if _canonical(_summary_to_wire(output.summary)) != _canonical(live.summary):
             raise PersistenceError(
-                f"household {stored['index']} ({stored['household_id']!r}) does "
-                "not match the session being restored; resume with the session "
-                "the journal was recorded from"
+                f"household {live.index} ({live.household_id!r}): re-extracting "
+                "its buffer does not reproduce the stored summary; the snapshot "
+                "was written by a different extractor or seed"
             )
-        live.series_name = stored["series_name"]
-        live.values = np.asarray(stored["values"], dtype=np.float64)
-        live.covered = _runs_to_mask(stored["covered"], axis.length)
-        live.dirty = bool(stored["dirty"])
-        live.offers = tuple(flexoffer_from_dict(o) for o in stored["offers"])
-        live.summary = dict(stored["summary"])
-    state.version = int(payload["state_version"])
-    state.aggregates = tuple(aggregated_from_dict(a) for a in payload["aggregates"])
-    state.open_schedules = [schedule_from_dict(s) for s in payload["open_schedules"]]
-    state.schedule = (
-        None
-        if payload["schedule"] is None
-        else any_schedule_from_dict(payload["schedule"])
-    )
-    state.committed = [schedule_from_dict(s) for s in payload["committed"]]
-    state.committed_members = set(payload["committed_members"])
-    state.commit_boundary = (
-        None
-        if payload["commit_boundary"] is None
-        else datetime.fromisoformat(payload["commit_boundary"])
-    )
-    stored_target = payload.get("target")
-    if stored_target is not None and session.target is not None:
-        # A pre-snapshot retarget replaced the constructor target; restore
-        # the replacement (axis is fixed, only values/name can change).
-        from repro.timeseries.series import TimeSeries
-
-        session.target = TimeSeries(
-            session.target.axis,
-            np.asarray(stored_target["values"], dtype=np.float64),
-            stored_target["name"],
+        live.offers = output.offers
+        live.summary = output.summary
+    with _decoding("state"):
+        state.version = int(payload["state_version"])
+        state.aggregates = tuple(
+            aggregated_from_dict(a) for a in payload["aggregates"]
         )
+        state.open_schedules = [
+            schedule_from_dict(s) for s in payload["open_schedules"]
+        ]
+        state.schedule = (
+            None
+            if payload["schedule"] is None
+            else any_schedule_from_dict(payload["schedule"])
+        )
+        state.committed = [schedule_from_dict(s) for s in payload["committed"]]
+        state.committed_members = set(payload["committed_members"])
+        state.commit_boundary = (
+            None
+            if payload["commit_boundary"] is None
+            else datetime.fromisoformat(payload["commit_boundary"])
+        )
+        stored_target = payload.get("target")
+        if stored_target is not None and session.target is not None:
+            # A pre-snapshot retarget replaced the constructor target;
+            # restore the replacement (axis is fixed, only values/name can
+            # change).
+            from repro.timeseries.series import TimeSeries
+
+            axis = session.target.axis
+            session.target = TimeSeries(
+                axis,
+                _buffer_from_wire(stored_target["values"], axis.length, version),
+                stored_target["name"],
+            )
     if session.target is not None:
         axis = session.target.axis
         demand = np.zeros(axis.length)
@@ -483,7 +598,7 @@ class SessionJournal:
             crc,
             seq,
             state,
-            JOURNAL_VERSION,
+            SNAPSHOT_FORMAT_VERSION,
         )
         path = self._snapshot_path(seq)
         tmp = path.with_suffix(".json.tmp")
@@ -520,10 +635,15 @@ class SessionJournal:
         """The newest intact snapshot as ``(seq, state payload)``, if any.
 
         Torn, checksum-failing or malformed snapshots (a body that is not
-        an object, a non-integer ``seq``, a state that is not an object)
-        are skipped: an older one, or a full-log replay, still recovers
-        the session.
+        an object, a non-integer ``seq``, a state that is not an object,
+        an unknown format version) are skipped: an older one, or a
+        full-log replay, still recovers the session.
         """
+        newest = self._newest_snapshot()
+        return None if newest is None else (newest[0], newest[2])
+
+    def _newest_snapshot(self) -> tuple[int, int, dict[str, Any]] | None:
+        """:meth:`latest_snapshot` plus its format: ``(seq, version, state)``."""
         for path in sorted(self.directory.glob("snapshot-*.json"), reverse=True):
             try:
                 body = json.loads(path.read_text())
@@ -533,13 +653,14 @@ class SessionJournal:
                     continue
             except (ValueError, KeyError, OSError):
                 continue
-            seq, state = body["seq"], body["state"]
+            seq, state, version = body["seq"], body["state"], body.get("version")
             if (
-                body.get("version") == JOURNAL_VERSION
+                type(version) is int
+                and version in SNAPSHOT_FORMAT_VERSIONS
                 and type(seq) is int
                 and isinstance(state, dict)
             ):
-                return seq, state
+                return seq, version, state
         return None
 
     def tail(self, after_seq: int) -> Iterator[dict[str, Any]]:
@@ -600,12 +721,12 @@ def restore_session(
             "has already ingested or replanned"
         )
     after = 0
-    snapshot = journal.latest_snapshot()
+    snapshot = journal._newest_snapshot()
     session._replaying = True
     try:
         if snapshot is not None:
-            seq, payload = snapshot
-            decode_state(session, payload)
+            seq, version, payload = snapshot
+            decode_state(session, payload, version)
             after = seq
         for record in journal.tail(after):
             kind = record["type"]

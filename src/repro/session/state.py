@@ -46,7 +46,7 @@ from repro.aggregation.grouping import GroupingParams
 from repro.aggregation.streaming import aggregate_stream
 from repro.api.registry import create_extractor
 from repro.errors import SessionError
-from repro.evaluation.comparison import SEED_STRIDE, input_series_for
+from repro.evaluation.comparison import input_series_for
 from repro.extraction.base import FlexibilityExtractor
 from repro.flexoffer.io import (
     aggregated_to_dict,
@@ -60,8 +60,8 @@ from repro.pipeline.fleet import (
     FleetResult,
     HouseholdOutput,
     StageTimings,
+    extract_households,
     schedule_aggregates,
-    stamp_household,
 )
 from repro.scheduling.greedy import ScheduleConfig, ScheduleResult, greedy_schedule
 from repro.timeseries.axis import TimeAxis
@@ -90,6 +90,7 @@ class _HouseholdState:
         "dirty",
         "offers",
         "summary",
+        "prefix",
     )
 
     def __init__(
@@ -104,15 +105,38 @@ class _HouseholdState:
         self.dirty = False
         self.offers: tuple = ()
         self.summary: dict[str, float] = {}
+        #: Length of the contiguous covered prefix of ``covered``.
+        self.prefix = 0
+
+    def write(self, first: int, chunk: np.ndarray) -> None:
+        """Store a chunk of readings and advance the covered prefix.
+
+        The prefix only moves when the chunk reaches it, then skips the
+        readings that arrived ahead of it: in-order arrival never looks
+        past the chunk, and only a chunk closing a gap scans beyond it.
+        """
+        stop = first + chunk.size
+        self.values[first:stop] = chunk
+        self.covered[first:stop] = True
+        self.dirty = True
+        if first <= self.prefix < stop:
+            self.prefix = stop
+            self._extend_prefix()
+
+    def recount_prefix(self) -> None:
+        """Rebuild the covered-prefix cache from ``covered`` (after a restore)."""
+        self.prefix = 0
+        self._extend_prefix()
+
+    def _extend_prefix(self) -> None:
+        rest = self.covered[self.prefix :]
+        if rest.size and rest[0]:
+            self.prefix += rest.size if rest.all() else int(np.argmin(rest))
 
     @property
     def coverage_end(self) -> datetime:
         """End of the contiguous covered prefix (the household's watermark)."""
-        if self.covered.all():
-            prefix = self.covered.size
-        else:
-            prefix = int(np.argmin(self.covered))
-        return self.axis.start + self.axis.resolution * prefix
+        return self.axis.start + self.axis.resolution * self.prefix
 
     def output(self) -> HouseholdOutput:
         return HouseholdOutput(
@@ -386,25 +410,16 @@ class FlexibilitySession:
             "ingest",
             {"household": household, "first": first, "values": chunk.tolist()},
         )
-        target.values[first : first + chunk.size] = chunk
-        target.covered[first : first + chunk.size] = True
-        target.dirty = True
+        target.write(first, chunk)
 
     def replan(self) -> SessionSnapshot:
         """Re-extract dirty households, re-aggregate, re-plan, publish."""
         self._journal_event("replan", {})
         state = self._state
-        for household in state.households:
-            if not household.dirty:
-                continue
-            rng = np.random.default_rng(self.seed + SEED_STRIDE * household.index)
-            series = TimeSeries(
-                household.axis, household.values.copy(), household.series_name
-            )
-            with offer_id_scope(f"h{household.index}"):
-                result = self.extractor.extract(series, rng)
-            household.offers = stamp_household(result.offers, household.household_id)
-            household.summary = result.summary()
+        dirty = [household for household in state.households if household.dirty]
+        for household, output in zip(dirty, self._extract(dirty)):
+            household.offers = output.offers
+            household.summary = output.summary
             household.dirty = False
 
         offers = state.planned_offers()
@@ -496,6 +511,26 @@ class FlexibilitySession:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+
+    def _extract(self, households: list[_HouseholdState]) -> list[HouseholdOutput]:
+        """Extract the households' current buffers, in the given order.
+
+        Seeds and offer-id scopes follow the batch pipeline
+        (:func:`~repro.pipeline.fleet.extract_households`), so a household
+        extracted here yields the offers a one-shot run over the same input
+        would — which is also what lets a snapshot restore re-derive them.
+        """
+        jobs = [
+            (
+                household.index,
+                household.household_id,
+                TimeSeries(
+                    household.axis, household.values.copy(), household.series_name
+                ),
+            )
+            for household in households
+        ]
+        return extract_households(self.extractor, self.seed, jobs)[0]
 
     def _journal_event(
         self, kind: str, data: dict[str, Any], durable: bool = False

@@ -13,13 +13,14 @@ versioned :func:`~repro.flexoffer.io.report_delta`, the
 
 from __future__ import annotations
 
-from datetime import timedelta
+from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import SessionSpec, input_series_for
+from repro.api import SessionSpec, create_extractor, input_series_for
 from repro.api.spec import PipelineSpec
 from repro.errors import DataError, SessionError, SpecError
 from repro.flexoffer.io import (
@@ -33,6 +34,7 @@ from repro.pipeline.fleet import (
     run_sequential,
 )
 from repro.session import COMMIT_ID_PREFIX, FlexibilitySession
+from repro.timeseries.axis import TimeAxis
 from repro.workloads.scenarios import small_fleet
 
 
@@ -150,6 +152,51 @@ class TestIncrementalReextraction:
         assert after[0] == before[0]  # same data, same offers
         for index in range(1, len(inputs)):
             assert after[index] is before[index]
+
+
+class TestWatermarkCache:
+    """The cached covered prefix equals its argmin definition."""
+
+    @staticmethod
+    def argmin_coverage_end(household):
+        covered = household.covered
+        prefix = covered.size if covered.all() else int(np.argmin(covered))
+        return household.axis.start + household.axis.resolution * prefix
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cached_coverage_end_matches_argmin_under_any_ingest_order(self, data):
+        axis = TimeAxis(datetime(2012, 3, 5), timedelta(minutes=15), 24)
+        # Each household's axis cut into chunks, plus a few overlapping
+        # rewrites, delivered in any order.
+        chunks = []
+        for household in range(2):
+            cuts = data.draw(st.sets(st.integers(1, axis.length - 1), max_size=6))
+            bounds = [0, *sorted(cuts), axis.length]
+            chunks += [(household, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        rewrites = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 1),
+                    st.integers(0, axis.length - 1),
+                    st.integers(1, 8),
+                ),
+                max_size=4,
+            )
+        )
+        chunks += [(h, lo, min(lo + n, axis.length)) for h, lo, n in rewrites]
+        session = FlexibilitySession(
+            [("a", axis, "a"), ("b", axis, "b")],
+            extractor=create_extractor("basic"),
+        )
+        for household, lo, hi in data.draw(st.permutations(chunks)):
+            session.ingest(household, lo, np.ones(hi - lo))
+            for live in session.state.households:
+                assert live.coverage_end == self.argmin_coverage_end(live)
+            assert session.state.watermark == min(
+                self.argmin_coverage_end(live) for live in session.state.households
+            )
+        assert session.state.watermark == axis.end
 
 
 class TestCommitHorizon:

@@ -12,6 +12,7 @@ semantics run on every tier-1 pass.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import shutil
@@ -57,12 +58,94 @@ SNAPSHOT_EVENTS_FILE = EVENTS_FILE.with_name("session_events_snapshot.json")
 LEGACY_SNAPSHOT = (
     Path(__file__).parent / "data" / "golden" / "compat" / "session_snapshot_v1.json"
 )
+#: The same snapshot written by the format-v2 writer (base64 buffers, no
+#: offers for the two clean households).  Never regenerate.
+V2_SNAPSHOT = LEGACY_SNAPSHOT.with_name("session_snapshot_v2.json")
 
 
-def _crc_valid_body(seq, state) -> str:
+def _crc_valid_body(seq, state, version=1) -> str:
     return json.dumps(
-        {"version": 1, "seq": seq, "state": state, "crc": _checksum(seq, "snapshot", state)}
+        {
+            "version": version,
+            "seq": seq,
+            "state": state,
+            "crc": _checksum(seq, "snapshot", state),
+        }
     )
+
+
+def _b64_floats(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _v2_state() -> dict:
+    """A fresh copy of the v2 golden's state (both households clean)."""
+    return json.loads(V2_SNAPSHOT.read_text())["state"]
+
+
+def _set(path, value):
+    """A state mutation: assign ``value`` at the key/index ``path``."""
+
+    def mutate(state):
+        node = state
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return state
+
+    return mutate
+
+
+def _drop(path):
+    def mutate(state):
+        node = state
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return state
+
+    return mutate
+
+
+def _shift_summary(state):
+    state["households"][1]["summary"]["extracted_kwh"] += 1.0
+    return state
+
+
+#: CRC-valid snapshot states that must fail to restore with a typed error:
+#: ``(id, format version, mutation of the v2 golden state, message)``.
+MALFORMED_STATES = [
+    ("v1-only-state-version", 1, lambda s: {"state_version": 1},
+     "snapshot state missing field 'households'"),
+    ("v2-only-state-version", 2, lambda s: {"state_version": 1},
+     "snapshot state missing field 'households'"),
+    ("households-not-a-list", 2, _set(["households"], {"0": {}}),
+     "'households' is dict, not a list"),
+    ("household-not-an-object", 2, _set(["households", 0], [1]),
+     "malformed snapshot household 0"),
+    ("household-missing-axis", 2, _drop(["households", 0, "axis"]),
+     "snapshot household 0 missing field 'axis'"),
+    ("bad-base64", 2, _set(["households", 0, "values"], "not base64!"),
+     "malformed snapshot household 0"),
+    ("wrong-byte-count", 2, _set(["households", 1, "values"], _b64_floats([1.0] * 3)),
+     "holds 24 byte"),
+    ("v2-list-buffer", 2, _set(["households", 0, "values"], [0.0] * 192),
+     "buffer is list, not base64 text"),
+    ("v1-short-buffer", 1, _set(["households", 0, "values"], [0.0] * 3),
+     "holds 3 value"),
+    ("summary-mismatch", 2, _shift_summary,
+     "household 1 .* does not reproduce the stored summary"),
+    ("dirty-without-offers", 2, _set(["households", 0, "dirty"], True),
+     "snapshot household 0 missing field 'offers'"),
+    ("bad-aggregate", 2, _set(["aggregates"], [{}]),
+     "malformed snapshot state: .*aggregated"),
+    ("bad-state-version", 2, _set(["state_version"], "x"),
+     "malformed snapshot state"),
+    ("bad-commit-boundary", 2, _set(["commit_boundary"], 5),
+     "malformed snapshot state"),
+    ("bad-target-bytes", 2, _set(["target", "values"], "AAAA"),
+     "holds 3 byte"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -219,8 +302,19 @@ class TestJournal:
             _crc_valid_body("2", {"fake": "new"}),
             _crc_valid_body(2.5, {"fake": "new"}),
             _crc_valid_body(2, [1]),
+            _crc_valid_body(2, {"fake": "new"}, version=3),
+            _crc_valid_body(2, {"fake": "new"}, version=True),
         ],
-        ids=["null", "list", "string", "str-seq", "float-seq", "list-state"],
+        ids=[
+            "null",
+            "list",
+            "string",
+            "str-seq",
+            "float-seq",
+            "list-state",
+            "unknown-version",
+            "bool-version",
+        ],
     )
     def test_malformed_snapshot_is_skipped(self, tmp_path, body):
         journal = SessionJournal.create(tmp_path)
@@ -229,6 +323,29 @@ class TestJournal:
         (tmp_path / "snapshot-00000002.json").write_text(body)
         assert journal.latest_snapshot() == (1, {"fake": "state"})
         journal.close()
+
+    @pytest.mark.parametrize(
+        "version, mutate, message",
+        [case[1:] for case in MALFORMED_STATES],
+        ids=[case[0] for case in MALFORMED_STATES],
+    )
+    def test_malformed_snapshot_state_refuses_recovery(
+        self, tmp_path, stream, version, mutate, message
+    ):
+        # The body is intact (CRC-valid), so the snapshot is not skipped;
+        # its state is wrong, which must surface as a typed error rather
+        # than a bare KeyError/TypeError or a silently different session.
+        SessionJournal.create(tmp_path).close()
+        state = mutate(_v2_state())
+        (tmp_path / "snapshot-00000006.json").write_text(
+            _crc_valid_body(6, state, version=version)
+        )
+        journal = SessionJournal.open(tmp_path)
+        try:
+            with pytest.raises(PersistenceError, match=message):
+                restore_session(_fresh(stream), journal)
+        finally:
+            journal.close()
 
     def test_open_refuses_non_object_header(self, tmp_path):
         (tmp_path / WAL_NAME).write_bytes(_encode_record(0, "open", [1]))
@@ -343,6 +460,25 @@ class TestWireFormat:
         _apply(recovered, stream, start=6)
         assert recovered.snapshot().to_dict() == uninterrupted_final
 
+    def test_v2_snapshot_restores_bitwise(self, tmp_path, stream, uninterrupted_final):
+        raw = V2_SNAPSHOT.read_bytes()
+        body = json.loads(raw)
+        assert raw == _canonical(body)
+        assert body["version"] == 2 and body["seq"] == 6
+        assert all("offers" not in h for h in body["state"]["households"])
+        SessionJournal.create(tmp_path).close()
+        shutil.copy(V2_SNAPSHOT, tmp_path / "snapshot-00000006.json")
+        recovered = restore_session(_fresh(stream), tmp_path)
+        assert recovered.journal.last_seq == 6
+        live = _fresh(stream)
+        _apply(live, stream, stop=6)
+        assert recovered.snapshot().to_dict() == live.snapshot().to_dict()
+        # The writer still produces the golden's state, byte for byte.
+        assert _canonical(encode_state(live)) == _canonical(body["state"])
+        assert encode_state(recovered) == encode_state(live)
+        _apply(recovered, stream, start=6)
+        assert recovered.snapshot().to_dict() == uninterrupted_final
+
 
 # ---------------------------------------------------------------------- #
 # State encoding
@@ -371,6 +507,46 @@ class TestStateCodec:
             restored.state.committed_demand, session.state.committed_demand
         )
         assert restored.state.commit_boundary == session.state.commit_boundary
+
+    def test_dirty_household_keeps_its_stale_offers(self, stream):
+        # After seq 4 household 0 holds new readings but still the offers
+        # extracted before them: those cannot be re-derived, so they ride
+        # along; the clean household's offers do not.
+        session = _fresh(stream)
+        _apply(session, stream, stop=4)
+        assert [h.dirty for h in session.state.households] == [True, False]
+        payload = json.loads(json.dumps(encode_state(session)))
+        dirty, clean = payload["households"]
+        assert len(dirty["offers"]) == len(session.state.households[0].offers) > 0
+        assert "offers" not in clean
+        restored = _fresh(stream)
+        restored._replaying = True
+        decode_state(restored, payload)
+        restored._replaying = False
+        for live, original in zip(
+            restored.state.households, session.state.households
+        ):
+            assert live.offers == original.offers
+            assert live.summary == original.summary
+            assert live.coverage_end == original.coverage_end
+        # Both sessions replan the dirty household to the same state.
+        assert restored.replan().to_dict() == session.replan().to_dict()
+
+    def test_encoding_skips_clean_offers_and_float_lists(self, stream, monkeypatch):
+        session = _fresh(stream)
+        _apply(session, stream)
+        encoded = []
+        monkeypatch.setattr(
+            "repro.session.persistence.flexoffer_to_dict",
+            lambda offer: encoded.append(offer),
+        )
+        payload = encode_state(session)
+        assert encoded == []  # every household is clean after the last replan
+        for stored, live in zip(payload["households"], session.state.households):
+            assert "offers" not in stored
+            raw = base64.b64decode(stored["values"])
+            assert raw == live.values.astype("<f8").tobytes()
+        assert isinstance(payload["target"]["values"], str)
 
     def test_decode_refuses_mismatched_fleet(self, stream):
         session = _fresh(stream)
