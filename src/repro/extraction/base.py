@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -72,14 +72,78 @@ class ExtractionResult:
         return len(self.offers) / days if days else 0.0
 
     def summary(self) -> dict[str, float]:
-        """Key numbers for reports and benchmark output."""
+        """Key numbers for reports and benchmark output.
+
+        Each total is computed once, with the expressions of the properties
+        above in their order, so the values are bitwise theirs.
+        """
+        extracted = self.extracted_energy
+        total = self.original.total()
         return {
             "offers": float(len(self.offers)),
             "offers_per_day": self.offers_per_day(),
-            "extracted_kwh": self.extracted_energy,
-            "extracted_share": self.extracted_share,
-            "conservation_error_kwh": self.energy_conservation_error(),
+            "extracted_kwh": extracted,
+            "extracted_share": extracted / total if total else 0.0,
+            "conservation_error_kwh": abs(extracted - (total - self.modified.total())),
         }
+
+
+@dataclass(frozen=True)
+class DayTrail:
+    """The day boundaries a day-local extraction passed, to resume it later.
+
+    A day-local extractor builds each day's offers from that day's window
+    and the generator alone, so its run can restart at any day boundary.
+    ``marks[d]`` is ``(bit_generator.state, offers emitted so far)`` at the
+    start of day ``d``; ``modified`` holds the run's modified values.
+    Derived state: any extraction rebuilds it, nothing persists it.
+    """
+
+    marks: tuple[tuple[dict, int], ...]
+    modified: np.ndarray
+
+    def checkpoint(
+        self, day: int, first: int, offers: Sequence[FlexOffer]
+    ) -> "DayCheckpoint":
+        """The run's state at the start of ``day`` (interval ``first``).
+
+        ``offers`` are the run's offers, as emitted or stamped with their
+        household; the checkpoint keeps the ones of the earlier days.
+        """
+        emitted = self.marks[day][1]
+        return DayCheckpoint(
+            day=day,
+            marks=self.marks[: day + 1],
+            offers=tuple(offers[:emitted]),
+            modified=self.modified[:first],
+        )
+
+
+@dataclass(frozen=True)
+class DayCheckpoint:
+    """Where a day-local extraction stood at the start of day ``day``.
+
+    ``marks`` are the trail's marks up to and including ``day``,
+    ``offers`` the offers of the earlier days and ``modified`` the modified
+    values before the day.  Formulating from a checkpoint runs only the
+    days from ``day`` on and returns what a cold run returns, provided the
+    input before the day is unchanged.
+    """
+
+    day: int
+    marks: tuple[tuple[dict, int], ...]
+    offers: tuple[FlexOffer, ...]
+    modified: np.ndarray
+
+    @property
+    def rng_state(self) -> dict:
+        """The generator's ``bit_generator.state`` at the start of the day."""
+        return self.marks[self.day][0]
+
+    @property
+    def ids_minted(self) -> int:
+        """Offer ids minted before the day: one per offer emitted."""
+        return len(self.offers)
 
 
 class FlexibilityExtractor(ABC):

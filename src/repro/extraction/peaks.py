@@ -18,12 +18,18 @@ are where flexibility lives; one flex-offer per consumer per day.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.api.registry import register_extractor
 from repro.errors import ExtractionError
-from repro.extraction.base import ExtractionResult, FlexibilityExtractor
+from repro.extraction.base import (
+    DayCheckpoint,
+    DayTrail,
+    ExtractionResult,
+    FlexibilityExtractor,
+)
 from repro.extraction.params import FlexOfferParams
 from repro.timeseries.series import TimeSeries
 
@@ -84,6 +90,53 @@ def detect_peaks(day_values: np.ndarray, threshold: float | None = None) -> list
     return peaks
 
 
+def detect_day_peaks(days: np.ndarray) -> tuple[np.ndarray, list[list[Peak]]]:
+    """:func:`detect_peaks` over every row of a ``(k, L)`` block of day windows.
+
+    Returns the rows' energies and their peaks, each bitwise what the 1-D
+    path gives: energies and means reduce along the contiguous last axis,
+    and each peak's size and highest value reduce a ``(runs, length)``
+    gather of the runs sharing its length — the same pairwise summation
+    ``run.sum()`` does, never a ``reduceat`` or ``cumsum``.
+    """
+    days = np.asarray(days, dtype=np.float64)
+    if days.ndim != 2 or days.shape[1] == 0:
+        raise ExtractionError("days must be a (k, L) block with L >= 1")
+    energies = days.sum(axis=1)
+    means = days.mean(axis=1)
+    above = np.zeros((days.shape[0], days.shape[1] + 2), dtype=np.int8)
+    above[:, 1:-1] = days > (means + 1e-9 * np.maximum(1.0, np.abs(means)))[:, None]
+    edges = np.diff(above, axis=1)
+    rows, firsts = np.nonzero(edges == 1)
+    lengths = np.nonzero(edges == -1)[1] - firsts
+    sizes = np.empty(firsts.size)
+    highest = np.empty(firsts.size)
+    for length in np.unique(lengths).tolist():
+        runs = np.flatnonzero(lengths == length)
+        block = days[rows[runs, None], firsts[runs, None] + np.arange(length)]
+        sizes[runs] = block.sum(axis=1)
+        highest[runs] = block.max(axis=1)
+    peaks = [
+        Peak(first=first, length=length, size=size, highest=high)
+        for first, length, size, high in zip(
+            firsts.tolist(), lengths.tolist(), sizes.tolist(), highest.tolist()
+        )
+    ]
+    bounds = np.searchsorted(rows, np.arange(days.shape[0] + 1)).tolist()
+    return energies, [peaks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@dataclass(frozen=True, slots=True)
+class DayPeaks:
+    """One day window's detection: its energy and its above-mean runs."""
+
+    index: int
+    first: int
+    length: int
+    energy: float
+    peaks: list[Peak]
+
+
 def filter_peaks(peaks: list[Peak], flexible_energy: float) -> list[Peak]:
     """Discard peaks whose total energy is smaller than the flexible part.
 
@@ -141,15 +194,77 @@ class PeakBasedExtractor(FlexibilityExtractor):
 
     def extract(self, series: TimeSeries, rng: np.random.Generator) -> ExtractionResult:
         """Extract one offer per 24-hour window of the input series."""
+        return self.formulate(series, self.detect_many([series])[0], rng)
+
+    def detect_many(
+        self, series: Sequence[TimeSeries], first_days: Sequence[int] | None = None
+    ) -> list[list[DayPeaks]]:
+        """Detect the peaks of every day of many series in one batch.
+
+        Series ``i`` is detected from day ``first_days[i]`` (default 0) on.
+        Day windows of equal length — every full day of every series, and
+        each short last day with the others of its length — are stacked
+        into one block for :func:`detect_day_peaks`.  Detection reads the
+        input series: a day's offer only changes its own window, after
+        the day was detected.
+        """
+        detected: list[list[DayPeaks]] = [[] for _ in series]
+        windows: dict[int, list[tuple[int, int, int]]] = {}
+        for position, s in enumerate(series):
+            start = first_days[position] if first_days is not None else 0
+            for day, (first, length) in enumerate(s.axis.day_slices()[start:], start):
+                windows.setdefault(length, []).append((position, day, first))
+        for length, days in windows.items():
+            block = np.stack(
+                [series[position].values[first : first + length] for position, _, first in days]
+            )
+            energies, peaks = detect_day_peaks(block)
+            for (position, day, first), energy, day_peaks in zip(
+                days, energies.tolist(), peaks
+            ):
+                detected[position].append(DayPeaks(day, first, length, energy, day_peaks))
+        for days in detected:
+            days.sort(key=lambda day: day.index)
+        return detected
+
+    def formulate(
+        self,
+        series: TimeSeries,
+        detected: list[DayPeaks],
+        rng: np.random.Generator,
+        checkpoint: DayCheckpoint | None = None,
+    ) -> ExtractionResult:
+        """Formulate the offers of the detected days (the per-day RNG part).
+
+        From a ``checkpoint`` the generator, the earlier days' offers and
+        the modified prefix are restored and only the later days run; the
+        caller mints ids after the checkpoint's (see
+        :func:`~repro.flexoffer.model.offer_id_scope`).  The result is the
+        cold run's either way, except that ``extras["days"]`` reports only
+        the days formulated.  ``extras["trail"]`` is the run's
+        :class:`~repro.extraction.base.DayTrail`.
+        """
         axis = series.axis
         modified = series.values.copy()
         offers = []
+        marks = []
+        start = 0
+        if checkpoint is not None:
+            start = checkpoint.day
+            modified[: checkpoint.modified.size] = checkpoint.modified
+            offers = list(checkpoint.offers)
+            marks = list(checkpoint.marks[:start])
+            rng.bit_generator.state = checkpoint.rng_state
         day_reports = []
-        for first, length in axis.day_slices():
-            window = modified[first : first + length]
-            day_energy = float(window.sum())
+        for day in detected:
+            if day.index < start:
+                continue
+            marks.append((rng.bit_generator.state, len(offers)))
+            first = day.first
+            window = modified[first : first + day.length]
+            day_energy = day.energy
             flexible_energy = self.params.flexible_share * day_energy
-            peaks = detect_peaks(window)
+            peaks = day.peaks
             candidates = filter_peaks(peaks, flexible_energy)
             report = {
                 "day_start": axis.time_at(first),
@@ -180,7 +295,7 @@ class PeakBasedExtractor(FlexibilityExtractor):
             modified=series.with_values(modified).with_name(f"{series.name}.modified"),
             original=series,
             extractor=self.name,
-            extras={"days": day_reports},
+            extras={"days": day_reports, "trail": DayTrail(tuple(marks), modified)},
         )
 
     def _formulate(

@@ -31,17 +31,18 @@ class OfferIdFactory:
     """A deterministic flex-offer id source.
 
     Ids are ``{prefix}-{namespace}-{n}`` (or ``{prefix}-{n}`` without a
-    namespace) with ``n`` counting from 1 per factory.  Two factories with
-    the same namespace mint identical id sequences, which is what lets
-    batched, sequential and multiprocessing fleet runs produce *exactly*
-    equal offers — ids included — instead of "equal modulo offer ids".
+    namespace) with ``n`` counting from ``start + 1`` (default 1) per
+    factory.  Two factories with the same namespace mint identical id
+    sequences, which is what lets batched, sequential and multiprocessing
+    fleet runs produce *exactly* equal offers — ids included — instead of
+    "equal modulo offer ids".
     """
 
     __slots__ = ("namespace", "_counter")
 
-    def __init__(self, namespace: str = "") -> None:
+    def __init__(self, namespace: str = "", start: int = 0) -> None:
         self.namespace = namespace
-        self._counter = itertools.count(1)
+        self._counter = itertools.count(start + 1)
 
     def next_id(self, prefix: str = "fo") -> str:
         n = next(self._counter)
@@ -72,17 +73,19 @@ def next_offer_id(prefix: str = "fo") -> str:
 
 
 @contextmanager
-def offer_id_scope(namespace: str = "") -> Iterator[OfferIdFactory]:
+def offer_id_scope(namespace: str = "", start: int = 0) -> Iterator[OfferIdFactory]:
     """Install a fresh deterministic id factory for the duration of the block.
 
     Every offer built inside the block gets ids ``{prefix}-{namespace}-{n}``
-    with ``n`` restarting at 1, regardless of process history — so any two
-    runs that enter the same scopes in the same order mint identical ids.
-    Scopes nest; the previous factory is restored on exit.
+    with ``n`` restarting at ``start + 1``, regardless of process history —
+    so any two runs that enter the same scopes in the same order mint
+    identical ids.  A run resumed after ``start`` ids continues the
+    sequence of the run it resumes.  Scopes nest; the previous factory is
+    restored on exit.
     """
     global _CURRENT_FACTORY
     previous = _CURRENT_FACTORY
-    factory = OfferIdFactory(namespace)
+    factory = OfferIdFactory(namespace, start)
     _CURRENT_FACTORY = factory
     try:
         yield factory

@@ -37,7 +37,7 @@ from repro.errors import DegradedExecutionWarning, SchedulingError, ValidationEr
 from repro.pipeline.dispatch import RetryPolicy, dispatch_chunks
 from repro.testing import faults
 from repro.evaluation.comparison import SEED_STRIDE, input_series_for
-from repro.extraction.base import FlexibilityExtractor
+from repro.extraction.base import DayCheckpoint, DayTrail, FlexibilityExtractor
 from repro.flexoffer.model import FlexOffer, offer_id_scope
 from repro.pipeline.sharedmem import SharedArraySpec, SharedFleetBuffer
 from repro.scheduling.greedy import ScheduleConfig, ScheduleResult, greedy_schedule
@@ -108,12 +108,18 @@ class StageTimings:
 
 @dataclass(frozen=True)
 class HouseholdOutput:
-    """One household's share of a fleet run."""
+    """One household's share of a fleet run.
+
+    ``trail`` is set only for day-local extractions run with checkpoints
+    (see :func:`extract_households`); it is derived state, left out of
+    comparisons.
+    """
 
     index: int
     household_id: str
     offers: tuple[FlexOffer, ...]
     summary: dict[str, float]
+    trail: DayTrail | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -449,6 +455,7 @@ def extract_households(
     extractor: FlexibilityExtractor,
     seed: int,
     jobs: list[tuple[int, str, TimeSeries]],
+    checkpoints: list[DayCheckpoint | None] | None = None,
 ) -> tuple[list[HouseholdOutput], dict[str, float]]:
     """Extract ``(index, household_id, series)`` jobs; returns outputs (in
     job order) plus stage seconds.
@@ -458,34 +465,61 @@ def extract_households(
     its offer ids in ``offer_id_scope(f"h{index}")``, so the batch pipeline,
     session replans and snapshot restores produce bitwise-identical offers
     for the same input.  Extractors exposing ``detect_many``/``formulate``
-    (the appliance-level approaches) detect each tile of
+    (the appliance-level approaches and ``peak-based``) detect each tile of
     :data:`_TILE_WIDTH` households in one batched call, then formulate them
     one by one.
+
+    ``checkpoints`` resumes day-local extractions: a job with a
+    :class:`~repro.extraction.base.DayCheckpoint` is detected and
+    formulated from the checkpoint's day on, minting ids after the
+    checkpoint's, and only its new offers get stamped.  When the list is
+    given, each output also carries its run's
+    :class:`~repro.extraction.base.DayTrail` (``None`` for extractors that
+    are not day-local), from which the caller takes the next checkpoint.
     """
     split = hasattr(extractor, "detect_many") and hasattr(extractor, "formulate")
+    trails = checkpoints is not None
+    if checkpoints is None:
+        checkpoints = [None] * len(jobs)
     timings = {"disaggregate": 0.0, "extract": 0.0}
     outputs: list[HouseholdOutput] = []
     for first in range(0, len(jobs), _TILE_WIDTH):
         tile = jobs[first : first + _TILE_WIDTH]
+        resumes = checkpoints[first : first + _TILE_WIDTH]
         if split:
             t0 = time.perf_counter()
-            detected = extractor.detect_many([series for _, _, series in tile])
+            series = [series for _, _, series in tile]
+            days = [0 if checkpoint is None else checkpoint.day for checkpoint in resumes]
+            detected = (
+                extractor.detect_many(series, days)
+                if any(days)
+                else extractor.detect_many(series)
+            )
             timings["disaggregate"] += time.perf_counter() - t0
-        for position, (index, household_id, series) in enumerate(tile):
+        for position, ((index, household_id, series), checkpoint) in enumerate(
+            zip(tile, resumes)
+        ):
             rng = np.random.default_rng(seed + SEED_STRIDE * index)
+            minted = 0 if checkpoint is None else checkpoint.ids_minted
             t0 = time.perf_counter()
-            with offer_id_scope(f"h{index}"):
-                if split:
+            with offer_id_scope(f"h{index}", start=minted):
+                if checkpoint is not None:
+                    result = extractor.formulate(series, detected[position], rng, checkpoint)
+                elif split:
                     result = extractor.formulate(series, detected[position], rng)
                 else:
                     result = extractor.extract(series, rng)
             timings["extract"] += time.perf_counter() - t0
+            offers = tuple(result.offers[:minted]) + stamp_household(
+                result.offers[minted:], household_id
+            )
             outputs.append(
                 HouseholdOutput(
                     index=index,
                     household_id=household_id,
-                    offers=stamp_household(result.offers, household_id),
+                    offers=offers,
                     summary=result.summary(),
+                    trail=result.extras.get("trail") if trails else None,
                 )
             )
     return outputs, timings

@@ -47,7 +47,7 @@ from repro.aggregation.streaming import aggregate_stream
 from repro.api.registry import create_extractor
 from repro.errors import SessionError
 from repro.evaluation.comparison import input_series_for
-from repro.extraction.base import FlexibilityExtractor
+from repro.extraction.base import DayCheckpoint, DayTrail, FlexibilityExtractor
 from repro.flexoffer.io import (
     aggregated_to_dict,
     any_schedule_to_dict,
@@ -91,6 +91,8 @@ class _HouseholdState:
         "offers",
         "summary",
         "prefix",
+        "stale_from",
+        "trail",
     )
 
     def __init__(
@@ -107,6 +109,12 @@ class _HouseholdState:
         self.summary: dict[str, float] = {}
         #: Length of the contiguous covered prefix of ``covered``.
         self.prefix = 0
+        #: Lowest index written since the last extraction.
+        self.stale_from = 0
+        #: The last extraction's day trail (day-local extractors only).
+        #: Derived state: never written to snapshots or the WAL, so a
+        #: restored session starts cold.
+        self.trail: DayTrail | None = None
 
     def write(self, first: int, chunk: np.ndarray) -> None:
         """Store a chunk of readings and advance the covered prefix.
@@ -119,6 +127,7 @@ class _HouseholdState:
         self.values[first:stop] = chunk
         self.covered[first:stop] = True
         self.dirty = True
+        self.stale_from = min(self.stale_from, first)
         if first <= self.prefix < stop:
             self.prefix = stop
             self._extend_prefix()
@@ -132,6 +141,23 @@ class _HouseholdState:
         rest = self.covered[self.prefix :]
         if rest.size and rest[0]:
             self.prefix += rest.size if rest.all() else int(np.argmin(rest))
+
+    def checkpoint(self) -> DayCheckpoint | None:
+        """Where re-extraction resumes: the start of the first day written
+        since the last extraction (``None``: from scratch)."""
+        per_day = self.axis.intervals_per_day
+        day = self.stale_from // per_day
+        if self.trail is None or day == 0:
+            return None
+        return self.trail.checkpoint(day, day * per_day, self.offers)
+
+    def adopt(self, output: HouseholdOutput) -> None:
+        """Take a fresh extraction of the whole buffer as the cached one."""
+        self.offers = output.offers
+        self.summary = output.summary
+        self.trail = output.trail
+        self.dirty = False
+        self.stale_from = self.axis.length
 
     @property
     def coverage_end(self) -> datetime:
@@ -418,9 +444,7 @@ class FlexibilitySession:
         state = self._state
         dirty = [household for household in state.households if household.dirty]
         for household, output in zip(dirty, self._extract(dirty)):
-            household.offers = output.offers
-            household.summary = output.summary
-            household.dirty = False
+            household.adopt(output)
 
         offers = state.planned_offers()
         if offers:
@@ -519,6 +543,8 @@ class FlexibilitySession:
         (:func:`~repro.pipeline.fleet.extract_households`), so a household
         extracted here yields the offers a one-shot run over the same input
         would — which is also what lets a snapshot restore re-derive them.
+        A household with a day trail resumes at its first stale day, which
+        yields the same offers.
         """
         jobs = [
             (
@@ -530,7 +556,8 @@ class FlexibilitySession:
             )
             for household in households
         ]
-        return extract_households(self.extractor, self.seed, jobs)[0]
+        checkpoints = [household.checkpoint() for household in households]
+        return extract_households(self.extractor, self.seed, jobs, checkpoints)[0]
 
     def _journal_event(
         self, kind: str, data: dict[str, Any], durable: bool = False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from repro.errors import ExtractionError
 from repro.extraction.params import FlexOfferParams
 from repro.extraction.peaks import (
     PeakBasedExtractor,
+    detect_day_peaks,
     detect_peaks,
     filter_peaks,
     select_peak,
     selection_probabilities,
 )
 from repro.flexoffer.validate import PolicyLimits, check_all
+from repro.timeseries.axis import TimeAxis
+from repro.timeseries.series import TimeSeries
 from repro.workloads.paper_day import (
     FIGURE5_DAY_TOTAL,
     FIGURE5_FILTER_THRESHOLD,
@@ -58,6 +62,92 @@ class TestPeakDetection:
     def test_empty_rejected(self):
         with pytest.raises(ExtractionError):
             detect_peaks(np.array([]))
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _expected_days(series: TimeSeries) -> list[tuple]:
+    """The 1-D path's view of every day: index, window, energy bits, peaks."""
+    out = []
+    for day, (first, length) in enumerate(series.axis.day_slices()):
+        window = series.values[first : first + length]
+        out.append((day, first, length, _bits(window.sum()), detect_peaks(window)))
+    return out
+
+
+def _batched_days(days) -> list[tuple]:
+    return [(d.index, d.first, d.length, _bits(d.energy), d.peaks) for d in days]
+
+
+def _edge_days(rng: np.random.Generator, per_day: int) -> np.ndarray:
+    """Random days plus constant, all-zero, edge-touching and tail-zero ones."""
+    random_days = rng.exponential(0.3, size=(4, per_day))
+    constant = np.full(per_day, 0.7)
+    zero = np.zeros(per_day)
+    edges = rng.uniform(0.0, 0.1, per_day)
+    edges[:5] = rng.uniform(1.0, 2.0, 5)
+    edges[-9:] = rng.uniform(1.0, 2.0, 9)
+    tail = rng.exponential(0.3, per_day)
+    tail[per_day // 4 :] = 0.0
+    return np.concatenate([*random_days, constant, zero, edges, tail])
+
+
+class TestDetectMany:
+    """Batched detection equals the 1-D per-day path exactly."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_day_matches_detect_peaks(self, seed):
+        rng = np.random.default_rng(seed)
+        axis = TimeAxis(datetime(2024, 3, 4), timedelta(minutes=15), 8 * 96)
+        series = [TimeSeries(axis, _edge_days(rng, 96)) for _ in range(3)]
+        detected = PeakBasedExtractor().detect_many(series)
+        for s, days in zip(series, detected):
+            assert _batched_days(days) == _expected_days(s)
+
+    def test_runs_touching_both_day_edges(self):
+        values = np.array([2.0, 2.0, 0.0, 0.0, 3.0] * 2 + [0.0, 0.0, 1.0, 4.0])
+        energies, peaks = detect_day_peaks(values.reshape(2, 7))
+        for row, day in enumerate(values.reshape(2, 7)):
+            assert peaks[row] == detect_peaks(day)
+            assert _bits(energies[row]) == _bits(day.sum())
+        assert peaks[0][0].first == 0 and peaks[0][-1].last == 6
+
+    def test_constant_zero_and_nan_days(self):
+        block = np.array([np.full(96, 0.4), np.zeros(96), np.full(96, np.nan)])
+        block[2, :50] = 1.0
+        energies, peaks = detect_day_peaks(block)
+        assert peaks == [detect_peaks(day) for day in block] == [[], [], []]
+        assert energies[:2].tolist() == [block[0].sum(), 0.0]
+        assert np.isnan(energies[2])
+
+    def test_short_last_day_and_mixed_lengths(self):
+        rng = np.random.default_rng(7)
+        start = datetime(2024, 3, 4)
+        series = [
+            TimeSeries(TimeAxis(start, timedelta(minutes=15), length), rng.exponential(0.3, length))
+            for length in (2 * 96 + 40, 96, 3 * 96, 17)
+        ]
+        series.append(
+            TimeSeries(TimeAxis(start, timedelta(hours=1), 24 * 2 + 5), rng.exponential(1.0, 53))
+        )
+        detected = PeakBasedExtractor().detect_many(series)
+        for s, days in zip(series, detected):
+            assert _batched_days(days) == _expected_days(s)
+        assert [d.length for d in detected[0]] == [96, 96, 40]
+
+    def test_first_days_skip_the_earlier_days(self):
+        rng = np.random.default_rng(3)
+        axis = TimeAxis(datetime(2024, 3, 4), timedelta(minutes=15), 4 * 96 + 10)
+        series = [TimeSeries(axis, rng.exponential(0.3, axis.length)) for _ in range(3)]
+        detected = PeakBasedExtractor().detect_many(series, [0, 2, 4])
+        for s, days, start in zip(series, detected, [0, 2, 4]):
+            assert _batched_days(days) == _expected_days(s)[start:]
+
+    def test_rejects_an_empty_block(self):
+        with pytest.raises(ExtractionError):
+            detect_day_peaks(np.zeros((2, 0)))
 
 
 class TestFilterAndSelect:

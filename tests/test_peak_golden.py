@@ -7,7 +7,8 @@ fleet, the offers (wire encoding, ids included), the ``summary()`` (as
 The fleet covers the edge days the batched detector must reproduce: a
 short last day, an all-zero day, a day that is zero after 06:00 (a
 session's uncovered tail), constant days, and a ``fallback_to_largest``
-extractor.
+extractor.  Resuming from a day checkpoint of the cold run must reproduce
+it from every day boundary.
 
 The golden is the contract, not a snapshot of the current code: never
 regenerate it to make a change pass.
@@ -101,6 +102,26 @@ def test_golden_names_every_case():
 def test_cold_extract_matches_golden(case):
     name, extractor, series, seed = golden_cases()[case]
     assert golden_entry(cold(extractor, series, seed, name)) == golden()[name]
+
+
+@pytest.mark.parametrize("case", range(len(golden_cases())))
+def test_resume_from_every_day_boundary_matches_golden(case):
+    name, extractor, series, seed = golden_cases()[case]
+    base = cold(extractor, series, seed, name)
+    trail = base.extras["trail"]
+    per_day = series.axis.intervals_per_day
+    assert len(trail.marks) == len(series.axis.day_slices())
+    for day in range(len(trail.marks)):
+        checkpoint = trail.checkpoint(day, day * per_day, base.offers)
+        detected = extractor.detect_many([series], [day])[0]
+        assert [d.index for d in detected] == list(range(day, len(trail.marks)))
+        # A differently seeded generator: the checkpoint restores the state.
+        with offer_id_scope(f"golden-{name}", start=checkpoint.ids_minted):
+            resumed = extractor.formulate(
+                series, detected, np.random.default_rng(seed + 1000), checkpoint
+            )
+        assert golden_entry(resumed) == golden()[name], f"resumed at day {day}"
+        assert resumed.extras["trail"].marks == trail.marks
 
 
 def test_golden_covers_offerless_and_fallback_days():

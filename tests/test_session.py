@@ -468,3 +468,78 @@ class TestRandomChunkingProperty:
                 session.replan()
         final = session.replan()
         assert results_identical(final.fleet_result(), oneshot)
+
+
+class TestDayCheckpointProperty:
+    """Hypothesis: day-checkpointed replans equal cold re-extraction.
+
+    A ``peak-based`` session over 2 households × 3 days receives randomly
+    chunked, permuted readings, with replans in between.  Already covered
+    ranges are rewritten, first with perturbed values and later with the
+    true ones, so a household's resume day also moves backwards.  After
+    every replan each household's offers and summary must equal a cold
+    :func:`~repro.pipeline.fleet.extract_households` of the same buffers,
+    and the final replan must equal :func:`run_sequential`.  A mutant that
+    skips restoring the generator state at the checkpoint fails it: its
+    later days draw from the freshly seeded generator.
+    """
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_warm_replans_equal_cold_extraction(self, data):
+        from repro.api import create_extractor
+        from repro.pipeline.fleet import extract_households
+        from repro.timeseries.series import TimeSeries
+
+        fleet = small_fleet(n=2, days=3, seed=8)
+        target = fleet_schedule_target(fleet, seed=3)
+        oneshot = run_sequential(
+            fleet, extractor=create_extractor("peak-based"), target=target
+        )
+        session = FlexibilitySession.for_fleet(
+            fleet, extractor=create_extractor("peak-based"), target=target
+        )
+        inputs = household_inputs(session, fleet)
+        length = inputs[0].axis.length
+        events = []
+        for index in range(len(inputs)):
+            cuts = data.draw(
+                st.lists(st.integers(1, length - 1), max_size=4, unique=True),
+                label=f"cutpoints-{index}",
+            )
+            bounds = [0, *sorted(cuts), length]
+            events.extend((index, lo, hi, 1.0) for lo, hi in zip(bounds, bounds[1:]))
+        events = list(data.draw(st.permutations(events), label="arrival order"))
+        for _ in range(data.draw(st.integers(0, 3), label="rewrites")):
+            index = data.draw(st.integers(0, len(inputs) - 1))
+            lo = data.draw(st.integers(0, length - 1))
+            hi = data.draw(st.integers(lo + 1, length))
+            wrong = data.draw(st.integers(0, len(events)))
+            right = data.draw(st.integers(wrong + 1, len(events) + 1))
+            events.insert(wrong, (index, lo, hi, 1.7))
+            events.insert(right, (index, lo, hi, 1.0))
+        replan_after = data.draw(
+            st.sets(st.integers(0, len(events) - 1)), label="replan points"
+        )
+
+        def replan():
+            snapshot = session.replan()
+            jobs = [
+                (h.index, h.household_id, TimeSeries(h.axis, h.values.copy(), h.series_name))
+                for h in session.state.households
+            ]
+            cold = extract_households(session.extractor, session.seed, jobs)[0]
+            for household, warm, expected in zip(
+                session.state.households, snapshot.households, cold
+            ):
+                if not household.covered.any():
+                    continue  # never ingested, never extracted
+                assert warm.offers == expected.offers
+                assert warm.summary == expected.summary
+            return snapshot
+
+        for position, (index, lo, hi, scale) in enumerate(events):
+            session.ingest(index, lo, inputs[index].values[lo:hi] * scale)
+            if position in replan_after:
+                replan()
+        assert results_identical(replan().fleet_result(), oneshot)
