@@ -488,12 +488,12 @@ def extract_households(
         resumes = checkpoints[first : first + _TILE_WIDTH]
         if split:
             t0 = time.perf_counter()
-            series = [series for _, _, series in tile]
+            inputs = [series for _, _, series in tile]
             days = [0 if checkpoint is None else checkpoint.day for checkpoint in resumes]
             detected = (
-                extractor.detect_many(series, days)
+                extractor.detect_many(inputs, days)
                 if any(days)
-                else extractor.detect_many(series)
+                else extractor.detect_many(inputs)
             )
             timings["disaggregate"] += time.perf_counter() - t0
         for position, ((index, household_id, series), checkpoint) in enumerate(

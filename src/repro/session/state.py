@@ -16,7 +16,9 @@ rolls forward — so this module splits the result shape in two:
 
 :class:`FlexibilitySession` drives the state through the rolling-horizon
 loop: ``ingest`` meter chunks (dirtying their households), ``replan``
-re-extracts *only* the dirtied households and re-plans the open window,
+re-extracts *only* the dirtied households (a day-local extractor only
+from the first day written since the last extraction) and re-plans the
+open window,
 ``commit`` freezes placements behind the commit boundary so later replans
 cannot move them (the ``committed-placement-stability`` conformance
 invariant).
