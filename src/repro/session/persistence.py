@@ -55,27 +55,29 @@ import json
 import os
 import zlib
 from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import PersistenceError, ReproError
+from repro.errors import PersistenceError, ReproError, SessionError
 from repro.flexoffer.io import (
     aggregated_from_dict,
     aggregated_to_dict,
     any_schedule_from_dict,
-    any_schedule_to_dict,
     flexoffer_from_dict,
     flexoffer_to_dict,
     schedule_from_dict,
+    schedule_result_to_dict,
     schedule_to_dict,
 )
 from repro.testing import faults
 from repro.timeseries.axis import TimeAxis
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.scheduling.greedy import ScheduleResult
     from repro.session.state import FlexibilitySession
 
 #: Wire-format version of the WAL header and its records.
@@ -233,13 +235,70 @@ def _decoding(where: str) -> Iterator[None]:
         raise PersistenceError(f"malformed snapshot {where}: {exc}") from exc
 
 
-def encode_state(session: "FlexibilitySession") -> dict[str, Any]:
-    """The session's durable state in snapshot format v2.
+def _object(fields: dict[str, bytes]) -> bytes:
+    """:func:`_canonical` of an object, given its values' canonical bytes."""
+    return b"{%b}" % b",".join(
+        b"%b:%b" % (_canonical(key), fields[key]) for key in sorted(fields)
+    )
+
+
+def _array(items: Iterable[bytes]) -> bytes:
+    """:func:`_canonical` of a list, given its items' canonical bytes."""
+    return b"[%b]" % b",".join(items)
+
+
+def _encoded(record: dict[str, Any]) -> dict[str, bytes]:
+    """Each value of ``record`` in its canonical encoding."""
+    return {key: _canonical(value) for key, value in record.items()}
+
+
+class _Fragments:
+    """Canonical bytes of the frozen objects a snapshot encodes.
+
+    Offers, aggregates and placements are immutable, so an object encoded
+    for one snapshot encodes to the same bytes in every later one.  Entries
+    are keyed by identity and hold the object itself, so no id is recycled
+    while its entry lives.  An encode starts from the session's cache and
+    leaves behind only the entries it used: the cache holds the latest
+    snapshot's objects and nothing older.
+    """
+
+    def __init__(self, previous: dict[int, tuple[Any, bytes]]) -> None:
+        self._previous = previous
+        self.used: dict[int, tuple[Any, bytes]] = {}
+
+    def __call__(self, obj: Any, to_dict) -> bytes:
+        key = id(obj)
+        entry = self.used.get(key) or self._previous.get(key)
+        if entry is None:
+            entry = (obj, _canonical(to_dict(obj)))
+        self.used[key] = entry
+        return entry[1]
+
+    def schedule(self, result: "ScheduleResult") -> bytes:
+        """A schedule result: axis and target encoded afresh, its
+        placements and unplaced offers from the cache."""
+        # The wire encoder lays out the axis and target; the two lists it
+        # would encode in full are filled in from the cache.
+        fields = _encoded(schedule_result_to_dict(replace(result, schedules=[], unplaced=[])))
+        fields["schedules"] = _array(self(s, schedule_to_dict) for s in result.schedules)
+        fields["unplaced"] = _array(self(o, flexoffer_to_dict) for o in result.unplaced)
+        return _object(fields)
+
+
+def encode_state(session: "FlexibilitySession") -> bytes:
+    """The session's durable state in snapshot format v2, canonically encoded.
 
     Everything recovery must restore except what re-extraction derives:
-    clean households carry no offers (see the module docstring).
+    clean households carry no offers (see the module docstring).  The
+    bytes are :func:`_canonical` of the state object, assembled from the
+    canonical bytes of its parts: household records and the target are
+    encoded afresh, aggregates, placements and unplaced offers come from
+    the session's fragment cache (see :class:`_Fragments`), which starts
+    empty in every new or restored session and is never persisted.
     """
     state = session.state
+    fragments = _Fragments(session._snapshot_fragments)
     households = []
     for h in state.households:
         record = {
@@ -253,33 +312,45 @@ def encode_state(session: "FlexibilitySession") -> dict[str, Any]:
             "summary": _summary_to_wire(h.summary),
         }
         if h.dirty:
+            # Only an encode between an ingest and the next replan sees a
+            # dirty household: the journal snapshots right after a replan.
             record["offers"] = [flexoffer_to_dict(o) for o in h.offers]
-        households.append(record)
-    return {
-        "state_version": state.version,
-        "commit_boundary": (
-            None if state.commit_boundary is None else state.commit_boundary.isoformat()
-        ),
-        "households": households,
-        "aggregates": [aggregated_to_dict(a) for a in state.aggregates],
-        "open_schedules": [schedule_to_dict(s) for s in state.open_schedules],
-        "schedule": (
-            None if state.schedule is None else any_schedule_to_dict(state.schedule)
-        ),
-        "committed": [schedule_to_dict(s) for s in state.committed],
-        "committed_members": sorted(state.committed_members),
-        # The target is constructor configuration *except* after a
-        # retarget; storing it keeps compaction safe when the retarget
-        # record has been pruned from the WAL.
-        "target": (
-            None
-            if session.target is None
-            else {
-                "name": session.target.name,
-                "values": _buffer_to_text(session.target.values),
-            }
-        ),
-    }
+        households.append(_canonical(record))
+    fields = _encoded(
+        {
+            "state_version": state.version,
+            "commit_boundary": (
+                None
+                if state.commit_boundary is None
+                else state.commit_boundary.isoformat()
+            ),
+            "committed_members": sorted(state.committed_members),
+            # The target is constructor configuration *except* after a
+            # retarget; storing it keeps compaction safe when the retarget
+            # record has been pruned from the WAL.
+            "target": (
+                None
+                if session.target is None
+                else {
+                    "name": session.target.name,
+                    "values": _buffer_to_text(session.target.values),
+                }
+            ),
+        }
+    )
+    fields["households"] = _array(households)
+    fields["aggregates"] = _array(
+        fragments(a, aggregated_to_dict) for a in state.aggregates
+    )
+    fields["open_schedules"] = _array(
+        fragments(s, schedule_to_dict) for s in state.open_schedules
+    )
+    fields["schedule"] = (
+        b"null" if state.schedule is None else fragments.schedule(state.schedule)
+    )
+    fields["committed"] = _array(fragments(s, schedule_to_dict) for s in state.committed)
+    session._snapshot_fragments = fragments.used
+    return _object(fields)
 
 
 def decode_state(
@@ -396,6 +467,23 @@ def decode_state(
 # ---------------------------------------------------------------------- #
 
 
+def _fsync_directory(directory: Path) -> None:
+    """Make the entries created or renamed in ``directory`` durable.
+
+    A file's own fsync does not persist its directory entry; without this
+    a power loss could keep a later change (the WAL reset) and lose an
+    earlier rename (the snapshot).  POSIX only: elsewhere directories
+    cannot be opened for fsync.
+    """
+    if os.name != "posix":
+        return
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class SessionJournal:
     """One session's durable journal: the WAL plus its snapshots.
 
@@ -461,6 +549,7 @@ class SessionJournal:
             fh.write(header)
             fh.flush()
             os.fsync(fh.fileno())
+        _fsync_directory(directory)
         return cls(directory, spec, every, last_seq=0, header=header)
 
     @classmethod
@@ -575,24 +664,28 @@ class SessionJournal:
     def _snapshot_path(self, seq: int) -> Path:
         return self.directory / f"snapshot-{seq:08d}.json"
 
-    def write_snapshot(self, state_payload: dict[str, Any]) -> Path:
+    def write_snapshot(self, state: bytes | dict[str, Any]) -> Path:
         """Persist the state as of :attr:`last_seq`, then compact.
 
-        The snapshot is checksummed and written via temp-file + rename, so
-        a crash mid-write leaves either no snapshot or an ignorable torn
-        one — never a plausible-looking wrong one.  Compaction then prunes
+        ``state`` is the state's canonical encoding (what
+        :func:`encode_state` returns) or a JSON payload to encode
+        canonically.  The snapshot is checksummed and written via
+        temp-file + rename, and the directory is fsynced before
+        compaction, so a crash leaves either no snapshot or an ignorable
+        torn one — never a plausible-looking wrong one, and never a reset
+        WAL without the snapshot that covers it.  Compaction then prunes
         older snapshots and drops the WAL records the snapshot covers.
 
-        The state is encoded once, canonically; the body is the canonical
-        encoding of ``{"crc", "seq", "state", "version"}`` built around
-        that text, and the CRC frames the same text.  The
-        ``snapshot-write`` fault point simulates dying mid-write: a prefix
-        of the temp file is persisted, then
+        The body is the canonical encoding of ``{"crc", "seq", "state",
+        "version"}`` built around the state text, and the CRC frames the
+        same text.  The ``snapshot-write`` fault point simulates dying
+        mid-write: a prefix of the temp file is persisted, then
         :class:`~repro.testing.faults.InjectedCrash` flies before the
         rename.
         """
         seq = self._last_seq
-        state = _canonical(state_payload)
+        if not isinstance(state, bytes):
+            state = _canonical(state)
         crc = _framed_crc(seq, "snapshot", state)
         body = b'{"crc":%d,"seq":%d,"state":%b,"version":%d}' % (
             crc,
@@ -610,6 +703,7 @@ class SessionJournal:
         if cut is not None:
             raise faults.InjectedCrash(f"torn snapshot write at seq {seq}")
         os.replace(tmp, path)
+        _fsync_directory(self.directory)
         self._compact(path)
         return path
 
@@ -697,6 +791,22 @@ def _fields(record: dict[str, Any], *names: str) -> tuple[Any, ...]:
     return tuple(data[name] for name in names)
 
 
+@contextmanager
+def _applying(record: dict[str, Any]) -> Iterator[None]:
+    """Raise a record the session cannot apply (a field of the wrong type
+    or value, an event the session does not support) as
+    :class:`PersistenceError` naming the record's seq and type."""
+    try:
+        yield
+    except PersistenceError:
+        raise
+    except (ReproError, AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise PersistenceError(
+            f"WAL record seq {record['seq']} ({record['type']}) cannot be "
+            f"applied: {exc}"
+        ) from exc
+
+
 def restore_session(
     session: "FlexibilitySession", journal: "SessionJournal | str | Path"
 ) -> "FlexibilitySession":
@@ -734,23 +844,28 @@ def restore_session(
                 household, first, values = _fields(
                     record, "household", "first", "values"
                 )
-                session.ingest(household, first, values)
+                with _applying(record):
+                    session.ingest(household, first, values)
             elif kind == "replan":
                 session.replan()
             elif kind == "retarget":
                 from repro.timeseries.series import TimeSeries
 
                 name, values = _fields(record, "name", "values")
-                session.retarget(
-                    TimeSeries(
-                        session.target.axis,
-                        np.asarray(values, dtype=np.float64),
-                        name,
+                with _applying(record):
+                    if session.target is None:
+                        raise SessionError("the session was built without a target")
+                    session.retarget(
+                        TimeSeries(
+                            session.target.axis,
+                            np.asarray(values, dtype=np.float64),
+                            name,
+                        )
                     )
-                )
             elif kind == "commit":
                 (through,) = _fields(record, "through")
-                session.commit(datetime.fromisoformat(through))
+                with _applying(record):
+                    session.commit(datetime.fromisoformat(through))
             else:  # pragma: no cover - _scan admits only encodable records
                 raise PersistenceError(f"unknown journal record type {kind!r}")
     finally:

@@ -26,9 +26,12 @@ invariant).
 Equivalence contract (pinned by ``tests/test_session.py``): with no
 commitments, any chunked arrival order that eventually delivers the full
 input reproduces the one-shot pipeline bitwise — extraction re-runs are
-freshly seeded per household, aggregation folds through
-:func:`~repro.aggregation.streaming.aggregate_stream` with the batch
-epoch, and scheduling routes through the same
+freshly seeded per household, aggregation groups through
+:func:`~repro.aggregation.grouping.group_offers` at the batch epoch and
+folds through :func:`~repro.aggregation.aggregate.aggregate_all` (keeping
+each aggregate the previous replan folded from the same member objects at
+the same id, which is bitwise what a fresh fold would return), and
+scheduling routes through the same
 :func:`~repro.pipeline.fleet.schedule_aggregates` stage.  Commitments
 deliberately break that equivalence (that is their job); what replaces it
 is stability: a committed placement appears bitwise unchanged in every
@@ -39,13 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from numbers import Integral
 from typing import Any, Iterable
 
 import numpy as np
 
-from repro.aggregation.aggregate import AggregatedFlexOffer
-from repro.aggregation.grouping import GroupingParams
-from repro.aggregation.streaming import aggregate_stream
+from repro.aggregation.aggregate import AggregatedFlexOffer, aggregate_all
+from repro.aggregation.grouping import GroupingParams, group_offers
 from repro.api.registry import create_extractor
 from repro.errors import SessionError
 from repro.evaluation.comparison import input_series_for
@@ -56,7 +59,7 @@ from repro.flexoffer.io import (
     flexoffer_to_dict,
     schedule_to_dict,
 )
-from repro.flexoffer.model import offer_id_scope
+from repro.flexoffer.model import OfferIdFactory, offer_id_scope
 from repro.flexoffer.schedule import ScheduledFlexOffer, schedules_to_series
 from repro.pipeline.fleet import (
     FleetResult,
@@ -276,8 +279,8 @@ class FlexibilitySession:
 
     * :meth:`ingest` writes a chunk of meter readings into one household's
       input buffer and marks the household dirty;
-    * :meth:`replan` re-extracts *only* the dirty households, folds the
-      surviving offers through the streaming aggregator, re-plans the open
+    * :meth:`replan` re-extracts *only* the dirty households, re-folds
+      the groups of surviving offers that changed, re-plans the open
       window (committed placements are baked into the residual target and
       the commit boundary is passed to the scheduler as
       ``earliest_allowed``), and publishes a :class:`SessionSnapshot`;
@@ -338,6 +341,11 @@ class FlexibilitySession:
         self.journal = None
         self._replaying = False
         self._replans_since_snapshot = 0
+        #: :func:`~repro.session.persistence.encode_state`'s cache of the
+        #: latest snapshot's encoded offers, aggregates and placements.
+        #: Derived state: never persisted, so a restored session starts
+        #: with it empty.
+        self._snapshot_fragments: dict[int, tuple[Any, bytes]] = {}
 
     @classmethod
     def for_fleet(cls, fleet, **kwargs: Any) -> "FlexibilitySession":
@@ -418,12 +426,20 @@ class FlexibilitySession:
     def ingest(self, household: int, first: int, values: Iterable[float]) -> None:
         """Write a chunk of meter readings into one household's buffer."""
         state = self._state
+        for name, index in (("household", household), ("first", first)):
+            if not isinstance(index, Integral) or isinstance(index, bool):
+                raise SessionError(
+                    f"ingest {name} must be an integer, got {type(index).__name__}"
+                )
         if not 0 <= household < len(state.households):
             raise SessionError(
                 f"household {household} out of range (fleet has "
                 f"{len(state.households)})"
             )
-        chunk = np.asarray(values, dtype=np.float64)
+        try:
+            chunk = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise SessionError(f"ingest values must be numbers: {exc}") from exc
         if chunk.ndim != 1:
             raise SessionError(f"ingest values must be 1-D, got shape {chunk.shape}")
         target = state.households[household]
@@ -448,16 +464,7 @@ class FlexibilitySession:
         for household, output in zip(dirty, self._extract(dirty)):
             household.adopt(output)
 
-        offers = state.planned_offers()
-        if offers:
-            epoch = min(offer.earliest_start for offer in offers)
-            with offer_id_scope("fleet"):
-                state.aggregates = tuple(
-                    aggregate_stream(iter(offers), self.grouping, epoch=epoch)
-                )
-        else:
-            state.aggregates = ()
-
+        state.aggregates = self._aggregate(state.planned_offers())
         self._reschedule()
         if (
             self.commit_horizon is not None
@@ -560,6 +567,52 @@ class FlexibilitySession:
         ]
         checkpoints = [household.checkpoint() for household in households]
         return extract_households(self.extractor, self.seed, jobs, checkpoints)[0]
+
+    def _aggregate(self, offers: list) -> tuple[AggregatedFlexOffer, ...]:
+        """Group and fold the planned offers, reusing unchanged aggregates.
+
+        The groups are the batch path's, at the batch epoch, and the ids
+        are minted under a fresh ``offer_id_scope("fleet")``, so the
+        result is bitwise ``aggregate_all(group_offers(...))``.  A group
+        whose members are the previous replan's aggregate's members (the
+        same objects, in the same order) at a position that still mints
+        that aggregate's id folds to that aggregate: it is kept and the
+        id factory advances past it.  Each maximal run of other groups is
+        folded by one ``aggregate_all`` call.
+        """
+        if not offers:
+            return ()
+        epoch = min(offer.earliest_start for offer in offers)
+        groups = group_offers(offers, self.grouping, epoch=epoch)
+        previous = {
+            id(aggregate.members[0]): aggregate
+            for aggregate in self._state.aggregates
+            if aggregate.members
+        }
+        # Mints, in step with the scope below, the id each position gets.
+        positions = OfferIdFactory("fleet")
+        aggregates: list[AggregatedFlexOffer] = []
+        run: list[list] = []
+        with offer_id_scope("fleet") as ids:
+            for group in groups:
+                position_id = positions.next_id("agg")
+                kept = previous.get(id(group[0]))
+                if (
+                    kept is not None
+                    and kept.offer.offer_id == position_id
+                    and len(kept.members) == len(group)
+                    and all(a is b for a, b in zip(kept.members, group))
+                ):
+                    if run:
+                        aggregates += aggregate_all(run)
+                        run = []
+                    aggregates.append(kept)
+                    ids.next_id("agg")
+                else:
+                    run.append(group)
+            if run:
+                aggregates += aggregate_all(run)
+        return tuple(aggregates)
 
     def _journal_event(
         self, kind: str, data: dict[str, Any], durable: bool = False

@@ -543,3 +543,99 @@ class TestDayCheckpointProperty:
             if position in replan_after:
                 replan()
         assert results_identical(replan().fleet_result(), oneshot)
+
+
+class TestReplanReuseProperty:
+    """Hypothesis: reused aggregates and cached snapshot fragments are exact.
+
+    A ``peak-based`` session over 3 households × 3 days, grouped in pairs
+    so that groups split, merge and move between replans, receives
+    randomly chunked, permuted readings (some first rewritten with
+    perturbed values), with replans, explicit commits and one retarget in
+    between.  At every replan the session's aggregates must be bitwise a
+    fresh ``aggregate_all(group_offers(...))`` of its planned offers under
+    ``offer_id_scope("fleet")``, ids included, and ``encode_state`` with
+    the fragment cache the previous replan left must return the bytes of
+    an encode from an empty cache.  Dropping either the member-identity
+    check or the id-position check of the reuse rule fails it.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_reuse_matches_a_fresh_fold_and_a_cold_encode(self, data):
+        from repro.aggregation.aggregate import aggregate_all
+        from repro.aggregation.grouping import GroupingParams, group_offers
+        from repro.flexoffer.io import aggregated_to_dict
+        from repro.flexoffer.model import offer_id_scope
+        from repro.session.persistence import _canonical, encode_state
+        from repro.timeseries.series import TimeSeries
+
+        fleet = small_fleet(n=3, days=3, seed=8)
+        target = fleet_schedule_target(fleet, seed=3)
+        horizon = data.draw(st.sampled_from([None, timedelta(hours=6)]), label="horizon")
+        session = FlexibilitySession.for_fleet(
+            fleet,
+            extractor=create_extractor("peak-based"),
+            grouping=GroupingParams(max_group_size=2),
+            target=target,
+            commit_horizon=horizon,
+        )
+        inputs = household_inputs(session, fleet)
+        length = inputs[0].axis.length
+        events = []
+        for index in range(len(inputs)):
+            cuts = data.draw(
+                st.lists(st.integers(1, length - 1), max_size=5, unique=True),
+                label=f"cutpoints-{index}",
+            )
+            bounds = [0, *sorted(cuts), length]
+            events += [("ingest", index, lo, hi, 1.0) for lo, hi in zip(bounds, bounds[1:])]
+        events = list(data.draw(st.permutations(events), label="arrival order"))
+        for _ in range(data.draw(st.integers(0, 2), label="rewrites")):
+            index = data.draw(st.integers(0, len(inputs) - 1))
+            lo = data.draw(st.integers(0, length - 1))
+            hi = data.draw(st.integers(lo + 1, length))
+            events.insert(data.draw(st.integers(0, len(events))), ("ingest", index, lo, hi, 1.3))
+        for _ in range(data.draw(st.integers(0, 3), label="commits")):
+            through = data.draw(st.integers(1, length))
+            events.insert(data.draw(st.integers(0, len(events))), ("commit", through))
+        events.insert(data.draw(st.integers(0, len(events))), ("retarget",))
+        replan_after = data.draw(
+            st.sets(st.integers(0, len(events) - 1)), label="replan points"
+        )
+
+        def replan():
+            # What the replan aggregated: its auto-commit may freeze more.
+            committed = set(session.state.committed_members)
+            snapshot = session.replan()
+            planned = [
+                offer
+                for household in session.state.households
+                for offer in household.offers
+                if offer.offer_id not in committed
+            ]
+            expected = []
+            if planned:
+                epoch = min(offer.earliest_start for offer in planned)
+                with offer_id_scope("fleet"):
+                    expected = aggregate_all(
+                        group_offers(planned, session.grouping, epoch=epoch)
+                    )
+            assert _canonical([aggregated_to_dict(a) for a in snapshot.aggregates]) == (
+                _canonical([aggregated_to_dict(a) for a in expected])
+            )
+            warm = encode_state(session)
+            session._snapshot_fragments = {}
+            assert warm == encode_state(session)
+
+        for position, event in enumerate(events):
+            if event[0] == "ingest":
+                _, index, lo, hi, scale = event
+                session.ingest(index, lo, inputs[index].values[lo:hi] * scale)
+            elif event[0] == "commit":
+                session.commit(target.axis.start + target.axis.resolution * event[1])
+            else:
+                session.retarget(TimeSeries(target.axis, target.values * 0.7, "retarget"))
+            if position in replan_after:
+                replan()
+        replan()

@@ -17,10 +17,11 @@ import json
 import os
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import zlib
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,49 @@ class TestJournal:
         assert reopened.latest_snapshot() == (2, {"fake": "later"})
         reopened.close()
 
+    @pytest.mark.skipif(os.name != "posix", reason="directory fsync is POSIX only")
+    def test_directory_fsync_orders_renames_before_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        # A power loss may persist a later directory change (the WAL
+        # reset) without an earlier one (the snapshot rename) unless the
+        # directory is fsynced in between.
+        calls = []
+        real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            calls.append(("fsync", "directory" if is_dir else "file"))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        def unlink(path, *args, **kwargs):
+            calls.append(("unlink", path.name))
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(Path, "unlink", unlink)
+        journal = SessionJournal.create(tmp_path)
+        assert calls == [("fsync", "file"), ("fsync", "directory")]
+        journal.append("replan", {})
+        journal.write_snapshot({"fake": "state"})
+        journal.append("replan", {})
+        calls.clear()
+        journal.write_snapshot({"fake": "later"})
+        assert calls == [
+            ("fsync", "file"),  # the snapshot's temp file
+            ("replace", "snapshot-00000002.json"),
+            ("fsync", "directory"),
+            ("unlink", "snapshot-00000001.json"),
+            ("fsync", "file"),  # the reset WAL's temp file
+            ("replace", WAL_NAME),
+        ]
+        journal.close()
+
     def test_attach_requires_pristine_session_and_fresh_journal(
         self, tmp_path, stream
     ):
@@ -434,12 +478,14 @@ class TestWireFormat:
         state = encode_state(session)
         journal = SessionJournal.create(tmp_path)
         journal.append("replan", {})
+        # The state arrives canonically encoded, assembled from parts.
+        assert state == _canonical(json.loads(state))
         path = journal.write_snapshot(state)
         raw = path.read_bytes()
         body = json.loads(raw)
         assert raw == _canonical(body)
-        assert body["crc"] == _checksum(1, "snapshot", state)
-        assert journal.latest_snapshot() == (1, json.loads(json.dumps(state)))
+        assert body["crc"] == _checksum(1, "snapshot", json.loads(state))
+        assert journal.latest_snapshot() == (1, json.loads(state))
 
     def test_legacy_snapshot_layout_still_restores_bitwise(
         self, tmp_path, stream, uninterrupted_final
@@ -474,7 +520,7 @@ class TestWireFormat:
         _apply(live, stream, stop=6)
         assert recovered.snapshot().to_dict() == live.snapshot().to_dict()
         # The writer still produces the golden's state, byte for byte.
-        assert _canonical(encode_state(live)) == _canonical(body["state"])
+        assert encode_state(live) == _canonical(body["state"])
         assert encode_state(recovered) == encode_state(live)
         _apply(recovered, stream, start=6)
         assert recovered.snapshot().to_dict() == uninterrupted_final
@@ -489,9 +535,8 @@ class TestStateCodec:
     def test_encode_decode_round_trips_bitwise(self, stream):
         session = _fresh(stream)
         _apply(session, stream)
-        payload = encode_state(session)
         # The payload must survive the JSON wire (floats via repr).
-        payload = json.loads(json.dumps(payload))
+        payload = json.loads(encode_state(session))
         restored = _fresh(stream)
         restored._replaying = True
         decode_state(restored, payload)
@@ -515,7 +560,7 @@ class TestStateCodec:
         session = _fresh(stream)
         _apply(session, stream, stop=4)
         assert [h.dirty for h in session.state.households] == [True, False]
-        payload = json.loads(json.dumps(encode_state(session)))
+        payload = json.loads(encode_state(session))
         dirty, clean = payload["households"]
         assert len(dirty["offers"]) == len(session.state.households[0].offers) > 0
         assert "offers" not in clean
@@ -540,7 +585,7 @@ class TestStateCodec:
             "repro.session.persistence.flexoffer_to_dict",
             lambda offer: encoded.append(offer),
         )
-        payload = encode_state(session)
+        payload = json.loads(encode_state(session))
         assert encoded == []  # every household is clean after the last replan
         for stored, live in zip(payload["households"], session.state.households):
             assert "offers" not in stored
@@ -551,7 +596,7 @@ class TestStateCodec:
     def test_decode_refuses_mismatched_fleet(self, stream):
         session = _fresh(stream)
         _apply(session, stream)
-        payload = encode_state(session)
+        payload = json.loads(encode_state(session))
         spec, fleet, _, _ = stream
         smaller = FlexibilitySession.for_fleet(
             fleet.traces[:1], extractor=session.extractor, seed=session.seed
@@ -683,6 +728,50 @@ class TestRecovery:
             PersistenceError, match=rf"seq 2 \({kind}\) missing field '{field}'"
         ):
             restore_session(_fresh(stream), tmp_path)
+
+    @pytest.mark.parametrize(
+        "kind, data, message",
+        [
+            ("ingest", {"household": "1", "first": 0, "values": [0.5]},
+             "household must be an integer, got str"),
+            ("ingest", {"household": 0, "first": "0", "values": [0.5]},
+             "first must be an integer, got str"),
+            ("ingest", {"household": 0, "first": 0, "values": "abc"},
+             "values must be numbers"),
+            ("commit", {"through": 5}, "argument must be str"),
+            ("commit", {"through": "yesterday"}, "Invalid isoformat"),
+        ],
+        ids=["str-household", "str-first", "str-values", "int-through", "word-through"],
+    )
+    def test_record_with_malformed_fields_raises_persistence_error(
+        self, tmp_path, stream, kind, data, message
+    ):
+        # CRC-valid records whose fields have the wrong types must not
+        # escape recovery as a bare TypeError/ValueError.
+        journal = SessionJournal.create(tmp_path)
+        journal.append("replan", {})
+        journal.append(kind, data)
+        journal.close()
+        with pytest.raises(
+            PersistenceError, match=rf"seq 2 \({kind}\) cannot be applied: .*{message}"
+        ):
+            restore_session(_fresh(stream), tmp_path)
+
+    def test_retarget_record_on_a_targetless_session_raises_persistence_error(
+        self, tmp_path, stream
+    ):
+        spec, fleet, _, _ = stream
+        targetless = FlexibilitySession.for_fleet(
+            fleet, extractor=spec.extractors[0].create(), seed=spec.scenario.seed
+        )
+        journal = SessionJournal.create(tmp_path)
+        journal.append("retarget", {"name": "wind", "values": [0.0]})
+        journal.close()
+        with pytest.raises(
+            PersistenceError,
+            match=r"seq 1 \(retarget\) cannot be applied: .*without a target",
+        ):
+            restore_session(targetless, tmp_path)
 
     def test_record_with_non_object_data_raises_persistence_error(
         self, tmp_path, stream
