@@ -16,10 +16,12 @@ This module makes the session durable with the classic WAL recipe:
   market side) and on snapshots.
 * **Snapshot compaction** — every :attr:`SessionJournal.snapshot_every`
   replans the session's durable state is encoded into
-  ``snapshot-<seq>.json`` (checksummed, written via temp-file + rename).
-  Compaction then prunes older snapshots and drops the WAL prefix the
-  snapshot covers, so the journal's size tracks the live state, not the
-  session's lifetime.
+  ``snapshot-<seq>.json`` (checksummed, written via temp-file + rename,
+  then the directory fsynced).  Compaction then prunes older snapshots
+  and drops the WAL prefix the snapshot covers, so the journal's size
+  tracks the live state, not the session's lifetime.  The encoder
+  reuses the bytes of the offers, aggregates and placements the previous
+  snapshot held (an in-memory cache, never persisted).
 * **Snapshot format v2** — a snapshot stores the session's inputs and
   decisions, not what extraction derives from them.  Each household's
   input buffer (and a retargeted target's values) is base64 of its
@@ -664,17 +666,17 @@ class SessionJournal:
     def _snapshot_path(self, seq: int) -> Path:
         return self.directory / f"snapshot-{seq:08d}.json"
 
-    def write_snapshot(self, state: bytes | dict[str, Any]) -> Path:
+    def write_snapshot(self, state: bytes) -> Path:
         """Persist the state as of :attr:`last_seq`, then compact.
 
-        ``state`` is the state's canonical encoding (what
-        :func:`encode_state` returns) or a JSON payload to encode
-        canonically.  The snapshot is checksummed and written via
-        temp-file + rename, and the directory is fsynced before
-        compaction, so a crash leaves either no snapshot or an ignorable
-        torn one — never a plausible-looking wrong one, and never a reset
-        WAL without the snapshot that covers it.  Compaction then prunes
-        older snapshots and drops the WAL records the snapshot covers.
+        ``state`` is the state's canonical encoding, as
+        :func:`encode_state` returns it.  The snapshot is checksummed and
+        written via temp-file + rename, and the directory is fsynced
+        before compaction, so a crash leaves either no snapshot or an
+        ignorable torn one — never a plausible-looking wrong one, and
+        never a reset WAL without the snapshot that covers it.
+        Compaction then prunes older snapshots and drops the WAL records
+        the snapshot covers.
 
         The body is the canonical encoding of ``{"crc", "seq", "state",
         "version"}`` built around the state text, and the CRC frames the
@@ -684,8 +686,6 @@ class SessionJournal:
         rename.
         """
         seq = self._last_seq
-        if not isinstance(state, bytes):
-            state = _canonical(state)
         crc = _framed_crc(seq, "snapshot", state)
         body = b'{"crc":%d,"seq":%d,"state":%b,"version":%d}' % (
             crc,

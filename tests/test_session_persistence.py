@@ -287,7 +287,7 @@ class TestJournal:
     def test_torn_snapshot_is_ignored_in_favour_of_older_state(self, tmp_path):
         journal = SessionJournal.create(tmp_path)
         journal.append("replan", {})
-        path = journal.write_snapshot({"fake": "state"})
+        path = journal.write_snapshot(_canonical({"fake": "state"}))
         journal.append("replan", {})
         # A snapshot that died mid-write: valid JSON prefix, bad checksum.
         (tmp_path / "snapshot-00000002.json").write_text('{"version": 1, "seq"')
@@ -320,7 +320,7 @@ class TestJournal:
     def test_malformed_snapshot_is_skipped(self, tmp_path, body):
         journal = SessionJournal.create(tmp_path)
         journal.append("replan", {})
-        journal.write_snapshot({"fake": "state"})
+        journal.write_snapshot(_canonical({"fake": "state"}))
         (tmp_path / "snapshot-00000002.json").write_text(body)
         assert journal.latest_snapshot() == (1, {"fake": "state"})
         journal.close()
@@ -357,12 +357,12 @@ class TestJournal:
         journal = SessionJournal.create(tmp_path, spec={"name": "é"})
         header = (tmp_path / WAL_NAME).read_bytes()
         journal.append("replan", {})
-        journal.write_snapshot({"fake": "state"})
+        journal.write_snapshot(_canonical({"fake": "state"}))
         assert (tmp_path / WAL_NAME).read_bytes() == header
         journal.close()
         reopened = SessionJournal.open(tmp_path)
         reopened.append("replan", {})
-        reopened.write_snapshot({"fake": "later"})
+        reopened.write_snapshot(_canonical({"fake": "later"}))
         assert (tmp_path / WAL_NAME).read_bytes() == header
         assert reopened.latest_snapshot() == (2, {"fake": "later"})
         reopened.close()
@@ -396,10 +396,10 @@ class TestJournal:
         journal = SessionJournal.create(tmp_path)
         assert calls == [("fsync", "file"), ("fsync", "directory")]
         journal.append("replan", {})
-        journal.write_snapshot({"fake": "state"})
+        journal.write_snapshot(_canonical({"fake": "state"}))
         journal.append("replan", {})
         calls.clear()
-        journal.write_snapshot({"fake": "later"})
+        journal.write_snapshot(_canonical({"fake": "later"}))
         assert calls == [
             ("fsync", "file"),  # the snapshot's temp file
             ("replace", "snapshot-00000002.json"),
