@@ -3,10 +3,9 @@
 The 220-offer suite sharded into four zone markets (half explicitly
 assigned by routing key, half hash-sharded).  Asserts the vectorized
 engine meets the ``zones`` preset's speedup gate over the
-``engine="reference"`` per-start loop with identical placements (cost within 1e-9), that every aggregate is
-scheduled in exactly one zone, and that the ``schedule_zones(workers=2)``
-process-pool fan-out reproduces the sequential report exactly — then
-refreshes the repository's ``BENCH_zones.json`` baseline.
+``engine="reference"`` per-start loop with identical placements (cost
+within 1e-9) and that every aggregate is scheduled in exactly one zone —
+then refreshes the repository's ``BENCH_zones.json`` baseline.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ def test_zones_speedup_and_equivalence(report):
     # Both assignment paths must actually be exercised.
     assert 0 < workload["mapped_keys"] < workload["aggregates"]
 
-    # Identical placements to the reference loop (cost to 1e-9); zones are
-    # independent, so the process-pool fan-out reproduces the sequential
-    # report exactly, and every offer lands in exactly one zone.
+    # Identical placements to the reference loop (cost to 1e-9), and every
+    # offer lands in exactly one zone.
     assert equivalence_failures(bench_report) == []
     # The acceptance gate over the reference full-re-scoring loop on the
     # 220-offer suite.

@@ -5,8 +5,7 @@ a fleet, extract flex-offers, aggregate them fleet-wide, then shard the
 aggregates across three zone markets (explicit household assignment for
 ``north``/``south``, hash-shard fallback for the rest) and schedule every
 zone independently on the default (vectorized) engine.  Finishes with the
-library-level ``schedule_zones`` driver to show the worker fan-out
-producing an identical report.
+library-level ``schedule_zones`` driver on pipeline output.
 
 Usage::
 
@@ -56,20 +55,16 @@ def main() -> None:
     text = report.to_json()
     print(f"\nreport round-trips through JSON ({len(text)} bytes)")
 
-    # 3. The library route: the same sharding directly on pipeline output,
-    #    sequentially and over a 2-process pool — identical by contract.
+    # 3. The library route: the same sharding directly on pipeline output.
     fleet = generate_fleet(5, spec.scenario.start, spec.scenario.days, seed=42)
     aggregates = FleetPipeline(chunk_size=4).run(fleet).aggregates
     zoned = fleet_zoned_target(fleet, zones=3)
-    config = ScheduleConfig()
-    sequential = schedule_zones(aggregates, zoned, config)
-    fanned = schedule_zones(aggregates, zoned, config, workers=2)
+    zoned_schedule = schedule_zones(aggregates, zoned, ScheduleConfig())
     print(
         f"schedule_zones over {len(aggregates)} aggregates: "
-        f"cost {sequential.cost:.2f}, "
-        f"workers=2 identical to sequential: {fanned == sequential}"
+        f"{len(zoned_schedule.schedules)} placed in {len(zoned.zones)} zones, "
+        f"cost {zoned_schedule.cost:.2f}"
     )
-
 
 if __name__ == "__main__":
     main()

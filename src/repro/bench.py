@@ -19,8 +19,7 @@ the false ones, and ``repro bench`` exits 1 on any.
   placement engine and the stochastic improver against their reference
   loops (Tušar et al., BIOMA 2012).
 * ``zones`` — the same suite sharded across four zone markets, half the
-  aggregates explicitly routed and half hash-sharded, plus the
-  ``workers=2`` fan-out against the sequential path.
+  aggregates explicitly routed and half hash-sharded.
 * ``market`` — the suite priced: EV-fleet/heat-pump-scale offers cleared
   by merit order in four price-banded zones with a 25 kWh coupling.
   Acceptance sets must be identical, prices and quantities bitwise equal,
@@ -517,8 +516,8 @@ def run_zones(aggregates: int, days: int, seed: int, zones: int):
     workload, zoned = build_zoned_workload(aggregates, days=days, seed=seed, zones=zones)
     buckets = assign_zones(workload, zoned)
 
-    def place(engine: str, **kwargs):
-        return schedule_zones(workload, zoned, ScheduleConfig(engine=engine), **kwargs)
+    def place(engine: str):
+        return schedule_zones(workload, zoned, ScheduleConfig(engine=engine))
 
     # Warm-up (numpy dispatch, axis caches) before any timed pass.
     for engine in ("reference", "vectorized"):
@@ -560,7 +559,6 @@ def run_zones(aggregates: int, days: int, seed: int, zones: int):
             "reference_identical_placements": starts(reference_result)
             == starts(vectorized_result),
             "cost_match": _close(reference_result.cost, vectorized_result.cost),
-            "workers_match_sequential": place("vectorized", workers=2) == vectorized_result,
             "zone_partition": sorted(vectorized_result.assignment())
             == sorted(a.offer.offer_id for a in workload),
             "fidelity_rtol": FIDELITY_RTOL,
@@ -597,8 +595,7 @@ def _zones_summary(report: dict) -> str:
         f"vectorized engine: {greedy['vectorized_seconds']}s "
         f"({greedy['speedup_vs_reference']}x vs reference); placements "
         f"identical to reference: "
-        f"{equivalence['reference_identical_placements']}; "
-        f"workers fan-out identical: {equivalence['workers_match_sequential']}"
+        f"{equivalence['reference_identical_placements']}"
     )
 
 

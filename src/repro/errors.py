@@ -66,11 +66,6 @@ class PersistenceError(ReproError):
     (see :mod:`repro.session.persistence`)."""
 
 
-class WorkerRetryError(ReproError):
-    """Fault-tolerant worker dispatch exhausted its retry budget and the
-    sequential fallback was disabled (see :mod:`repro.pipeline.dispatch`)."""
-
-
 class SharedMemorySegmentError(ReproError):
     """A shared-memory fleet segment could not be attached — typically the
     owning coordinator unlinked it before (or while) a worker attached
@@ -93,6 +88,6 @@ class SpecError(ReproError):
 
 class DegradedExecutionWarning(RuntimeWarning):
     """Execution completed, but on a degraded path: a shared-memory segment
-    could not be created (pickled dispatch took over) or worker retries ran
-    out (chunks finished in-process).  Results are bitwise identical on the
+    or the worker pool could not be created, or worker retries ran out, so
+    the work finished in-process.  Results are bitwise identical on the
     degraded path; the warning exists so operators notice the slowdown."""

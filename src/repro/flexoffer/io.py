@@ -379,16 +379,22 @@ def _keyed_delta(old_items: list, new_items: list, key) -> dict[str, Any]:
     }
 
 
-def _apply_keyed(base_items: list, delta: dict[str, Any], key) -> list:
-    merged = {key(item): item for item in base_items}
-    for item in delta["upserted"]:
-        merged[key(item)] = item
-    for removed in delta["removed"]:
-        merged.pop(removed, None)
+def _apply_keyed(base_items: list, delta: Any, key, what: str) -> list:
+    _require(delta, ("upserted", "removed", "order"), what)
+    try:
+        merged = {key(item): item for item in base_items}
+        for item in delta["upserted"]:
+            merged[key(item)] = item
+        for removed in delta["removed"]:
+            merged.pop(removed, None)
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{what} holds a malformed entry ({exc!r})") from exc
     try:
         return [merged[k] for k in delta["order"]]
     except KeyError as exc:
         raise DataError(f"report delta order references unknown key {exc}") from exc
+    except TypeError as exc:
+        raise DataError(f"{what} has a malformed order ({exc})") from exc
 
 
 def _offer_key(offer: dict[str, Any]) -> str:
@@ -421,16 +427,22 @@ def _schedule_delta(old: dict | None, new: dict | None) -> dict[str, Any]:
     }
 
 
-def _apply_schedule_delta(base: dict | None, delta: dict[str, Any]) -> dict | None:
+def _apply_schedule_delta(base: dict | None, delta: Any) -> dict | None:
+    _require(delta, (), "schedule delta")
     if "replaced" in delta:
         return delta["replaced"]
     if base is None:
         raise DataError("schedule delta is incremental but the base has no schedule")
+    _require(delta, ("schedules", "unplaced"), "incremental schedule delta")
     return {
         "axis": base["axis"],
         "target": base["target"],
-        "schedules": _apply_keyed(base["schedules"], delta["schedules"], _embedded_offer_key),
-        "unplaced": _apply_keyed(base["unplaced"], delta["unplaced"], _offer_key),
+        "schedules": _apply_keyed(
+            base["schedules"], delta["schedules"], _embedded_offer_key, "schedule delta schedules"
+        ),
+        "unplaced": _apply_keyed(
+            base["unplaced"], delta["unplaced"], _offer_key, "schedule delta unplaced"
+        ),
     }
 
 
@@ -478,12 +490,16 @@ def apply_report_delta(delta: dict[str, Any], base: dict[str, Any]) -> dict[str,
         "version": base["version"],
         "state_version": delta["state_version"],
         "watermark": delta["watermark"],
-        "households": _apply_keyed(base["households"], delta["households"], _household_key),
+        "households": _apply_keyed(
+            base["households"], delta["households"], _household_key, "households delta"
+        ),
         "aggregates": _apply_keyed(
-            base["aggregates"], delta["aggregates"], _embedded_offer_key
+            base["aggregates"], delta["aggregates"], _embedded_offer_key, "aggregates delta"
         ),
         "schedule": _apply_schedule_delta(base.get("schedule"), delta["schedule"]),
-        "committed": _apply_keyed(base["committed"], delta["committed"], _embedded_offer_key),
+        "committed": _apply_keyed(
+            base["committed"], delta["committed"], _embedded_offer_key, "committed delta"
+        ),
     }
 
 

@@ -1,7 +1,7 @@
 """Fault-tolerant chunk dispatch over a process pool.
 
-Every worker fan-out in this package (fleet extraction chunks, zone
-scheduling, conformance cells) used to die wholesale when one worker died:
+The worker fan-outs in this package (fleet extraction chunks and
+conformance cells) used to die wholesale when one worker died:
 ``BrokenProcessPool`` poisons every outstanding future of a
 ``ProcessPoolExecutor``, so a single OOM-killed process aborted work that
 was deterministic and perfectly re-runnable.  This module is the shared
@@ -18,9 +18,7 @@ becomes a retriable event:
   RNG, so reruns sleep identically);
 * a chunk that exhausts :attr:`RetryPolicy.max_attempts` degrades
   gracefully: it runs in-process via the caller's ``local_runner`` under a
-  :class:`~repro.errors.DegradedExecutionWarning` — or raises the pinned
-  :class:`~repro.errors.WorkerRetryError` when the caller disabled the
-  fallback.
+  :class:`~repro.errors.DegradedExecutionWarning`.
 
 Results are bitwise identical on every path because every chunk function
 in this package is deterministic — the same property that already made
@@ -40,9 +38,15 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.errors import DegradedExecutionWarning, ValidationError, WorkerRetryError
+from repro.errors import DegradedExecutionWarning, ValidationError
 
 __all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY", "backoff_seconds", "dispatch_chunks"]
+
+#: Growth of the backoff per failed attempt.
+BACKOFF_FACTOR = 2.0
+
+#: Largest deterministic stretch of one backoff, as a fraction of it.
+JITTER_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -50,22 +54,18 @@ class RetryPolicy:
     """How hard :func:`dispatch_chunks` fights for each chunk.
 
     ``max_attempts`` counts pool deliveries per chunk; after the last one
-    fails the chunk runs in-process when ``fallback_sequential`` is set
-    (the default) and raises :class:`~repro.errors.WorkerRetryError`
-    otherwise.  ``timeout_seconds`` bounds one chunk's wall-clock in the
-    pool (``None`` waits forever).  Backoff between failure rounds grows
-    as ``base * factor**(attempt-1)`` capped at ``backoff_max_seconds``,
-    stretched by up to ``jitter_fraction`` using a hash of the chunk index
-    and attempt — deterministic, so test runs and re-runs sleep the same.
+    fails the chunk runs in-process.  ``timeout_seconds`` bounds one
+    chunk's wall-clock in the pool (``None`` waits forever).  Backoff
+    between failure rounds grows as ``base * BACKOFF_FACTOR**(attempt-1)``
+    capped at ``backoff_max_seconds``, stretched by up to
+    :data:`JITTER_FRACTION` using a hash of the chunk index and attempt —
+    deterministic, so test runs and re-runs sleep the same.
     """
 
     max_attempts: int = 3
     timeout_seconds: float | None = None
     backoff_base_seconds: float = 0.05
-    backoff_factor: float = 2.0
     backoff_max_seconds: float = 2.0
-    jitter_fraction: float = 0.25
-    fallback_sequential: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -74,8 +74,6 @@ class RetryPolicy:
             raise ValidationError("retry timeout_seconds must be > 0 (or None)")
         if self.backoff_base_seconds < 0 or self.backoff_max_seconds < 0:
             raise ValidationError("retry backoff seconds must be >= 0")
-        if not 0 <= self.jitter_fraction <= 1:
-            raise ValidationError("retry jitter_fraction must be in [0, 1]")
 
 
 DEFAULT_RETRY_POLICY = RetryPolicy()
@@ -85,10 +83,10 @@ def backoff_seconds(policy: RetryPolicy, chunk: int, attempt: int) -> float:
     """The deterministic delay before re-dispatching ``chunk``'s ``attempt``."""
     base = min(
         policy.backoff_max_seconds,
-        policy.backoff_base_seconds * policy.backoff_factor ** max(0, attempt - 1),
+        policy.backoff_base_seconds * BACKOFF_FACTOR ** max(0, attempt - 1),
     )
     frac = zlib.crc32(f"{chunk}:{attempt}".encode()) % 10_000 / 10_000
-    return base * (1.0 + policy.jitter_fraction * frac)
+    return base * (1.0 + JITTER_FRACTION * frac)
 
 
 def _abandon_pool(pool: Executor) -> None:
@@ -133,12 +131,6 @@ def dispatch_chunks(
         while pending:
             exhausted = [i for i in pending if attempts[i] >= policy.max_attempts]
             if exhausted:
-                if not policy.fallback_sequential:
-                    raise WorkerRetryError(
-                        f"worker dispatch for {label} exhausted "
-                        f"{policy.max_attempts} attempt(s) on {len(exhausted)} "
-                        "chunk(s) and the sequential fallback is disabled"
-                    )
                 warnings.warn(
                     DegradedExecutionWarning(
                         f"{label}: {len(exhausted)} chunk(s) exhausted "

@@ -25,7 +25,6 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -390,59 +389,49 @@ def _init_worker(extractor: FlexibilityExtractor) -> None:
     _WORKER_EXTRACTOR = extractor
 
 
-def _run_chunk_in_worker(
-    chunk_index: int, seed: int, jobs: list[tuple[int, str, TimeSeries]]
-) -> tuple[list[HouseholdOutput], dict[str, float]]:
-    assert _WORKER_EXTRACTOR is not None, "worker pool initializer did not run"
-    faults.fire("fleet-chunk", chunk_index)
-    return extract_households(_WORKER_EXTRACTOR, seed, jobs)
-
-
 def _run_shared_chunk_in_worker(
     chunk_index: int,
     seed: int,
     spec: SharedArraySpec,
-    axis: TimeAxis,
-    rows: list[tuple[int, int, str, str]],
+    rows: list[tuple[int, TimeAxis, int, str, str]],
 ) -> tuple[list[HouseholdOutput], dict[str, float]]:
-    """Run one chunk whose input series live in a shared fleet matrix.
+    """Run one chunk whose input series live in the shared fleet segment.
 
-    ``rows`` carries ``(matrix row, household index, household id, series
-    name)`` — a few hundred bytes per chunk regardless of horizon length.
-    Each job's series wraps its matrix row zero-copy; the attached view is
-    read-only, matching the frozen per-trace totals of the in-process path,
-    so extractors behave (and their outputs stay bitwise) identically.
+    ``rows`` carries ``(offset, axis, household index, household id, series
+    name)`` per job — a few hundred bytes per chunk regardless of horizon
+    length.  Each job's series wraps ``axis.length`` values of the segment
+    from ``offset`` zero-copy; the attached view is read-only, matching the
+    frozen per-trace totals of the in-process path, so extractors behave
+    (and their outputs stay bitwise) identically.
     """
     assert _WORKER_EXTRACTOR is not None, "worker pool initializer did not run"
     faults.fire("fleet-chunk", chunk_index)
     with SharedFleetBuffer.attach(spec) as buffer:
-        matrix = buffer.array
+        flat = buffer.array
         jobs = [
-            (index, household_id, TimeSeries(axis, matrix[row], name))
-            for row, index, household_id, name in rows
+            (index, household_id, TimeSeries(axis, flat[offset : offset + axis.length], name))
+            for offset, axis, index, household_id, name in rows
         ]
         return extract_households(_WORKER_EXTRACTOR, seed, jobs)
 
 
 def _pack_jobs(
     jobs: list[tuple[int, str, TimeSeries]],
-) -> tuple[np.ndarray, TimeAxis, list[tuple[int, int, str, str]]] | None:
-    """Stack per-household inputs into one fleet matrix, if they align.
+) -> tuple[np.ndarray, list[tuple[int, TimeAxis, int, str, str]]]:
+    """Lay per-household inputs end to end in one flat float64 array.
 
-    Returns ``(matrix, axis, rows)`` where row ``r`` of the matrix holds the
-    values of ``jobs[r]`` and ``rows[r]`` is that job's shared-memory job
-    descriptor — or ``None`` when the inputs do not share an axis (mixed
-    fleets fall back to the pickling fan-out).
+    Returns ``(flat, rows)``: ``rows[r]`` is ``jobs[r]``'s shared-memory
+    descriptor ``(offset, axis, index, household_id, name)``, and its values
+    are ``flat[offset : offset + axis.length]``.  Series of any length and
+    axis pack, so every fleet fans out through one segment.
     """
-    axis = jobs[0][2].axis
-    if any(series.axis != axis for _, _, series in jobs[1:]):
-        return None
-    matrix = np.stack([series.values for _, _, series in jobs])
-    rows = [
-        (row, index, household_id, series.name)
-        for row, (index, household_id, series) in enumerate(jobs)
-    ]
-    return matrix, axis, rows
+    flat = np.concatenate([series.values for _, _, series in jobs])
+    rows = []
+    offset = 0
+    for index, household_id, series in jobs:
+        rows.append((offset, series.axis, index, household_id, series.name))
+        offset += series.axis.length
+    return flat, rows
 
 
 #: Households whose disaggregation runs in lockstep; one tile is detected
@@ -544,16 +533,6 @@ class FleetPipeline:
     workers:
         ``None``/``1`` runs in-process; larger values fan chunks out over a
         process pool.  Results are independent of the worker count.
-    shared_memory:
-        When fanning out, put the stacked fleet input matrix into one
-        shared-memory segment and send workers row descriptors instead of
-        pickled series (the scale-out path; see ``pipeline/sharedmem.py``).
-        ``False`` forces the legacy pickling fan-out — kept selectable so
-        the scale benchmark can measure the difference.  Either way the
-        results are bitwise identical.  Fleets whose inputs do not share a
-        time axis silently fall back to pickling, and a fleet whose segment
-        *creation* fails (e.g. ``/dev/shm`` full) falls back to pickling
-        under a :class:`~repro.errors.DegradedExecutionWarning`.
     retry:
         Fault-tolerance policy of the worker fan-out (see
         :class:`~repro.pipeline.dispatch.RetryPolicy`): dead workers
@@ -577,7 +556,6 @@ class FleetPipeline:
         workers: int | None = None,
         seed: int = 0,
         schedule: ScheduleConfig | None = None,
-        shared_memory: bool = True,
         retry: RetryPolicy | None = None,
     ) -> None:
         if chunk_size < 1:
@@ -592,7 +570,6 @@ class FleetPipeline:
         self.workers = workers
         self.seed = seed
         self.schedule = schedule
-        self.shared_memory = shared_memory
         self.retry = retry
 
     # ------------------------------------------------------------------ #
@@ -635,119 +612,111 @@ class FleetPipeline:
         jobs = self._prepare(traces)
         timings.add("prepare", time.perf_counter() - t0)
 
-        chunks = [
-            jobs[first : first + self.chunk_size]
-            for first in range(0, len(jobs), self.chunk_size)
-        ]
-        outputs: list[HouseholdOutput] = []
-        if self.workers is None or self.workers == 1 or len(chunks) == 1:
+        if self.workers is None or self.workers == 1 or len(jobs) <= self.chunk_size:
             # In process, chunks are no dispatch unit: one call keeps the
             # lockstep tiles full whatever the chunk size.
             outputs, chunk_timings = extract_households(self.extractor, self.seed, jobs)
             timings.merge(chunk_timings)
         else:
             t0 = time.perf_counter()
-            self._fan_out(jobs, chunks, outputs, timings)
+            outputs = self._fan_out(jobs, timings)
             timings.add("fanout_wall", time.perf_counter() - t0)
-        outputs.sort(key=lambda h: h.index)
-
-        all_offers = [offer for household in outputs for offer in household.offers]
-        t0 = time.perf_counter()
-        groups = group_offers(all_offers, self.grouping)
-        timings.add("group", time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        with offer_id_scope("fleet"):
-            aggregates = aggregate_all(groups)
-        timings.add("aggregate", time.perf_counter() - t0)
-
-        schedule: ScheduleResult | ZonedScheduleResult | None = None
-        if target is not None:
-            t0 = time.perf_counter()
-            schedule = schedule_aggregates(
-                aggregates, target, self.schedule, scenarios=scenarios
-            )
-            timings.add("schedule", time.perf_counter() - t0)
-
-        return FleetResult(
-            households=tuple(outputs),
-            aggregates=tuple(aggregates),
-            timings=timings,
-            schedule=schedule,
-        )
+        return _finish(outputs, timings, self.grouping, target, self.schedule, scenarios)
 
     def _fan_out(
-        self,
-        jobs: list[tuple[int, str, TimeSeries]],
-        chunks: list[list[tuple[int, str, TimeSeries]]],
-        outputs: list[HouseholdOutput],
-        timings: StageTimings,
-    ) -> None:
+        self, jobs: list[tuple[int, str, TimeSeries]], timings: StageTimings
+    ) -> list[HouseholdOutput]:
         """Run the chunks through the fault-tolerant dispatcher.
 
-        The shared-memory path stages all inputs in one segment up front and
-        submits row descriptors; the pickling path submits the series
-        themselves.  Failed segment creation (a full ``/dev/shm``) demotes
-        the run to the pickling path under a warning instead of aborting.
-        Worker loss is survived by :func:`~repro.pipeline.dispatch.
-        dispatch_chunks` (pool rebuild, outstanding-only re-dispatch,
-        in-process degradation), while a chunk that *raises* still
-        propagates with the not-yet-started chunks cancelled.  The owner
-        side of the shared segment is closed *and unlinked* on every exit
-        path — worker crashes included — so no ``/dev/shm`` segment
-        outlives the run.
+        All inputs are staged in one shared-memory segment up front and
+        workers receive row descriptors.  If the segment cannot be created
+        (a full ``/dev/shm``) the whole fleet runs in process under a
+        :class:`~repro.errors.DegradedExecutionWarning`, as when the pool
+        cannot be built.  Worker loss is survived by
+        :func:`~repro.pipeline.dispatch.dispatch_chunks` (pool rebuild,
+        outstanding-only re-dispatch, in-process degradation), while a chunk
+        that *raises* still propagates with the not-yet-started chunks
+        cancelled.  The owner side of the segment is closed *and unlinked*
+        on every exit path — worker crashes included — so no ``/dev/shm``
+        segment outlives the run.
         """
-        packed = _pack_jobs(jobs) if self.shared_memory else None
-        with ExitStack() as stack:
-            if packed is not None:
-                matrix, axis, rows = packed
-                try:
-                    buffer = stack.enter_context(SharedFleetBuffer.create(matrix))
-                except (OSError, MemoryError) as exc:
-                    warnings.warn(
-                        DegradedExecutionWarning(
-                            "shared-memory segment creation failed "
-                            f"({exc}); falling back to pickled dispatch"
-                        ),
-                        stacklevel=2,
-                    )
-                    packed = None
-            if packed is not None:
-                row_chunks = [
-                    rows[first : first + self.chunk_size]
-                    for first in range(0, len(rows), self.chunk_size)
-                ]
-                worker_fn = _run_shared_chunk_in_worker
-                task_args = [
-                    (index, self.seed, buffer.spec, axis, chunk)
-                    for index, chunk in enumerate(row_chunks)
-                ]
-            else:
-                worker_fn = _run_chunk_in_worker
-                task_args = [
-                    (index, self.seed, chunk) for index, chunk in enumerate(chunks)
-                ]
-
-            def pool_factory() -> ProcessPoolExecutor:
-                return ProcessPoolExecutor(
+        flat, rows = _pack_jobs(jobs)
+        try:
+            buffer = SharedFleetBuffer.create(flat)
+        except (OSError, MemoryError) as exc:
+            warnings.warn(
+                DegradedExecutionWarning(
+                    "fleet extraction: shared-memory segment creation failed "
+                    f"({exc}); running in-process"
+                ),
+                stacklevel=2,
+            )
+            outputs, chunk_timings = extract_households(self.extractor, self.seed, jobs)
+            timings.merge(chunk_timings)
+            return outputs
+        starts = range(0, len(jobs), self.chunk_size)
+        with buffer:
+            results = dispatch_chunks(
+                [
+                    (index, self.seed, buffer.spec, rows[first : first + self.chunk_size])
+                    for index, first in enumerate(starts)
+                ],
+                _run_shared_chunk_in_worker,
+                lambda: ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_init_worker,
                     initargs=(self.extractor,),
-                )
-
-            results = dispatch_chunks(
-                task_args,
-                worker_fn,
-                pool_factory,
+                ),
                 # Degraded chunks recompute from the original in-process
                 # jobs — same seeds, same id scopes, bitwise-same outputs.
-                lambda index: extract_households(self.extractor, self.seed, chunks[index]),
+                lambda index: extract_households(
+                    self.extractor,
+                    self.seed,
+                    jobs[starts[index] : starts[index] + self.chunk_size],
+                ),
                 policy=self.retry,
                 label="fleet extraction",
             )
-            for chunk_outputs, chunk_timings in results:
-                outputs.extend(chunk_outputs)
-                timings.merge(chunk_timings)
+        outputs: list[HouseholdOutput] = []
+        for chunk_outputs, chunk_timings in results:
+            outputs.extend(chunk_outputs)
+            timings.merge(chunk_timings)
+        return outputs
+
+
+def _finish(
+    outputs: list[HouseholdOutput],
+    timings: StageTimings,
+    grouping: GroupingParams | None,
+    target: TimeSeries | ZonedTarget | None,
+    schedule_config: ScheduleConfig | None,
+    scenarios: list[TimeSeries] | None,
+) -> FleetResult:
+    """Group, aggregate and (given a target) schedule the fleet's offers."""
+    all_offers = [offer for household in outputs for offer in household.offers]
+    t0 = time.perf_counter()
+    groups = group_offers(all_offers, grouping)
+    timings.add("group", time.perf_counter() - t0)
+
+    t0 = time.perf_counter()
+    with offer_id_scope("fleet"):
+        aggregates = aggregate_all(groups)
+    timings.add("aggregate", time.perf_counter() - t0)
+
+    schedule: ScheduleResult | ZonedScheduleResult | None = None
+    if target is not None:
+        t0 = time.perf_counter()
+        schedule = schedule_aggregates(
+            aggregates, target, schedule_config, scenarios=scenarios
+        )
+        timings.add("schedule", time.perf_counter() - t0)
+
+    return FleetResult(
+        households=tuple(outputs),
+        aggregates=tuple(aggregates),
+        timings=timings,
+        schedule=schedule,
+    )
 
 
 def run_sequential(
@@ -786,24 +755,4 @@ def run_sequential(
             )
         )
     timings.add("extract", time.perf_counter() - t0)
-    all_offers = [offer for household in outputs for offer in household.offers]
-    t0 = time.perf_counter()
-    groups = group_offers(all_offers, grouping)
-    timings.add("group", time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    with offer_id_scope("fleet"):
-        aggregates = aggregate_all(groups)
-    timings.add("aggregate", time.perf_counter() - t0)
-    schedule: ScheduleResult | ZonedScheduleResult | None = None
-    if target is not None:
-        t0 = time.perf_counter()
-        schedule = schedule_aggregates(
-            aggregates, target, schedule_config, scenarios=scenarios
-        )
-        timings.add("schedule", time.perf_counter() - t0)
-    return FleetResult(
-        households=tuple(outputs),
-        aggregates=tuple(aggregates),
-        timings=timings,
-        schedule=schedule,
-    )
+    return _finish(outputs, timings, grouping, target, schedule_config, scenarios)

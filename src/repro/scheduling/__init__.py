@@ -9,8 +9,8 @@ search plus an optional stochastic hill climber, single-market
 Subsystem contract:
 
 * **Determinism** — every scheduler is a pure function of (offers, target,
-  config, seed); repeated runs, worker fan-outs (``schedule_zones
-  (workers=N)``) and process boundaries produce identical placements.
+  config, seed); repeated runs and process boundaries produce identical
+  placements.
 * **Engine equivalence** — ``ScheduleConfig(engine=...)`` selects an
   execution plan, never a behaviour: the batched ``"vectorized"`` engine
   makes placements identical to the ``"reference"`` per-start loop (cost

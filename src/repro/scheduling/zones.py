@@ -18,11 +18,9 @@ past one market:
   routing is identical across processes and Python runs (``PYTHONHASHSEED``
   never leaks into schedules).
 * :func:`schedule_zones` — the driver: schedules every zone independently
-  (each zone is its own greedy + optional stochastic-improvement run),
-  sequentially or fanned out over a process pool (``workers=N``).  Zones
-  are independent and every per-zone run is deterministic, so the worker
-  fan-out produces a report *identical* to the sequential path — the same
-  contract the fleet pipeline and the conformance runner already enforce.
+  and in process (each zone is its own greedy + optional
+  stochastic-improvement run).  A zone run takes tens of milliseconds, so
+  a process pool only ever added fork and pickling cost.
 
 Inside each zone the placement engine is selectable via
 :class:`~repro.scheduling.greedy.ScheduleConfig` and defaults to the
@@ -48,7 +46,6 @@ from repro.timeseries.series import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.market.clearing import ClearingResult
-    from repro.pipeline.dispatch import RetryPolicy
 
 @dataclass(frozen=True)
 class MarketZone:
@@ -377,50 +374,17 @@ class ZonedScheduleResult:
         ]
 
 
-def _schedule_one_zone(
-    zone: MarketZone,
-    aggregates: list[AggregatedFlexOffer],
-    config: ScheduleConfig,
-) -> ScheduleResult:
-    """One zone's independent run (module-level so process pools pickle it)."""
-    from repro.pipeline.fleet import schedule_aggregates
-
-    return schedule_aggregates(aggregates, zone.target, config)
-
-
-def _schedule_zone_task(
-    position: int,
-    zone: MarketZone,
-    aggregates: list[AggregatedFlexOffer],
-    config: ScheduleConfig,
-) -> ScheduleResult:
-    """Worker entry for one zone: fault probe plus the zone run."""
-    from repro.testing import faults
-
-    faults.fire("zone-worker", position)
-    return _schedule_one_zone(zone, aggregates, config)
-
-
 def schedule_zones(
     aggregates: tuple[AggregatedFlexOffer, ...] | list[AggregatedFlexOffer],
     zoned: ZonedTarget,
     config: ScheduleConfig | None = None,
-    workers: int | None = None,
-    retry: "RetryPolicy | None" = None,
 ) -> ZonedScheduleResult:
     """Schedule every zone of a zoned market independently.
 
     Aggregates are routed by :func:`assign_zones` (explicit assignment,
     hash-shard fallback); each zone then runs the greedy placement (and
     the optional stochastic-improvement pass of ``config``) against its
-    own target.  ``workers`` > 1 fans zones out over a process pool; zone
-    runs share no state and are deterministic, so the result is identical
-    to the sequential path for any worker count (asserted by
-    ``benchmarks/bench_zones.py`` and the zone tests).  The fan-out rides
-    the fault-tolerant dispatcher: a worker killed mid-zone rebuilds the
-    pool and re-dispatches only the outstanding zones (``retry``, a
-    :class:`~repro.pipeline.dispatch.RetryPolicy`, tunes the policy), so
-    one dead process never aborts — or changes — the market run.
+    own target, one zone after another in this process.
 
     With ``config.market`` set, merit-order clearing runs *before*
     placement (:func:`repro.market.clearing.clear_zones`): only cleared
@@ -429,8 +393,8 @@ def schedule_zones(
     unplaced offers of their home zone.  Clearing requires every zone to
     be priced (:attr:`MarketZone.priced`).
     """
-    if workers is not None and workers < 1:
-        raise SchedulingError("workers must be >= 1 (or None)")
+    from repro.pipeline.fleet import schedule_aggregates
+
     config = config if config is not None else ScheduleConfig()
     clearing = None
     rejected: dict[str, list] = {}
@@ -456,32 +420,10 @@ def schedule_zones(
                 rejected[outcome.home_zone].append(aggregate.offer)
     else:
         buckets = assign_zones(aggregates, zoned)
-    if workers is not None and workers > 1 and len(zoned.zones) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.pipeline.dispatch import dispatch_chunks
-
-        task_args = [
-            (position, zone, buckets[zone.name], config)
-            for position, zone in enumerate(zoned.zones)
-        ]
-        results = tuple(
-            dispatch_chunks(
-                task_args,
-                _schedule_zone_task,
-                lambda: ProcessPoolExecutor(max_workers=workers),
-                lambda position: _schedule_one_zone(
-                    zoned.zones[position], buckets[zoned.zones[position].name], config
-                ),
-                policy=retry,
-                label="zone scheduling",
-            )
-        )
-    else:
-        results = tuple(
-            _schedule_one_zone(zone, buckets[zone.name], config)
-            for zone in zoned.zones
-        )
+    results = tuple(
+        schedule_aggregates(buckets[zone.name], zone.target, config)
+        for zone in zoned.zones
+    )
     if clearing is not None:
         # Market-rejected bids were never handed to placement; account for
         # them as unplaced offers of their home zone.

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime
+from numbers import Integral
 from pathlib import Path
 from typing import Any
 
@@ -142,15 +143,18 @@ def _apply_event(session, inputs, position, event) -> SessionSnapshot | None:
     """Apply one replay event; returns the snapshot for replan events."""
     kind = event["type"]
     if kind == "ingest":
-        try:
-            household = int(event["household"])
-            first = int(event["first"])
-            count = int(event["count"])
-        except KeyError as exc:
-            raise SessionError(
-                f"events[{position}]: ingest needs household/first/count "
-                f"(missing {exc})"
-            ) from exc
+        for name in ("household", "first", "count"):
+            if name not in event:
+                raise SessionError(
+                    f"events[{position}]: ingest needs household/first/count "
+                    f"(missing {name!r})"
+                )
+            if not isinstance(event[name], Integral) or isinstance(event[name], bool):
+                raise SessionError(
+                    f"events[{position}]: ingest {name} must be an integer, "
+                    f"got {type(event[name]).__name__}"
+                )
+        household, first, count = event["household"], event["first"], event["count"]
         if not 0 <= household < len(inputs):
             raise SessionError(
                 f"events[{position}]: household {household} out of range"

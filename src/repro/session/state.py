@@ -751,13 +751,11 @@ class FlexibilitySession:
             state.committed_demand[first : first + energies.size] += energies
             state.committed.append(frozen)
             newly += 1
-        if newly == 0:
-            if state.commit_boundary is None or through > state.commit_boundary:
-                state.commit_boundary = through
-            return 0
-        state.open_schedules = keep
         if state.commit_boundary is None or through > state.commit_boundary:
             state.commit_boundary = through
+        if newly == 0:
+            return 0
+        state.open_schedules = keep
         combined = list(state.committed) + keep
         previous_unplaced = state.schedule.unplaced if state.schedule else []
         state.schedule = ScheduleResult(

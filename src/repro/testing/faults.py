@@ -7,7 +7,6 @@ that can die in the wild::
     point               fired from                          typical mode
     ------------------- ----------------------------------- -------------
     fleet-chunk         extraction worker, per chunk         crash
-    zone-worker         zone-scheduling worker, per zone     crash
     conformance-cell    conformance worker, per cell         crash
     shm-create          SharedFleetBuffer.create (owner)     oserror
     wal-append          SessionJournal record append         torn

@@ -330,7 +330,6 @@ class TestBench:
                 "zones": [
                     "reference_identical_placements",
                     "cost_match",
-                    "workers_match_sequential",
                     "zone_partition",
                 ],
                 "market": [

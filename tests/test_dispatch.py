@@ -14,13 +14,10 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 
 import pytest
 
-from repro.errors import (
-    DegradedExecutionWarning,
-    ValidationError,
-    WorkerRetryError,
-)
+from repro.errors import DegradedExecutionWarning, ValidationError
 from repro.pipeline.dispatch import (
     DEFAULT_RETRY_POLICY,
+    JITTER_FRACTION,
     RetryPolicy,
     backoff_seconds,
     dispatch_chunks,
@@ -85,7 +82,7 @@ def _noop_worker(index):  # pragma: no cover - never runs in-process
 class TestRetryPolicy:
     def test_defaults_are_sane(self):
         assert DEFAULT_RETRY_POLICY.max_attempts == 3
-        assert DEFAULT_RETRY_POLICY.fallback_sequential
+        assert DEFAULT_RETRY_POLICY.timeout_seconds is None
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -95,7 +92,6 @@ class TestRetryPolicy:
             ({"timeout_seconds": -1.0}, "timeout_seconds"),
             ({"backoff_base_seconds": -0.1}, "backoff seconds"),
             ({"backoff_max_seconds": -1.0}, "backoff seconds"),
-            ({"jitter_fraction": 1.5}, "jitter_fraction"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -103,14 +99,12 @@ class TestRetryPolicy:
             RetryPolicy(**kwargs)
 
     def test_backoff_is_deterministic_and_capped(self):
-        policy = RetryPolicy(
-            backoff_base_seconds=0.1, backoff_factor=2.0, backoff_max_seconds=0.3
-        )
+        policy = RetryPolicy(backoff_base_seconds=0.1, backoff_max_seconds=0.3)
         assert backoff_seconds(policy, 3, 1) == backoff_seconds(policy, 3, 1)
         # Jitter is keyed on (chunk, attempt): different coordinates differ.
         assert backoff_seconds(policy, 3, 1) != backoff_seconds(policy, 4, 1)
         # Exponential growth saturates at the cap (plus at most the jitter).
-        assert backoff_seconds(policy, 0, 9) <= 0.3 * (1 + policy.jitter_fraction)
+        assert backoff_seconds(policy, 0, 9) <= 0.3 * (1 + JITTER_FRACTION)
         # And never undershoots the uncapped base.
         assert backoff_seconds(policy, 0, 1) >= 0.1
 
@@ -170,30 +164,6 @@ class TestDispatch:
             )
         assert results == ["local-0"]
         assert len(factory.pools) == 2  # one pool per attempt, then local
-
-    def test_exhaustion_without_fallback_raises_pinned_error(self):
-        policy = RetryPolicy(
-            max_attempts=1,
-            backoff_base_seconds=0.0,
-            backoff_max_seconds=0.0,
-            fallback_sequential=False,
-        )
-        factory = _PoolFactory({0: BrokenExecutor()})
-        with pytest.raises(
-            WorkerRetryError,
-            match=(
-                r"worker dispatch for unit chunks exhausted 1 attempt\(s\) on "
-                r"1 chunk\(s\) and the sequential fallback is disabled"
-            ),
-        ):
-            dispatch_chunks(
-                [(0,)],
-                _noop_worker,
-                factory,
-                lambda i: None,
-                policy=policy,
-                label="unit chunks",
-            )
 
     def test_pool_construction_failure_runs_everything_local(self):
         factory = _PoolFactory(OSError("fork bomb protection"))

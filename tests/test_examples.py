@@ -73,4 +73,4 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "3 market zones" in out
         assert "zone   north" in out
-        assert "workers=2 identical to sequential: True" in out
+        assert "placed in 3 zones" in out

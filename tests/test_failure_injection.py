@@ -32,6 +32,7 @@ from repro.simulation.tariff import night_tariff
 from repro.timeseries.axis import ONE_MINUTE, TimeAxis, axis_for_days
 from repro.timeseries.clean import clip_outliers, fill_missing, validate_meter_series
 from repro.timeseries.series import TimeSeries
+from repro.workloads.scenarios import small_fleet
 
 START = datetime(2012, 3, 5)
 PARAMS = FlexOfferParams(flexible_share=0.05)
@@ -246,15 +247,14 @@ class TestWorkerPoolTeardown:
             pipeline.run(fleet)
         assert leaked_segments() == []
 
-    def test_pickling_fanout_surfaces_failure(self, fleet):
+    def test_mixed_axis_fanout_surfaces_failure(self, fleet):
+        # Mixed axes share the one segment too; its teardown must hold.
+        mixed = [*fleet, *small_fleet(n=2, days=2, seed=6)]
         pipeline = FleetPipeline(
-            extractor=_ExplodingExtractor(),
-            workers=2,
-            chunk_size=2,
-            shared_memory=False,
+            extractor=_ExplodingExtractor(), workers=2, chunk_size=2
         )
         with pytest.raises(RuntimeError, match="injected chunk failure"):
-            pipeline.run(fleet)
+            pipeline.run(mixed)
         assert leaked_segments() == []
 
     def test_in_process_failure_touches_no_segments(self, fleet):
@@ -326,37 +326,19 @@ class TestFaultHarnessWorkerDeath:
         assert results_identical(result, sequential)
         assert leaked_segments() == []
 
-    def test_shm_creation_failure_falls_back_to_pickled_dispatch(self, fleet):
+    def test_shm_creation_failure_runs_in_process(self, fleet):
         from repro.errors import DegradedExecutionWarning
         from repro.pipeline.fleet import results_identical, run_sequential
         from repro.testing import faults
 
         sequential = run_sequential(fleet, seed=0)
         pipeline = FleetPipeline(workers=2, chunk_size=2, seed=0)
-        # A full /dev/shm must degrade the transport, never the run.
+        # A full /dev/shm must degrade the run to in-process, never fail it.
         with faults.inject_faults(faults.FaultSpec("shm-create", mode="oserror")):
-            with pytest.warns(DegradedExecutionWarning, match="pickled dispatch"):
+            with pytest.warns(DegradedExecutionWarning, match="running in-process"):
                 result = pipeline.run(fleet)
         assert results_identical(result, sequential)
         assert leaked_segments() == []
-
-    def test_zone_worker_crash_recovers_identical_schedule(self, fleet):
-        from repro.errors import DegradedExecutionWarning
-        from repro.pipeline.fleet import fleet_zoned_target
-        from repro.scheduling.zones import schedule_zones
-        from repro.testing import faults
-
-        extractor = create_extractor("peak-based", flexible_share=0.05)
-        aggregates = FleetPipeline(extractor, chunk_size=2).run(fleet).aggregates
-        zoned = fleet_zoned_target(fleet, zones=2)
-        sequential = schedule_zones(aggregates, zoned)
-        with faults.inject_faults(faults.FaultSpec("zone-worker", index=0)):
-            with pytest.warns(DegradedExecutionWarning, match="in-process"):
-                fanned = schedule_zones(
-                    aggregates, zoned, workers=2,
-                    retry=self._retry(max_attempts=1),
-                )
-        assert fanned == sequential
 
     def test_conformance_worker_crash_recovers_identical_report(self):
         from repro.conformance import run_conformance

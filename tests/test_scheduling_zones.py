@@ -199,14 +199,6 @@ class TestScheduleZones:
                 aggregate, zoned
             )
 
-    def test_workers_fanout_identical_to_sequential(
-        self, fleet_aggregates, zoned
-    ):
-        _, aggregates = fleet_aggregates
-        sequential = schedule_zones(aggregates, zoned)
-        fanned = schedule_zones(aggregates, zoned, workers=2)
-        assert fanned == sequential
-
     def test_summary_sums_zones(self, fleet_aggregates, zoned):
         _, aggregates = fleet_aggregates
         result = schedule_zones(aggregates, zoned)
@@ -225,11 +217,6 @@ class TestScheduleZones:
             )
         )
         assert len(result.zone_rows()) == 3
-
-    def test_workers_validated(self, fleet_aggregates, zoned):
-        _, aggregates = fleet_aggregates
-        with pytest.raises(SchedulingError, match="workers"):
-            schedule_zones(aggregates, zoned, workers=0)
 
     def test_empty_zone_is_legal(self, fleet_aggregates):
         _, aggregates = fleet_aggregates

@@ -342,6 +342,32 @@ class TestReportDelta:
             with pytest.raises(DataError, match=f"^old snapshot missing field '{field}'$"):
                 report_delta(b, a)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d["aggregates"].pop("removed"),
+            lambda d: d["households"].update(upserted=[{}]),
+            lambda d: d.update(households=[1]),
+            lambda d: d.update(schedule=5),
+            lambda d: d.update(
+                schedule={"unplaced": {"upserted": [], "removed": [], "order": []}}
+            ),
+        ],
+        ids=[
+            "keyed-section-without-removed",
+            "household-without-id",
+            "households-not-an-object",
+            "schedule-not-an-object",
+            "incremental-schedule-without-schedules",
+        ],
+    )
+    def test_malformed_nested_fields_raise_data_error(self, session_fleet, target, corrupt):
+        a, b = self.snapshots(session_fleet, target)
+        delta = report_delta(a, b)
+        corrupt(delta)
+        with pytest.raises(DataError):
+            apply_report_delta(delta, a)
+
     def test_unsupported_version_is_reported_before_missing_fields(self):
         with pytest.raises(DataError, match="^unsupported report-delta version 2$"):
             apply_report_delta({"version": 2}, {})

@@ -923,6 +923,25 @@ class TestReplaySurface:
         report = json.loads(out.read_text())
         assert report["failed_event"]["position"] == 4
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("household", 1.7, "float"),
+            ("household", True, "bool"),
+            ("first", False, "bool"),
+            ("count", "96", "str"),
+        ],
+    )
+    def test_ingest_positions_must_be_integers(self, tmp_path, field, value, kind):
+        data = json.loads(EVENTS_FILE.read_text())
+        data["events"][0][field] = value
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(
+            SessionError, match=rf"events\[0\]: ingest {field} must be an integer, got {kind}"
+        ):
+            replay_session(path)
+
     def test_cli_resume_without_journal_is_usage_error(self, capsys):
         from repro.cli import main
 

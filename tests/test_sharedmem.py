@@ -3,8 +3,8 @@
 The scale-out contract (docs/ARCHITECTURE.md): exactly one owner per
 segment, attachers are read-only and never unlink, close/unlink are
 idempotent, and no ``/dev/shm`` segment survives a pipeline run — crash
-paths included.  The fan-out itself must stay bitwise identical to both
-the pickling fan-out and the sequential oracle.
+paths included.  The fan-out itself must stay bitwise identical to the
+sequential oracle, mixed-axis fleets included.
 """
 
 from __future__ import annotations
@@ -201,28 +201,53 @@ class TestFanOutEquivalence:
     def test_shared_memory_fanout_bitwise_identical(self, fleet):
         sequential = run_sequential(fleet, seed=0)
         shared = FleetPipeline(workers=2, chunk_size=2, seed=0).run(fleet)
-        pickled = FleetPipeline(
-            workers=2, chunk_size=2, seed=0, shared_memory=False
-        ).run(fleet)
         assert results_identical(shared, sequential)
-        assert results_identical(pickled, sequential)
         assert leaked_segments() == []
 
     def test_pack_jobs_row_layout(self, fleet):
         pipeline = FleetPipeline()
         jobs = pipeline._prepare(list(fleet))
-        matrix, axis, rows = _pack_jobs(jobs)
-        assert matrix.shape == (len(jobs), axis.length)
-        for row, (index, household_id, series) in zip(rows, jobs):
-            assert row[0] == row[1] == index
-            assert row[2] == household_id
-            np.testing.assert_array_equal(matrix[row[0]], series.values)
+        flat, rows = _pack_jobs(jobs)
+        assert flat.dtype == np.float64
+        assert flat.size == sum(series.axis.length for _, _, series in jobs)
+        for (offset, axis, index, household_id, name), job in zip(rows, jobs):
+            assert (index, household_id) == job[:2]
+            assert (axis, name) == (job[2].axis, job[2].name)
+            np.testing.assert_array_equal(
+                flat[offset : offset + axis.length], job[2].values
+            )
 
-    def test_pack_jobs_mixed_axes_fall_back(self):
+    def test_pack_jobs_mixed_axes_share_one_array(self):
         day = axis_for_days(SCENARIO_START, 1)
         minute = TimeAxis(SCENARIO_START, ONE_MINUTE, 24 * 60)
         jobs = [
             (0, "hh-0000", TimeSeries.full(day, 0.2)),
-            (1, "hh-0001", TimeSeries.full(minute, 0.2)),
+            (1, "hh-0001", TimeSeries.full(minute, 0.3)),
         ]
-        assert _pack_jobs(jobs) is None
+        flat, rows = _pack_jobs(jobs)
+        assert [row[:2] for row in rows] == [(0, day), (day.length, minute)]
+        assert flat.size == day.length + minute.length
+        assert (flat[: day.length] == 0.2).all() and (flat[day.length :] == 0.3).all()
+
+    def test_mixed_axis_fleet_fans_out_through_one_segment(self, monkeypatch):
+        from repro.api.registry import create_extractor
+        from repro.evaluation.comparison import input_series_for
+        from repro.workloads.scenarios import small_fleet
+
+        extractor = create_extractor("peak-based", flexible_share=0.05)
+        # Two horizons, so the households' input series sit on two axes.
+        fleet = [*small_fleet(n=3, days=2, seed=5), *small_fleet(n=3, days=3, seed=6)]
+        assert len({input_series_for(extractor, t).axis for t in fleet}) == 2
+        created = []
+        original = SharedFleetBuffer.create.__func__
+
+        def spy(cls, array, name=None):
+            created.append(array.shape)
+            return original(cls, array, name)
+
+        monkeypatch.setattr(SharedFleetBuffer, "create", classmethod(spy))
+        sequential = run_sequential(fleet, extractor, seed=0)
+        shared = FleetPipeline(extractor, workers=2, chunk_size=2, seed=0).run(fleet)
+        assert results_identical(shared, sequential)
+        assert len(created) == 1 and len(created[0]) == 1
+        assert leaked_segments() == []
