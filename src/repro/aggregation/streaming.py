@@ -166,9 +166,8 @@ def aggregate_stream(
         ``True`` retains member offers and offsets so the aggregates can be
         disaggregated — and keeps them alive, making peak memory O(offers).
         ``False`` drops them once folded (aggregates carry empty
-        ``members``): the O(accumulators + chunk) scale-out mode the scale
-        benchmark measures.  The aggregate *offers* are identical either
-        way.
+        ``members``): the O(accumulators + chunk) mode for streams too
+        large to hold.  The aggregate *offers* are identical either way.
 
     Yields aggregates in the batch path's order: sorted cell keys, splits
     in insertion order — which also makes the minted ``agg`` offer ids

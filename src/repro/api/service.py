@@ -41,6 +41,7 @@ from repro.flexoffer.io import (
     aggregated_to_dict,
     any_schedule_from_dict,
     any_schedule_to_dict,
+    decoding,
     flexoffer_from_dict,
     flexoffer_to_dict,
 )
@@ -102,8 +103,8 @@ class ExtractorRunReport:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExtractorRunReport":
-        schedule = data.get("schedule")
-        try:
+        with decoding("extractor run report"):
+            schedule = data.get("schedule")
             return cls(
                 extractor=data["extractor"],
                 households=data["households"],
@@ -115,8 +116,6 @@ class ExtractorRunReport:
                 summary=data.get("summary", {}),
                 schedule=None if schedule is None else any_schedule_from_dict(schedule),
             )
-        except KeyError as exc:
-            raise DataError(f"extractor run report missing field: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -170,10 +169,10 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunReport":
-        version = data.get("version", REPORT_VERSION)
-        if version != REPORT_VERSION:
-            raise DataError(f"unsupported run-report format version {version}")
-        try:
+        with decoding("run report"):
+            version = data.get("version", REPORT_VERSION)
+            if version != REPORT_VERSION:
+                raise DataError(f"unsupported run-report format version {version}")
             return cls(
                 spec=RunSpec.from_dict(data["spec"]),
                 results=tuple(
@@ -182,8 +181,6 @@ class RunReport:
                 extras=data.get("extras", {}),
                 version=version,
             )
-        except KeyError as exc:
-            raise DataError(f"run report missing field: {exc}") from exc
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

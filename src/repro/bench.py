@@ -24,11 +24,11 @@ the false ones, and ``repro bench`` exits 1 on any.
   by merit order in four price-banded zones with a 25 kWh coupling.
   Acceptance sets must be identical, prices and quantities bitwise equal,
   welfare within :data:`FIDELITY_RTOL`.
-* ``scale`` — aggregate+schedule only: a synthetic stream of one offer per
-  household goes straight into streaming aggregation and placement
-  (simulation and extraction never run), plus shared-memory vs pickling
-  worker dispatch and a tracemalloc proof that streaming aggregation's
-  peak memory is O(chunk).
+* ``scale`` — the real pipeline at growing fleet sizes: each rung
+  simulates a fleet (set-up) and runs ``peak-based`` extraction, grouping,
+  aggregation and placement through
+  :class:`~repro.pipeline.FleetPipeline`, reporting household-weeks/s;
+  the smallest rung re-run with ``workers=2`` must match in process.
 * ``uncertainty`` — robust (quantile-fan, CVaR) placement against point
   placement: the wall-time overhead, bitwise reference equivalence and the
   realized cost of both schedules in every scenario of the fan.
@@ -49,11 +49,11 @@ import numpy as np
 
 from repro.aggregation.aggregate import AggregatedFlexOffer, aggregate_group
 from repro.flexoffer.generators import RandomGeneratorConfig, random_flexoffer
-from repro.flexoffer.model import FlexOffer, ProfileSlice, next_offer_id, offer_id_scope
+from repro.flexoffer.model import next_offer_id, offer_id_scope
 from repro.scheduling.greedy import ScheduleConfig, greedy_schedule
 from repro.scheduling.zones import ZonedTarget, make_market_zones, routing_key
 from repro.simulation.res import simulate_wind_production
-from repro.timeseries.axis import FIFTEEN_MINUTES, TimeAxis, axis_for_days
+from repro.timeseries.axis import TimeAxis, axis_for_days
 from repro.timeseries.series import TimeSeries
 from repro.workloads.scenarios import SCENARIO_START
 
@@ -119,9 +119,6 @@ class Gate:
         relation = "<=" if self.upper else ">="
         return f"{'.'.join(self.path)} = {value:g}, gate {relation} {self.bound:g}"
 
-
-#: Shared-memory dispatch must beat pickling the matrices by this factor.
-FANOUT_GATE = Gate(("fanout", "speedup"), 2.0)
 
 #: Robust placement may cost at most this many point passes: scoring a
 #: 3-scenario fan must stay in the point path's complexity class.
@@ -731,246 +728,123 @@ def _market_summary(report: dict) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# scale (aggregate+schedule only)
+# scale
 # ---------------------------------------------------------------------- #
 
+#: The scale ladder's extractor: household-level, as in the ``zoned-market``
+#: workload, so the ladder reaches thousands of households.
+SCALE_EXTRACTOR = "peak-based"
 
-def scale_offer_stream(count: int, axis: TimeAxis, seed: int = 0):
-    """A lazy stream of ``count`` synthetic household offers on ``axis``.
+#: The stages each rung's pipeline wall covers (simulation is set-up).
+SCALE_PATH = "extract->aggregate->schedule"
 
-    One offer per household, the post-extraction shape the scale ladder
-    feeds straight into :func:`~repro.aggregation.streaming.aggregate_stream`:
-    profile spans of 3–8 intervals, start anchors uniform over the axis,
-    start-time flexibility of 2–24 hours.  A generator, deliberately —
-    offers are built one at a time and become garbage as soon as the
-    aggregator folds them, which is what keeps the streaming path's peak
-    memory O(chunk) however large ``count`` grows.
-    """
-    rng = np.random.default_rng(seed)
-    spans = rng.integers(3, 9, size=count)
-    anchors = rng.integers(0, max(1, axis.length - 16), size=count)
-    flexes = rng.integers(8, 97, size=count)
-    for index in range(count):
-        earliest = axis.start + int(anchors[index]) * axis.resolution
-        slices = tuple(
-            ProfileSlice(float(level), float(level) * 1.8)
-            for level in rng.uniform(0.2, 0.8, int(spans[index]))
-        )
-        yield FlexOffer(
-            earliest_start=earliest,
-            latest_start=earliest + int(flexes[index]) * axis.resolution,
-            slices=slices,
-            resolution=axis.resolution,
-            offer_id=f"hh-{seed}-{index}",
-        )
+#: Household-weeks/s at the largest rung must stay at least this share of
+#: the smallest rung's.
+SCALING_GATE = Gate(("scaling", "ratio"), 0.5)
 
 
-def _scale_axis(days: int) -> TimeAxis:
-    return TimeAxis(SCENARIO_START, FIFTEEN_MINUTES, 96 * days)
-
-
-def _throughput_rung(households: int, days: int, seed: int) -> dict:
-    """One ladder rung: synthetic stream → aggregate → schedule, timed."""
-    from repro.aggregation.streaming import aggregate_stream
-
-    axis = _scale_axis(days)
-    aggregate_seconds, aggregates = _timed(
-        lambda: list(
-            aggregate_stream(
-                scale_offer_stream(households, axis, seed=seed),
-                epoch=axis.start,
-                keep_members=False,
-            )
-        ),
-        repeats=1,
-    )
-    offers = [aggregate.offer for aggregate in aggregates]
-    target = simulate_wind_production(axis, np.random.default_rng(seed))
-    schedule_seconds, result = _timed(lambda: greedy_schedule(offers, target), repeats=1)
-
-    total = aggregate_seconds + schedule_seconds
-    return {
-        "households": households,
-        "aggregates": len(aggregates),
-        "aggregate_seconds": round(aggregate_seconds, 4),
-        "schedule_seconds": round(schedule_seconds, 4),
-        "total_seconds": round(total, 4),
-        "households_per_second": round(households / total, 1),
-        "placed": len(result.schedules),
-        "unplaced": len(result.unplaced),
-    }
-
-
-def _fanout_pickled_worker(rows: np.ndarray) -> float:
-    """Pickling-path dispatch probe: the matrix slice crossed the boundary."""
-    return float(rows.sum())
-
-
-def _fanout_shared_worker(spec, lo: int, hi: int) -> float:
-    """Shared-memory dispatch probe: only (name, shape, dtype, range) crossed."""
-    from repro.pipeline.sharedmem import SharedFleetBuffer
-
-    with SharedFleetBuffer.attach(spec) as buffer:
-        return float(buffer.array[lo:hi].sum())
-
-
-def _fanout_comparison(
-    households: int, days: int, seed: int, repeats: int = 3
-) -> tuple[dict, bool]:
-    """Shared-memory vs pickling worker dispatch on one fleet matrix.
-
-    Times the *dispatch* of a ``households × intervals`` metered matrix to
-    a worker pool with identical trivial per-chunk work, so the measured
-    gap is serialization, the thing shared memory removes.  One warm pool
-    serves both paths; best-of-``repeats`` per path, interleaved.  Returns
-    ``(section, results_identical)``.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.pipeline.sharedmem import SharedFleetBuffer
-
-    rng = np.random.default_rng(seed)
-    matrix = rng.uniform(0.0, 2.0, size=(households, 96 * days))
-    chunk = max(1, households // 16)
-    bounds = [(lo, min(lo + chunk, households)) for lo in range(0, households, chunk)]
-
-    best_pickled = float("inf")
-    best_shared = float("inf")
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        list(pool.map(_fanout_pickled_worker, [matrix[:1]]))  # warm the pool
-        with SharedFleetBuffer.create(matrix) as buffer:
-            spec = buffer.spec
-            for _ in range(repeats):
-                seconds, pickled_sums = _timed(
-                    lambda: list(
-                        pool.map(
-                            _fanout_pickled_worker, (matrix[lo:hi] for lo, hi in bounds)
-                        )
-                    ),
-                    repeats=1,
-                )
-                best_pickled = min(best_pickled, seconds)
-                seconds, shared_sums = _timed(
-                    lambda: list(
-                        pool.map(
-                            _fanout_shared_worker,
-                            (spec for _ in bounds),
-                            (lo for lo, _ in bounds),
-                            (hi for _, hi in bounds),
-                        )
-                    ),
-                    repeats=1,
-                )
-                best_shared = min(best_shared, seconds)
-    speedup = _ratio(best_pickled, best_shared)
-    return {
-        "households": households,
-        "matrix_mb": round(matrix.nbytes / 2**20, 1),
-        "jobs": len(bounds),
-        "pickled_seconds": round(best_pickled, 4),
-        "shared_seconds": round(best_shared, 4),
-        "speedup": round(speedup, 2),
-        "meets_min_speedup": FANOUT_GATE.passes(speedup),
-    }, pickled_sums == shared_sums
-
-
-def _streaming_peak_mb(households: int, days: int, seed: int, materialize: bool) -> float:
-    """Peak traced memory (MiB) of one aggregation pass over the stream."""
-    import tracemalloc
-
-    from repro.aggregation.streaming import aggregate_stream
-
-    axis = _scale_axis(days)
-    stream = scale_offer_stream(households, axis, seed=seed)
-    tracemalloc.start()
-    if materialize:
-        # The batch path's memory shape: every offer alive at once.
-        offers = list(stream)
-        aggregates = list(aggregate_stream(offers, epoch=axis.start, keep_members=True))
-        del offers
-    else:
-        aggregates = list(aggregate_stream(stream, epoch=axis.start, keep_members=False))
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    del aggregates
-    return peak / 2**20
-
-
-def _streaming_section(days: int, seed: int) -> dict:
-    """The O(chunk) proof: streaming peak stays flat as the fleet triples.
-
-    Tracemalloc peaks for the streaming path at two fleet sizes (3× apart)
-    and for the materialized batch path at the smaller size.  O(offers)
-    would triple the peak; O(chunk + accumulators) barely moves it.
-    """
-    small, large = 10_000, 30_000
-    streaming_small = _streaming_peak_mb(small, days, seed, materialize=False)
-    streaming_large = _streaming_peak_mb(large, days, seed, materialize=False)
-    materialized_small = _streaming_peak_mb(small, days, seed, materialize=True)
-    growth = _ratio(streaming_large, streaming_small)
-    return {
-        "households_small": small,
-        "households_large": large,
-        "streaming_peak_mb_small": round(streaming_small, 2),
-        "streaming_peak_mb_large": round(streaming_large, 2),
-        "materialized_peak_mb_small": round(materialized_small, 2),
-        "peak_growth_at_3x_households": round(growth, 2),
-        "peak_is_chunk_bound": growth < 2.0 and streaming_small < materialized_small,
-    }
-
-
-def run_scale(sizes: tuple[int, ...], days: int, seed: int, fanout_households: int):
+def run_scale(sizes: tuple[int, ...], days: int, seed: int):
     """The scale suite; returns the report and None (no result object).
 
-    ``throughput`` times the aggregate+schedule-only ladder at each size,
-    ``fanout`` compares shared-memory with pickling dispatch, and
-    ``streaming`` is the O(chunk) memory proof.
+    Each rung simulates a fleet (set-up, timed apart) and runs it in
+    process through :class:`~repro.pipeline.FleetPipeline`: ``peak-based``
+    extraction, grouping, aggregation and placement on
+    :func:`~repro.pipeline.fleet.fleet_schedule_target` with the default
+    :class:`~repro.scheduling.greedy.ScheduleConfig`.  Household-weeks/s
+    counts the pipeline wall only.  The smallest rung is re-run with
+    ``workers=2``, whose result must equal the in-process one exactly.
     """
-    throughput = [_throughput_rung(size, days, seed) for size in sizes]
-    fanout, fanout_identical = _fanout_comparison(fanout_households, 7, seed)
+    from repro.api.registry import create_extractor
+    from repro.pipeline.fleet import FleetPipeline, fleet_schedule_target, results_identical
+    from repro.simulation.dataset import generate_fleet
+
+    extractor = create_extractor(SCALE_EXTRACTOR)
+    in_process = FleetPipeline(extractor, seed=seed, schedule=ScheduleConfig())
+    fanned_out = FleetPipeline(extractor, workers=2, seed=seed, schedule=ScheduleConfig())
+    ladder: list[dict] = []
+    for households in sorted(sizes):
+        simulate_seconds, fleet = _timed(
+            lambda: generate_fleet(households, SCENARIO_START, days, seed=seed), repeats=1
+        )
+        target = fleet_schedule_target(fleet, seed=seed)
+        if not ladder:
+            in_process.run(list(fleet)[:2], target=target)  # warm-up: imports, caches
+        seconds, result = _timed(lambda: in_process.run(fleet, target=target), repeats=1)
+        if not ladder:
+            workers_seconds, workers_result = _timed(
+                lambda: fanned_out.run(fleet, target=target), repeats=1
+            )
+            workers = {
+                "households": households,
+                "workers": fanned_out.workers,
+                "in_process_seconds": round(seconds, 4),
+                "workers_seconds": round(workers_seconds, 4),
+            }
+            identical = results_identical(workers_result, result)
+        household_weeks = households * days / 7
+        ladder.append(
+            {
+                "households": households,
+                "household_weeks": round(household_weeks, 4),
+                "simulate_seconds": round(simulate_seconds, 4),
+                "pipeline_seconds": round(seconds, 4),
+                "household_weeks_per_second": round(_ratio(household_weeks, seconds), 1),
+                "stages": {
+                    stage: round(elapsed, 4)
+                    for stage, elapsed in result.timings.seconds.items()
+                },
+                "offers": len(result.offers),
+                "aggregates": len(result.aggregates),
+                "placed": len(result.schedule.schedules),
+                "unplaced": len(result.schedule.unplaced),
+            }
+        )
+        del fleet, result  # one simulated fleet alive at a time
+    rates = [rung["household_weeks_per_second"] for rung in ladder]
     report = {
         "workload": {
-            "sizes": list(sizes),
+            "sizes": sorted(sizes),
             "days": days,
             "seed": seed,
-            "grouping": "default GroupingParams, keep_members=False",
+            "extractor": extractor.name,
+            "path": f"simulate (set-up), then {SCALE_PATH} through FleetPipeline",
         },
-        "throughput": throughput,
-        "fanout": fanout,
-        "streaming": _streaming_section(days, seed),
-        "equivalence": {"fanout_results_identical": fanout_identical},
+        "ladder": ladder,
+        "workers": workers,
+        "scaling": {"ratio": round(_ratio(rates[-1], rates[0]), 2), "gate": SCALING_GATE.bound},
+        "equivalence": {"workers_match_in_process": identical},
     }
     return report, None
 
 
 def _scale_rows(report: dict, _result) -> list[dict]:
-    fanout = report["fanout"]
+    workers = report["workers"]
     return [
         *(
             {
-                "stage": f"{rung['households']} households, aggregate+schedule only",
-                "seconds": rung["total_seconds"],
-                "share": f"{rung['households_per_second']}/s",
+                "stage": f"{rung['households']} households, {SCALE_PATH}",
+                "setup_seconds": rung["simulate_seconds"],
+                "seconds": rung["pipeline_seconds"],
+                "rate": f"{rung['household_weeks_per_second']} household-weeks/s",
             }
-            for rung in report["throughput"]
+            for rung in report["ladder"]
         ),
         {
-            "stage": f"fan-out {fanout['households']} hh ({fanout['matrix_mb']} MB)",
-            "seconds": fanout["shared_seconds"],
-            "share": f"{fanout['speedup']}x vs pickling",
+            "stage": f"{workers['households']} households, workers={workers['workers']}",
+            "setup_seconds": "—",
+            "seconds": workers["workers_seconds"],
+            "rate": f"{workers['in_process_seconds']} s in process",
         },
     ]
 
 
 def _scale_summary(report: dict) -> str:
-    fanout = report["fanout"]
-    streaming = report["streaming"]
+    scaling = report["scaling"]
+    sizes = report["workload"]["sizes"]
     return (
-        f"shared-memory fan-out: {fanout['speedup']}x over pickling "
-        f"(gate >= {FANOUT_GATE.bound:g}x: {fanout['meets_min_speedup']}; results "
-        f"identical: {report['equivalence']['fanout_results_identical']}); streaming "
-        f"peak chunk-bound: {streaming['peak_is_chunk_bound']} "
-        f"({streaming['peak_growth_at_3x_households']}x peak at 3x households)"
+        f"household-weeks/s at {sizes[-1]} households: {scaling['ratio']}x the "
+        f"{sizes[0]}-household rung's (gate >= {scaling['gate']:g}x); workers=2 "
+        f"results identical: {report['equivalence']['workers_match_in_process']}"
     )
 
 
@@ -1193,25 +1067,19 @@ PRESETS: Mapping[str, Preset] = MappingProxyType(
             ),
             Preset(
                 name="scale",
-                description="aggregate+schedule only: a synthetic one-offer-per-"
-                "household stream through streaming aggregation and placement "
-                "(no simulation or extraction), shared-memory fan-out vs "
-                "pickling and O(chunk) memory proof",
+                description=f"the real pipeline at growing fleet sizes: simulate "
+                f"(set-up), then peak-based {SCALE_PATH} through FleetPipeline; "
+                "workers=2 must match in process",
                 artefact="BENCH_scale.json",
                 defaults=MappingProxyType(
-                    {
-                        "sizes": (1_000, 10_000, 100_000),
-                        "days": 30,
-                        "seed": 23,
-                        "fanout_households": 10_000,
-                    }
+                    {"sizes": (100, 1_000, 3_000), "days": 7, "seed": 23}
                 ),
                 run=run_scale,
                 header=lambda p: f"Scale benchmark: {', '.join(map(str, p['sizes']))} "
                 f"households x {p['days']} days (seed {p['seed']}) ...",
                 rows=_scale_rows,
                 summary=_scale_summary,
-                gates=(FANOUT_GATE,),
+                gates=(SCALING_GATE,),
             ),
             Preset(
                 name="uncertainty",

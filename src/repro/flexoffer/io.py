@@ -36,7 +36,7 @@ def _parse_dt(value: str | None) -> datetime | None:
 
 
 @contextmanager
-def _decoding(what: str) -> Iterator[None]:
+def decoding(what: str) -> Iterator[None]:
     """Raise malformed ``what`` input as :class:`DataError`, never bare.
 
     A missing field names it; a value of the wrong shape or type (a list
@@ -80,7 +80,7 @@ def flexoffer_to_dict(offer: FlexOffer) -> dict[str, Any]:
 
 def flexoffer_from_dict(data: dict[str, Any]) -> FlexOffer:
     """Decode a flex-offer from its dict encoding."""
-    with _decoding("flex-offer"):
+    with decoding("flex-offer"):
         version = data.get("version", _FORMAT_VERSION)
         if version != _FORMAT_VERSION:
             raise DataError(f"unsupported flex-offer format version {version}")
@@ -116,7 +116,7 @@ def schedule_to_dict(schedule: ScheduledFlexOffer) -> dict[str, Any]:
 
 def schedule_from_dict(data: dict[str, Any]) -> ScheduledFlexOffer:
     """Decode a scheduled flex-offer."""
-    with _decoding("schedule"):
+    with decoding("schedule"):
         return ScheduledFlexOffer(
             offer=flexoffer_from_dict(data["offer"]),
             start=_parse_dt(data["start"]),
@@ -142,7 +142,7 @@ def aggregated_from_dict(data: dict[str, Any]) -> "AggregatedFlexOffer":
     """Decode an aggregated flex-offer from its dict encoding."""
     from repro.aggregation.aggregate import AggregatedFlexOffer
 
-    with _decoding("aggregated flex-offer"):
+    with decoding("aggregated flex-offer"):
         return AggregatedFlexOffer(
             offer=flexoffer_from_dict(data["offer"]),
             members=tuple(flexoffer_from_dict(m) for m in data["members"]),
@@ -181,7 +181,7 @@ def schedule_result_from_dict(data: dict[str, Any]) -> "ScheduleResult":
     from repro.timeseries.axis import TimeAxis
     from repro.timeseries.series import TimeSeries
 
-    with _decoding("schedule result"):
+    with decoding("schedule result"):
         axis = TimeAxis(
             start=_parse_dt(data["axis"]["start"]),
             resolution=timedelta(seconds=data["axis"]["resolution_seconds"]),
@@ -235,7 +235,7 @@ def zoned_result_from_dict(data: dict[str, Any]) -> "ZonedScheduleResult":
 
     zones = []
     results = []
-    with _decoding("zoned schedule"):
+    with decoding("zoned schedule"):
         for entry in data["zones"]:
             zone_result = schedule_result_from_dict(entry["result"])
             zones.append(
@@ -273,9 +273,9 @@ def any_schedule_from_dict(
     data: dict[str, Any],
 ) -> "ScheduleResult | ZonedScheduleResult":
     """Decode either schedule-result flavour, sniffed by the ``zones`` key."""
-    if "zones" in data:
-        return zoned_result_from_dict(data)
-    return schedule_result_from_dict(data)
+    with decoding("schedule result"):
+        zoned = "zones" in data
+    return zoned_result_from_dict(data) if zoned else schedule_result_from_dict(data)
 
 
 def quantile_forecast_to_dict(forecast: "QuantileForecast") -> dict[str, Any]:
@@ -311,7 +311,7 @@ def quantile_forecast_from_dict(data: dict[str, Any]) -> "QuantileForecast":
     from repro.timeseries.axis import TimeAxis
     from repro.timeseries.series import TimeSeries
 
-    with _decoding("quantile forecast"):
+    with decoding("quantile forecast"):
         axis = TimeAxis(
             start=_parse_dt(data["axis"]["start"]),
             resolution=timedelta(seconds=data["axis"]["resolution_seconds"]),

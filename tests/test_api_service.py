@@ -32,6 +32,7 @@ from repro.errors import DataError, RegistryError
 from repro.flexoffer.model import figure1_flexoffer
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "run_report_golden.json"
+COMPAT_REPORT_PATH = Path(__file__).parent / "data" / "golden" / "compat" / "run_report_v1.json"
 
 #: The acceptance-criteria fleet: five approaches, all resolved by name.
 FLEET_SPEC = RunSpec(
@@ -177,6 +178,21 @@ class TestGoldenWireFormat:
         data["version"] = 99
         with pytest.raises(DataError, match="unsupported run-report format version"):
             RunReport.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda report: [1],
+            lambda report: {**report, "results": "x"},
+            lambda report: {**report, "results": [{**report["results"][0], "stage_seconds": None}]},
+            lambda report: {**report, "results": [{**report["results"][0], "summary": [[1]]}]},
+        ],
+        ids=["list-body", "string-results", "null-stage-seconds", "nested-list-summary"],
+    )
+    def test_malformed_report_raises_data_error(self, mutate):
+        report = json.loads(COMPAT_REPORT_PATH.read_text())
+        with pytest.raises(DataError, match="^malformed (extractor )?run report dict: "):
+            RunReport.from_dict(mutate(report))
 
 
 class TestScheduleStageReports:

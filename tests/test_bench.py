@@ -9,7 +9,6 @@ and zone routing, which means the same RNG draw order and id scopes.
 from __future__ import annotations
 
 import inspect
-import itertools
 import json
 from pathlib import Path
 
@@ -19,11 +18,8 @@ from repro.bench import (
     build_schedule_workload,
     build_zoned_workload,
     equivalence_failures,
-    scale_offer_stream,
 )
 from repro.scheduling.zones import assign_zones
-from repro.timeseries.axis import FIFTEEN_MINUTES, TimeAxis
-from repro.workloads.scenarios import SCENARIO_START
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden" / "bench_workloads.json"
@@ -81,11 +77,6 @@ class TestWorkloadGolden:
         workload = build_zoned_workload(n_aggregates=12, shape="market")
         assert _zoned_rows(*workload) == self.golden["market"]
 
-    def test_scale_offer_stream(self):
-        axis = TimeAxis(SCENARIO_START, FIFTEEN_MINUTES, 96 * 30)
-        offers = itertools.islice(scale_offer_stream(1_000, axis, seed=23), 50)
-        assert [_offer_row(o) for o in offers] == self.golden["scale"]
-
 
 class TestPresets:
     def test_defaults_are_exactly_the_run_parameters(self):
@@ -116,9 +107,12 @@ class TestPresets:
         assert equivalence_failures(report) == ["b"]
         assert equivalence_failures({}) == []
 
-    def test_the_scale_ladder_rows_say_aggregate_schedule_only(self):
+    def test_the_scale_ladder_rows_name_the_extracting_path(self):
         report = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())
         rows = PRESETS["scale"].rows(report, None)
-        ladder = rows[: len(report["throughput"])]
-        assert all("aggregate+schedule only" in row["stage"] for row in ladder)
-        assert "aggregate+schedule only" in PRESETS["scale"].description
+        ladder = rows[: len(report["ladder"])]
+        assert all("extract->aggregate->schedule" in row["stage"] for row in ladder)
+        description = PRESETS["scale"].description
+        assert "simulate" in description
+        assert "peak-based extract->aggregate->schedule" in description
+        assert "synthetic" not in description

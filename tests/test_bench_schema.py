@@ -4,7 +4,7 @@ Seven machine-readable bench artefacts are load-bearing outside this repo:
 ``BENCH_fleet.json`` (the committed fleet-pipeline speedup baseline),
 ``BENCH_schedule.json`` (the scheduling-engine speedup baseline),
 ``BENCH_zones.json`` (the zone-sharded multi-market baseline),
-``BENCH_scale.json`` (the aggregate+schedule-only scale-out baseline),
+``BENCH_scale.json`` (the extracting fleet-size ladder),
 ``BENCH_market.json`` (the merit-order clearing baseline),
 ``BENCH_uncertainty.json`` (the robust quantile-fan scheduling baseline)
 and the ``--bench-json`` table dump ``benchmarks/conftest.py`` writes for CI
@@ -164,31 +164,19 @@ class TestScaleBenchBaseline:
 
     def test_bench_scale_json_semantics(self):
         report = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())
-        # The aggregate+schedule-only ladder covers the 1k/10k/100k rungs,
-        # each placing the whole synthetic stream through aggregate ->
-        # schedule.
-        sizes = report["workload"]["sizes"]
-        assert sizes == [1_000, 10_000, 100_000]
-        for rung in report["throughput"]:
-            assert rung["households_per_second"] > 0
+        # Every rung simulates, extracts, aggregates and places its fleet
+        # through the real pipeline.
+        assert report["workload"]["sizes"] == [100, 1_000, 3_000]
+        assert report["workload"]["extractor"] == "peak-based"
+        for rung in report["ladder"]:
+            assert rung["household_weeks_per_second"] > 0
+            assert rung["offers"] > 0
             assert rung["placed"] + rung["unplaced"] == rung["aggregates"]
-        # Shared-memory fan-out beats pickling dispatch by the gated factor
-        # on the committed 10k-household matrix, with identical results.
-        fanout = report["fanout"]
-        assert fanout["households"] == 10_000
-        assert fanout["meets_min_speedup"] is True
+        assert [rung["households"] for rung in report["ladder"]] == [100, 1_000, 3_000]
+        # The workers=2 re-run of the smallest rung matches in process.
+        assert report["workers"]["households"] == 100
         assert_meets_preset("scale", report)
-        assert report["equivalence"] == {"fanout_results_identical": True}
-        # Streaming aggregation's peak memory is O(chunk): tripling the
-        # household count must not grow the tracemalloc peak ~3x, and the
-        # streaming path must undercut materializing the offer list.
-        streaming = report["streaming"]
-        assert streaming["peak_is_chunk_bound"] is True
-        assert streaming["peak_growth_at_3x_households"] < 2.0
-        assert (
-            streaming["streaming_peak_mb_small"]
-            < streaming["materialized_peak_mb_small"]
-        )
+        assert report["equivalence"] == {"workers_match_in_process": True}
 
 
 class TestUncertaintyBenchBaseline:

@@ -223,24 +223,6 @@ BENCH_ACCEPTS = {
 BENCH_PARAMETER_FLAGS = set().union(*BENCH_ACCEPTS.values())
 
 
-def _stub_scale_sections(monkeypatch, fanout_identical=True):
-    """Stub the scale suite's two fleet-sized sections; the ladder runs for real."""
-    fanout = {
-        "households": 10,
-        "matrix_mb": 0.1,
-        "jobs": 1,
-        "pickled_seconds": 0.02,
-        "shared_seconds": 0.01,
-        "speedup": 2.0,
-        "meets_min_speedup": True,
-    }
-    streaming = {"peak_is_chunk_bound": True, "peak_growth_at_3x_households": 1.0}
-    monkeypatch.setattr(
-        "repro.bench._fanout_comparison", lambda *args: (fanout, fanout_identical)
-    )
-    monkeypatch.setattr("repro.bench._streaming_section", lambda *args: streaming)
-
-
 @pytest.fixture(scope="module")
 def tiny_run():
     """``tiny_run(suite)``: the suite's ``(report, result)`` at its tiny size,
@@ -253,7 +235,6 @@ def tiny_run():
     def run(suite: str) -> tuple:
         if suite not in runs:
             with pytest.MonkeyPatch.context() as patch:
-                _stub_scale_sections(patch)
                 patch.setattr(
                     repro.cli,
                     "run_preset",
@@ -278,11 +259,11 @@ class TestBench:
         assert "equivalence check failed: batched_equals_sequential" in captured.err
 
     def test_a_false_fanout_identity_fails_the_scale_suite(self, monkeypatch, capsys):
-        _stub_scale_sections(monkeypatch, fanout_identical=False)
-        assert main(["bench", "--suite", "scale", "--sizes", "50", "--days", "2"]) == 1
+        monkeypatch.setattr("repro.pipeline.fleet.results_identical", lambda a, b: False)
+        assert main(["bench", "--suite", "scale", *BENCH_SMOKES["scale"]]) == 1
         captured = capsys.readouterr()
-        assert "results identical: False" in captured.out
-        assert "equivalence check failed: fanout_results_identical" in captured.err
+        assert "workers=2 results identical: False" in captured.out
+        assert "equivalence check failed: workers_match_in_process" in captured.err
 
     def test_a_disagreeing_improver_fails_the_schedule_suite(self, monkeypatch, capsys):
         # The reference improver hands back the greedy schedule unimproved,
@@ -304,9 +285,8 @@ class TestBench:
 
     @pytest.mark.parametrize("suite", list(BENCH_SMOKES))
     def test_every_suite_exits_zero_at_a_tiny_size(
-        self, suite, monkeypatch, tmp_path, capsys
+        self, suite, tmp_path, capsys
     ):
-        _stub_scale_sections(monkeypatch)
         out = tmp_path / "report.json"
         argv = ["bench", "--suite", suite, *BENCH_SMOKES[suite], "--out", str(out)]
         assert main(argv) == 0
@@ -339,7 +319,7 @@ class TestBench:
                     "welfare_match",
                     "budget_balanced",
                 ],
-                "scale": ["fanout_results_identical"],
+                "scale": ["workers_match_in_process"],
                 "uncertainty": ["robust_reference_identical", "deterministic_across_runs"],
             }.items()
             for check in checks

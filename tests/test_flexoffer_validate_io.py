@@ -9,6 +9,7 @@ import pytest
 from repro.errors import DataError, ReproError
 from repro.flexoffer.io import (
     aggregated_from_dict,
+    any_schedule_from_dict,
     flexoffer_from_dict,
     flexoffer_to_dict,
     load_flexoffers,
@@ -134,6 +135,7 @@ class TestIO:
             (aggregated_from_dict, lambda d: [d], "aggregated flex-offer"),
             (schedule_result_from_dict, lambda d: [d], "schedule result"),
             (zoned_result_from_dict, lambda d: [d], "zoned schedule"),
+            (any_schedule_from_dict, lambda d: 5, "schedule result"),
         ],
         ids=[
             "offer-list-body",
@@ -150,6 +152,7 @@ class TestIO:
             "aggregate-list-body",
             "schedule-result-list-body",
             "zoned-list-body",
+            "any-schedule-int-body",
         ],
     )
     def test_malformed_input_raises_data_error_naming_the_kind(
