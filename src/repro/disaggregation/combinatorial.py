@@ -17,7 +17,11 @@ from itertools import combinations
 import numpy as np
 
 from repro.appliances.database import ApplianceDatabase
-from repro.disaggregation.matching import DetectionResult, _correlation_scores
+from repro.disaggregation.matching import (
+    DetectionResult,
+    _check_energy_slack,
+    _correlation_scores,
+)
 from repro.errors import DataError
 from repro.simulation.activations import Activation
 from repro.timeseries.axis import ONE_MINUTE
@@ -43,6 +47,7 @@ class CombinatorialConfig:
             raise DataError("max_candidates_per_day must be >= 1")
         if self.max_subset_size < 1:
             raise DataError("max_subset_size must be >= 1")
+        _check_energy_slack(self.energy_slack)
 
 
 @dataclass(frozen=True, slots=True)

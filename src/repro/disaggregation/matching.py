@@ -15,7 +15,11 @@ Two engines implement the same greedy semantics:
   where a subtraction touched the residual; each iteration refreshes the
   stale (household, appliance, day) candidates of one appliance in a
   single array pass and patches every household's maps of one template in
-  one correlation.  Every batched primitive works row by row, so a
+  one correlation.  A bound taken once off the initial residual (a window's
+  positive mass times ``peak / denom``) prunes the (household, appliance,
+  day) cells that can never reach the appliance's energy floor: they are
+  never refreshed, and a household with no live day for an appliance never
+  patches its map.  Every batched primitive works row by row, so a
   household's result does not depend on which households share its tile.
 * ``"reference"`` — the original per-call implementation, kept as the
   behavioural oracle the tests and the conformance matrix compare against.
@@ -51,14 +55,22 @@ _PER_DAY_QUOTA = 6
 _ENGINES = ("vectorized", "reference")
 
 
+def _check_energy_slack(energy_slack: float) -> None:
+    """Reject an ``energy_slack`` outside ``[0, 1]`` (or NaN): the floor
+    ``energy_min · (1 − energy_slack)`` must stay in ``[0, energy_min]``."""
+    if not 0.0 <= energy_slack <= 1.0:
+        raise DataError(f"energy_slack must be in [0, 1], got {energy_slack!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class MatchingConfig:
     """Knobs of the matching-pursuit disaggregator.
 
     ``min_score`` is the minimum fraction of a template's energy that the fit
     must explain for a match to be accepted; raising it trades recall for
-    precision.  ``energy_slack`` widens appliance energy ranges when clamping
-    fitted energies (overlapping loads inflate the local estimate).
+    precision.  ``energy_slack`` (in ``[0, 1]``) widens appliance energy
+    ranges when clamping fitted energies (overlapping loads inflate the
+    local estimate).
     ``engine`` selects the implementation: the vectorized fleet engine or the
     original per-call reference.
     """
@@ -70,10 +82,17 @@ class MatchingConfig:
     engine: str = "vectorized"
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise DataError("max_iterations must be >= 1")
+        if (
+            not isinstance(self.max_iterations, (int, np.integer))
+            or isinstance(self.max_iterations, bool)
+            or self.max_iterations < 1
+        ):
+            raise DataError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         if not 0.0 < self.min_score <= 1.0:
             raise DataError("min_score must be in (0, 1]")
+        _check_energy_slack(self.energy_slack)
+        if not self.residual_floor_kwh >= 0.0:
+            raise DataError(f"residual_floor_kwh must be >= 0, got {self.residual_floor_kwh!r}")
         if self.engine not in _ENGINES:
             raise DataError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
 
@@ -343,6 +362,9 @@ class _Lockstep:
     when a subtraction touched offsets that could change it.  Per-day
     non-max suppression, score windows and same-appliance overlap
     exclusion are all local to the patched region, so the cache is exact.
+    Cells a static bound proves can never reach their appliance's energy
+    floor (see :meth:`_live_cells`) are never refreshed, and a household
+    none of whose days can host an appliance never patches its map.
     """
 
     def __init__(
@@ -385,7 +407,9 @@ class _Lockstep:
         self.score = np.full(cells, -np.inf)
         self.start = np.zeros(cells, dtype=np.intp)
         self.energy = np.zeros(cells)
-        self.dirty = np.ones(cells, dtype=bool)
+        self.live = self._live_cells()
+        self.live_pairs = self.live.any(axis=2)
+        self.dirty = self.live.copy()
 
     def _initial_maps(self, width: int) -> list[np.ndarray | None]:
         """Per-offset energy maps of every template, off one FFT of the tile.
@@ -418,6 +442,46 @@ class _Lockstep:
             energies[:, n - m + 1 :] = -np.inf
             maps.append(energies)
         return maps
+
+    def _live_cells(self) -> np.ndarray:
+        """The (household, appliance, day) cells whose fitted energy can
+        ever reach the appliance's floor ``lo``.
+
+        Shapes are non-negative, so an offset's map value
+        ``<r[τ:τ+m], s> / denom`` is at most ``(peak / denom) · Σ max(r, 0)``
+        over its window.  Accepting a run never raises ``max(r, 0)``: it
+        subtracts ``shape · energy`` with ``energy ≥ lo ≥ 0``, and its clamp
+        raises minutes only to the non-positive floor ``−peak · energy``.
+        So the bound taken off the tile's initial residual holds for every
+        later map value, FFT or direct, and a cell none of whose offsets
+        reaches ``lo`` keeps the ``-inf`` score a refresh would give it.
+
+        ``tol`` absorbs round-off.  Let ``u`` be the unit round-off and
+        ``S = (peak / denom) · Σ |r|`` per household (``peak / denom ≥ 1``
+        as the shape sums to one).  The cumulative sum's window differences
+        err by ``~2n·u·S``, a direct correlation by ``~m·u·S`` and an FFT
+        value by ``~log2(nfft)·√m·u·S``.  Below ``n = 10⁵`` minutes each is
+        under ``10⁻¹⁰ · S``; ``tol = 10⁻⁶ · S`` keeps four orders of headroom
+        (``Σ |r|`` grows a little as clamps deepen negative minutes) and is
+        still under a thousandth of a kWh on a household-week.  A ``lo`` of
+        0 (``energy_slack = 1``) leaves every day that has an offset live.
+        """
+        households, n = self.residual.shape
+        live = np.zeros((households, len(self.specs), self.n_days), dtype=bool)
+        cumulative = np.zeros((households, n + 1))
+        np.cumsum(np.maximum(self.residual, 0.0), axis=1, out=cumulative[:, 1:])
+        magnitude = np.abs(self.residual).sum(axis=1)
+        for index, template in enumerate(self.templates):
+            if self.maps[index] is None:
+                continue
+            m = template.length
+            scale = template.peak / template.denom
+            window_mass = cumulative[:, m:] - cumulative[:, : n - m + 1]
+            day_starts = np.arange(0, n - m + 1, _MINUTES_PER_DAY)
+            day_bound = scale * np.maximum.reduceat(window_mass, day_starts, axis=1)
+            tol = 1e-6 * scale * magnitude[:, None]
+            live[:, index, : day_starts.size] = day_bound >= self.bounds[index][0] - tol
+        return live
 
     def _refresh(self, index: int, households: np.ndarray, days: np.ndarray) -> None:
         """Recompute the cached best placement of appliance ``index`` in the
@@ -522,22 +586,28 @@ class _Lockstep:
         runs of those offsets that need it (see :meth:`_patch_runs`) are
         re-correlated for every changed household in one exact direct
         correlation over their concatenated segments (outputs straddling
-        two segments are dropped).  The days covering the offsets are
-        flagged for a candidate refresh.
+        two segments are dropped).  The live days covering the offsets are
+        flagged for a candidate refresh; a household with no live day for a
+        template skips that template altogether.
         """
         for index, template in enumerate(self.templates):
             m = template.length
             energies = self.maps[index]
+            live = self.live[:, index]
             segments: list[np.ndarray] = []
             targets: list[tuple[int, int, int]] = []
             for change in changes:
                 household, changed_lo, changed_hi, _ = change
+                if not self.live_pairs[household, index]:
+                    continue
                 patch_lo = max(0, changed_lo - m + 1)
                 first_day = patch_lo // _MINUTES_PER_DAY
                 last_day = min(changed_hi - 1, self.n - 1) // _MINUTES_PER_DAY
-                self.dirty[household, index, first_day : last_day + 1] = True
+                self.dirty[household, index, first_day : last_day + 1] |= live[
+                    household, first_day : last_day + 1
+                ]
                 hi = min(self.n - m + 1, changed_hi)
-                if energies is None or patch_lo >= hi:
+                if patch_lo >= hi:
                     continue
                 if change[3] is None:
                     self.direct[index][household, patch_lo:hi] = True

@@ -7,6 +7,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from repro.api.registry import create_extractor
 from repro.appliances.database import default_database
 from repro.disaggregation.baseline import remove_baseline, rolling_baseline
 from repro.disaggregation.clustering import (
@@ -20,7 +21,7 @@ from repro.disaggregation.combinatorial import (
 )
 from repro.disaggregation.events import detect_edges, pair_edges
 from repro.disaggregation.matching import MatchingConfig, match_pursuit
-from repro.errors import DataError
+from repro.errors import DataError, RegistryError
 from repro.evaluation.groundtruth import match_activations
 from repro.simulation.activations import Activation, materialise
 from repro.timeseries.axis import FIFTEEN_MINUTES, ONE_MINUTE, TimeAxis
@@ -158,6 +159,31 @@ class TestMatchingPursuit:
         with pytest.raises(DataError):
             MatchingConfig(min_score=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("energy_slack", -0.5),
+            ("energy_slack", 1.5),
+            ("energy_slack", float("nan")),
+            ("residual_floor_kwh", -1),
+            ("residual_floor_kwh", float("nan")),
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+        ],
+    )
+    def test_config_rejects_nonsense(self, field, value):
+        with pytest.raises(DataError, match=field):
+            MatchingConfig(**{field: value})
+        # The registry routes the flat parameter into the nested config and
+        # reports the config's DataError as the cause.
+        with pytest.raises(RegistryError, match=field) as info:
+            create_extractor("frequency-based", **{field: value})
+        assert isinstance(info.value.__cause__, DataError)
+
+    def test_config_accepts_the_slack_range_ends(self):
+        assert MatchingConfig(energy_slack=0.0, residual_floor_kwh=0.0).energy_slack == 0.0
+        assert MatchingConfig(energy_slack=1.0, max_iterations=np.int64(3)).energy_slack == 1.0
+
     def test_same_appliance_no_overlap(self):
         total, _acts, db = clean_two_appliance_day()
         result = match_pursuit(total, db)
@@ -195,6 +221,9 @@ class TestCombinatorial:
             CombinatorialConfig(max_candidates_per_day=0)
         with pytest.raises(DataError):
             CombinatorialConfig(max_subset_size=0)
+        for slack in (-0.5, 1.5, float("nan")):
+            with pytest.raises(DataError, match="energy_slack"):
+                CombinatorialConfig(energy_slack=slack)
 
     def test_requires_minute_resolution(self):
         axis = TimeAxis(START, FIFTEEN_MINUTES, 96)

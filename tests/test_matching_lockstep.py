@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from datetime import datetime
 from functools import lru_cache
 from pathlib import Path
 
@@ -26,15 +27,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.appliances.database import default_database
+from repro.appliances.database import ApplianceDatabase, default_database
+from repro.appliances.model import ApplianceCategory, ApplianceSpec, flat_shape
 from repro.disaggregation.baseline import remove_baseline
 from repro.errors import DataError
 from repro.disaggregation.matching import (
     DetectionResult,
     MatchingConfig,
+    _Lockstep,
     match_pursuit,
     match_pursuit_many,
 )
+from repro.timeseries.axis import ONE_MINUTE, TimeAxis
 from repro.timeseries.series import TimeSeries
 from repro.workloads import scenarios
 
@@ -185,6 +189,110 @@ def test_lockstep_matches_sequential_on_a_random_tile():
     together = match_pursuit_many(picks, database)
     alone = [match_pursuit(series, database) for series in picks]
     assert [golden_entry(r) for r in together] == [golden_entry(r) for r in alone]
+
+
+# ---------------------------------------------------------------------- #
+# Bound pruning: cells whose residual can never host an appliance
+# ---------------------------------------------------------------------- #
+
+
+def test_a_run_at_exactly_the_energy_floor_is_still_detected():
+    """A flat run whose fitted energy is exactly ``energy_min·(1 − slack)``
+    sits on the pruning bound: round-off in the bound must not prune it.
+
+    Whether the unpruned engine admits the run at all depends on the FFT
+    rounding its map value to at least the floor; every case it admits
+    must be detected, and enough cases are admitted to make that bite.
+    """
+    admitted = 0
+    for seed in range(32):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(20, 200))
+        energy_min = float(rng.uniform(0.5, 5.0))
+        slack = float(rng.uniform(0.0, 0.5))
+        floor = energy_min * (1.0 - slack)
+        database = ApplianceDatabase(
+            (
+                ApplianceSpec(
+                    name="flat",
+                    manufacturer="test",
+                    category=ApplianceCategory.WET,
+                    energy_min_kwh=energy_min,
+                    energy_max_kwh=2.0 * energy_min,
+                    shape=flat_shape(m),
+                    flexible=True,
+                ),
+            )
+        )
+        # Low positive noise on day one puts round-off into the bound's
+        # cumulative sum; the run itself sits on day two.
+        values = np.zeros(2 * 1440)
+        values[: 1440 - m] = rng.uniform(0.0, 0.2 * floor / m, 1440 - m)
+        t = int(rng.integers(1440, values.size - m))
+        values[t : t + m] = floor / m
+        series = TimeSeries(TimeAxis(datetime(2024, 1, 1), ONE_MINUTE, values.size), values)
+        config = MatchingConfig(energy_slack=slack)
+        if _Lockstep([series], database, config).maps[0][0, t] < floor:
+            continue
+        admitted += 1
+        (result,) = match_pursuit_many([series], database, config)
+        starts = [series.axis.index_of(d.start) for d in result.detections]
+        assert starts == [t], seed
+        assert result.detections[0].energy_kwh == pytest.approx(floor)
+    assert admitted >= 8
+
+
+def test_ev_free_households_never_correlate_ev_templates(golden, monkeypatch):
+    """No day of an EV-free household can host an EV, so after the set-up
+    FFT no patch correlates an EV template (240, 300 and 330 minutes)."""
+    key, series = golden_inputs()[0]
+    database = default_database()
+    lockstep = _Lockstep([series], database, MatchingConfig())
+    ev = [i for i, spec in enumerate(database) if spec.name.startswith("ev-")]
+    assert not lockstep.live_pairs[0, ev].any()
+    lengths = []
+    real = np.correlate
+
+    def recording(a, v, mode="valid"):
+        lengths.append(len(v))
+        return real(a, v, mode=mode)
+
+    monkeypatch.setattr(np, "correlate", recording)
+    (result,) = match_pursuit_many([series], database)
+    assert lengths, "the pursuit patched nothing"
+    assert not {240, 300, 330} & set(lengths)
+    assert golden_entry(result) == golden[key]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    pick=st.integers(0, 15),
+    scales=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3),
+    slack=st.floats(0.0, 0.6),
+)
+def test_pruned_cells_stay_below_the_floor_to_the_end(pick, scales, slack):
+    """Every offset of a cell the bound declared dead still fits less than
+    the appliance's floor on the *final* residual, by exact direct
+    correlation: pruning the cell dropped no candidate the pursuit could
+    have taken at any iteration."""
+    _, series = golden_inputs()[pick]
+    tile = [series.with_values(series.values * scale) for scale in scales]
+    database = default_database()
+    config = MatchingConfig(energy_slack=slack)
+    live = _Lockstep(tile, database, config).live
+    results = match_pursuit_many(tile, database, config)
+    for household, result in enumerate(results):
+        residual = result.residual.values
+        for index, spec in enumerate(database):
+            dead_days = np.flatnonzero(~live[household, index])
+            m = spec.cycle_minutes
+            if not dead_days.size or m > residual.size:
+                continue
+            fitted = np.correlate(residual, spec.shape, mode="valid") / np.dot(spec.shape, spec.shape)
+            floor = spec.energy_min_kwh * (1.0 - slack)
+            for day in dead_days.tolist():
+                offsets = fitted[day * 1440 : (day + 1) * 1440]
+                assert not (offsets >= floor).any(), (pick, spec.name, day)
 
 
 if __name__ == "__main__":
