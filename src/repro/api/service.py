@@ -104,10 +104,21 @@ class ExtractorRunReport:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExtractorRunReport":
         with decoding("extractor run report"):
+            extractor, households = data["extractor"], data["households"]
+            if not isinstance(extractor, str):
+                raise TypeError(
+                    f"'extractor' is {type(extractor).__name__}, not a string"
+                )
+            if not isinstance(households, int) or isinstance(households, bool):
+                raise TypeError(
+                    f"'households' is {type(households).__name__}, not an integer"
+                )
+            if households < 0:
+                raise ValueError(f"'households' is negative ({households})")
             schedule = data.get("schedule")
             return cls(
-                extractor=data["extractor"],
-                households=data["households"],
+                extractor=extractor,
+                households=households,
                 offers=tuple(flexoffer_from_dict(o) for o in data["offers"]),
                 aggregates=tuple(
                     aggregated_from_dict(a) for a in data["aggregates"]

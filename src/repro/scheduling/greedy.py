@@ -464,10 +464,17 @@ def greedy_schedule(
     if vectorized:
         # Hoist every offer's bounds/starts once; offers sharing a profile
         # length share a single window view over the residual.
-        plans = [_build_plan(offer, axis, earliest_allowed) for offer in queue]
+        # An expired offer gets no plan: each grid start is <= latest_start
+        # < earliest_allowed, and start_grid compares whole microseconds.
+        plans = [
+            None
+            if earliest_allowed is not None and offer.latest_start < earliest_allowed
+            else _build_plan(offer, axis, earliest_allowed)
+            for offer in queue
+        ]
         views: dict[int, np.ndarray] = {
             n: sliding_window_view(remaining, n)
-            for n in {plan.n for plan in plans}
+            for n in {plan.n for plan in plans if plan is not None}
             if n <= remaining.size
         }
         if robust is not None:
@@ -480,7 +487,7 @@ def greedy_schedule(
     for position, offer in enumerate(queue):
         if vectorized:
             plan = plans[position]
-            if plan.n not in views:
+            if plan is None or plan.n not in views:
                 placement = None
             elif robust is not None:
                 placement = _best_start_batched_robust(

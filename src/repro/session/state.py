@@ -60,7 +60,11 @@ from repro.flexoffer.io import (
     schedule_to_dict,
 )
 from repro.flexoffer.model import OfferIdFactory, offer_id_scope
-from repro.flexoffer.schedule import ScheduledFlexOffer, schedules_to_series
+from repro.flexoffer.schedule import (
+    ScheduledFlexOffer,
+    add_to_series,
+    schedules_to_series,
+)
 from repro.pipeline.fleet import (
     FleetResult,
     HouseholdOutput,
@@ -667,14 +671,28 @@ class FlexibilitySession:
         )
         open_result = self._better_open_plan(open_result, residual, offers)
         state.open_schedules = list(open_result.schedules)
-        combined = list(state.committed) + state.open_schedules
         state.schedule = ScheduleResult(
-            schedules=combined,
-            demand=schedules_to_series(combined, axis),
+            schedules=list(state.committed) + state.open_schedules,
+            demand=self._plan_demand(state.open_schedules),
             target=self.target,
             unplaced=list(open_result.unplaced),
         )
         return
+
+    def _plan_demand(self, open_schedules: list[ScheduledFlexOffer]) -> TimeSeries:
+        """Committed demand plus ``open_schedules``, without re-summing history.
+
+        Bitwise ``schedules_to_series(committed + open_schedules, axis)``:
+        ``committed_demand`` starts at zeros and every commit (and
+        ``decode_state``) adds each placement with ``+=`` in ``committed``
+        order, so each element sees the same additions in the same order.
+        """
+        demand = TimeSeries(
+            self.target.axis, self._state.committed_demand.copy(), "scheduled-demand"
+        )
+        for placement in open_schedules:
+            add_to_series(placement, demand)
+        return demand
 
     def _better_open_plan(
         self,
@@ -756,11 +774,10 @@ class FlexibilitySession:
         if newly == 0:
             return 0
         state.open_schedules = keep
-        combined = list(state.committed) + keep
         previous_unplaced = state.schedule.unplaced if state.schedule else []
         state.schedule = ScheduleResult(
-            schedules=combined,
-            demand=schedules_to_series(combined, axis),
+            schedules=list(state.committed) + keep,
+            demand=self._plan_demand(keep),
             target=self.target,
             unplaced=list(previous_unplaced),
         )

@@ -186,8 +186,23 @@ class TestGoldenWireFormat:
             lambda report: {**report, "results": "x"},
             lambda report: {**report, "results": [{**report["results"][0], "stage_seconds": None}]},
             lambda report: {**report, "results": [{**report["results"][0], "summary": [[1]]}]},
+            lambda report: {**report, "results": [{**report["results"][0], "households": "x"}]},
+            lambda report: {**report, "results": [{**report["results"][0], "households": True}]},
+            lambda report: {**report, "results": [{**report["results"][0], "households": -1}]},
+            lambda report: {**report, "results": [{**report["results"][0], "households": 2.0}]},
+            lambda report: {**report, "results": [{**report["results"][0], "extractor": 5}]},
         ],
-        ids=["list-body", "string-results", "null-stage-seconds", "nested-list-summary"],
+        ids=[
+            "list-body",
+            "string-results",
+            "null-stage-seconds",
+            "nested-list-summary",
+            "string-households",
+            "bool-households",
+            "negative-households",
+            "float-households",
+            "int-extractor",
+        ],
     )
     def test_malformed_report_raises_data_error(self, mutate):
         report = json.loads(COMPAT_REPORT_PATH.read_text())

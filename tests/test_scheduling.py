@@ -6,6 +6,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.flexoffer.model import FlexOffer, ProfileSlice
@@ -305,29 +307,99 @@ class TestEarliestAllowed:
         gated = greedy_schedule(offers, target, earliest_allowed=None)
         assert gated == plain
 
-    def test_engines_agree_under_a_boundary(self):
+    @staticmethod
+    def _expiring_workload():
+        """30 aggregates and a boundary that expires more than a third."""
         from repro.bench import build_schedule_workload
 
         aggregates, target = build_schedule_workload(n_aggregates=30, seed=31)
         offers = [a.offer for a in aggregates]
-        boundary = target.axis.start + timedelta(hours=36)
-        results = [
-            greedy_schedule(
-                offers,
-                target,
-                config=ScheduleConfig(engine=engine),
-                earliest_allowed=boundary,
-            )
-            for engine in ("vectorized", "reference")
-        ]
-        for result in results:
-            for schedule in result.schedules:
-                assert schedule.start >= boundary
-        placements = [
-            [(s.offer.offer_id, s.start) for s in result.schedules]
-            for result in results
-        ]
-        assert placements[0] == placements[1]
+        boundary = target.axis.start + timedelta(hours=96)
+        expired = sum(o.latest_start < boundary for o in offers)
+        assert 3 * expired >= len(offers)
+        return offers, target, boundary
+
+    def test_engines_agree_under_a_boundary(self):
+        from repro.scheduling.robust import RobustConfig
+
+        offers, target, boundary = self._expiring_workload()
+        for robust in (None, RobustConfig()):
+            results = [
+                greedy_schedule(
+                    offers,
+                    target,
+                    config=ScheduleConfig(engine=engine, robust=robust),
+                    earliest_allowed=boundary,
+                )
+                for engine in ("vectorized", "reference")
+            ]
+            for result in results:
+                for schedule in result.schedules:
+                    assert schedule.start >= boundary
+            placements = [
+                [(s.offer.offer_id, s.start) for s in result.schedules]
+                for result in results
+            ]
+            assert placements[0] == placements[1], robust
+            unplaced = [[o.offer_id for o in result.unplaced] for result in results]
+            assert unplaced[0] == unplaced[1], robust
+
+    @pytest.mark.parametrize("robust", [False, True], ids=["point", "robust"])
+    def test_expired_offers_build_no_plan(self, monkeypatch, robust):
+        import repro.scheduling.greedy as greedy
+        from repro.scheduling.robust import RobustConfig
+
+        offers, target, boundary = self._expiring_workload()
+        planned = []
+        build_plan = greedy._build_plan
+
+        def counting_build_plan(offer, axis, earliest_allowed=None):
+            planned.append(offer)
+            return build_plan(offer, axis, earliest_allowed)
+
+        monkeypatch.setattr(greedy, "_build_plan", counting_build_plan)
+        result = greedy_schedule(
+            offers,
+            target,
+            config=ScheduleConfig(robust=RobustConfig() if robust else None),
+            earliest_allowed=boundary,
+        )
+        assert not [o for o in planned if o.latest_start < boundary]
+        assert len(planned) == sum(o.latest_start >= boundary for o in offers)
+        unplaced = {o.offer_id for o in result.unplaced}
+        assert all(
+            o.offer_id in unplaced for o in offers if o.latest_start < boundary
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        earliest_us=st.integers(-86_400 * 10**6, 2 * 86_400 * 10**6),
+        resolution_us=st.integers(1, 2 * 3_600 * 10**6),
+        steps=st.integers(0, 500),
+        remainder_us=st.integers(0, 2 * 3_600 * 10**6),
+        gap_us=st.integers(1, 3_600 * 10**6),
+        require_fit=st.booleans(),
+    )
+    def test_start_grid_is_empty_past_latest_start(
+        self, earliest_us, resolution_us, steps, remainder_us, gap_us, require_fit
+    ):
+        from repro.scheduling.greedy import start_grid
+
+        axis = axis_for_days(START, 2)
+        earliest = START + timedelta(microseconds=earliest_us)
+        # At most 501 grid starts, with latest_start anywhere between two.
+        flexibility_us = steps * resolution_us + remainder_us % resolution_us
+        fo = FlexOffer(
+            earliest_start=earliest,
+            latest_start=earliest + timedelta(microseconds=flexibility_us),
+            resolution=timedelta(microseconds=resolution_us),
+            slices=(ProfileSlice(0.1, 0.4),),
+        )
+        boundary = fo.latest_start + timedelta(microseconds=gap_us)
+        grid_steps, firsts = start_grid(
+            fo, axis, require_fit=require_fit, earliest_allowed=boundary
+        )
+        assert grid_steps.size == 0 and firsts.size == 0
 
 
 class TestStartGrid:

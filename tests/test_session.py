@@ -14,6 +14,7 @@ versioned :func:`~repro.flexoffer.io.report_delta`, the
 from __future__ import annotations
 
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.flexoffer.io import (
     apply_report_delta,
     report_delta,
 )
+from repro.flexoffer.schedule import schedules_to_series
 from repro.pipeline.fleet import (
     fleet_schedule_target,
     results_identical,
@@ -254,6 +256,77 @@ class TestCommitHorizon:
         session = fresh_session(session_fleet, target=None)
         with pytest.raises(SessionError, match="target"):
             session.commit(session.state.households[0].axis.end)
+
+
+EXPIRING_EVENTS = (
+    Path(__file__).parent.parent / "examples" / "specs" / "session_events_expiring.json"
+)
+
+
+class TestCommittedDemand:
+    """The plan's demand series starts from the committed sum.
+
+    Replans and commits seed the demand from ``committed_demand`` instead
+    of re-summing every committed placement; the result must still be
+    bitwise the sum of the published plan, after every event and after a
+    resume from a snapshot (which rebuilds ``committed_demand``).
+    """
+
+    @staticmethod
+    def _assert_demand_is_the_plan_sum(session):
+        schedule = session.state.schedule
+        if schedule is None:
+            return
+        expected = schedules_to_series(schedule.schedules, session.target.axis)
+        assert schedule.demand.name == expected.name
+        assert schedule.demand.values.tobytes() == expected.values.tobytes()
+
+    def _drive(self, session, inputs, events):
+        for event in events:
+            kind = event["type"]
+            if kind == "ingest":
+                first, count = event["first"], event["count"]
+                values = inputs[event["household"]].values[first : first + count]
+                session.ingest(event["household"], first, values)
+            elif kind == "replan":
+                session.replan()
+            elif kind == "commit":
+                session.commit(datetime.fromisoformat(event["through"]))
+            else:  # retarget
+                session.retarget(session.target * 0.8)
+            self._assert_demand_is_the_plan_sum(session)
+
+    def test_demand_is_bitwise_the_plan_sum(self, tmp_path):
+        from repro.session import SessionJournal, load_session_events, session_for_spec
+        from repro.simulation.dataset import generate_fleet
+
+        spec, events = load_session_events(EXPIRING_EVENTS)
+        scenario = spec.scenario
+        fleet = generate_fleet(
+            scenario.households, scenario.start, scenario.days, seed=scenario.seed
+        )
+        session = session_for_spec(spec, fleet=fleet)
+        session.attach_journal(
+            SessionJournal.create(tmp_path, spec=spec.to_dict(), snapshot_every=4)
+        )
+        inputs = household_inputs(session, fleet)
+        # Stop after the second midnight's commit, with a retarget just
+        # before it, and resume the rest of the stream from the journal.
+        cut = [
+            position for position, e in enumerate(events) if e["type"] == "commit"
+        ][1] + 1
+        head = events[: cut - 1] + [{"type": "retarget"}] + events[cut - 1 : cut]
+        self._drive(session, inputs, head)
+        assert session.state.committed, "the stream must commit placements"
+        session.journal.close()
+        assert list(tmp_path.glob("snapshot-*.json")), "no snapshot to resume from"
+
+        recovered = FlexibilitySession.resume(tmp_path, fleet=fleet)
+        assert recovered.snapshot().to_dict() == session.snapshot().to_dict()
+        self._assert_demand_is_the_plan_sum(recovered)
+        self._drive(recovered, inputs, events[cut:])
+        assert len(recovered.state.committed) > len(session.state.committed)
+        recovered.journal.close()
 
 
 class TestSessionErrors:
