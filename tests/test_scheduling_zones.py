@@ -530,3 +530,67 @@ class TestLegacyEngineNames:
         report["spec"]["pipeline"]["schedule"]["engine"] = "vectorized"
         assert report == vectorized
         assert report["results"][0]["schedule"]["zones"]
+
+
+# ---------------------------------------------------------------------- #
+# Improvement across zones, pinned to the per-zone sequential improver
+# ---------------------------------------------------------------------- #
+
+#: ``(workload seed, improve_iterations, kind)`` of every pinned run:
+#: ``plain`` zones, ``market``-cleared zones, and ``flat`` zone targets,
+#: where exactly tied gains are common.
+IMPROVER_CASES = [
+    (seed, iterations, kind)
+    for seed in (5, 7, 11)
+    for iterations in (1, 50, 2000)
+    for kind in ("plain", "market", "flat")
+]
+
+
+def _improver_case(seed: int, iterations: int, kind: str):
+    """The zones suite's workload and config of one pinned improver run."""
+    from repro.bench import build_zoned_workload
+    from repro.market.model import MarketConfig
+
+    aggregates, zoned = build_zoned_workload(seed=seed)
+    if kind == "flat":
+        zoned = ZonedTarget(
+            zones=tuple(
+                replace(zone, target=TimeSeries.full(
+                    zone.target.axis, 0.5, name=zone.target.name
+                ))
+                for zone in zoned.zones
+            ),
+            assignment=zoned.assignment,
+        )
+    market = MarketConfig(slices=8, coupling_kwh=25.0) if kind == "market" else None
+    config = ScheduleConfig(
+        improve_iterations=iterations, improve_seed=seed, market=market
+    )
+    return aggregates, zoned, config
+
+
+def _zone_digests(result: ZonedScheduleResult) -> list[str]:
+    """SHA-256 of each zone's schedule encoding."""
+    import hashlib
+
+    return [
+        hashlib.sha256(
+            json.dumps(any_schedule_to_dict(zone_result), sort_keys=True).encode()
+        ).hexdigest()
+        for zone_result in result.results
+    ]
+
+
+class TestImproverGolden:
+    """``tests/data/golden/zoned_improver_digests.json`` was taken from the
+    per-zone sequential improver; never regenerate it."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((GOLDEN / "zoned_improver_digests.json").read_text())
+
+    @pytest.mark.parametrize("seed, iterations, kind", IMPROVER_CASES)
+    def test_improved_zones_match_golden(self, golden, seed, iterations, kind):
+        result = schedule_zones(*_improver_case(seed, iterations, kind))
+        assert _zone_digests(result) == golden[f"seed{seed}-it{iterations}-{kind}"]
