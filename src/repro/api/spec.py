@@ -95,6 +95,8 @@ class ScenarioSpec:
             raise SpecError("scenario.households must be >= 1")
         if self.days < 1:
             raise SpecError("scenario.days must be >= 1")
+        if self.seed < 0:
+            raise SpecError(f"scenario.seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -377,6 +379,10 @@ class ZoneSpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise SpecError("zone.name must be a non-empty string")
+        if self.target_seed < 0:
+            raise SpecError(
+                f"zone {self.name!r}: target_seed must be >= 0, got {self.target_seed}"
+            )
         if self.target_kwh is not None and self.target_kwh <= 0:
             raise SpecError(f"zone {self.name!r}: target_kwh must be > 0 (or null)")
         if self.price_floor < 0 or self.price_cap < 0:
@@ -507,6 +513,11 @@ class ScheduleSpec:
             raise SpecError("schedule.target_kwh must be > 0 (or null)")
         if self.improve_iterations < 0:
             raise SpecError("schedule.improve_iterations must be >= 0")
+        for key in ("target_seed", "improve_seed"):
+            if getattr(self, key) < 0:
+                raise SpecError(
+                    f"schedule.{key} must be >= 0, got {getattr(self, key)}"
+                )
         if self.market is not None and not self.zones:
             raise SpecError(
                 "schedule.market requires schedule.zones: merit-order "

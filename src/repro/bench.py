@@ -394,7 +394,8 @@ def _fleet_summary(report: dict) -> str:
 # ---------------------------------------------------------------------- #
 
 
-#: Stochastic improvement steps timed per engine by the schedule suite.
+#: Stochastic improvement steps timed per engine by the schedule suite (and
+#: per zone by the zones suite).
 IMPROVE_ITERATIONS = 2000
 
 
@@ -508,6 +509,7 @@ def _schedule_summary(report: dict) -> str:
 
 def run_zones(aggregates: int, days: int, seed: int, zones: int):
     """The zones suite; returns the report and the vectorized zoned result."""
+    from repro.scheduling.stochastic import improve_many, improve_schedule
     from repro.scheduling.zones import assign_zones, schedule_zones
 
     workload, zoned = build_zoned_workload(aggregates, days=days, seed=seed, zones=zones)
@@ -525,6 +527,35 @@ def run_zones(aggregates: int, days: int, seed: int, zones: int):
 
     def starts(result):
         return [(s.offer.offer_id, s.start) for r in result.results for s in r.schedules]
+
+    # Improvement of the vectorized greedy zones: one sequential reference
+    # run per zone against one lockstep run over every zone.
+    greedy_zones = vectorized_result.results
+    improve_reference_seconds, improve_reference = _timed(
+        lambda: [
+            improve_schedule(
+                result,
+                np.random.default_rng(seed),
+                iterations=IMPROVE_ITERATIONS,
+                engine="reference",
+            )
+            for result in greedy_zones
+        ]
+    )
+    improve_lockstep_seconds, improve_lockstep = _timed(
+        lambda: improve_many(
+            greedy_zones,
+            [np.random.default_rng(seed) for _ in greedy_zones],
+            IMPROVE_ITERATIONS,
+        )
+    )
+    improve_identical = [
+        [(s.start, s.slice_energies) for s in result.schedules]
+        for result in improve_reference
+    ] == [
+        [(s.start, s.slice_energies) for s in result.schedules]
+        for result in improve_lockstep
+    ]
 
     report = {
         "workload": {
@@ -552,12 +583,20 @@ def run_zones(aggregates: int, days: int, seed: int, zones: int):
             "improvement": round(vectorized_result.improvement, 6),
             "value_eur": round(vectorized_result.market_value, 6),
         },
+        "improve": {
+            "iterations": IMPROVE_ITERATIONS,
+            "reference_seconds": round(improve_reference_seconds, 4),
+            "lockstep_seconds": round(improve_lockstep_seconds, 4),
+            "speedup": round(_ratio(improve_reference_seconds, improve_lockstep_seconds), 2),
+            "cost": round(sum(result.cost for result in improve_lockstep), 6),
+        },
         "equivalence": {
             "reference_identical_placements": starts(reference_result)
             == starts(vectorized_result),
             "cost_match": _close(reference_result.cost, vectorized_result.cost),
             "zone_partition": sorted(vectorized_result.assignment())
             == sorted(a.offer.offer_id for a in workload),
+            "improve_identical": improve_identical,
             "fidelity_rtol": FIDELITY_RTOL,
         },
     }
@@ -587,12 +626,16 @@ def _zones_rows(report: dict, _result) -> list[dict]:
 
 def _zones_summary(report: dict) -> str:
     greedy = report["greedy"]
+    improve = report["improve"]
     equivalence = report["equivalence"]
     return (
         f"vectorized engine: {greedy['vectorized_seconds']}s "
         f"({greedy['speedup_vs_reference']}x vs reference); placements "
         f"identical to reference: "
-        f"{equivalence['reference_identical_placements']}"
+        f"{equivalence['reference_identical_placements']}; lockstep improve "
+        f"({improve['iterations']} it per zone): {improve['lockstep_seconds']}s "
+        f"({improve['speedup']}x vs reference), identical: "
+        f"{equivalence['improve_identical']}"
     )
 
 

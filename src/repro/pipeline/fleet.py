@@ -461,7 +461,8 @@ def extract_households(
     ``checkpoints`` resumes day-local extractions: a job with a
     :class:`~repro.extraction.base.DayCheckpoint` is detected and
     formulated from the checkpoint's day on, minting ids after the
-    checkpoint's, and only its new offers get stamped.  When the list is
+    checkpoint's, and only its new offers get stamped; its generator is
+    restored from the checkpoint, so it is not seeded.  When the list is
     given, each output also carries its run's
     :class:`~repro.extraction.base.DayTrail` (``None`` for extractors that
     are not day-local), from which the caller takes the next checkpoint.
@@ -472,6 +473,9 @@ def extract_households(
         checkpoints = [None] * len(jobs)
     timings = {"disaggregate": 0.0, "extract": 0.0}
     outputs: list[HouseholdOutput] = []
+    # A resumed job's generator is overwritten from its checkpoint, so
+    # resumed jobs share one generator instead of seeding their own.
+    resumed_rng: np.random.Generator | None = None
     for first in range(0, len(jobs), _TILE_WIDTH):
         tile = jobs[first : first + _TILE_WIDTH]
         resumes = checkpoints[first : first + _TILE_WIDTH]
@@ -488,7 +492,12 @@ def extract_households(
         for position, ((index, household_id, series), checkpoint) in enumerate(
             zip(tile, resumes)
         ):
-            rng = np.random.default_rng(seed + SEED_STRIDE * index)
+            if checkpoint is None:
+                rng = np.random.default_rng(seed + SEED_STRIDE * index)
+            else:
+                if resumed_rng is None:
+                    resumed_rng = np.random.default_rng(seed)
+                rng = resumed_rng
             minted = 0 if checkpoint is None else checkpoint.ids_minted
             t0 = time.perf_counter()
             with offer_id_scope(f"h{index}", start=minted):

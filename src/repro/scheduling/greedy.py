@@ -93,8 +93,16 @@ class ScheduleConfig:
             )
         if self.engine in ENGINE_ALIASES:
             object.__setattr__(self, "engine", ENGINE_ALIASES[self.engine])
-        if self.improve_iterations < 0:
-            raise SchedulingError("improve_iterations must be >= 0")
+        for key in ("improve_iterations", "improve_seed"):
+            value = getattr(self, key)
+            if (
+                not isinstance(value, (int, np.integer))
+                or isinstance(value, bool)
+                or value < 0
+            ):
+                raise SchedulingError(
+                    f"{key} must be an integer >= 0, got {value!r}"
+                )
         if self.market is not None:
             # Imported lazily: repro.market sits above the scheduling layer.
             from repro.market.model import MarketConfig

@@ -18,9 +18,10 @@ past one market:
   routing is identical across processes and Python runs (``PYTHONHASHSEED``
   never leaks into schedules).
 * :func:`schedule_zones` — the driver: schedules every zone independently
-  and in process (each zone is its own greedy + optional
-  stochastic-improvement run).  A zone run takes tens of milliseconds, so
-  a process pool only ever added fork and pickling cost.
+  and in process (each zone is its own greedy run, then the optional
+  stochastic improvement runs over every zone in one lockstep pass).  A
+  zone run takes tens of milliseconds, so a process pool only ever added
+  fork and pickling cost.
 
 Inside each zone the placement engine is selectable via
 :class:`~repro.scheduling.greedy.ScheduleConfig` and defaults to the
@@ -41,7 +42,8 @@ import numpy as np
 
 from repro.aggregation.aggregate import AggregatedFlexOffer
 from repro.errors import SchedulingError
-from repro.scheduling.greedy import ScheduleConfig, ScheduleResult
+from repro.scheduling.greedy import ScheduleConfig, ScheduleResult, greedy_schedule
+from repro.scheduling.stochastic import improve_schedule, improve_scope
 from repro.timeseries.series import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -382,9 +384,14 @@ def schedule_zones(
     """Schedule every zone of a zoned market independently.
 
     Aggregates are routed by :func:`assign_zones` (explicit assignment,
-    hash-shard fallback); each zone then runs the greedy placement (and
-    the optional stochastic-improvement pass of ``config``) against its
-    own target, one zone after another in this process.
+    hash-shard fallback); each zone then runs the greedy placement against
+    its own target, one zone after another in this process.  The optional
+    stochastic-improvement pass of ``config`` follows for every zone at
+    once: each zone keeps its own generator seeded from
+    ``config.improve_seed`` and its own residual, and one lockstep run
+    (:func:`~repro.scheduling.stochastic.improve_scope`) answers the
+    per-zone :func:`~repro.scheduling.stochastic.improve_schedule` calls,
+    bitwise what zone-by-zone runs give.
 
     With ``config.market`` set, merit-order clearing runs *before*
     placement (:func:`repro.market.clearing.clear_zones`): only cleared
@@ -393,8 +400,6 @@ def schedule_zones(
     unplaced offers of their home zone.  Clearing requires every zone to
     be priced (:attr:`MarketZone.priced`).
     """
-    from repro.pipeline.fleet import schedule_aggregates
-
     config = config if config is not None else ScheduleConfig()
     clearing = None
     rejected: dict[str, list] = {}
@@ -420,15 +425,31 @@ def schedule_zones(
                 rejected[outcome.home_zone].append(aggregate.offer)
     else:
         buckets = assign_zones(aggregates, zoned)
-    results = tuple(
-        schedule_aggregates(buckets[zone.name], zone.target, config)
+    results = [
+        greedy_schedule(
+            [aggregate.offer for aggregate in buckets[zone.name]],
+            zone.target,
+            config=config,
+        )
         for zone in zoned.zones
-    )
+    ]
+    if config.improve_iterations > 0:
+        # One generator per zone, seeded alike, as a lone zone's run is;
+        # one improve_schedule call per zone, answered by one lockstep run.
+        rngs = [np.random.default_rng(config.improve_seed) for _ in results]
+        iterations = config.improve_iterations
+        with improve_scope(results, rngs, iterations):
+            results = [
+                improve_schedule(
+                    result, rng, iterations=iterations, engine=config.engine
+                )
+                for result, rng in zip(results, rngs)
+            ]
     if clearing is not None:
         # Market-rejected bids were never handed to placement; account for
         # them as unplaced offers of their home zone.
-        results = tuple(
+        results = [
             replace(result, unplaced=list(result.unplaced) + rejected[zone.name])
             for zone, result in zip(zoned.zones, results)
-        )
+        ]
     return ZonedScheduleResult(zones=zoned.zones, results=results, clearing=clearing)

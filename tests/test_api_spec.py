@@ -165,6 +165,36 @@ class TestScheduleSpec:
         with pytest.raises(SpecError, match="pipeline.schedule: unknown key"):
             ScheduleSpec.from_dict({"targets": "wind"})
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("scenario", "seed"),
+            ("pipeline", "schedule", "improve_seed"),
+            ("pipeline", "schedule", "zones", 0, "target_seed"),
+            ("pipeline", "schedule", "target_seed"),
+        ],
+        ids=lambda path: ".".join(str(key) for key in path),
+    )
+    def test_negative_seed_is_a_spec_error(self, path):
+        # A negative seed used to load and then kill the run inside numpy
+        # ("expected non-negative integer").
+        from pathlib import Path
+
+        data = json.loads(
+            (Path(__file__).parents[1] / "examples" / "specs" / "zones.json").read_text()
+        )
+        if path[-1] == "target_seed" and len(path) == 3:
+            # The top-level target seed is used by plain (unzoned) targets.
+            schedule = data["pipeline"]["schedule"]
+            del schedule["zones"], schedule["market"]
+        RunSpec.from_dict(data)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = -1
+        with pytest.raises(SpecError, match=f"{path[-1]} must be >= 0, got -1"):
+            RunSpec.from_dict(data)
+
     def test_constants_stay_in_sync_with_the_scheduling_layer(self):
         # The spec layer duplicates the order/engine vocabularies to stay
         # import-light; this pins them to the scheduling layer's own.

@@ -283,6 +283,19 @@ class TestBench:
             "equivalence check failed: improve_identical" in capsys.readouterr().err
         )
 
+    def test_a_disagreeing_improver_fails_the_zones_suite(self, monkeypatch, capsys):
+        # The lockstep improver hands back the greedy zones unimproved, so
+        # it disagrees with the per-zone reference runs.
+        from repro.scheduling import stochastic
+
+        monkeypatch.setattr(
+            stochastic, "improve_many", lambda results, rngs, iterations: list(results)
+        )
+        assert main(["bench", "--suite", "zones", *BENCH_SMOKES["zones"]]) == 1
+        assert (
+            "equivalence check failed: improve_identical" in capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("suite", list(BENCH_SMOKES))
     def test_every_suite_exits_zero_at_a_tiny_size(
         self, suite, tmp_path, capsys

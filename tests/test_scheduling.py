@@ -216,6 +216,16 @@ class TestEngineEquivalence:
         ]
         assert reference.cost == vectorized.cost
 
+    def test_stochastic_engines_leave_the_generator_alike(self, workload):
+        offers, target = workload
+        start = greedy_schedule(offers, target)
+        states = []
+        for engine in ("reference", "vectorized"):
+            rng = np.random.default_rng(9)
+            improve_schedule(start, rng, iterations=400, engine=engine)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+
     def test_stochastic_engine_validated(self, workload):
         offers, target = workload
         result = greedy_schedule(offers[:2], target)
@@ -450,9 +460,114 @@ class TestStochasticImprovement:
         improved = improve_schedule(bad, np.random.default_rng(3), iterations=500)
         assert improved.cost < bad.cost
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"improve_iterations": 2.5},
+            {"improve_iterations": True},
+            {"improve_iterations": -1},
+            {"improve_iterations": "3"},
+            {"improve_seed": "x"},
+            {"improve_seed": -1},
+            {"improve_seed": False},
+            {"improve_seed": 1.0},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()),
+    )
+    def test_config_rejects_non_integer_budgets_and_seeds(self, kwargs):
+        # Each used to construct, then fail with a bare TypeError once
+        # improvement ran (or, for True, silently run one iteration).
+        with pytest.raises(SchedulingError, match=next(iter(kwargs))):
+            ScheduleConfig(**kwargs)
+
+    def test_config_accepts_integer_budgets_and_seeds(self):
+        config = ScheduleConfig(improve_iterations=np.int64(3), improve_seed=0)
+        assert (config.improve_iterations, config.improve_seed) == (3, 0)
+
     def test_zero_iterations_identity(self):
         axis = axis_for_days(START, 1)
         target = TimeSeries.full(axis, 0.2)
         result = greedy_schedule([offer(0.0, 2.0)], target)
         same = improve_schedule(result, np.random.default_rng(0), iterations=0)
         assert same.cost == result.cost
+
+
+class TestLockstepDecisions:
+    """The block scoring of :mod:`repro.scheduling.stochastic` never
+    decides a move the sequential arithmetic would decide otherwise."""
+
+    def test_a_move_back_to_the_current_start_is_rejected(self, monkeypatch):
+        # One inflexible offer on a flat target, with dyadic numbers so the
+        # residual arithmetic is exact: every move goes back to the current
+        # start, both gains are exactly equal, and the sequential rule
+        # (`gain_new <= gain_old` rejects) must keep the schedule as is.
+        from repro.scheduling import stochastic
+
+        axis = axis_for_days(START, 1)
+        target = TimeSeries.full(axis, 0.5)
+        fixed = FlexOffer(
+            earliest_start=START + timedelta(hours=3),
+            latest_start=START + timedelta(hours=3),
+            slices=(ProfileSlice(0.25, 1.0), ProfileSlice(0.25, 1.0)),
+        )
+        result = greedy_schedule([fixed], target)
+        tried = []
+        real_try = stochastic._Lockstep._try
+
+        def spy(self, row):
+            accepted = real_try(self, row)
+            tried.append(accepted)
+            return accepted
+
+        monkeypatch.setattr(stochastic._Lockstep, "_try", spy)
+        improved = improve_schedule(result, np.random.default_rng(0), iterations=40)
+        # The block cannot prove an exact tie a rejection: each move is
+        # re-scored exactly, and rejected.
+        assert tried == [False] * 40
+        assert [(s.start, s.slice_energies) for s in improved.schedules] == [
+            (s.start, s.slice_energies) for s in result.schedules
+        ]
+        reference = improve_schedule(
+            result, np.random.default_rng(0), iterations=40, engine="reference"
+        )
+        assert improved.demand.values.tobytes() == reference.demand.values.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 40),
+        pad=st.integers(0, 5),
+        scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e3, 1e9]),
+    )
+    def test_block_margin_is_within_tol_of_the_exact_margin(self, data, n, pad, scale):
+        from fractions import Fraction
+
+        from repro.scheduling.greedy import _placement_gain, _water_fill
+        from repro.scheduling.stochastic import _block_margins
+
+        def vector(label):
+            values = data.draw(
+                st.lists(
+                    st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+                    min_size=n,
+                    max_size=n,
+                ),
+                label=label,
+            )
+            return np.array(values) * scale
+
+        window, old, current = vector("window"), vector("old"), vector("current")
+        lows = np.minimum(vector("lows"), 0.5 * scale)
+        highs = lows + np.abs(vector("widths"))
+        fill = _water_fill(window, lows, highs)
+
+        def padded(row):
+            return np.concatenate([row, np.zeros(pad)])[None, :]
+
+        margin, tol = _block_margins(
+            padded(window), padded(fill), padded(old), padded(current), np.array([n])
+        )
+        exact = Fraction(_placement_gain(window, fill)) - Fraction(
+            _placement_gain(old, current)
+        )
+        assert abs(Fraction(float(margin[0])) - exact) <= Fraction(float(tol[0]))

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     ExtractorSpec,
@@ -48,6 +50,7 @@ from repro.flexoffer.model import FlexOffer, ProfileSlice
 from repro.flexoffer.schedule import ScheduledFlexOffer, schedules_to_series
 from repro.pipeline.fleet import FleetPipeline, fleet_zoned_target
 from repro.scheduling.greedy import ScheduleConfig, ScheduleResult, greedy_schedule
+from repro.scheduling.stochastic import improve_many, improve_schedule, improve_scope
 from repro.scheduling.zones import (
     MarketZone,
     ZonedScheduleResult,
@@ -594,3 +597,163 @@ class TestImproverGolden:
     def test_improved_zones_match_golden(self, golden, seed, iterations, kind):
         result = schedule_zones(*_improver_case(seed, iterations, kind))
         assert _zone_digests(result) == golden[f"seed{seed}-it{iterations}-{kind}"]
+
+
+def _placements(result: ScheduleResult) -> tuple:
+    """Everything an improved schedule decides, bit for bit."""
+    return (
+        [(s.offer.offer_id, s.start, s.slice_energies) for s in result.schedules],
+        result.demand.values.tobytes(),
+        [offer.offer_id for offer in result.unplaced],
+    )
+
+
+def _assert_lockstep_matches_reference(results, iterations: int, seeds) -> None:
+    """:func:`improve_many` ≡ each zone's ``engine="reference"`` run, with
+    every generator left in the sequential run's state."""
+    lockstep_rngs = [np.random.default_rng(seed) for seed in seeds]
+    reference_rngs = [np.random.default_rng(seed) for seed in seeds]
+    improved = improve_many(results, lockstep_rngs, iterations)
+    reference = [
+        improve_schedule(result, rng, iterations=iterations, engine="reference")
+        for result, rng in zip(results, reference_rngs)
+    ]
+    assert [_placements(r) for r in improved] == [_placements(r) for r in reference]
+    assert [rng.bit_generator.state for rng in lockstep_rngs] == [
+        rng.bit_generator.state for rng in reference_rngs
+    ]
+
+
+def _improver_offer(axis: TimeAxis, first: int, flex: int, durations, rng) -> FlexOffer:
+    """An offer starting ``first`` intervals into ``axis`` (may be negative
+    or past the end) with ``flex`` intervals of start flexibility."""
+    slices = []
+    for duration in durations:
+        low = float(rng.uniform(0.0, 0.4)) * duration
+        slices.append(ProfileSlice(low, low + float(rng.uniform(0.0, 0.6)) * duration, duration))
+    earliest = axis.start + axis.resolution * first
+    return FlexOffer(
+        earliest_start=earliest,
+        latest_start=earliest + axis.resolution * flex,
+        slices=tuple(slices),
+    )
+
+
+@st.composite
+def improver_zones(draw):
+    """1–5 zones of greedy schedules: random or flat targets, profiles of
+    1–40 intervals with multi-interval slices, offers with no start on the
+    axis, starts that overrun the axis end, and zones left empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    results = []
+    for _ in range(draw(st.integers(1, 5))):
+        length = draw(st.integers(4, 120))
+        axis = TimeAxis(start=START, resolution=timedelta(minutes=15), length=length)
+        values = (
+            np.full(length, 0.5)
+            if draw(st.booleans())
+            else rng.uniform(-0.2, 1.5, length)
+        )
+        offers = []
+        for _ in range(draw(st.integers(0, 6))):
+            durations = draw(st.lists(st.integers(1, 4), min_size=1, max_size=10))
+            while sum(durations) > 40:
+                durations.pop()
+            first = draw(st.integers(-10, length + 4))
+            flex = draw(st.integers(0, 30))
+            offers.append(_improver_offer(axis, first, flex, durations, rng))
+        results.append(greedy_schedule(offers, TimeSeries(axis, values)))
+    return results
+
+
+class TestLockstepImprover:
+    """One lockstep run over every zone ≡ each zone's sequential run."""
+
+    @staticmethod
+    def greedy_zones(seed: int, kind: str) -> list[ScheduleResult]:
+        aggregates, zoned, _ = _improver_case(seed, 0, kind)
+        buckets = assign_zones(aggregates, zoned)
+        return [
+            greedy_schedule([a.offer for a in buckets[zone.name]], zone.target)
+            for zone in zoned.zones
+        ]
+
+    @pytest.mark.parametrize("seed, kind", [(5, "plain"), (11, "flat")])
+    def test_lockstep_matches_per_zone_reference(self, seed, kind):
+        results = self.greedy_zones(seed, kind)
+        _assert_lockstep_matches_reference(results, 2000, [seed] * len(results))
+
+    @settings(max_examples=60, deadline=None)
+    @given(results=improver_zones(), iterations=st.integers(0, 400), seed=st.integers(0, 99))
+    def test_any_zones_match_reference(self, results, iterations, seed):
+        seeds = [seed + index for index in range(len(results))]
+        _assert_lockstep_matches_reference(results, iterations, seeds)
+
+    def test_edge_zones_match_reference(self):
+        # A zone with no offers, a zone whose only offer has no start on
+        # the axis, and a zone whose offer has starts past the axis end
+        # (each one burns a draw without a move).
+        axis = TimeAxis(start=START, resolution=timedelta(minutes=15), length=12)
+        target = TimeSeries(axis, np.random.default_rng(3).uniform(0, 1, 12))
+        rng = np.random.default_rng(4)
+        off_axis = _improver_offer(axis, 14, 2, [1, 2], rng)
+        overrun = _improver_offer(axis, 6, 5, [2, 3], rng)
+        inside = _improver_offer(axis, 0, 8, [1, 1], rng)
+        results = [
+            greedy_schedule([], target),
+            greedy_schedule([off_axis], target),
+            greedy_schedule([overrun, inside], target),
+        ]
+        assert not results[0].schedules and not results[1].schedules
+        assert results[1].unplaced == [off_axis]
+        _assert_lockstep_matches_reference(results, 300, [1, 2, 3])
+
+    def test_zones_improve_in_one_run_with_one_call_per_zone(self, monkeypatch):
+        # Whatever watches improve_schedule still sees one call per zone,
+        # while a single lockstep run answers all of them.
+        from repro.scheduling import stochastic, zones
+
+        runs, calls = [], []
+        real_many, real_one = stochastic.improve_many, zones.improve_schedule
+
+        def improve_many_spy(results, rngs, iterations):
+            runs.append(len(results))
+            return real_many(results, rngs, iterations)
+
+        def improve_schedule_spy(result, rng, iterations=500, engine="vectorized"):
+            calls.append(iterations)
+            return real_one(result, rng, iterations=iterations, engine=engine)
+
+        monkeypatch.setattr(stochastic, "improve_many", improve_many_spy)
+        monkeypatch.setattr(zones, "improve_schedule", improve_schedule_spy)
+        aggregates, zoned, config = _improver_case(7, 50, "plain")
+        result = schedule_zones(aggregates, zoned, config)
+        assert runs == [4]
+        assert calls == [50] * 4
+        assert _zone_digests(result) == json.loads(
+            (GOLDEN / "zoned_improver_digests.json").read_text()
+        )["seed7-it50-plain"]
+
+    def test_scope_answers_each_member_once(self):
+        results = self.greedy_zones(5, "plain")[:2]
+        rngs = [np.random.default_rng(1), np.random.default_rng(1)]
+        with improve_scope(results, rngs, 30):
+            first = improve_schedule(results[0], rngs[0], iterations=30)
+            second = improve_schedule(results[1], rngs[1], iterations=30)
+            # Calls the scope does not cover run on their own: a repeat
+            # call draws on from where the lockstep run left the generator.
+            repeat = improve_schedule(results[0], rngs[0], iterations=30)
+            other = improve_schedule(results[1], np.random.default_rng(1), iterations=31)
+
+        def reference(result, rng, iterations=30):
+            return improve_schedule(result, rng, iterations=iterations, engine="reference")
+
+        rng = np.random.default_rng(1)
+        assert _placements(first) == _placements(reference(results[0], rng))
+        assert _placements(repeat) == _placements(reference(results[0], rng))
+        assert _placements(second) == _placements(
+            reference(results[1], np.random.default_rng(1))
+        )
+        assert _placements(other) == _placements(
+            reference(results[1], np.random.default_rng(1), 31)
+        )

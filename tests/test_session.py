@@ -569,6 +569,43 @@ class TestRandomChunkingProperty:
         assert results_identical(final.fleet_result(), oneshot)
 
 
+class TestResumedJobSeeding:
+    def test_resumed_jobs_are_not_seeded(self, monkeypatch):
+        # A resumed job's generator state comes from its checkpoint, so
+        # only the cold job is seeded from its index; the resumed ones share
+        # one generator and still reproduce the cold offers.
+        from repro.evaluation.comparison import SEED_STRIDE
+        from repro.pipeline.fleet import extract_households
+
+        fleet = small_fleet(n=3, days=3, seed=8)
+        extractor = create_extractor("peak-based")
+        jobs = [
+            (index, trace.config.household_id, input_series_for(extractor, trace))
+            for index, trace in enumerate(fleet)
+        ]
+        cold, _ = extract_households(extractor, 5, jobs, [None] * len(jobs))
+        per_day = jobs[0][2].axis.intervals_per_day
+        checkpoints = [
+            None,
+            cold[1].trail.checkpoint(1, per_day, cold[1].offers),
+            cold[2].trail.checkpoint(2, 2 * per_day, cold[2].offers),
+        ]
+        seeds = []
+        real = np.random.default_rng
+
+        def default_rng(*args):
+            seeds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        warm, _ = extract_households(extractor, 5, jobs, checkpoints)
+        assert [h.offers for h in warm] == [h.offers for h in cold]
+        assert [h.summary for h in warm[:1]] == [h.summary for h in cold[:1]]
+        assert len(seeds) == 2
+        assert (5 + SEED_STRIDE,) not in seeds
+        assert (5 + 2 * SEED_STRIDE,) not in seeds
+
+
 class TestDayCheckpointProperty:
     """Hypothesis: day-checkpointed replans equal cold re-extraction.
 
