@@ -1083,7 +1083,7 @@ PRESETS: Mapping[str, Preset] = MappingProxyType(
             Preset(
                 name="zones",
                 description="zone-sharded multi-market scheduling, vectorized "
-                "vs reference engine",
+                "vs reference engine; lockstep improver vs per-zone reference",
                 artefact="BENCH_zones.json",
                 defaults=_aggregate_defaults(zones=4),
                 run=run_zones,

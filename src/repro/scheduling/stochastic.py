@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import timedelta
 
 import numpy as np
@@ -85,7 +85,7 @@ class _Scope:
     rngs: list[np.random.Generator]
     iterations: int
     improved: list[ScheduleResult] | None = None
-    answered: set[int] | None = None
+    answered: set[int] = field(default_factory=set)
 
     def resolve(
         self, result: ScheduleResult, rng: np.random.Generator, iterations: int
@@ -98,7 +98,6 @@ class _Scope:
             if member is result and generator is rng:
                 if self.improved is None:
                     self.improved = improve_many(self.results, self.rngs, iterations)
-                    self.answered = set()
                 if index in self.answered:
                     return None
                 self.answered.add(index)

@@ -624,14 +624,17 @@ def _assert_lockstep_matches_reference(results, iterations: int, seeds) -> None:
     ]
 
 
-def _improver_offer(axis: TimeAxis, first: int, flex: int, durations, rng) -> FlexOffer:
-    """An offer starting ``first`` intervals into ``axis`` (may be negative
-    or past the end) with ``flex`` intervals of start flexibility."""
+def _improver_offer(
+    axis: TimeAxis, first: int, flex: int, durations, rng, minutes: int = 0
+) -> FlexOffer:
+    """An offer starting ``first`` intervals (plus ``minutes``, off the
+    grid) into ``axis`` — possibly before it or past its end — with
+    ``flex`` intervals of start flexibility."""
     slices = []
     for duration in durations:
         low = float(rng.uniform(0.0, 0.4)) * duration
         slices.append(ProfileSlice(low, low + float(rng.uniform(0.0, 0.6)) * duration, duration))
-    earliest = axis.start + axis.resolution * first
+    earliest = axis.start + axis.resolution * first + timedelta(minutes=minutes)
     return FlexOffer(
         earliest_start=earliest,
         latest_start=earliest + axis.resolution * flex,
@@ -642,8 +645,9 @@ def _improver_offer(axis: TimeAxis, first: int, flex: int, durations, rng) -> Fl
 @st.composite
 def improver_zones(draw):
     """1–5 zones of greedy schedules: random or flat targets, profiles of
-    1–40 intervals with multi-interval slices, offers with no start on the
-    axis, starts that overrun the axis end, and zones left empty."""
+    1–40 intervals with multi-interval slices, offers off the interval
+    grid, offers with no start on the axis, starts that overrun the axis
+    end, and zones left empty."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     results = []
     for _ in range(draw(st.integers(1, 5))):
@@ -661,7 +665,8 @@ def improver_zones(draw):
                 durations.pop()
             first = draw(st.integers(-10, length + 4))
             flex = draw(st.integers(0, 30))
-            offers.append(_improver_offer(axis, first, flex, durations, rng))
+            minutes = draw(st.sampled_from([0, 0, 7, 14]))
+            offers.append(_improver_offer(axis, first, flex, durations, rng, minutes))
         results.append(greedy_schedule(offers, TimeSeries(axis, values)))
     return results
 
