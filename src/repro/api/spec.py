@@ -34,6 +34,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta
+from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any
@@ -77,6 +78,13 @@ def _type_names(types: tuple[type, ...]) -> str:
     return "/".join(t.__name__ for t in types)
 
 
+def _check_count(value: Any, where: str) -> None:
+    """Seeds and iteration budgets are non-negative integers; numpy and the
+    improver reject the rest only once the run has started."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
+        raise SpecError(f"{where} must be an integer >= 0, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ScenarioSpec:
     """Which simulated fleet a run operates on.
@@ -95,8 +103,7 @@ class ScenarioSpec:
             raise SpecError("scenario.households must be >= 1")
         if self.days < 1:
             raise SpecError("scenario.days must be >= 1")
-        if self.seed < 0:
-            raise SpecError(f"scenario.seed must be >= 0, got {self.seed}")
+        _check_count(self.seed, "scenario.seed")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -379,10 +386,7 @@ class ZoneSpec:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise SpecError("zone.name must be a non-empty string")
-        if self.target_seed < 0:
-            raise SpecError(
-                f"zone {self.name!r}: target_seed must be >= 0, got {self.target_seed}"
-            )
+        _check_count(self.target_seed, f"zone {self.name!r}: target_seed")
         if self.target_kwh is not None and self.target_kwh <= 0:
             raise SpecError(f"zone {self.name!r}: target_kwh must be > 0 (or null)")
         if self.price_floor < 0 or self.price_cap < 0:
@@ -511,13 +515,8 @@ class ScheduleSpec:
             )
         if self.target_kwh is not None and self.target_kwh <= 0:
             raise SpecError("schedule.target_kwh must be > 0 (or null)")
-        if self.improve_iterations < 0:
-            raise SpecError("schedule.improve_iterations must be >= 0")
-        for key in ("target_seed", "improve_seed"):
-            if getattr(self, key) < 0:
-                raise SpecError(
-                    f"schedule.{key} must be >= 0, got {getattr(self, key)}"
-                )
+        for key in ("target_seed", "improve_iterations", "improve_seed"):
+            _check_count(getattr(self, key), f"schedule.{key}")
         if self.market is not None and not self.zones:
             raise SpecError(
                 "schedule.market requires schedule.zones: merit-order "

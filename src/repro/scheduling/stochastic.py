@@ -187,9 +187,6 @@ def _improve_reference(
     )
 
 
-
-
-
 def improve_many(
     results: Sequence[ScheduleResult],
     rngs: Sequence[np.random.Generator],
@@ -283,7 +280,8 @@ class _Lockstep:
         # Interval rows: slice values divided by their durations, repeated.
         durations = np.array(durations)
         owner = np.repeat(np.arange(offers), self.size)
-        column = np.arange(owner.size) - np.repeat(np.cumsum(self.size) - self.size, self.size)
+        row_start = np.cumsum(self.size) - self.size
+        column = np.arange(owner.size) - np.repeat(row_start, self.size)
         self.bounds = np.zeros((2, offers, width))
         self.bounds[0, owner, column] = np.repeat(np.array(e_min) / durations, durations)
         self.bounds[1, owner, column] = np.repeat(np.array(e_max) / durations, durations)
@@ -381,16 +379,14 @@ class _Lockstep:
         it, since every later move of the round was scored against the
         residual before the accepted move.
         """
-        live = [zone for zone in range(len(self.results)) if self.next[zone] < self.end[zone]]
+        live = [zone for zone, end in enumerate(self.end) if self.next[zone] < end]
         while live:
+            stops = [min(self.next[zone] + _LOOKAHEAD, self.end[zone]) for zone in live]
             rows = np.concatenate(
-                [
-                    np.arange(self.next[zone], min(self.next[zone] + _LOOKAHEAD, self.end[zone]))
-                    for zone in live
-                ]
+                [np.arange(self.next[zone], stop) for zone, stop in zip(live, stops)]
             )
-            for zone in live:
-                self.next[zone] = min(self.next[zone] + _LOOKAHEAD, self.end[zone])
+            for zone, stop in zip(live, stops):
+                self.next[zone] = stop
             moved: set[int] = set()
             for row in rows[self._undecided(rows)].tolist():
                 zone = self.move_zone[row]

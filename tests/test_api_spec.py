@@ -192,8 +192,18 @@ class TestScheduleSpec:
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = -1
-        with pytest.raises(SpecError, match=f"{path[-1]} must be >= 0, got -1"):
+        with pytest.raises(SpecError, match=f"{path[-1]} must be an integer >= 0, got -1"):
             RunSpec.from_dict(data)
+
+    @pytest.mark.parametrize("seed", ["x", 2.0, True, -3])
+    def test_direct_construction_checks_seeds(self, seed):
+        with pytest.raises(SpecError, match="scenario.seed must be an integer"):
+            ScenarioSpec(seed=seed)
+        with pytest.raises(SpecError, match="target_seed must be an integer"):
+            ZoneSpec(name="north", target_seed=seed)
+        for key in ("target_seed", "improve_iterations", "improve_seed"):
+            with pytest.raises(SpecError, match=f"schedule.{key} must be an integer"):
+                ScheduleSpec(**{key: seed})
 
     def test_constants_stay_in_sync_with_the_scheduling_layer(self):
         # The spec layer duplicates the order/engine vocabularies to stay

@@ -633,7 +633,8 @@ def _improver_offer(
     slices = []
     for duration in durations:
         low = float(rng.uniform(0.0, 0.4)) * duration
-        slices.append(ProfileSlice(low, low + float(rng.uniform(0.0, 0.6)) * duration, duration))
+        high = low + float(rng.uniform(0.0, 0.6)) * duration
+        slices.append(ProfileSlice(low, high, duration))
     earliest = axis.start + axis.resolution * first + timedelta(minutes=minutes)
     return FlexOffer(
         earliest_start=earliest,
@@ -689,7 +690,11 @@ class TestLockstepImprover:
         _assert_lockstep_matches_reference(results, 2000, [seed] * len(results))
 
     @settings(max_examples=60, deadline=None)
-    @given(results=improver_zones(), iterations=st.integers(0, 400), seed=st.integers(0, 99))
+    @given(
+        results=improver_zones(),
+        iterations=st.integers(0, 400),
+        seed=st.integers(0, 99),
+    )
     def test_any_zones_match_reference(self, results, iterations, seed):
         seeds = [seed + index for index in range(len(results))]
         _assert_lockstep_matches_reference(results, iterations, seeds)
