@@ -549,13 +549,11 @@ def run_zones(aggregates: int, days: int, seed: int, zones: int):
             IMPROVE_ITERATIONS,
         )
     )
-    improve_identical = [
-        [(s.start, s.slice_energies) for s in result.schedules]
-        for result in improve_reference
-    ] == [
-        [(s.start, s.slice_energies) for s in result.schedules]
-        for result in improve_lockstep
-    ]
+
+    def placements(results):
+        return [[(s.start, s.slice_energies) for s in r.schedules] for r in results]
+
+    improve_identical = placements(improve_reference) == placements(improve_lockstep)
 
     report = {
         "workload": {

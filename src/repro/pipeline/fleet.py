@@ -473,9 +473,13 @@ def extract_households(
         checkpoints = [None] * len(jobs)
     timings = {"disaggregate": 0.0, "extract": 0.0}
     outputs: list[HouseholdOutput] = []
-    # A resumed job's generator is overwritten from its checkpoint, so
+    # A resumed job's generator state is restored from its checkpoint, so
     # resumed jobs share one generator instead of seeding their own.
-    resumed_rng: np.random.Generator | None = None
+    resumed_rng = (
+        np.random.default_rng(seed)
+        if any(checkpoint is not None for checkpoint in checkpoints)
+        else None
+    )
     for first in range(0, len(jobs), _TILE_WIDTH):
         tile = jobs[first : first + _TILE_WIDTH]
         resumes = checkpoints[first : first + _TILE_WIDTH]
@@ -492,12 +496,11 @@ def extract_households(
         for position, ((index, household_id, series), checkpoint) in enumerate(
             zip(tile, resumes)
         ):
-            if checkpoint is None:
-                rng = np.random.default_rng(seed + SEED_STRIDE * index)
-            else:
-                if resumed_rng is None:
-                    resumed_rng = np.random.default_rng(seed)
-                rng = resumed_rng
+            rng = (
+                np.random.default_rng(seed + SEED_STRIDE * index)
+                if checkpoint is None
+                else resumed_rng
+            )
             minted = 0 if checkpoint is None else checkpoint.ids_minted
             t0 = time.perf_counter()
             with offer_id_scope(f"h{index}", start=minted):
