@@ -8,11 +8,23 @@ registered approaches to run with which parameters
 (:class:`ExtractorSpec`), and how to batch/group the fleet execution
 (:class:`PipelineSpec`).
 
-All spec classes are frozen dataclasses with strict ``to_dict`` /
-``from_dict`` / JSON round-trips: unknown keys, wrong types and
-unsupported versions raise :class:`~repro.errors.SpecError` naming the
-offending path, and ``RunSpec.from_dict(spec.to_dict()) == spec`` holds
-for every valid spec (property-tested).
+All spec classes are frozen dataclasses sharing one codec: ``to_dict`` and
+``from_dict`` are :func:`encode` and :func:`decode`, driven by the
+dataclass fields and their annotations.  The wire quirks are field or
+class data, not code: :class:`RunSpec`'s key order, keys omitted while a
+field holds its default (``_OPTIONAL``), the ISO ``start``, ints widened to
+float on decode only (a spec built in code keeps encoding what it was
+given), lists read as tuples, and nested specs.
+
+Validation has one path: every check, type and range, runs in
+``__post_init__``, so a spec built in code and a decoded one meet the same
+rules and raise :class:`~repro.errors.SpecError` naming the offending
+field.  The stage specs state no rule of the layer they configure:
+:class:`MarketSpec`, :class:`RobustSpec` and the placement fields of
+:class:`ScheduleSpec` are checked by building the config they mirror, and
+its error is re-raised as a ``SpecError`` naming the path.  Unknown keys
+and unsupported versions raise too, and ``RunSpec.from_dict(spec.to_dict())
+== spec`` holds for every valid spec (property-tested).
 
 Example spec file (``examples/specs/smoke.json``)::
 
@@ -31,15 +43,17 @@ Example spec file (``examples/specs/smoke.json``)::
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timedelta
-from numbers import Integral
+from functools import cache
+from numbers import Integral, Real
 from pathlib import Path
-from types import MappingProxyType
-from typing import Any
+from types import MappingProxyType, NoneType, UnionType
+from typing import Any, TypeVar, get_args, get_origin, get_type_hints
 
-from repro.errors import SpecError
+from repro.errors import ReproError, SpecError
 
 #: Wire-format version of the spec layer; bump on incompatible change.
 SPEC_VERSION = 1
@@ -52,41 +66,185 @@ RUN_KINDS: tuple[str, ...] = ("fleet", "compare", "bench")
 #: spec layer stays import-light).
 DEFAULT_START = datetime(2012, 3, 5)
 
+#: Target-series kinds the schedule stage can synthesise declaratively.
+SCHEDULE_TARGETS: tuple[str, ...] = ("wind", "flat")
 
-def _require_keys(data: Mapping[str, Any], allowed: tuple[str, ...], where: str) -> None:
-    if not isinstance(data, Mapping):
-        raise SpecError(f"{where}: expected a mapping, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise SpecError(
-            f"{where}: unknown key(s) {', '.join(repr(k) for k in unknown)}; "
-            f"allowed: {', '.join(allowed)}"
-        )
+#: Field metadata: the wire format omits the key while the field holds its
+#: default, so documents written before the field existed load and
+#: re-encode unchanged.
+_OPTIONAL = {"optional": True}
+#: Field metadata: a seed, an integer >= 0 (numpy rejects the rest only
+#: once the run has started).
+_SEED = {"seed": True}
+#: Field metadata: checked by the config of the stage the spec mirrors.
+_STAGE = {"stage": True}
+
+#: Accepted types of the scalar annotations: ``bool`` is neither.
+_SCALARS: dict[Any, tuple[type, str]] = {int: (Integral, "int"), float: (Real, "int/float")}
+
+S = TypeVar("S", bound="_Spec")
 
 
-def _require_type(value: Any, types: tuple[type, ...], where: str) -> Any:
-    if isinstance(value, bool) and bool not in types:
-        raise SpecError(f"{where}: expected {_type_names(types)}, got bool")
-    if not isinstance(value, types):
-        raise SpecError(
-            f"{where}: expected {_type_names(types)}, got {type(value).__name__}"
-        )
+class _Spec:
+    """The codec every spec class shares."""
+
+    __slots__ = ()
+    #: Where the class sits in a run-spec document, for error messages.
+    _path = ""
+    #: Key order on the wire, when it is not the field order.
+    _wire_order: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict[str, Any]:
+        return encode(self)
+
+    @classmethod
+    def from_dict(cls: type[S], data: Mapping[str, Any]) -> S:
+        return decode(cls, data)
+
+
+def encode(spec: _Spec) -> dict[str, Any]:
+    """The JSON mapping of ``spec``."""
+    by_name = {f.name: f for f in fields(spec)}
+    encoded: dict[str, Any] = {}
+    for name in spec._wire_order or by_name:
+        value = getattr(spec, name)
+        if by_name[name].metadata.get("optional") and value == by_name[name].default:
+            continue
+        encoded[name] = _to_wire(value)
+    return encoded
+
+
+def _to_wire(value: Any) -> Any:
+    if isinstance(value, _Spec):
+        return encode(value)
+    if isinstance(value, tuple):
+        return [_to_wire(item) for item in value]
+    if isinstance(value, datetime):
+        return value.isoformat()
+    if isinstance(value, Mapping):
+        return dict(value)
     return value
 
 
-def _type_names(types: tuple[type, ...]) -> str:
-    return "/".join(t.__name__ for t in types)
+def decode(cls: type[S], data: Any) -> S:
+    """The ``cls`` spec a JSON mapping describes; ``cls`` checks the values."""
+    where = cls._path
+    if not isinstance(data, Mapping):
+        raise SpecError(f"{where}: expected a mapping, got {type(data).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = set(data) - set(names)
+    if unknown:
+        raise SpecError(
+            f"{where}: unknown key(s) {', '.join(sorted(map(repr, unknown)))}; "
+            f"allowed: {', '.join(names)}"
+        )
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+            raise SpecError(f"{where}: missing required key {f.name!r}")
+    hints = _hints(cls)
+    return cls(
+        **{
+            name: _from_wire(hints[name], value, f"{where}.{name}")
+            for name, value in data.items()
+        }
+    )
 
 
-def _check_count(value: Any, where: str) -> None:
-    """Seeds and iteration budgets are non-negative integers; numpy and the
-    improver reject the rest only once the run has started."""
-    if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
-        raise SpecError(f"{where} must be an integer >= 0, got {value!r}")
+def _from_wire(hint: Any, value: Any, where: str) -> Any:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return None if value is None else _from_wire(_inner(args), value, where)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(_from_wire(args[0], item, f"{where}[]") for item in value)
+    if isinstance(hint, type) and issubclass(hint, _Spec):
+        return decode(hint, value)
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise SpecError(f"{where}: {exc}") from exc
+    if hint is datetime:
+        if not isinstance(value, str):
+            raise SpecError(
+                f"{where}: expected an ISO date string, got {type(value).__name__}"
+            )
+        try:
+            return datetime.fromisoformat(value)
+        except ValueError as exc:
+            raise SpecError(f"{where}: {exc}") from exc
+    return value
+
+
+@cache
+def _hints(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _inner(args: tuple[Any, ...]) -> Any:
+    """``X`` of the annotation ``X | None``."""
+    return next(arg for arg in args if arg is not NoneType)
+
+
+def _check_fields(spec: _Spec) -> None:
+    """Check every field of ``spec`` against its annotation (first, so the
+    range rules compare values of the right type)."""
+    hints = _hints(type(spec))
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        where = f"{spec._path}.{f.name}"
+        if f.metadata.get("seed"):
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
+                raise SpecError(f"{where} must be an integer >= 0, got {value!r}")
+            continue
+        if f.metadata.get("stage"):
+            # The stage config checks the value; only the shape is fixed here.
+            checked = tuple(value) if isinstance(value, list) else value
+        else:
+            checked = _check(hints[f.name], value, where)
+        if checked is not value:
+            object.__setattr__(spec, f.name, checked)
+
+
+def _check(hint: Any, value: Any, where: str) -> Any:
+    """``value`` as the type ``hint`` declares (lists as tuples, mappings
+    frozen), or a :class:`SpecError` naming ``where``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return None if value is None else _check(_inner(args), value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _wrong_type(where, "list", value)
+        return tuple(_check(args[0], item, f"{where}[]") for item in value)
+    if origin is Mapping:
+        if not isinstance(value, Mapping):
+            raise _wrong_type(where, "mapping", value)
+        for key in value:
+            _check(args[0], key, f"{where} key")
+        # MappingProxyType compares by its underlying dict, so dataclass
+        # equality (and the round-trip property) still holds.
+        return MappingProxyType(dict(value))
+    expected, label = _SCALARS.get(hint, (hint, hint.__name__))
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise _wrong_type(where, label, value)
+    if hint is float and not -math.inf < value < math.inf:
+        raise SpecError(f"{where} must be finite, got {value!r}")
+    return value
+
+
+def _wrong_type(where: str, label: str, value: Any) -> SpecError:
+    return SpecError(f"{where}: expected {label}, got {type(value).__name__}")
+
+
+def _check_stage(spec: Any) -> None:
+    """Check a stage spec by building the config it mirrors."""
+    try:
+        spec.config()
+    except ReproError as exc:
+        raise SpecError(f"{spec._path}.{exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """Which simulated fleet a run operates on.
 
     The simulation is fully deterministic in (households, days, seed,
@@ -95,61 +253,38 @@ class ScenarioSpec:
 
     households: int = 4
     days: int = 7
-    seed: int = 0
+    seed: int = field(default=0, metadata=_SEED)
     start: datetime = DEFAULT_START
 
+    _path = "scenario"
+
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.households < 1:
             raise SpecError("scenario.households must be >= 1")
         if self.days < 1:
             raise SpecError("scenario.days must be >= 1")
-        _check_count(self.seed, "scenario.seed")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "households": self.households,
-            "days": self.days,
-            "seed": self.seed,
-            "start": self.start.isoformat(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        _require_keys(data, ("households", "days", "seed", "start"), "scenario")
-        kwargs: dict[str, Any] = {}
-        for key in ("households", "days", "seed"):
-            if key in data:
-                kwargs[key] = _require_type(data[key], (int,), f"scenario.{key}")
-        if "start" in data:
-            raw = _require_type(data["start"], (str,), "scenario.start")
-            try:
-                kwargs["start"] = datetime.fromisoformat(raw)
-            except ValueError as exc:
-                raise SpecError(f"scenario.start: {exc}") from exc
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True, slots=True)
-class ExtractorSpec:
+class ExtractorSpec(_Spec):
     """One registered approach plus its flat parameter overrides.
 
     ``params`` values must be JSON scalars (or lists thereof); they are
     routed through :func:`repro.api.registry.create_extractor`, which
-    owns the name→class mapping and parameter validation.
+    owns the name→class mapping and parameter validation.  The mapping is
+    frozen, so the spec is immutable end to end.
     """
 
     name: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
+    _path = "extractor"
+
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
+        _check_fields(self)
+        if not self.name:
             raise SpecError("extractor.name must be a non-empty string")
-        if not isinstance(self.params, Mapping):
-            raise SpecError("extractor.params must be a mapping")
-        # Freeze the parameter mapping so the spec is immutable end to end.
-        # (MappingProxyType compares by underlying dict, so dataclass
-        # equality — and the round-trip property — still hold.)
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def create(self):
         """Instantiate via the registry (the only construction path)."""
@@ -157,71 +292,29 @@ class ExtractorSpec:
 
         return create_extractor(self.name, **dict(self.params))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExtractorSpec":
-        _require_keys(data, ("name", "params"), "extractor")
-        if "name" not in data:
-            raise SpecError("extractor: missing required key 'name'")
-        name = _require_type(data["name"], (str,), "extractor.name")
-        params = data.get("params", {})
-        _require_type(params, (Mapping,), "extractor.params")
-        return cls(name=name, params=dict(params))
-
-
-#: Target-series kinds the schedule stage can synthesise declaratively.
-SCHEDULE_TARGETS: tuple[str, ...] = ("wind", "flat")
-
-#: Placement orders / engines — mirror ``repro.scheduling.greedy`` (kept in
-#: sync by a test; duplicated here so the spec layer stays import-light).
-#: ``"incremental"`` and ``"auto"`` are legacy aliases of ``"vectorized"``:
-#: a spec keeps (and re-encodes) the name it was given, and only
-#: :meth:`ScheduleSpec.config` resolves it.
-SCHEDULE_ORDERS: tuple[str, ...] = ("least-flexible-first", "largest-first", "as-given")
-SCHEDULE_ENGINES: tuple[str, ...] = ("vectorized", "incremental", "reference", "auto")
-
-#: Market-clearing engines — mirror ``repro.market.model.MARKET_ENGINES``
-#: (kept in sync by a test; duplicated so the spec layer stays import-light).
-MARKET_ENGINES: tuple[str, ...] = ("reference", "vectorized")
-
-#: Risk measures — mirror ``repro.scheduling.robust.RISK_MEASURES`` (kept
-#: in sync by a test; duplicated so the spec layer stays import-light).
-ROBUST_RISKS: tuple[str, ...] = ("expected", "cvar")
-
 
 @dataclass(frozen=True, slots=True)
-class MarketSpec:
+class MarketSpec(_Spec):
     """The declarative merit-order clearing stage of a zoned schedule.
 
-    Mirrors :class:`repro.market.model.MarketConfig`: the target axis is
-    divided into ``slices`` uniform market periods (one uniform clearing
-    price each), ``coupling_kwh`` bounds the cross-zone spill pass (0
-    disables it) and ``engine`` picks the execution plan.  Requires zones
-    with real price bands (``price_floor < price_cap``) — the scheduler
-    rejects clearing on unpriced zones.
+    Mirrors :class:`repro.market.model.MarketConfig`, which checks every
+    field: the target axis is divided into ``slices`` uniform market
+    periods (one uniform clearing price each), ``coupling_kwh`` bounds the
+    cross-zone spill pass (0 disables it) and ``engine`` picks the
+    execution plan.  Requires zones with real price bands
+    (``price_floor < price_cap``) — the scheduler rejects clearing on
+    unpriced zones.
     """
 
-    slices: int = 8
-    coupling_kwh: float = 0.0
-    engine: str = "vectorized"
+    slices: int = field(default=8, metadata=_STAGE)
+    coupling_kwh: float = field(default=0.0, metadata=_STAGE)
+    engine: str = field(default="vectorized", metadata=_STAGE)
+
+    _path = "pipeline.schedule.market"
 
     def __post_init__(self) -> None:
-        if self.slices < 1:
-            raise SpecError(
-                f"schedule.market.slices must be >= 1, got {self.slices}"
-            )
-        if self.coupling_kwh < 0:
-            raise SpecError(
-                f"schedule.market.coupling_kwh must be >= 0, "
-                f"got {self.coupling_kwh}"
-            )
-        if self.engine not in MARKET_ENGINES:
-            raise SpecError(
-                f"schedule.market.engine must be one of "
-                f"{', '.join(MARKET_ENGINES)}, got {self.engine!r}"
-            )
+        _check_fields(self)
+        _check_stage(self)
 
     def config(self):
         """The stage configuration as the market layer's own dataclass."""
@@ -233,82 +326,32 @@ class MarketSpec:
             engine=self.engine,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "slices": self.slices,
-            "coupling_kwh": self.coupling_kwh,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MarketSpec":
-        allowed = tuple(f.name for f in fields(cls))
-        _require_keys(data, allowed, "pipeline.schedule.market")
-        kwargs: dict[str, Any] = {}
-        if "slices" in data:
-            kwargs["slices"] = _require_type(
-                data["slices"], (int,), "pipeline.schedule.market.slices"
-            )
-        if "coupling_kwh" in data:
-            kwargs["coupling_kwh"] = float(
-                _require_type(
-                    data["coupling_kwh"],
-                    (int, float),
-                    "pipeline.schedule.market.coupling_kwh",
-                )
-            )
-        if "engine" in data:
-            kwargs["engine"] = _require_type(
-                data["engine"], (str,), "pipeline.schedule.market.engine"
-            )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True, slots=True)
-class RobustSpec:
+class RobustSpec(_Spec):
     """The declarative uncertainty-aware mode of the schedule stage.
 
-    Mirrors :class:`repro.scheduling.robust.RobustConfig`: placements are
-    scored against a quantile scenario fan instead of the point target
-    alone.  ``quantiles`` are the fan's levels (strictly increasing, in
-    ``(0, 1)``), ``risk`` aggregates the per-scenario gains
-    (``"expected"`` weights them by level mass, ``"cvar"`` plans for the
-    worst ``alpha`` tail), and ``sigma`` is the relative spread of the
-    fan the service synthesises around the target when no explicit
-    forecast fan is supplied.  Plain (non-zoned) targets only.
+    Mirrors :class:`repro.scheduling.robust.RobustConfig`, which checks
+    every field: placements are scored against a quantile scenario fan
+    instead of the point target alone.  ``quantiles`` are the fan's levels
+    (strictly increasing, in ``(0, 1)``), ``risk`` aggregates the
+    per-scenario gains (``"expected"`` weights them by level mass,
+    ``"cvar"`` plans for the worst ``alpha`` tail), and ``sigma`` is the
+    relative spread of the fan the service synthesises around the target
+    when no explicit forecast fan is supplied.  Plain (non-zoned) targets
+    only.
     """
 
-    quantiles: tuple[float, ...] = (0.1, 0.5, 0.9)
-    risk: str = "expected"
-    alpha: float = 0.3
-    sigma: float = 0.25
+    quantiles: tuple[float, ...] = field(default=(0.1, 0.5, 0.9), metadata=_STAGE)
+    risk: str = field(default="expected", metadata=_STAGE)
+    alpha: float = field(default=0.3, metadata=_STAGE)
+    sigma: float = field(default=0.25, metadata=_STAGE)
+
+    _path = "pipeline.schedule.robust"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.quantiles, tuple):
-            object.__setattr__(self, "quantiles", tuple(self.quantiles))
-        if not self.quantiles:
-            raise SpecError("schedule.robust.quantiles must be non-empty")
-        for level in self.quantiles:
-            if not 0.0 < level < 1.0:
-                raise SpecError(
-                    f"schedule.robust.quantiles must lie in (0, 1), got {level}"
-                )
-        if any(b <= a for a, b in zip(self.quantiles, self.quantiles[1:])):
-            raise SpecError(
-                "schedule.robust.quantiles must be strictly increasing, "
-                f"got {self.quantiles}"
-            )
-        if self.risk not in ROBUST_RISKS:
-            raise SpecError(
-                f"schedule.robust.risk must be one of {', '.join(ROBUST_RISKS)}, "
-                f"got {self.risk!r}"
-            )
-        if not 0.0 < self.alpha <= 1.0:
-            raise SpecError(
-                f"schedule.robust.alpha must be in (0, 1], got {self.alpha}"
-            )
-        if self.sigma < 0:
-            raise SpecError(f"schedule.robust.sigma must be >= 0, got {self.sigma}")
+        _check_fields(self)
+        _check_stage(self)
 
     def config(self):
         """The mode configuration as the scheduling layer's own dataclass."""
@@ -321,47 +364,9 @@ class RobustSpec:
             sigma=self.sigma,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "quantiles": list(self.quantiles),
-            "risk": self.risk,
-            "alpha": self.alpha,
-            "sigma": self.sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RobustSpec":
-        allowed = tuple(f.name for f in fields(cls))
-        _require_keys(data, allowed, "pipeline.schedule.robust")
-        kwargs: dict[str, Any] = {}
-        if "quantiles" in data:
-            raw = _require_type(
-                data["quantiles"], (list, tuple), "pipeline.schedule.robust.quantiles"
-            )
-            kwargs["quantiles"] = tuple(
-                float(
-                    _require_type(
-                        q, (int, float), "pipeline.schedule.robust.quantiles[]"
-                    )
-                )
-                for q in raw
-            )
-        if "risk" in data:
-            kwargs["risk"] = _require_type(
-                data["risk"], (str,), "pipeline.schedule.robust.risk"
-            )
-        for key in ("alpha", "sigma"):
-            if key in data:
-                kwargs[key] = float(
-                    _require_type(
-                        data[key], (int, float), f"pipeline.schedule.robust.{key}"
-                    )
-                )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True, slots=True)
-class ZoneSpec:
+class ZoneSpec(_Spec):
     """One declarative market zone of a zoned schedule stage.
 
     The zone's demand profile is synthesised from the enclosing
@@ -377,82 +382,32 @@ class ZoneSpec:
     """
 
     name: str
-    target_seed: int = 0
+    target_seed: int = field(default=0, metadata=_SEED)
     target_kwh: float | None = None
     price_floor: float = 0.0
     price_cap: float = 0.0
     households: tuple[str, ...] = ()
 
+    _path = "pipeline.schedule.zone"
+
     def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise SpecError("zone.name must be a non-empty string")
-        _check_count(self.target_seed, f"zone {self.name!r}: target_seed")
+        _check_fields(self)
+        if not self.name:
+            raise SpecError("pipeline.schedule.zone.name must be a non-empty string")
         if self.target_kwh is not None and self.target_kwh <= 0:
             raise SpecError(f"zone {self.name!r}: target_kwh must be > 0 (or null)")
         if self.price_floor < 0 or self.price_cap < 0:
             raise SpecError(f"zone {self.name!r}: prices must be >= 0")
         if self.price_cap < self.price_floor:
-            raise SpecError(
-                f"zone {self.name!r}: price_cap below price_floor"
-            )
-        if not isinstance(self.households, tuple):
-            object.__setattr__(self, "households", tuple(self.households))
+            raise SpecError(f"zone {self.name!r}: price_cap below price_floor")
         if len(set(self.households)) != len(self.households):
             raise SpecError(
                 f"zone {self.name!r}: duplicate household(s) in households"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "target_seed": self.target_seed,
-            "target_kwh": self.target_kwh,
-            "price_floor": self.price_floor,
-            "price_cap": self.price_cap,
-            "households": list(self.households),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ZoneSpec":
-        allowed = tuple(f.name for f in fields(cls))
-        _require_keys(data, allowed, "pipeline.schedule.zone")
-        if "name" not in data:
-            raise SpecError("pipeline.schedule.zone: missing required key 'name'")
-        kwargs: dict[str, Any] = {
-            "name": _require_type(data["name"], (str,), "pipeline.schedule.zone.name")
-        }
-        if "target_seed" in data:
-            kwargs["target_seed"] = _require_type(
-                data["target_seed"], (int,), "pipeline.schedule.zone.target_seed"
-            )
-        if "target_kwh" in data and data["target_kwh"] is not None:
-            kwargs["target_kwh"] = float(
-                _require_type(
-                    data["target_kwh"],
-                    (int, float),
-                    "pipeline.schedule.zone.target_kwh",
-                )
-            )
-        for key in ("price_floor", "price_cap"):
-            if key in data:
-                kwargs[key] = float(
-                    _require_type(
-                        data[key], (int, float), f"pipeline.schedule.zone.{key}"
-                    )
-                )
-        if "households" in data:
-            raw = _require_type(
-                data["households"], (list, tuple), "pipeline.schedule.zone.households"
-            )
-            kwargs["households"] = tuple(
-                _require_type(h, (str,), "pipeline.schedule.zone.households[]")
-                for h in raw
-            )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True, slots=True)
-class ScheduleSpec:
+class ScheduleSpec(_Spec):
     """The declarative schedule stage: place fleet aggregates on a target.
 
     The target series is synthesised deterministically from the spec —
@@ -469,23 +424,26 @@ class ScheduleSpec:
     (:class:`RobustSpec`) scores placements against a quantile scenario
     fan — the service synthesises the fan from a quantile forecast of the
     target (plain targets only; the key is omitted when absent).  The
-    remaining fields mirror :class:`repro.scheduling.greedy.ScheduleConfig`.
+    remaining fields mirror :class:`repro.scheduling.greedy.ScheduleConfig`,
+    which checks them.  The legacy engine names ``"incremental"`` and
+    ``"auto"`` stay on the wire as given; only the config resolves them.
     """
 
     target: str = "wind"
-    target_seed: int = 2
+    target_seed: int = field(default=2, metadata=_SEED)
     target_kwh: float | None = None
-    order: str = "least-flexible-first"
-    engine: str = "vectorized"
-    improve_iterations: int = 0
-    improve_seed: int = 0
-    zones: tuple[ZoneSpec, ...] = ()
-    market: MarketSpec | None = None
-    robust: RobustSpec | None = None
+    order: str = field(default="least-flexible-first", metadata=_STAGE)
+    engine: str = field(default="vectorized", metadata=_STAGE)
+    improve_iterations: int = field(default=0, metadata=_STAGE)
+    improve_seed: int = field(default=0, metadata=_STAGE)
+    zones: tuple[ZoneSpec, ...] = field(default=(), metadata=_OPTIONAL)
+    market: MarketSpec | None = field(default=None, metadata=_OPTIONAL)
+    robust: RobustSpec | None = field(default=None, metadata=_OPTIONAL)
+
+    _path = "pipeline.schedule"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.zones, tuple):
-            object.__setattr__(self, "zones", tuple(self.zones))
+        _check_fields(self)
         names = [zone.name for zone in self.zones]
         if len(set(names)) != len(names):
             raise SpecError(f"duplicate zone names: {', '.join(names)}")
@@ -500,23 +458,11 @@ class ScheduleSpec:
             routed |= set(zone.households)
         if self.target not in SCHEDULE_TARGETS:
             raise SpecError(
-                f"schedule.target must be one of {', '.join(SCHEDULE_TARGETS)}, "
-                f"got {self.target!r}"
-            )
-        if self.order not in SCHEDULE_ORDERS:
-            raise SpecError(
-                f"schedule.order must be one of {', '.join(SCHEDULE_ORDERS)}, "
-                f"got {self.order!r}"
-            )
-        if self.engine not in SCHEDULE_ENGINES:
-            raise SpecError(
-                f"schedule.engine must be one of {', '.join(SCHEDULE_ENGINES)}, "
-                f"got {self.engine!r}"
+                "pipeline.schedule.target must be one of "
+                f"{', '.join(SCHEDULE_TARGETS)}, got {self.target!r}"
             )
         if self.target_kwh is not None and self.target_kwh <= 0:
-            raise SpecError("schedule.target_kwh must be > 0 (or null)")
-        for key in ("target_seed", "improve_iterations", "improve_seed"):
-            _check_count(getattr(self, key), f"schedule.{key}")
+            raise SpecError("pipeline.schedule.target_kwh must be > 0 (or null)")
         if self.market is not None and not self.zones:
             raise SpecError(
                 "schedule.market requires schedule.zones: merit-order "
@@ -527,6 +473,7 @@ class ScheduleSpec:
                 "schedule.robust applies to plain targets only; zoned "
                 "markets keep point scheduling"
             )
+        _check_stage(self)
 
     def config(self):
         """The stage configuration as the scheduling layer's own dataclass."""
@@ -541,65 +488,9 @@ class ScheduleSpec:
             robust=None if self.robust is None else self.robust.config(),
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        encoded: dict[str, Any] = {
-            "target": self.target,
-            "target_seed": self.target_seed,
-            "target_kwh": self.target_kwh,
-            "order": self.order,
-            "engine": self.engine,
-            "improve_iterations": self.improve_iterations,
-            "improve_seed": self.improve_seed,
-        }
-        if self.zones:
-            encoded["zones"] = [zone.to_dict() for zone in self.zones]
-        if self.market is not None:
-            encoded["market"] = self.market.to_dict()
-        if self.robust is not None:
-            encoded["robust"] = self.robust.to_dict()
-        return encoded
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScheduleSpec":
-        allowed = tuple(f.name for f in fields(cls))
-        _require_keys(data, allowed, "pipeline.schedule")
-        kwargs: dict[str, Any] = {}
-        for key in ("target", "order", "engine"):
-            if key in data:
-                kwargs[key] = _require_type(
-                    data[key], (str,), f"pipeline.schedule.{key}"
-                )
-        for key in ("target_seed", "improve_iterations", "improve_seed"):
-            if key in data:
-                kwargs[key] = _require_type(
-                    data[key], (int,), f"pipeline.schedule.{key}"
-                )
-        if "target_kwh" in data and data["target_kwh"] is not None:
-            kwargs["target_kwh"] = float(
-                _require_type(
-                    data["target_kwh"], (int, float), "pipeline.schedule.target_kwh"
-                )
-            )
-        if "zones" in data:
-            raw = _require_type(
-                data["zones"], (list, tuple), "pipeline.schedule.zones"
-            )
-            kwargs["zones"] = tuple(ZoneSpec.from_dict(z) for z in raw)
-        if "market" in data and data["market"] is not None:
-            market = _require_type(
-                data["market"], (Mapping,), "pipeline.schedule.market"
-            )
-            kwargs["market"] = MarketSpec.from_dict(market)
-        if "robust" in data and data["robust"] is not None:
-            robust = _require_type(
-                data["robust"], (Mapping,), "pipeline.schedule.robust"
-            )
-            kwargs["robust"] = RobustSpec.from_dict(robust)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True, slots=True)
-class SessionSpec:
+class SessionSpec(_Spec):
     """The declarative rolling-horizon session stage.
 
     Configures :class:`repro.session.FlexibilitySession` for replay-driven
@@ -618,9 +509,12 @@ class SessionSpec:
     """
 
     commit_horizon_minutes: int | None = None
-    journal_snapshot_every: int | None = None
+    journal_snapshot_every: int | None = field(default=None, metadata=_OPTIONAL)
+
+    _path = "pipeline.session"
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.commit_horizon_minutes is not None and self.commit_horizon_minutes < 0:
             raise SpecError(
                 "pipeline.session.commit_horizon_minutes must be >= 0 (or null), "
@@ -638,27 +532,9 @@ class SessionSpec:
             return None
         return timedelta(minutes=self.commit_horizon_minutes)
 
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {"commit_horizon_minutes": self.commit_horizon_minutes}
-        if self.journal_snapshot_every is not None:
-            data["journal_snapshot_every"] = self.journal_snapshot_every
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SessionSpec":
-        allowed = tuple(f.name for f in fields(cls))
-        _require_keys(data, allowed, "pipeline.session")
-        kwargs: dict[str, Any] = {}
-        for key in ("commit_horizon_minutes", "journal_snapshot_every"):
-            if key in data and data[key] is not None:
-                kwargs[key] = _require_type(
-                    data[key], (int,), f"pipeline.session.{key}"
-                )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True, slots=True)
-class PipelineSpec:
+class PipelineSpec(_Spec):
     """How the fleet execution is batched, fanned out, grouped — and,
     optionally, scheduled.
 
@@ -676,10 +552,13 @@ class PipelineSpec:
     start_tolerance_minutes: int = 120
     flexibility_tolerance_minutes: int = 240
     max_group_size: int = 64
-    schedule: ScheduleSpec | None = None
-    session: SessionSpec | None = None
+    schedule: ScheduleSpec | None = field(default=None, metadata=_OPTIONAL)
+    session: SessionSpec | None = field(default=None, metadata=_OPTIONAL)
+
+    _path = "pipeline"
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.chunk_size < 1:
             raise SpecError("pipeline.chunk_size must be >= 1")
         if self.workers is not None and self.workers < 1:
@@ -701,42 +580,9 @@ class PipelineSpec:
             max_group_size=self.max_group_size,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        encoded: dict[str, Any] = {
-            "chunk_size": self.chunk_size,
-            "workers": self.workers,
-            "start_tolerance_minutes": self.start_tolerance_minutes,
-            "flexibility_tolerance_minutes": self.flexibility_tolerance_minutes,
-            "max_group_size": self.max_group_size,
-        }
-        if self.schedule is not None:
-            encoded["schedule"] = self.schedule.to_dict()
-        if self.session is not None:
-            encoded["session"] = self.session.to_dict()
-        return encoded
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PipelineSpec":
-        allowed = tuple(f.name for f in fields(cls))
-        _require_keys(data, allowed, "pipeline")
-        kwargs: dict[str, Any] = {}
-        for key in allowed:
-            if key not in data:
-                continue
-            value = data[key]
-            if key == "schedule":
-                kwargs[key] = None if value is None else ScheduleSpec.from_dict(value)
-            elif key == "session":
-                kwargs[key] = None if value is None else SessionSpec.from_dict(value)
-            elif key == "workers" and value is None:
-                kwargs[key] = None
-            else:
-                kwargs[key] = _require_type(value, (int,), f"pipeline.{key}")
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True, slots=True)
-class RunSpec:
+class RunSpec(_Spec):
     """A complete, replayable simulate→extract→group→aggregate run."""
 
     kind: str = "fleet"
@@ -746,7 +592,11 @@ class RunSpec:
     name: str = ""
     version: int = SPEC_VERSION
 
+    _path = "run spec"
+    _wire_order = ("version", "kind", "name", "scenario", "extractors", "pipeline")
+
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.version != SPEC_VERSION:
             raise SpecError(
                 f"unsupported run-spec version {self.version!r} "
@@ -756,51 +606,12 @@ class RunSpec:
             raise SpecError(
                 f"kind must be one of {', '.join(RUN_KINDS)}, got {self.kind!r}"
             )
-        if not isinstance(self.extractors, tuple):
-            object.__setattr__(self, "extractors", tuple(self.extractors))
         if not self.extractors:
             raise SpecError("a run spec needs at least one extractor")
 
     def with_overrides(self, **changes: Any) -> "RunSpec":
         """A copy with top-level fields replaced (CLI flag overrides)."""
         return replace(self, **changes)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "kind": self.kind,
-            "name": self.name,
-            "scenario": self.scenario.to_dict(),
-            "extractors": [e.to_dict() for e in self.extractors],
-            "pipeline": self.pipeline.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        _require_keys(
-            data,
-            ("version", "kind", "name", "scenario", "extractors", "pipeline"),
-            "run spec",
-        )
-        kwargs: dict[str, Any] = {}
-        if "version" in data:
-            kwargs["version"] = _require_type(data["version"], (int,), "run spec.version")
-        if "kind" in data:
-            kwargs["kind"] = _require_type(data["kind"], (str,), "run spec.kind")
-        if "name" in data:
-            kwargs["name"] = _require_type(data["name"], (str,), "run spec.name")
-        if "scenario" in data:
-            kwargs["scenario"] = ScenarioSpec.from_dict(data["scenario"])
-        if "extractors" in data:
-            raw = _require_type(data["extractors"], (list, tuple), "run spec.extractors")
-            kwargs["extractors"] = tuple(ExtractorSpec.from_dict(e) for e in raw)
-        if "pipeline" in data:
-            kwargs["pipeline"] = PipelineSpec.from_dict(data["pipeline"])
-        return cls(**kwargs)
-
-    # ------------------------------------------------------------------ #
-    # JSON round-trip
-    # ------------------------------------------------------------------ #
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

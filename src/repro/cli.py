@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
 from repro.api import (
     ExtractorSpec,
     FlexibilityService,
-    PipelineSpec,
     RunSpec,
     ScenarioSpec,
     available_extractors,
@@ -292,9 +292,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_run_spec(args.spec)
     if args.workers is not None:
         spec = spec.with_overrides(
-            pipeline=PipelineSpec.from_dict(
-                {**spec.pipeline.to_dict(), "workers": args.workers}
-            )
+            pipeline=replace(spec.pipeline, workers=args.workers)
         )
     label = spec.name or args.spec.stem
     print(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import timedelta
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -66,14 +67,18 @@ class MarketConfig:
     engine: str = "vectorized"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.slices, Integral) or isinstance(self.slices, bool):
+            raise MarketError(f"slices must be an integer, got {self.slices!r}")
         if self.slices < 1:
             raise MarketError(f"slices must be >= 1, got {self.slices}")
-        if self.coupling_kwh < 0:
+        if not isinstance(self.coupling_kwh, Real) or isinstance(self.coupling_kwh, bool):
+            raise MarketError(f"coupling_kwh must be a number, got {self.coupling_kwh!r}")
+        if not self.coupling_kwh >= 0:  # NaN fails too
             raise MarketError(f"coupling_kwh must be >= 0, got {self.coupling_kwh}")
         if self.engine not in MARKET_ENGINES:
             raise MarketError(
-                f"unknown market engine {self.engine!r}; "
-                f"expected one of {', '.join(MARKET_ENGINES)}"
+                f"engine must be one of {', '.join(MARKET_ENGINES)}; "
+                f"unknown market engine {self.engine!r}"
             )
 
 

@@ -86,10 +86,12 @@ class ScheduleConfig:
 
     def __post_init__(self) -> None:
         if self.order not in _ORDERS:
-            raise SchedulingError(f"unknown order {self.order!r}")
+            raise SchedulingError(
+                f"order must be one of {', '.join(_ORDERS)}, got {self.order!r}"
+            )
         if self.engine not in _ENGINES:
             raise SchedulingError(
-                f"engine must be one of {_ENGINES}, got {self.engine!r}"
+                f"engine must be one of {', '.join(_ENGINES)}, got {self.engine!r}"
             )
         if self.engine in ENGINE_ALIASES:
             object.__setattr__(self, "engine", ENGINE_ALIASES[self.engine])

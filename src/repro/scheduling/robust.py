@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -65,28 +66,36 @@ class RobustConfig:
     sigma: float = 0.25
 
     def __post_init__(self) -> None:
+        if not isinstance(self.quantiles, (tuple, list)) or not all(
+            _is_number(level) for level in self.quantiles
+        ):
+            raise SchedulingError(
+                f"quantiles must be a list of numbers, got {self.quantiles!r}"
+            )
         object.__setattr__(
             self, "quantiles", tuple(float(q) for q in self.quantiles)
         )
         if not self.quantiles:
-            raise SchedulingError("robust.quantiles must be non-empty")
+            raise SchedulingError("quantiles must be non-empty")
         for level in self.quantiles:
             if not 0.0 < level < 1.0:
-                raise SchedulingError(
-                    f"robust quantile levels must be in (0, 1), got {level}"
-                )
+                raise SchedulingError(f"quantiles must lie in (0, 1), got {level}")
         if any(b <= a for a, b in zip(self.quantiles, self.quantiles[1:])):
             raise SchedulingError(
-                f"robust.quantiles must be strictly increasing, got {self.quantiles}"
+                f"quantiles must be strictly increasing, got {self.quantiles}"
             )
         if self.risk not in RISK_MEASURES:
             raise SchedulingError(
-                f"unknown risk measure {self.risk!r}; expected one of {RISK_MEASURES}"
+                f"risk must be one of {', '.join(RISK_MEASURES)}, got {self.risk!r}"
             )
-        if not 0.0 < self.alpha <= 1.0:
-            raise SchedulingError(f"robust.alpha must be in (0, 1], got {self.alpha}")
-        if self.sigma < 0.0:
-            raise SchedulingError(f"robust.sigma must be >= 0, got {self.sigma}")
+        if not _is_number(self.alpha) or not 0.0 < self.alpha <= 1.0:
+            raise SchedulingError(f"alpha must be in (0, 1], got {self.alpha!r}")
+        if not _is_number(self.sigma) or not self.sigma >= 0.0:
+            raise SchedulingError(f"sigma must be a number >= 0, got {self.sigma!r}")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def quantile_weights(levels: Sequence[float]) -> np.ndarray:

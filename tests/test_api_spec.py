@@ -205,15 +205,6 @@ class TestScheduleSpec:
             with pytest.raises(SpecError, match=f"schedule.{key} must be an integer"):
                 ScheduleSpec(**{key: seed})
 
-    def test_constants_stay_in_sync_with_the_scheduling_layer(self):
-        # The spec layer duplicates the order/engine vocabularies to stay
-        # import-light; this pins them to the scheduling layer's own.
-        from repro.api.spec import SCHEDULE_ENGINES, SCHEDULE_ORDERS
-        from repro.scheduling import greedy
-
-        assert SCHEDULE_ENGINES == greedy._ENGINES
-        assert SCHEDULE_ORDERS == greedy._ORDERS
-
     def test_engine_key_omitted_defaults_to_vectorized(self):
         # Spec files without an "engine" key load with the default engine.
         spec = ScheduleSpec.from_dict({"target": "wind"})

@@ -28,7 +28,6 @@ import pytest
 
 from repro.aggregation.aggregate import AggregatedFlexOffer
 from repro.api.registry import create_extractor
-from repro.api.spec import MARKET_ENGINES as SPEC_MARKET_ENGINES
 from repro.api.spec import MarketSpec, ScheduleSpec, ZoneSpec
 from repro.errors import MarketError, SchedulingError, SpecError
 from repro.flexoffer.io import zoned_result_from_dict, zoned_result_to_dict
@@ -159,11 +158,6 @@ class TestMarketSpec:
     def test_market_requires_zones(self):
         with pytest.raises(SpecError, match="requires schedule.zones"):
             ScheduleSpec(market=MarketSpec())
-
-    def test_engines_stay_in_sync_with_market_layer(self):
-        # spec.py duplicates the tuple to stay import-light; this is the
-        # promised sync guard.
-        assert SPEC_MARKET_ENGINES == MARKET_ENGINES
 
     def test_wire_roundtrip_and_omission(self):
         zones = (ZoneSpec(name="a"), ZoneSpec(name="b"))
