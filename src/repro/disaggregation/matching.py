@@ -33,7 +33,6 @@ compares matching against the combinatorial and event-based alternatives.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -44,6 +43,7 @@ from scipy.signal import fftconvolve
 
 from repro.appliances.database import ApplianceDatabase, ApplianceTemplate
 from repro.appliances.model import ApplianceSpec
+from repro.batching import BatchScope
 from repro.errors import DataError
 from repro.simulation.activations import Activation
 from repro.timeseries.axis import ONE_MINUTE
@@ -181,11 +181,9 @@ def match_pursuit(
     belongs to an open :func:`pursuit_tile`, whose shared lockstep run then
     answers the call.
     """
-    tile = _TILE.get()
-    if tile is not None:
-        result = tile.resolve(series, database, config, household_id)
-        if result is not None:
-            return result
+    result = _TILES.answer((series, database), (config, household_id))
+    if result is not None:
+        return result
     return match_pursuit_many([series], database, config, [household_id])[0]
 
 
@@ -229,34 +227,7 @@ def match_pursuit_many(
 # Tiles: per-household calls answered by one shared lockstep run
 # ---------------------------------------------------------------------- #
 
-
-@dataclass
-class _Tile:
-    series: list[TimeSeries]
-    database: ApplianceDatabase
-    config: MatchingConfig | None
-    results: list[DetectionResult] | None = None
-
-    def resolve(
-        self,
-        series: TimeSeries,
-        database: ApplianceDatabase,
-        config: MatchingConfig | None,
-        household_id: str,
-    ) -> DetectionResult | None:
-        """This tile's result for ``series``, or ``None`` when the call is
-        not one the tile answers."""
-        if household_id or database is not self.database or config != self.config:
-            return None
-        for index, member in enumerate(self.series):
-            if member is series:
-                if self.results is None:
-                    self.results = match_pursuit_many(self.series, database, config)
-                return self.results[index]
-        return None
-
-
-_TILE: ContextVar[_Tile | None] = ContextVar("matching_tile", default=None)
+_TILES: BatchScope[DetectionResult] = BatchScope("matching_tile")
 
 
 @contextmanager
@@ -270,15 +241,18 @@ def pursuit_tile(
     Inside the block, the first :func:`match_pursuit` call on a member (by
     identity, same database and config, no household id) runs
     :func:`match_pursuit_many` over every member; later calls return their
-    share of that run.  Callers keep one call per household — and whatever
-    observes those calls keeps seeing one per household — while the
-    pursuit itself runs batched.
+    share of that run, once each (a :class:`~repro.batching.BatchScope`).
+    Callers keep one call per household — and whatever observes those
+    calls keeps seeing one per household — while the pursuit itself runs
+    batched.
     """
-    token = _TILE.set(_Tile(list(series), database, config))
-    try:
+    series = list(series)
+    with _TILES.open(
+        [(member, database) for member in series],
+        (config, ""),
+        lambda: match_pursuit_many(series, database, config),
+    ):
         yield
-    finally:
-        _TILE.reset(token)
 
 
 # ---------------------------------------------------------------------- #

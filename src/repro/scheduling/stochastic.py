@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
 from datetime import timedelta
 
 import numpy as np
 
+from repro.batching import BatchScope
 from repro.errors import SchedulingError
 from repro.flexoffer.schedule import ScheduledFlexOffer, schedules_to_series
 from repro.scheduling.greedy import (
@@ -71,41 +70,13 @@ def improve_schedule(
         if not schedules or iterations <= 0:
             return result
         return _improve_reference(result, schedules, rng, iterations)
-    scope = _SCOPE.get()
-    if scope is not None:
-        improved = scope.resolve(result, rng, iterations)
-        if improved is not None:
-            return improved
+    improved = _SCOPES.answer((result, rng), (iterations,))
+    if improved is not None:
+        return improved
     return improve_many([result], [rng], iterations)[0]
 
 
-@dataclass
-class _Scope:
-    results: list[ScheduleResult]
-    rngs: list[np.random.Generator]
-    iterations: int
-    improved: list[ScheduleResult] | None = None
-    answered: set[int] = field(default_factory=set)
-
-    def resolve(
-        self, result: ScheduleResult, rng: np.random.Generator, iterations: int
-    ) -> ScheduleResult | None:
-        """This scope's result for ``(result, rng)``, or ``None`` when the
-        call is not one the scope answers."""
-        if iterations != self.iterations:
-            return None
-        for index, (member, generator) in enumerate(zip(self.results, self.rngs)):
-            if member is result and generator is rng:
-                if self.improved is None:
-                    self.improved = improve_many(self.results, self.rngs, iterations)
-                if index in self.answered:
-                    return None
-                self.answered.add(index)
-                return self.improved[index]
-        return None
-
-
-_SCOPE: ContextVar[_Scope | None] = ContextVar("improve_scope", default=None)
+_SCOPES: BatchScope[ScheduleResult] = BatchScope("improve_scope")
 
 
 @contextmanager
@@ -119,17 +90,20 @@ def improve_scope(
     Inside the block, the first non-reference :func:`improve_schedule` call
     on a member (``result`` and ``rng`` by identity, same ``iterations``)
     runs :func:`improve_many` over every member; later calls return their
-    share of that run, once each.  Callers keep one call per schedule — and
-    whatever observes those calls keeps seeing one per schedule — while the
-    improvement itself runs in lockstep.
+    share of that run, once each (a :class:`~repro.batching.BatchScope`).
+    Callers keep one call per schedule — and whatever observes those calls
+    keeps seeing one per schedule — while the improvement itself runs in
+    lockstep.
     """
     if len(results) != len(rngs):
         raise SchedulingError(f"{len(results)} results but {len(rngs)} generators")
-    token = _SCOPE.set(_Scope(list(results), list(rngs), iterations))
-    try:
+    results, rngs = list(results), list(rngs)
+    with _SCOPES.open(
+        list(zip(results, rngs)),
+        (iterations,),
+        lambda: improve_many(results, rngs, iterations),
+    ):
         yield
-    finally:
-        _SCOPE.reset(token)
 
 
 def _improve_reference(
