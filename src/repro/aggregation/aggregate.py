@@ -23,10 +23,12 @@ import numpy as np
 from repro.errors import AggregationError
 from repro.flexoffer.model import FlexOffer, ProfileSlice, next_offer_id
 from repro.flexoffer.schedule import ScheduledFlexOffer
+from repro.wire import wire_format
 
 _TOLERANCE = 1e-9
 
 
+@wire_format("aggregated flex-offer")
 @dataclass(frozen=True)
 class AggregatedFlexOffer:
     """An aggregate offer plus everything needed to disaggregate it."""

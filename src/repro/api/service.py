@@ -26,32 +26,24 @@ stored next to the spec that produced it.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
+from repro.aggregation.aggregate import AggregatedFlexOffer
 from repro.api.registry import get_entry
 from repro.api.spec import RunSpec, load_run_spec
-from repro.errors import DataError, RegistryError
-from repro.flexoffer.io import (
-    aggregated_from_dict,
-    aggregated_to_dict,
-    any_schedule_from_dict,
-    any_schedule_to_dict,
-    decoding,
-    flexoffer_from_dict,
-    flexoffer_to_dict,
-)
+from repro.errors import RegistryError
+from repro.flexoffer.model import FlexOffer
+from repro.scheduling.greedy import ScheduleResult
+from repro.scheduling.zones import ZonedScheduleResult
+from repro.wire import OMIT, Encodable, Version, wire_format
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.aggregation.aggregate import AggregatedFlexOffer
     from repro.extraction.base import ExtractionResult
-    from repro.flexoffer.model import FlexOffer
-    from repro.scheduling.greedy import ScheduleResult
-    from repro.scheduling.zones import ZonedScheduleResult, ZonedTarget
+    from repro.scheduling.zones import ZonedTarget
     from repro.timeseries.series import TimeSeries
 
 #: Wire-format version of run reports; bump on incompatible change.
@@ -62,8 +54,9 @@ def _frozen(mapping: Mapping[str, Any]) -> Mapping[str, Any]:
     return MappingProxyType(dict(mapping))
 
 
+@wire_format("extractor run report")
 @dataclass(frozen=True)
-class ExtractorRunReport:
+class ExtractorRunReport(Encodable):
     """One approach's share of a run: offers, aggregates, timings, summary.
 
     ``schedule`` carries the schedule-stage output when the run placed the
@@ -76,61 +69,26 @@ class ExtractorRunReport:
 
     extractor: str
     households: int
-    offers: tuple["FlexOffer", ...] = ()
-    aggregates: tuple["AggregatedFlexOffer", ...] = ()
+    offers: tuple[FlexOffer, ...] = ()
+    aggregates: tuple[AggregatedFlexOffer, ...] = ()
     stage_seconds: Mapping[str, float] = field(default_factory=dict)
     summary: Mapping[str, Any] = field(default_factory=dict)
-    schedule: "ScheduleResult | ZonedScheduleResult | None" = None
+    schedule: ScheduleResult | ZonedScheduleResult | None = field(
+        default=None, metadata=OMIT
+    )
 
     def __post_init__(self) -> None:
+        if self.households < 0:
+            raise ValueError(f"'households' is negative ({self.households})")
         object.__setattr__(self, "offers", tuple(self.offers))
         object.__setattr__(self, "aggregates", tuple(self.aggregates))
         object.__setattr__(self, "stage_seconds", _frozen(self.stage_seconds))
         object.__setattr__(self, "summary", _frozen(self.summary))
 
-    def to_dict(self) -> dict[str, Any]:
-        encoded = {
-            "extractor": self.extractor,
-            "households": self.households,
-            "offers": [flexoffer_to_dict(o) for o in self.offers],
-            "aggregates": [aggregated_to_dict(a) for a in self.aggregates],
-            "stage_seconds": dict(self.stage_seconds),
-            "summary": dict(self.summary),
-        }
-        if self.schedule is not None:
-            encoded["schedule"] = any_schedule_to_dict(self.schedule)
-        return encoded
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExtractorRunReport":
-        with decoding("extractor run report"):
-            extractor, households = data["extractor"], data["households"]
-            if not isinstance(extractor, str):
-                raise TypeError(
-                    f"'extractor' is {type(extractor).__name__}, not a string"
-                )
-            if not isinstance(households, int) or isinstance(households, bool):
-                raise TypeError(
-                    f"'households' is {type(households).__name__}, not an integer"
-                )
-            if households < 0:
-                raise ValueError(f"'households' is negative ({households})")
-            schedule = data.get("schedule")
-            return cls(
-                extractor=extractor,
-                households=households,
-                offers=tuple(flexoffer_from_dict(o) for o in data["offers"]),
-                aggregates=tuple(
-                    aggregated_from_dict(a) for a in data["aggregates"]
-                ),
-                stage_seconds=data.get("stage_seconds", {}),
-                summary=data.get("summary", {}),
-                schedule=None if schedule is None else any_schedule_from_dict(schedule),
-            )
-
-
+@wire_format("run report", version=Version(REPORT_VERSION, "run-report format"))
 @dataclass(frozen=True)
-class RunReport:
+class RunReport(Encodable):
     """Everything a :class:`FlexibilityService` run produced, serialisable."""
 
     spec: RunSpec
@@ -165,47 +123,6 @@ class RunReport:
                 row["seconds"] = round(sum(result.stage_seconds.values()), 4)
             rows.append(row)
         return rows
-
-    # ------------------------------------------------------------------ #
-    # Wire format
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "spec": self.spec.to_dict(),
-            "results": [r.to_dict() for r in self.results],
-            "extras": dict(self.extras),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunReport":
-        with decoding("run report"):
-            version = data.get("version", REPORT_VERSION)
-            if version != REPORT_VERSION:
-                raise DataError(f"unsupported run-report format version {version}")
-            return cls(
-                spec=RunSpec.from_dict(data["spec"]),
-                results=tuple(
-                    ExtractorRunReport.from_dict(r) for r in data["results"]
-                ),
-                extras=data.get("extras", {}),
-                version=version,
-            )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunReport":
-        return cls.from_json(Path(path).read_text())
 
 
 class FlexibilityService:

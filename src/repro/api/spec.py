@@ -8,13 +8,13 @@ registered approaches to run with which parameters
 (:class:`ExtractorSpec`), and how to batch/group the fleet execution
 (:class:`PipelineSpec`).
 
-All spec classes are frozen dataclasses sharing one codec: ``to_dict`` and
-``from_dict`` are :func:`encode` and :func:`decode`, driven by the
-dataclass fields and their annotations.  The wire quirks are field or
-class data, not code: :class:`RunSpec`'s key order, keys omitted while a
-field holds its default (``_OPTIONAL``), the ISO ``start``, ints widened to
-float on decode only (a spec built in code keeps encoding what it was
-given), lists read as tuples, and nested specs.
+All spec classes are frozen dataclasses on the package's one wire codec
+(:mod:`repro.wire`): ``to_dict`` and ``from_dict`` are its :func:`encode`
+and :func:`decode`, driven by the dataclass fields and their annotations.
+The wire quirks are field or class data, not code: :class:`RunSpec`'s key
+order, keys omitted while a field holds its default (``OMIT``), the ISO
+``start``, ints widened to float on decode only (a spec built in code keeps
+encoding what it was given), lists read as tuples, and nested specs.
 
 Validation has one path: every check, type and range, runs in
 ``__post_init__``, so a spec built in code and a decoded one meet the same
@@ -42,18 +42,17 @@ Example spec file (``examples/specs/smoke.json``)::
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta
-from functools import cache
 from numbers import Integral, Real
 from pathlib import Path
 from types import MappingProxyType, NoneType, UnionType
-from typing import Any, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, get_args, get_origin
 
 from repro.errors import ReproError, SpecError
+from repro.wire import OMIT, Encodable, format_of, hints, wire_format
 
 #: Wire-format version of the spec layer; bump on incompatible change.
 SPEC_VERSION = 1
@@ -69,10 +68,6 @@ DEFAULT_START = datetime(2012, 3, 5)
 #: Target-series kinds the schedule stage can synthesise declaratively.
 SCHEDULE_TARGETS: tuple[str, ...] = ("wind", "flat")
 
-#: Field metadata: the wire format omits the key while the field holds its
-#: default, so documents written before the field existed load and
-#: re-encode unchanged.
-_OPTIONAL = {"optional": True}
 #: Field metadata: a seed, an integer >= 0 (numpy rejects the rest only
 #: once the run has started).
 _SEED = {"seed": True}
@@ -82,102 +77,21 @@ _STAGE = {"stage": True}
 #: Accepted types of the scalar annotations: ``bool`` is neither.
 _SCALARS: dict[Any, tuple[type, str]] = {int: (Integral, "int"), float: (Real, "int/float")}
 
-S = TypeVar("S", bound="_Spec")
+
+def _spec(path: str, **quirks: Any):
+    """Register a spec class's wire format; ``path`` is where the class sits
+    in a run-spec document, for error messages."""
+    return wire_format(path, error=SpecError, widen=True, validated=True, **quirks)
 
 
-class _Spec:
-    """The codec every spec class shares."""
+class _Spec(Encodable):
+    """What every spec class shares: the codec and the error path."""
 
     __slots__ = ()
-    #: Where the class sits in a run-spec document, for error messages.
-    _path = ""
-    #: Key order on the wire, when it is not the field order.
-    _wire_order: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return encode(self)
-
-    @classmethod
-    def from_dict(cls: type[S], data: Mapping[str, Any]) -> S:
-        return decode(cls, data)
-
-
-def encode(spec: _Spec) -> dict[str, Any]:
-    """The JSON mapping of ``spec``."""
-    by_name = {f.name: f for f in fields(spec)}
-    encoded: dict[str, Any] = {}
-    for name in spec._wire_order or by_name:
-        value = getattr(spec, name)
-        if by_name[name].metadata.get("optional") and value == by_name[name].default:
-            continue
-        encoded[name] = _to_wire(value)
-    return encoded
-
-
-def _to_wire(value: Any) -> Any:
-    if isinstance(value, _Spec):
-        return encode(value)
-    if isinstance(value, tuple):
-        return [_to_wire(item) for item in value]
-    if isinstance(value, datetime):
-        return value.isoformat()
-    if isinstance(value, Mapping):
-        return dict(value)
-    return value
-
-
-def decode(cls: type[S], data: Any) -> S:
-    """The ``cls`` spec a JSON mapping describes; ``cls`` checks the values."""
-    where = cls._path
-    if not isinstance(data, Mapping):
-        raise SpecError(f"{where}: expected a mapping, got {type(data).__name__}")
-    names = [f.name for f in fields(cls)]
-    unknown = set(data) - set(names)
-    if unknown:
-        raise SpecError(
-            f"{where}: unknown key(s) {', '.join(sorted(map(repr, unknown)))}; "
-            f"allowed: {', '.join(names)}"
-        )
-    for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
-            raise SpecError(f"{where}: missing required key {f.name!r}")
-    hints = _hints(cls)
-    return cls(
-        **{
-            name: _from_wire(hints[name], value, f"{where}.{name}")
-            for name, value in data.items()
-        }
-    )
-
-
-def _from_wire(hint: Any, value: Any, where: str) -> Any:
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        return None if value is None else _from_wire(_inner(args), value, where)
-    if origin is tuple and isinstance(value, (list, tuple)):
-        return tuple(_from_wire(args[0], item, f"{where}[]") for item in value)
-    if isinstance(hint, type) and issubclass(hint, _Spec):
-        return decode(hint, value)
-    if hint is float and isinstance(value, int) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError as exc:
-            raise SpecError(f"{where}: {exc}") from exc
-    if hint is datetime:
-        if not isinstance(value, str):
-            raise SpecError(
-                f"{where}: expected an ISO date string, got {type(value).__name__}"
-            )
-        try:
-            return datetime.fromisoformat(value)
-        except ValueError as exc:
-            raise SpecError(f"{where}: {exc}") from exc
-    return value
-
-
-@cache
-def _hints(cls: type) -> dict[str, Any]:
-    return get_type_hints(cls)
+    @property
+    def _path(self) -> str:
+        return format_of(type(self)).what
 
 
 def _inner(args: tuple[Any, ...]) -> Any:
@@ -188,7 +102,7 @@ def _inner(args: tuple[Any, ...]) -> Any:
 def _check_fields(spec: _Spec) -> None:
     """Check every field of ``spec`` against its annotation (first, so the
     range rules compare values of the right type)."""
-    hints = _hints(type(spec))
+    field_hints = hints(type(spec))
     for f in fields(spec):
         value = getattr(spec, f.name)
         where = f"{spec._path}.{f.name}"
@@ -200,7 +114,7 @@ def _check_fields(spec: _Spec) -> None:
             # The stage config checks the value; only the shape is fixed here.
             checked = tuple(value) if isinstance(value, list) else value
         else:
-            checked = _check(hints[f.name], value, where)
+            checked = _check(field_hints[f.name], value, where)
         if checked is not value:
             object.__setattr__(spec, f.name, checked)
 
@@ -243,6 +157,7 @@ def _check_stage(spec: Any) -> None:
         raise SpecError(f"{spec._path}.{exc}") from exc
 
 
+@_spec("scenario")
 @dataclass(frozen=True, slots=True)
 class ScenarioSpec(_Spec):
     """Which simulated fleet a run operates on.
@@ -256,7 +171,6 @@ class ScenarioSpec(_Spec):
     seed: int = field(default=0, metadata=_SEED)
     start: datetime = DEFAULT_START
 
-    _path = "scenario"
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -266,6 +180,7 @@ class ScenarioSpec(_Spec):
             raise SpecError("scenario.days must be >= 1")
 
 
+@_spec("extractor")
 @dataclass(frozen=True, slots=True)
 class ExtractorSpec(_Spec):
     """One registered approach plus its flat parameter overrides.
@@ -279,7 +194,6 @@ class ExtractorSpec(_Spec):
     name: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    _path = "extractor"
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -293,6 +207,7 @@ class ExtractorSpec(_Spec):
         return create_extractor(self.name, **dict(self.params))
 
 
+@_spec("pipeline.schedule.market")
 @dataclass(frozen=True, slots=True)
 class MarketSpec(_Spec):
     """The declarative merit-order clearing stage of a zoned schedule.
@@ -310,7 +225,6 @@ class MarketSpec(_Spec):
     coupling_kwh: float = field(default=0.0, metadata=_STAGE)
     engine: str = field(default="vectorized", metadata=_STAGE)
 
-    _path = "pipeline.schedule.market"
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -327,6 +241,7 @@ class MarketSpec(_Spec):
         )
 
 
+@_spec("pipeline.schedule.robust")
 @dataclass(frozen=True, slots=True)
 class RobustSpec(_Spec):
     """The declarative uncertainty-aware mode of the schedule stage.
@@ -347,7 +262,6 @@ class RobustSpec(_Spec):
     alpha: float = field(default=0.3, metadata=_STAGE)
     sigma: float = field(default=0.25, metadata=_STAGE)
 
-    _path = "pipeline.schedule.robust"
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -365,6 +279,7 @@ class RobustSpec(_Spec):
         )
 
 
+@_spec("pipeline.schedule.zone")
 @dataclass(frozen=True, slots=True)
 class ZoneSpec(_Spec):
     """One declarative market zone of a zoned schedule stage.
@@ -388,7 +303,6 @@ class ZoneSpec(_Spec):
     price_cap: float = 0.0
     households: tuple[str, ...] = ()
 
-    _path = "pipeline.schedule.zone"
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -406,6 +320,7 @@ class ZoneSpec(_Spec):
             )
 
 
+@_spec("pipeline.schedule")
 @dataclass(frozen=True, slots=True)
 class ScheduleSpec(_Spec):
     """The declarative schedule stage: place fleet aggregates on a target.
@@ -436,11 +351,10 @@ class ScheduleSpec(_Spec):
     engine: str = field(default="vectorized", metadata=_STAGE)
     improve_iterations: int = field(default=0, metadata=_STAGE)
     improve_seed: int = field(default=0, metadata=_STAGE)
-    zones: tuple[ZoneSpec, ...] = field(default=(), metadata=_OPTIONAL)
-    market: MarketSpec | None = field(default=None, metadata=_OPTIONAL)
-    robust: RobustSpec | None = field(default=None, metadata=_OPTIONAL)
+    zones: tuple[ZoneSpec, ...] = field(default=(), metadata=OMIT)
+    market: MarketSpec | None = field(default=None, metadata=OMIT)
+    robust: RobustSpec | None = field(default=None, metadata=OMIT)
 
-    _path = "pipeline.schedule"
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -489,6 +403,7 @@ class ScheduleSpec(_Spec):
         )
 
 
+@_spec("pipeline.session")
 @dataclass(frozen=True, slots=True)
 class SessionSpec(_Spec):
     """The declarative rolling-horizon session stage.
@@ -509,9 +424,8 @@ class SessionSpec(_Spec):
     """
 
     commit_horizon_minutes: int | None = None
-    journal_snapshot_every: int | None = field(default=None, metadata=_OPTIONAL)
+    journal_snapshot_every: int | None = field(default=None, metadata=OMIT)
 
-    _path = "pipeline.session"
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -533,6 +447,7 @@ class SessionSpec(_Spec):
         return timedelta(minutes=self.commit_horizon_minutes)
 
 
+@_spec("pipeline")
 @dataclass(frozen=True, slots=True)
 class PipelineSpec(_Spec):
     """How the fleet execution is batched, fanned out, grouped — and,
@@ -552,10 +467,9 @@ class PipelineSpec(_Spec):
     start_tolerance_minutes: int = 120
     flexibility_tolerance_minutes: int = 240
     max_group_size: int = 64
-    schedule: ScheduleSpec | None = field(default=None, metadata=_OPTIONAL)
-    session: SessionSpec | None = field(default=None, metadata=_OPTIONAL)
+    schedule: ScheduleSpec | None = field(default=None, metadata=OMIT)
+    session: SessionSpec | None = field(default=None, metadata=OMIT)
 
-    _path = "pipeline"
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -581,6 +495,10 @@ class PipelineSpec(_Spec):
         )
 
 
+@_spec(
+    "run spec",
+    order=("version", "kind", "name", "scenario", "extractors", "pipeline"),
+)
 @dataclass(frozen=True, slots=True)
 class RunSpec(_Spec):
     """A complete, replayable simulate→extract→group→aggregate run."""
@@ -592,8 +510,6 @@ class RunSpec(_Spec):
     name: str = ""
     version: int = SPEC_VERSION
 
-    _path = "run spec"
-    _wire_order = ("version", "kind", "name", "scenario", "extractors", "pipeline")
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -613,17 +529,6 @@ class RunSpec(_Spec):
         """A copy with top-level fields replaced (CLI flag overrides)."""
         return replace(self, **changes)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"run spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
 
 def load_run_spec(path: str | Path) -> RunSpec:
     """Read a :class:`RunSpec` from a JSON file."""
@@ -636,4 +541,4 @@ def load_run_spec(path: str | Path) -> RunSpec:
 
 def save_run_spec(spec: RunSpec, path: str | Path) -> None:
     """Write a :class:`RunSpec` to a JSON file."""
-    Path(path).write_text(spec.to_json() + "\n")
+    spec.save(path)

@@ -84,7 +84,7 @@ messages — so one broken cell cannot hide the rest of the matrix.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -94,6 +94,7 @@ from repro.errors import ReproError
 from repro.flexoffer.model import FlexOffer
 from repro.flexoffer.schedule import default_schedule
 from repro.flexoffer.validate import PolicyLimits, check_all
+from repro.wire import Encodable, wire_format
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.registry import ExtractorEntry
@@ -142,8 +143,9 @@ FAIRNESS_GINI_BOUND = 0.5
 FAIRNESS_MAX_AGGREGATES = 6
 
 
+@wire_format("invariant result")
 @dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(Encodable):
     """Outcome of one invariant on one cell."""
 
     name: str
@@ -155,23 +157,6 @@ class InvariantResult:
         if self.status not in ("pass", "fail", "skipped"):
             raise ValueError(f"bad invariant status {self.status!r}")
         object.__setattr__(self, "violations", tuple(self.violations))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "violations": list(self.violations),
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "InvariantResult":
-        return cls(
-            name=data["name"],
-            status=data["status"],
-            violations=tuple(data.get("violations", ())),
-            detail=data.get("detail", ""),
-        )
 
 
 def _passed(name: str, detail: str = "") -> InvariantResult:

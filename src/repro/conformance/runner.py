@@ -12,9 +12,7 @@ shape is golden-pinned by the tier-2 suite, so both invariant regressions
 
 from __future__ import annotations
 
-import json
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -30,7 +28,6 @@ from repro.conformance.invariants import (
     validate_invariant_names,
 )
 from repro.conformance.matrix import ConformanceScenario, matrix_cells
-from repro.errors import DataError
 from repro.evaluation.comparison import SEED_STRIDE
 from repro.flexoffer.model import offer_id_scope
 from repro.pipeline.fleet import (
@@ -46,6 +43,7 @@ from repro.pipeline.fleet import (
 )
 from repro.market.model import MarketConfig
 from repro.scheduling.greedy import ScheduleConfig
+from repro.wire import Encodable, Version, wire_format
 
 #: Wire-format version of conformance reports; bump on incompatible change.
 CONFORMANCE_VERSION = 1
@@ -61,8 +59,11 @@ CELL_PRICED_SCHEDULE_CONFIG = ScheduleConfig(
 )
 
 
+@wire_format(
+    "cell report", get={"extracted_kwh": lambda cell: round(cell.extracted_kwh, 6)}
+)
 @dataclass(frozen=True)
-class CellReport:
+class CellReport(Encodable):
     """One cell's outcome: workload coordinates, output size, invariants."""
 
     scenario: str
@@ -90,39 +91,15 @@ class CellReport:
             for message in result.violations
         ]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "extractor": self.extractor,
-            "households": self.households,
-            "days": self.days,
-            "offers": self.offers,
-            "aggregates": self.aggregates,
-            "extracted_kwh": round(self.extracted_kwh, 6),
-            "invariants": [result.to_dict() for result in self.invariants],
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CellReport":
-        try:
-            return cls(
-                scenario=data["scenario"],
-                extractor=data["extractor"],
-                households=data["households"],
-                days=data["days"],
-                offers=data["offers"],
-                aggregates=data["aggregates"],
-                extracted_kwh=data["extracted_kwh"],
-                invariants=tuple(
-                    InvariantResult.from_dict(r) for r in data["invariants"]
-                ),
-            )
-        except KeyError as exc:
-            raise DataError(f"cell report missing field: {exc}") from exc
-
-
+@wire_format(
+    "conformance report",
+    version=Version(CONFORMANCE_VERSION, "conformance report", required=True),
+    get={"summary": lambda report: report.summary()},
+    order=("summary", "cells"),
+)
 @dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(Encodable):
     """The whole matrix run, serialisable and golden-pinnable."""
 
     cells: tuple[CellReport, ...]
@@ -183,46 +160,6 @@ class ConformanceReport:
                 }
             )
         return rows
-
-    # ------------------------------------------------------------------ #
-    # Wire format
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "summary": self.summary(),
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ConformanceReport":
-        if "version" not in data:
-            raise DataError("conformance report missing field: 'version'")
-        version = data["version"]
-        if version != CONFORMANCE_VERSION:
-            raise DataError(f"unsupported conformance report version {version}")
-        try:
-            return cls(
-                cells=tuple(CellReport.from_dict(c) for c in data["cells"]),
-                version=version,
-            )
-        except KeyError as exc:
-            raise DataError(f"conformance report missing field: {exc}") from exc
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConformanceReport":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ConformanceReport":
-        return cls.from_json(Path(path).read_text())
 
     def to_markdown(self) -> str:
         """The report as a GitHub-flavoured markdown table (CI job summary)."""

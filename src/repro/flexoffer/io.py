@@ -1,331 +1,127 @@
-"""JSON (de)serialisation of flex-offers and schedules.
+"""JSON (de)serialisation of flex-offers, schedules and their results.
 
 MIRABEL's data-management layer (paper [3]) persists flex-offers in a
-warehouse; this module provides the equivalent stable wire format: a plain
-dict/JSON encoding with ISO-8601 timestamps and second-resolution durations,
-round-trippable without loss.
+warehouse; this module is the equivalent stable wire format: plain
+dict/JSON encodings with ISO-8601 timestamps and second-resolution
+durations, round-trippable without loss.  Every encoder and decoder here is
+one call into the package's single wire codec, :mod:`repro.wire`; each
+format is described where its class lives, as field and class data:
+
+* flex-offers (:class:`~repro.flexoffer.model.FlexOffer`, versioned, with
+  ``resolution_seconds``), their slices, schedules and aggregates;
+* schedule results (:class:`~repro.scheduling.greedy.ScheduleResult`: the
+  target's axis stored once, the demand rebuilt on load) and zoned ones
+  (:class:`~repro.scheduling.zones.ZonedScheduleResult`, told apart by
+  their ``"zones"`` key, with an optional market ``"clearing"``);
+* quantile forecasts (:class:`~repro.forecasting.quantiles.QuantileForecast`).
+
+Malformed input raises :class:`~repro.errors.DataError` naming the format,
+never a bare exception.  The report deltas below diff and patch already
+encoded session snapshots.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
-from contextlib import contextmanager
-from datetime import datetime, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import DataError, ReproError
-from repro.flexoffer.model import FlexOffer, ProfileSlice
+from repro.errors import DataError
+from repro.flexoffer.model import FlexOffer
 from repro.flexoffer.schedule import ScheduledFlexOffer
+from repro.wire import decode, encode, guard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.aggregation.aggregate import AggregatedFlexOffer
     from repro.forecasting.quantiles import QuantileForecast
     from repro.scheduling.greedy import ScheduleResult
     from repro.scheduling.zones import ZonedScheduleResult
 
-_FORMAT_VERSION = 1
-
-
-def _dt(value: datetime | None) -> str | None:
-    return None if value is None else value.isoformat()
-
-
-def _parse_dt(value: str | None) -> datetime | None:
-    return None if value is None else datetime.fromisoformat(value)
-
-
-@contextmanager
-def decoding(what: str) -> Iterator[None]:
-    """Raise malformed ``what`` input as :class:`DataError`, never bare.
-
-    A missing field names it; a value of the wrong shape or type (a list
-    in place of an object, an unparsable timestamp, a string energy) names
-    the cause.  Errors of the repo's own types — a nested decoder's
-    :class:`DataError`, a model constructor's validation error — pass
-    through unchanged.
-    """
-    try:
-        yield
-    except ReproError:
-        raise
-    except KeyError as exc:
-        raise DataError(f"{what} dict missing field: {exc}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"malformed {what} dict: {exc}") from exc
-
 
 def flexoffer_to_dict(offer: FlexOffer) -> dict[str, Any]:
     """Encode a flex-offer as a JSON-compatible dict."""
-    return {
-        "version": _FORMAT_VERSION,
-        "offer_id": offer.offer_id,
-        "consumer_id": offer.consumer_id,
-        "appliance": offer.appliance,
-        "source": offer.source,
-        "earliest_start": _dt(offer.earliest_start),
-        "latest_start": _dt(offer.latest_start),
-        "resolution_seconds": offer.resolution.total_seconds(),
-        "creation_time": _dt(offer.creation_time),
-        "acceptance_deadline": _dt(offer.acceptance_deadline),
-        "assignment_deadline": _dt(offer.assignment_deadline),
-        "total_energy_min": offer.total_energy_min,
-        "total_energy_max": offer.total_energy_max,
-        "slices": [
-            {"energy_min": s.energy_min, "energy_max": s.energy_max, "duration": s.duration}
-            for s in offer.slices
-        ],
-    }
+    return encode(offer)
 
 
 def flexoffer_from_dict(data: dict[str, Any]) -> FlexOffer:
     """Decode a flex-offer from its dict encoding."""
-    with decoding("flex-offer"):
-        version = data.get("version", _FORMAT_VERSION)
-        if version != _FORMAT_VERSION:
-            raise DataError(f"unsupported flex-offer format version {version}")
-        slices = tuple(
-            ProfileSlice(s["energy_min"], s["energy_max"], s.get("duration", 1))
-            for s in data["slices"]
-        )
-        return FlexOffer(
-            earliest_start=_parse_dt(data["earliest_start"]),
-            latest_start=_parse_dt(data["latest_start"]),
-            slices=slices,
-            resolution=timedelta(seconds=data["resolution_seconds"]),
-            offer_id=data["offer_id"],
-            consumer_id=data.get("consumer_id", ""),
-            appliance=data.get("appliance", ""),
-            source=data.get("source", ""),
-            creation_time=_parse_dt(data.get("creation_time")),
-            acceptance_deadline=_parse_dt(data.get("acceptance_deadline")),
-            assignment_deadline=_parse_dt(data.get("assignment_deadline")),
-            total_energy_min=data.get("total_energy_min"),
-            total_energy_max=data.get("total_energy_max"),
-        )
+    return decode(FlexOffer, data)
 
 
 def schedule_to_dict(schedule: ScheduledFlexOffer) -> dict[str, Any]:
     """Encode a scheduled flex-offer (embeds the offer)."""
-    return {
-        "offer": flexoffer_to_dict(schedule.offer),
-        "start": _dt(schedule.start),
-        "slice_energies": list(schedule.slice_energies),
-    }
+    return encode(schedule)
 
 
 def schedule_from_dict(data: dict[str, Any]) -> ScheduledFlexOffer:
     """Decode a scheduled flex-offer."""
-    with decoding("schedule"):
-        return ScheduledFlexOffer(
-            offer=flexoffer_from_dict(data["offer"]),
-            start=_parse_dt(data["start"]),
-            slice_energies=tuple(data["slice_energies"]),
-        )
+    return decode(ScheduledFlexOffer, data)
 
 
 def aggregated_to_dict(aggregate: "AggregatedFlexOffer") -> dict[str, Any]:
-    """Encode an aggregated flex-offer (aggregate + members + offsets).
-
-    Part of the extended wire format used by run reports
-    (:mod:`repro.api.service`): the full aggregation output round-trips, so
-    a stored report supports later disaggregation.
-    """
-    return {
-        "offer": flexoffer_to_dict(aggregate.offer),
-        "members": [flexoffer_to_dict(m) for m in aggregate.members],
-        "member_offsets": list(aggregate.member_offsets),
-    }
+    """Encode an aggregated flex-offer (aggregate + members + offsets), so a
+    stored run report supports later disaggregation."""
+    return encode(aggregate)
 
 
 def aggregated_from_dict(data: dict[str, Any]) -> "AggregatedFlexOffer":
     """Decode an aggregated flex-offer from its dict encoding."""
     from repro.aggregation.aggregate import AggregatedFlexOffer
 
-    with decoding("aggregated flex-offer"):
-        return AggregatedFlexOffer(
-            offer=flexoffer_from_dict(data["offer"]),
-            members=tuple(flexoffer_from_dict(m) for m in data["members"]),
-            member_offsets=tuple(int(o) for o in data["member_offsets"]),
-        )
+    return decode(AggregatedFlexOffer, data)
 
 
 def schedule_result_to_dict(result: "ScheduleResult") -> dict[str, Any]:
-    """Encode a scheduling run (axis + target + placements + unplaced).
-
-    The demand plan is not stored: it is exactly the sum of the encoded
-    schedules on the encoded axis, and :func:`schedule_result_from_dict`
-    rebuilds it deterministically — keeping the wire format minimal while
-    the round-trip stays lossless.
-    """
-    axis = result.target.axis
-    return {
-        "axis": {
-            "start": _dt(axis.start),
-            "resolution_seconds": axis.resolution.total_seconds(),
-            "length": axis.length,
-        },
-        "target": {
-            "name": result.target.name,
-            "values": [float(v) for v in result.target.values],
-        },
-        "schedules": [schedule_to_dict(s) for s in result.schedules],
-        "unplaced": [flexoffer_to_dict(o) for o in result.unplaced],
-    }
+    """Encode a scheduling run (axis + target + placements + unplaced)."""
+    return encode(result)
 
 
 def schedule_result_from_dict(data: dict[str, Any]) -> "ScheduleResult":
     """Decode a scheduling run, rebuilding the demand plan from the parts."""
-    from repro.flexoffer.schedule import schedules_to_series
     from repro.scheduling.greedy import ScheduleResult
-    from repro.timeseries.axis import TimeAxis
-    from repro.timeseries.series import TimeSeries
 
-    with decoding("schedule result"):
-        axis = TimeAxis(
-            start=_parse_dt(data["axis"]["start"]),
-            resolution=timedelta(seconds=data["axis"]["resolution_seconds"]),
-            length=int(data["axis"]["length"]),
-        )
-        target = TimeSeries(
-            axis, data["target"]["values"], name=data["target"].get("name", "")
-        )
-        schedules = [schedule_from_dict(s) for s in data["schedules"]]
-        unplaced = [flexoffer_from_dict(o) for o in data["unplaced"]]
-        return ScheduleResult(
-            schedules=schedules,
-            demand=schedules_to_series(schedules, axis),
-            target=target,
-            unplaced=unplaced,
-        )
+    return decode(ScheduleResult, data)
 
 
 def zoned_result_to_dict(result: "ZonedScheduleResult") -> dict[str, Any]:
-    """Encode a zone-sharded scheduling run (zones + per-zone results).
-
-    The discriminating ``"zones"`` key tells readers apart from the
-    single-market encoding of :func:`schedule_result_to_dict`; each zone
-    carries its price band and its full schedule result (the zone's target
-    series doubles as the zone's demand profile, so nothing else is
-    needed to rebuild the :class:`~repro.scheduling.zones.MarketZone`).
-    Market-cleared runs add a ``"clearing"`` section
-    (:meth:`~repro.market.clearing.ClearingResult.to_dict`); the key is
-    omitted when the run never cleared, so pre-market goldens and readers
-    are untouched.
-    """
-    encoded: dict[str, Any] = {
-        "zones": [
-            {
-                "name": zone.name,
-                "price_floor": zone.price_floor,
-                "price_cap": zone.price_cap,
-                "result": schedule_result_to_dict(zone_result),
-            }
-            for zone, zone_result in zip(result.zones, result.results)
-        ]
-    }
-    if result.clearing is not None:
-        encoded["clearing"] = result.clearing.to_dict()
-    return encoded
+    """Encode a zone-sharded scheduling run (zones + per-zone results)."""
+    return encode(result)
 
 
 def zoned_result_from_dict(data: dict[str, Any]) -> "ZonedScheduleResult":
     """Decode a zone-sharded scheduling run."""
-    from repro.scheduling.zones import MarketZone, ZonedScheduleResult
+    from repro.scheduling.zones import ZonedScheduleResult
 
-    zones = []
-    results = []
-    with decoding("zoned schedule"):
-        for entry in data["zones"]:
-            zone_result = schedule_result_from_dict(entry["result"])
-            zones.append(
-                MarketZone(
-                    name=entry["name"],
-                    target=zone_result.target,
-                    price_floor=float(entry.get("price_floor", 0.0)),
-                    price_cap=float(entry.get("price_cap", 0.0)),
-                )
-            )
-            results.append(zone_result)
-        clearing_data = data.get("clearing")
-    clearing = None
-    if clearing_data is not None:
-        from repro.market.clearing import ClearingResult
-
-        clearing = ClearingResult.from_dict(clearing_data)
-    return ZonedScheduleResult(
-        zones=tuple(zones), results=tuple(results), clearing=clearing
-    )
+    return decode(ZonedScheduleResult, data)
 
 
 def any_schedule_to_dict(
     result: "ScheduleResult | ZonedScheduleResult",
 ) -> dict[str, Any]:
     """Encode either schedule-result flavour (zoned or single-market)."""
-    from repro.scheduling.zones import ZonedScheduleResult
-
-    if isinstance(result, ZonedScheduleResult):
-        return zoned_result_to_dict(result)
-    return schedule_result_to_dict(result)
+    return encode(result)
 
 
 def any_schedule_from_dict(
     data: dict[str, Any],
 ) -> "ScheduleResult | ZonedScheduleResult":
-    """Decode either schedule-result flavour, sniffed by the ``zones`` key."""
-    with decoding("schedule result"):
-        zoned = "zones" in data
-    return zoned_result_from_dict(data) if zoned else schedule_result_from_dict(data)
+    """Decode either schedule-result flavour, selected by the ``zones`` key."""
+    from repro.scheduling.greedy import ScheduleResult
+    from repro.scheduling.zones import ZonedScheduleResult
+
+    return decode(ScheduleResult | ZonedScheduleResult, data)
 
 
 def quantile_forecast_to_dict(forecast: "QuantileForecast") -> dict[str, Any]:
-    """Encode a quantile forecast (axis + point + per-level curves).
-
-    The axis is stored once; the point forecast and every quantile curve
-    share it, so only names and value arrays travel per curve.  Levels and
-    curves are kept in the forecast's (strictly increasing) level order —
-    the round trip through :func:`quantile_forecast_from_dict` is exact.
-    """
-    axis = forecast.axis
-    return {
-        "axis": {
-            "start": _dt(axis.start),
-            "resolution_seconds": axis.resolution.total_seconds(),
-            "length": axis.length,
-        },
-        "point": {
-            "name": forecast.point.name,
-            "values": [float(v) for v in forecast.point.values],
-        },
-        "levels": [float(level) for level in forecast.levels],
-        "curves": [
-            {"name": curve.name, "values": [float(v) for v in curve.values]}
-            for curve in forecast.curves
-        ],
-    }
+    """Encode a quantile forecast (axis + point + per-level curves)."""
+    return encode(forecast)
 
 
 def quantile_forecast_from_dict(data: dict[str, Any]) -> "QuantileForecast":
     """Decode a quantile forecast from its dict encoding."""
     from repro.forecasting.quantiles import QuantileForecast
-    from repro.timeseries.axis import TimeAxis
-    from repro.timeseries.series import TimeSeries
 
-    with decoding("quantile forecast"):
-        axis = TimeAxis(
-            start=_parse_dt(data["axis"]["start"]),
-            resolution=timedelta(seconds=data["axis"]["resolution_seconds"]),
-            length=int(data["axis"]["length"]),
-        )
-        point = TimeSeries(
-            axis, data["point"]["values"], name=data["point"].get("name", "")
-        )
-        levels = tuple(float(level) for level in data["levels"])
-        curves = tuple(
-            TimeSeries(axis, curve["values"], name=curve.get("name", ""))
-            for curve in data["curves"]
-        )
-    return QuantileForecast(point=point, levels=levels, curves=curves)
+    return decode(QuantileForecast, data)
 
 
 # ---------------------------------------------------------------------- #
@@ -381,20 +177,16 @@ def _keyed_delta(old_items: list, new_items: list, key) -> dict[str, Any]:
 
 def _apply_keyed(base_items: list, delta: Any, key, what: str) -> list:
     _require(delta, ("upserted", "removed", "order"), what)
-    try:
+    with guard(DataError, what):
         merged = {key(item): item for item in base_items}
         for item in delta["upserted"]:
             merged[key(item)] = item
         for removed in delta["removed"]:
             merged.pop(removed, None)
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{what} holds a malformed entry ({exc!r})") from exc
-    try:
+        unknown = [k for k in delta["order"] if k not in merged]
+        if unknown:
+            raise DataError(f"report delta order references unknown key {unknown[0]!r}")
         return [merged[k] for k in delta["order"]]
-    except KeyError as exc:
-        raise DataError(f"report delta order references unknown key {exc}") from exc
-    except TypeError as exc:
-        raise DataError(f"{what} has a malformed order ({exc})") from exc
 
 
 def _offer_key(offer: dict[str, Any]) -> str:

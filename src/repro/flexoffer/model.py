@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.timeseries.axis import FIFTEEN_MINUTES
+from repro.wire import Version, wire_format
 
 
 class OfferIdFactory:
@@ -93,6 +94,7 @@ def offer_id_scope(namespace: str = "", start: int = 0) -> Iterator[OfferIdFacto
         _CURRENT_FACTORY = previous
 
 
+@wire_format("profile slice")
 @dataclass(frozen=True, slots=True)
 class ProfileSlice:
     """One slice of a flex-offer profile.
@@ -145,6 +147,17 @@ def uniform_profile(total_min: float, total_max: float, slices: int) -> tuple[Pr
     )
 
 
+@wire_format(
+    "flex-offer",
+    version=Version(1, "flex-offer format"),
+    rename={"resolution": "resolution_seconds"},
+    order=(
+        "offer_id", "consumer_id", "appliance", "source", "earliest_start",
+        "latest_start", "resolution_seconds", "creation_time", "acceptance_deadline",
+        "assignment_deadline", "total_energy_min", "total_energy_max", "slices",
+    ),
+    required=("resolution_seconds", "offer_id"),
+)
 @dataclass(frozen=True, slots=True)
 class FlexOffer:
     """A flexibility offer: an energy profile with start-time flexibility.

@@ -18,10 +18,12 @@ from repro.errors import SchedulingError, ValidationError
 from repro.flexoffer.model import FlexOffer
 from repro.timeseries.axis import TimeAxis
 from repro.timeseries.series import TimeSeries
+from repro.wire import wire_format
 
 _ENERGY_TOLERANCE = 1e-9
 
 
+@wire_format("schedule")
 @dataclass(frozen=True, slots=True)
 class ScheduledFlexOffer:
     """A flex-offer with a concrete start time and per-slice energies."""

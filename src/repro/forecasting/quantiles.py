@@ -20,14 +20,16 @@ the same fan on every call (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import DataError
 from repro.forecasting.models import drift, seasonal_naive
 from repro.timeseries.axis import TimeAxis
+from repro.timeseries.io import Curve
 from repro.timeseries.series import TimeSeries
+from repro.wire import Encodable, Key, wire_format
 
 #: Default quantile levels for forecast fans (symmetric around the median).
 DEFAULT_LEVELS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -45,8 +47,20 @@ def _validate_levels(levels: tuple[float, ...]) -> tuple[float, ...]:
     return levels
 
 
+@wire_format(
+    "quantile forecast",
+    keys=(
+        Key("axis", TimeAxis),
+        Key("point", Curve),
+        Key("levels", tuple[float, ...]),
+        Key("curves", tuple[Curve, ...]),
+    ),
+    build=lambda axis, point, levels, curves: QuantileForecast(
+        point.on(axis), levels, tuple(curve.on(axis) for curve in curves)
+    ),
+)
 @dataclass(frozen=True, slots=True)
-class QuantileForecast:
+class QuantileForecast(Encodable):
     """A point forecast plus one curve per quantile level.
 
     Invariants enforced at construction: levels are strictly increasing in
@@ -88,19 +102,6 @@ class QuantileForecast:
             if have == level:
                 return curve
         raise DataError(f"no quantile curve at level {level}; have {self.levels}")
-
-    def to_dict(self) -> dict[str, Any]:
-        """Wire encoding (see :mod:`repro.flexoffer.io`)."""
-        from repro.flexoffer.io import quantile_forecast_to_dict
-
-        return quantile_forecast_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "QuantileForecast":
-        """Decode the :meth:`to_dict` encoding."""
-        from repro.flexoffer.io import quantile_forecast_from_dict
-
-        return quantile_forecast_from_dict(data)
 
 
 def residual_blocks(

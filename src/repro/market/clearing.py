@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from repro.market.model import (
     price_offers_batched,
 )
 from repro.scheduling.zones import MarketZone, ZonedTarget, assign_zones
+from repro.wire import Encodable, Version, wire_format
 
 CLEARING_VERSION = 1
 
@@ -74,8 +75,11 @@ BID_REASONS = ("", "priced-out", "lumpy", "no-supply", "pass-through")
 # --------------------------------------------------------------------- #
 
 
+@wire_format(
+    "bid outcome", widen=True, rename={"offer_id": "offer", "slice_index": "slice"}
+)
 @dataclass(frozen=True, slots=True)
-class BidOutcome:
+class BidOutcome(Encodable):
     """Final disposition of one bid after both clearing passes."""
 
     offer_id: str
@@ -98,38 +102,10 @@ class BidOutcome:
         """True when the spill pass moved the bid to an adjacent zone."""
         return self.zone != self.home_zone
 
-    def to_dict(self) -> dict:
-        return {
-            "offer": self.offer_id,
-            "home_zone": self.home_zone,
-            "zone": self.zone,
-            "slice": self.slice_index,
-            "status": self.status,
-            "reason": self.reason,
-            "price": self.price,
-            "quantity_kwh": self.quantity_kwh,
-            "payment_eur": self.payment_eur,
-            "valuation_eur": self.valuation_eur,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "BidOutcome":
-        return cls(
-            offer_id=data["offer"],
-            home_zone=data["home_zone"],
-            zone=data["zone"],
-            slice_index=int(data["slice"]),
-            status=data["status"],
-            reason=data["reason"],
-            price=float(data["price"]),
-            quantity_kwh=float(data["quantity_kwh"]),
-            payment_eur=float(data["payment_eur"]),
-            valuation_eur=float(data["valuation_eur"]),
-        )
-
-
+@wire_format("zone clearing", widen=True)
 @dataclass(frozen=True, slots=True)
-class ZoneClearing:
+class ZoneClearing(Encodable):
     """One zone's auction outcome across all market slices.
 
     ``outcomes`` holds every bid whose final disposition is in this zone:
@@ -174,32 +150,16 @@ class ZoneClearing:
     def welfare_eur(self) -> float:
         return self.consumer_surplus_eur + self.producer_surplus_eur
 
-    def to_dict(self) -> dict:
-        return {
-            "zone": self.zone,
-            "price_floor": self.price_floor,
-            "price_cap": self.price_cap,
-            "slice_prices": list(self.slice_prices),
-            "supply_kwh": list(self.supply_kwh),
-            "cleared_kwh": list(self.cleared_kwh),
-            "outcomes": [o.to_dict() for o in self.outcomes],
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ZoneClearing":
-        return cls(
-            zone=data["zone"],
-            price_floor=float(data["price_floor"]),
-            price_cap=float(data["price_cap"]),
-            slice_prices=tuple(float(p) for p in data["slice_prices"]),
-            supply_kwh=tuple(float(s) for s in data["supply_kwh"]),
-            cleared_kwh=tuple(float(c) for c in data["cleared_kwh"]),
-            outcomes=tuple(BidOutcome.from_dict(o) for o in data["outcomes"]),
-        )
-
-
+@wire_format(
+    "clearing",
+    error=MarketError,
+    widen=True,
+    version=Version(CLEARING_VERSION, "clearing"),
+    order=("slices", "coupling_kwh", "engine", "zones"),
+)
 @dataclass(frozen=True, slots=True)
-class ClearingResult:
+class ClearingResult(Encodable):
     """The full market outcome: one :class:`ZoneClearing` per zone."""
 
     zones: tuple[ZoneClearing, ...]
@@ -291,27 +251,6 @@ class ClearingResult:
                 }
             )
         return rows
-
-    def to_dict(self) -> dict:
-        return {
-            "version": CLEARING_VERSION,
-            "slices": self.slices,
-            "coupling_kwh": self.coupling_kwh,
-            "engine": self.engine,
-            "zones": [zone.to_dict() for zone in self.zones],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ClearingResult":
-        version = data.get("version", CLEARING_VERSION)
-        if version != CLEARING_VERSION:
-            raise MarketError(f"unsupported clearing version {version!r}")
-        return cls(
-            zones=tuple(ZoneClearing.from_dict(z) for z in data["zones"]),
-            slices=int(data["slices"]),
-            coupling_kwh=float(data["coupling_kwh"]),
-            engine=data["engine"],
-        )
 
 
 # --------------------------------------------------------------------- #

@@ -45,7 +45,9 @@ from repro.errors import SchedulingError
 from repro.flexoffer.model import FlexOffer
 from repro.flexoffer.schedule import ScheduledFlexOffer, schedules_to_series
 from repro.timeseries.axis import TimeAxis
+from repro.timeseries.io import Curve
 from repro.timeseries.series import TimeSeries
+from repro.wire import Key, wire_format
 
 #: Legacy engine names, still accepted so existing configs, spec files and
 #: journals load, and the engine each one runs.
@@ -122,9 +124,26 @@ class ScheduleConfig:
                 )
 
 
+@wire_format(
+    "schedule result",
+    keys=(
+        Key("axis", TimeAxis, lambda result: result.target.axis),
+        Key("target", Curve),
+        Key("schedules", list[ScheduledFlexOffer]),
+        Key("unplaced", list[FlexOffer]),
+    ),
+    build=lambda axis, target, schedules, unplaced: ScheduleResult(
+        schedules, schedules_to_series(schedules, axis), target.on(axis), unplaced
+    ),
+)
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Outcome of a scheduling run."""
+    """Outcome of a scheduling run.
+
+    On the wire (:mod:`repro.wire`) the demand plan is not stored: it is
+    exactly the sum of the schedules on the target's axis, rebuilt on load,
+    so the format stays minimal while the round trip stays lossless.
+    """
 
     schedules: list[ScheduledFlexOffer]
     demand: TimeSeries

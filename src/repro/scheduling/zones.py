@@ -36,7 +36,7 @@ import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.errors import SchedulingError
 from repro.scheduling.greedy import ScheduleConfig, ScheduleResult, greedy_schedule
 from repro.scheduling.stochastic import improve_schedule, improve_scope
 from repro.timeseries.series import TimeSeries
+from repro.wire import Key, wire_format
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.market.clearing import ClearingResult
@@ -249,6 +250,45 @@ def assign_zones(
     return buckets
 
 
+@wire_format(
+    "zone",
+    widen=True,
+    keys=(
+        Key("name", str, lambda entry: entry.zone.name),
+        Key("price_floor", float, lambda entry: entry.zone.price_floor, 0.0),
+        Key("price_cap", float, lambda entry: entry.zone.price_cap, 0.0),
+        Key("result", ScheduleResult),
+    ),
+    build=lambda name, price_floor, price_cap, result: _ZoneEntry(
+        MarketZone(name, result.target, price_floor, price_cap), result
+    ),
+)
+class _ZoneEntry(NamedTuple):
+    """One zone of a zoned result on the wire: its price band and its
+    schedule result, whose target doubles as the zone's demand profile."""
+
+    zone: MarketZone
+    result: ScheduleResult
+
+
+@wire_format(
+    "zoned schedule",
+    selected_by="zones",
+    imports=("repro.market.clearing",),
+    keys=(
+        Key(
+            "zones",
+            tuple[_ZoneEntry, ...],
+            lambda zoned: tuple(map(_ZoneEntry, zoned.zones, zoned.results)),
+        ),
+        Key("clearing", "ClearingResult | None", default=None, omit=True),
+    ),
+    build=lambda zones, clearing: ZonedScheduleResult(
+        tuple(entry.zone for entry in zones),
+        tuple(entry.result for entry in zones),
+        clearing,
+    ),
+)
 @dataclass(frozen=True)
 class ZonedScheduleResult:
     """Every zone's scheduling outcome, in zone declaration order.
@@ -260,6 +300,10 @@ class ZonedScheduleResult:
     single-market result occupies.  When the run cleared a market first,
     ``clearing`` holds the :class:`~repro.market.clearing.ClearingResult`
     (``None`` for plain zoned placement — old results are unchanged).
+
+    On the wire the ``"zones"`` key tells a zoned result from a plain one;
+    the ``"clearing"`` key is omitted when the run never cleared, so
+    pre-market documents load and re-encode unchanged.
     """
 
     zones: tuple[MarketZone, ...]

@@ -56,15 +56,14 @@ import base64
 import json
 import os
 import zlib
-from contextlib import contextmanager
 from dataclasses import replace
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import PersistenceError, ReproError, SessionError
+from repro.errors import PersistenceError, SessionError
 from repro.flexoffer.io import (
     aggregated_from_dict,
     aggregated_to_dict,
@@ -77,6 +76,7 @@ from repro.flexoffer.io import (
 )
 from repro.testing import faults
 from repro.timeseries.axis import TimeAxis
+from repro.wire import decode, encode, guard
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.scheduling.greedy import ScheduleResult
@@ -159,22 +159,6 @@ def _decode_record(line: bytes) -> dict[str, Any]:
 # ---------------------------------------------------------------------- #
 
 
-def _axis_to_dict(axis: TimeAxis) -> dict[str, Any]:
-    return {
-        "start": axis.start.isoformat(),
-        "resolution_seconds": axis.resolution.total_seconds(),
-        "length": axis.length,
-    }
-
-
-def _axis_from_dict(data: dict[str, Any]) -> TimeAxis:
-    return TimeAxis(
-        start=datetime.fromisoformat(data["start"]),
-        resolution=timedelta(seconds=data["resolution_seconds"]),
-        length=int(data["length"]),
-    )
-
-
 def _mask_runs(mask: np.ndarray) -> list[list[int]]:
     """A boolean mask as ``[first, stop)`` runs of True (compact, exact)."""
     padded = np.concatenate(([False], mask, [False]))
@@ -218,23 +202,6 @@ def _buffer_from_wire(stored: Any, length: int, version: int) -> np.ndarray:
 
 def _summary_to_wire(summary: dict[str, float]) -> dict[str, float]:
     return {k: float(v) for k, v in summary.items()}
-
-
-@contextmanager
-def _decoding(where: str) -> Iterator[None]:
-    """Raise a malformed snapshot ``where`` as :class:`PersistenceError`.
-
-    A missing field names it; a value of the wrong type or shape names the
-    cause; a nested decoder's typed error keeps its message.
-    """
-    try:
-        yield
-    except PersistenceError:
-        raise
-    except KeyError as exc:
-        raise PersistenceError(f"snapshot {where} missing field {exc}") from exc
-    except (ReproError, AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise PersistenceError(f"malformed snapshot {where}: {exc}") from exc
 
 
 def _object(fields: dict[str, bytes]) -> bytes:
@@ -307,7 +274,7 @@ def encode_state(session: "FlexibilitySession") -> bytes:
             "index": h.index,
             "household_id": h.household_id,
             "series_name": h.series_name,
-            "axis": _axis_to_dict(h.axis),
+            "axis": encode(h.axis),
             "values": _buffer_to_text(h.values),
             "covered": _mask_runs(h.covered),
             "dirty": bool(h.dirty),
@@ -374,7 +341,7 @@ def decode_state(
     if version not in SNAPSHOT_FORMAT_VERSIONS:
         raise PersistenceError(f"unsupported snapshot format version {version}")
     state = session.state
-    with _decoding("state"):
+    with guard(PersistenceError, "snapshot state", keep=PersistenceError):
         if not isinstance(payload, dict):
             raise TypeError(f"state is {type(payload).__name__}, not a JSON object")
         households = payload["households"]
@@ -388,8 +355,9 @@ def decode_state(
         )
     rederive = []
     for position, (live, stored) in enumerate(zip(state.households, households)):
-        with _decoding(f"household {position}"):
-            axis = _axis_from_dict(stored["axis"])
+        where = f"snapshot household {position}"
+        with guard(PersistenceError, where, keep=PersistenceError):
+            axis = decode(TimeAxis, stored["axis"])
             if (
                 live.index != stored["index"]
                 or live.household_id != stored["household_id"]
@@ -421,7 +389,7 @@ def decode_state(
             )
         live.offers = output.offers
         live.summary = output.summary
-    with _decoding("state"):
+    with guard(PersistenceError, "snapshot state", keep=PersistenceError):
         state.version = int(payload["state_version"])
         state.aggregates = tuple(
             aggregated_from_dict(a) for a in payload["aggregates"]
@@ -791,22 +759,6 @@ def _fields(record: dict[str, Any], *names: str) -> tuple[Any, ...]:
     return tuple(data[name] for name in names)
 
 
-@contextmanager
-def _applying(record: dict[str, Any]) -> Iterator[None]:
-    """Raise a record the session cannot apply (a field of the wrong type
-    or value, an event the session does not support) as
-    :class:`PersistenceError` naming the record's seq and type."""
-    try:
-        yield
-    except PersistenceError:
-        raise
-    except (ReproError, AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise PersistenceError(
-            f"WAL record seq {record['seq']} ({record['type']}) cannot be "
-            f"applied: {exc}"
-        ) from exc
-
-
 def restore_session(
     session: "FlexibilitySession", journal: "SessionJournal | str | Path"
 ) -> "FlexibilitySession":
@@ -840,11 +792,21 @@ def restore_session(
             after = seq
         for record in journal.tail(after):
             kind = record["type"]
+            # A record the session cannot apply (a field of the wrong type
+            # or value, an event the session does not support) names its
+            # seq and type.
+            what = f"WAL record seq {record['seq']} ({kind})"
+            applying = guard(
+                PersistenceError,
+                what,
+                keep=PersistenceError,
+                malformed=f"{what} cannot be applied",
+            )
             if kind == "ingest":
                 household, first, values = _fields(
                     record, "household", "first", "values"
                 )
-                with _applying(record):
+                with applying:
                     session.ingest(household, first, values)
             elif kind == "replan":
                 session.replan()
@@ -852,7 +814,7 @@ def restore_session(
                 from repro.timeseries.series import TimeSeries
 
                 name, values = _fields(record, "name", "values")
-                with _applying(record):
+                with applying:
                     if session.target is None:
                         raise SessionError("the session was built without a target")
                     session.retarget(
@@ -864,7 +826,7 @@ def restore_session(
                     )
             elif kind == "commit":
                 (through,) = _fields(record, "through")
-                with _applying(record):
+                with applying:
                     session.commit(datetime.fromisoformat(through))
             else:  # pragma: no cover - _scan admits only encodable records
                 raise PersistenceError(f"unknown journal record type {kind!r}")

@@ -169,10 +169,15 @@ def _apply_event(session, inputs, position, event) -> SessionSnapshot | None:
         return None
     if kind == "replan":
         return session.replan()
+    if "through" not in event:
+        raise SessionError(f"events[{position}]: commit needs 'through'")
+    if not isinstance(event["through"], str):
+        raise SessionError(
+            f"events[{position}]: commit through must be an ISO date string, "
+            f"got {type(event['through']).__name__}"
+        )
     try:
         through = datetime.fromisoformat(event["through"])
-    except KeyError as exc:
-        raise SessionError(f"events[{position}]: commit needs 'through'") from exc
     except ValueError as exc:
         raise SessionError(f"events[{position}]: {exc}") from exc
     session.commit(through)

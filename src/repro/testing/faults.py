@@ -40,13 +40,15 @@ Modes:
 from __future__ import annotations
 
 import errno
-import json
 import os
 import signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Iterator
+
+from repro.errors import DataError
+from repro.wire import Encodable, wire_format
 
 #: Environment variable carrying the encoded :class:`FaultPlan`.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -69,8 +71,9 @@ class InjectedCrash(BaseException):
     """
 
 
+@wire_format("fault spec", widen=True)
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Encodable):
     """One armed fault: fire ``mode`` when ``point`` reaches ``index``."""
 
     point: str
@@ -86,45 +89,21 @@ class FaultSpec:
     def matches(self, point: str, index: int | None) -> bool:
         return self.point == point and (self.index is None or self.index == index)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "point": self.point,
-            "mode": self.mode,
-            "index": self.index,
-            "once": self.once,
-            "seconds": self.seconds,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultSpec":
-        return cls(
-            point=data["point"],
-            mode=data.get("mode", "crash"),
-            index=data.get("index"),
-            once=bool(data.get("once", True)),
-            seconds=float(data.get("seconds", 3600.0)),
-        )
-
-
+@wire_format("fault plan", order=("latch_dir", "specs"))
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Encodable):
     """A set of armed faults plus the latch directory for ``once`` faults."""
 
-    specs: tuple[FaultSpec, ...]
+    specs: tuple[FaultSpec, ...] = ()
     latch_dir: str | None = None
 
     def encode(self) -> str:
-        return json.dumps(
-            {"latch_dir": self.latch_dir, "specs": [s.to_dict() for s in self.specs]}
-        )
+        return self.to_json(indent=None)
 
     @classmethod
     def decode(cls, encoded: str) -> "FaultPlan":
-        data = json.loads(encoded)
-        return cls(
-            specs=tuple(FaultSpec.from_dict(s) for s in data.get("specs", ())),
-            latch_dir=data.get("latch_dir"),
-        )
+        return cls.from_json(encoded)
 
 
 def _acquire(plan: FaultPlan, spec: FaultSpec) -> bool:
@@ -151,7 +130,7 @@ def _armed(point: str, index: int | None) -> tuple[FaultPlan, FaultSpec] | None:
         return None
     try:
         plan = FaultPlan.decode(encoded)
-    except (ValueError, KeyError):  # pragma: no cover - malformed env
+    except DataError:  # pragma: no cover - malformed env
         return None
     for spec in plan.specs:
         if spec.matches(point, index):

@@ -17,6 +17,7 @@ from datetime import datetime, timedelta
 from typing import Iterator
 
 from repro.errors import AxisMismatchError, ResolutionError
+from repro.wire import wire_format
 
 #: The paper's metering resolution: 15 minutes.
 FIFTEEN_MINUTES = timedelta(minutes=15)
@@ -28,6 +29,7 @@ ONE_HOUR = timedelta(hours=1)
 ONE_DAY = timedelta(days=1)
 
 
+@wire_format("axis", rename={"resolution": "resolution_seconds"})
 @dataclass(frozen=True, slots=True)
 class TimeAxis:
     """An anchored, fixed-resolution time grid.

@@ -3,7 +3,9 @@
 Real deployments feed extraction from metering databases; this module
 provides the boundary: a CSV format (``timestamp,value`` with ISO-8601
 timestamps) and a compact JSON encoding (anchor + resolution + values).
-Both round-trip exactly and validate regularity on load.
+Both round-trip exactly and validate regularity on load.  The JSON
+encodings are :mod:`repro.wire` formats: a series on its own, and a
+:class:`Curve` — a series inside a format that stores the shared axis once.
 """
 
 from __future__ import annotations
@@ -12,36 +14,57 @@ import csv
 import json
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Any
-
-import numpy as np
+from typing import Any, NamedTuple
 
 from repro.errors import DataError
 from repro.timeseries.axis import TimeAxis
 from repro.timeseries.series import TimeSeries
+from repro.wire import Key, decode, encode, wire_format
+
+
+def _values(series: TimeSeries) -> list[float]:
+    return series.values.tolist()
+
+
+class Curve(NamedTuple):
+    """A series read without its axis: the enclosing format stores the axis
+    once (a schedule result's target, a quantile forecast's curves)."""
+
+    name: str
+    values: tuple[float, ...]
+
+    def on(self, axis: TimeAxis) -> TimeSeries:
+        return TimeSeries(axis, self.values, self.name)
+
+
+wire_format(
+    "curve",
+    keys=(Key("name", str, default=""), Key("values", tuple[float, ...], _values)),
+    build=Curve,
+)(Curve)
+
+wire_format(
+    "series",
+    keys=(
+        Key("start", datetime, lambda series: series.axis.start),
+        Key("resolution_seconds", timedelta, lambda series: series.axis.resolution),
+        Key("name", str, default=""),
+        Key("values", tuple[float, ...], _values),
+    ),
+    build=lambda start, resolution_seconds, name, values: TimeSeries(
+        TimeAxis(start, resolution_seconds, len(values)), values, name
+    ),
+)(TimeSeries)
 
 
 def series_to_dict(series: TimeSeries) -> dict[str, Any]:
     """Compact JSON-compatible encoding (anchor + resolution + values)."""
-    return {
-        "start": series.axis.start.isoformat(),
-        "resolution_seconds": series.axis.resolution.total_seconds(),
-        "name": series.name,
-        "values": [float(v) for v in series.values],
-    }
+    return encode(series)
 
 
 def series_from_dict(data: dict[str, Any]) -> TimeSeries:
     """Decode a series from its dict encoding."""
-    try:
-        axis = TimeAxis(
-            start=datetime.fromisoformat(data["start"]),
-            resolution=timedelta(seconds=data["resolution_seconds"]),
-            length=len(data["values"]),
-        )
-        return TimeSeries(axis, data["values"], data.get("name", ""))
-    except KeyError as exc:
-        raise DataError(f"series dict missing field: {exc}") from exc
+    return decode(TimeSeries, data)
 
 
 def save_series_json(series: TimeSeries, path: str | Path) -> None:

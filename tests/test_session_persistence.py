@@ -924,23 +924,27 @@ class TestReplaySurface:
         assert report["failed_event"]["position"] == 4
 
     @pytest.mark.parametrize(
-        "field, value, kind",
+        "fields, message",
         [
-            ("household", 1.7, "float"),
-            ("household", True, "bool"),
-            ("first", False, "bool"),
-            ("count", "96", "str"),
+            ({"household": 1.7}, "ingest household must be an integer, got float"),
+            ({"household": True}, "ingest household must be an integer, got bool"),
+            ({"first": False}, "ingest first must be an integer, got bool"),
+            ({"count": "96"}, "ingest count must be an integer, got str"),
+            (
+                {"type": "commit", "through": 5},
+                "commit through must be an ISO date string, got int",
+            ),
         ],
+        ids=["float-household", "bool-household", "bool-first", "str-count", "int-through"],
     )
-    def test_ingest_positions_must_be_integers(self, tmp_path, field, value, kind):
+    def test_malformed_event_fields_raise_session_errors(self, tmp_path, fields, message):
         data = json.loads(EVENTS_FILE.read_text())
-        data["events"][0][field] = value
+        data["events"][0].update(fields)
         path = tmp_path / "events.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(
-            SessionError, match=rf"events\[0\]: ingest {field} must be an integer, got {kind}"
-        ):
+        with pytest.raises(SessionError, match=rf"events\[0\]: {message}") as excinfo:
             replay_session(path)
+        assert type(excinfo.value.__cause__) is SessionError
 
     def test_cli_resume_without_journal_is_usage_error(self, capsys):
         from repro.cli import main
