@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import timedelta
-from functools import cached_property
 
 import numpy as np
 
 from repro.errors import AggregationError
-from repro.flexoffer.model import FlexOffer, ProfileSlice, next_offer_id
+from repro.flexoffer.model import FlexOffer, next_offer_id
 from repro.flexoffer.schedule import ScheduledFlexOffer
 from repro.wire import wire_format
 
@@ -42,22 +41,17 @@ class AggregatedFlexOffer:
         """Number of member offers."""
         return len(self.members)
 
-    @cached_property
+    @property
     def profile_bounds_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The aggregate profile as ``(energy_min, energy_max, durations)``
-        vectors, cached per aggregate.
+        """The aggregate profile as read-only ``(energy_min, energy_max,
+        durations)`` vectors.
 
         Batch consumers (market bid derivation, fleet matrices) touch each
-        aggregate's slices many times; the offer itself is frozen, so the
-        extracted arrays are a safe one-time snapshot.
+        aggregate's slices many times; the vectors are the aggregate
+        offer's own, built once per offer
+        (:meth:`~repro.flexoffer.model.FlexOffer.slice_arrays`).
         """
-        slices = self.offer.slices
-        n = len(slices)
-        return (
-            np.fromiter((s.energy_min for s in slices), dtype=np.float64, count=n),
-            np.fromiter((s.energy_max for s in slices), dtype=np.float64, count=n),
-            np.fromiter((s.duration for s in slices), dtype=np.intp, count=n),
-        )
+        return self.offer.slice_arrays()
 
 
 def aggregate_group(group: list[FlexOffer]) -> AggregatedFlexOffer:
@@ -94,11 +88,11 @@ def aggregate_group(group: list[FlexOffer]) -> AggregatedFlexOffer:
         maxs[off : off + exp_max.size] += exp_max
 
     flexibility = min((o.time_flexibility for o in group), default=timedelta(0))
-    slices = tuple(ProfileSlice(float(lo), float(hi)) for lo, hi in zip(mins, maxs))
-    aggregate = FlexOffer(
+    aggregate = FlexOffer.from_bounds(
+        mins,
+        maxs,
         earliest_start=base_start,
         latest_start=base_start + flexibility,
-        slices=slices,
         resolution=resolution,
         offer_id=next_offer_id("agg"),
         source="aggregation",
@@ -135,26 +129,28 @@ def disaggregate_schedule(
     if schedule.offer.offer_id != aggregated.offer.offer_id:
         raise AggregationError("schedule does not belong to this aggregate")
     delta = schedule.start - aggregated.offer.earliest_start
-    energies = np.asarray(schedule.interval_energies(), dtype=np.float64)
+    energies = schedule.interval_energies()
 
     # Matrix formulation: member i's expanded bounds embedded at its offset
     # in row i, zero elsewhere.  Per-interval sums, targets and slack shares
     # then fall out as single array passes over the (members × intervals)
     # matrices instead of a Python loop over every timestep and member.
-    n_members = len(aggregated.members)
+    members = aggregated.members
+    offsets = aggregated.member_offsets
     total_len = energies.size
-    lo_mat = np.zeros((n_members, total_len))
-    hi_mat = np.zeros((n_members, total_len))
-    covered = np.zeros((n_members, total_len), dtype=bool)
-    exp_lengths = []
-    for i, (off, member) in enumerate(zip(aggregated.member_offsets, aggregated.members)):
+    lo_mat = np.zeros((len(members), total_len))
+    hi_mat = np.zeros((len(members), total_len))
+    covered = np.zeros(total_len, dtype=bool)
+    spans = []
+    for i, (off, member) in enumerate(zip(offsets, members)):
         exp_min, exp_max = member.slice_expansion_arrays()
-        lo_mat[i, off : off + exp_min.size] = exp_min
-        hi_mat[i, off : off + exp_max.size] = exp_max
-        covered[i, off : off + exp_min.size] = True
-        exp_lengths.append(exp_min.size)
+        end = off + exp_min.size
+        lo_mat[i, off:end] = exp_min
+        hi_mat[i, off:end] = exp_max
+        covered[off:end] = True
+        spans.append(end)
 
-    orphaned = ~covered.any(axis=0) & (energies > _TOLERANCE)
+    orphaned = ~covered & (energies > _TOLERANCE)
     if orphaned.any():
         raise AggregationError(
             f"aggregate interval {int(np.flatnonzero(orphaned)[0])} has energy but no members"
@@ -171,19 +167,21 @@ def disaggregate_schedule(
     member_matrix = lo_mat + (hi_mat - lo_mat) * scale[None, :]
 
     out = []
-    for i, member in enumerate(aggregated.members):
-        off = aggregated.member_offsets[i]
-        interval_energy = member_matrix[i, off : off + exp_lengths[i]]
-        slice_energies = []
-        cursor = 0
-        for sl in member.slices:
-            slice_energies.append(float(interval_energy[cursor : cursor + sl.duration].sum()))
-            cursor += sl.duration
+    for i, (off, end, member) in enumerate(zip(offsets, spans, members)):
+        interval_energy = member_matrix[i, off:end]
+        if end - off == len(member.slices):
+            # Unit slices: a one-interval sum is 0.0 + the interval's value.
+            slice_energies = tuple((interval_energy + 0.0).tolist())
+        else:
+            bounds = np.cumsum(member.slice_arrays()[2]).tolist()
+            slice_energies = tuple(
+                float(interval_energy[lo:hi].sum()) for lo, hi in zip([0] + bounds, bounds)
+            )
         out.append(
             ScheduledFlexOffer(
                 offer=member,
                 start=member.earliest_start + delta,
-                slice_energies=tuple(slice_energies),
+                slice_energies=slice_energies,
             )
         )
     return out

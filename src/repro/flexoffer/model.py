@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -183,9 +184,15 @@ class FlexOffer:
     assignment_deadline: datetime | None = None
     total_energy_min: float | None = None
     total_energy_max: float | None = None
+    # Derived once per offer (see __post_init__ and slice_arrays): kept out
+    # of equality, hashing, the pickled state and the wire.
+    _sums: tuple[float, float] = field(init=False, compare=False, repr=False)
+    _bounds: tuple[float, float] = field(init=False, compare=False, repr=False)
+    _arrays: tuple[np.ndarray, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.slices:
+        slices = self.slices
+        if not slices:
             raise ValidationError("flex-offer must have at least one profile slice")
         if self.latest_start < self.earliest_start:
             raise ValidationError(
@@ -194,11 +201,37 @@ class FlexOffer:
             )
         if self.resolution <= timedelta(0):
             raise ValidationError(f"resolution must be positive, got {self.resolution}")
-        tmin, tmax = self.effective_total_bounds()
+        # Left-to-right sums, as the per-slice properties always summed.
+        sums = (sum([s.energy_min for s in slices]), sum([s.energy_max for s in slices]))
+        tmin, tmax = sums
+        if self.total_energy_min is not None:
+            tmin = max(tmin, self.total_energy_min)
+        if self.total_energy_max is not None:
+            tmax = min(tmax, self.total_energy_max)
         if tmin > tmax + 1e-9:
             raise ValidationError(
                 f"infeasible total energy bounds: min {tmin} > max {tmax}"
             )
+        object.__setattr__(self, "_sums", sums)
+        object.__setattr__(self, "_bounds", (tmin, tmax))
+        object.__setattr__(self, "_arrays", None)
+
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in _OFFER_STATE]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(_OFFER_STATE, state):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def from_bounds(cls, mins: np.ndarray, maxs: np.ndarray, **attributes) -> "FlexOffer":
+        """An offer of unit slices ``[mins[i], maxs[i]]``, its arrays taken
+        from the vectors rather than rebuilt from the slices."""
+        offer = cls(slices=tuple(map(ProfileSlice, mins.tolist(), maxs.tolist())), **attributes)
+        mins, maxs = _read_only(mins), _read_only(maxs)
+        object.__setattr__(offer, "_arrays", (mins, maxs, _unit_durations(mins.size), mins, maxs))
+        return offer
 
     # ------------------------------------------------------------------ #
     # Derived attributes
@@ -232,12 +265,12 @@ class FlexOffer:
     @property
     def profile_energy_min(self) -> float:
         """Sum of per-slice minimum energies (kWh)."""
-        return sum(s.energy_min for s in self.slices)
+        return self._sums[0]
 
     @property
     def profile_energy_max(self) -> float:
         """Sum of per-slice maximum energies (kWh)."""
-        return sum(s.energy_max for s in self.slices)
+        return self._sums[1]
 
     @property
     def energy_flexibility(self) -> float:
@@ -251,13 +284,7 @@ class FlexOffer:
         The explicit ``total_energy_min``/``max`` (when provided) tighten the
         bounds implied by the profile slices.
         """
-        tmin = self.profile_energy_min
-        tmax = self.profile_energy_max
-        if self.total_energy_min is not None:
-            tmin = max(tmin, self.total_energy_min)
-        if self.total_energy_max is not None:
-            tmax = min(tmax, self.total_energy_max)
-        return tmin, tmax
+        return self._bounds
 
     @property
     def is_production(self) -> bool:
@@ -333,20 +360,41 @@ class FlexOffer:
             bounds.extend((share_min, share_max) for _ in range(s.duration))
         return bounds
 
+    def slice_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The profile as read-only per-slice vectors ``(energy_min,
+        energy_max, duration)``, built on first use and kept on the offer."""
+        return self._derived_arrays()[:3]
+
     def slice_expansion_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`slice_expansion` as a pair of numpy vectors ``(mins, maxs)``.
+        """:meth:`slice_expansion` as a pair of read-only numpy vectors
+        ``(mins, maxs)``, built on first use and kept on the offer.
 
         The array form feeds the vectorized aggregation paths, which sum
         many expanded profiles without Python-level per-interval loops.
         """
-        durations = np.array([s.duration for s in self.slices])
-        mins = np.repeat(
-            np.array([s.energy_min for s in self.slices]) / durations, durations
-        )
-        maxs = np.repeat(
-            np.array([s.energy_max for s in self.slices]) / durations, durations
-        )
-        return mins, maxs
+        return self._derived_arrays()[3:]
+
+    def _derived_arrays(self) -> tuple[np.ndarray, ...]:
+        arrays = self._arrays
+        if arrays is None:
+            slices = self.slices
+            mins = _read_only(np.array([s.energy_min for s in slices], dtype=np.float64))
+            maxs = _read_only(np.array([s.energy_max for s in slices], dtype=np.float64))
+            widths = [s.duration for s in slices]
+            if sum(widths) == len(widths):
+                # Unit slices: the expansion is the profile itself (x / 1 == x).
+                arrays = (mins, maxs, _unit_durations(len(widths)), mins, maxs)
+            else:
+                durations = _read_only(np.array(widths, dtype=np.intp))
+                arrays = (
+                    mins,
+                    maxs,
+                    durations,
+                    _read_only(np.repeat(mins / durations, durations)),
+                    _read_only(np.repeat(maxs / durations, durations)),
+                )
+            object.__setattr__(self, "_arrays", arrays)
+        return arrays
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tmin, tmax = self.effective_total_bounds()
@@ -355,6 +403,21 @@ class FlexOffer:
             f"lst={self.latest_start.isoformat()}, slices={len(self.slices)}, "
             f"energy=[{tmin:.3f}, {tmax:.3f}] kWh)"
         )
+
+
+#: The fields an offer pickles: its constructor arguments, not its caches.
+_OFFER_STATE = tuple(f.name for f in fields(FlexOffer) if f.init)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@cache
+def _unit_durations(n: int) -> np.ndarray:
+    """The durations of ``n`` unit slices, one shared read-only vector."""
+    return _read_only(np.ones(n, dtype=np.intp))
 
 
 def figure1_flexoffer(day: datetime) -> FlexOffer:

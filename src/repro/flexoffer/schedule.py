@@ -66,10 +66,11 @@ class ScheduledFlexOffer:
 
     def interval_energies(self) -> np.ndarray:
         """Per-interval energies, spreading multi-interval slices evenly."""
-        out: list[float] = []
-        for energy, sl in zip(self.slice_energies, self.offer.slices):
-            out.extend([energy / sl.duration] * sl.duration)
-        return np.asarray(out)
+        energies = np.array(self.slice_energies, dtype=np.float64)
+        durations = self.offer.slice_arrays()[2]
+        if durations.size == self.offer.slice_expansion_arrays()[0].size:
+            return energies
+        return np.repeat(energies / durations, durations)
 
     def to_series(self, axis: TimeAxis) -> TimeSeries:
         """Render the schedule onto ``axis`` as energy per interval.
@@ -85,7 +86,35 @@ class ScheduledFlexOffer:
 
 def add_to_series(schedule: ScheduledFlexOffer, series: TimeSeries) -> None:
     """Accumulate a schedule's energy into an existing series (in place)."""
-    axis = series.axis
+    first, energies = _placement(schedule, series.axis)
+    series.values[first : first + len(energies)] += energies
+
+
+def schedules_to_series(
+    schedules: list[ScheduledFlexOffer], axis: TimeAxis, name: str = "scheduled-demand"
+) -> TimeSeries:
+    """Sum many schedules onto one axis (the aggregate demand plan).
+
+    Bitwise the :func:`add_to_series` loop: every interval sums its
+    schedules' energies from zero in schedule order, since ``np.add.at``
+    applies repeated indices in order.  The first schedule off the axis
+    raises what ``add_to_series`` raises for it.
+    """
+    series = TimeSeries.zeros(axis, name=name)
+    if not schedules:
+        return series
+    placed = [_placement(schedule, axis) for schedule in schedules]
+    lengths = np.array([energies.size for _, energies in placed])
+    firsts = np.array([first for first, _ in placed])
+    ends = np.cumsum(lengths)
+    index = np.arange(int(ends[-1])) + np.repeat(firsts - (ends - lengths), lengths)
+    np.add.at(series.values, index, np.concatenate([energies for _, energies in placed]))
+    return series
+
+
+def _placement(schedule: ScheduledFlexOffer, axis: TimeAxis) -> tuple[int, np.ndarray]:
+    """A schedule's first interval on ``axis`` and its interval energies;
+    raises :class:`SchedulingError` unless it lies wholly on the axis."""
     if not axis.contains(schedule.start):
         raise SchedulingError(
             f"schedule start {schedule.start} outside axis [{axis.start}, {axis.end})"
@@ -96,17 +125,7 @@ def add_to_series(schedule: ScheduledFlexOffer, series: TimeSeries) -> None:
         raise SchedulingError(
             f"schedule for {schedule.offer.offer_id} overruns the axis end"
         )
-    series.values[first : first + len(energies)] += energies
-
-
-def schedules_to_series(
-    schedules: list[ScheduledFlexOffer], axis: TimeAxis, name: str = "scheduled-demand"
-) -> TimeSeries:
-    """Sum many schedules onto one axis (the aggregate demand plan)."""
-    series = TimeSeries.zeros(axis, name=name)
-    for schedule in schedules:
-        add_to_series(schedule, series)
-    return series
+    return first, energies
 
 
 def default_schedule(

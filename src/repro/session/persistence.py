@@ -166,10 +166,27 @@ def _mask_runs(mask: np.ndarray) -> list[list[int]]:
     return [[int(first), int(stop)] for first, stop in zip(edges[::2], edges[1::2])]
 
 
-def _runs_to_mask(runs: list[list[int]], length: int) -> np.ndarray:
+def _runs_to_mask(runs: list[list[int]], length: int, where: str) -> np.ndarray:
+    """The mask :func:`_mask_runs` wrote: runs must be pairs of ints with
+    ``0 <= first < stop <= length``, ascending and non-overlapping."""
     mask = np.zeros(length, dtype=bool)
-    for first, stop in runs:
+    end = 0
+    for run in runs:
+        if not (
+            isinstance(run, list) and len(run) == 2 and all(type(bound) is int for bound in run)
+        ):
+            raise PersistenceError(f"{where}: covered run {run!r} is not a pair of ints")
+        first, stop = run
+        if not 0 <= first < stop <= length:
+            raise PersistenceError(
+                f"{where}: covered run {run!r} is outside 0 <= first < stop <= {length}"
+            )
+        if first < end:
+            raise PersistenceError(
+                f"{where}: covered run {run!r} overlaps or precedes the run before it"
+            )
         mask[first:stop] = True
+        end = stop
     return mask
 
 
@@ -370,7 +387,7 @@ def decode_state(
                 )
             live.series_name = stored["series_name"]
             live.values = _buffer_from_wire(stored["values"], axis.length, version)
-            live.covered = _runs_to_mask(stored["covered"], axis.length)
+            live.covered = _runs_to_mask(stored["covered"], axis.length, where)
             live.recount_prefix()
             live.dirty = bool(stored["dirty"])
             live.summary = dict(stored["summary"])

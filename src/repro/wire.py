@@ -242,13 +242,14 @@ def _plan(cls: type) -> _Plan:
 
 
 def _field_keys(cls: type, fmt: Format) -> list[tuple[Key, str]]:
-    """A dataclass's keys, each with the field it fills: its fields
-    (``version`` aside when the format writes its own), then the keys
-    computed on encode."""
+    """A dataclass's keys, each with the field it fills: its constructor
+    fields (``version`` aside when the format writes its own; derived
+    ``init=False`` fields never travel), then the keys computed on
+    encode."""
     field_hints = hints(cls)
     keys = []
     for f in fields(cls):
-        if fmt.version and f.name == "version":
+        if not f.init or (fmt.version and f.name == "version"):
             continue
         name = fmt.rename.get(f.name, f.name)
         omit = bool(f.metadata.get("omit"))

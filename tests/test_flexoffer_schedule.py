@@ -6,14 +6,18 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError, ValidationError
 from repro.flexoffer.model import FlexOffer, ProfileSlice
 from repro.flexoffer.schedule import (
     ScheduledFlexOffer,
+    add_to_series,
     default_schedule,
     schedules_to_series,
 )
+from repro.timeseries.series import TimeSeries
 from repro.timeseries.axis import FIFTEEN_MINUTES, TimeAxis, axis_for_days
 
 START = datetime(2012, 3, 5, 18, 0)
@@ -125,3 +129,73 @@ class TestDefaultSchedule:
         tight = offer(total_energy_min=1.4)
         sched = default_schedule(tight, level=0.0)
         assert sched.total_energy == pytest.approx(1.4)
+
+
+# ---------------------------------------------------------------------- #
+# schedules_to_series ≡ the sequential add_to_series loop, bitwise
+# ---------------------------------------------------------------------- #
+
+PLAN_AXIS = TimeAxis(START, FIFTEEN_MINUTES, 24)
+
+
+@st.composite
+def placements(draw, slack: int = 0) -> ScheduledFlexOffer:
+    """A schedule starting on (or, with ``slack``, past) the plan axis,
+    with multi-interval slices and an energy anywhere in each slice."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    energy = st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False)
+    bounds = [sorted(draw(st.tuples(energy, energy))) for _ in widths]
+    slices = tuple(ProfileSlice(lo, hi, width) for (lo, hi), width in zip(bounds, widths))
+    start = START + FIFTEEN_MINUTES * draw(st.integers(-slack, 24 - sum(widths) + slack))
+    earliest = min(start, START)
+    placed = FlexOffer(earliest_start=earliest, latest_start=max(start, earliest), slices=slices)
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=len(widths), max_size=len(widths)))
+    return ScheduledFlexOffer(
+        placed, start, tuple(lo + f * (hi - lo) for (lo, hi), f in zip(bounds, fractions))
+    )
+
+
+def sequential(schedules, axis) -> TimeSeries:
+    series = TimeSeries.zeros(axis, name="scheduled-demand")
+    for schedule in schedules:
+        add_to_series(schedule, series)
+    return series
+
+
+class TestSchedulesToSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(placements(), max_size=12))
+    def test_matches_the_add_to_series_loop_bitwise(self, schedules):
+        # Placements overlap freely on a 24-interval axis, so intervals sum
+        # several energies: the order of those sums must be schedule order.
+        combined = schedules_to_series(schedules, PLAN_AXIS)
+        expected = sequential(schedules, PLAN_AXIS)
+        assert combined.values.tobytes() == expected.values.tobytes()
+        assert combined.name == expected.name
+        assert combined.axis == PLAN_AXIS
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(placements(slack=3), min_size=1, max_size=6))
+    def test_first_schedule_off_the_axis_raises_as_the_loop_does(self, schedules):
+        try:
+            expected = sequential(schedules, PLAN_AXIS)
+        except SchedulingError as error:
+            with pytest.raises(SchedulingError) as raised:
+                schedules_to_series(schedules, PLAN_AXIS)
+            assert str(raised.value) == str(error)
+        else:
+            combined = schedules_to_series(schedules, PLAN_AXIS)
+            assert combined.values.tobytes() == expected.values.tobytes()
+
+    def test_start_before_and_overrun_messages(self):
+        before = default_schedule(offer(), start=START)
+        axis = TimeAxis(START + FIFTEEN_MINUTES, FIFTEEN_MINUTES, 8)
+        with pytest.raises(SchedulingError, match="outside axis"):
+            schedules_to_series([before], axis)
+        late = default_schedule(offer(), start=START + timedelta(hours=2))
+        short = TimeAxis(START, FIFTEEN_MINUTES, 9)
+        with pytest.raises(SchedulingError, match="overruns the axis end"):
+            schedules_to_series([late], short)
+
+    def test_no_schedules_is_a_zero_series(self):
+        assert not schedules_to_series([], PLAN_AXIS).values.any()

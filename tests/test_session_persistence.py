@@ -146,6 +146,26 @@ MALFORMED_STATES = [
      "malformed snapshot state"),
     ("bad-target-bytes", 2, _set(["target", "values"], "AAAA"),
      "holds 3 byte"),
+    # Coverage runs are [first, stop) pairs on the household's axis (192
+    # intervals), ascending and disjoint; anything else is corrupt.
+    ("covered-negative-stop", 2, _set(["households", 0, "covered"], [[0, -3]]),
+     r"snapshot household 0: covered run \[0, -3\] is outside"),
+    ("covered-reversed", 2, _set(["households", 0, "covered"], [[5, 2]]),
+     r"covered run \[5, 2\] is outside 0 <= first < stop <= 192"),
+    ("covered-past-axis", 2, _set(["households", 0, "covered"], [[0, 193]]),
+     r"covered run \[0, 193\] is outside"),
+    ("covered-string-bound", 2, _set(["households", 0, "covered"], [["0", 3]]),
+     r"covered run \['0', 3\] is not a pair of ints"),
+    ("covered-bool-bound", 2, _set(["households", 0, "covered"], [[0, True]]),
+     "is not a pair of ints"),
+    ("covered-triple", 2, _set(["households", 0, "covered"], [[0, 3, 5]]),
+     "is not a pair of ints"),
+    ("covered-overlapping", 2, _set(["households", 0, "covered"], [[0, 10], [5, 20]]),
+     r"covered run \[5, 20\] overlaps or precedes the run before it"),
+    ("covered-descending", 2, _set(["households", 0, "covered"], [[10, 20], [0, 5]]),
+     "overlaps or precedes"),
+    ("covered-not-a-list", 2, _set(["households", 0, "covered"], 7),
+     "malformed snapshot household 0"),
 ]
 
 
