@@ -309,10 +309,11 @@ class PeakBasedExtractor(FlexibilityExtractor):
         series must be restored from each one's checkpoint.
         """
         count = len(series)
-        checkpoints = [None] * count if checkpoints is None else checkpoints
         jobs = [
             self._job(s, days, rng, checkpoint)
-            for s, days, rng, checkpoint in zip(series, detected, rngs, checkpoints)
+            for s, days, rng, checkpoint in zip(
+                series, detected, rngs, checkpoints or [None] * count
+            )
         ]
         _selection(day for job in jobs for day in job.days)
         pending = [job for job in jobs if job.days]
@@ -320,13 +321,17 @@ class PeakBasedExtractor(FlexibilityExtractor):
             for job in pending:
                 self._draw(job)
             _shape_blocks(
-                day for job in pending for day in job.days[job.pending :] if day.chosen
+                day
+                for job in pending
+                for day in job.days[job.pending :]
+                if day.chosen is not None
             )
             pending = [job for job in pending if self._settle(job)]
         return [
-            self._result(job, "" if households is None else households[position],
-                         None if id_scopes is None else id_scopes[position])
-            for position, job in enumerate(jobs)
+            self._result(job, household, scope)
+            for job, household, scope in zip(
+                jobs, households or [""] * count, id_scopes or [None] * count
+            )
         ]
 
     def _job(self, series, detected, rng, checkpoint) -> _Job:

@@ -201,7 +201,7 @@ class FlexOffer:
             )
         if self.resolution <= timedelta(0):
             raise ValidationError(f"resolution must be positive, got {self.resolution}")
-        # Left-to-right sums, as the per-slice properties always summed.
+        # Python sums over the slices, bitwise what the properties summed.
         sums = (sum([s.energy_min for s in slices]), sum([s.energy_max for s in slices]))
         tmin, tmax = sums
         if self.total_energy_min is not None:
@@ -226,8 +226,11 @@ class FlexOffer:
 
     @classmethod
     def from_bounds(cls, mins: np.ndarray, maxs: np.ndarray, **attributes) -> "FlexOffer":
-        """An offer of unit slices ``[mins[i], maxs[i]]``, its arrays taken
-        from the vectors rather than rebuilt from the slices."""
+        """An offer of unit slices ``[mins[i], maxs[i]]``.
+
+        The vectors become the offer's arrays (read-only from then on)
+        instead of being rebuilt from the slices on first use.
+        """
         offer = cls(slices=tuple(map(ProfileSlice, mins.tolist(), maxs.tolist())), **attributes)
         mins, maxs = _read_only(mins), _read_only(maxs)
         object.__setattr__(offer, "_arrays", (mins, maxs, _unit_durations(mins.size), mins, maxs))

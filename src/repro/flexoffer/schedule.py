@@ -69,7 +69,7 @@ class ScheduledFlexOffer:
         energies = np.array(self.slice_energies, dtype=np.float64)
         durations = self.offer.slice_arrays()[2]
         if durations.size == self.offer.slice_expansion_arrays()[0].size:
-            return energies
+            return energies  # unit slices: energy / 1 == energy
         return np.repeat(energies / durations, durations)
 
     def to_series(self, axis: TimeAxis) -> TimeSeries:
