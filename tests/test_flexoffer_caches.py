@@ -43,9 +43,8 @@ def offers(draw) -> FlexOffer:
     low = sum(s.energy_min for s in slices)
     high = sum(s.energy_max for s in slices)
     total_min = draw(st.none() | st.floats(low - 5.0, low + 0.5 * (high - low)))
-    total_max = draw(
-        st.none() | st.floats(max(low, total_min or low) + 1e-6 * abs(low), high + 5.0)
-    )
+    floor = low if total_min is None else max(low, total_min)
+    total_max = draw(st.none() | st.floats(floor, high + 5.0))
     return FlexOffer(
         earliest_start=START,
         latest_start=START + timedelta(minutes=15 * draw(st.integers(0, 40))),
