@@ -510,91 +510,109 @@ class _Job:
 def _selection(days: Iterable[_Day]) -> None:
     """Every day's selection probabilities (its report's) and CDF.
 
-    Days are stacked by candidate count, so each row reduces exactly as
-    :func:`selection_probabilities` does on its own day, and the CDF is
-    the one ``Generator.choice`` draws against: a day's choice is
+    The tile's distributions are rows of one zero-padded block, each
+    row's total reduced exactly as :func:`selection_probabilities`
+    reduces its day (:func:`_row_sums`).  The CDF is the one
+    ``Generator.choice`` draws against: a day's choice is
     ``cdf.searchsorted(rng.random(), side="right")``, as in ``choice``.
     The distributions get ``choice``'s checks, in its order and with its
     messages.
     """
-    by_count: dict[int, list[_Day]] = {}
+    drawn = []
     for day in days:
-        by_count.setdefault(len(day.candidates), []).append(day)
-    for count, group in by_count.items():
-        if count == 0:
-            for day in group:
-                day.report["probabilities"] = np.zeros(0)
-            continue
-        sizes = np.array([[p.size for p in day.candidates] for day in group])
-        totals = sizes.sum(axis=1)
-        probabilities = np.full(sizes.shape, 1.0 / count)
-        np.divide(sizes, totals[:, None], out=probabilities, where=~(totals <= 0.0)[:, None])
-        if np.isnan(probabilities).any():
-            raise ValueError("Probabilities contain NaN")
-        if (probabilities < 0).any():
-            raise ValueError("Probabilities are not non-negative")
-        if (np.abs(probabilities.sum(axis=1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
-            raise ValueError(
-                "Probabilities do not sum to 1. See Notes section of docstring for more "
-                "information."
-            )
-        cdf = probabilities.cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        for day, row, bounds in zip(group, probabilities, cdf.tolist()):
-            day.report["probabilities"] = row
-            day.cdf = bounds
+        if day.candidates:
+            drawn.append(day)
+        else:
+            day.report["probabilities"] = np.zeros(0)
+    if not drawn:
+        return
+    counts = np.array([len(day.candidates) for day in drawn])
+    inside = np.arange(int(counts.max())) < counts[:, None]
+    sizes = np.zeros(inside.shape)
+    sizes[inside] = [p.size for day in drawn for p in day.candidates]
+    totals = _row_sums(sizes, counts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probabilities = np.where(
+            ~(totals <= 0.0)[:, None], sizes / totals[:, None], 1.0 / counts[:, None]
+        )
+    probabilities[~inside] = 0.0
+    if np.isnan(probabilities).any():
+        raise ValueError("Probabilities contain NaN")
+    if (probabilities < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if (np.abs(probabilities.sum(axis=1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring for more "
+            "information."
+        )
+    cdf = probabilities.cumsum(axis=1)
+    cdf /= cdf[np.arange(counts.size), counts - 1][:, None]
+    for day, row, bounds, count in zip(drawn, probabilities, cdf.tolist(), counts.tolist()):
+        day.report["probabilities"] = row[:count]
+        day.cdf = bounds[:count]
 
 
 def _shape_blocks(days: Iterable[_Day]) -> None:
     """Each chosen peak's heaviest ``n_slices`` stretch, and the slice
-    energies shaped from it, as block operations per stretch length.
+    energies shaped from it, as block operations over zero-padded rows.
 
     Bitwise the per-peak arithmetic: window sums add left to right as
     ``numpy.convolve`` does (so the first maximum is the same), and each
-    block row reduces like the block alone.
+    row's sums reduce like the 1-D block (:func:`_row_sums`).
     """
-    by_length: dict[int, list[_Day]] = {}
+    days = list(days)
     for day in days:
         day.energies = None
-        by_length.setdefault(day.n_slices, []).append(day)
-    for n, group in by_length.items():
-        peaks = [day.window[day.chosen.first : day.chosen.first + day.chosen.length] for day in group]
-        flat = np.concatenate(peaks)
-        lengths = np.array([peak.size for peak in peaks])
-        starts = np.cumsum(lengths) - lengths
-        if n <= _UNROLLED_STRETCH:
-            width = int(lengths.max()) - n + 1
-            index = np.minimum(starts[:, None] + np.arange(width), flat.size - n)
-            sums = flat[index]
-            for shift in range(1, n):
-                sums = sums + flat[index + shift]
-            sums[np.arange(width) > (lengths - n)[:, None]] = -np.inf
-            offsets = sums.argmax(axis=1)
-        else:
-            offsets = np.array(
-                [
-                    0 if peak.size == n else int(np.argmax(np.convolve(peak, np.ones(n), mode="valid")))
-                    for peak in peaks
-                ]
-            )
-        block = flat[(starts + offsets)[:, None] + np.arange(n)]
-        block_energy = block.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shape = block / block_energy[:, None]
-        flexible = np.array([day.flexible_energy for day in group])
-        energies = np.minimum(shape * flexible[:, None], block)
-        kept = ~(block_energy <= 0.0) & ~(energies.sum(axis=1) <= 0.0)
-        if (energies[kept] < 0).any():
-            raise ValidationError("slice energies must be non-negative")
-        # Recentre each band so (low + high) / 2 == 1: the midpoint sum of
-        # the profile stays the extracted energy.
-        band = np.array([day.band for day in group])
-        centre = 0.5 * (band[:, 0] + band[:, 1])
-        mins = energies * (band[:, 0] / centre)[:, None]
-        maxs = energies * (band[:, 1] / centre)[:, None]
-        for row, (day, offset, keep) in enumerate(zip(group, offsets.tolist(), kept.tolist())):
-            day.offset = offset
-            if keep:
-                day.energies = energies[row]
-                day.mins = mins[row]
-                day.maxs = maxs[row]
+    if not days:
+        return
+    peaks = [day.window[day.chosen.first : day.chosen.first + day.chosen.length] for day in days]
+    lengths = np.array([peak.size for peak in peaks])
+    widths = np.array([day.n_slices for day in days])
+    widest = int(widths.max())
+    flat = np.concatenate([*peaks, np.zeros(widest)])
+    starts = np.cumsum(lengths) - lengths
+    slack = lengths - widths
+    index = np.minimum(starts[:, None] + np.arange(int(slack.max()) + 1), flat.size - widest)
+    sums = flat[index]
+    for shift in range(1, widest):
+        sums = sums + np.where(shift < widths[:, None], flat[index + shift], 0.0)
+    sums[np.arange(sums.shape[1]) > slack[:, None]] = -np.inf
+    offsets = sums.argmax(axis=1)
+    for row in np.flatnonzero(widths > _UNROLLED_STRETCH).tolist():
+        if slack[row]:
+            window_sums = np.convolve(peaks[row], np.ones(widths[row]), mode="valid")
+            offsets[row] = np.argmax(window_sums)
+    inside = np.arange(widest) < widths[:, None]
+    block = np.where(inside, flat[(starts + offsets)[:, None] + np.arange(widest)], 0.0)
+    block_energy = _row_sums(block, widths)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shape = block / block_energy[:, None]
+    flexible = np.array([day.flexible_energy for day in days])
+    energies = np.where(inside, np.minimum(shape * flexible[:, None], block), 0.0)
+    kept = ~(block_energy <= 0.0) & ~(_row_sums(energies, widths) <= 0.0)
+    if (energies[kept] < 0).any():
+        raise ValidationError("slice energies must be non-negative")
+    # Recentre each band so (low + high) / 2 == 1: the midpoint sum of
+    # the profile stays the extracted energy.
+    band = np.array([day.band for day in days])
+    centre = 0.5 * (band[:, 0] + band[:, 1])
+    mins = energies * (band[:, 0] / centre)[:, None]
+    maxs = energies * (band[:, 1] / centre)[:, None]
+    rows = zip(days, offsets.tolist(), widths.tolist(), kept.tolist())
+    for row, (day, offset, width, keep) in enumerate(rows):
+        day.offset = offset
+        if keep:
+            day.energies = energies[row, :width]
+            day.mins = mins[row, :width]
+            day.maxs = maxs[row, :width]
+
+
+def _row_sums(block: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each row's first ``widths[row]`` entries summed as a 1-D array of
+    them sums: rows of one width are gathered into a contiguous block,
+    and reducing its last axis is the 1-D pairwise summation."""
+    sums = np.empty(widths.size)
+    for width in set(widths.tolist()):
+        rows = np.flatnonzero(widths == width)
+        sums[rows] = block[rows, :width].sum(axis=1)
+    return sums

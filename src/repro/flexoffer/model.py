@@ -202,18 +202,24 @@ class FlexOffer:
         if self.resolution <= timedelta(0):
             raise ValidationError(f"resolution must be positive, got {self.resolution}")
         # Python sums over the slices, bitwise what the properties summed.
-        sums = (sum([s.energy_min for s in slices]), sum([s.energy_max for s in slices]))
-        tmin, tmax = sums
-        if self.total_energy_min is not None:
-            tmin = max(tmin, self.total_energy_min)
-        if self.total_energy_max is not None:
-            tmax = min(tmax, self.total_energy_max)
+        sums = bounds = (
+            sum([s.energy_min for s in slices]),
+            sum([s.energy_max for s in slices]),
+        )
+        if self.total_energy_min is not None or self.total_energy_max is not None:
+            tmin, tmax = sums
+            if self.total_energy_min is not None:
+                tmin = max(tmin, self.total_energy_min)
+            if self.total_energy_max is not None:
+                tmax = min(tmax, self.total_energy_max)
+            bounds = (tmin, tmax)
+        tmin, tmax = bounds
         if tmin > tmax + 1e-9:
             raise ValidationError(
                 f"infeasible total energy bounds: min {tmin} > max {tmax}"
             )
         object.__setattr__(self, "_sums", sums)
-        object.__setattr__(self, "_bounds", (tmin, tmax))
+        object.__setattr__(self, "_bounds", bounds)
         object.__setattr__(self, "_arrays", None)
 
     def __getstate__(self) -> list:
