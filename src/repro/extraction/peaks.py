@@ -546,7 +546,7 @@ def _selection(days: Iterable[_Day]) -> None:
             "information."
         )
     cdf = probabilities.cumsum(axis=1)
-    cdf /= cdf[np.arange(counts.size), counts - 1][:, None]
+    cdf /= cdf[:, -1:]  # padding adds zeros: the last column is each row's total
     for day, row, bounds, count in zip(drawn, probabilities, cdf.tolist(), counts.tolist()):
         day.report["probabilities"] = row[:count]
         day.cdf = bounds[:count]
