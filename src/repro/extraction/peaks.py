@@ -316,7 +316,7 @@ class PeakBasedExtractor(FlexibilityExtractor):
             )
         ]
         _selection(day for job in jobs for day in job.days)
-        pending = [job for job in jobs if job.days]
+        pending = jobs
         while pending:
             for job in pending:
                 self._draw(job)
