@@ -474,7 +474,7 @@ def extract_households(
     split = hasattr(extractor, "detect_many") and hasattr(extractor, "formulate")
     # Extractors with formulation tiles formulate a whole tile at once and
     # take each household's id up front; the others' offers are stamped.
-    stamped = None if split and hasattr(extractor, "formulation_tile") else stamp_household
+    tiles = split and hasattr(extractor, "formulation_tile")
     trails = checkpoints is not None
     if checkpoints is None:
         checkpoints = [None] * len(jobs)
@@ -508,7 +508,7 @@ def extract_households(
                 else extractor.detect_many(inputs)
             )
             timings["disaggregate"] += time.perf_counter() - t0
-            if stamped is None:
+            if tiles:
                 tiled = extractor.formulation_tile(
                     inputs,
                     detected,
@@ -534,9 +534,9 @@ def extract_households(
                         result = extractor.extract(series, rng)
                 timings["extract"] += time.perf_counter() - t0
                 offers = tuple(result.offers)
-                if stamped is not None:
+                if not tiles:
                     kept = minted[position]
-                    offers = offers[:kept] + stamped(offers[kept:], household_id)
+                    offers = offers[:kept] + stamp_household(offers[kept:], household_id)
                 outputs.append(
                     HouseholdOutput(
                         index=index,
