@@ -22,7 +22,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.flexoffer.model import FlexOffer, ProfileSlice, next_offer_id
+from repro.flexoffer.model import FlexOffer, next_offer_id
 from repro.timeseries.axis import FIFTEEN_MINUTES
 
 
@@ -114,42 +114,21 @@ class FlexOfferParams:
 
         creation <= acceptance <= assignment <= earliest_start.
         """
-        creation_lead, assignment_lead, acceptance_delay = self.draw_deadline_leads(rng)
-        creation = earliest_start - creation_lead
-        return creation, creation + acceptance_delay, earliest_start - assignment_lead
-
-    def draw_deadline_leads(
-        self, rng: np.random.Generator
-    ) -> tuple[timedelta, timedelta, timedelta]:
-        """The draws of :meth:`draw_deadlines`, before an earliest start is
-        known: ``(creation lead, assignment lead, acceptance delay)``.
-
-        The deadlines are ``earliest − creation lead``, that plus the
-        acceptance delay, and ``earliest − assignment lead``.  Datetime
-        arithmetic is exact, so they are the ones ``draw_deadlines`` gives.
-        """
-        creation_lead = timedelta(
-            seconds=float(
-                rng.uniform(
-                    self.creation_lead_min.total_seconds(),
-                    self.creation_lead_max.total_seconds(),
-                )
-            )
+        creation_lead_s = rng.uniform(
+            self.creation_lead_min.total_seconds(), self.creation_lead_max.total_seconds()
         )
-        assignment_lead = timedelta(
-            seconds=float(
-                rng.uniform(
-                    self.assignment_lead_min.total_seconds(),
-                    self.assignment_lead_max.total_seconds(),
-                )
-            )
+        creation = earliest_start - timedelta(seconds=float(creation_lead_s))
+        assignment_lead_s = rng.uniform(
+            self.assignment_lead_min.total_seconds(),
+            self.assignment_lead_max.total_seconds(),
         )
-        # The assignment deadline never precedes the creation time.
-        assignment_lead = min(assignment_lead, creation_lead)
+        assignment = earliest_start - timedelta(seconds=float(assignment_lead_s))
+        if assignment < creation:
+            assignment = creation
         # Acceptance falls a uniform fraction of the way creation→assignment.
-        span = (creation_lead - assignment_lead).total_seconds()
-        acceptance_delay = timedelta(seconds=float(rng.uniform(0.0, span)))
-        return creation_lead, assignment_lead, acceptance_delay
+        span = (assignment - creation).total_seconds()
+        acceptance = creation + timedelta(seconds=float(rng.uniform(0.0, span)))
+        return creation, acceptance, assignment
 
     # ------------------------------------------------------------------ #
     # Flex-offer formulation
@@ -189,14 +168,13 @@ class FlexOfferParams:
             else self.draw_time_flexibility(rng)
         )
         creation, acceptance, assignment = self.draw_deadlines(earliest_start, rng)
-        slices = tuple(
-            ProfileSlice(energy_min=float(low * e), energy_max=float(high * e))
-            for e in energies
-        )
-        return FlexOffer(
+        # Unit slices [low·e, high·e]; the bound vectors become the offer's
+        # arrays instead of being rebuilt from its slices.
+        return FlexOffer.from_bounds(
+            low * energies,
+            high * energies,
             earliest_start=earliest_start,
             latest_start=earliest_start + flexibility,
-            slices=slices,
             resolution=self.resolution,
             offer_id=next_offer_id(source),
             consumer_id=consumer_id,

@@ -17,17 +17,16 @@ are where flexibility lives; one flex-offer per consumer per day.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from datetime import timedelta
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 from repro.api.registry import register_extractor
-from repro.batching import BatchScope
-from repro.errors import ExtractionError, ValidationError
+from repro.errors import ExtractionError
 from repro.extraction.base import (
     DayCheckpoint,
     DayTrail,
@@ -35,7 +34,6 @@ from repro.extraction.base import (
     FlexibilityExtractor,
 )
 from repro.extraction.params import FlexOfferParams
-from repro.flexoffer.model import FlexOffer, next_offer_id, offer_id_scope
 from repro.timeseries.series import TimeSeries
 
 
@@ -167,8 +165,30 @@ def select_peak(peaks: list[Peak], rng: np.random.Generator) -> Peak:
     """Randomly choose one peak with size-proportional probability."""
     if not peaks:
         raise ExtractionError("cannot select from an empty peak list")
-    probs = selection_probabilities(peaks)
-    return peaks[int(rng.choice(len(peaks), p=probs))]
+    return peaks[choose_index(selection_probabilities(peaks), rng)]
+
+
+def choose_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(probabilities), p=probabilities)``, bitwise, for a
+    fraction of its overhead: one uniform draw against the normalised
+    running sum of the probabilities, after ``choice``'s checks (in its
+    order, with its messages)."""
+    cdf = list(accumulate(probabilities.tolist()))
+    total = cdf[-1]
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (probabilities < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring for more "
+            "information."
+        )
+    return bisect_right([bound / total for bound in cdf], rng.random())
+
+
+#: ``Generator.choice``'s tolerance on the sum of the probabilities.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @register_extractor(
@@ -248,371 +268,97 @@ class PeakBasedExtractor(FlexibilityExtractor):
         cold run's either way, except that ``extras["days"]`` reports only
         the days formulated.  ``extras["trail"]`` is the run's
         :class:`~repro.extraction.base.DayTrail`.
-
-        Inside a :meth:`formulation_tile` block a call on one of the
-        block's jobs returns that job's share of one :meth:`formulate_many`.
         """
-        answered = _TILES.answer((series, detected, rng, checkpoint), (self,))
-        if answered is not None:
-            return answered
-        return self.formulate_many([series], [detected], [rng], [checkpoint])[0]
-
-    @contextmanager
-    def formulation_tile(
-        self,
-        series: Sequence[TimeSeries],
-        detected: Sequence[list[DayPeaks]],
-        rngs: Sequence[np.random.Generator],
-        checkpoints: Sequence[DayCheckpoint | None],
-        households: Sequence[str],
-        id_scopes: Sequence[tuple[str, int]],
-    ) -> Iterator[None]:
-        """A block in which :meth:`formulate` on each job is answered by one
-        :meth:`formulate_many` over all of them (a
-        :class:`~repro.batching.BatchScope`), run on the first such call."""
-        members = list(zip(series, detected, rngs, checkpoints))
-
-        def run() -> list[ExtractionResult]:
-            return self.formulate_many(
-                series, detected, rngs, checkpoints, households, id_scopes
-            )
-
-        with _TILES.open(members, (self,), run):
-            yield
-
-    def formulate_many(
-        self,
-        series: Sequence[TimeSeries],
-        detected: Sequence[list[DayPeaks]],
-        rngs: Sequence[np.random.Generator],
-        checkpoints: Sequence[DayCheckpoint | None] | None = None,
-        households: Sequence[str] | None = None,
-        id_scopes: Sequence[tuple[str, int]] | None = None,
-    ) -> list[ExtractionResult]:
-        """:meth:`formulate` over many series at once, each result bitwise
-        that of its own call.
-
-        Each series keeps its generator and its draw order (peak choice,
-        slice count, energy band, time flexibility, deadlines).  The
-        selection distributions are built for every day up front, since
-        they depend on detection alone, and the stretch search and energy
-        shaping run as block operations over every chosen peak.  A block
-        with no energy ends its day's draws early, so such a day rewinds
-        its generator to the day's mark, redraws the choice and the slice
-        count, and the series' later days are drawn again.
-
-        ``households[i]`` is the consumer of series ``i``'s offers unless
-        the extractor names its own ``consumer_id``; ``id_scopes[i]`` is
-        the ``(namespace, start)`` of the
-        :func:`~repro.flexoffer.model.offer_id_scope` its ids are minted
-        in (default: the caller's scope).  A generator shared by several
-        series must be restored from each one's checkpoint.
-        """
-        count = len(series)
-        jobs = [
-            self._job(s, days, rng, checkpoint)
-            for s, days, rng, checkpoint in zip(
-                series, detected, rngs, checkpoints or [None] * count
-            )
-        ]
-        _selection(day for job in jobs for day in job.days)
-        pending = jobs
-        while pending:
-            for job in pending:
-                self._draw(job)
-            _shape_blocks(
-                day
-                for job in pending
-                for day in job.days[job.pending :]
-                if day.chosen is not None
-            )
-            pending = [job for job in pending if self._settle(job)]
-        return [
-            self._result(job, household, scope)
-            for job, household, scope in zip(
-                jobs, households or [""] * count, id_scopes or [None] * count
-            )
-        ]
-
-    def _job(self, series, detected, rng, checkpoint) -> _Job:
-        """A series' days from its checkpoint on, with everything that
-        depends on detection alone."""
-        start = 0 if checkpoint is None else checkpoint.day
         axis = series.axis
-        values = series.values
-        share = self.params.flexible_share
-        days = []
+        modified = series.values.copy()
+        offers = []
+        marks = []
+        start = 0
+        if checkpoint is not None:
+            start = checkpoint.day
+            modified[: checkpoint.modified.size] = checkpoint.modified
+            offers = list(checkpoint.offers)
+            marks = list(checkpoint.marks[:start])
+            rng.bit_generator.state = checkpoint.rng_state
+        day_reports = []
         for day in detected:
             if day.index < start:
                 continue
-            flexible_energy = share * day.energy
+            marks.append((rng.bit_generator.state, len(offers)))
+            first = day.first
+            window = modified[first : first + day.length]
+            day_energy = day.energy
+            flexible_energy = self.params.flexible_share * day_energy
             peaks = day.peaks
             candidates = filter_peaks(peaks, flexible_energy)
-            if not candidates and self.fallback_to_largest and peaks:
-                candidates = [max(peaks, key=lambda p: p.size)]
             report = {
-                "day_start": axis.time_at(day.first),
-                "day_energy": day.energy,
+                "day_start": axis.time_at(first),
+                "day_energy": day_energy,
                 "flexible_energy": flexible_energy,
                 "peaks": peaks,
                 "candidates": candidates,
-                "probabilities": None,
+                "probabilities": selection_probabilities(candidates),
             }
-            window = values[day.first : day.first + day.length]
-            days.append(_Day(day.first, window, flexible_energy, candidates, report))
-        restore = None if checkpoint is None else checkpoint.rng_state
-        return _Job(series, rng, checkpoint, days, [None] * len(days), restore)
-
-    def _draw(self, job: _Job) -> None:
-        """Draw every pending day of a job, assuming each block has energy."""
-        rng = job.rng
-        params = self.params
-        if job.restore is not None:
-            rng.bit_generator.state = job.restore
-            job.restore = None
-        for position in range(job.pending, len(job.days)):
-            day = job.days[position]
-            job.states[position] = rng.bit_generator.state
-            if not day.cdf:
-                continue
-            day.chosen = day.candidates[bisect_right(day.cdf, rng.random())]
-            day.n_slices = max(
-                min(params.draw_slice_count(rng), params.slices_max, day.chosen.length), 1
-            )
-            day.band = params.draw_energy_band(rng)
-            day.flexibility = params.draw_time_flexibility(rng)
-            day.leads = params.draw_deadline_leads(rng)
-
-    def _settle(self, job: _Job) -> bool:
-        """Accept a job's drawn days up to its first day whose block has no
-        energy; that day draws only its choice and slice count.  True when
-        later days must be drawn again."""
-        for position in range(job.pending, len(job.days)):
-            day = job.days[position]
-            if day.chosen is not None and day.energies is None:
-                rng = job.rng
-                rng.bit_generator.state = job.states[position]
-                rng.random()
-                self.params.draw_slice_count(rng)
-                job.restore = rng.bit_generator.state
-                job.pending = position + 1
-                return job.pending < len(job.days)
-        job.pending = len(job.days)
-        return False
-
-    def _result(
-        self, job: _Job, household: str, id_scope: tuple[str, int] | None
-    ) -> ExtractionResult:
-        """Build a job's offers, modified series and trail from its days."""
-        series = job.series
-        axis = series.axis
-        params = self.params
-        modified = series.values.copy()
-        offers: list[FlexOffer] = []
-        marks: list[tuple[dict, int]] = []
-        checkpoint = job.checkpoint
-        if checkpoint is not None:
-            modified[: checkpoint.modified.size] = checkpoint.modified
-            offers = list(checkpoint.offers)
-            marks = list(checkpoint.marks[: checkpoint.day])
-        consumer = self.consumer_id or household
-        with nullcontext() if id_scope is None else offer_id_scope(*id_scope):
-            for day, state in zip(job.days, job.states):
-                marks.append((state, len(offers)))
-                if day.chosen is None:
+            day_reports.append(report)
+            if not candidates:
+                if not self.fallback_to_largest or not peaks:
                     continue
-                day.report["chosen"] = day.chosen
-                if day.energies is None:
-                    continue
-                first = day.first + day.chosen.first + day.offset
-                earliest = axis.time_at(first)
-                creation_lead, assignment_lead, acceptance_delay = day.leads
-                creation = earliest - creation_lead
-                offers.append(
-                    FlexOffer.from_bounds(
-                        day.mins,
-                        day.maxs,
-                        earliest_start=earliest,
-                        latest_start=earliest + day.flexibility,
-                        resolution=params.resolution,
-                        offer_id=next_offer_id(self.name),
-                        consumer_id=consumer,
-                        source=self.name,
-                        creation_time=creation,
-                        acceptance_deadline=creation + acceptance_delay,
-                        assignment_deadline=earliest - assignment_lead,
-                    )
-                )
-                modified[first : first + day.n_slices] -= day.energies
+                candidates = [max(peaks, key=lambda p: p.size)]
+                report["candidates"] = candidates
+                report["probabilities"] = selection_probabilities(candidates)
+            chosen = candidates[choose_index(report["probabilities"], rng)]
+            report["chosen"] = chosen
+            offer = self._formulate(axis, first, window, chosen, flexible_energy, rng)
+            if offer is not None:
+                offers.append(offer)
         return ExtractionResult(
             offers=offers,
             modified=series.with_values(modified).with_name(f"{series.name}.modified"),
             original=series,
             extractor=self.name,
-            extras={
-                "days": [day.report for day in job.days],
-                "trail": DayTrail(tuple(marks), modified),
-            },
+            extras={"days": day_reports, "trail": DayTrail(tuple(marks), modified)},
         )
 
+    def _formulate(
+        self,
+        axis,
+        day_first: int,
+        window: np.ndarray,
+        peak: Peak,
+        flexible_energy: float,
+        rng: np.random.Generator,
+    ):
+        """Formulate the day's offer on the chosen peak (basic methodology).
 
-#: Formulation tiles: per-series :meth:`PeakBasedExtractor.formulate` calls
-#: answered by one :meth:`PeakBasedExtractor.formulate_many`.
-_TILES: BatchScope[ExtractionResult] = BatchScope("formulation_tile")
-
-#: Longest stretch whose window sums :func:`numpy.convolve` adds left to
-#: right (its unrolled small-kernel correlation); longer stretches are
-#: searched with ``numpy.convolve`` itself.
-_UNROLLED_STRETCH = 11
-
-
-@dataclass(slots=True, eq=False)
-class _Day:
-    """One day on its way to an offer: what detection fixes, the day's
-    draws, then its block's outcome (``energies`` stays ``None`` when the
-    chosen block has no energy)."""
-
-    first: int
-    window: np.ndarray
-    flexible_energy: float
-    candidates: list[Peak]
-    report: dict
-    cdf: list[float] = field(default_factory=list)
-    chosen: Peak | None = None
-    n_slices: int = 0
-    band: tuple[float, float] = (0.0, 0.0)
-    flexibility: timedelta = timedelta(0)
-    leads: tuple[timedelta, timedelta, timedelta] | None = None
-    offset: int = 0
-    energies: np.ndarray | None = None
-    mins: np.ndarray | None = None
-    maxs: np.ndarray | None = None
-
-
-@dataclass(slots=True, eq=False)
-class _Job:
-    """One series of a :meth:`PeakBasedExtractor.formulate_many` call.
-
-    ``states[d]`` is the generator state at the start of day ``d``;
-    ``pending`` is the first day not yet settled, and ``restore`` the
-    state the job's next draws start from (``None``: the generator's).
-    """
-
-    series: TimeSeries
-    rng: np.random.Generator
-    checkpoint: DayCheckpoint | None
-    days: list[_Day]
-    states: list[dict | None]
-    restore: dict | None
-    pending: int = 0
-
-
-def _selection(days: Iterable[_Day]) -> None:
-    """Every day's selection probabilities (its report's) and CDF.
-
-    The tile's distributions are rows of one zero-padded block, each
-    row's total reduced exactly as :func:`selection_probabilities`
-    reduces its day (:func:`_row_sums`).  The CDF is the one
-    ``Generator.choice`` draws against: a day's choice is
-    ``cdf.searchsorted(rng.random(), side="right")``, as in ``choice``.
-    The distributions get ``choice``'s checks, in its order and with its
-    messages.
-    """
-    drawn = []
-    for day in days:
-        if day.candidates:
-            drawn.append(day)
+        The profile covers the peak's intervals (bounded by the params'
+        slice budget, centred on the peak's heaviest stretch); slice energies
+        follow the consumption shape over the peak scaled to the flexible
+        energy, capped at available consumption.
+        """
+        max_slices = min(self.params.slices_max, peak.length)
+        n_slices = max(min(self.params.draw_slice_count(rng), max_slices), 1)
+        # Choose the heaviest contiguous n_slices stretch within the peak.
+        peak_values = window[peak.first : peak.first + peak.length]
+        if peak.length == n_slices:
+            offset = 0
         else:
-            day.report["probabilities"] = np.zeros(0)
-    if not drawn:
-        return
-    counts = np.array([len(day.candidates) for day in drawn])
-    inside = np.arange(int(counts.max())) < counts[:, None]
-    sizes = np.zeros(inside.shape)
-    sizes[inside] = [p.size for day in drawn for p in day.candidates]
-    totals = _row_sums(sizes, counts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probabilities = np.where(
-            ~(totals <= 0.0)[:, None], sizes / totals[:, None], 1.0 / counts[:, None]
+            sums = np.convolve(peak_values, np.ones(n_slices), mode="valid")
+            offset = int(np.argmax(sums))
+        block = peak_values[offset : offset + n_slices]
+        block_energy = float(block.sum())
+        if block_energy <= 0.0:
+            return None
+        shape = block / block_energy
+        energies = np.minimum(shape * flexible_energy, block)
+        if float(energies.sum()) <= 0.0:
+            return None
+        earliest = axis.time_at(day_first + peak.first + offset)
+        offer = self.params.build_offer(
+            earliest_start=earliest,
+            slice_energies=energies,
+            rng=rng,
+            source=self.name,
+            consumer_id=self.consumer_id,
         )
-    probabilities[~inside] = 0.0
-    if np.isnan(probabilities).any():
-        raise ValueError("Probabilities contain NaN")
-    if (probabilities < 0).any():
-        raise ValueError("Probabilities are not non-negative")
-    if (np.abs(probabilities.sum(axis=1) - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
-        raise ValueError(
-            "Probabilities do not sum to 1. See Notes section of docstring for more "
-            "information."
-        )
-    cdf = probabilities.cumsum(axis=1)
-    cdf /= cdf[:, -1:]  # padding adds zeros: the last column is each row's total
-    for day, row, bounds, count in zip(drawn, probabilities, cdf.tolist(), counts.tolist()):
-        day.report["probabilities"] = row[:count]
-        day.cdf = bounds[:count]
-
-
-def _shape_blocks(days: Iterable[_Day]) -> None:
-    """Each chosen peak's heaviest ``n_slices`` stretch, and the slice
-    energies shaped from it, as block operations over zero-padded rows.
-
-    Bitwise the per-peak arithmetic: window sums add left to right as
-    ``numpy.convolve`` does (so the first maximum is the same), and each
-    row's sums reduce like the 1-D block (:func:`_row_sums`).
-    """
-    days = list(days)
-    for day in days:
-        day.energies = None
-    if not days:
-        return
-    peaks = [day.window[day.chosen.first : day.chosen.first + day.chosen.length] for day in days]
-    lengths = np.array([peak.size for peak in peaks])
-    widths = np.array([day.n_slices for day in days])
-    widest = int(widths.max())
-    flat = np.concatenate([*peaks, np.zeros(widest)])
-    starts = np.cumsum(lengths) - lengths
-    slack = lengths - widths
-    index = np.minimum(starts[:, None] + np.arange(int(slack.max()) + 1), flat.size - widest)
-    sums = flat[index]
-    for shift in range(1, widest):
-        sums = sums + np.where(shift < widths[:, None], flat[index + shift], 0.0)
-    sums[np.arange(sums.shape[1]) > slack[:, None]] = -np.inf
-    offsets = sums.argmax(axis=1)
-    for row in np.flatnonzero(widths > _UNROLLED_STRETCH).tolist():
-        if slack[row]:
-            window_sums = np.convolve(peaks[row], np.ones(widths[row]), mode="valid")
-            offsets[row] = np.argmax(window_sums)
-    inside = np.arange(widest) < widths[:, None]
-    block = np.where(inside, flat[(starts + offsets)[:, None] + np.arange(widest)], 0.0)
-    block_energy = _row_sums(block, widths)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shape = block / block_energy[:, None]
-    flexible = np.array([day.flexible_energy for day in days])
-    energies = np.where(inside, np.minimum(shape * flexible[:, None], block), 0.0)
-    kept = ~(block_energy <= 0.0) & ~(_row_sums(energies, widths) <= 0.0)
-    if (energies[kept] < 0).any():
-        raise ValidationError("slice energies must be non-negative")
-    # Recentre each band so (low + high) / 2 == 1: the midpoint sum of
-    # the profile stays the extracted energy.
-    band = np.array([day.band for day in days])
-    centre = 0.5 * (band[:, 0] + band[:, 1])
-    mins = energies * (band[:, 0] / centre)[:, None]
-    maxs = energies * (band[:, 1] / centre)[:, None]
-    rows = zip(days, offsets.tolist(), widths.tolist(), kept.tolist())
-    for row, (day, offset, width, keep) in enumerate(rows):
-        day.offset = offset
-        if keep:
-            day.energies = energies[row, :width]
-            day.mins = mins[row, :width]
-            day.maxs = maxs[row, :width]
-
-
-def _row_sums(block: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Each row's first ``widths[row]`` entries summed as a 1-D array of
-    them sums: rows of one width are gathered into a contiguous block,
-    and reducing its last axis is the 1-D pairwise summation."""
-    sums = np.empty(widths.size)
-    for width in set(widths.tolist()):
-        rows = np.flatnonzero(widths == width)
-        sums[rows] = block[rows, :width].sum(axis=1)
-    return sums
+        block -= energies  # a view: the day's window loses the offer's energy
+        return offer

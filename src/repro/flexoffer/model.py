@@ -338,6 +338,16 @@ class FlexOffer:
             raise ValidationError("time flexibility must be >= 0")
         return replace(self, latest_start=self.earliest_start + flexibility)
 
+    def with_consumer(self, consumer_id: str) -> "FlexOffer":
+        """Return a copy owned by ``consumer_id``.  The consumer takes no
+        part in validation or in the derived values, so the copy keeps
+        this offer's instead of rebuilding them."""
+        offer = object.__new__(FlexOffer)
+        for name in _OFFER_SLOTS:
+            object.__setattr__(offer, name, getattr(self, name))
+        object.__setattr__(offer, "consumer_id", consumer_id)
+        return offer
+
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -416,6 +426,8 @@ class FlexOffer:
 
 #: The fields an offer pickles: its constructor arguments, not its caches.
 _OFFER_STATE = tuple(f.name for f in fields(FlexOffer) if f.init)
+#: Every field of an offer, its caches included.
+_OFFER_SLOTS = tuple(f.name for f in fields(FlexOffer))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -22,11 +22,10 @@ benchmark and the conformance matrix all assert this equivalence; use
 
 from __future__ import annotations
 
-import contextlib
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,7 +161,7 @@ def stamp_household(
     name a consumer (e.g. a configured extractor) are left untouched.
     """
     return tuple(
-        offer if offer.consumer_id else replace(offer, consumer_id=household_id)
+        offer if offer.consumer_id else offer.with_consumer(household_id)
         for offer in offers
     )
 
@@ -456,25 +455,19 @@ def extract_households(
     session replans and snapshot restores produce bitwise-identical offers
     for the same input.  Extractors exposing ``detect_many``/``formulate``
     (the appliance-level approaches and ``peak-based``) detect each tile of
-    :data:`_TILE_WIDTH` households in one batched call.  Those with a
-    ``formulation_tile`` (``peak-based``) then answer the tile's
-    per-household ``formulate`` calls from one ``formulate_many``, which
-    takes the household ids up front; the others formulate one by one, and
-    their offers are stamped (:func:`stamp_household`).
+    :data:`_TILE_WIDTH` households in one batched call, then formulate them
+    one by one.
 
     ``checkpoints`` resumes day-local extractions: a job with a
     :class:`~repro.extraction.base.DayCheckpoint` is detected and
     formulated from the checkpoint's day on, minting ids after the
-    checkpoint's, and only its new offers get its household; its generator
-    is restored from the checkpoint, so it is not seeded.  When the list is
+    checkpoint's, and only its new offers get stamped; its generator is
+    restored from the checkpoint, so it is not seeded.  When the list is
     given, each output also carries its run's
     :class:`~repro.extraction.base.DayTrail` (``None`` for extractors that
     are not day-local), from which the caller takes the next checkpoint.
     """
     split = hasattr(extractor, "detect_many") and hasattr(extractor, "formulate")
-    # Extractors with formulation tiles formulate a whole tile at once and
-    # take each household's id up front; the others' offers are stamped.
-    tiles = split and hasattr(extractor, "formulation_tile")
     trails = checkpoints is not None
     if checkpoints is None:
         checkpoints = [None] * len(jobs)
@@ -490,14 +483,6 @@ def extract_households(
     for first in range(0, len(jobs), _TILE_WIDTH):
         tile = jobs[first : first + _TILE_WIDTH]
         resumes = checkpoints[first : first + _TILE_WIDTH]
-        rngs = [
-            np.random.default_rng(seed + SEED_STRIDE * index)
-            if checkpoint is None
-            else resumed_rng
-            for (index, _, _), checkpoint in zip(tile, resumes)
-        ]
-        minted = [0 if checkpoint is None else checkpoint.ids_minted for checkpoint in resumes]
-        tiled = contextlib.nullcontext()
         if split:
             t0 = time.perf_counter()
             inputs = [series for _, _, series in tile]
@@ -508,44 +493,36 @@ def extract_households(
                 else extractor.detect_many(inputs)
             )
             timings["disaggregate"] += time.perf_counter() - t0
-            if tiles:
-                tiled = extractor.formulation_tile(
-                    inputs,
-                    detected,
-                    rngs,
-                    resumes,
-                    [household_id for _, household_id, _ in tile],
-                    [(f"h{index}", start) for (index, _, _), start in zip(tile, minted)],
+        for position, ((index, household_id, series), checkpoint) in enumerate(
+            zip(tile, resumes)
+        ):
+            rng = (
+                np.random.default_rng(seed + SEED_STRIDE * index)
+                if checkpoint is None
+                else resumed_rng
+            )
+            minted = 0 if checkpoint is None else checkpoint.ids_minted
+            t0 = time.perf_counter()
+            with offer_id_scope(f"h{index}", start=minted):
+                if checkpoint is not None:
+                    result = extractor.formulate(series, detected[position], rng, checkpoint)
+                elif split:
+                    result = extractor.formulate(series, detected[position], rng)
+                else:
+                    result = extractor.extract(series, rng)
+            timings["extract"] += time.perf_counter() - t0
+            offers = tuple(result.offers[:minted]) + stamp_household(
+                result.offers[minted:], household_id
+            )
+            outputs.append(
+                HouseholdOutput(
+                    index=index,
+                    household_id=household_id,
+                    offers=offers,
+                    summary=result.summary(),
+                    trail=result.extras.get("trail") if trails else None,
                 )
-        with tiled:
-            for position, ((index, household_id, series), checkpoint) in enumerate(
-                zip(tile, resumes)
-            ):
-                rng = rngs[position]
-                t0 = time.perf_counter()
-                with offer_id_scope(f"h{index}", start=minted[position]):
-                    if checkpoint is not None:
-                        result = extractor.formulate(
-                            series, detected[position], rng, checkpoint
-                        )
-                    elif split:
-                        result = extractor.formulate(series, detected[position], rng)
-                    else:
-                        result = extractor.extract(series, rng)
-                timings["extract"] += time.perf_counter() - t0
-                offers = tuple(result.offers)
-                if not tiles:
-                    kept = minted[position]
-                    offers = offers[:kept] + stamp_household(offers[kept:], household_id)
-                outputs.append(
-                    HouseholdOutput(
-                        index=index,
-                        household_id=household_id,
-                        offers=offers,
-                        summary=result.summary(),
-                        trail=result.extras.get("trail") if trails else None,
-                    )
-                )
+            )
     return outputs, timings
 
 

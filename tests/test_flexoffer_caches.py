@@ -3,8 +3,9 @@
 A :class:`~repro.flexoffer.model.FlexOffer` computes its total-energy bounds
 at construction and its per-slice and expanded arrays on first use, then
 keeps them.  The caches must be invisible: bitwise what a fresh computation
-from the slices gives, read-only, rebuilt by every transformation, and kept
-out of equality, hashing, pickles and the wire.
+from the slices gives, read-only, rebuilt by every transformation of the
+profile or the times (a new consumer shares them), and kept out of
+equality, hashing, pickles and the wire.
 """
 
 from __future__ import annotations
@@ -164,3 +165,17 @@ class TestCaches:
         assert built == plain
         assert_bitwise(cached(built), fresh(plain))
         assert pickle.dumps(built) == pickle.dumps(plain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(offers(), st.booleans(), st.text(min_size=1, max_size=6))
+    def test_with_consumer_is_the_replaced_offer_sharing_its_caches(self, offer, warm, consumer):
+        if warm:
+            offer.slice_expansion_arrays()
+        owned = offer.with_consumer(consumer)
+        replaced = replace(offer, consumer_id=consumer)
+        assert owned == replaced and hash(owned) == hash(replaced)
+        assert pickle.dumps(owned) == pickle.dumps(replaced)
+        assert flexoffer_to_dict(owned) == flexoffer_to_dict(replaced)
+        assert owned._arrays is offer._arrays
+        assert_bitwise(cached(owned), fresh(replaced))
+        assert offer.consumer_id == ""
