@@ -158,6 +158,11 @@ def selection_probabilities(peaks: list[Peak]) -> np.ndarray:
     total = sizes.sum()
     if total <= 0.0:
         return np.full(len(peaks), 1.0 / len(peaks))
+    if math.isinf(total):
+        # An infinite size gives NaN probabilities on purpose: ``choose_index``
+        # then rejects them as ``Generator.choice`` does.
+        with np.errstate(invalid="ignore"):
+            return sizes / total
     return sizes / total
 
 

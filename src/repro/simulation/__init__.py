@@ -10,9 +10,10 @@ Subsystem contract:
 * **Determinism** — a fleet is a pure function of (households, start,
   days, seed): ``generate_fleet`` derives one independent child stream
   per household, so any subset simulates identically in any process.
-* **Ground truth retained** — every trace keeps its activation log,
-  per-appliance series and true-flexible split; evaluation and the
-  conformance invariants score against these, never against heuristics.
+* **Ground truth retained** — every trace keeps its activation log and
+  renders the per-appliance series and true-flexible split from it on
+  access; evaluation and the conformance invariants score against these,
+  never against heuristics.
 * **Native 1-minute grid** — simulation runs at 1-minute resolution (§4's
   granularity requirement) and downsamples to the 15-minute metering
   grid; fleet-scale runs share one (households × minutes) matrix.
@@ -20,6 +21,7 @@ Subsystem contract:
 
 from repro.simulation.activations import (
     Activation,
+    ApplianceSeries,
     draw_daily_activations,
     flexible_energy_series,
     materialise,
@@ -56,6 +58,7 @@ from repro.simulation.weather import TemperatureModel, WindModel
 
 __all__ = [
     "Activation",
+    "ApplianceSeries",
     "draw_daily_activations",
     "flexible_energy_series",
     "materialise",

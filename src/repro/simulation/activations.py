@@ -6,10 +6,15 @@ draws discrete activation events per appliance per day, then materialises
 their fine-grained energy profiles onto the metering grid.  Keeping the event
 log around gives every experiment a ground truth that real smart-meter data
 lacks — which is precisely the evaluation gap the paper laments.
+
+The per-appliance series are not stored: :class:`ApplianceSeries` renders
+each one from the event log whenever it is read, so a trace costs no more
+memory than its metered total and base load.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
@@ -107,6 +112,67 @@ def materialise(
         n = min(len(profile), axis.length - first)
         values[first : first + n] += profile[:n]
     return TimeSeries(axis, values, name="appliance-energy-kwh")
+
+
+class ApplianceSeries(Mapping[str, TimeSeries]):
+    """Read-only per-appliance ground truth, rendered from the activation log.
+
+    ``series[name]`` materialises the runs of appliance ``name`` onto
+    ``axis`` and labels the result ``f"{prefix}{name}{suffix}"``.  Nothing is
+    cached: each access renders afresh, so holding the mapping costs only the
+    log it shares with its trace.  Keys are the appliances of ``specs`` in
+    their order, including appliances that never ran (all-zero series).
+    """
+
+    __slots__ = ("_activations", "_specs", "_axis", "_prefix", "_suffix")
+
+    def __init__(
+        self,
+        activations: list[Activation],
+        specs: dict[str, ApplianceSpec],
+        axis: TimeAxis,
+        prefix: str = "",
+        suffix: str = "",
+    ) -> None:
+        self._activations = activations
+        self._specs = specs
+        self._axis = axis
+        self._prefix = prefix
+        self._suffix = suffix
+
+    def __getitem__(self, name: str) -> TimeSeries:
+        return TimeSeries(
+            self._axis, self._render(name), name=f"{self._prefix}{name}{self._suffix}"
+        )
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._specs  # without rendering, unlike Mapping's
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._specs)
+
+    def __len__(self) -> int:
+        return len(self._specs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self._specs)!r})"
+
+    def add_into(
+        self, values: np.ndarray, names: Collection[str] | None = None
+    ) -> np.ndarray:
+        """Add the series of ``names`` (default: every appliance) into
+        ``values`` in place, one appliance at a time in key order, and return
+        ``values``.  This is the order the simulators sum their totals in."""
+        for name in self._specs:
+            if names is None or name in names:
+                values += self._render(name)
+        return values
+
+    def _render(self, name: str) -> np.ndarray:
+        if name not in self._specs:
+            raise KeyError(name)
+        runs = [a for a in self._activations if a.appliance == name]
+        return materialise(runs, self._specs, self._axis).values
 
 
 def flexible_energy_series(

@@ -7,8 +7,10 @@ finer than the paper's 15-minute metering, as §4 requires ("granularity must
 be even smaller than 15 min") — and is downsampled to the metering grid for
 the household-level extractors.
 
-Every simulated trace retains its ground truth: the activation log, the
-per-appliance series and the true flexible-energy series.
+Every simulated trace retains its ground truth: the activation log, from
+which the per-appliance series and the true flexible-energy series are
+rendered on access (:class:`~repro.simulation.activations.ApplianceSeries`).
+Only the total and the base load are stored as arrays.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from repro.appliances.model import ApplianceSpec
 from repro.errors import ValidationError
 from repro.simulation.activations import (
     Activation,
+    ApplianceSeries,
     draw_daily_activations,
-    materialise,
 )
 from repro.timeseries.axis import FIFTEEN_MINUTES, ONE_MINUTE, TimeAxis
 from repro.timeseries.calendar import day_type
@@ -87,13 +89,21 @@ class HouseholdConfig:
 
 @dataclass(frozen=True)
 class HouseholdTrace:
-    """The result of simulating one household: series + ground truth."""
+    """The result of simulating one household: series + ground truth.
+
+    ``total`` and ``base_load`` are stored arrays (the base load is drawn
+    after the activations, so it cannot be re-derived from them).
+    ``per_appliance`` is a read-only mapping that renders each appliance's
+    1-minute series from ``activations`` on every access, bitwise equal to
+    what the total was summed from; evaluation reads it, extraction never
+    does.
+    """
 
     config: HouseholdConfig
     axis: TimeAxis
     total: TimeSeries
     base_load: TimeSeries
-    per_appliance: dict[str, TimeSeries]
+    per_appliance: ApplianceSeries
     activations: list[Activation]
 
     def metered(self, resolution: timedelta = FIFTEEN_MINUTES) -> TimeSeries:
@@ -108,11 +118,8 @@ class HouseholdTrace:
         The single source of the flexible/inflexible split — the metering-
         grid accessor below and the fleet matrices both derive from it.
         """
-        values = np.zeros(self.axis.length)
-        for name, series in self.per_appliance.items():
-            if self._spec_flexible(name):
-                values += series.values
-        return values
+        flexible = {a.appliance for a in self.activations if a.flexible}
+        return self.per_appliance.add_into(np.zeros(self.axis.length), flexible)
 
     def true_flexible(self, resolution: timedelta = FIFTEEN_MINUTES) -> TimeSeries:
         """Ground-truth flexible energy on the metering grid."""
@@ -120,9 +127,6 @@ class HouseholdTrace:
         return downsample_sum(flexible_minutely, resolution).with_name(
             f"{self.config.household_id}-true-flexible"
         )
-
-    def _spec_flexible(self, name: str) -> bool:
-        return any(a.appliance == name and a.flexible for a in self.activations)
 
     @property
     def flexible_share(self) -> float:
@@ -243,10 +247,11 @@ def simulate_household(
 ) -> HouseholdTrace:
     """Simulate one household for ``days`` whole days from ``start``.
 
-    Returns the full trace: 1-minute total, base load, per-appliance series
-    and the ground-truth activation log.  ``total_out``, when given, is a
-    preallocated vector (e.g. one row of a fleet matrix) that receives the
-    total series in place and backs the returned trace's total.
+    Returns the full trace: 1-minute total, base load, the ground-truth
+    activation log and the per-appliance series rendered from it.
+    ``total_out``, when given, is a preallocated vector (e.g. one row of a
+    fleet matrix) that receives the total series in place and backs the
+    returned trace's total.
     """
     if days < 1:
         raise ValidationError("days must be >= 1")
@@ -269,12 +274,6 @@ def simulate_household(
             )
     activations.sort(key=lambda a: a.start)
 
-    per_appliance = {
-        name: materialise(
-            [a for a in activations if a.appliance == name], specs, axis
-        ).with_name(f"{config.household_id}-{name}")
-        for name in specs
-    }
     base = base_load_series(config, axis, rng)
     if total_out is None:
         total_values = base.values.copy()
@@ -285,8 +284,8 @@ def simulate_household(
             )
         total_values = total_out
         total_values[:] = base.values
-    for series in per_appliance.values():
-        total_values += series.values
+    per_appliance = ApplianceSeries(activations, specs, axis, f"{config.household_id}-")
+    per_appliance.add_into(total_values)
     total = TimeSeries(axis, total_values, name=f"{config.household_id}-total")
     return HouseholdTrace(
         config=config,

@@ -21,7 +21,7 @@ from repro.appliances.database import ApplianceDatabase
 from repro.appliances.model import ApplianceCategory, ApplianceSpec, flat_shape, phased_shape
 from repro.appliances.usage import UsageFrequency, UsageSchedule
 from repro.errors import ValidationError
-from repro.simulation.activations import Activation, draw_daily_activations, materialise
+from repro.simulation.activations import Activation, ApplianceSeries, draw_daily_activations
 from repro.simulation.household import HouseholdTrace, HouseholdConfig
 from repro.timeseries.axis import ONE_MINUTE, TimeAxis
 from repro.timeseries.calendar import DailyWindow, DayType, day_type
@@ -181,16 +181,9 @@ def simulate_factory(
             )
     activations.sort(key=lambda a: a.start)
 
-    per_process = {
-        name: materialise(
-            [a for a in activations if a.appliance == name], specs, axis
-        ).with_name(f"{config.factory_id}-{name}")
-        for name in specs
-    }
     base = factory_base_load(config, axis, rng)
-    total_values = base.values.copy()
-    for series in per_process.values():
-        total_values += series.values
+    per_process = ApplianceSeries(activations, specs, axis, f"{config.factory_id}-")
+    total_values = per_process.add_into(base.values.copy())
     shadow_config = HouseholdConfig(
         household_id=config.factory_id,
         appliances=config.processes,

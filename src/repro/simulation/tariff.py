@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.appliances.database import ApplianceDatabase, default_database
 from repro.errors import ValidationError
-from repro.simulation.activations import Activation, materialise
+from repro.simulation.activations import Activation, ApplianceSeries
 from repro.simulation.household import HouseholdConfig, HouseholdTrace, simulate_household
 from repro.timeseries.calendar import DailyWindow
 from repro.timeseries.series import TimeSeries
@@ -173,15 +173,10 @@ def simulate_tariff_pair(
             shifted_activations.append(act)
     shifted_activations.sort(key=lambda a: a.start)
 
-    per_appliance = {
-        name: materialise(
-            [a for a in shifted_activations if a.appliance == name], specs, single.axis
-        ).with_name(f"{config.household_id}-{name}-tou")
-        for name in specs
-    }
-    total_values = single.base_load.values.copy()
-    for series in per_appliance.values():
-        total_values += series.values
+    per_appliance = ApplianceSeries(
+        shifted_activations, specs, single.axis, f"{config.household_id}-", "-tou"
+    )
+    total_values = per_appliance.add_into(single.base_load.values.copy())
     multi = HouseholdTrace(
         config=config,
         axis=single.axis,

@@ -7,11 +7,15 @@ exactly once.
 
 from __future__ import annotations
 
+import gc
+import pickle
 from datetime import datetime
 
 import numpy as np
 import pytest
 
+from repro.appliances.model import ApplianceSpec
+from repro.simulation.activations import materialise
 from repro.timeseries.axis import FIFTEEN_MINUTES, ONE_MINUTE, TimeAxis, axis_for_days
 from repro.timeseries.series import TimeSeries
 from repro.workloads.paper_day import figure5_day
@@ -82,3 +86,59 @@ def fleet():
 def tariff_pair():
     """Cached 28-day one-tariff/night-tariff study."""
     return tariff_study(days=28, seed=9)
+
+
+def reachable_array_bytes(root) -> int:
+    """Bytes of every distinct ndarray reachable from ``root``.
+
+    Appliance specs are skipped: their shape vectors belong to the shared
+    appliance database, not to any one trace.
+    """
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ApplianceSpec)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            total += obj.nbytes
+        else:
+            stack.extend(gc.get_referents(obj))
+    return total
+
+
+@pytest.fixture(scope="session")
+def check_rendered_trace():
+    """The checker below, for tests of every simulator's traces."""
+    return _check_rendered_trace
+
+
+def _check_rendered_trace(trace, specs, suffix: str = "") -> None:
+    """A trace stores only its total and base load; ``per_appliance``
+    renders each appliance's series from the activation log, bitwise and
+    under the name ``<id>-<appliance><suffix>``, without caching it."""
+    stored = trace.total.values.nbytes + trace.base_load.values.nbytes
+    assert reachable_array_bytes(vars(trace)) == stored
+    assert list(trace.per_appliance) == list(specs)
+    total = trace.base_load.values.copy()
+    for name, series in trace.per_appliance.items():
+        runs = [a for a in trace.activations if a.appliance == name]
+        eager = materialise(runs, specs, trace.axis)
+        assert series.name == f"{trace.config.household_id}-{name}{suffix}"
+        assert series.values.tobytes() == eager.values.tobytes()
+        assert series.values is not trace.per_appliance[name].values
+        total += eager.values
+    assert total.tobytes() == trace.total.values.tobytes()
+    assert reachable_array_bytes(vars(trace)) == stored
+
+    restored = pickle.loads(pickle.dumps(trace))
+    assert restored == trace
+    assert restored.per_appliance == trace.per_appliance
+    name = next(iter(specs))
+    assert name in trace.per_appliance and "no-such-appliance" not in trace.per_appliance
+    with pytest.raises(KeyError):
+        trace.per_appliance["no-such-appliance"]
+    with pytest.raises(TypeError):
+        trace.per_appliance[name] = trace.total
+    with pytest.raises(TypeError):
+        del trace.per_appliance[name]

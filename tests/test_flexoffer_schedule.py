@@ -55,6 +55,32 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ScheduledFlexOffer(offer(), START, (0.75, 0.1))
 
+    @pytest.mark.parametrize("failing", [0, 2, 4])
+    def test_the_first_failing_slice_is_named_with_its_bounds(self, failing):
+        bounds = [(0.1 * k, 0.1 * k + 0.5) for k in range(1, 6)]
+        five = offer(slices=tuple(ProfileSlice(lo, hi) for lo, hi in bounds))
+        energies = [0.3, 0.4, 0.5, 0.6, 0.7]
+        energies[failing] = 9.0
+        if failing < 4:
+            energies[4] = -1.0  # a later failing slice is not the one reported
+        sl = five.slices[failing]
+        with pytest.raises(ValidationError) as caught:
+            ScheduledFlexOffer(five, START, tuple(energies))
+        assert str(caught.value) == (
+            f"slice {failing} energy 9.0 outside [{sl.energy_min}, {sl.energy_max}]"
+        )
+
+    def test_slice_bounds_hold_up_to_the_tolerance(self):
+        assert ScheduledFlexOffer(offer(), START, (1.0 + 1e-9, 0.25 - 1e-9))
+        over = np.nextafter(1.0 + 1e-9, 2.0)
+        with pytest.raises(ValidationError) as caught:
+            ScheduledFlexOffer(offer(), START, (over, 0.3))
+        assert str(caught.value) == f"slice 0 energy {over} outside [0.5, 1.0]"
+        under = np.nextafter(0.25 - 1e-9, 0.0)
+        with pytest.raises(ValidationError) as caught:
+            ScheduledFlexOffer(offer(), START, (0.75, under))
+        assert str(caught.value) == f"slice 1 energy {under} outside [0.25, 0.5]"
+
     def test_total_bounds_enforced(self):
         tight = offer(total_energy_max=1.0)
         with pytest.raises(ValidationError):

@@ -77,6 +77,13 @@ class TestFactorySimulation:
             reconstructed += series.values
         assert np.allclose(reconstructed, factory_trace.total.values)
 
+    def test_trace_renders_processes_from_its_activation_log(
+        self, factory_trace, check_rendered_trace
+    ):
+        catalogue = industrial_catalogue()
+        specs = {name: catalogue.get(name) for name in factory_trace.config.appliances}
+        check_rendered_trace(factory_trace, specs)
+
     def test_flexible_share_realistic(self, factory_trace):
         assert 0.02 < factory_trace.flexible_share < 0.6
 

@@ -19,6 +19,7 @@ whose block mixes signs or whose peak sizes overflow.
 
 from __future__ import annotations
 
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -264,10 +265,13 @@ def test_the_first_failing_day_raises_as_in_the_per_day_loop(kinds, seed):
     def oracle():
         return views(per_day(extractor, series, detected, np.random.default_rng(seed))[0])
 
-    with offer_id_scope("hand"):
-        got = outcome(formulated)
-    with offer_id_scope("hand"):
-        expected = outcome(oracle)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with offer_id_scope("hand"):
+            got = outcome(formulated)
+        with offer_id_scope("hand"):
+            expected = outcome(oracle)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert got == expected
     error, _ = got
     failing = [kind for kind in kinds if kind != "ordinary"]

@@ -9,6 +9,7 @@ import pytest
 
 from repro.appliances.database import default_database
 from repro.errors import DataError, ValidationError
+from repro.simulation import activations
 from repro.simulation.activations import (
     Activation,
     draw_daily_activations,
@@ -163,6 +164,32 @@ class TestSimulateHousehold:
         for series in trace.per_appliance.values():
             reconstructed += series.values
         assert np.allclose(reconstructed, trace.total.values)
+
+    def test_trace_renders_appliances_from_its_activation_log(self, rng, check_rendered_trace):
+        database = default_database()
+        owned = ("washing-machine-y", "ev-small", "oven", "tumble-dryer")
+        config = HouseholdConfig(household_id="h1", appliances=owned)
+        trace = simulate_household(config, START, 3, rng, database)
+        specs = {name: database.get(name) for name in config.appliances}
+        check_rendered_trace(trace, specs)
+
+    def test_flexible_minutely_values_render_only_flexible_appliances(self, rng, monkeypatch):
+        trace = simulate_household(HouseholdConfig(household_id="h1"), START, 4, rng)
+        flexible = {a.appliance for a in trace.activations if a.flexible}
+        assert flexible and flexible != set(trace.per_appliance)
+        eager = np.zeros(trace.axis.length)
+        for name, series in trace.per_appliance.items():
+            if name in flexible:
+                eager += series.values
+        rendered = []
+
+        def counting(runs, specs, axis):
+            rendered.append({a.appliance for a in runs})
+            return materialise(runs, specs, axis)
+
+        monkeypatch.setattr(activations, "materialise", counting)
+        assert trace.flexible_minutely_values().tobytes() == eager.tobytes()
+        assert rendered == [{name} for name in trace.per_appliance if name in flexible]
 
     def test_metered_resolution_and_conservation(self, rng):
         config = HouseholdConfig(household_id="h1")

@@ -7,6 +7,7 @@ from datetime import datetime, time, timedelta
 import numpy as np
 import pytest
 
+from repro.appliances.database import default_database
 from repro.errors import ValidationError
 from repro.simulation.activations import Activation
 from repro.simulation.dataset import generate_fleet, random_household_config
@@ -66,6 +67,15 @@ class TestTariffPair:
         assert study.single.base_load == study.multi.base_load
         # Total energy only differs by shifts falling off the horizon.
         assert study.multi.total.total() <= study.single.total.total() + 1e-6
+
+    def test_both_traces_render_appliances_from_their_logs(self, check_rendered_trace):
+        config = HouseholdConfig(household_id="h1")
+        study = simulate_tariff_pair(config, START, 5, np.random.default_rng(4))
+        assert study.shifts
+        database = default_database()
+        specs = {name: database.get(name) for name in config.appliances}
+        check_rendered_trace(study.single, specs)
+        check_rendered_trace(study.multi, specs, suffix="-tou")
 
     def test_all_shifts_moved_to_low(self, tariff_pair):
         scheme = tariff_pair.scheme
@@ -129,6 +139,17 @@ class TestFleet:
         total = fleet.aggregate_metered()
         assert (flexible.values <= total.values + 1e-9).all()
         assert 0.0 < fleet.flexible_share < 1.0
+
+    def test_true_flexible_matrix_sums_the_flexible_appliance_series(self, fleet):
+        rows = []
+        for trace in fleet.traces:
+            flexible = {a.appliance for a in trace.activations if a.flexible}
+            row = np.zeros(trace.axis.length)
+            for name, series in trace.per_appliance.items():
+                if name in flexible:
+                    row += series.values
+            rows.append(row.reshape(-1, 15).sum(axis=1))
+        assert fleet.true_flexible_matrix().tobytes() == np.stack(rows).tobytes()
 
     def test_deterministic(self):
         a = generate_fleet(3, START, 1, seed=42)
