@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -95,12 +95,17 @@ class DayTrail:
     A day-local extractor builds each day's offers from that day's window
     and the generator alone, so its run can restart at any day boundary.
     ``marks[d]`` is ``(bit_generator.state, offers emitted so far)`` at the
-    start of day ``d``; ``modified`` holds the run's modified values.
-    Derived state: any extraction rebuilds it, nothing persists it.
+    start of day ``d``; ``end`` is the same pair after the run's last day,
+    and ``modified`` holds the run's modified values.  A run stopped before
+    the series' all-zero last days (see :attr:`FlexibilityExtractor.day_local`)
+    has fewer marks than the series has days: every later day would have
+    marked ``end``.  Derived state: any extraction rebuilds it, nothing
+    persists it.
     """
 
     marks: tuple[tuple[dict, int], ...]
     modified: np.ndarray
+    end: tuple[dict, int]
 
     def checkpoint(
         self, day: int, first: int, offers: Sequence[FlexOffer]
@@ -108,13 +113,15 @@ class DayTrail:
         """The run's state at the start of ``day`` (interval ``first``).
 
         ``offers`` are the run's offers, as emitted or stamped with their
-        household; the checkpoint keeps the ones of the earlier days.
+        household; the checkpoint keeps the ones of the earlier days.  A
+        ``day`` past the marks resumes from the end mark.
         """
-        emitted = self.marks[day][1]
+        marks = self.marks[: day + 1]
+        marks += (self.end,) * (day + 1 - len(marks))
         return DayCheckpoint(
             day=day,
-            marks=self.marks[: day + 1],
-            offers=tuple(offers[:emitted]),
+            marks=marks,
+            offers=tuple(offers[: marks[day][1]]),
             modified=self.modified[:first],
         )
 
@@ -151,6 +158,12 @@ class FlexibilityExtractor(ABC):
 
     #: Human-readable approach name (used in reports and offer ``source``).
     name: str = "abstract"
+
+    #: True for extractors whose days are independent given the generator
+    #: and whose all-zero days draw nothing and emit no offer.  Their
+    #: ``detect_many`` takes ``stop_days``: a series is zero from its stop
+    #: day on, so those days are neither detected nor formulated.
+    day_local: ClassVar[bool] = False
 
     @abstractmethod
     def extract(self, series: TimeSeries, rng: np.random.Generator) -> ExtractionResult:

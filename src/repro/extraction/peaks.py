@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -221,17 +221,24 @@ class PeakBasedExtractor(FlexibilityExtractor):
     consumer_id: str = ""
 
     name: str = "peak-based"
+    day_local: ClassVar[bool] = True
 
     def extract(self, series: TimeSeries, rng: np.random.Generator) -> ExtractionResult:
         """Extract one offer per 24-hour window of the input series."""
         return self.formulate(series, self.detect_many([series])[0], rng)
 
     def detect_many(
-        self, series: Sequence[TimeSeries], first_days: Sequence[int] | None = None
+        self,
+        series: Sequence[TimeSeries],
+        first_days: Sequence[int] | None = None,
+        stop_days: Sequence[int | None] | None = None,
     ) -> list[list[DayPeaks]]:
         """Detect the peaks of every day of many series in one batch.
 
-        Series ``i`` is detected from day ``first_days[i]`` (default 0) on.
+        Series ``i`` is detected from day ``first_days[i]`` (default 0) up
+        to day ``stop_days[i]`` (default: its last day), which the caller
+        sets where the rest of the series is zero: an all-zero day has no
+        peak, so formulating it would draw nothing and emit no offer.
         Day windows of equal length — every full day of every series, and
         each short last day with the others of its length — are stacked
         into one block for :func:`detect_day_peaks`.  Detection reads the
@@ -242,7 +249,8 @@ class PeakBasedExtractor(FlexibilityExtractor):
         windows: dict[int, list[tuple[int, int, int]]] = {}
         for position, s in enumerate(series):
             start = first_days[position] if first_days is not None else 0
-            for day, (first, length) in enumerate(s.axis.day_slices()[start:], start):
+            stop = stop_days[position] if stop_days is not None else None
+            for day, (first, length) in enumerate(s.axis.day_slices()[start:stop], start):
                 windows.setdefault(length, []).append((position, day, first))
         for length, days in windows.items():
             block = np.stack(
@@ -272,7 +280,8 @@ class PeakBasedExtractor(FlexibilityExtractor):
         :func:`~repro.flexoffer.model.offer_id_scope`).  The result is the
         cold run's either way, except that ``extras["days"]`` reports only
         the days formulated.  ``extras["trail"]`` is the run's
-        :class:`~repro.extraction.base.DayTrail`.
+        :class:`~repro.extraction.base.DayTrail`, with a mark per day up to
+        the last detected one and the end mark after it.
         """
         axis = series.axis
         modified = series.values.copy()
@@ -321,7 +330,12 @@ class PeakBasedExtractor(FlexibilityExtractor):
             modified=series.with_values(modified).with_name(f"{series.name}.modified"),
             original=series,
             extractor=self.name,
-            extras={"days": day_reports, "trail": DayTrail(tuple(marks), modified)},
+            extras={
+                "days": day_reports,
+                "trail": DayTrail(
+                    tuple(marks), modified, (rng.bit_generator.state, len(offers))
+                ),
+            },
         )
 
     def _formulate(

@@ -445,6 +445,7 @@ def extract_households(
     seed: int,
     jobs: list[tuple[int, str, TimeSeries]],
     checkpoints: list[DayCheckpoint | None] | None = None,
+    stop_days: list[int] | None = None,
 ) -> tuple[list[HouseholdOutput], dict[str, float]]:
     """Extract ``(index, household_id, series)`` jobs; returns outputs (in
     job order) plus stage seconds.
@@ -466,9 +467,16 @@ def extract_households(
     given, each output also carries its run's
     :class:`~repro.extraction.base.DayTrail` (``None`` for extractors that
     are not day-local), from which the caller takes the next checkpoint.
+
+    ``stop_days[i]`` says job ``i``'s series is zero from that day on
+    (nothing was written there).  A day-local extractor detects and
+    formulates only the days before it, which yields the offers and
+    summary of the whole series; other extractors ignore it.
     """
     split = hasattr(extractor, "detect_many") and hasattr(extractor, "formulate")
     trails = checkpoints is not None
+    if not getattr(extractor, "day_local", False):
+        stop_days = None
     if checkpoints is None:
         checkpoints = [None] * len(jobs)
     timings = {"disaggregate": 0.0, "extract": 0.0}
@@ -487,11 +495,13 @@ def extract_households(
             t0 = time.perf_counter()
             inputs = [series for _, _, series in tile]
             days = [0 if checkpoint is None else checkpoint.day for checkpoint in resumes]
-            detected = (
-                extractor.detect_many(inputs, days)
-                if any(days)
-                else extractor.detect_many(inputs)
-            )
+            if stop_days is not None:
+                stops = stop_days[first : first + _TILE_WIDTH]
+                detected = extractor.detect_many(inputs, days, stops)
+            elif any(days):
+                detected = extractor.detect_many(inputs, days)
+            else:
+                detected = extractor.detect_many(inputs)
             timings["disaggregate"] += time.perf_counter() - t0
         for position, ((index, household_id, series), checkpoint) in enumerate(
             zip(tile, resumes)

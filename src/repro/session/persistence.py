@@ -20,8 +20,9 @@ This module makes the session durable with the classic WAL recipe:
   then the directory fsynced).  Compaction then prunes older snapshots
   and drops the WAL prefix the snapshot covers, so the journal's size
   tracks the live state, not the session's lifetime.  The encoder
-  reuses the bytes of the offers, aggregates and placements the previous
-  snapshot held (an in-memory cache, never persisted).
+  reuses the bytes of the household records, offers, aggregates and
+  placements the previous snapshot held that have not changed since (an
+  in-memory cache, never persisted).
 * **Snapshot format v2** — a snapshot stores the session's inputs and
   decisions, not what extraction derives from them.  Each household's
   input buffer (and a retargeted target's values) is base64 of its
@@ -59,7 +60,7 @@ import zlib
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -80,7 +81,7 @@ from repro.wire import decode, encode, guard
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.scheduling.greedy import ScheduleResult
-    from repro.session.state import FlexibilitySession
+    from repro.session.state import FlexibilitySession, _HouseholdState
 
 #: Wire-format version of the WAL header and its records.
 JOURNAL_VERSION = 1
@@ -190,9 +191,9 @@ def _runs_to_mask(runs: list[list[int]], length: int, where: str) -> np.ndarray:
     return mask
 
 
-def _buffer_to_text(values: np.ndarray) -> str:
+def _buffer_to_base64(values: np.ndarray) -> bytes:
     """A float64 buffer as base64 of its little-endian bytes (bitwise exact)."""
-    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes())
 
 
 def _buffer_from_wire(stored: Any, length: int, version: int) -> np.ndarray:
@@ -238,20 +239,80 @@ def _encoded(record: dict[str, Any]) -> dict[str, bytes]:
     return {key: _canonical(value) for key, value in record.items()}
 
 
+class _Record(NamedTuple):
+    """A household record's bytes, valid while its write generation holds,
+    and the bytes of its fields that only a restore can change."""
+
+    household: "_HouseholdState"
+    generation: int
+    series_name: str
+    constant: tuple[bytes, bytes, bytes]
+    data: bytes
+
+
+def _record_constant(h: "_HouseholdState") -> tuple[bytes, bytes, bytes]:
+    """The bytes of a household record around its varying fields."""
+    return (
+        b'{"axis":%b,"covered":' % _canonical(encode(h.axis)),
+        b',"household_id":%b,"index":%d,' % (_canonical(h.household_id), h.index),
+        b'"series_name":%b,"summary":' % _canonical(h.series_name),
+    )
+
+
+def _household_record(h: "_HouseholdState", constant: tuple[bytes, bytes, bytes]) -> bytes:
+    """:func:`_canonical` of a household's record, given its constant bytes.
+
+    The keys are in sorted order; the buffer is base64, whose alphabet
+    needs no JSON escaping, so its text goes between quotes as it is.
+    """
+    head, ident, name = constant
+    offers = b""
+    if h.dirty:
+        # Only an encode between an ingest and the next replan sees a
+        # dirty household: the journal snapshots right after a replan.
+        offers = b'"offers":%b,' % _canonical([flexoffer_to_dict(o) for o in h.offers])
+    return b'%b%b,"dirty":%b%b%b%b%b,"values":"%b"}' % (
+        head,
+        _canonical(_mask_runs(h.covered)),
+        b"true" if h.dirty else b"false",
+        ident,
+        offers,
+        name,
+        _canonical(_summary_to_wire(h.summary)),
+        _buffer_to_base64(h.values),
+    )
+
+
 class _Fragments:
-    """Canonical bytes of the frozen objects a snapshot encodes.
+    """Canonical bytes of the objects a snapshot encodes.
 
     Offers, aggregates and placements are immutable, so an object encoded
-    for one snapshot encodes to the same bytes in every later one.  Entries
-    are keyed by identity and hold the object itself, so no id is recycled
-    while its entry lives.  An encode starts from the session's cache and
-    leaves behind only the entries it used: the cache holds the latest
-    snapshot's objects and nothing older.
+    for one snapshot encodes to the same bytes in every later one.  A
+    household record is reused while the household's write generation
+    holds (:class:`_Record`).  Entries are keyed by identity and hold the
+    object itself, so no id is recycled while its entry lives.  An encode
+    starts from the session's cache and leaves behind only the entries it
+    used: the cache holds the latest snapshot's objects and nothing older.
     """
 
-    def __init__(self, previous: dict[int, tuple[Any, bytes]]) -> None:
+    def __init__(self, previous: dict[int, Any]) -> None:
         self._previous = previous
-        self.used: dict[int, tuple[Any, bytes]] = {}
+        self.used: dict[int, Any] = {}
+
+    def household(self, h: "_HouseholdState") -> bytes:
+        """A household record, re-assembled only when the household changed."""
+        entry = self._previous.get(id(h))
+        if entry is None or entry.generation != h.generation:
+            constant = (
+                entry.constant
+                if entry is not None and entry.series_name == h.series_name
+                else _record_constant(h)
+            )
+            entry = _Record(
+                h, h.generation, h.series_name, constant, _household_record(h, constant)
+            )
+        self.used[id(h)] = entry
+        return entry.data
 
     def __call__(self, obj: Any, to_dict) -> bytes:
         key = id(obj)
@@ -278,30 +339,14 @@ def encode_state(session: "FlexibilitySession") -> bytes:
     Everything recovery must restore except what re-extraction derives:
     clean households carry no offers (see the module docstring).  The
     bytes are :func:`_canonical` of the state object, assembled from the
-    canonical bytes of its parts: household records and the target are
-    encoded afresh, aggregates, placements and unplaced offers come from
-    the session's fragment cache (see :class:`_Fragments`), which starts
+    canonical bytes of its parts: the target is encoded afresh; household
+    records, aggregates, placements and unplaced offers come from the
+    session's fragment cache (see :class:`_Fragments`), which starts
     empty in every new or restored session and is never persisted.
     """
     state = session.state
     fragments = _Fragments(session._snapshot_fragments)
-    households = []
-    for h in state.households:
-        record = {
-            "index": h.index,
-            "household_id": h.household_id,
-            "series_name": h.series_name,
-            "axis": encode(h.axis),
-            "values": _buffer_to_text(h.values),
-            "covered": _mask_runs(h.covered),
-            "dirty": bool(h.dirty),
-            "summary": _summary_to_wire(h.summary),
-        }
-        if h.dirty:
-            # Only an encode between an ingest and the next replan sees a
-            # dirty household: the journal snapshots right after a replan.
-            record["offers"] = [flexoffer_to_dict(o) for o in h.offers]
-        households.append(_canonical(record))
+    households = [fragments.household(h) for h in state.households]
     fields = _encoded(
         {
             "state_version": state.version,
@@ -319,7 +364,7 @@ def encode_state(session: "FlexibilitySession") -> bytes:
                 if session.target is None
                 else {
                     "name": session.target.name,
-                    "values": _buffer_to_text(session.target.values),
+                    "values": _buffer_to_base64(session.target.values).decode("ascii"),
                 }
             ),
         }
@@ -385,18 +430,21 @@ def decode_state(
                     "does not match the session being restored; resume with the "
                     "session the journal was recorded from"
                 )
-            live.series_name = stored["series_name"]
-            live.values = _buffer_from_wire(stored["values"], axis.length, version)
-            live.covered = _runs_to_mask(stored["covered"], axis.length, where)
-            live.recount_prefix()
-            live.dirty = bool(stored["dirty"])
-            live.summary = dict(stored["summary"])
-            if version == 1 or live.dirty:
-                live.offers = tuple(flexoffer_from_dict(o) for o in stored["offers"])
-            elif live.summary:
+            dirty = bool(stored["dirty"])
+            live.restore(
+                stored["series_name"],
+                _buffer_from_wire(stored["values"], axis.length, version),
+                _runs_to_mask(stored["covered"], axis.length, where),
+                dirty,
+                dict(stored["summary"]),
+                (
+                    tuple(flexoffer_from_dict(o) for o in stored["offers"])
+                    if version == 1 or dirty
+                    else ()
+                ),
+            )
+            if version == 2 and not dirty and live.summary:
                 rederive.append(live)
-            else:
-                live.offers = ()
     for live, output in zip(rederive, session._extract(rederive)):
         if _canonical(_summary_to_wire(output.summary)) != _canonical(live.summary):
             raise PersistenceError(
@@ -404,8 +452,7 @@ def decode_state(
                 "its buffer does not reproduce the stored summary; the snapshot "
                 "was written by a different extractor or seed"
             )
-        live.offers = output.offers
-        live.summary = output.summary
+        live.adopt(output)
     with guard(PersistenceError, "snapshot state", keep=PersistenceError):
         state.version = int(payload["state_version"])
         state.aggregates = tuple(

@@ -100,8 +100,10 @@ class _HouseholdState:
         "offers",
         "summary",
         "prefix",
+        "end",
         "stale_from",
         "trail",
+        "generation",
     )
 
     def __init__(
@@ -118,12 +120,17 @@ class _HouseholdState:
         self.summary: dict[str, float] = {}
         #: Length of the contiguous covered prefix of ``covered``.
         self.prefix = 0
+        #: One past the last covered index: ``values`` is zero from here on.
+        self.end = 0
         #: Lowest index written since the last extraction.
         self.stale_from = 0
         #: The last extraction's day trail (day-local extractors only).
-        #: Derived state: never written to snapshots or the WAL, so a
-        #: restored session starts cold.
+        #: Derived state: never written to snapshots or the WAL; a restore
+        #: rebuilds it for the households it re-extracts.
         self.trail: DayTrail | None = None
+        #: Bumped by every mutation of what a snapshot stores of the
+        #: household, so an encoded record is reused while it holds.
+        self.generation = 0
 
     def write(self, first: int, chunk: np.ndarray) -> None:
         """Store a chunk of readings and advance the covered prefix.
@@ -136,15 +143,35 @@ class _HouseholdState:
         self.values[first:stop] = chunk
         self.covered[first:stop] = True
         self.dirty = True
+        self.generation += 1
         self.stale_from = min(self.stale_from, first)
+        self.end = max(self.end, stop)
         if first <= self.prefix < stop:
             self.prefix = stop
             self._extend_prefix()
 
-    def recount_prefix(self) -> None:
-        """Rebuild the covered-prefix cache from ``covered`` (after a restore)."""
+    def restore(
+        self,
+        series_name: str,
+        values: np.ndarray,
+        covered: np.ndarray,
+        dirty: bool,
+        summary: dict[str, float],
+        offers: tuple,
+    ) -> None:
+        """Take a snapshot's record as the household's state (cold trail)."""
+        self.series_name = series_name
+        self.values = values
+        self.covered = covered
+        self.dirty = dirty
+        self.summary = summary
+        self.offers = offers
+        self.generation += 1
+        self.trail = None
         self.prefix = 0
         self._extend_prefix()
+        covered_at = np.flatnonzero(covered)
+        self.end = int(covered_at[-1]) + 1 if covered_at.size else 0
 
     def _extend_prefix(self) -> None:
         rest = self.covered[self.prefix :]
@@ -160,12 +187,18 @@ class _HouseholdState:
             return None
         return self.trail.checkpoint(day, day * per_day, self.offers)
 
+    @property
+    def stop_day(self) -> int:
+        """The day after the last covered interval: every later day is zero."""
+        return -(-self.end // self.axis.intervals_per_day)
+
     def adopt(self, output: HouseholdOutput) -> None:
         """Take a fresh extraction of the whole buffer as the cached one."""
         self.offers = output.offers
         self.summary = output.summary
         self.trail = output.trail
         self.dirty = False
+        self.generation += 1
         self.stale_from = self.axis.length
 
     @property
@@ -346,10 +379,10 @@ class FlexibilitySession:
         self._replaying = False
         self._replans_since_snapshot = 0
         #: :func:`~repro.session.persistence.encode_state`'s cache of the
-        #: latest snapshot's encoded offers, aggregates and placements.
-        #: Derived state: never persisted, so a restored session starts
-        #: with it empty.
-        self._snapshot_fragments: dict[int, tuple[Any, bytes]] = {}
+        #: latest snapshot's encoded household records, offers, aggregates
+        #: and placements.  Derived state: never persisted, so a restored
+        #: session starts with it empty.
+        self._snapshot_fragments: dict[int, Any] = {}
 
     @classmethod
     def for_fleet(cls, fleet, **kwargs: Any) -> "FlexibilitySession":
@@ -488,6 +521,18 @@ class FlexibilitySession:
         """
         if self.target is None:
             raise SessionError("cannot commit placements: session has no target")
+        # Checked before the WAL sees it: a record that cannot be applied
+        # would fail again on every replay.
+        if not isinstance(through, datetime):
+            raise SessionError(
+                f"commit through must be a datetime, got {type(through).__name__}"
+            )
+        naive = self.target.axis.start.utcoffset() is None
+        if (through.utcoffset() is None) != naive:
+            raise SessionError(
+                f"commit through {through.isoformat()} must be "
+                f"{'naive' if naive else 'timezone-aware'} like the target axis"
+            )
         # Commits are the events the market side relies on, so their WAL
         # records are fsynced before the state moves.
         self._journal_event("commit", {"through": through.isoformat()}, durable=True)
@@ -556,8 +601,9 @@ class FlexibilitySession:
         (:func:`~repro.pipeline.fleet.extract_households`), so a household
         extracted here yields the offers a one-shot run over the same input
         would — which is also what lets a snapshot restore re-derive them.
-        A household with a day trail resumes at its first stale day, which
-        yields the same offers.
+        A household with a day trail resumes at its first stale day, and a
+        day-local extractor stops after the last covered day (the later
+        days are zeros nothing wrote); both yield the same offers.
         """
         jobs = [
             (
@@ -570,7 +616,10 @@ class FlexibilitySession:
             for household in households
         ]
         checkpoints = [household.checkpoint() for household in households]
-        return extract_households(self.extractor, self.seed, jobs, checkpoints)[0]
+        stop_days = [household.stop_day for household in households]
+        return extract_households(
+            self.extractor, self.seed, jobs, checkpoints, stop_days
+        )[0]
 
     def _aggregate(self, offers: list) -> tuple[AggregatedFlexOffer, ...]:
         """Group and fold the planned offers, reusing unchanged aggregates.

@@ -13,7 +13,7 @@ versioned :func:`~repro.flexoffer.io.report_delta`, the
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +344,37 @@ class TestSessionErrors:
         length = session.state.households[0].axis.length
         with pytest.raises(SessionError, match="overrun"):
             session.ingest(0, length - 1, [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize(
+        "through, message",
+        [
+            ("2012-03-06", "must be a datetime, got str"),
+            (5, "must be a datetime, got int"),
+            (None, "must be a datetime, got NoneType"),
+            (datetime(2012, 3, 6, tzinfo=timezone.utc), "must be naive like the target axis"),
+        ],
+        ids=["iso-string", "int", "none", "aware-datetime"],
+    )
+    def test_commit_checks_through_before_journaling(
+        self, session_fleet, target, tmp_path, through, message
+    ):
+        # A commit record that cannot be applied would fail again on every
+        # replay, so nothing reaches the WAL or the state.
+        from repro.session import SessionJournal
+
+        session = fresh_session(session_fleet, target)
+        session.attach_journal(SessionJournal.create(tmp_path))
+        for index, series in enumerate(household_inputs(session, session_fleet)):
+            session.ingest(index, 0, series.values)
+        session.replan()
+        assert session.state.open_schedules
+        seq, version = session.journal.last_seq, session.state.version
+        wal = (tmp_path / "wal.jsonl").read_bytes()
+        with pytest.raises(SessionError, match=f"commit through .*{message}"):
+            session.commit(through)
+        assert (session.journal.last_seq, session.state.version) == (seq, version)
+        assert (tmp_path / "wal.jsonl").read_bytes() == wal
+        session.journal.close()
 
 
 class TestReportDelta:
