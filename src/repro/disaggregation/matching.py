@@ -21,6 +21,14 @@ Two engines implement the same greedy semantics:
   never refreshed, and a household with no live day for an appliance never
   patches its map.  Every batched primitive works row by row, so a
   household's result does not depend on which households share its tile.
+
+  Its constant factors are kept low: the initial inverse FFTs run only
+  over households with a live day for the template; non-max suppression
+  writes each pick's window through one strided view; the placement
+  scores reuse one temporary; and each round's patch ranges, refreshed
+  days and skips are arrays over every (change, template) pair, cut to
+  the live days.  A tile's arrays live in its thread's
+  :class:`_Workspace`, which every later tile of the thread reuses.
 * ``"reference"`` — the original per-call implementation, kept as the
   behavioural oracle the tests and the conformance matrix compare against.
 
@@ -32,12 +40,15 @@ compares matching against the combinatorial and event-based alternatives.
 
 from __future__ import annotations
 
+import math
+import mmap
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
@@ -260,30 +271,42 @@ def pursuit_tile(
 # ---------------------------------------------------------------------- #
 
 
+def _head(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the start of ``buffer``'s memory:
+    laid out as a fresh array of that shape would be."""
+    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def _placement_scores(
-    windows: np.ndarray, shape: np.ndarray, energies: np.ndarray
+    windows: np.ndarray, shape: np.ndarray, energies: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """:func:`_placement_score` for many (window, energy) placements at once.
 
-    ``windows`` is one residual window per row; all row reductions run
-    along the contiguous last axis, so each row's score is independent of
-    the other rows.
+    ``windows`` is one residual window per row, a gathered copy that the
+    call overwrites with its positive part; ``scratch`` (same shape) holds
+    the one temporary.  All row reductions run along the contiguous last
+    axis, so each row's score is independent of the other rows.
     """
-    positive = np.maximum(windows, 0.0)
-    templates = energies[:, None] * shape[None, :]
+    positive = np.maximum(windows, 0.0, out=windows)
+    scratch = np.multiply(energies[:, None], shape[None, :], out=scratch)
     safe_energy = np.where(energies > 0.0, energies, 1.0)
-    coverage = np.minimum(positive, templates).sum(axis=1) / safe_energy
+    coverage = np.minimum(positive, scratch, out=scratch).sum(axis=1) / safe_energy
     coverage[energies <= 0.0] = 0.0
     mass = positive.sum(axis=1)
     safe_mass = np.where(mass > 0.0, mass, 1.0)
-    similarity = 1.0 - 0.5 * np.abs(positive / safe_mass[:, None] - shape[None, :]).sum(axis=1)
+    np.divide(positive, safe_mass[:, None], out=scratch)
+    np.subtract(scratch, shape[None, :], out=scratch)
+    similarity = 1.0 - 0.5 * np.abs(scratch, out=scratch).sum(axis=1)
     scores = coverage * np.maximum(similarity, 0.0)
     scores[mass <= 0.0] = 0.0
     return scores
 
 
 def _nms_picks(
-    block: np.ndarray, feasible: np.ndarray, cycle_minutes: int
+    block: np.ndarray,
+    feasible: np.ndarray,
+    cycle_minutes: int,
+    workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top candidates with non-max suppression, in selection order.
 
@@ -298,33 +321,195 @@ def _nms_picks(
 
     The passes run on a reversed copy of the rows (so a first-occurrence
     argmax finds the largest offset), padded with half a cycle of ``-inf``
-    on both sides so every suppression window stays inside its row.
+    on both sides so every suppression window stays inside its row.  A
+    pass suppresses through a writeable view of all windows of the copy:
+    one slice write per row.  The copy starts a window's reach into its
+    buffer, so even the window of an empty first row (whose argmax is its
+    first entry) starts inside the buffer instead of wrapping round to
+    the last row.  ``workspace`` lends the buffer and its view.
     """
     rows, width = block.shape
     half = cycle_minutes // 2
-    span = np.arange(1 - half, half) if half else np.zeros(1, dtype=np.intp)
+    reach = max(half - 1, 0)
     stride = width + 2 * half
-    masked = np.full((rows, stride), -np.inf)
+    if workspace is None:
+        buffer = np.empty(rows * stride + 2 * reach)
+        suppress = _windows(buffer, 2 * reach + 1)
+    else:
+        buffer, suppress = workspace.suppression(reach)
+    masked = buffer[reach : reach + rows * stride].reshape(rows, stride)
+    masked.fill(-np.inf)
     np.copyto(masked[:, half : half + width], block[:, ::-1], where=feasible[:, ::-1])
     flat = masked.reshape(-1)
-    base = np.arange(rows) * stride
-    picks = np.zeros((rows, _PER_DAY_QUOTA), dtype=np.intp)
-    valid = np.zeros((rows, _PER_DAY_QUOTA), dtype=bool)
+    base = np.arange(0, rows * stride, stride)
+    tops = np.zeros((_PER_DAY_QUOTA, rows), dtype=np.intp)
+    valid = np.zeros((_PER_DAY_QUOTA, rows), dtype=bool)
     for q in range(_PER_DAY_QUOTA):
-        k = base + masked.argmax(axis=1)
+        top = masked.argmax(axis=1)
+        k = base + top
         ok = flat[k] != -np.inf
         if not ok.any():
             break
-        picks[:, q] = np.where(ok, half + width - 1 - (k - base), 0)
-        valid[:, q] = ok
-        flat[k[:, None] + span] = -np.inf
-    return picks, valid
+        tops[q] = top
+        valid[q] = ok
+        suppress[k] = -np.inf
+    picks = half + width - 1 - tops
+    picks[~valid] = 0
+    return picks.T, valid.T
+
+
+def _windows(buffer: np.ndarray, size: int) -> np.ndarray:
+    """A writeable view of every ``size``-long window of a 1-d ``buffer``."""
+    step = buffer.strides[0]
+    return as_strided(buffer, (buffer.size - size + 1, size), (step, step), writeable=True)
 
 
 #: One accepted run's footprint: household, changed hull ``[lo, hi)`` and,
 #: when the hull spans minutes the run left alone, the ``(firsts, lasts)``
 #: bounds of the runs of changed minutes in it.
 _Change = tuple[int, int, int, "tuple[np.ndarray, np.ndarray] | None"]
+
+
+class _Workspace:
+    """The large arrays of a lockstep run, reset for each tile it serves.
+
+    Sized for tiles of up to ``rows`` households of ``n`` minutes over
+    templates of the given lengths; a tile runs on row slices of it, and
+    :class:`_Lockstep` resets every part it reads.  One flat ``scratch``
+    buffer serves the set-up (cumulative sums, then the spectra) and,
+    once the maps exist, the pursuit (day blocks, suppression copies,
+    placement-score temporaries).
+
+    Every array lives in one anonymous memory map, outside the
+    allocator's heap: the workspace neither fragments the heap nor keeps
+    freed heap from being trimmed, and a replaced workspace gives its
+    pages back at once.
+    """
+
+    def __init__(self, rows: int, n: int, lengths: tuple[int, ...]) -> None:
+        self.rows, self.n, self.lengths = rows, n, lengths
+        n_days = -(-n // _MINUTES_PER_DAY)
+        width = n_days * _MINUTES_PER_DAY
+        longest = max((m for m in lengths if m <= n), default=0)
+        self.nfft = next_fast_len(n + longest - 1) if longest else n
+        # Rows of a map buffer are a whole number of days long (see below).
+        strides = [
+            -(-max(self.nfft, m - 1 + width) // _MINUTES_PER_DAY) * _MINUTES_PER_DAY
+            for m in lengths
+        ]
+        cells = rows * n_days * _MINUTES_PER_DAY
+        reach = max(longest // 2 - 1, 0)
+        self._nms_end = rows * n_days * (_MINUTES_PER_DAY + 2 * (longest // 2)) + 2 * reach
+        self._block_end = self._nms_end + cells
+        pursuit = self._block_end + rows * n_days * _PER_DAY_QUOTA * longest
+        setup = max(rows * (2 * n + 1), 4 * rows * (self.nfft // 2 + 1))
+        flags = (rows, len(lengths), width)
+        candidates = (rows, len(lengths), n_days)
+        (
+            self.residual,
+            self.blocked,
+            self.direct,
+            self.score,
+            self.start,
+            self.energy,
+            self.feasible,
+            self.in_range,
+            self.scratch,
+            *buffers,
+        ) = _mapped(
+            ((rows, n), np.float64),
+            (flags, np.bool_),
+            (flags, np.bool_),
+            (candidates, np.float64),
+            (candidates, np.intp),
+            (candidates, np.float64),
+            ((cells,), np.bool_),
+            ((cells,), np.bool_),
+            ((max(pursuit, setup),), np.float64),
+            *[
+                ((rows * stride + m - 1,), np.float64)
+                for m, stride in zip(lengths, strides)
+                if m <= n
+            ],
+        )
+        # A map buffer row holds the inverse transform, whose valid span from
+        # column m − 1 on is the day-padded map (see _Lockstep._initial_maps).
+        # Rows are a whole number of days long, so the same memory read from
+        # m − 1 on is one contiguous (rows · days per row, minutes) array of
+        # map days.
+        self.maps: list[np.ndarray | None] = []
+        self.days: list[np.ndarray | None] = []
+        unused = iter(buffers)
+        for m, stride in zip(lengths, strides):
+            if m > n:
+                self.maps.append(None)
+                self.days.append(None)
+                continue
+            buffer = next(unused)
+            self.maps.append(buffer[: rows * stride].reshape(rows, stride))
+            self.days.append(buffer[m - 1 :].reshape(-1, _MINUTES_PER_DAY))
+        self._suppress: dict[int, np.ndarray] = {}
+
+    def spectra(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two ``(rows, nfft // 2 + 1)`` complex arrays in the scratch."""
+        size = rows * (self.nfft // 2 + 1)
+        spectra = self.scratch[: 4 * size].view(complex)
+        return spectra[:size].reshape(rows, -1), spectra[size:].reshape(rows, -1)
+
+    def block(self, cells: int) -> np.ndarray:
+        """A ``(cells, minutes per day)`` array in the scratch."""
+        return _head(self.scratch[self._nms_end : self._block_end], cells, _MINUTES_PER_DAY)
+
+    def scores(self, placements: int, m: int) -> np.ndarray:
+        """A ``(placements, m)`` array in the scratch."""
+        return _head(self.scratch[self._block_end :], placements, m)
+
+    def suppression(self, reach: int) -> tuple[np.ndarray, np.ndarray]:
+        """The non-max suppression buffer and its ``2·reach + 1`` windows."""
+        buffer = self.scratch[: self._nms_end]
+        view = self._suppress.get(reach)
+        if view is None:
+            view = self._suppress[reach] = _windows(buffer, 2 * reach + 1)
+        return buffer, view
+
+    def fits(self, rows: int, n: int, lengths: tuple[int, ...]) -> bool:
+        return self.n == n and self.lengths == lengths and self.rows >= rows
+
+
+def _mapped(*parts: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Arrays of the given ``(shape, dtype)`` in one anonymous memory map,
+    each 64-byte aligned; the arrays keep the map alive."""
+    nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in parts]
+    offsets = np.cumsum([0] + [-(-size // 64) * 64 for size in nbytes]).tolist()
+    memory = np.frombuffer(mmap.mmap(-1, offsets[-1]), dtype=np.uint8)
+    return [
+        memory[offset : offset + size].view(dtype).reshape(shape)
+        for offset, size, (shape, dtype) in zip(offsets, nbytes, parts)
+    ]
+
+
+#: One workspace slot per thread (see :func:`_workspace`).
+_WORKSPACES = threading.local()
+
+
+def _workspace(rows: int, n: int, lengths: tuple[int, ...]) -> _Workspace:
+    """The calling thread's workspace, fitted to a tile.
+
+    One slot per thread, kept from tile to tile and from one fleet to the
+    next, so repeated pursuits fault no pages in: a tile no taller than
+    the workspace runs on a row slice of it, a taller tile of the same
+    kind widens it, and a tile of another length or template set
+    replaces it.
+    """
+    current: _Workspace | None = getattr(_WORKSPACES, "slot", None)
+    if current is not None and current.fits(rows, n, lengths):
+        return current
+    if current is not None and (current.n, current.lengths) == (n, lengths):
+        rows = max(rows, current.rows)
+    # Drop the old arrays before allocating the new ones.
+    _WORKSPACES.slot = current = None
+    _WORKSPACES.slot = _Workspace(rows, n, lengths)
+    return _WORKSPACES.slot
 
 
 class _Lockstep:
@@ -337,8 +522,10 @@ class _Lockstep:
     non-max suppression, score windows and same-appliance overlap
     exclusion are all local to the patched region, so the cache is exact.
     Cells a static bound proves can never reach their appliance's energy
-    floor (see :meth:`_live_cells`) are never refreshed, and a household
-    none of whose days can host an appliance never patches its map.
+    floor (see :meth:`_live_cells`) are never refreshed, so their map
+    entries are never computed: a household none of whose days can host an
+    appliance gets no map for it, and no patch touches a dead day.  The
+    arrays live in the thread's :class:`_Workspace` (see :func:`_workspace`).
     """
 
     def __init__(
@@ -348,11 +535,15 @@ class _Lockstep:
         self.config = config
         self.specs: list[ApplianceSpec] = list(database)
         self.templates: list[ApplianceTemplate] = database.templates()
-        self.residual = np.stack([s.values for s in series]).astype(float, copy=False)
-        households, n = self.residual.shape
+        self.lengths = np.array([t.length for t in self.templates], dtype=np.intp)
+        households, n = len(series), series[0].axis.length
         self.n = n
         self.n_days = -(-n // _MINUTES_PER_DAY)
-        width = self.n_days * _MINUTES_PER_DAY
+        self.width = width = self.n_days * _MINUTES_PER_DAY
+        workspace = self.workspace = _workspace(households, n, tuple(self.lengths.tolist()))
+        self.residual = workspace.residual[:households]
+        for row, s in zip(self.residual, series):
+            row[:] = s.values
         self.bounds = [
             (
                 spec.energy_min_kwh * (1.0 - config.energy_slack),
@@ -360,60 +551,72 @@ class _Lockstep:
             )
             for spec in self.specs
         ]
+        self.live = self._live_cells()
+        self.live_pairs = self.live.any(axis=2)
         self.maps = self._initial_maps(width)
         self.windows = [
             None if energies is None else sliding_window_view(self.residual, t.length, axis=1)
             for energies, t in zip(self.maps, self.templates)
         ]
         # Offsets no run of the same appliance may start at (a machine
-        # cannot run two cycles concurrently).
-        self.blocked = [
-            None if energies is None else np.zeros((households, width), dtype=bool)
-            for energies in self.maps
-        ]
-        # Map entries computed by direct correlation (the rest hold their
-        # initial FFT values).
-        self.direct = [
-            None if energies is None else np.zeros((households, width), dtype=bool)
-            for energies in self.maps
-        ]
-        cells = (households, len(self.specs), self.n_days)
-        self.score = np.full(cells, -np.inf)
-        self.start = np.zeros(cells, dtype=np.intp)
-        self.energy = np.zeros(cells)
-        self.live = self._live_cells()
-        self.live_pairs = self.live.any(axis=2)
+        # cannot run two cycles concurrently), and map entries computed by
+        # direct correlation (the rest hold their initial FFT values).  Only
+        # live days are ever read, so only they are reset.
+        cells = (households, len(self.templates), self.n_days, _MINUTES_PER_DAY)
+        self.blocked = workspace.blocked[:households]
+        self.blocked.reshape(cells)[self.live] = False
+        self.direct = workspace.direct[:households]
+        self.direct.reshape(cells)[self.live] = False
+        self.score = workspace.score[:households]
+        self.score.fill(-np.inf)
+        self.start = workspace.start[:households]
+        self.start.fill(0)
+        self.energy = workspace.energy[:households]
+        self.energy.fill(0.0)
         self.dirty = self.live.copy()
+        # Live cells that may still hold FFT values.
+        self.fresh = self.live.copy()
 
     def _initial_maps(self, width: int) -> list[np.ndarray | None]:
         """Per-offset energy maps of every template, off one FFT of the tile.
 
         The residual matrix is transformed once; each template contributes
-        a cached frequency-domain multiply plus one inverse transform.  The
-        transform writes into a buffer laid out so that its valid span
-        (offsets ``m − 1 … n − 1`` of the full correlation) *is* the
-        template's day-padded map, scaled in place: no second copy exists.
+        a cached frequency-domain multiply plus one inverse transform per
+        block of consecutive households with a live day for it (the other
+        rows are left unset: nothing reads them).  The transform writes into a
+        buffer laid out so that its valid span (offsets ``m − 1 … n − 1`` of
+        the full correlation) *is* the template's day-padded map, scaled in
+        place: no second copy exists.
         """
         households, n = self.residual.shape
-        lengths = [t.length for t in self.templates if t.length <= n]
-        if not lengths:
-            return [None] * len(self.templates)
-        nfft = next_fast_len(n + max(lengths) - 1)
-        spectrum = np.fft.rfft(self.residual, nfft, axis=1)
+        workspace = self.workspace
+        nfft = workspace.nfft
+        spectrum, product = workspace.spectra(households)
+        if any(buffer is not None for buffer in workspace.maps):
+            np.fft.rfft(self.residual, nfft, axis=1, out=spectrum)
         maps: list[np.ndarray | None] = []
-        for template in self.templates:
-            m = template.length
-            if m > n:
+        for index, (template, buffer) in enumerate(zip(self.templates, workspace.maps)):
+            if buffer is None:
                 maps.append(None)
                 continue
-            buffer = np.empty((households, max(nfft, m - 1 + width)))
-            np.fft.irfft(
-                spectrum * template.rfft_reversed(nfft), nfft, axis=1, out=buffer[:, :nfft]
-            )
-            energies = buffer[:, m - 1 : m - 1 + width]
-            valid = energies[:, : n - m + 1]
-            np.divide(valid, template.denom, out=valid)
-            energies[:, n - m + 1 :] = -np.inf
+            m = template.length
+            energies = buffer[:households, m - 1 : m - 1 + width]
+            live = self.live_pairs[:, index]
+            edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
+            for first, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+                np.fft.irfft(
+                    np.multiply(
+                        spectrum[first:stop],
+                        template.rfft_reversed(nfft),
+                        out=product[: stop - first],
+                    ),
+                    nfft,
+                    axis=1,
+                    out=buffer[first:stop, :nfft],
+                )
+                valid = energies[first:stop, : n - m + 1]
+                np.divide(valid, template.denom, out=valid)
+                energies[first:stop, n - m + 1 :] = -np.inf
             maps.append(energies)
         return maps
 
@@ -442,15 +645,22 @@ class _Lockstep:
         """
         households, n = self.residual.shape
         live = np.zeros((households, len(self.specs), self.n_days), dtype=bool)
-        cumulative = np.zeros((households, n + 1))
-        np.cumsum(np.maximum(self.residual, 0.0), axis=1, out=cumulative[:, 1:])
-        magnitude = np.abs(self.residual).sum(axis=1)
+        cumulative = _head(self.workspace.scratch, households, n + 1)
+        scratch = self.workspace.scratch[cumulative.size :]
+        cumulative[:, 0] = 0.0
+        positive = np.maximum(self.residual, 0.0, out=_head(scratch, households, n))
+        np.cumsum(positive, axis=1, out=cumulative[:, 1:])
+        magnitude = np.abs(self.residual, out=_head(scratch, households, n)).sum(axis=1)
         for index, template in enumerate(self.templates):
-            if self.maps[index] is None:
-                continue
             m = template.length
+            if m > n:
+                continue
             scale = template.peak / template.denom
-            window_mass = cumulative[:, m:] - cumulative[:, : n - m + 1]
+            window_mass = np.subtract(
+                cumulative[:, m:],
+                cumulative[:, : n - m + 1],
+                out=_head(scratch, households, n - m + 1),
+            )
             day_starts = np.arange(0, n - m + 1, _MINUTES_PER_DAY)
             day_bound = scale * np.maximum.reduceat(window_mass, day_starts, axis=1)
             tol = 1e-6 * scale * magnitude[:, None]
@@ -460,24 +670,36 @@ class _Lockstep:
     def _refresh(self, index: int, households: np.ndarray, days: np.ndarray) -> None:
         """Recompute the cached best placement of appliance ``index`` in the
         given (household, day) cells."""
+        workspace = self.workspace
         template = self.templates[index]
+        m = template.length
         lo, hi = self.bounds[index]
-        block = self.maps[index].reshape(len(self.series), self.n_days, _MINUTES_PER_DAY)[
-            households, days
-        ]
-        feasible = (block >= lo) & (block <= hi)
+        cells = households.size
+        days_per_row = workspace.maps[index].shape[1] // _MINUTES_PER_DAY
+        block = np.take(
+            workspace.days[index],
+            households * days_per_row + days,
+            axis=0,
+            out=workspace.block(cells),
+            mode="clip",
+        )
+        feasible = _head(workspace.feasible, cells, _MINUTES_PER_DAY)
+        np.greater_equal(block, lo, out=feasible)
+        feasible &= np.less_equal(block, hi, out=_head(workspace.in_range, *block.shape))
         some = feasible.any(axis=1)
-        self.score[households[~some], index, days[~some]] = -np.inf
         if not some.all():
+            self.score[households[~some], index, days[~some]] = -np.inf
             households, days = households[some], days[some]
             block, feasible = block[some], feasible[some]
         if not households.size:
             return
-        picks, valid = _nms_picks(block, feasible, template.length)
+        picks, valid = _nms_picks(block, feasible, m, workspace)
         starts = days[:, None] * _MINUTES_PER_DAY + picks
-        valid &= ~self.blocked[index][households[:, None], starts]
+        pairs = (households * len(self.templates) + index)[:, None]
+        valid &= ~self.blocked.reshape(-1)[pairs * self.width + starts]
         rows = np.arange(len(households))
-        clamped = np.clip(block[rows[:, None], picks], lo, hi)
+        picked = block.reshape(-1)[rows[:, None] * _MINUTES_PER_DAY + picks]
+        clamped = np.clip(picked, lo, hi)
         scores = np.full(picks.shape, -np.inf)
         cell, pick = np.nonzero(valid)
         if cell.size:
@@ -485,6 +707,7 @@ class _Lockstep:
                 self.windows[index][households[cell], starts[cell, pick]],
                 template.shape,
                 clamped[cell, pick],
+                workspace.scores(cell.size, m),
             )
         best = scores.argmax(axis=1)
         self.score[households, index, days] = scores[rows, best]
@@ -515,94 +738,164 @@ class _Lockstep:
                     np.concatenate(([t], below_idx[np.concatenate(([0], breaks + 1))])),
                     np.concatenate(([t + m], below_idx[np.concatenate((breaks, [-1]))] + 1)),
                 )
-        self.blocked[index][household, max(0, t - m + 1) : t + m] = True
+        self.blocked[household, index, max(0, t - m + 1) : t + m] = True
         return household, changed_lo, changed_hi, changed_runs
 
-    def _patch_runs(
-        self, index: int, change: _Change, lo: int, hi: int
-    ) -> list[tuple[int, int]]:
-        """The offset runs in ``[lo, hi)`` whose map entries must be recomputed.
+    def _patch_runs(self, changes: list[_Change]) -> tuple[np.ndarray, ...]:
+        """The map entries a round's changes make stale, as offset runs.
 
-        An entry needs it when a changed minute lies in its window, or when
-        it still holds its FFT value (the reference semantics re-correlate
-        the whole patch range directly; an entry already computed by
-        direct correlation over an unchanged window would come out the
-        same bits).  Runs less than a cycle apart are merged: correlating
-        the gap costs no more than the outputs a run boundary wastes.
+        A change at ``[changed_lo, changed_hi)`` perturbs a template's map at
+        offsets ``[changed_lo − m + 1, changed_hi)``; the live days covering
+        them are flagged for a candidate refresh.  An entry in that range
+        must be recomputed when a changed minute lies in its window, or
+        when it still holds its FFT value (the reference semantics
+        re-correlate the whole patch range directly; an entry already
+        computed by direct correlation over an unchanged window would come
+        out the same bits).  Only a change whose hull reaches past its run
+        can leave FFT values in range, and only in days it has not yet
+        patched whole (``fresh``).  Runs less than a cycle apart are merged
+        (correlating the gap costs no more than the outputs a run boundary
+        wastes), then cut to the live days: dead-day entries are never read.
+        Every step runs over all (change, template) pairs at once.
+
+        Returns ``(template, household, first, last)`` per run, sorted by
+        template.
         """
-        household, _, _, (changed_first, changed_last) = change
-        m = self.templates[index].length
-        direct = self.direct[index][household, lo:hi]
-        first = np.maximum(changed_first - m + 1, lo)
-        last = np.minimum(changed_last, hi)
-        stale = np.flatnonzero(~direct)
-        if stale.size:
-            breaks = np.flatnonzero(np.diff(stale) > 1)
-            first = np.concatenate((first, stale[np.concatenate(([0], breaks + 1))] + lo))
-            last = np.concatenate((last, stale[np.concatenate((breaks, [-1]))] + lo + 1))
-        order = np.argsort(first, kind="stable")
-        first = first[order]
-        last = np.maximum.accumulate(last[order])
-        split = np.flatnonzero(first[1:] - last[:-1] >= m)
-        direct[:] = True
-        return list(
-            zip(
-                first[np.concatenate(([0], split + 1))].tolist(),
-                last[np.concatenate((split, [-1]))].tolist(),
+        n = self.n
+        count, m = len(changes), self.lengths
+        households = np.array([change[0] for change in changes], dtype=np.intp)
+        hull_lo = np.array([change[1] for change in changes], dtype=np.intp)
+        hull_hi = np.array([change[2] for change in changes], dtype=np.intp)
+        live = self.live[households]
+        patch_lo = np.maximum(hull_lo[:, None] - m + 1, 0)
+        patch_hi = np.minimum(hull_hi[:, None], n - m + 1)
+        day = np.arange(self.n_days)
+        reached = (day >= (patch_lo // _MINUTES_PER_DAY)[:, :, None]) & (
+            day <= ((np.minimum(hull_hi, n) - 1) // _MINUTES_PER_DAY)[:, None, None]
+        )
+        self.dirty[households] |= reached & live
+
+        # A run is keyed by (template, change, offset) in one integer; keys
+        # of two pairs lie further apart than any merge reaches.
+        span = self.n_days * _MINUTES_PER_DAY + int(m.max()) + 1
+        pair = np.arange(len(m)) * count + np.arange(count)[:, None]
+        clamped = np.array([change[3] is not None for change in changes])
+        owners = [np.flatnonzero(~clamped)]
+        firsts, lasts = [hull_lo[~clamped]], [hull_hi[~clamped]]
+        starts: list[np.ndarray] = []
+        stops: list[np.ndarray] = []
+        for change in np.flatnonzero(clamped).tolist():
+            run_firsts, run_lasts = changes[change][3]
+            owners.append(np.full(run_firsts.size, change))
+            firsts.append(run_firsts)
+            lasts.append(run_lasts)
+            # Entries still holding FFT values in the patch range.
+            lo, hi = patch_lo[change], patch_hi[change]
+            fresh = self.fresh[households[change]]
+            rows, days = np.nonzero(
+                fresh
+                & (day >= (lo // _MINUTES_PER_DAY)[:, None])
+                & (day * _MINUTES_PER_DAY < hi[:, None])
             )
+            if rows.size:
+                # Runs of FFT values in each (template, day) cell, clipped
+                # to the template's patch range.
+                padded = np.ones((rows.size, _MINUTES_PER_DAY + 2), dtype=bool)
+                padded[:, 1:-1] = self.direct[households[change]].reshape(
+                    len(m), self.n_days, -1
+                )[rows, days]
+                edges = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+                cell, column = np.divmod(edges, _MINUTES_PER_DAY + 1)
+                cell, day_start = cell[::2], days[cell[::2]] * _MINUTES_PER_DAY
+                stale_first = np.maximum(day_start + column[::2], lo[rows[cell]])
+                stale_stop = np.minimum(day_start + column[1::2], hi[rows[cell]])
+                keys = pair[change, rows[cell]] * span
+                inside = stale_first < stale_stop
+                starts.append((keys + stale_first)[inside])
+                stops.append((keys + stale_stop)[inside])
+            # Days the patch covers whole keep no FFT value.
+            fresh &= (day * _MINUTES_PER_DAY < lo[:, None]) | (
+                np.minimum((day + 1) * _MINUTES_PER_DAY, (n - m + 1)[:, None]) > hi[:, None]
+            )
+        owner = np.concatenate(owners)
+        window_lo = np.maximum(np.concatenate(firsts)[:, None] - m + 1, 0)
+        window_hi = np.minimum(np.concatenate(lasts)[:, None], n - m + 1)
+        keep = (window_lo < window_hi) & self.live_pairs[households[owner]]
+        keys = pair[owner] * span
+        starts.append((keys + window_lo)[keep])
+        stops.append((keys + window_hi)[keep])
+        start, stop = np.concatenate(starts), np.concatenate(stops)
+        if not start.size:
+            return (start,) * 4
+        order = np.argsort(start, kind="stable")
+        start, stop = start[order], np.maximum.accumulate(stop[order])
+        split = np.flatnonzero(start[1:] - stop[:-1] >= m[start[1:] // span // count])
+        start = start[np.concatenate(([0], split + 1))]
+        stop = stop[np.concatenate((split, [-1]))]
+
+        # Cut the runs to their live days.
+        pairs, first = np.divmod(start, span)
+        stop = stop - pairs * span
+        template, change = np.divmod(pairs, count)
+        first_day = first // _MINUTES_PER_DAY
+        days = (stop - 1) // _MINUTES_PER_DAY - first_day + 1
+        piece = np.repeat(np.arange(first.size), days)
+        piece_day = np.arange(piece.size) - np.repeat(np.cumsum(days) - days, days)
+        piece_day += first_day[piece]
+        alive = live[change[piece], template[piece], piece_day]
+        piece, piece_day = piece[alive], piece_day[alive]
+        piece_first = np.maximum(first[piece], piece_day * _MINUTES_PER_DAY)
+        piece_stop = np.minimum(stop[piece], (piece_day + 1) * _MINUTES_PER_DAY)
+        joined = (piece[1:] == piece[:-1]) & (piece_first[1:] == piece_stop[:-1])
+        opens = np.flatnonzero(np.concatenate(([True], ~joined)))
+        closes = np.flatnonzero(np.concatenate((~joined, [True])))
+        piece = piece[opens]
+        return (
+            template[piece],
+            households[change[piece]],
+            piece_first[opens],
+            piece_stop[closes],
         )
 
     def _patch(self, changes: list[_Change]) -> None:
         """Refresh the energy maps where the residual changed.
 
-        A change at ``[changed_lo, changed_hi)`` perturbs a template's map at
-        offsets ``[changed_lo − m + 1, changed_hi)``; for each template, the
-        runs of those offsets that need it (see :meth:`_patch_runs`) are
-        re-correlated for every changed household in one exact direct
-        correlation over their concatenated segments (outputs straddling
-        two segments are dropped).  The live days covering the offsets are
-        flagged for a candidate refresh; a household with no live day for a
-        template skips that template altogether.
+        The runs of :meth:`_patch_runs` are re-correlated per template, for
+        every changed household in one exact direct correlation over their
+        concatenated segments (outputs straddling two segments are
+        dropped), and marked direct.  Positions are flat, into the
+        contiguous residual, map and flag arrays.
         """
-        for index, template in enumerate(self.templates):
-            m = template.length
-            energies = self.maps[index]
-            live = self.live[:, index]
-            segments: list[np.ndarray] = []
-            targets: list[tuple[int, int, int]] = []
-            for change in changes:
-                household, changed_lo, changed_hi, _ = change
-                if not self.live_pairs[household, index]:
-                    continue
-                patch_lo = max(0, changed_lo - m + 1)
-                first_day = patch_lo // _MINUTES_PER_DAY
-                last_day = min(changed_hi - 1, self.n - 1) // _MINUTES_PER_DAY
-                self.dirty[household, index, first_day : last_day + 1] |= live[
-                    household, first_day : last_day + 1
-                ]
-                hi = min(self.n - m + 1, changed_hi)
-                if patch_lo >= hi:
-                    continue
-                if change[3] is None:
-                    self.direct[index][household, patch_lo:hi] = True
-                    runs = [(patch_lo, hi)]
-                else:
-                    runs = self._patch_runs(index, change, patch_lo, hi)
-                for lo, run_hi in runs:
-                    segments.append(self.residual[household, lo : run_hi + m - 1])
-                    targets.append((household, lo, run_hi))
-            if not segments:
-                continue
-            corr = np.correlate(np.concatenate(segments), template.shape, mode="valid")
-            corr /= template.denom
+        if not changes:
+            return
+        template, households, firsts, lasts = self._patch_runs(changes)
+        residual = self.residual.reshape(-1)
+        direct = self.direct.reshape(-1)
+        bounds = np.flatnonzero(np.diff(template, prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            index = int(template[lo])
+            template_ = self.templates[index]
+            m = template_.length
+            buffer = self.workspace.maps[index]
+            energies = buffer.reshape(-1)
+            rows, first = households[lo:hi], firsts[lo:hi]
+            sizes = (lasts[lo:hi] - first).tolist()
+            sources = (rows * self.n + first).tolist()
+            segments = [residual[s : s + size + m - 1] for s, size in zip(sources, sizes)]
+            corr = np.correlate(np.concatenate(segments), template_.shape, mode="valid")
+            corr /= template_.denom
+            targets = (rows * buffer.shape[1] + (m - 1) + first).tolist()
+            flags = ((rows * len(self.templates) + index) * self.width + first).tolist()
             offset = 0
-            for (household, lo, hi), segment in zip(targets, segments):
-                energies[household, lo:hi] = corr[offset : offset + hi - lo]
-                offset += segment.size
+            for target, flag, size in zip(targets, flags, sizes):
+                energies[target : target + size] = corr[offset : offset + size]
+                direct[flag : flag + size] = True
+                offset += size + m - 1
 
     def run(self, household_ids: list[str]) -> list[DetectionResult]:
         config = self.config
         households = len(self.series)
+        positive = _head(self.workspace.scratch, self.n)
         detections: list[list[Activation]] = [[] for _ in range(households)]
         explained = [0.0] * households
         accepted = [0] * households
@@ -643,7 +936,7 @@ class _Lockstep:
                 accepted[household] += 1
                 if accepted[household] == config.max_iterations:
                     continue
-                mass = float(np.maximum(self.residual[household], 0.0).sum())
+                mass = float(np.maximum(self.residual[household], 0.0, out=positive).sum())
                 if mass < config.residual_floor_kwh:
                     continue
                 survivors.append(household)

@@ -167,6 +167,16 @@ def _mask_runs(mask: np.ndarray) -> list[list[int]]:
     return [[int(first), int(stop)] for first, stop in zip(edges[::2], edges[1::2])]
 
 
+def _coverage_runs(h: "_HouseholdState") -> list[list[int]]:
+    """:func:`_mask_runs` of a household's coverage.  When the covered
+    prefix reaches the last covered index, as it does for in-order
+    arrival, the coverage is the one run ``[0, end)`` (none while ``end``
+    is 0), read off without scanning the mask."""
+    if h.prefix == h.end:
+        return [[0, h.end]] if h.end else []
+    return _mask_runs(h.covered)
+
+
 def _runs_to_mask(runs: list[list[int]], length: int, where: str) -> np.ndarray:
     """The mask :func:`_mask_runs` wrote: runs must be pairs of ints with
     ``0 <= first < stop <= length``, ascending and non-overlapping."""
@@ -273,7 +283,7 @@ def _household_record(h: "_HouseholdState", constant: tuple[bytes, bytes, bytes]
         offers = b'"offers":%b,' % _canonical([flexoffer_to_dict(o) for o in h.offers])
     return b'%b%b,"dirty":%b%b%b%b%b,"values":"%b"}' % (
         head,
-        _canonical(_mask_runs(h.covered)),
+        _canonical(_coverage_runs(h)),
         b"true" if h.dirty else b"false",
         ident,
         offers,

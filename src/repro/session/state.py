@@ -207,11 +207,13 @@ class _HouseholdState:
         return self.axis.start + self.axis.resolution * self.prefix
 
     def output(self) -> HouseholdOutput:
+        """The household's published view; its summary is the caller's own
+        copy, so mutating it cannot reach the session."""
         return HouseholdOutput(
             index=self.index,
             household_id=self.household_id,
             offers=self.offers,
-            summary=self.summary,
+            summary=dict(self.summary),
         )
 
 

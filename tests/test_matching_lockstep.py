@@ -31,10 +31,14 @@ from repro.appliances.database import ApplianceDatabase, default_database
 from repro.appliances.model import ApplianceCategory, ApplianceSpec, flat_shape
 from repro.disaggregation.baseline import remove_baseline
 from repro.errors import DataError
+from repro.disaggregation import matching
 from repro.disaggregation.matching import (
+    _PER_DAY_QUOTA,
     DetectionResult,
     MatchingConfig,
     _Lockstep,
+    _nms_picks,
+    _Workspace,
     match_pursuit,
     match_pursuit_many,
 )
@@ -293,6 +297,147 @@ def test_pruned_cells_stay_below_the_floor_to_the_end(pick, scales, slack):
             for day in dead_days.tolist():
                 offsets = fitted[day * 1440 : (day + 1) * 1440]
                 assert not (offsets >= floor).any(), (pick, spec.name, day)
+
+
+# ---------------------------------------------------------------------- #
+# Non-max suppression against its documented rule
+# ---------------------------------------------------------------------- #
+
+
+def nms_oracle(block: np.ndarray, feasible: np.ndarray, cycle_minutes: int):
+    """:func:`_nms_picks` as a plain per-row loop of its documented rule:
+    the largest feasible value wins, exact ties go to the largest offset,
+    and a pick (and every offset closer to it than half a cycle) leaves
+    the running."""
+    rows = block.shape[0]
+    half = cycle_minutes // 2
+    picks = np.zeros((rows, _PER_DAY_QUOTA), dtype=np.intp)
+    valid = np.zeros((rows, _PER_DAY_QUOTA), dtype=bool)
+    for row in range(rows):
+        candidates = [int(t) for t in np.flatnonzero(feasible[row])]
+        for q in range(_PER_DAY_QUOTA):
+            if not candidates:
+                break
+            best = max(candidates, key=lambda t: (block[row, t], t))
+            picks[row, q], valid[row, q] = best, True
+            candidates = [t for t in candidates if t != best and abs(t - best) >= half]
+    return picks, valid
+
+
+#: One workspace lends its suppression buffer to every example below.
+NMS_WORKSPACE = _Workspace(8, 1440, (64,))
+
+
+@st.composite
+def nms_blocks(draw):
+    rows = draw(st.integers(1, 6), label="rows")
+    width = draw(st.integers(1, 40), label="width")
+    # Few distinct values, so exact ties are common.
+    size = rows * width
+    values = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=size, max_size=size))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]), label="density")
+    feasible = draw(
+        st.lists(
+            st.booleans() if 0.0 < density < 1.0 else st.just(density == 1.0),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    block = np.array(values).reshape(rows, width)
+    feasible = np.array(feasible, dtype=bool).reshape(rows, width)
+    # Empty rows next to full ones, and an empty first row.
+    empty = draw(st.sets(st.integers(0, rows - 1)), label="empty rows")
+    feasible[sorted(empty)] = False
+    cycle = draw(st.sampled_from([1, 2, 3, 4, 5, 9, 20, 64]), label="cycle minutes")
+    return block, feasible, cycle
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=nms_blocks(), lent=st.booleans())
+def test_nms_picks_follow_the_per_row_rule(case, lent):
+    block, feasible, cycle = case
+    picks, valid = _nms_picks(block, feasible, cycle, NMS_WORKSPACE if lent else None)
+    expected_picks, expected_valid = nms_oracle(block, feasible, cycle)
+    assert valid.tolist() == expected_valid.tolist()
+    assert picks.tolist() == expected_picks.tolist()
+
+
+@pytest.mark.parametrize("cycle", [1, 2, 7])
+def test_an_empty_first_row_suppresses_nothing_in_the_last(cycle):
+    """An empty row's argmax is its first entry; the first row's window
+    around it must not wrap round into the last row's data."""
+    width = 12
+    block = np.tile(np.arange(width, dtype=float), (3, 1))
+    feasible = np.ones_like(block, dtype=bool)
+    feasible[0] = False
+    for lent in (None, NMS_WORKSPACE):
+        picks, valid = _nms_picks(block, feasible, cycle, lent)
+        expected_picks, expected_valid = nms_oracle(block, feasible, cycle)
+        assert valid.tolist() == expected_valid.tolist()
+        assert picks.tolist() == expected_picks.tolist()
+        assert not valid[0].any()
+
+
+def test_an_all_infeasible_block_picks_nothing():
+    block = np.ones((4, 30))
+    picks, valid = _nms_picks(block, np.zeros_like(block, dtype=bool), 10)
+    assert not valid.any() and not picks.any()
+
+
+# ---------------------------------------------------------------------- #
+# The shared workspace
+# ---------------------------------------------------------------------- #
+
+
+def result_bytes(result: DetectionResult) -> tuple:
+    """Everything a later tile could clobber: residual bytes and energies."""
+    return (
+        result.residual.values.tobytes(),
+        repr(result.explained_kwh),
+        [repr(d.energy_kwh) for d in result.detections],
+    )
+
+
+def test_one_workspace_serves_tiles_of_any_height_and_length(golden):
+    """Tiles of 16, 3 and again 16 households of one length share the
+    thread's workspace (the short tile on a row slice), a tile of another
+    length replaces it, and every tile still reproduces the golden; no
+    tile changes an earlier tile's results."""
+    inputs = list(golden_inputs())
+    length = 7 * 1440
+    same = [(key, series) for key, series in inputs if series.axis.length == length]
+    other = [(key, series) for key, series in inputs if series.axis.length != length]
+    widest = same * 3  # 18 households of one length
+    database = default_database()
+    runs = [widest[:16], same[3:6], widest[2:18], other[:4], widest[:16]]
+    earlier: list[tuple[DetectionResult, tuple]] = []
+    workspaces = []
+    for tile in runs:
+        results = match_pursuit_many([series for _, series in tile], database)
+        workspaces.append(matching._WORKSPACES.slot)
+        for (key, _), result in zip(tile, results):
+            assert golden_entry(result) == golden[key], key
+        for result, kept in earlier:
+            assert result_bytes(result) == kept
+        earlier += [(result, result_bytes(result)) for result in results]
+    first, short, again, other_length, last = workspaces
+    assert first is short is again and first.rows == 16
+    assert other_length is not first and other_length.n != length
+    assert last is not other_length and last.n == length
+
+
+def test_the_reference_engine_never_touches_the_workspace(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference engine built a lockstep workspace")
+
+    monkeypatch.setattr(matching, "_Workspace", refuse)
+    monkeypatch.setattr(matching, "_workspace", refuse)
+    monkeypatch.setattr(matching._WORKSPACES, "slot", None, raising=False)
+    (_, series), = golden_inputs()[4:5]
+    config = MatchingConfig(engine="reference", max_iterations=3)
+    match_pursuit_many([series], default_database(), config)
+    match_pursuit(series, default_database(), config)
+    assert matching._WORKSPACES.slot is None
 
 
 if __name__ == "__main__":

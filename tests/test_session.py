@@ -329,6 +329,48 @@ class TestCommittedDemand:
         recovered.journal.close()
 
 
+class TestSnapshotIsolation:
+    """A published snapshot is the caller's: mutating it leaves the session,
+    its later snapshots and its journal exactly as an untouched run's."""
+
+    def test_mutating_a_published_summary_changes_nothing(
+        self, session_fleet, target, tmp_path
+    ):
+        from repro.session import SessionJournal
+
+        def run(directory: Path, tamper: bool):
+            session = fresh_session(session_fleet, target)
+            session.attach_journal(SessionJournal.create(directory, snapshot_every=1))
+            inputs = household_inputs(session, session_fleet)
+            half = inputs[0].axis.length // 2
+            for index, series in enumerate(inputs):
+                session.ingest(index, 0, series.values[:half])
+            published = session.replan()
+            if tamper:
+                published.households[0].summary["offers"] = 99.0
+                published.households[1].summary.clear()
+            seen = {
+                "state": [dict(h.summary) for h in session.state.households],
+                "next": session.snapshot().to_dict(),
+            }
+            # Only household 2 changes, so the others' records are reused.
+            session.ingest(2, half, inputs[2].values[half:])
+            seen["replan"] = session.replan().to_dict()
+            session.journal.close()
+            seen["files"] = [
+                (path.name, path.read_bytes()) for path in sorted(directory.iterdir())
+            ]
+            return seen
+
+        untouched = run(tmp_path / "untouched", tamper=False)
+        tampered = run(tmp_path / "tampered", tamper=True)
+        assert untouched["state"][0]["offers"] != 99.0
+        assert any(name == "wal.jsonl" for name, _ in untouched["files"])
+        assert any(name.startswith("snapshot-") for name, _ in untouched["files"])
+        for key in ("state", "next", "replan", "files"):
+            assert tampered[key] == untouched[key], key
+
+
 class TestSessionErrors:
     def test_empty_fleet_raises(self):
         with pytest.raises(SessionError, match="at least one household"):

@@ -21,7 +21,7 @@ import stat
 import subprocess
 import sys
 import zlib
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +44,15 @@ from repro.session.persistence import (
     WAL_NAME,
     _canonical,
     _checksum,
+    _coverage_runs,
     _encode_record,
     _framed_crc,
+    _mask_runs,
     decode_state,
     encode_state,
 )
+from repro.session.state import _HouseholdState
+from repro.timeseries.axis import TimeAxis
 from repro.testing import faults
 
 EVENTS_FILE = Path(__file__).parent.parent / "examples" / "specs" / "session_events.json"
@@ -549,6 +553,47 @@ class TestWireFormat:
 # ---------------------------------------------------------------------- #
 # State encoding
 # ---------------------------------------------------------------------- #
+
+
+class TestCoverageRuns:
+    """The record's coverage read off the covered prefix equals the scan of
+    the mask, under any arrival order (in-order arrival takes the fast
+    path at every step)."""
+
+    AXIS = TimeAxis(datetime(2012, 3, 5), timedelta(minutes=15), 48)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_fast_path_equals_the_mask_scan(self, data):
+        length = self.AXIS.length
+        cuts = data.draw(st.sets(st.integers(1, length - 1), max_size=8), label="cuts")
+        bounds = [0, *sorted(cuts), length]
+        chunks = list(zip(bounds, bounds[1:]))
+        if data.draw(st.booleans(), label="shuffled"):
+            chunks = data.draw(st.permutations(chunks), label="arrival order")
+        rewrites = data.draw(
+            st.lists(st.tuples(st.integers(0, length - 1), st.integers(1, 6)), max_size=4),
+            label="rewrites",
+        )
+        for lo, size in rewrites:
+            chunks.insert(
+                data.draw(st.integers(0, len(chunks))), (lo, min(lo + size, length))
+            )
+        stop = data.draw(st.integers(0, len(chunks)), label="chunks delivered")
+        household = _HouseholdState(0, "h", self.AXIS, "h")
+        assert _coverage_runs(household) == _mask_runs(household.covered) == []
+        for lo, hi in chunks[:stop]:
+            household.write(lo, np.ones(hi - lo))
+            assert _coverage_runs(household) == _mask_runs(household.covered)
+
+    def test_in_order_arrival_never_scans_the_mask(self, monkeypatch):
+        from repro.session import persistence
+
+        monkeypatch.setattr(persistence, "_mask_runs", None)
+        household = _HouseholdState(0, "h", self.AXIS, "h")
+        for lo in range(0, self.AXIS.length, 12):
+            household.write(lo, np.ones(12))
+            assert _coverage_runs(household) == [[0, lo + 12]]
 
 
 class TestStateCodec:
