@@ -27,8 +27,8 @@ Two engines implement the same greedy semantics:
   writes each pick's window through one strided view; the placement
   scores reuse one temporary; and each round's patch ranges, refreshed
   days and skips are arrays over every (change, template) pair, cut to
-  the live days.  A tile's arrays live in its thread's
-  :class:`_Workspace`, which every later tile of the thread reuses.
+  the live days.  A tile's arrays die with it; its energy maps, most of
+  its memory, live in private memory maps outside the allocator's heap.
 * ``"reference"`` — the original per-call implementation, kept as the
   behavioural oracle the tests and the conformance matrix compare against.
 
@@ -40,9 +40,7 @@ compares matching against the combinatorial and event-based alternatives.
 
 from __future__ import annotations
 
-import math
 import mmap
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -271,24 +269,18 @@ def pursuit_tile(
 # ---------------------------------------------------------------------- #
 
 
-def _head(buffer: np.ndarray, *shape: int) -> np.ndarray:
-    """A C-contiguous ``shape`` view of the start of ``buffer``'s memory:
-    laid out as a fresh array of that shape would be."""
-    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
 def _placement_scores(
-    windows: np.ndarray, shape: np.ndarray, energies: np.ndarray, scratch: np.ndarray
+    windows: np.ndarray, shape: np.ndarray, energies: np.ndarray
 ) -> np.ndarray:
     """:func:`_placement_score` for many (window, energy) placements at once.
 
     ``windows`` is one residual window per row, a gathered copy that the
-    call overwrites with its positive part; ``scratch`` (same shape) holds
-    the one temporary.  All row reductions run along the contiguous last
-    axis, so each row's score is independent of the other rows.
+    call overwrites with its positive part; one more array of its shape
+    holds every temporary.  All row reductions run along the contiguous
+    last axis, so each row's score is independent of the other rows.
     """
     positive = np.maximum(windows, 0.0, out=windows)
-    scratch = np.multiply(energies[:, None], shape[None, :], out=scratch)
+    scratch = np.multiply(energies[:, None], shape[None, :])
     safe_energy = np.where(energies > 0.0, energies, 1.0)
     coverage = np.minimum(positive, scratch, out=scratch).sum(axis=1) / safe_energy
     coverage[energies <= 0.0] = 0.0
@@ -303,10 +295,7 @@ def _placement_scores(
 
 
 def _nms_picks(
-    block: np.ndarray,
-    feasible: np.ndarray,
-    cycle_minutes: int,
-    workspace: _Workspace | None = None,
+    block: np.ndarray, feasible: np.ndarray, cycle_minutes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top candidates with non-max suppression, in selection order.
 
@@ -326,17 +315,14 @@ def _nms_picks(
     one slice write per row.  The copy starts a window's reach into its
     buffer, so even the window of an empty first row (whose argmax is its
     first entry) starts inside the buffer instead of wrapping round to
-    the last row.  ``workspace`` lends the buffer and its view.
+    the last row.
     """
     rows, width = block.shape
     half = cycle_minutes // 2
     reach = max(half - 1, 0)
     stride = width + 2 * half
-    if workspace is None:
-        buffer = np.empty(rows * stride + 2 * reach)
-        suppress = _windows(buffer, 2 * reach + 1)
-    else:
-        buffer, suppress = workspace.suppression(reach)
+    buffer = np.empty(rows * stride + 2 * reach)
+    suppress = _windows(buffer, 2 * reach + 1)
     masked = buffer[reach : reach + rows * stride].reshape(rows, stride)
     masked.fill(-np.inf)
     np.copyto(masked[:, half : half + width], block[:, ::-1], where=feasible[:, ::-1])
@@ -364,152 +350,22 @@ def _windows(buffer: np.ndarray, size: int) -> np.ndarray:
     return as_strided(buffer, (buffer.size - size + 1, size), (step, step), writeable=True)
 
 
+def _unheaped(size: int) -> np.ndarray:
+    """``size`` uninitialised floats in a private anonymous memory map.
+
+    The map is outside the allocator's heap and goes back to the system
+    as soon as the array dies, so a tile's energy maps (most of its
+    memory) leave no hole in the heap for later allocations to fall into.
+    """
+    return np.frombuffer(
+        mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    )
+
+
 #: One accepted run's footprint: household, changed hull ``[lo, hi)`` and,
 #: when the hull spans minutes the run left alone, the ``(firsts, lasts)``
 #: bounds of the runs of changed minutes in it.
 _Change = tuple[int, int, int, "tuple[np.ndarray, np.ndarray] | None"]
-
-
-class _Workspace:
-    """The large arrays of a lockstep run, reset for each tile it serves.
-
-    Sized for tiles of up to ``rows`` households of ``n`` minutes over
-    templates of the given lengths; a tile runs on row slices of it, and
-    :class:`_Lockstep` resets every part it reads.  One flat ``scratch``
-    buffer serves the set-up (cumulative sums, then the spectra) and,
-    once the maps exist, the pursuit (day blocks, suppression copies,
-    placement-score temporaries).
-
-    Every array lives in one anonymous memory map, outside the
-    allocator's heap: the workspace neither fragments the heap nor keeps
-    freed heap from being trimmed, and a replaced workspace gives its
-    pages back at once.
-    """
-
-    def __init__(self, rows: int, n: int, lengths: tuple[int, ...]) -> None:
-        self.rows, self.n, self.lengths = rows, n, lengths
-        n_days = -(-n // _MINUTES_PER_DAY)
-        width = n_days * _MINUTES_PER_DAY
-        longest = max((m for m in lengths if m <= n), default=0)
-        self.nfft = next_fast_len(n + longest - 1) if longest else n
-        # Rows of a map buffer are a whole number of days long (see below).
-        strides = [
-            -(-max(self.nfft, m - 1 + width) // _MINUTES_PER_DAY) * _MINUTES_PER_DAY
-            for m in lengths
-        ]
-        cells = rows * n_days * _MINUTES_PER_DAY
-        reach = max(longest // 2 - 1, 0)
-        self._nms_end = rows * n_days * (_MINUTES_PER_DAY + 2 * (longest // 2)) + 2 * reach
-        self._block_end = self._nms_end + cells
-        pursuit = self._block_end + rows * n_days * _PER_DAY_QUOTA * longest
-        setup = max(rows * (2 * n + 1), 4 * rows * (self.nfft // 2 + 1))
-        flags = (rows, len(lengths), width)
-        candidates = (rows, len(lengths), n_days)
-        (
-            self.residual,
-            self.blocked,
-            self.direct,
-            self.score,
-            self.start,
-            self.energy,
-            self.feasible,
-            self.in_range,
-            self.scratch,
-            *buffers,
-        ) = _mapped(
-            ((rows, n), np.float64),
-            (flags, np.bool_),
-            (flags, np.bool_),
-            (candidates, np.float64),
-            (candidates, np.intp),
-            (candidates, np.float64),
-            ((cells,), np.bool_),
-            ((cells,), np.bool_),
-            ((max(pursuit, setup),), np.float64),
-            *[
-                ((rows * stride + m - 1,), np.float64)
-                for m, stride in zip(lengths, strides)
-                if m <= n
-            ],
-        )
-        # A map buffer row holds the inverse transform, whose valid span from
-        # column m − 1 on is the day-padded map (see _Lockstep._initial_maps).
-        # Rows are a whole number of days long, so the same memory read from
-        # m − 1 on is one contiguous (rows · days per row, minutes) array of
-        # map days.
-        self.maps: list[np.ndarray | None] = []
-        self.days: list[np.ndarray | None] = []
-        unused = iter(buffers)
-        for m, stride in zip(lengths, strides):
-            if m > n:
-                self.maps.append(None)
-                self.days.append(None)
-                continue
-            buffer = next(unused)
-            self.maps.append(buffer[: rows * stride].reshape(rows, stride))
-            self.days.append(buffer[m - 1 :].reshape(-1, _MINUTES_PER_DAY))
-        self._suppress: dict[int, np.ndarray] = {}
-
-    def spectra(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two ``(rows, nfft // 2 + 1)`` complex arrays in the scratch."""
-        size = rows * (self.nfft // 2 + 1)
-        spectra = self.scratch[: 4 * size].view(complex)
-        return spectra[:size].reshape(rows, -1), spectra[size:].reshape(rows, -1)
-
-    def block(self, cells: int) -> np.ndarray:
-        """A ``(cells, minutes per day)`` array in the scratch."""
-        return _head(self.scratch[self._nms_end : self._block_end], cells, _MINUTES_PER_DAY)
-
-    def scores(self, placements: int, m: int) -> np.ndarray:
-        """A ``(placements, m)`` array in the scratch."""
-        return _head(self.scratch[self._block_end :], placements, m)
-
-    def suppression(self, reach: int) -> tuple[np.ndarray, np.ndarray]:
-        """The non-max suppression buffer and its ``2·reach + 1`` windows."""
-        buffer = self.scratch[: self._nms_end]
-        view = self._suppress.get(reach)
-        if view is None:
-            view = self._suppress[reach] = _windows(buffer, 2 * reach + 1)
-        return buffer, view
-
-    def fits(self, rows: int, n: int, lengths: tuple[int, ...]) -> bool:
-        return self.n == n and self.lengths == lengths and self.rows >= rows
-
-
-def _mapped(*parts: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
-    """Arrays of the given ``(shape, dtype)`` in one anonymous memory map,
-    each 64-byte aligned; the arrays keep the map alive."""
-    nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in parts]
-    offsets = np.cumsum([0] + [-(-size // 64) * 64 for size in nbytes]).tolist()
-    memory = np.frombuffer(mmap.mmap(-1, offsets[-1]), dtype=np.uint8)
-    return [
-        memory[offset : offset + size].view(dtype).reshape(shape)
-        for offset, size, (shape, dtype) in zip(offsets, nbytes, parts)
-    ]
-
-
-#: One workspace slot per thread (see :func:`_workspace`).
-_WORKSPACES = threading.local()
-
-
-def _workspace(rows: int, n: int, lengths: tuple[int, ...]) -> _Workspace:
-    """The calling thread's workspace, fitted to a tile.
-
-    One slot per thread, kept from tile to tile and from one fleet to the
-    next, so repeated pursuits fault no pages in: a tile no taller than
-    the workspace runs on a row slice of it, a taller tile of the same
-    kind widens it, and a tile of another length or template set
-    replaces it.
-    """
-    current: _Workspace | None = getattr(_WORKSPACES, "slot", None)
-    if current is not None and current.fits(rows, n, lengths):
-        return current
-    if current is not None and (current.n, current.lengths) == (n, lengths):
-        rows = max(rows, current.rows)
-    # Drop the old arrays before allocating the new ones.
-    _WORKSPACES.slot = current = None
-    _WORKSPACES.slot = _Workspace(rows, n, lengths)
-    return _WORKSPACES.slot
 
 
 class _Lockstep:
@@ -524,8 +380,7 @@ class _Lockstep:
     Cells a static bound proves can never reach their appliance's energy
     floor (see :meth:`_live_cells`) are never refreshed, so their map
     entries are never computed: a household none of whose days can host an
-    appliance gets no map for it, and no patch touches a dead day.  The
-    arrays live in the thread's :class:`_Workspace` (see :func:`_workspace`).
+    appliance gets no map for it, and no patch touches a dead day.
     """
 
     def __init__(
@@ -536,14 +391,11 @@ class _Lockstep:
         self.specs: list[ApplianceSpec] = list(database)
         self.templates: list[ApplianceTemplate] = database.templates()
         self.lengths = np.array([t.length for t in self.templates], dtype=np.intp)
-        households, n = len(series), series[0].axis.length
+        self.residual = np.stack([s.values for s in series]).astype(float, copy=False)
+        households, n = self.residual.shape
         self.n = n
         self.n_days = -(-n // _MINUTES_PER_DAY)
         self.width = width = self.n_days * _MINUTES_PER_DAY
-        workspace = self.workspace = _workspace(households, n, tuple(self.lengths.tolist()))
-        self.residual = workspace.residual[:households]
-        for row, s in zip(self.residual, series):
-            row[:] = s.values
         self.bounds = [
             (
                 spec.energy_min_kwh * (1.0 - config.energy_slack),
@@ -553,63 +405,70 @@ class _Lockstep:
         ]
         self.live = self._live_cells()
         self.live_pairs = self.live.any(axis=2)
-        self.maps = self._initial_maps(width)
+        self.buffers, self.days, self.maps = self._initial_maps(width)
         self.windows = [
             None if energies is None else sliding_window_view(self.residual, t.length, axis=1)
             for energies, t in zip(self.maps, self.templates)
         ]
         # Offsets no run of the same appliance may start at (a machine
         # cannot run two cycles concurrently), and map entries computed by
-        # direct correlation (the rest hold their initial FFT values).  Only
-        # live days are ever read, so only they are reset.
-        cells = (households, len(self.templates), self.n_days, _MINUTES_PER_DAY)
-        self.blocked = workspace.blocked[:households]
-        self.blocked.reshape(cells)[self.live] = False
-        self.direct = workspace.direct[:households]
-        self.direct.reshape(cells)[self.live] = False
-        self.score = workspace.score[:households]
-        self.score.fill(-np.inf)
-        self.start = workspace.start[:households]
-        self.start.fill(0)
-        self.energy = workspace.energy[:households]
-        self.energy.fill(0.0)
+        # direct correlation (the rest hold their initial FFT values).
+        flags = (households, len(self.templates), width)
+        self.blocked = np.zeros(flags, dtype=bool)
+        self.direct = np.zeros(flags, dtype=bool)
+        cells = (households, len(self.templates), self.n_days)
+        self.score = np.full(cells, -np.inf)
+        self.start = np.zeros(cells, dtype=np.intp)
+        self.energy = np.zeros(cells)
         self.dirty = self.live.copy()
         # Live cells that may still hold FFT values.
         self.fresh = self.live.copy()
 
-    def _initial_maps(self, width: int) -> list[np.ndarray | None]:
+    def _initial_maps(
+        self, width: int
+    ) -> tuple[list[np.ndarray | None], list[np.ndarray | None], list[np.ndarray | None]]:
         """Per-offset energy maps of every template, off one FFT of the tile.
 
         The residual matrix is transformed once; each template contributes
         a cached frequency-domain multiply plus one inverse transform per
         block of consecutive households with a live day for it (the other
-        rows are left unset: nothing reads them).  The transform writes into a
-        buffer laid out so that its valid span (offsets ``m − 1 … n − 1`` of
-        the full correlation) *is* the template's day-padded map, scaled in
-        place: no second copy exists.
+        rows are left unset: nothing reads them).  The transform writes a
+        row of the template's buffer, whose valid span (offsets
+        ``m − 1 … n − 1`` of the full correlation) *is* the day-padded map,
+        scaled in place: no second copy exists.  Buffer rows are a whole
+        number of days long, so the same memory read from ``m − 1`` on is
+        one contiguous ``(households · days per row, minutes)`` array of
+        map days, which a refresh gathers from.
+
+        Returns ``(buffers, days, maps)``, ``None`` for a template longer
+        than the series.
         """
         households, n = self.residual.shape
-        workspace = self.workspace
-        nfft = workspace.nfft
-        spectrum, product = workspace.spectra(households)
-        if any(buffer is not None for buffer in workspace.maps):
-            np.fft.rfft(self.residual, nfft, axis=1, out=spectrum)
+        longest = max((m for m in self.lengths.tolist() if m <= n), default=0)
+        if not longest:
+            unset: list[np.ndarray | None] = [None] * len(self.templates)
+            return unset, list(unset), list(unset)
+        nfft = next_fast_len(n + longest - 1)
+        spectrum = np.fft.rfft(self.residual, nfft, axis=1)
+        buffers: list[np.ndarray | None] = []
+        days: list[np.ndarray | None] = []
         maps: list[np.ndarray | None] = []
-        for index, (template, buffer) in enumerate(zip(self.templates, workspace.maps)):
-            if buffer is None:
+        for index, template in enumerate(self.templates):
+            m = template.length
+            if m > n:
+                buffers.append(None)
+                days.append(None)
                 maps.append(None)
                 continue
-            m = template.length
-            energies = buffer[:households, m - 1 : m - 1 + width]
+            row = -(-max(nfft, m - 1 + width) // _MINUTES_PER_DAY) * _MINUTES_PER_DAY
+            memory = _unheaped(households * row + m - 1)
+            buffer = memory[: households * row].reshape(households, row)
+            energies = buffer[:, m - 1 : m - 1 + width]
             live = self.live_pairs[:, index]
             edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
             for first, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
                 np.fft.irfft(
-                    np.multiply(
-                        spectrum[first:stop],
-                        template.rfft_reversed(nfft),
-                        out=product[: stop - first],
-                    ),
+                    spectrum[first:stop] * template.rfft_reversed(nfft),
                     nfft,
                     axis=1,
                     out=buffer[first:stop, :nfft],
@@ -617,8 +476,10 @@ class _Lockstep:
                 valid = energies[first:stop, : n - m + 1]
                 np.divide(valid, template.denom, out=valid)
                 energies[first:stop, n - m + 1 :] = -np.inf
+            buffers.append(buffer)
+            days.append(memory[m - 1 :].reshape(-1, _MINUTES_PER_DAY))
             maps.append(energies)
-        return maps
+        return buffers, days, maps
 
     def _live_cells(self) -> np.ndarray:
         """The (household, appliance, day) cells whose fitted energy can
@@ -645,22 +506,15 @@ class _Lockstep:
         """
         households, n = self.residual.shape
         live = np.zeros((households, len(self.specs), self.n_days), dtype=bool)
-        cumulative = _head(self.workspace.scratch, households, n + 1)
-        scratch = self.workspace.scratch[cumulative.size :]
-        cumulative[:, 0] = 0.0
-        positive = np.maximum(self.residual, 0.0, out=_head(scratch, households, n))
-        np.cumsum(positive, axis=1, out=cumulative[:, 1:])
-        magnitude = np.abs(self.residual, out=_head(scratch, households, n)).sum(axis=1)
+        cumulative = np.zeros((households, n + 1))
+        np.cumsum(np.maximum(self.residual, 0.0), axis=1, out=cumulative[:, 1:])
+        magnitude = np.abs(self.residual).sum(axis=1)
         for index, template in enumerate(self.templates):
             m = template.length
             if m > n:
                 continue
             scale = template.peak / template.denom
-            window_mass = np.subtract(
-                cumulative[:, m:],
-                cumulative[:, : n - m + 1],
-                out=_head(scratch, households, n - m + 1),
-            )
+            window_mass = cumulative[:, m:] - cumulative[:, : n - m + 1]
             day_starts = np.arange(0, n - m + 1, _MINUTES_PER_DAY)
             day_bound = scale * np.maximum.reduceat(window_mass, day_starts, axis=1)
             tol = 1e-6 * scale * magnitude[:, None]
@@ -670,22 +524,13 @@ class _Lockstep:
     def _refresh(self, index: int, households: np.ndarray, days: np.ndarray) -> None:
         """Recompute the cached best placement of appliance ``index`` in the
         given (household, day) cells."""
-        workspace = self.workspace
         template = self.templates[index]
         m = template.length
         lo, hi = self.bounds[index]
-        cells = households.size
-        days_per_row = workspace.maps[index].shape[1] // _MINUTES_PER_DAY
-        block = np.take(
-            workspace.days[index],
-            households * days_per_row + days,
-            axis=0,
-            out=workspace.block(cells),
-            mode="clip",
-        )
-        feasible = _head(workspace.feasible, cells, _MINUTES_PER_DAY)
-        np.greater_equal(block, lo, out=feasible)
-        feasible &= np.less_equal(block, hi, out=_head(workspace.in_range, *block.shape))
+        days_per_row = self.buffers[index].shape[1] // _MINUTES_PER_DAY
+        block = np.take(self.days[index], households * days_per_row + days, axis=0)
+        feasible = block >= lo
+        feasible &= block <= hi
         some = feasible.any(axis=1)
         if not some.all():
             self.score[households[~some], index, days[~some]] = -np.inf
@@ -693,7 +538,7 @@ class _Lockstep:
             block, feasible = block[some], feasible[some]
         if not households.size:
             return
-        picks, valid = _nms_picks(block, feasible, m, workspace)
+        picks, valid = _nms_picks(block, feasible, m)
         starts = days[:, None] * _MINUTES_PER_DAY + picks
         pairs = (households * len(self.templates) + index)[:, None]
         valid &= ~self.blocked.reshape(-1)[pairs * self.width + starts]
@@ -707,7 +552,6 @@ class _Lockstep:
                 self.windows[index][households[cell], starts[cell, pick]],
                 template.shape,
                 clamped[cell, pick],
-                workspace.scores(cell.size, m),
             )
         best = scores.argmax(axis=1)
         self.score[households, index, days] = scores[rows, best]
@@ -876,7 +720,7 @@ class _Lockstep:
             index = int(template[lo])
             template_ = self.templates[index]
             m = template_.length
-            buffer = self.workspace.maps[index]
+            buffer = self.buffers[index]
             energies = buffer.reshape(-1)
             rows, first = households[lo:hi], firsts[lo:hi]
             sizes = (lasts[lo:hi] - first).tolist()
@@ -895,7 +739,7 @@ class _Lockstep:
     def run(self, household_ids: list[str]) -> list[DetectionResult]:
         config = self.config
         households = len(self.series)
-        positive = _head(self.workspace.scratch, self.n)
+        positive = np.empty(self.n)
         detections: list[list[Activation]] = [[] for _ in range(households)]
         explained = [0.0] * households
         accepted = [0] * households

@@ -31,14 +31,12 @@ from repro.appliances.database import ApplianceDatabase, default_database
 from repro.appliances.model import ApplianceCategory, ApplianceSpec, flat_shape
 from repro.disaggregation.baseline import remove_baseline
 from repro.errors import DataError
-from repro.disaggregation import matching
 from repro.disaggregation.matching import (
     _PER_DAY_QUOTA,
     DetectionResult,
     MatchingConfig,
     _Lockstep,
     _nms_picks,
-    _Workspace,
     match_pursuit,
     match_pursuit_many,
 )
@@ -324,10 +322,6 @@ def nms_oracle(block: np.ndarray, feasible: np.ndarray, cycle_minutes: int):
     return picks, valid
 
 
-#: One workspace lends its suppression buffer to every example below.
-NMS_WORKSPACE = _Workspace(8, 1440, (64,))
-
-
 @st.composite
 def nms_blocks(draw):
     rows = draw(st.integers(1, 6), label="rows")
@@ -353,10 +347,10 @@ def nms_blocks(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=nms_blocks(), lent=st.booleans())
-def test_nms_picks_follow_the_per_row_rule(case, lent):
+@given(case=nms_blocks())
+def test_nms_picks_follow_the_per_row_rule(case):
     block, feasible, cycle = case
-    picks, valid = _nms_picks(block, feasible, cycle, NMS_WORKSPACE if lent else None)
+    picks, valid = _nms_picks(block, feasible, cycle)
     expected_picks, expected_valid = nms_oracle(block, feasible, cycle)
     assert valid.tolist() == expected_valid.tolist()
     assert picks.tolist() == expected_picks.tolist()
@@ -370,12 +364,11 @@ def test_an_empty_first_row_suppresses_nothing_in_the_last(cycle):
     block = np.tile(np.arange(width, dtype=float), (3, 1))
     feasible = np.ones_like(block, dtype=bool)
     feasible[0] = False
-    for lent in (None, NMS_WORKSPACE):
-        picks, valid = _nms_picks(block, feasible, cycle, lent)
-        expected_picks, expected_valid = nms_oracle(block, feasible, cycle)
-        assert valid.tolist() == expected_valid.tolist()
-        assert picks.tolist() == expected_picks.tolist()
-        assert not valid[0].any()
+    picks, valid = _nms_picks(block, feasible, cycle)
+    expected_picks, expected_valid = nms_oracle(block, feasible, cycle)
+    assert valid.tolist() == expected_valid.tolist()
+    assert picks.tolist() == expected_picks.tolist()
+    assert not valid[0].any()
 
 
 def test_an_all_infeasible_block_picks_nothing():
@@ -385,7 +378,7 @@ def test_an_all_infeasible_block_picks_nothing():
 
 
 # ---------------------------------------------------------------------- #
-# The shared workspace
+# Tiles of mixed heights and lengths in one process
 # ---------------------------------------------------------------------- #
 
 
@@ -398,11 +391,11 @@ def result_bytes(result: DetectionResult) -> tuple:
     )
 
 
-def test_one_workspace_serves_tiles_of_any_height_and_length(golden):
-    """Tiles of 16, 3 and again 16 households of one length share the
-    thread's workspace (the short tile on a row slice), a tile of another
-    length replaces it, and every tile still reproduces the golden; no
-    tile changes an earlier tile's results."""
+def test_tiles_of_any_height_and_length_reproduce_the_golden(golden):
+    """Tiles of 16, 3 and again 16 households of one length, then a tile
+    of another length, run one after another in one process: every tile
+    reproduces the golden, and no tile changes an earlier tile's
+    results."""
     inputs = list(golden_inputs())
     length = 7 * 1440
     same = [(key, series) for key, series in inputs if series.axis.length == length]
@@ -411,33 +404,13 @@ def test_one_workspace_serves_tiles_of_any_height_and_length(golden):
     database = default_database()
     runs = [widest[:16], same[3:6], widest[2:18], other[:4], widest[:16]]
     earlier: list[tuple[DetectionResult, tuple]] = []
-    workspaces = []
     for tile in runs:
         results = match_pursuit_many([series for _, series in tile], database)
-        workspaces.append(matching._WORKSPACES.slot)
         for (key, _), result in zip(tile, results):
             assert golden_entry(result) == golden[key], key
         for result, kept in earlier:
             assert result_bytes(result) == kept
         earlier += [(result, result_bytes(result)) for result in results]
-    first, short, again, other_length, last = workspaces
-    assert first is short is again and first.rows == 16
-    assert other_length is not first and other_length.n != length
-    assert last is not other_length and last.n == length
-
-
-def test_the_reference_engine_never_touches_the_workspace(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the reference engine built a lockstep workspace")
-
-    monkeypatch.setattr(matching, "_Workspace", refuse)
-    monkeypatch.setattr(matching, "_workspace", refuse)
-    monkeypatch.setattr(matching._WORKSPACES, "slot", None, raising=False)
-    (_, series), = golden_inputs()[4:5]
-    config = MatchingConfig(engine="reference", max_iterations=3)
-    match_pursuit_many([series], default_database(), config)
-    match_pursuit(series, default_database(), config)
-    assert matching._WORKSPACES.slot is None
 
 
 if __name__ == "__main__":

@@ -105,6 +105,16 @@ class TestFleetPipeline:
         assert offers_equivalent(fanned.offers, sequential.offers)
         assert results_identical(fanned, sequential)
 
+    def test_worker_fanout_after_in_process_matching(self, tiny_fleet):
+        # The coordinator runs matching pursuit itself first; the workers it
+        # then starts (forked on Linux) must not share any of its memory.
+        extractor = FrequencyBasedExtractor()
+        in_process = FleetPipeline(extractor).run(tiny_fleet)
+        fanned = FleetPipeline(extractor, chunk_size=2, workers=2).run(tiny_fleet)
+        sequential = run_sequential(tiny_fleet, extractor)
+        assert results_identical(in_process, sequential)
+        assert results_identical(fanned, sequential)
+
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValidationError):
             FleetPipeline().run([])
