@@ -30,6 +30,7 @@ from repro.conformance.invariants import (
 from repro.conformance.matrix import ConformanceScenario, matrix_cells
 from repro.evaluation.comparison import SEED_STRIDE
 from repro.flexoffer.model import offer_id_scope
+from repro.pipeline.dispatch import check_count, dispatch_chunks
 from repro.pipeline.fleet import (
     FleetPipeline,
     FleetResult,
@@ -420,19 +421,14 @@ def run_conformance(
     retries run out executes in-process — a dead worker can therefore
     never fail, or lose, a cell.
     """
-    from repro.errors import ValidationError
-
     if invariants is not None:
         validate_invariant_names(invariants)
-    if workers is not None and workers < 1:
-        raise ValidationError("workers must be >= 1 (or None)")
+    check_count("workers", workers, optional=True)
     cells = matrix_cells(scenarios, extractors)
     selected = None if invariants is None else tuple(invariants)
 
     if workers is not None and workers > 1 and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
-
-        from repro.pipeline.dispatch import dispatch_chunks
 
         def run_cell_locally(position: int) -> dict[str, Any]:
             # The in-process degradation path after retry exhaustion.

@@ -66,12 +66,6 @@ class PersistenceError(ReproError):
     (see :mod:`repro.session.persistence`)."""
 
 
-class SharedMemorySegmentError(ReproError):
-    """A shared-memory fleet segment could not be attached — typically the
-    owning coordinator unlinked it before (or while) a worker attached
-    (see :mod:`repro.pipeline.sharedmem`)."""
-
-
 class DataError(ReproError):
     """Input data is malformed (wrong shape, NaNs, negative energy, ...)."""
 
@@ -87,7 +81,7 @@ class SpecError(ReproError):
 
 
 class DegradedExecutionWarning(RuntimeWarning):
-    """Execution completed, but on a degraded path: a shared-memory segment
-    or the worker pool could not be created, or worker retries ran out, so
-    the work finished in-process.  Results are bitwise identical on the
-    degraded path; the warning exists so operators notice the slowdown."""
+    """Execution completed, but on a degraded path: the worker pool could
+    not be created, or worker retries ran out, so the work finished
+    in-process.  Results are bitwise identical on the degraded path; the
+    warning exists so operators notice the slowdown."""

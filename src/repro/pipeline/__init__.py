@@ -44,22 +44,12 @@ from repro.pipeline.fleet import (
     run_sequential,
     schedule_aggregates,
 )
-from repro.pipeline.sharedmem import (
-    SEGMENT_PREFIX,
-    SharedArraySpec,
-    SharedFleetBuffer,
-    leaked_segments,
-)
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",
     "RetryPolicy",
     "backoff_seconds",
     "dispatch_chunks",
-    "SEGMENT_PREFIX",
-    "SharedArraySpec",
-    "SharedFleetBuffer",
-    "leaked_segments",
     "SEED_STRIDE",
     "STAGES",
     "FleetPipeline",

@@ -30,23 +30,57 @@ propagates immediately, exactly as the pre-retry fan-outs behaved.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 import zlib
 from concurrent.futures import BrokenExecutor, Executor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Any, Callable, Sequence
 
 from repro.errors import DegradedExecutionWarning, ValidationError
 
-__all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY", "backoff_seconds", "dispatch_chunks"]
+__all__ = [
+    "RetryPolicy",
+    "DEFAULT_RETRY_POLICY",
+    "backoff_seconds",
+    "check_count",
+    "dispatch_chunks",
+]
 
 #: Growth of the backoff per failed attempt.
 BACKOFF_FACTOR = 2.0
 
 #: Largest deterministic stretch of one backoff, as a fraction of it.
 JITTER_FRACTION = 0.25
+
+
+def check_count(name: str, value: Any, optional: bool = False) -> None:
+    """Reject ``value`` unless it is an integer >= 1 that is not a ``bool``
+    (or ``None`` when ``optional``), naming ``name`` in the error."""
+    if optional and value is None:
+        return
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+        allowed = " (or None)" if optional else ""
+        raise ValidationError(f"{name} must be an integer >= 1{allowed}, got {value!r}")
+
+
+def _check_seconds(name: str, value: Any, positive: bool = False) -> None:
+    """Reject ``value`` unless it is a finite number of seconds, > 0 when
+    ``positive`` and >= 0 otherwise, naming ``name`` in the error."""
+    if (
+        not isinstance(value, Real)
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+        or value < 0
+        or (positive and value == 0)
+    ):
+        bound = "> 0" if positive else ">= 0"
+        raise ValidationError(
+            f"{name} must be a finite number of seconds {bound}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -68,12 +102,11 @@ class RetryPolicy:
     backoff_max_seconds: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValidationError("retry max_attempts must be >= 1")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValidationError("retry timeout_seconds must be > 0 (or None)")
-        if self.backoff_base_seconds < 0 or self.backoff_max_seconds < 0:
-            raise ValidationError("retry backoff seconds must be >= 0")
+        check_count("retry max_attempts", self.max_attempts)
+        if self.timeout_seconds is not None:
+            _check_seconds("retry timeout_seconds", self.timeout_seconds, positive=True)
+        _check_seconds("retry backoff_base_seconds", self.backoff_base_seconds)
+        _check_seconds("retry backoff_max_seconds", self.backoff_max_seconds)
 
 
 DEFAULT_RETRY_POLICY = RetryPolicy()

@@ -23,7 +23,6 @@ benchmark and the conformance matrix all assert this equivalence; use
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,19 +31,17 @@ import numpy as np
 from repro.aggregation.aggregate import AggregatedFlexOffer, aggregate_all
 from repro.aggregation.grouping import GroupingParams, group_offers
 from repro.api.registry import create_extractor
-from repro.errors import DegradedExecutionWarning, SchedulingError, ValidationError
-from repro.pipeline.dispatch import RetryPolicy, dispatch_chunks
+from repro.errors import SchedulingError, ValidationError
+from repro.pipeline.dispatch import RetryPolicy, check_count, dispatch_chunks
 from repro.testing import faults
 from repro.evaluation.comparison import SEED_STRIDE, input_series_for
 from repro.extraction.base import DayCheckpoint, DayTrail, FlexibilityExtractor
 from repro.flexoffer.model import FlexOffer, offer_id_scope
-from repro.pipeline.sharedmem import SharedArraySpec, SharedFleetBuffer
 from repro.scheduling.greedy import ScheduleConfig, ScheduleResult, greedy_schedule
 from repro.scheduling.stochastic import improve_schedule
 from repro.scheduling.zones import ZonedScheduleResult, ZonedTarget, schedule_zones
 from repro.simulation.dataset import SimulatedDataset
 from repro.simulation.household import HouseholdTrace
-from repro.timeseries.axis import TimeAxis
 from repro.timeseries.series import TimeSeries
 
 #: Pipeline stages, in execution order.  ``disaggregate`` is only non-zero
@@ -389,49 +386,21 @@ def _init_worker(extractor: FlexibilityExtractor) -> None:
     _WORKER_EXTRACTOR = extractor
 
 
-def _run_shared_chunk_in_worker(
-    chunk_index: int,
-    seed: int,
-    spec: SharedArraySpec,
-    rows: list[tuple[int, TimeAxis, int, str, str]],
+def _run_chunk_in_worker(
+    chunk_index: int, seed: int, jobs: list[tuple[int, str, TimeSeries]]
 ) -> tuple[list[HouseholdOutput], dict[str, float]]:
-    """Run one chunk whose input series live in the shared fleet segment.
+    """Run one chunk of ``(index, household_id, series)`` jobs in a worker.
 
-    ``rows`` carries ``(offset, axis, household index, household id, series
-    name)`` per job — a few hundred bytes per chunk regardless of horizon
-    length.  Each job's series wraps ``axis.length`` values of the segment
-    from ``offset`` zero-copy; the attached view is read-only, matching the
-    frozen per-trace totals of the in-process path, so extractors behave
-    (and their outputs stay bitwise) identically.
+    The jobs travel by value, pickled with the task.  Unpickling hands back
+    writeable arrays, so each series is frozen again: an extractor that
+    writes into its input then fails here exactly as it does on the
+    read-only trace totals of the in-process path.
     """
     assert _WORKER_EXTRACTOR is not None, "worker pool initializer did not run"
     faults.fire("fleet-chunk", chunk_index)
-    with SharedFleetBuffer.attach(spec) as buffer:
-        flat = buffer.array
-        jobs = [
-            (index, household_id, TimeSeries(axis, flat[offset : offset + axis.length], name))
-            for offset, axis, index, household_id, name in rows
-        ]
-        return extract_households(_WORKER_EXTRACTOR, seed, jobs)
-
-
-def _pack_jobs(
-    jobs: list[tuple[int, str, TimeSeries]],
-) -> tuple[np.ndarray, list[tuple[int, TimeAxis, int, str, str]]]:
-    """Lay per-household inputs end to end in one flat float64 array.
-
-    Returns ``(flat, rows)``: ``rows[r]`` is ``jobs[r]``'s shared-memory
-    descriptor ``(offset, axis, index, household_id, name)``, and its values
-    are ``flat[offset : offset + axis.length]``.  Series of any length and
-    axis pack, so every fleet fans out through one segment.
-    """
-    flat = np.concatenate([series.values for _, _, series in jobs])
-    rows = []
-    offset = 0
-    for index, household_id, series in jobs:
-        rows.append((offset, series.axis, index, household_id, series.name))
-        offset += series.axis.length
-    return flat, rows
+    for _, _, series in jobs:
+        series.values.flags.writeable = False
+    return extract_households(_WORKER_EXTRACTOR, seed, jobs)
 
 
 #: Households whose disaggregation runs in lockstep; one tile is detected
@@ -549,9 +518,10 @@ class FleetPipeline:
     grouping:
         Grid parameters for fleet-wide offer grouping before aggregation.
     chunk_size:
-        Households per dispatched batch when fanning out; bounds both
-        task-submission overhead and per-worker peak memory.  In-process
-        runs extract the whole fleet in one pass (tile by tile).
+        Households per dispatched batch when fanning out; bounds
+        task-submission overhead, the series bytes each task pickles and
+        per-worker peak memory.  In-process runs extract the whole fleet
+        in one pass (tile by tile).
     workers:
         ``None``/``1`` runs in-process; larger values fan chunks out over a
         process pool.  Results are independent of the worker count.
@@ -580,10 +550,8 @@ class FleetPipeline:
         schedule: ScheduleConfig | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        if chunk_size < 1:
-            raise ValidationError("chunk_size must be >= 1")
-        if workers is not None and workers < 1:
-            raise ValidationError("workers must be >= 1 (or None)")
+        check_count("chunk_size", chunk_size)
+        check_count("workers", workers, optional=True)
         self.extractor = (
             extractor if extractor is not None else create_extractor("frequency-based")
         )
@@ -650,55 +618,31 @@ class FleetPipeline:
     ) -> list[HouseholdOutput]:
         """Run the chunks through the fault-tolerant dispatcher.
 
-        All inputs are staged in one shared-memory segment up front and
-        workers receive row descriptors.  If the segment cannot be created
-        (a full ``/dev/shm``) the whole fleet runs in process under a
-        :class:`~repro.errors.DegradedExecutionWarning`, as when the pool
-        cannot be built.  Worker loss is survived by
-        :func:`~repro.pipeline.dispatch.dispatch_chunks` (pool rebuild,
-        outstanding-only re-dispatch, in-process degradation), while a chunk
-        that *raises* still propagates with the not-yet-started chunks
-        cancelled.  The owner side of the segment is closed *and unlinked*
-        on every exit path — worker crashes included — so no ``/dev/shm``
-        segment outlives the run.
+        Each chunk carries its jobs by value, so the fan-out needs no
+        lifecycle code and works under any process start method.  Worker
+        loss is survived by :func:`~repro.pipeline.dispatch.dispatch_chunks`
+        (pool rebuild, outstanding-only re-dispatch, in-process
+        degradation), while a chunk that *raises* still propagates with the
+        not-yet-started chunks cancelled.
         """
-        flat, rows = _pack_jobs(jobs)
-        try:
-            buffer = SharedFleetBuffer.create(flat)
-        except (OSError, MemoryError) as exc:
-            warnings.warn(
-                DegradedExecutionWarning(
-                    "fleet extraction: shared-memory segment creation failed "
-                    f"({exc}); running in-process"
-                ),
-                stacklevel=2,
-            )
-            outputs, chunk_timings = extract_households(self.extractor, self.seed, jobs)
-            timings.merge(chunk_timings)
-            return outputs
-        starts = range(0, len(jobs), self.chunk_size)
-        with buffer:
-            results = dispatch_chunks(
-                [
-                    (index, self.seed, buffer.spec, rows[first : first + self.chunk_size])
-                    for index, first in enumerate(starts)
-                ],
-                _run_shared_chunk_in_worker,
-                lambda: ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_worker,
-                    initargs=(self.extractor,),
-                ),
-                # Degraded chunks recompute from the original in-process
-                # jobs — same seeds, same id scopes, bitwise-same outputs.
-                lambda index: extract_households(
-                    self.extractor,
-                    self.seed,
-                    jobs[starts[index] : starts[index] + self.chunk_size],
-                ),
-                policy=self.retry,
-                label="fleet extraction",
-            )
+        chunks = [
+            jobs[first : first + self.chunk_size]
+            for first in range(0, len(jobs), self.chunk_size)
+        ]
+        results = dispatch_chunks(
+            [(index, self.seed, chunk) for index, chunk in enumerate(chunks)],
+            _run_chunk_in_worker,
+            lambda: ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_worker,
+                initargs=(self.extractor,),
+            ),
+            # Degraded chunks recompute in process from the same jobs —
+            # same seeds, same id scopes, bitwise-same outputs.
+            lambda index: extract_households(self.extractor, self.seed, chunks[index]),
+            policy=self.retry,
+            label="fleet extraction",
+        )
         outputs: list[HouseholdOutput] = []
         for chunk_outputs, chunk_timings in results:
             outputs.extend(chunk_outputs)

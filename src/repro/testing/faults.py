@@ -8,7 +8,6 @@ that can die in the wild::
     ------------------- ----------------------------------- -------------
     fleet-chunk         extraction worker, per chunk         crash
     conformance-cell    conformance worker, per cell         crash
-    shm-create          SharedFleetBuffer.create (owner)     oserror
     wal-append          SessionJournal record append         torn
     snapshot-write      SessionJournal snapshot temp file    torn
     session-event       replay_session, per event            crash / kill
@@ -28,7 +27,6 @@ Modes:
   executor sees :class:`~concurrent.futures.process.BrokenProcessPool`).
 * ``kill`` — SIGKILL to the current process: the CI crash-recovery smoke
   uses this to murder ``repro session`` mid-stream.
-* ``oserror`` — raises ``OSError(ENOSPC)``: a full ``/dev/shm``.
 * ``error`` — raises :class:`InjectedFault`, an ordinary exception.
 * ``hang`` — sleeps ``seconds``: a wedged worker, for timeout tests.
 * ``torn`` — cooperative: :func:`torn_cut` tells a journal writer (WAL
@@ -39,7 +37,6 @@ Modes:
 
 from __future__ import annotations
 
-import errno
 import os
 import signal
 import time
@@ -47,7 +44,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import DataError
 from repro.wire import Encodable, wire_format
 
 #: Environment variable carrying the encoded :class:`FaultPlan`.
@@ -56,7 +52,17 @@ FAULTS_ENV_VAR = "REPRO_FAULTS"
 #: Exit status of ``crash``-mode faults (distinctive, assertable).
 CRASH_EXIT_CODE = 23
 
-_MODES = ("crash", "kill", "oserror", "error", "hang", "torn")
+_MODES = ("crash", "kill", "error", "hang", "torn")
+
+#: Points production code fires (:func:`fire`) or cuts (:func:`torn_cut`);
+#: a spec naming any other point could never trigger.
+_POINTS = (
+    "fleet-chunk",
+    "conformance-cell",
+    "session-event",
+    "wal-append",
+    "snapshot-write",
+)
 
 
 class InjectedFault(RuntimeError):
@@ -83,6 +89,8 @@ class FaultSpec(Encodable):
     seconds: float = 3600.0
 
     def __post_init__(self) -> None:
+        if self.point not in _POINTS:
+            raise ValueError(f"unknown fault point {self.point!r} (use {'/'.join(_POINTS)})")
         if self.mode not in _MODES:
             raise ValueError(f"unknown fault mode {self.mode!r} (use {'/'.join(_MODES)})")
 
@@ -128,10 +136,9 @@ def _armed(point: str, index: int | None) -> tuple[FaultPlan, FaultSpec] | None:
     encoded = os.environ.get(FAULTS_ENV_VAR)
     if not encoded:
         return None
-    try:
-        plan = FaultPlan.decode(encoded)
-    except DataError:  # pragma: no cover - malformed env
-        return None
+    # A malformed plan (say, a mistyped point) raises DataError here, at the
+    # first probe it reaches, rather than passing for a fault never fired.
+    plan = FaultPlan.decode(encoded)
     for spec in plan.specs:
         if spec.matches(point, index):
             return plan, spec
@@ -152,10 +159,6 @@ def fire(point: str, index: int | None = None) -> None:
         os._exit(CRASH_EXIT_CODE)
     if spec.mode == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-    if spec.mode == "oserror":
-        raise OSError(
-            errno.ENOSPC, f"injected fault at {point}[{index}]: no space left on device"
-        )
     if spec.mode == "error":
         raise InjectedFault(f"injected fault at {point}[{index}]")
     if spec.mode == "hang":

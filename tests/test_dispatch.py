@@ -90,8 +90,18 @@ class TestRetryPolicy:
             ({"max_attempts": 0}, "max_attempts"),
             ({"timeout_seconds": 0}, "timeout_seconds"),
             ({"timeout_seconds": -1.0}, "timeout_seconds"),
-            ({"backoff_base_seconds": -0.1}, "backoff seconds"),
-            ({"backoff_max_seconds": -1.0}, "backoff seconds"),
+            ({"backoff_base_seconds": -0.1}, "backoff_base_seconds"),
+            ({"backoff_max_seconds": -1.0}, "backoff_max_seconds"),
+            ({"max_attempts": "3"}, "max_attempts"),
+            ({"max_attempts": 2.5}, "max_attempts"),
+            ({"max_attempts": True}, "max_attempts"),
+            ({"timeout_seconds": float("nan")}, "timeout_seconds"),
+            ({"timeout_seconds": float("inf")}, "timeout_seconds"),
+            ({"timeout_seconds": "1"}, "timeout_seconds"),
+            ({"backoff_base_seconds": float("inf")}, "backoff_base_seconds"),
+            ({"backoff_base_seconds": False}, "backoff_base_seconds"),
+            ({"backoff_max_seconds": float("inf")}, "backoff_max_seconds"),
+            ({"backoff_max_seconds": float("nan")}, "backoff_max_seconds"),
         ],
     )
     def test_validation(self, kwargs, match):

@@ -7,6 +7,7 @@ crashes, no silent nonsense — either empty results or explicit errors.
 
 from __future__ import annotations
 
+import json
 import re
 from datetime import datetime
 
@@ -16,7 +17,6 @@ import pytest
 from repro.api.registry import create_extractor
 from repro.api.service import FlexibilityService
 from repro.pipeline.fleet import FleetPipeline
-from repro.pipeline.sharedmem import leaked_segments
 from repro.disaggregation.baseline import remove_baseline
 from repro.disaggregation.matching import match_pursuit
 from repro.appliances.database import default_database
@@ -232,36 +232,32 @@ class _ExplodingExtractor:
 
 
 class TestWorkerPoolTeardown:
-    """A raising chunk must release the pool and every shared segment.
+    """A raising chunk must surface its error and release the pool.
 
-    The coordinator owns the shared fleet matrix; whatever a worker does —
-    including blowing up mid-chunk — the run must surface the error and
-    leave ``/dev/shm`` exactly as it found it.
+    Whatever a worker does — including blowing up mid-chunk — the run must
+    raise the chunk's own error, in process and fanned out alike.
     """
 
-    def test_shared_memory_fanout_releases_segments_on_failure(self, fleet):
+    def test_fanout_surfaces_chunk_failure(self, fleet):
         pipeline = FleetPipeline(
             extractor=_ExplodingExtractor(), workers=2, chunk_size=2
         )
         with pytest.raises(RuntimeError, match="injected chunk failure"):
             pipeline.run(fleet)
-        assert leaked_segments() == []
 
     def test_mixed_axis_fanout_surfaces_failure(self, fleet):
-        # Mixed axes share the one segment too; its teardown must hold.
+        # Chunks whose series sit on two axes travel the same way.
         mixed = [*fleet, *small_fleet(n=2, days=2, seed=6)]
         pipeline = FleetPipeline(
             extractor=_ExplodingExtractor(), workers=2, chunk_size=2
         )
         with pytest.raises(RuntimeError, match="injected chunk failure"):
             pipeline.run(mixed)
-        assert leaked_segments() == []
 
-    def test_in_process_failure_touches_no_segments(self, fleet):
+    def test_in_process_surfaces_chunk_failure(self, fleet):
         pipeline = FleetPipeline(extractor=_ExplodingExtractor(), workers=1)
         with pytest.raises(RuntimeError, match="injected chunk failure"):
             pipeline.run(fleet)
-        assert leaked_segments() == []
 
 
 class TestFaultHarnessWorkerDeath:
@@ -302,7 +298,6 @@ class TestFaultHarnessWorkerDeath:
                 warnings.simplefilter("error")
                 result = pipeline.run(fleet)
         assert results_identical(result, sequential)
-        assert leaked_segments() == []
         # The latch proves the worker really died once.
         assert list(tmp_path.glob("fired-fleet-chunk-*"))
 
@@ -324,21 +319,6 @@ class TestFaultHarnessWorkerDeath:
             with pytest.warns(DegradedExecutionWarning, match="in-process"):
                 result = pipeline.run(fleet)
         assert results_identical(result, sequential)
-        assert leaked_segments() == []
-
-    def test_shm_creation_failure_runs_in_process(self, fleet):
-        from repro.errors import DegradedExecutionWarning
-        from repro.pipeline.fleet import results_identical, run_sequential
-        from repro.testing import faults
-
-        sequential = run_sequential(fleet, seed=0)
-        pipeline = FleetPipeline(workers=2, chunk_size=2, seed=0)
-        # A full /dev/shm must degrade the run to in-process, never fail it.
-        with faults.inject_faults(faults.FaultSpec("shm-create", mode="oserror")):
-            with pytest.warns(DegradedExecutionWarning, match="running in-process"):
-                result = pipeline.run(fleet)
-        assert results_identical(result, sequential)
-        assert leaked_segments() == []
 
     def test_conformance_worker_crash_recovers_identical_report(self):
         from repro.conformance import run_conformance
@@ -356,6 +336,35 @@ class TestFaultHarnessWorkerDeath:
                 report = run_conformance(**kwargs, workers=2)
         assert report.to_dict() == in_process.to_dict()
         assert report.passed
+
+
+class TestFaultPoints:
+    """A plan naming a point no probe fires must not load: it would pass
+    for a fault that never triggered."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"point": "fleet-chunck"},
+            {"point": "matching-tile"},
+            {"point": "fleet-chunk", "mode": "enospc"},
+        ],
+        ids=["typo", "unfired-point", "unknown-mode"],
+    )
+    def test_unknown_point_or_mode_rejected(self, spec):
+        from repro.testing import faults
+
+        with pytest.raises(DataError, match="unknown fault"):
+            faults.FaultPlan.decode(json.dumps({"specs": [spec]}))
+
+    def test_malformed_armed_plan_fails_at_the_probe(self, monkeypatch):
+        from repro.testing import faults
+
+        monkeypatch.setenv(
+            faults.FAULTS_ENV_VAR, json.dumps({"specs": [{"point": "fleet-chunck"}]})
+        )
+        with pytest.raises(DataError, match="fleet-chunck"):
+            faults.fire("fleet-chunk", 0)
 
 
 class TestTinyHorizons:

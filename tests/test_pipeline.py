@@ -7,6 +7,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from repro.conformance import run_conformance
 from repro.disaggregation.matching import MatchingConfig, match_pursuit
 from repro.errors import DataError, ValidationError
 from repro.extraction import (
@@ -118,6 +119,69 @@ class TestFleetPipeline:
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValidationError):
             FleetPipeline().run([])
+
+
+class _InputWritingExtractor(FrequencyBasedExtractor):
+    """Writes into its first input before detecting anything."""
+
+    def detect_many(self, series):
+        series[0].values[0] = 0.0
+        return super().detect_many(series)
+
+
+class TestFanOut:
+    """Fleet chunks cross to the workers by value; results stay bitwise."""
+
+    def test_by_value_fanout_bitwise_identical(self, fleet):
+        sequential = run_sequential(fleet, seed=0)
+        fanned = FleetPipeline(workers=2, chunk_size=2, seed=0).run(fleet)
+        assert results_identical(fanned, sequential)
+
+    def test_mixed_axis_fleet_fanout_bitwise_identical(self):
+        from repro.api.registry import create_extractor
+        from repro.evaluation.comparison import input_series_for
+        from repro.workloads.scenarios import small_fleet
+
+        extractor = create_extractor("peak-based", flexible_share=0.05)
+        # Two horizons, so the households' input series sit on two axes.
+        fleet = [*small_fleet(n=3, days=2, seed=5), *small_fleet(n=3, days=3, seed=6)]
+        assert len({input_series_for(extractor, t).axis for t in fleet}) == 2
+        sequential = run_sequential(fleet, extractor, seed=0)
+        fanned = FleetPipeline(extractor, workers=2, chunk_size=2, seed=0).run(fleet)
+        assert results_identical(fanned, sequential)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_worker_inputs_are_read_only(self, tiny_fleet, workers):
+        # In process the extractor reads the frozen trace totals; a worker
+        # must refreeze the unpickled copies so the write fails there too.
+        pipeline = FleetPipeline(_InputWritingExtractor(), chunk_size=2, workers=workers)
+        with pytest.raises(ValueError, match="read-only"):
+            pipeline.run(tiny_fleet)
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: FleetPipeline(chunk_size=2.5, workers=2), "chunk_size"),
+            (lambda: FleetPipeline(chunk_size="2"), "chunk_size"),
+            (lambda: FleetPipeline(chunk_size=True), "chunk_size"),
+            (lambda: FleetPipeline(workers=2.5), "workers"),
+            (lambda: FleetPipeline(workers=True), "workers"),
+            (lambda: run_conformance(workers=2.5), "workers"),
+            (lambda: run_conformance(workers=True), "workers"),
+        ],
+        ids=[
+            "fleet-chunk-float",
+            "fleet-chunk-str",
+            "fleet-chunk-bool",
+            "fleet-workers-float",
+            "fleet-workers-bool",
+            "conformance-workers-float",
+            "conformance-workers-bool",
+        ],
+    )
+    def test_fanout_parameters_validated(self, build, field):
+        with pytest.raises(ValidationError, match=rf"\b{field} must be"):
+            build()
 
 
 class TestScheduleStage:
