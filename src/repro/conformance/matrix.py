@@ -53,8 +53,6 @@ class ConformanceScenario:
         market target).
     seed:
         Base seed for the per-household extraction rng streams.
-    chunk_size:
-        Pipeline batch size used when running the cell.
     extractor_params:
         Per-approach constructor overrides, e.g.
         ``{"frequency-based": {"database": extended_database()}}``.
@@ -70,7 +68,6 @@ class ConformanceScenario:
     build: Callable[[], Any]
     tags: frozenset[str] = frozenset()
     seed: int = 0
-    chunk_size: int = 3
     extractor_params: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     per_household_params: Mapping[str, Callable[[int], Mapping[str, Any]]] = field(
         default_factory=dict
@@ -173,7 +170,6 @@ def scenario_matrix() -> tuple[ConformanceScenario, ...]:
             description="100 households: aggregation at fleet scale (paper §6)",
             build=w.large_fleet,
             tags=frozenset({"scale"}),
-            chunk_size=16,
         ),
         ConformanceScenario(
             name="zoned-market",

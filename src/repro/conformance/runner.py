@@ -299,7 +299,6 @@ def run_cell(
         schedule_config = cell_schedule_config(scenario)
         pipeline = FleetPipeline(
             extractor,
-            chunk_size=scenario.chunk_size,
             seed=scenario.seed,
             schedule=schedule_config,
         )
@@ -372,32 +371,38 @@ def _crashed_cell_report(
     )
 
 
-def _run_cell_to_dict(
+def _report_cell(
+    scenario: ConformanceScenario,
+    entry: ExtractorEntry,
+    invariants: tuple[str, ...] | None,
+) -> CellReport:
+    """Execute and score one cell; an execution that raises becomes a
+    failing cell report instead of aborting the matrix."""
+    try:
+        return check_cell(run_cell(scenario, entry, invariants), invariants)
+    except Exception as exc:  # noqa: BLE001 - isolation is the contract
+        return _crashed_cell_report(scenario, entry, exc)
+
+
+def _run_cell_in_worker(
     position: int,
     scenario_name: str,
     extractor_name: str,
     invariants: tuple[str, ...] | None,
-) -> dict[str, Any]:
-    """Worker entry point: execute one cell, return its report as a dict.
+) -> CellReport:
+    """Worker entry point: execute one cell, return its report by value.
 
-    Module-level (so it pickles under multiprocessing) and dict-valued (so
-    the parent rebuilds the exact :class:`CellReport` the in-process path
-    would have produced — the worker-fanout ≡ in-process contract).
-    ``position`` is the cell's matrix index (the fault-injection
-    coordinate of the worker-death tests).
+    Module-level so it pickles under multiprocessing; scenarios travel by
+    name because their builders are closures.  ``position`` is the cell's
+    matrix index (the fault-injection coordinate of the worker-death
+    tests).
     """
     from repro.api.registry import get_entry
     from repro.conformance.matrix import get_scenario
     from repro.testing import faults
 
     faults.fire("conformance-cell", position)
-    scenario = get_scenario(scenario_name)
-    entry = get_entry(extractor_name)
-    try:
-        report = check_cell(run_cell(scenario, entry, invariants), invariants)
-    except Exception as exc:  # noqa: BLE001 - isolation is the contract
-        report = _crashed_cell_report(scenario, entry, exc)
-    return report.to_dict()
+    return _report_cell(get_scenario(scenario_name), get_entry(extractor_name), invariants)
 
 
 def run_conformance(
@@ -418,8 +423,8 @@ def run_conformance(
     worker finishes first).  The fan-out rides the fault-tolerant
     dispatcher: a worker killed outright (OOM, segfault) rebuilds the
     pool and re-dispatches only the outstanding cells, and a cell whose
-    retries run out executes in-process — a dead worker can therefore
-    never fail, or lose, a cell.
+    worker dies in every pool executes in-process — a dead worker can
+    therefore never fail, or lose, a cell.
     """
     if invariants is not None:
         validate_invariant_names(invariants)
@@ -430,38 +435,17 @@ def run_conformance(
     if workers is not None and workers > 1 and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        def run_cell_locally(position: int) -> dict[str, Any]:
-            # The in-process degradation path after retry exhaustion.
-            # Deliberately *not* routed through the module-level
-            # _run_cell_to_dict: that name is the worker entry (and the
-            # worker-death tests' injection point) — the local fallback
-            # must run the real cell.
-            scenario, entry = cells[position]
-            try:
-                report = check_cell(run_cell(scenario, entry, selected), selected)
-            except Exception as exc:  # noqa: BLE001 - isolation is the contract
-                report = _crashed_cell_report(scenario, entry, exc)
-            return report.to_dict()
-
-        task_args = [
-            (position, scenario.name, entry.name, selected)
-            for position, (scenario, entry) in enumerate(cells)
-        ]
-        dicts = dispatch_chunks(
-            task_args,
-            _run_cell_to_dict,
+        reports = dispatch_chunks(
+            [
+                (position, scenario.name, entry.name, selected)
+                for position, (scenario, entry) in enumerate(cells)
+            ],
+            _run_cell_in_worker,
             lambda: ProcessPoolExecutor(max_workers=workers),
-            run_cell_locally,
+            # The in-process degradation path runs the same cell code.
+            lambda position: _report_cell(*cells[position], selected),
             label="conformance cells",
         )
-        return ConformanceReport(
-            cells=tuple(CellReport.from_dict(data) for data in dicts)
-        )
-
-    reports = []
-    for scenario, entry in cells:
-        try:
-            reports.append(check_cell(run_cell(scenario, entry, selected), selected))
-        except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            reports.append(_crashed_cell_report(scenario, entry, exc))
+    else:
+        reports = [_report_cell(scenario, entry, selected) for scenario, entry in cells]
     return ConformanceReport(cells=tuple(reports))

@@ -82,6 +82,7 @@ class SpecError(ReproError):
 
 class DegradedExecutionWarning(RuntimeWarning):
     """Execution completed, but on a degraded path: the worker pool could
-    not be created, or worker retries ran out, so the work finished
-    in-process.  Results are bitwise identical on the degraded path; the
-    warning exists so operators notice the slowdown."""
+    not be created, or a chunk's worker died in every one of the
+    dispatcher's ``MAX_ATTEMPTS`` pools, so the work finished in-process.
+    Results are bitwise identical on the degraded path; the warning exists
+    so operators notice the slowdown."""

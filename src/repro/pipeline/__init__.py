@@ -22,12 +22,7 @@ Subsystem contract:
   benchmark and the conformance matrix on every run.
 """
 
-from repro.pipeline.dispatch import (
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    backoff_seconds,
-    dispatch_chunks,
-)
+from repro.pipeline.dispatch import dispatch_chunks
 from repro.pipeline.fleet import (
     SEED_STRIDE,
     STAGES,
@@ -46,9 +41,6 @@ from repro.pipeline.fleet import (
 )
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
-    "RetryPolicy",
-    "backoff_seconds",
     "dispatch_chunks",
     "SEED_STRIDE",
     "STAGES",

@@ -32,7 +32,7 @@ from repro.aggregation.aggregate import AggregatedFlexOffer, aggregate_all
 from repro.aggregation.grouping import GroupingParams, group_offers
 from repro.api.registry import create_extractor
 from repro.errors import SchedulingError, ValidationError
-from repro.pipeline.dispatch import RetryPolicy, check_count, dispatch_chunks
+from repro.pipeline.dispatch import check_count, dispatch_chunks
 from repro.testing import faults
 from repro.evaluation.comparison import SEED_STRIDE, input_series_for
 from repro.extraction.base import DayCheckpoint, DayTrail, FlexibilityExtractor
@@ -524,13 +524,10 @@ class FleetPipeline:
         in one pass (tile by tile).
     workers:
         ``None``/``1`` runs in-process; larger values fan chunks out over a
-        process pool.  Results are independent of the worker count.
-    retry:
-        Fault-tolerance policy of the worker fan-out (see
-        :class:`~repro.pipeline.dispatch.RetryPolicy`): dead workers
-        rebuild the pool and re-dispatch only the outstanding chunks;
-        chunks whose retries run out finish in-process.  Results are
-        bitwise identical on every path.  ``None`` uses the defaults.
+        process pool.  Results are independent of the worker count.  A dead
+        worker rebuilds the pool and re-dispatches only the outstanding
+        chunks; a chunk whose worker dies in every pool finishes in-process
+        (see :func:`~repro.pipeline.dispatch.dispatch_chunks`).
     seed:
         Base seed; household ``i`` always draws from
         ``default_rng(seed + 7919·i)``, matching the evaluation harness.
@@ -548,7 +545,6 @@ class FleetPipeline:
         workers: int | None = None,
         seed: int = 0,
         schedule: ScheduleConfig | None = None,
-        retry: RetryPolicy | None = None,
     ) -> None:
         check_count("chunk_size", chunk_size)
         check_count("workers", workers, optional=True)
@@ -560,7 +556,6 @@ class FleetPipeline:
         self.workers = workers
         self.seed = seed
         self.schedule = schedule
-        self.retry = retry
 
     # ------------------------------------------------------------------ #
     # Stages
@@ -640,7 +635,6 @@ class FleetPipeline:
             # Degraded chunks recompute in process from the same jobs —
             # same seeds, same id scopes, bitwise-same outputs.
             lambda index: extract_households(self.extractor, self.seed, chunks[index]),
-            policy=self.retry,
             label="fleet extraction",
         )
         outputs: list[HouseholdOutput] = []

@@ -28,7 +28,6 @@ Modes:
 * ``kill`` — SIGKILL to the current process: the CI crash-recovery smoke
   uses this to murder ``repro session`` mid-stream.
 * ``error`` — raises :class:`InjectedFault`, an ordinary exception.
-* ``hang`` — sleeps ``seconds``: a wedged worker, for timeout tests.
 * ``torn`` — cooperative: :func:`torn_cut` tells a journal writer (WAL
   append or snapshot temp file) to stop mid-write and raise
   :class:`InjectedCrash` (a ``BaseException``, so a stray
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -52,7 +50,7 @@ FAULTS_ENV_VAR = "REPRO_FAULTS"
 #: Exit status of ``crash``-mode faults (distinctive, assertable).
 CRASH_EXIT_CODE = 23
 
-_MODES = ("crash", "kill", "error", "hang", "torn")
+_MODES = ("crash", "kill", "error", "torn")
 
 #: Points production code fires (:func:`fire`) or cuts (:func:`torn_cut`);
 #: a spec naming any other point could never trigger.
@@ -86,7 +84,6 @@ class FaultSpec(Encodable):
     mode: str = "crash"
     index: int | None = None
     once: bool = True
-    seconds: float = 3600.0
 
     def __post_init__(self) -> None:
         if self.point not in _POINTS:
@@ -161,8 +158,6 @@ def fire(point: str, index: int | None = None) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
     if spec.mode == "error":
         raise InjectedFault(f"injected fault at {point}[{index}]")
-    if spec.mode == "hang":
-        time.sleep(spec.seconds)
 
 
 def torn_cut(point: str, index: int | None, size: int) -> int | None:

@@ -269,15 +269,6 @@ class TestFaultHarnessWorkerDeath:
     and the results are bitwise the no-fault run's either way.
     """
 
-    RETRY = None  # set in setup to keep the import at use-site
-
-    def _retry(self, **kwargs):
-        from repro.pipeline.dispatch import RetryPolicy
-
-        kwargs.setdefault("backoff_base_seconds", 0.0)
-        kwargs.setdefault("backoff_max_seconds", 0.0)
-        return RetryPolicy(**kwargs)
-
     def test_transient_fleet_worker_crash_retries_to_identical_results(
         self, fleet, tmp_path
     ):
@@ -287,9 +278,7 @@ class TestFaultHarnessWorkerDeath:
         from repro.testing import faults
 
         sequential = run_sequential(fleet, seed=0)
-        pipeline = FleetPipeline(
-            workers=2, chunk_size=2, seed=0, retry=self._retry()
-        )
+        pipeline = FleetPipeline(workers=2, chunk_size=2, seed=0)
         with faults.inject_faults(
             faults.FaultSpec("fleet-chunk", index=1), latch_dir=str(tmp_path)
         ):
@@ -302,39 +291,70 @@ class TestFaultHarnessWorkerDeath:
         assert list(tmp_path.glob("fired-fleet-chunk-*"))
 
     def test_persistent_fleet_worker_crash_degrades_to_identical_results(
-        self, fleet
+        self, fleet, monkeypatch
     ):
+        from concurrent.futures import ProcessPoolExecutor
+
         from repro.errors import DegradedExecutionWarning
+        from repro.pipeline import fleet as fleet_module
+        from repro.pipeline.dispatch import MAX_ATTEMPTS
         from repro.pipeline.fleet import results_identical, run_sequential
         from repro.testing import faults
 
+        built: list[int] = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_module, "ProcessPoolExecutor", CountingPool)
         sequential = run_sequential(fleet, seed=0)
-        pipeline = FleetPipeline(
-            workers=2, chunk_size=2, seed=0,
-            retry=self._retry(max_attempts=2),
-        )
+        pipeline = FleetPipeline(workers=2, chunk_size=2, seed=0)
         # No latch directory: the crash fires on every delivery, so the
-        # chunk exhausts its attempts and finishes in-process.
+        # chunk's worker dies in every pool and it finishes in-process.
         with faults.inject_faults(faults.FaultSpec("fleet-chunk", index=0)):
             with pytest.warns(DegradedExecutionWarning, match="in-process"):
                 result = pipeline.run(fleet)
         assert results_identical(result, sequential)
+        assert len(built) == MAX_ATTEMPTS
+
+    _CONFORMANCE_KWARGS = dict(
+        scenarios=["seasonal-summer"],
+        extractors=["basic", "peak-based"],
+        invariants=["offer-validity"],
+    )
+
+    def test_transient_conformance_worker_crash_retries_to_identical_report(
+        self, tmp_path
+    ):
+        import warnings
+
+        from repro.conformance import run_conformance
+        from repro.testing import faults
+
+        in_process = run_conformance(**self._CONFORMANCE_KWARGS)
+        with faults.inject_faults(
+            faults.FaultSpec("conformance-cell", index=0), latch_dir=str(tmp_path)
+        ):
+            with warnings.catch_warnings():
+                # One latched crash is absorbed by a rebuilt pool: no
+                # degradation.
+                warnings.simplefilter("error")
+                report = run_conformance(**self._CONFORMANCE_KWARGS, workers=2)
+        assert report == in_process
+        assert (tmp_path / "fired-conformance-cell-0-crash").exists()
 
     def test_conformance_worker_crash_recovers_identical_report(self):
         from repro.conformance import run_conformance
         from repro.errors import DegradedExecutionWarning
         from repro.testing import faults
 
-        kwargs = dict(
-            scenarios=["seasonal-summer"],
-            extractors=["basic", "peak-based"],
-            invariants=["offer-validity"],
-        )
-        in_process = run_conformance(**kwargs)
+        in_process = run_conformance(**self._CONFORMANCE_KWARGS)
         with faults.inject_faults(faults.FaultSpec("conformance-cell", index=0)):
             with pytest.warns(DegradedExecutionWarning, match="in-process"):
-                report = run_conformance(**kwargs, workers=2)
-        assert report.to_dict() == in_process.to_dict()
+                report = run_conformance(**self._CONFORMANCE_KWARGS, workers=2)
+        assert report == in_process
         assert report.passed
 
 
@@ -348,8 +368,9 @@ class TestFaultPoints:
             {"point": "fleet-chunck"},
             {"point": "matching-tile"},
             {"point": "fleet-chunk", "mode": "enospc"},
+            {"point": "fleet-chunk", "mode": "hang"},
         ],
-        ids=["typo", "unfired-point", "unknown-mode"],
+        ids=["typo", "unfired-point", "unknown-mode", "hang-mode"],
     )
     def test_unknown_point_or_mode_rejected(self, spec):
         from repro.testing import faults
