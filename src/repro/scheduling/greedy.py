@@ -25,6 +25,16 @@ layer's :class:`~repro.disaggregation.matching.MatchingConfig` pattern:
 ``"vectorized"`` (:data:`ENGINE_ALIASES`), so configurations and spec
 files that name them keep their placements bit for bit.
 
+Point scheduling is the one-row fan.  Placement works on one residual
+matrix: row 0 is the point residual the energies water-fill against, and
+robust mode (``ScheduleConfig.robust``) appends its quantile scenario fan
+as the rows after it.  A candidate start is scored on the fan's rows —
+row 0 itself, weight 1 under ``risk="expected"``, for point scheduling —
+and the per-row gains collapse through the risk measure of
+:mod:`repro.scheduling.robust`.  A placement subtracts its energies from
+every row at once.  Energies stay the point water-fill, so a fan only
+changes which start wins, and each engine has one search for both modes.
+
 Both engines are deterministic and resolve gain ties toward the earliest
 feasible start; the vectorized engine may differ from the reference in
 float round-off on the gain reductions and can therefore flip near-tie
@@ -44,6 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.errors import SchedulingError
 from repro.flexoffer.model import FlexOffer
 from repro.flexoffer.schedule import ScheduledFlexOffer, schedules_to_series
+from repro.scheduling.robust import RobustConfig, resolve_fan, risk_of, risk_profile
 from repro.timeseries.axis import TimeAxis
 from repro.timeseries.io import Curve
 from repro.timeseries.series import TimeSeries
@@ -76,7 +87,9 @@ class ScheduleConfig:
     greedy path.  ``robust`` (a
     :class:`repro.scheduling.robust.RobustConfig`) scores placements
     against a quantile scenario fan instead of the point target alone —
-    energies stay the point water-fill, only the winning start can change.
+    energies stay the point water-fill, only the winning start can change
+    (plain targets only: :func:`~repro.scheduling.zones.schedule_zones`
+    refuses it).
     """
 
     order: str = "least-flexible-first"
@@ -115,13 +128,10 @@ class ScheduleConfig:
                 raise SchedulingError(
                     f"market must be a MarketConfig or None, got {self.market!r}"
                 )
-        if self.robust is not None:
-            from repro.scheduling.robust import RobustConfig
-
-            if not isinstance(self.robust, RobustConfig):
-                raise SchedulingError(
-                    f"robust must be a RobustConfig or None, got {self.robust!r}"
-                )
+        if self.robust is not None and not isinstance(self.robust, RobustConfig):
+            raise SchedulingError(
+                f"robust must be a RobustConfig or None, got {self.robust!r}"
+            )
 
 
 @wire_format(
@@ -271,164 +281,121 @@ def _build_plan(
     )
 
 
+@dataclass(frozen=True)
+class _Fan:
+    """The residual rows a candidate start is scored on, and their risk.
+
+    Row 0 of the residual matrix is the point residual the energies
+    water-fill against; ``rows`` selects the scenarios scored — row 0
+    itself for point scheduling, the rows after it for a robust fan.
+    """
+
+    rows: slice
+    weights: np.ndarray
+    risk: str = "expected"
+    alpha: float = 1.0
+
+
+#: Point scheduling: the one-row fan holding the point residual itself.
+_POINT = _Fan(rows=slice(0, 1), weights=np.ones(1))
+
+
+def _score(
+    windows: np.ndarray, lows: np.ndarray, highs: np.ndarray, fan: _Fan
+) -> tuple[float, np.ndarray]:
+    """One candidate's ``(score, energies)`` in reference arithmetic.
+
+    ``windows`` holds the candidate's residual window on every row.  The
+    reference engine scores every start through here and the vectorized
+    engine re-scores its near ties through here, so both engines resolve
+    every selection with bitwise-identical numbers.
+    """
+    energies = _water_fill(windows[0], lows, highs)
+    gains = np.array([_placement_gain(window, energies) for window in windows[fan.rows]])
+    return risk_of(gains, fan.weights, fan.risk, fan.alpha), energies
+
+
 def _pick_best(
-    gains: np.ndarray, windows_of, lows: np.ndarray, highs: np.ndarray
+    scores: np.ndarray, windows_of, lows: np.ndarray, highs: np.ndarray, fan: _Fan
 ) -> int:
-    """The row of ``gains`` the greedy step selects, ties resolved exactly.
+    """The entry of ``scores`` the greedy step selects, ties resolved exactly.
 
     Near-tie resolution: exactly-tied gains (flat target regions produce
     them routinely) and ulp-level einsum-vs-dot differences must resolve
     exactly like the reference engine's strict-greater scan.  Candidates
     within round-off of the max (almost always just one) are re-scored
-    with the reference arithmetic, so every engine selects the same start.
-    ``windows_of(rows)`` gathers the candidates' current residual windows.
-    """
-    best_gain = float(gains.max())
-    tolerance = 1e-12 * max(1.0, abs(best_gain))
-    candidates = np.flatnonzero(gains >= best_gain - tolerance)
-    if candidates.size == 1:
-        return int(candidates[0])
-    best = int(candidates[0])
-    best_ref = -np.inf
-    windows = windows_of(candidates)
-    for candidate, window in zip(candidates, windows):
-        gain = _placement_gain(window, _water_fill(window, lows, highs))
-        if gain > best_ref:
-            best, best_ref = int(candidate), gain
-    return best
-
-
-def _best_start_batched(
-    plan: _PlacementPlan, windows_view: np.ndarray
-) -> tuple[datetime, np.ndarray] | None:
-    """All feasible starts of one offer in a single numpy pass.
-
-    ``windows_view`` is ``sliding_window_view(remaining, plan.n)`` — a
-    stride trick over the live residual, shared by every offer of the same
-    profile length.  The gather copies the current residual values, so
-    earlier placements are always reflected.
-    """
-    if plan.start_indices.size == 0:
-        return None
-    windows = windows_view[plan.start_indices]
-    energies = np.clip(windows, plan.lows, plan.highs)
-    diff = windows - energies
-    gains = np.einsum("ij,ij->i", windows, windows) - np.einsum(
-        "ij,ij->i", diff, diff
-    )
-    best = _pick_best(gains, lambda rows: windows[rows], plan.lows, plan.highs)
-    start = plan.offer.earliest_start + plan.offer.resolution * int(plan.steps[best])
-    return start, energies[best]
-
-
-# --------------------------------------------------------------------- #
-# Robust scoring (ScheduleConfig.robust): the same greedy loop, but each
-# candidate start is scored against every scenario of a quantile fan and
-# the per-scenario gains collapse through a risk measure.  Energies stay
-# the point-target water-fill, so only the winning start can differ from
-# point scheduling — wire format and validation are untouched.
-# --------------------------------------------------------------------- #
-
-
-def _robust_gain_one(
-    point_window: np.ndarray,
-    scenario_windows: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    weights: np.ndarray,
-    robust,
-) -> tuple[float, np.ndarray]:
-    """One candidate's risk-aggregated gain, in reference arithmetic.
-
-    The robust counterpart of :func:`_water_fill` + :func:`_placement_gain`
-    + :func:`repro.scheduling.robust.risk_of`: the reference engine scores
-    every start through it and the vectorized engine re-scores near-tie
-    candidates through it, so both engines resolve every selection with
-    bitwise-identical numbers.  Returns ``(risk score, energies)``.
-    """
-    from repro.scheduling.robust import risk_of
-
-    energies = _water_fill(point_window, lows, highs)
-    gains = np.array(
-        [_placement_gain(window, energies) for window in scenario_windows]
-    )
-    return risk_of(gains, weights, robust.risk, robust.alpha), energies
-
-
-def _pick_best_robust(
-    scores: np.ndarray,
-    windows_of,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    weights: np.ndarray,
-    robust,
-) -> int:
-    """Robust twin of :func:`_pick_best`: near-ties re-scored exactly.
-
-    ``windows_of(rows)`` gathers ``(point windows, scenario windows)`` for
-    the candidate rows; everything within round-off of the max is re-run
-    through :func:`_robust_gain_one` with a strict-greater scan, matching
-    the reference engine's selection bit for bit.
+    through :func:`_score`, so every engine selects the same start.
+    ``windows_of(candidates)`` gathers their ``(rows, candidates, n)``
+    residual windows.
     """
     best_score = float(scores.max())
     tolerance = 1e-12 * max(1.0, abs(best_score))
     candidates = np.flatnonzero(scores >= best_score - tolerance)
     if candidates.size == 1:
         return int(candidates[0])
-    point_windows, scenario_windows = windows_of(candidates)
     best = int(candidates[0])
     best_ref = -np.inf
-    for row, candidate in enumerate(candidates):
-        score, _ = _robust_gain_one(
-            point_windows[row],
-            scenario_windows[:, row, :],
-            lows,
-            highs,
-            weights,
-            robust,
-        )
+    windows = windows_of(candidates)
+    for column, candidate in enumerate(candidates):
+        score, _ = _score(windows[:, column], lows, highs, fan)
         if score > best_ref:
             best, best_ref = int(candidate), score
     return best
 
 
-def _best_start_batched_robust(
-    plan: _PlacementPlan,
-    windows_view: np.ndarray,
-    scenario_view: np.ndarray,
-    weights: np.ndarray,
-    robust,
+def _best_start_batched(
+    plan: _PlacementPlan, windows_view: np.ndarray, fan: _Fan
 ) -> tuple[datetime, np.ndarray] | None:
-    """All feasible starts of one offer against the whole scenario fan.
+    """All feasible starts of one offer in a single numpy pass.
 
-    ``windows_view`` is the point residual's ``sliding_window_view`` (the
-    energies come from it, exactly as in :func:`_best_start_batched`);
-    ``scenario_view`` is ``sliding_window_view(scenario_remaining, n,
-    axis=1)`` — shape ``(scenarios, starts, n)`` over the live scenario
-    residual matrix, so placements flow through both without rebuilding.
+    ``windows_view`` is ``sliding_window_view(residual, plan.n, axis=1)`` —
+    a stride trick over the live residual matrix, shared by every offer of
+    the same profile length.  The gather copies the current residual
+    values, so earlier placements are always reflected.
     """
-    from repro.scheduling.robust import risk_profile
-
     if plan.start_indices.size == 0:
         return None
-    windows = windows_view[plan.start_indices]
-    energies = np.clip(windows, plan.lows, plan.highs)
-    scenarios = scenario_view[:, plan.start_indices, :]
-    diff = scenarios - energies[None, :, :]
+    windows = windows_view[:, plan.start_indices]
+    energies = np.clip(windows[0], plan.lows, plan.highs)
+    scenarios = windows[fan.rows]
+    diff = scenarios - energies
     gains = np.einsum("sij,sij->si", scenarios, scenarios) - np.einsum(
         "sij,sij->si", diff, diff
     )
-    scores = risk_profile(gains, weights, robust.risk, robust.alpha)
-    best = _pick_best_robust(
-        scores,
-        lambda rows: (windows[rows], scenarios[:, rows, :]),
-        plan.lows,
-        plan.highs,
-        weights,
-        robust,
+    scores = risk_profile(gains, fan.weights, fan.risk, fan.alpha)
+    best = _pick_best(
+        scores, lambda columns: windows[:, columns], plan.lows, plan.highs, fan
     )
     start = plan.offer.earliest_start + plan.offer.resolution * int(plan.steps[best])
     return start, energies[best]
+
+
+def _residual_and_fan(
+    target: TimeSeries, robust: RobustConfig | None, scenarios
+) -> tuple[np.ndarray, _Fan]:
+    """The residual matrix placement starts from, and the fan it scores.
+
+    Row 0 is the point target; a robust run appends its scenario fan
+    (:func:`~repro.scheduling.robust.resolve_fan`) as the rows after it.
+    A non-finite entry anywhere would poison every gain it touches, so
+    it is refused here, naming the row it sits in.
+    """
+    if robust is None:
+        residual, fan = target.values[None, :].copy(), _POINT
+    else:
+        scenario_rows, weights = resolve_fan(target, robust, scenarios)
+        residual = np.vstack([target.values, scenario_rows])
+        fan = _Fan(slice(1, None), weights, robust.risk, robust.alpha)
+    bad_rows = np.flatnonzero(~np.isfinite(residual).all(axis=1))
+    if bad_rows.size:
+        row = int(bad_rows[0])
+        name = (
+            f"target {target.name!r}"
+            if row == 0
+            else f"scenario {row - 1} (q{robust.quantiles[row - 1]:g})"
+        )
+        raise SchedulingError(f"{name} holds non-finite values; cannot place against it")
+    return residual, fan
 
 
 def greedy_schedule(
@@ -448,6 +415,7 @@ def greedy_schedule(
         window does not intersect the target axis are returned unplaced.
     target:
         The series to track (e.g. RES surplus), energy per interval.
+        Every value must be finite.
     order:
         ``"least-flexible-first"`` (default, the paper's heuristic),
         ``"largest-first"`` (by expected energy) or ``"as-given"``.
@@ -471,8 +439,7 @@ def greedy_schedule(
     config = config if config is not None else ScheduleConfig()
     if order is not None:
         config = replace(config, order=order)
-    robust = config.robust
-    if scenarios is not None and robust is None:
+    if scenarios is not None and config.robust is None:
         raise SchedulingError(
             "scenarios were supplied but config.robust is not set"
         )
@@ -484,11 +451,7 @@ def greedy_schedule(
     else:
         queue = list(offers)
 
-    remaining = target.values.copy()
-    if robust is not None:
-        from repro.scheduling.robust import resolve_fan
-
-        scenario_remaining, weights = resolve_fan(target, robust, scenarios)
+    residual, fan = _residual_and_fan(target, config.robust, scenarios)
     vectorized = config.engine != "reference"
     if vectorized:
         # Hoist every offer's bounds/starts once; offers sharing a profile
@@ -502,15 +465,10 @@ def greedy_schedule(
             for offer in queue
         ]
         views: dict[int, np.ndarray] = {
-            n: sliding_window_view(remaining, n)
+            n: sliding_window_view(residual, n, axis=1)
             for n in {plan.n for plan in plans if plan is not None}
-            if n <= remaining.size
+            if n <= axis.length
         }
-        if robust is not None:
-            scenario_views: dict[int, np.ndarray] = {
-                n: sliding_window_view(scenario_remaining, n, axis=1)
-                for n in views
-            }
     schedules: list[ScheduledFlexOffer] = []
     unplaced: list[FlexOffer] = []
     for position, offer in enumerate(queue):
@@ -518,19 +476,10 @@ def greedy_schedule(
             plan = plans[position]
             if plan is None or plan.n not in views:
                 placement = None
-            elif robust is not None:
-                placement = _best_start_batched_robust(
-                    plan, views[plan.n], scenario_views[plan.n], weights, robust
-                )
             else:
-                placement = _best_start_batched(plan, views[plan.n])
-        elif robust is not None:
-            placement = _best_start_robust(
-                offer, remaining, scenario_remaining, weights, robust, axis,
-                earliest_allowed,
-            )
+                placement = _best_start_batched(plan, views[plan.n], fan)
         else:
-            placement = _best_start(offer, remaining, axis, earliest_allowed)
+            placement = _best_start(offer, residual, fan, axis, earliest_allowed)
         if placement is None:
             unplaced.append(offer)
             continue
@@ -539,10 +488,7 @@ def greedy_schedule(
         schedule = ScheduledFlexOffer(offer, start, slice_energies)
         schedules.append(schedule)
         first = axis.index_of(start)
-        placed = schedule.interval_energies()
-        remaining[first : first + len(interval_energies)] -= placed
-        if robust is not None:
-            scenario_remaining[:, first : first + len(interval_energies)] -= placed
+        residual[:, first : first + len(interval_energies)] -= schedule.interval_energies()
 
     demand = schedules_to_series(schedules, axis)
     return ScheduleResult(
@@ -577,11 +523,12 @@ def naive_schedule(offers: list[FlexOffer], target: TimeSeries) -> ScheduleResul
 
 def _best_start(
     offer: FlexOffer,
-    remaining: np.ndarray,
+    residual: np.ndarray,
+    fan: _Fan,
     axis,
     earliest_allowed: datetime | None = None,
 ) -> tuple[datetime, np.ndarray] | None:
-    """The feasible start with the highest placement gain, or ``None``.
+    """The feasible start with the highest score, or ``None``.
 
     The ``engine="reference"`` placement search: one Python-level pass over
     every feasible start, water-filling and scoring each window separately.
@@ -599,49 +546,7 @@ def _best_start(
         first = axis.index_of(start)
         if first + n > axis.length:
             continue
-        window = remaining[first : first + n]
-        energies = _water_fill(window, lows, highs)
-        gain = _placement_gain(window, energies)
-        if best is None or gain > best[0]:
-            best = (gain, start, energies)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _best_start_robust(
-    offer: FlexOffer,
-    remaining: np.ndarray,
-    scenario_remaining: np.ndarray,
-    weights: np.ndarray,
-    robust,
-    axis,
-    earliest_allowed: datetime | None = None,
-) -> tuple[datetime, np.ndarray] | None:
-    """The ``engine="reference"`` robust placement search.
-
-    One Python-level pass over every feasible start, scoring each window
-    through :func:`_robust_gain_one` — the arithmetic the vectorized
-    robust engine's near-tie rescoring shares.
-    """
-    expansion = offer.slice_expansion()
-    lows = np.array([lo for lo, _ in expansion])
-    highs = np.array([hi for _, hi in expansion])
-    n = len(expansion)
-    best: tuple[float, datetime, np.ndarray] | None = None
-    for start in offer.feasible_starts():
-        if earliest_allowed is not None and start < earliest_allowed:
-            continue
-        if not axis.contains(start):
-            continue
-        first = axis.index_of(start)
-        if first + n > axis.length:
-            continue
-        window = remaining[first : first + n]
-        score, energies = _robust_gain_one(
-            window, scenario_remaining[:, first : first + n], lows, highs,
-            weights, robust,
-        )
+        score, energies = _score(residual[:, first : first + n], lows, highs, fan)
         if best is None or score > best[0]:
             best = (score, start, energies)
     if best is None:

@@ -442,9 +442,16 @@ def schedule_zones(
     bids are scheduled — in the zone they cleared in, which for spilled
     bids differs from their home zone — and rejected bids surface as
     unplaced offers of their home zone.  Clearing requires every zone to
-    be priced (:attr:`MarketZone.priced`).
+    be priced (:attr:`MarketZone.priced`).  Zoned markets keep point
+    scheduling: a ``config.robust`` is refused.
     """
     config = config if config is not None else ScheduleConfig()
+    if config.robust is not None:
+        raise SchedulingError(
+            "robust placement applies to plain targets only; zoned markets "
+            "keep point scheduling: drop the robust config or schedule a "
+            "plain target"
+        )
     clearing = None
     rejected: dict[str, list] = {}
     if config.market is not None:

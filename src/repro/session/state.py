@@ -481,6 +481,10 @@ class FlexibilitySession:
             raise SessionError(f"ingest values must be numbers: {exc}") from exc
         if chunk.ndim != 1:
             raise SessionError(f"ingest values must be 1-D, got shape {chunk.shape}")
+        # Checked before the WAL sees it, like commit's boundary: a journaled
+        # non-finite reading would fail every later replan and restore.
+        if not np.isfinite(chunk).all():
+            raise SessionError("ingest values must be finite numbers")
         target = state.households[household]
         if first < 0 or first + chunk.size > target.axis.length:
             raise SessionError(
@@ -570,6 +574,8 @@ class FlexibilitySession:
                 "retarget must keep the current target axis; got a series "
                 f"on {new_target.axis!r}"
             )
+        if not np.isfinite(new_target.values).all():
+            raise SessionError("retarget values must be finite numbers")
         self._journal_event(
             "retarget",
             {

@@ -228,6 +228,27 @@ class TestEngineEquivalence:
         assert axis.index_of(steered.schedules[0].start) == 60
 
 
+class TestNonFiniteTargets:
+    """A non-finite target or scenario is refused by name, by both engines."""
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_infinite_point_target(self, workload, engine):
+        offers, target = workload
+        values = target.values.copy()
+        values[30] = np.inf
+        bad = TimeSeries(target.axis, values, "wind")
+        with pytest.raises(SchedulingError, match="target 'wind' .*non-finite"):
+            greedy_schedule(offers, bad, config=ScheduleConfig(engine=engine))
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_infinite_fan_scenario(self, workload, engine):
+        offers, target = workload
+        fan = [target, TimeSeries.full(target.axis, -np.inf, name="storm"), target]
+        config = ScheduleConfig(engine=engine, robust=RobustConfig())
+        with pytest.raises(SchedulingError, match="scenario 1 .*q0.5.*non-finite"):
+            greedy_schedule(offers, target, config=config, scenarios=fan)
+
+
 class TestEvaluateRealized:
     def make_result(self):
         axis = axis_for_days(START, 1)

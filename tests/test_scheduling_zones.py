@@ -232,6 +232,16 @@ class TestScheduleZones:
         assert result.zone_result("b").schedules == []
         assert len(result.schedules) + len(result.unplaced) == len(aggregates)
 
+    def test_robust_config_is_refused(self, fleet_aggregates, zoned):
+        # Zoned markets keep point scheduling (ScheduleSpec says so too);
+        # a robust config must not silently run per zone.
+        from repro.scheduling.robust import RobustConfig
+
+        _, aggregates = fleet_aggregates
+        config = ScheduleConfig(robust=RobustConfig(risk="cvar"))
+        with pytest.raises(SchedulingError, match="robust placement .* plain targets"):
+            schedule_zones(aggregates, zoned, config)
+
 
 class TestIncrementalEngine:
     """``engine="incremental"`` runs the vectorized engine; its placements

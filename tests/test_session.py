@@ -37,6 +37,7 @@ from repro.pipeline.fleet import (
 )
 from repro.session import COMMIT_ID_PREFIX, FlexibilitySession
 from repro.timeseries.axis import TimeAxis
+from repro.timeseries.series import TimeSeries
 from repro.workloads.scenarios import small_fleet
 
 
@@ -416,6 +417,41 @@ class TestSessionErrors:
             session.commit(through)
         assert (session.journal.last_seq, session.state.version) == (seq, version)
         assert (tmp_path / "wal.jsonl").read_bytes() == wal
+        session.journal.close()
+
+    @pytest.mark.parametrize(
+        "event",
+        ["ingest-nan", "ingest-inf", "retarget-inf", "retarget-one-inf"],
+    )
+    def test_non_finite_events_never_reach_the_journal(
+        self, session_fleet, target, tmp_path, event
+    ):
+        # A journaled NaN reading or infinite target would fail the next
+        # replan and every restore of the journal, so nothing reaches the
+        # WAL or the state.
+        from repro.session import SessionJournal
+
+        session = fresh_session(session_fleet, target)
+        session.attach_journal(SessionJournal.create(tmp_path))
+        for index, series in enumerate(household_inputs(session, session_fleet)):
+            session.ingest(index, 0, series.values)
+        session.replan()
+        seq, version = session.journal.last_seq, session.state.version
+        wal = (tmp_path / "wal.jsonl").read_bytes()
+        with pytest.raises(SessionError, match="finite"):
+            if event == "ingest-nan":
+                session.ingest(0, 0, [0.1, float("nan"), 0.2])
+            elif event == "ingest-inf":
+                session.ingest(1, 4, [float("-inf")])
+            elif event == "retarget-inf":
+                session.retarget(TimeSeries.full(target.axis, float("inf")))
+            else:
+                values = target.values.copy()
+                values[7] = float("inf")
+                session.retarget(TimeSeries(target.axis, values))
+        assert (session.journal.last_seq, session.state.version) == (seq, version)
+        assert (tmp_path / "wal.jsonl").read_bytes() == wal
+        assert np.array_equal(session.target.values, target.values)
         session.journal.close()
 
 
