@@ -18,8 +18,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.aggregation.aggregate import aggregate_all
-from repro.aggregation.grouping import group_offers
 from repro.api.registry import ExtractorEntry, create_extractor, input_series_for
 from repro.conformance.invariants import (
     CellRun,
@@ -38,8 +36,8 @@ from repro.pipeline.fleet import (
     StageTimings,
     fleet_schedule_target,
     fleet_zoned_target,
+    _finish,
     run_sequential,
-    schedule_aggregates,
     stamp_household,
 )
 from repro.market.model import MarketConfig
@@ -249,18 +247,7 @@ def _run_per_household(
                 summary=result.summary(),
             )
         )
-    offers = [offer for output in outputs for offer in output.offers]
-    groups = group_offers(offers, None)
-    with offer_id_scope("fleet"):
-        aggregates = aggregate_all(groups)
-    return FleetResult(
-        households=tuple(outputs),
-        aggregates=tuple(aggregates),
-        timings=StageTimings(),
-        schedule=schedule_aggregates(
-            aggregates, target, cell_schedule_config(scenario)
-        ),
-    )
+    return _finish(outputs, StageTimings(), None, target, cell_schedule_config(scenario), None)
 
 
 def run_cell(

@@ -10,11 +10,30 @@ windows fully covered by long cycles.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
+from typing import Any
+
 import numpy as np
 from scipy.ndimage import minimum_filter1d, percentile_filter
 
 from repro.errors import DataError
 from repro.timeseries.series import TimeSeries
+
+
+def check_baseline_knobs(window_minutes: Any, quantile: Any, prefix: str = "") -> None:
+    """Reject a window that is no integer >= 2 or a quantile outside [0, 0.5).
+
+    Errors name the knob as ``prefix`` + its name here, so a caller that
+    exposes the knobs under other names reports its own.
+    """
+    if (
+        not isinstance(window_minutes, Integral)
+        or isinstance(window_minutes, bool)
+        or window_minutes < 2
+    ):
+        raise DataError(f"{prefix}window_minutes must be an integer >= 2, got {window_minutes!r}")
+    if not isinstance(quantile, Real) or isinstance(quantile, bool) or not 0.0 <= quantile < 0.5:
+        raise DataError(f"{prefix}quantile must be in [0, 0.5), got {quantile!r}")
 
 
 def rolling_baseline(
@@ -36,10 +55,7 @@ def rolling_baseline(
     Returns the baseline series (same axis).  The estimate is then lightly
     smoothed so that subtracting it does not inject step artefacts.
     """
-    if window_minutes < 2:
-        raise DataError("window_minutes must be >= 2")
-    if not 0.0 <= quantile < 0.5:
-        raise DataError("quantile must be in [0, 0.5)")
+    check_baseline_knobs(window_minutes, quantile)
     x = series.values
     if quantile == 0.0:
         base = minimum_filter1d(x, size=window_minutes, mode="nearest")

@@ -11,8 +11,11 @@ both extraction and re-simulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import time
+from numbers import Integral, Real
+from typing import Any
 
 import numpy as np
 
@@ -113,6 +116,23 @@ def _extract_windows(
     return windows
 
 
+def check_mining_knobs(smoothing_minutes: Any, threshold_factor: Any) -> None:
+    """Reject a smoothing width that is no integer >= 1 or a threshold factor
+    that is no finite number > 0."""
+    if (
+        not isinstance(smoothing_minutes, Integral)
+        or isinstance(smoothing_minutes, bool)
+        or smoothing_minutes < 1
+    ):
+        raise DataError(f"smoothing_minutes must be an integer >= 1, got {smoothing_minutes!r}")
+    if (
+        not isinstance(threshold_factor, Real)
+        or isinstance(threshold_factor, bool)
+        or not 0.0 < threshold_factor < math.inf
+    ):
+        raise DataError(f"threshold_factor must be a finite number > 0, got {threshold_factor!r}")
+
+
 def mine_schedule(
     detections: list[Activation],
     appliance: str,
@@ -139,8 +159,7 @@ def mine_schedule(
     min_width_minutes:
         Minimum reported window width.
     """
-    if smoothing_minutes < 1:
-        raise DataError("smoothing_minutes must be >= 1")
+    check_mining_knobs(smoothing_minutes, threshold_factor)
     acts = [a for a in detections if a.appliance == appliance]
     density: dict[DayType, np.ndarray] = {}
     windows: dict[DayType, list[DailyWindow]] = {}

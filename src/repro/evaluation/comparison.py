@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.registry import create_extractor
-from repro.api.registry import input_series_for as _registry_input_series_for
+# ``input_series_for`` is re-exported: the fleet pipeline, the session
+# modules and perfbench pick a trace's series through this module.
+from repro.api.registry import create_extractor, input_series_for
 from repro.evaluation.realism import RealismReport, realism_report
 from repro.extraction.base import FlexibilityExtractor
 from repro.flexoffer.model import FlexOffer
@@ -70,17 +71,6 @@ class ComparisonResult:
     def get(self, extractor: str) -> list[RealismReport]:
         """All household reports of one extractor."""
         return self.reports[extractor]
-
-
-def input_series_for(extractor: FlexibilityExtractor, trace: HouseholdTrace):
-    """Pick the right input granularity for an extractor.
-
-    Appliance-level approaches consume the 1-minute series (the paper's §4
-    granularity requirement); household-level approaches and the random
-    baseline consume the 15-minute metering series.  The decision comes
-    from each approach's registry entry (its declared ``input`` kind).
-    """
-    return _registry_input_series_for(extractor, trace)
 
 
 def compare_on_traces(

@@ -17,13 +17,15 @@ pursuit disaggregation → frequency table → per-activation flex-offers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import timedelta
-from typing import Sequence
+from datetime import datetime, timedelta
+from numbers import Integral
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.appliances.database import ApplianceDatabase, default_database
-from repro.disaggregation.baseline import remove_baseline
+from repro.appliances.model import ApplianceSpec
+from repro.disaggregation.baseline import check_baseline_knobs, remove_baseline
 from repro.disaggregation.frequency import FrequencyTable, estimate_frequencies
 from repro.api.registry import register_extractor
 from repro.disaggregation.matching import (
@@ -32,7 +34,7 @@ from repro.disaggregation.matching import (
     match_pursuit,
     pursuit_tile,
 )
-from repro.errors import ExtractionError
+from repro.errors import DataError, ExtractionError
 from repro.extraction.base import ExtractionResult, FlexibilityExtractor
 from repro.extraction.params import FlexOfferParams
 from repro.flexoffer.model import FlexOffer
@@ -100,6 +102,10 @@ class FrequencyDetection:
     detection: DetectionResult
     table: FrequencyTable
 
+    def extras(self) -> dict[str, Any]:
+        """The extraction result's ``extras``: everything step 1 found."""
+        return {"shortlist": self.table, "detection": self.detection}
+
 
 @register_extractor(
     "frequency-based",
@@ -137,6 +143,18 @@ class FrequencyBasedExtractor(FlexibilityExtractor):
 
     name: str = "frequency-based"
 
+    def __post_init__(self) -> None:
+        """Reject malformed appliance-level knobs before any detection runs."""
+        value = self.min_detections
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+            raise ExtractionError(f"min_detections must be an integer >= 1, got {value!r}")
+        try:
+            check_baseline_knobs(
+                self.baseline_window_minutes, self.baseline_quantile, prefix="baseline_"
+            )
+        except DataError as exc:
+            raise ExtractionError(str(exc)) from exc
+
     def extract(self, series: TimeSeries, rng: np.random.Generator) -> ExtractionResult:
         """Extract appliance-level offers from a 1-minute series."""
         return self.formulate(series, self.detect(series), rng)
@@ -154,18 +172,17 @@ class FrequencyBasedExtractor(FlexibilityExtractor):
             self.baseline_window_minutes,
             self.baseline_quantile,
         )
-        return [
-            FrequencyDetection(
-                detection=detection,
-                table=estimate_frequencies(
-                    detection.detections,
-                    self.database,
-                    observation_days(s),
-                    self.min_detections,
-                ),
-            )
-            for s, detection in zip(series, detections)
-        ]
+        return [self._detected(s, detection) for s, detection in zip(series, detections)]
+
+    def _detected(self, series: TimeSeries, detection: DetectionResult) -> FrequencyDetection:
+        """One household's step-1 output from its disaggregated runs."""
+        table = estimate_frequencies(
+            detection.detections,
+            self.database,
+            observation_days(series),
+            self.min_detections,
+        )
+        return FrequencyDetection(detection=detection, table=table)
 
     def formulate(
         self,
@@ -173,45 +190,30 @@ class FrequencyBasedExtractor(FlexibilityExtractor):
         detected: FrequencyDetection,
         rng: np.random.Generator,
     ) -> ExtractionResult:
-        """Step 2: turn detected activations into flex-offers."""
-        offers, modified = self._step2(series, detected.detection, detected.table, rng)
-        return ExtractionResult(
-            offers=offers,
-            modified=modified,
-            original=series,
-            extractor=self.name,
-            extras={"shortlist": detected.table, "detection": detected.detection},
-        )
-
-    # ------------------------------------------------------------------ #
-    # Step 2: flex-offer formulation per detected activation
-    # ------------------------------------------------------------------ #
-
-    def _step2(
-        self,
-        series: TimeSeries,
-        detection: DetectionResult,
-        table: FrequencyTable,
-        rng: np.random.Generator,
-    ) -> tuple[list[FlexOffer], TimeSeries]:
+        """Step 2: one flex-offer per detected run of a flexible appliance."""
+        flexible = {entry.appliance for entry in detected.table.flexible_entries()}
         modified = series.values.copy()
         offers: list[FlexOffer] = []
-        for act in detection.detections:
-            if act.appliance not in table:
+        for act in detected.detection.detections:
+            if act.appliance not in flexible:
                 continue
-            entry = table.get(act.appliance)
-            if not entry.flexible:
-                continue
-            offer = self._formulate(series.axis, modified, act, rng)
+            offer = self._formulate(series.axis, modified, act, detected, rng)
             if offer is not None:
                 offers.append(offer)
-        return offers, series.with_values(modified).with_name(f"{series.name}.modified")
+        return ExtractionResult(
+            offers=offers,
+            modified=series.with_values(modified).with_name(f"{series.name}.modified"),
+            original=series,
+            extractor=self.name,
+            extras=detected.extras(),
+        )
 
     def _formulate(
         self,
         axis: TimeAxis,
         modified: np.ndarray,
         act: Activation,
+        detected: FrequencyDetection,
         rng: np.random.Generator,
     ) -> FlexOffer | None:
         """One offer for one detected appliance run; subtracts its energy.
@@ -237,11 +239,9 @@ class FrequencyBasedExtractor(FlexibilityExtractor):
         if energies.size == 0:
             return None
         window -= removal
-        # Earliest start: the grid interval containing the observed start;
-        # latest start: earliest + the appliance's known time flexibility
-        # (the §4.1 example: the vacuum robot's 22 hours).
-        earliest = axis.start + self.params.resolution * grid_index
-        flexibility = _snap(spec.time_flexibility, self.params.resolution)
+        earliest, flexibility = self._start_window(
+            act, spec, detected, axis.start + self.params.resolution * grid_index
+        )
         band = (
             spec.energy_min_kwh / removed_energy,
             spec.energy_max_kwh / removed_energy,
@@ -254,9 +254,24 @@ class FrequencyBasedExtractor(FlexibilityExtractor):
             source=self.name,
             consumer_id=act.household_id,
             appliance=act.appliance,
-            time_flexibility=flexibility,
+            time_flexibility=_snap(flexibility, self.params.resolution),
             energy_band=band,
         )
+
+    def _start_window(
+        self,
+        act: Activation,
+        spec: ApplianceSpec,
+        detected: FrequencyDetection,
+        grid_start: datetime,
+    ) -> tuple[datetime, timedelta]:
+        """Earliest start and time flexibility of one run's offer.
+
+        The earliest start is the grid interval containing the observed
+        start; the flexibility is the appliance's known time flexibility
+        (the §4.1 example: the vacuum robot's 22 hours).
+        """
+        return grid_start, spec.time_flexibility
 
 
 def _snap(delta: timedelta, resolution: timedelta) -> timedelta:

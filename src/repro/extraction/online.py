@@ -5,8 +5,10 @@ real-time flex-offer generators, which detect flexibilities and formulate
 flex-offers based on the usual appliance usage or the given (mined) schedule
 of the household."
 
-Two operating modes, both built on a training pass over historical data
-(disaggregation → frequency table → mined schedules):
+Two operating modes, both built on a training pass over historical data.
+Training is the schedule-based extractor's detection (disaggregation →
+frequency table → mined schedules), so the generator extends the same
+appliance-level engine the frequency- and schedule-based extractors share:
 
 * **anticipatory** — before a day starts, emit *predicted* flex-offers for
   the appliances the household habitually runs on such a day, positioned on
@@ -27,12 +29,13 @@ import numpy as np
 
 from repro.appliances.database import ApplianceDatabase, default_database
 from repro.appliances.model import ApplianceSpec
-from repro.disaggregation.frequency import FrequencyTable, estimate_frequencies
+from repro.disaggregation.frequency import FrequencyTable
 from repro.disaggregation.matching import MatchingConfig
-from repro.disaggregation.schedule_mining import MinedSchedule, count_day_types, mine_schedule
+from repro.disaggregation.schedule_mining import MinedSchedule
 from repro.errors import ExtractionError
-from repro.extraction.frequency_based import _snap, detect_appliances, observation_days
+from repro.extraction.frequency_based import _snap, slice_energies_on_grid
 from repro.extraction.params import FlexOfferParams
+from repro.extraction.schedule_based import ScheduleBasedExtractor
 from repro.flexoffer.model import FlexOffer, ProfileSlice, next_offer_id
 from repro.timeseries.axis import ONE_MINUTE
 from repro.timeseries.calendar import DayType, day_type
@@ -134,22 +137,17 @@ class OnlineFlexOfferGenerator:
         config: OnlineConfig | None = None,
         matching: MatchingConfig | None = None,
     ) -> "OnlineFlexOfferGenerator":
-        """Learn shortlist, schedules and typical energies from history."""
+        """Learn shortlist, schedules and typical energies from history.
+
+        The shortlist and schedules are the schedule-based extractor's
+        detection of ``history`` at its default knobs.
+        """
         database = database or default_database()
-        (detection,) = detect_appliances([history], database, matching)
-        days = observation_days(history)
-        table = estimate_frequencies(detection.detections, database, days)
-        day_counts = count_day_types(history.axis.start.date(), days)
-        schedules = {
-            entry.appliance: mine_schedule(
-                detection.detections, entry.appliance, day_counts
-            )
-            for entry in table.flexible_entries()
-        }
-        mean_energy = {
-            entry.appliance: entry.mean_energy_kwh for entry in table
-        }
-        return cls(database, table, schedules, mean_energy, config)
+        detected = ScheduleBasedExtractor(
+            database=database, matching=matching or MatchingConfig()
+        ).detect(history)
+        mean_energy = {entry.appliance: entry.mean_energy_kwh for entry in detected.table}
+        return cls(database, detected.table, detected.schedules, mean_energy, config)
 
     # ------------------------------------------------------------------ #
     # Anticipatory mode (day-ahead, schedule-driven)
@@ -190,18 +188,6 @@ class OnlineFlexOfferGenerator:
         grid = self.config.params.resolution
         energy = self.mean_energy.get(spec.name, spec.typical_energy_kwh)
         energy = float(np.clip(energy, spec.energy_min_kwh, spec.energy_max_kwh))
-        # Bucket the typical cycle onto the metering grid.
-        per_minute = spec.energy_profile_minutes(energy)
-        n_slices = int(np.ceil(len(per_minute) / 15))
-        padded = np.concatenate(
-            [per_minute, np.zeros(n_slices * 15 - len(per_minute))]
-        )
-        slice_energies = padded.reshape(n_slices, 15).sum(axis=1)
-        lo_f = spec.energy_min_kwh / energy
-        hi_f = spec.energy_max_kwh / energy
-        slices = tuple(
-            ProfileSlice(float(e * lo_f), float(e * hi_f)) for e in slice_energies
-        )
         if window is not None:
             earliest = midnight + timedelta(
                 minutes=window.start.hour * 60 + window.start.minute
@@ -215,7 +201,7 @@ class OnlineFlexOfferGenerator:
         return FlexOffer(
             earliest_start=earliest,
             latest_start=earliest + flexibility,
-            slices=slices,
+            slices=_cycle_slices(spec, energy),
             resolution=grid,
             offer_id=next_offer_id("online-ahead"),
             appliance=spec.name,
@@ -373,24 +359,22 @@ class OnlineFlexOfferGenerator:
         grid = self.config.params.resolution
         day_anchor = onset_time.replace(hour=0, minute=0, second=0, microsecond=0)
         earliest = day_anchor + grid * ((onset_time - day_anchor) // grid)
-        per_minute = spec.energy_profile_minutes(energy)
-        n_slices = int(np.ceil(len(per_minute) / 15))
-        padded = np.concatenate(
-            [per_minute, np.zeros(n_slices * 15 - len(per_minute))]
-        )
-        slice_energies = padded.reshape(n_slices, 15).sum(axis=1)
-        lo_f = spec.energy_min_kwh / energy
-        hi_f = spec.energy_max_kwh / energy
-        slices = tuple(
-            ProfileSlice(float(e * lo_f), float(e * hi_f)) for e in slice_energies
-        )
         return FlexOffer(
             earliest_start=earliest,
             latest_start=earliest + _snap(spec.time_flexibility, grid),
-            slices=slices,
+            slices=_cycle_slices(spec, energy),
             resolution=grid,
             offer_id=next_offer_id("online-react"),
             appliance=spec.name,
             source="online-reactive",
             creation_time=onset_time,
         )
+
+
+def _cycle_slices(spec: ApplianceSpec, energy: float) -> tuple[ProfileSlice, ...]:
+    """One cycle of ``energy`` kWh bucketed onto the metering grid, each
+    slice banded by the appliance's catalogue energy range."""
+    _, slice_energies = slice_energies_on_grid(spec.energy_profile_minutes(energy), 0)
+    lo_f = spec.energy_min_kwh / energy
+    hi_f = spec.energy_max_kwh / energy
+    return tuple(ProfileSlice(float(e * lo_f), float(e * hi_f)) for e in slice_energies)

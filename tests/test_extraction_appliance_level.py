@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
+from repro.api.registry import create_extractor
 from repro.appliances.database import default_database
-from repro.errors import ExtractionError
+from repro.cli import main
+from repro.errors import ExtractionError, RegistryError
 from repro.extraction.frequency_based import (
     FrequencyBasedExtractor,
     slice_energies_on_grid,
@@ -180,3 +183,87 @@ class TestScheduleBasedContainment:
                 f"{offer.offer_id}: window [{offer.earliest_start}, "
                 f"{offer.latest_start}] contains no observed run"
             )
+
+
+#: Malformed appliance-level knobs shared by both approaches.
+BAD_SHARED_KNOBS = [
+    ("min_detections", "2"),
+    ("min_detections", 2.0),
+    ("min_detections", True),
+    ("min_detections", 0),
+    ("min_detections", -1),
+    ("baseline_window_minutes", 150.5),
+    ("baseline_window_minutes", "150"),
+    ("baseline_window_minutes", 1),
+    ("baseline_quantile", "0.15"),
+    ("baseline_quantile", 0.7),
+    ("baseline_quantile", float("nan")),
+]
+
+#: Malformed schedule-mining knobs of the schedule-based approach.
+BAD_MINING_KNOBS = [
+    ("smoothing_minutes", 2.5),
+    ("smoothing_minutes", "90"),
+    ("smoothing_minutes", True),
+    ("smoothing_minutes", 0),
+    ("threshold_factor", -1.5),
+    ("threshold_factor", 0.0),
+    ("threshold_factor", float("nan")),
+    ("threshold_factor", float("inf")),
+    ("threshold_factor", "1.5"),
+    ("threshold_factor", True),
+]
+
+
+class TestKnobValidation:
+    """Malformed knobs fail when the extractor is built, naming the field."""
+
+    @pytest.mark.parametrize("cls", [FrequencyBasedExtractor, ScheduleBasedExtractor])
+    @pytest.mark.parametrize("field, value", BAD_SHARED_KNOBS)
+    def test_shared_knobs_rejected_at_construction(self, cls, field, value):
+        with pytest.raises(ExtractionError, match=field):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("field, value", BAD_MINING_KNOBS)
+    def test_mining_knobs_rejected_at_construction(self, field, value):
+        with pytest.raises(ExtractionError, match=field):
+            ScheduleBasedExtractor(**{field: value})
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("frequency-based", "min_detections", "2"),
+            ("schedule-based", "smoothing_minutes", 2.5),
+            ("schedule-based", "threshold_factor", float("nan")),
+        ],
+    )
+    def test_registry_reports_the_field(self, name, field, value):
+        with pytest.raises(RegistryError, match=field):
+            create_extractor(name, **{field: value})
+
+    def test_integral_and_boundary_values_accepted(self):
+        ScheduleBasedExtractor(
+            min_detections=np.int64(1),
+            baseline_window_minutes=2,
+            baseline_quantile=0,
+            smoothing_minutes=1,
+            threshold_factor=1e-3,
+        )
+
+    @pytest.mark.parametrize(
+        "approach, field, value",
+        [("frequency-based", "min_detections", "2"), ("schedule-based", "smoothing_minutes", 2.5)],
+    )
+    def test_run_spec_fails_with_an_error_line(self, tmp_path, capsys, approach, field, value):
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({
+            "version": 1,
+            "kind": "fleet",
+            "name": "bad-knob",
+            "scenario": {"households": 1, "days": 1, "seed": 7},
+            "extractors": [{"name": approach, "params": {field: value}}],
+        }))
+        assert main(["run", "--spec", str(spec_path)]) == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") and field in line for line in err.splitlines())
+        assert "Traceback" not in err
