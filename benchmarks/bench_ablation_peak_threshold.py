@@ -91,7 +91,7 @@ def test_selection_policy_ablation(benchmark, report, bench_fleet):
                 energies = np.minimum(block / block_energy * flexible, block)
                 offer = params.build_offer(
                     series.axis.time_at(first + chosen.first), energies, rng,
-                    source=policy,
+                    source=policy, resolution=series.axis.resolution,
                 )
                 offers.append(offer)
                 window[chosen.first : chosen.first + n] -= energies

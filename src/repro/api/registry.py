@@ -216,7 +216,13 @@ def _coerce(field: dataclasses.Field, value: Any) -> Any:
     if default is MISSING and field.default_factory is not MISSING:
         default = field.default_factory()
     if isinstance(default, timedelta) and isinstance(value, (int, float)):
-        return timedelta(seconds=value)
+        try:
+            return timedelta(seconds=value)
+        except (OverflowError, ValueError):
+            raise RegistryError(
+                f"parameter {field.name!r} must be a finite number of seconds "
+                f"that fits a timedelta, got {value!r}"
+            ) from None
     if isinstance(default, tuple) and isinstance(value, list):
         return tuple(value)
     return value
@@ -241,8 +247,15 @@ def create_extractor(name: str, **params: Any) -> "FlexibilityExtractor":
     nested_fields = {
         n.field_name: {f.name: f for f in dataclasses.fields(n.type_)} for n in nested
     }
+    config_types = {n.field_name: n.type_ for n in nested}
     for key, value in params.items():
         if key in own_fields:
+            if key in config_types and not isinstance(value, config_types[key]):
+                raise RegistryError(
+                    f"extractor {name!r}: parameter {key!r} must be a "
+                    f"{config_types[key].__name__}, got {type(value).__name__}; "
+                    f"pass its fields as flat parameters instead"
+                )
             direct[key] = _coerce(own_fields[key], value)
             continue
         routed = False

@@ -20,12 +20,6 @@ Subsystem contract:
 """
 
 from repro.disaggregation.baseline import remove_baseline, rolling_baseline
-from repro.disaggregation.clustering import (
-    KMeansResult,
-    daily_profile_matrix,
-    kmeans,
-    typical_daily_profiles,
-)
 from repro.disaggregation.combinatorial import (
     CombinatorialConfig,
     disaggregate_combinatorial,
@@ -51,10 +45,6 @@ from repro.disaggregation.schedule_mining import (
 __all__ = [
     "remove_baseline",
     "rolling_baseline",
-    "KMeansResult",
-    "daily_profile_matrix",
-    "kmeans",
-    "typical_daily_profiles",
     "CombinatorialConfig",
     "disaggregate_combinatorial",
     "Edge",

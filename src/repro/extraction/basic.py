@@ -125,6 +125,7 @@ class BasicExtractor(FlexibilityExtractor):
             slice_energies=energies,
             rng=rng,
             source=self.name,
+            resolution=axis.resolution,
             consumer_id=self.consumer_id,
         )
         removed = np.zeros_like(window)

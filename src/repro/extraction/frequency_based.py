@@ -39,8 +39,13 @@ from repro.extraction.base import ExtractionResult, FlexibilityExtractor
 from repro.extraction.params import FlexOfferParams
 from repro.flexoffer.model import FlexOffer
 from repro.simulation.activations import Activation
-from repro.timeseries.axis import ONE_MINUTE, TimeAxis
+from repro.timeseries.axis import FIFTEEN_MINUTES, ONE_MINUTE, TimeAxis
 from repro.timeseries.series import TimeSeries
+
+
+#: The metering grid every appliance-level offer is bucketed onto: its slice
+#: width, and the step its start and flexibility snap to.
+OFFER_GRID = FIFTEEN_MINUTES
 
 
 def detect_appliances(
@@ -75,14 +80,15 @@ def observation_days(series: TimeSeries) -> int:
 
 
 def slice_energies_on_grid(
-    removal_minutes: np.ndarray, start_minute_index: int, minutes_per_slice: int = 15
+    removal_minutes: np.ndarray, start_minute_index: int
 ) -> tuple[int, np.ndarray]:
-    """Bucket a per-minute removal vector onto the metering grid.
+    """Bucket a per-minute removal vector onto :data:`OFFER_GRID`.
 
     Returns ``(grid_index, slice_energies)`` where ``grid_index`` is the
     index of the first 15-minute interval the profile touches and
     ``slice_energies[k]`` the energy in grid interval ``grid_index + k``.
     """
+    minutes_per_slice = OFFER_GRID // ONE_MINUTE
     grid_index = start_minute_index // minutes_per_slice
     lead = start_minute_index % minutes_per_slice
     padded = np.concatenate([np.zeros(lead), removal_minutes])
@@ -240,7 +246,7 @@ class FrequencyBasedExtractor(FlexibilityExtractor):
             return None
         window -= removal
         earliest, flexibility = self._start_window(
-            act, spec, detected, axis.start + self.params.resolution * grid_index
+            act, spec, detected, axis.start + OFFER_GRID * grid_index
         )
         band = (
             spec.energy_min_kwh / removed_energy,
@@ -252,9 +258,10 @@ class FrequencyBasedExtractor(FlexibilityExtractor):
             slice_energies=energies,
             rng=rng,
             source=self.name,
+            resolution=OFFER_GRID,
             consumer_id=act.household_id,
             appliance=act.appliance,
-            time_flexibility=_snap(flexibility, self.params.resolution),
+            time_flexibility=_snap(flexibility, OFFER_GRID),
             energy_band=band,
         )
 

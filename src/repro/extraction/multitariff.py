@@ -190,7 +190,7 @@ class MultiTariffExtractor(FlexibilityExtractor):
         deficit_first, deficit_length = _dominant_run(deficit_high)
         observed_index = day_first + run_first
         if deficit_length == 0:
-            flexibility = self.params.draw_time_flexibility(rng)
+            flexibility = self.params.draw_time_flexibility(rng, axis.resolution)
             earliest = axis.time_at(observed_index)
         else:
             deficit_index = day_first + deficit_first
@@ -203,6 +203,7 @@ class MultiTariffExtractor(FlexibilityExtractor):
             slice_energies=energies,
             rng=rng,
             source=self.name,
+            resolution=axis.resolution,
             time_flexibility=flexibility,
         )
         removal = np.zeros_like(excess_low)

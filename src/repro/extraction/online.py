@@ -33,8 +33,7 @@ from repro.disaggregation.frequency import FrequencyTable
 from repro.disaggregation.matching import MatchingConfig
 from repro.disaggregation.schedule_mining import MinedSchedule
 from repro.errors import ExtractionError
-from repro.extraction.frequency_based import _snap, slice_energies_on_grid
-from repro.extraction.params import FlexOfferParams
+from repro.extraction.frequency_based import OFFER_GRID, _snap, slice_energies_on_grid
 from repro.extraction.schedule_based import ScheduleBasedExtractor
 from repro.flexoffer.model import FlexOffer, ProfileSlice, next_offer_id
 from repro.timeseries.axis import ONE_MINUTE
@@ -56,7 +55,6 @@ class OnlineConfig:
     onset_score: float = 0.5
     anticipate_min_rate: float = 0.5
     reactive_min_detections: int = 3
-    params: FlexOfferParams = field(default_factory=FlexOfferParams)
 
     def __post_init__(self) -> None:
         if self.onset_minutes < 3:
@@ -185,7 +183,6 @@ class OnlineFlexOfferGenerator:
         return offers
 
     def _predicted_offer(self, spec, midnight, window, creation) -> FlexOffer:
-        grid = self.config.params.resolution
         energy = self.mean_energy.get(spec.name, spec.typical_energy_kwh)
         energy = float(np.clip(energy, spec.energy_min_kwh, spec.energy_max_kwh))
         if window is not None:
@@ -197,12 +194,12 @@ class OnlineFlexOfferGenerator:
         else:
             earliest = midnight
             flexibility = spec.time_flexibility
-        flexibility = _snap(flexibility, grid)
+        flexibility = _snap(flexibility, OFFER_GRID)
         return FlexOffer(
             earliest_start=earliest,
             latest_start=earliest + flexibility,
             slices=_cycle_slices(spec, energy),
-            resolution=grid,
+            resolution=OFFER_GRID,
             offer_id=next_offer_id("online-ahead"),
             appliance=spec.name,
             source="online-anticipatory",
@@ -356,14 +353,13 @@ class OnlineFlexOfferGenerator:
         return float(np.clip(0.25 + 0.75 * ratio, 0.25, 1.0))
 
     def _reactive_offer(self, spec, onset_time: datetime, energy: float) -> FlexOffer:
-        grid = self.config.params.resolution
         day_anchor = onset_time.replace(hour=0, minute=0, second=0, microsecond=0)
-        earliest = day_anchor + grid * ((onset_time - day_anchor) // grid)
+        earliest = day_anchor + OFFER_GRID * ((onset_time - day_anchor) // OFFER_GRID)
         return FlexOffer(
             earliest_start=earliest,
-            latest_start=earliest + _snap(spec.time_flexibility, grid),
+            latest_start=earliest + _snap(spec.time_flexibility, OFFER_GRID),
             slices=_cycle_slices(spec, energy),
-            resolution=grid,
+            resolution=OFFER_GRID,
             offer_id=next_offer_id("online-react"),
             appliance=spec.name,
             source="online-reactive",

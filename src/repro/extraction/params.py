@@ -11,19 +11,23 @@ generate non-uniform flex-offers."
 
 :class:`FlexOfferParams` holds those controlled variation limits and knows
 how to turn a vector of per-interval extracted energies into a fully
-attributed :class:`~repro.flexoffer.model.FlexOffer`.
+attributed :class:`~repro.flexoffer.model.FlexOffer`.  The interval
+duration is no limit here: it is the grid the energies were built on, which
+the extractor passes to :meth:`FlexOfferParams.build_offer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
+from numbers import Integral, Real
+from typing import Any
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import ExtractionError, ValidationError
 from repro.flexoffer.model import FlexOffer, next_offer_id
-from repro.timeseries.axis import FIFTEEN_MINUTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,9 +41,8 @@ class FlexOfferParams:
         electricity consumption time series exhibit 0.1–6.5 % of flexible
         demand"; the Figure 5 walkthrough uses 5 %).
     slices_min / slices_max:
-        Range for the number of profile slices per offer.
-    resolution:
-        Slice duration (the paper's 15-minute metering interval).
+        Range for the number of profile slices per offer.  A slice is one
+        interval of the grid the extractor built the energies on.
     energy_min_pct / energy_max_pct:
         Ranges for the minimum/maximum energy band around the extracted
         per-slice energy: each offer draws ``low ∈ energy_min_pct`` and
@@ -56,7 +59,6 @@ class FlexOfferParams:
     flexible_share: float = 0.05
     slices_min: int = 2
     slices_max: int = 8
-    resolution: timedelta = FIFTEEN_MINUTES
     energy_min_pct: tuple[float, float] = (0.75, 0.95)
     energy_max_pct: tuple[float, float] = (1.05, 1.3)
     time_flexibility_min: timedelta = timedelta(hours=1)
@@ -67,6 +69,23 @@ class FlexOfferParams:
     assignment_lead_max: timedelta = timedelta(hours=2)
 
     def __post_init__(self) -> None:
+        # Each value must have its default's type before the ranges below
+        # can compare it.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, timedelta):
+                if not isinstance(value, timedelta):
+                    raise ValidationError(f"{f.name} must be a timedelta, got {value!r}")
+            elif isinstance(f.default, tuple):
+                if not isinstance(value, tuple) or len(value) != 2:
+                    raise ValidationError(f"{f.name} must be a (low, high) pair, got {value!r}")
+                for bound in value:
+                    _check_number(f.name, bound)
+            elif isinstance(f.default, int):
+                if not isinstance(value, Integral) or isinstance(value, bool):
+                    raise ValidationError(f"{f.name} must be an integer, got {value!r}")
+            else:
+                _check_number(f.name, value)
         if not 0.0 < self.flexible_share <= 1.0:
             raise ValidationError(
                 f"flexible_share must be in (0, 1], got {self.flexible_share}"
@@ -100,12 +119,24 @@ class FlexOfferParams:
         high = float(rng.uniform(*self.energy_max_pct))
         return low, high
 
-    def draw_time_flexibility(self, rng: np.random.Generator) -> timedelta:
-        """Start-time flexibility, grid-aligned to the resolution."""
-        lo = self.time_flexibility_min / self.resolution
-        hi = self.time_flexibility_max / self.resolution
-        intervals = int(rng.integers(int(lo), int(hi) + 1))
-        return self.resolution * intervals
+    def draw_time_flexibility(
+        self, rng: np.random.Generator, resolution: timedelta
+    ) -> timedelta:
+        """Start-time flexibility, aligned to a grid of ``resolution``.
+
+        The draw is a whole number of intervals inside
+        ``[time_flexibility_min, time_flexibility_max]``; a grid too coarse
+        to hold such a number is refused rather than rounded out of range.
+        """
+        lo = -(-self.time_flexibility_min // resolution)
+        hi = self.time_flexibility_max // resolution
+        if lo > hi:
+            raise ExtractionError(
+                f"a {resolution} grid has no start-time flexibility in "
+                f"[{self.time_flexibility_min}, {self.time_flexibility_max}]"
+            )
+        intervals = int(rng.integers(lo, hi + 1))
+        return resolution * intervals
 
     def draw_deadlines(
         self, earliest_start: datetime, rng: np.random.Generator
@@ -140,6 +171,7 @@ class FlexOfferParams:
         slice_energies: np.ndarray,
         rng: np.random.Generator,
         source: str,
+        resolution: timedelta,
         consumer_id: str = "",
         appliance: str = "",
         time_flexibility: timedelta | None = None,
@@ -147,9 +179,10 @@ class FlexOfferParams:
     ) -> FlexOffer:
         """Formulate one flex-offer around extracted per-slice energies.
 
-        ``slice_energies[i]`` is the expected energy of slice ``i`` (kWh);
-        the energy band draw turns each into a ``[low·e, high·e]`` range so
-        the *midpoint-sum* of the profile equals ``mean(band)·sum(energies)``.
+        ``slice_energies[i]`` is the expected energy of slice ``i`` (kWh),
+        one interval of the ``resolution`` grid it was built on; the energy
+        band draw turns each into a ``[low·e, high·e]`` range so the
+        *midpoint-sum* of the profile equals ``mean(band)·sum(energies)``.
         The band is centred post-hoc so the midpoint sum stays exactly equal
         to the extracted energy (the paper's conservation property).
         """
@@ -165,7 +198,7 @@ class FlexOfferParams:
         low, high = low / centre, high / centre
         flexibility = (
             time_flexibility if time_flexibility is not None
-            else self.draw_time_flexibility(rng)
+            else self.draw_time_flexibility(rng, resolution)
         )
         creation, acceptance, assignment = self.draw_deadlines(earliest_start, rng)
         # Unit slices [low·e, high·e]; the bound vectors become the offer's
@@ -175,7 +208,7 @@ class FlexOfferParams:
             high * energies,
             earliest_start=earliest_start,
             latest_start=earliest_start + flexibility,
-            resolution=self.resolution,
+            resolution=resolution,
             offer_id=next_offer_id(source),
             consumer_id=consumer_id,
             appliance=appliance,
@@ -184,3 +217,8 @@ class FlexOfferParams:
             acceptance_deadline=acceptance,
             assignment_deadline=assignment,
         )
+
+
+def _check_number(name: str, value: Any) -> None:
+    if not isinstance(value, Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")

@@ -377,6 +377,7 @@ class PeakBasedExtractor(FlexibilityExtractor):
             slice_energies=energies,
             rng=rng,
             source=self.name,
+            resolution=axis.resolution,
             consumer_id=self.consumer_id,
         )
         block -= energies  # a view: the day's window loses the offer's energy

@@ -33,6 +33,7 @@ from repro.disaggregation.schedule_mining import (
 )
 from repro.errors import DataError, ExtractionError
 from repro.extraction.frequency_based import (
+    OFFER_GRID,
     FrequencyBasedExtractor,
     FrequencyDetection,
     _snap,
@@ -120,10 +121,7 @@ class ScheduleBasedExtractor(FrequencyBasedExtractor):
         start_minute = minutes_since_midnight(act.start)
         window = _containing_window(mined.windows.get(dtype, []), start_minute)
         day_anchor = act.start.replace(hour=0, minute=0, second=0, microsecond=0)
-        grid = self.params.resolution
-        snapped_start = day_anchor + grid * (
-            (act.start - day_anchor) // grid
-        )
+        snapped_start = day_anchor + OFFER_GRID * ((act.start - day_anchor) // OFFER_GRID)
         if window is None:
             return snapped_start, spec.time_flexibility
         w_start = day_anchor + timedelta(
@@ -135,7 +133,7 @@ class ScheduleBasedExtractor(FrequencyBasedExtractor):
         if slack <= timedelta(0):
             # Window narrower than the cycle: the habit pins the start.
             return snapped_start, timedelta(0)
-        flexibility = _snap(min(slack, spec.time_flexibility), grid)
+        flexibility = _snap(min(slack, spec.time_flexibility), OFFER_GRID)
         # Anchor so the observed start is always inside [earliest, latest]:
         # earliest = max(window start, observed − flexibility) guarantees
         # earliest <= observed <= earliest + flexibility.
@@ -144,7 +142,7 @@ class ScheduleBasedExtractor(FrequencyBasedExtractor):
         # earliest up to one interval earlier than intended, so widen the
         # flexibility to keep the observed start inside the window.
         offset = earliest - day_anchor
-        earliest = day_anchor + grid * (offset // grid)
+        earliest = day_anchor + OFFER_GRID * (offset // OFFER_GRID)
         flexibility = max(flexibility, snapped_start - earliest)
         return earliest, flexibility
 

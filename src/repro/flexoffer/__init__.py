@@ -46,7 +46,7 @@ from repro.flexoffer.schedule import (
     default_schedule,
     schedules_to_series,
 )
-from repro.flexoffer.validate import PolicyLimits, check_all, is_compliant
+from repro.flexoffer.validate import PolicyLimits, check_all
 
 __all__ = [
     "RandomGeneratorConfig",
@@ -71,5 +71,4 @@ __all__ = [
     "schedules_to_series",
     "PolicyLimits",
     "check_all",
-    "is_compliant",
 ]

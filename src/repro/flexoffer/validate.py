@@ -94,8 +94,3 @@ def check_all(offers: list[FlexOffer], limits: PolicyLimits | None = None) -> li
         seen_ids.add(offer.offer_id)
         problems.extend(limits.check(offer))
     return problems
-
-
-def is_compliant(offer: FlexOffer, limits: PolicyLimits | None = None) -> bool:
-    """True when the offer passes every policy check."""
-    return not (limits or PolicyLimits()).check(offer)

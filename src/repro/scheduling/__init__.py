@@ -49,10 +49,7 @@ from repro.scheduling.greedy import (
     naive_schedule,
 )
 from repro.scheduling.objective import (
-    absolute_imbalance,
-    overshoot,
     squared_imbalance,
-    unmet_target,
 )
 from repro.scheduling.stochastic import improve_schedule
 from repro.scheduling.zones import (
@@ -84,10 +81,7 @@ __all__ = [
     "ScheduleResult",
     "greedy_schedule",
     "naive_schedule",
-    "absolute_imbalance",
-    "overshoot",
     "squared_imbalance",
-    "unmet_target",
     "improve_schedule",
     "MarketZone",
     "ZonedScheduleResult",

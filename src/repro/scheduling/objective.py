@@ -2,8 +2,7 @@
 
 MIRABEL positions flexible demand under surplus RES production (paper [5],
 §6).  The canonical objective is the squared imbalance between the scheduled
-flexible demand and the available surplus; absolute imbalance is provided as
-an alternative for reporting.
+flexible demand and the available surplus.
 """
 
 from __future__ import annotations
@@ -18,21 +17,3 @@ def squared_imbalance(demand: TimeSeries, target: TimeSeries) -> float:
     demand.axis.require_aligned(target.axis)
     diff = demand.values - target.values
     return float(np.dot(diff, diff))
-
-
-def absolute_imbalance(demand: TimeSeries, target: TimeSeries) -> float:
-    """Sum of absolute per-interval deviations (kWh of mismatch)."""
-    demand.axis.require_aligned(target.axis)
-    return float(np.abs(demand.values - target.values).sum())
-
-
-def unmet_target(demand: TimeSeries, target: TimeSeries) -> float:
-    """Surplus energy left unconsumed (kWh): positive residual target."""
-    demand.axis.require_aligned(target.axis)
-    return float(np.clip(target.values - demand.values, 0.0, None).sum())
-
-
-def overshoot(demand: TimeSeries, target: TimeSeries) -> float:
-    """Demand scheduled beyond the available target (kWh)."""
-    demand.axis.require_aligned(target.axis)
-    return float(np.clip(demand.values - target.values, 0.0, None).sum())

@@ -477,7 +477,10 @@ def decode_state(
             else any_schedule_from_dict(payload["schedule"])
         )
         state.committed = [schedule_from_dict(s) for s in payload["committed"]]
-        state.committed_members = set(payload["committed_members"])
+        members = payload["committed_members"]
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            raise TypeError("'committed_members' is not a list of offer ids")
+        state.committed_members = set(members)
         state.commit_boundary = (
             None
             if payload["commit_boundary"] is None

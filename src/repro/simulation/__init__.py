@@ -23,7 +23,6 @@ from repro.simulation.activations import (
     Activation,
     ApplianceSeries,
     draw_daily_activations,
-    flexible_energy_series,
     materialise,
     total_energy,
 )
@@ -44,23 +43,21 @@ from repro.simulation.household import (
     base_load_series,
     simulate_household,
 )
-from repro.simulation.res import WindFarm, simulate_wind_production, surplus_series
+from repro.simulation.res import WindFarm, simulate_wind_production
 from repro.simulation.tariff import (
     ShiftRecord,
     TariffScheme,
     TariffStudy,
-    flat_tariff,
     night_tariff,
     shift_into_low_window,
     simulate_tariff_pair,
 )
-from repro.simulation.weather import TemperatureModel, WindModel
+from repro.simulation.weather import WindModel
 
 __all__ = [
     "Activation",
     "ApplianceSeries",
     "draw_daily_activations",
-    "flexible_energy_series",
     "materialise",
     "total_energy",
     "SimulatedDataset",
@@ -76,14 +73,11 @@ __all__ = [
     "simulate_household",
     "WindFarm",
     "simulate_wind_production",
-    "surplus_series",
     "ShiftRecord",
     "TariffScheme",
     "TariffStudy",
-    "flat_tariff",
     "night_tariff",
     "shift_into_low_window",
     "simulate_tariff_pair",
-    "TemperatureModel",
     "WindModel",
 ]

@@ -175,16 +175,6 @@ class ApplianceSeries(Mapping[str, TimeSeries]):
         return materialise(runs, self._specs, self._axis).values
 
 
-def flexible_energy_series(
-    activations: list[Activation],
-    specs: dict[str, ApplianceSpec],
-    axis: TimeAxis,
-) -> TimeSeries:
-    """Ground-truth series of energy from *flexible* appliance runs only."""
-    flexible = [a for a in activations if a.flexible]
-    return materialise(flexible, specs, axis).with_name("true-flexible-kwh")
-
-
 def total_energy(activations: list[Activation]) -> float:
     """Sum of activation energies (kWh)."""
     return float(sum(a.energy_kwh for a in activations))

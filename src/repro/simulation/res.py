@@ -1,9 +1,8 @@
-"""Renewable production: wind farms and surplus computation.
+"""Renewable production: wind farms.
 
 Paper §6: MIRABEL matches scheduled flex-offers against "the surplus RES
 production".  This module converts synthetic wind speed into wind-farm power
-via the standard piecewise power curve, and computes the surplus available
-for flexible demand after the inflexible base demand is served.
+via the standard piecewise power curve.
 """
 
 from __future__ import annotations
@@ -66,15 +65,3 @@ def simulate_wind_production(
     wind_model = wind_model or WindModel()
     speed = wind_model.generate(axis, rng)
     return farm.production_energy(speed)
-
-
-def surplus_series(production: TimeSeries, inflexible_demand: TimeSeries) -> TimeSeries:
-    """RES energy left over after serving inflexible demand (>= 0).
-
-    This is the target the MIRABEL scheduler positions flexible demand
-    under: consuming at surplus times costs (notionally) nothing, consuming
-    elsewhere draws on conventional generation.
-    """
-    production.axis.require_aligned(inflexible_demand.axis)
-    surplus = np.clip(production.values - inflexible_demand.values, 0.0, None)
-    return TimeSeries(production.axis, surplus, name="res-surplus-kwh")

@@ -55,11 +55,6 @@ class TariffScheme:
         return self.low_price if self.is_low(when) else self.high_price
 
 
-def flat_tariff() -> TariffScheme:
-    """The reference single-tariff scheme."""
-    return TariffScheme(name="flat")
-
-
 def night_tariff() -> TariffScheme:
     """The classic night tariff: cheap 22:00–06:00 (paper's 'after 10PM')."""
     return TariffScheme(

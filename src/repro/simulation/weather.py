@@ -1,10 +1,9 @@
-"""Synthetic weather: temperature and wind speed series.
+"""Synthetic weather: a wind speed series.
 
-The household simulator uses temperature for seasonal load modulation
-(lighting/heating), and the RES substrate turns wind speed into wind-power
-production (the "surplus RES production" the MIRABEL scheduler matches
-flex-offers against).  Both are simple, well-understood stochastic models:
-seasonal + diurnal sinusoids with an AR(1) disturbance.
+The RES substrate turns wind speed into wind-power production (the
+"surplus RES production" the MIRABEL scheduler matches flex-offers
+against).  The model is simple and well understood: a seasonal sinusoid
+with an AR(1) disturbance.
 """
 
 from __future__ import annotations
@@ -16,43 +15,6 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.timeseries.axis import TimeAxis
 from repro.timeseries.series import TimeSeries
-
-
-@dataclass(frozen=True, slots=True)
-class TemperatureModel:
-    """Seasonal + diurnal temperature (°C) with AR(1) noise.
-
-    Defaults approximate a Danish climate: 8 °C annual mean, ±8 °C seasonal
-    swing (coldest in late January), ±3 °C diurnal swing (coldest pre-dawn).
-    """
-
-    annual_mean_c: float = 8.0
-    seasonal_amplitude_c: float = 8.0
-    diurnal_amplitude_c: float = 3.0
-    noise_std_c: float = 1.5
-    noise_persistence: float = 0.95
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.noise_persistence < 1.0:
-            raise ValidationError("noise_persistence must be in [0, 1)")
-        if self.noise_std_c < 0:
-            raise ValidationError("noise_std_c must be >= 0")
-
-    def generate(self, axis: TimeAxis, rng: np.random.Generator) -> TimeSeries:
-        """Generate a temperature series on ``axis``."""
-        hours = _hours_since_epoch(axis)
-        day_of_year = (hours / 24.0) % 365.25
-        hour_of_day = hours % 24.0
-        seasonal = -self.seasonal_amplitude_c * np.cos(
-            2.0 * np.pi * (day_of_year - 25.0) / 365.25
-        )
-        diurnal = -self.diurnal_amplitude_c * np.cos(
-            2.0 * np.pi * (hour_of_day - 4.0) / 24.0
-        )
-        noise = _ar1(axis.length, self.noise_persistence, self.noise_std_c, rng)
-        return TimeSeries(
-            axis, self.annual_mean_c + seasonal + diurnal + noise, name="temperature-c"
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,6 @@ Public surface:
 * :class:`~repro.timeseries.series.TimeSeries` — numpy-backed values on an axis.
 * :mod:`~repro.timeseries.resample` — energy/power aware up/down-sampling.
 * :mod:`~repro.timeseries.stats` — correlation, sparseness, autocorrelation...
-* :mod:`~repro.timeseries.decompose` — classical additive decomposition.
 * :mod:`~repro.timeseries.calendar` — day types, seasons, daily windows.
 
 Subsystem contract:
@@ -17,7 +16,7 @@ Subsystem contract:
   days and year boundaries (hypothesis-tested).
 * **Energy semantics** — series carry kWh *per interval*;
   resampling conserves energy exactly (``downsample_sum`` /
-  ``upsample_divide`` round-trip bitwise on aligned grids).
+  ``upsample_spread`` round-trip bitwise on aligned grids).
 * **Validation at the edge** — construction rejects NaNs and axis
   mismatches (:class:`~repro.errors.AxisMismatchError`), so downstream
   numerics never need defensive checks.
@@ -32,30 +31,14 @@ from repro.timeseries.axis import (
     axis_for_days,
 )
 from repro.timeseries.calendar import DailyWindow, DayType, Season, day_type, season
-from repro.timeseries.clean import (
-    QualityReport,
-    assemble_regular,
-    clip_outliers,
-    fill_missing,
-    find_gaps,
-    validate_meter_series,
-)
-from repro.timeseries.decompose import Decomposition, decompose_additive, seasonal_profile
-from repro.timeseries.resample import (
-    downsample_mean,
-    downsample_sum,
-    upsample_repeat,
-    upsample_spread,
-)
+from repro.timeseries.resample import downsample_sum, upsample_spread
 from repro.timeseries.io import (
     load_series_csv,
-    load_series_json,
     save_series_csv,
-    save_series_json,
     series_from_dict,
     series_to_dict,
 )
-from repro.timeseries.series import TimeSeries, concat, stack
+from repro.timeseries.series import TimeSeries, stack
 
 __all__ = [
     "FIFTEEN_MINUTES",
@@ -69,26 +52,12 @@ __all__ = [
     "Season",
     "day_type",
     "season",
-    "Decomposition",
-    "decompose_additive",
-    "seasonal_profile",
-    "downsample_mean",
     "downsample_sum",
-    "upsample_repeat",
     "upsample_spread",
     "TimeSeries",
-    "concat",
     "stack",
-    "QualityReport",
-    "assemble_regular",
-    "clip_outliers",
-    "fill_missing",
-    "find_gaps",
-    "validate_meter_series",
     "load_series_csv",
-    "load_series_json",
     "save_series_csv",
-    "save_series_json",
     "series_from_dict",
     "series_to_dict",
 ]

@@ -11,7 +11,6 @@ encodings are :mod:`repro.wire` formats: a series on its own, and a
 from __future__ import annotations
 
 import csv
-import json
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -67,16 +66,6 @@ def series_from_dict(data: dict[str, Any]) -> TimeSeries:
     return decode(TimeSeries, data)
 
 
-def save_series_json(series: TimeSeries, path: str | Path) -> None:
-    """Write one series to a JSON file."""
-    Path(path).write_text(json.dumps(series_to_dict(series)))
-
-
-def load_series_json(path: str | Path) -> TimeSeries:
-    """Read one series from a JSON file."""
-    return series_from_dict(json.loads(Path(path).read_text()))
-
-
 def save_series_csv(series: TimeSeries, path: str | Path) -> None:
     """Write ``timestamp,value`` rows (ISO-8601, one per interval)."""
     with open(path, "w", newline="") as handle:
@@ -90,8 +79,7 @@ def load_series_csv(path: str | Path, name: str = "") -> TimeSeries:
     """Read a ``timestamp,value`` CSV written by :func:`save_series_csv`.
 
     Validates that timestamps form a regular grid; raises
-    :class:`DataError` on gaps, duplicates or irregular spacing (use
-    :mod:`repro.timeseries.clean` to repair raw meter exports first).
+    :class:`DataError` on gaps, duplicates or irregular spacing.
     """
     timestamps: list[datetime] = []
     values: list[float] = []

@@ -1,8 +1,7 @@
 """Resampling between time-grid resolutions.
 
 Consumption series hold *energy per interval*, so downsampling aggregates by
-summation and upsampling spreads energy evenly.  For series holding averages
-(power, temperature) use the ``mean``/``repeat`` variants.
+summation and upsampling spreads energy evenly.
 """
 
 from __future__ import annotations
@@ -42,19 +41,6 @@ def downsample_sum(series: TimeSeries, resolution: timedelta) -> TimeSeries:
     return TimeSeries(axis, values, series.name)
 
 
-def downsample_mean(series: TimeSeries, resolution: timedelta) -> TimeSeries:
-    """Aggregate to a coarser grid by averaging (power/temperature semantics)."""
-    ratio = _ratio(resolution, series.axis.resolution)
-    if series.axis.length % ratio != 0:
-        raise ResolutionError(
-            f"length {series.axis.length} not divisible by ratio {ratio}"
-        )
-    coarse_len = series.axis.length // ratio
-    values = series.values.reshape(coarse_len, ratio).mean(axis=1)
-    axis = TimeAxis(series.axis.start, resolution, coarse_len)
-    return TimeSeries(axis, values, series.name)
-
-
 def upsample_spread(series: TimeSeries, resolution: timedelta) -> TimeSeries:
     """Refine to a finer grid spreading each value evenly (energy semantics).
 
@@ -62,13 +48,5 @@ def upsample_spread(series: TimeSeries, resolution: timedelta) -> TimeSeries:
     """
     ratio = _ratio(series.axis.resolution, resolution)
     values = np.repeat(series.values / ratio, ratio)
-    axis = TimeAxis(series.axis.start, resolution, series.axis.length * ratio)
-    return TimeSeries(axis, values, series.name)
-
-
-def upsample_repeat(series: TimeSeries, resolution: timedelta) -> TimeSeries:
-    """Refine to a finer grid repeating each value (power semantics)."""
-    ratio = _ratio(series.axis.resolution, resolution)
-    values = np.repeat(series.values, ratio)
     axis = TimeAxis(series.axis.start, resolution, series.axis.length * ratio)
     return TimeSeries(axis, values, series.name)

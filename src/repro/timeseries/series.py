@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import AxisMismatchError, DataError, ResolutionError
+from repro.errors import DataError
 from repro.timeseries.axis import TimeAxis
 
 
@@ -254,24 +254,3 @@ def stack(series: list[TimeSeries]) -> np.ndarray:
     for s in series[1:]:
         first.axis.require_aligned(s.axis)
     return np.vstack([s.values for s in series])
-
-
-def concat(series: list[TimeSeries]) -> TimeSeries:
-    """Concatenate consecutive series into one.
-
-    Each series must start exactly where the previous one ends and share the
-    resolution.
-    """
-    if not series:
-        raise DataError("cannot concat an empty list of series")
-    res = series[0].axis.resolution
-    for prev, nxt in zip(series, series[1:]):
-        if nxt.axis.resolution != res:
-            raise ResolutionError("concat requires equal resolutions")
-        if nxt.axis.start != prev.axis.end:
-            raise AxisMismatchError(
-                f"gap or overlap at {prev.axis.end} vs {nxt.axis.start}"
-            )
-    total = sum(s.axis.length for s in series)
-    axis = TimeAxis(series[0].axis.start, res, total)
-    return TimeSeries(axis, np.concatenate([s.values for s in series]), series[0].name)

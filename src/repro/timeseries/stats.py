@@ -49,11 +49,6 @@ def autocorrelation(series: TimeSeries, lag: int) -> float:
     return float(np.dot(x[: n - lag], x[lag:]) / denom)
 
 
-def autocorrelation_function(series: TimeSeries, max_lag: int) -> np.ndarray:
-    """ACF values for lags ``0..max_lag`` inclusive."""
-    return np.array([autocorrelation(series, k) for k in range(max_lag + 1)])
-
-
 def sparseness(series: TimeSeries) -> float:
     """Hoyer sparseness in [0, 1]: 0 for a flat series, 1 for a single spike.
 
@@ -97,26 +92,6 @@ def load_factor(series: TimeSeries) -> float:
     return series.mean() / peak
 
 
-def coefficient_of_variation(series: TimeSeries) -> float:
-    """Standard deviation over mean (relative variability)."""
-    mean = series.mean()
-    if mean == 0.0:
-        return 0.0
-    return float(series.values.std() / mean)
-
-
-def shannon_entropy(series: TimeSeries, bins: int = 16) -> float:
-    """Entropy (bits) of the histogram of values; a diversity indicator."""
-    if bins < 2:
-        raise DataError("need at least two bins")
-    counts, _ = np.histogram(series.values, bins=bins)
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
 def temporal_dispersion(series: TimeSeries) -> float:
     """Circular std-dev of energy mass over the day-phase, in intervals.
 
@@ -141,36 +116,6 @@ def temporal_dispersion(series: TimeSeries) -> float:
     # Circular standard deviation, mapped back from radians to intervals.
     circ_std = np.sqrt(-2.0 * np.log(r))
     return float(circ_std * per_day / (2.0 * np.pi))
-
-
-def cross_correlation_best_lag(a: TimeSeries, b: TimeSeries, max_lag: int) -> tuple[int, float]:
-    """Lag in ``[-max_lag, max_lag]`` maximising the correlation of ``a`` vs ``b``.
-
-    Returns ``(lag, correlation_at_lag)``; positive lag means ``b`` trails
-    ``a``.  Useful for checking whether extracted flexibility tracks the
-    consumption shape with a time offset.
-    """
-    a.axis.require_aligned(b.axis)
-    n = len(a)
-    if max_lag >= n:
-        raise DataError(f"max_lag {max_lag} must be < length {n}")
-    best_lag = 0
-    best_corr = -np.inf
-    av = a.values
-    bv = b.values
-    for lag in range(-max_lag, max_lag + 1):
-        if lag >= 0:
-            x, y = av[: n - lag], bv[lag:]
-        else:
-            x, y = av[-lag:], bv[: n + lag]
-        if x.std() == 0.0 or y.std() == 0.0:
-            corr = 0.0
-        else:
-            corr = float(np.corrcoef(x, y)[0, 1])
-        if corr > best_corr:
-            best_corr = corr
-            best_lag = lag
-    return best_lag, best_corr
 
 
 def describe(series: TimeSeries) -> dict[str, float]:

@@ -59,7 +59,6 @@ from repro.workloads.scenarios import (
     tariff_switch_fleet,
     weekend_skewed_fleet,
     weekend_skewed_household,
-    wind_target,
     winter_fleet,
 )
 
@@ -84,6 +83,5 @@ __all__ += [
     "tariff_switch_fleet",
     "weekend_skewed_fleet",
     "weekend_skewed_household",
-    "wind_target",
     "winter_fleet",
 ]

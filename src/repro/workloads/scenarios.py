@@ -25,7 +25,6 @@ import numpy as np
 from repro.appliances.database import ApplianceDatabase, default_database, extended_database
 from repro.simulation.dataset import SimulatedDataset, generate_fleet
 from repro.simulation.household import HouseholdConfig, HouseholdTrace, simulate_household
-from repro.simulation.res import simulate_wind_production
 from repro.simulation.tariff import TariffStudy, simulate_tariff_pair
 from repro.timeseries.axis import TimeAxis, axis_for_days
 from repro.timeseries.series import TimeSeries
@@ -91,20 +90,6 @@ def tariff_study(days: int = 28, seed: int = 9) -> TariffStudy:
     config = HouseholdConfig(household_id=f"tariff-{days}d-{seed}")
     rng = np.random.default_rng(seed)
     return simulate_tariff_pair(config, SCENARIO_START, days, rng)
-
-
-@lru_cache(maxsize=None)
-def wind_target(days: int = 7, seed: int = 2, scale_kwh: float | None = None) -> TimeSeries:
-    """A wind-production series on the standard metering grid.
-
-    ``scale_kwh`` rescales the total to a given energy (so scheduling
-    experiments can match the target magnitude to the flexible volume).
-    """
-    axis = axis_for_days(SCENARIO_START, days)
-    production = simulate_wind_production(axis, np.random.default_rng(seed))
-    if scale_kwh is not None and production.total() > 0:
-        production = production * (scale_kwh / production.total())
-    return production
 
 
 def catalogue() -> ApplianceDatabase:

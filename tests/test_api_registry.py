@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from datetime import timedelta
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -136,6 +137,61 @@ class TestCreateExtractor:
         with pytest.raises(RegistryError, match="flexible_share"):
             create_extractor("basic", flexible_share=2.0)
 
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("peak-based", "params", {"flexible_share": 0.05}),
+            ("frequency-based", "matching", {"engine": "reference"}),
+            ("random-baseline", "config", {"offers_per_day": 2}),
+        ],
+    )
+    def test_nested_config_given_as_dict_is_rejected(self, name, field, value):
+        with pytest.raises(RegistryError, match=f"parameter '{field}' must be a"):
+            create_extractor(name, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("slices_min", "2"),
+            ("slices_min", 2.5),
+            ("slices_min", True),
+            ("flexible_share", "0.1"),
+            ("flexible_share", True),
+            ("time_flexibility_min", "x"),
+            ("time_flexibility_max", float("nan")),
+            ("assignment_lead_max", float("inf")),
+            ("creation_lead_min", 1e30),
+            ("energy_min_pct", [0.8]),
+            ("energy_min_pct", 0.8),
+            ("energy_max_pct", [1.1, "1.2"]),
+        ],
+    )
+    def test_malformed_offer_params_name_the_field(self, field, value):
+        with pytest.raises(RegistryError, match=field):
+            create_extractor("peak-based", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("slices_min", 3, 3),
+            ("slices_max", np.int64(6), 6),
+            ("flexible_share", 0.1, 0.1),
+            ("flexible_share", 1, 1),
+            ("flexible_share", np.float64(0.2), 0.2),
+            ("energy_min_pct", [0.7, 0.9], (0.7, 0.9)),
+            ("energy_max_pct", (1, 1.5), (1, 1.5)),
+            ("time_flexibility_min", 1800, timedelta(minutes=30)),
+            ("time_flexibility_max", 7200.5, timedelta(seconds=7200.5)),
+            ("creation_lead_min", timedelta(hours=2), timedelta(hours=2)),
+            ("assignment_lead_min", 0, timedelta(0)),
+        ],
+    )
+    def test_well_formed_offer_params_reach_the_extractor(self, field, value, expected):
+        # The type checks reject malformed values only: numpy scalars,
+        # integral shares, JSON lists and seconds all pass through.
+        extractor = create_extractor("peak-based", **{field: value})
+        assert getattr(extractor.params, field) == expected
+
     def test_config_object_plus_flat_override_is_rejected(self):
         # Ambiguous mix: which flexible_share wins?  Must fail loudly, not
         # silently drop the flat override.
@@ -168,6 +224,12 @@ class TestErrorMessages:
             "extractor 'random-baseline' has no parameter 'flexible_share'; "
             "accepted: config, consumer_id, name, offers_per_day"
         )
+
+    @pytest.mark.parametrize("name", ["frequency-based", "peak-based"])
+    def test_offer_grid_is_no_parameter(self, name):
+        # An offer's slice width is the grid its energies were built on.
+        with pytest.raises(RegistryError, match="has no parameter 'resolution'"):
+            create_extractor(name, resolution=1800)
 
     def test_missing_required_parameter(self):
         with pytest.raises(RegistryError) as excinfo:

@@ -9,12 +9,16 @@ declarative spec end to end (including the shipped smoke spec used by CI).
 from __future__ import annotations
 
 import json
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
 from repro.api import RunReport, available_extractors
 from repro.cli import build_parser, main
+from repro.flexoffer.io import load_flexoffers
+from repro.timeseries.io import load_series_csv, save_series_csv
+from repro.timeseries.resample import downsample_sum
 
 SMOKE_SPEC = Path(__file__).resolve().parents[1] / "examples" / "specs" / "smoke.json"
 MARKET_SPEC = Path(__file__).resolve().parents[1] / "examples" / "specs" / "market.json"
@@ -117,6 +121,27 @@ class TestExtract:
         assert code == 0
         assert "basic:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("approach", ["basic", "peak-based"])
+    def test_household_approach_slices_offers_on_the_input_grid(
+        self, approach, metered_csv, tmp_path
+    ):
+        # A 2-hour grid does not divide the default 1-hour minimum start-time
+        # flexibility; every draw still lands inside [1 h, 12 h].
+        grid = timedelta(hours=2)
+        coarse_csv = tmp_path / "two_hourly.csv"
+        save_series_csv(downsample_sum(load_series_csv(metered_csv), grid), coarse_csv)
+        out = tmp_path / "offers.json"
+        code = main(
+            ["extract", "--input", str(coarse_csv), "--approach", approach,
+             "--out", str(out)]
+        )
+        assert code == 0
+        offers = load_flexoffers(out)
+        assert offers
+        for offer in offers:
+            assert offer.resolution == grid
+            assert timedelta(hours=1) <= offer.time_flexibility <= timedelta(hours=12)
+
     def test_unknown_param_fails_cleanly(self, metered_csv, tmp_path, capsys):
         code = main(
             ["extract", "--input", str(metered_csv), "--approach", "basic",
@@ -184,6 +209,33 @@ class TestRun:
     def test_missing_spec_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--spec", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "approach, field, value",
+        [
+            ("frequency-based", "min_detections", "2"),
+            ("schedule-based", "smoothing_minutes", 2.5),
+            ("peak-based", "params", {"flexible_share": 0.05}),
+            ("peak-based", "slices_min", "2"),
+            ("frequency-based", "time_flexibility_min", "x"),
+            ("peak-based", "resolution", 1800),
+        ],
+    )
+    def test_malformed_extractor_parameter_fails_cleanly(
+        self, approach, field, value, tmp_path, capsys
+    ):
+        # The smoke spec with one malformed parameter: a typed error line
+        # naming the parameter, raised before any extraction runs.
+        spec = json.loads(SMOKE_SPEC.read_text())
+        spec["extractors"] = [{"name": approach, "params": {field: value}}]
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(spec_path)]) == 1
+        err = capsys.readouterr().err
+        assert any(
+            line.startswith("error: ") and field in line for line in err.splitlines()
+        ), err
+        assert "Traceback" not in err
 
 
 class TestEvaluate:

@@ -1,4 +1,4 @@
-"""Unit tests for the NILM substrate: baseline, events, matching, clustering."""
+"""Unit tests for the NILM substrate: baseline, events, matching."""
 
 from __future__ import annotations
 
@@ -10,11 +10,6 @@ import pytest
 from repro.api.registry import create_extractor
 from repro.appliances.database import default_database
 from repro.disaggregation.baseline import remove_baseline, rolling_baseline
-from repro.disaggregation.clustering import (
-    daily_profile_matrix,
-    kmeans,
-    typical_daily_profiles,
-)
 from repro.disaggregation.combinatorial import (
     CombinatorialConfig,
     disaggregate_combinatorial,
@@ -229,68 +224,3 @@ class TestCombinatorial:
         axis = TimeAxis(START, FIFTEEN_MINUTES, 96)
         with pytest.raises(DataError):
             disaggregate_combinatorial(TimeSeries.zeros(axis), default_database())
-
-
-class TestKMeans:
-    def test_two_obvious_clusters(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(0.0, 0.1, size=(30, 4))
-        b = rng.normal(5.0, 0.1, size=(30, 4))
-        points = np.vstack([a, b])
-        result = kmeans(points, 2, rng)
-        assert result.k == 2
-        labels_a = set(result.labels[:30])
-        labels_b = set(result.labels[30:])
-        assert len(labels_a) == 1 and len(labels_b) == 1
-        assert labels_a != labels_b
-
-    def test_inertia_decreases_with_k(self):
-        rng = np.random.default_rng(1)
-        points = rng.normal(size=(60, 3))
-        inertias = [kmeans(points, k, np.random.default_rng(2)).inertia for k in (1, 2, 4, 8)]
-        assert all(x >= y - 1e-9 for x, y in zip(inertias, inertias[1:]))
-
-    def test_predict_assigns_nearest(self):
-        rng = np.random.default_rng(3)
-        points = np.array([[0.0], [0.1], [5.0], [5.1]])
-        result = kmeans(points, 2, rng)
-        pred = result.predict(np.array([[0.05], [4.9]]))
-        assert pred[0] != pred[1]
-
-    def test_cluster_sizes_sum(self):
-        rng = np.random.default_rng(4)
-        points = rng.normal(size=(50, 2))
-        result = kmeans(points, 5, rng)
-        assert result.cluster_sizes().sum() == 50
-
-    def test_identical_points(self):
-        points = np.ones((10, 2))
-        result = kmeans(points, 3, np.random.default_rng(5))
-        assert result.inertia == pytest.approx(0.0)
-
-    def test_validation(self):
-        rng = np.random.default_rng(6)
-        with pytest.raises(DataError):
-            kmeans(np.ones((3, 2)), 4, rng)
-        with pytest.raises(DataError):
-            kmeans(np.ones(5), 2, rng)
-
-    def test_daily_profile_matrix(self):
-        axis = TimeAxis(START, FIFTEEN_MINUTES, 96 * 3)
-        series = TimeSeries(axis, np.arange(96 * 3, dtype=float))
-        matrix = daily_profile_matrix(series)
-        assert matrix.shape == (3, 96)
-
-    def test_typical_daily_profiles_separates_day_kinds(self):
-        """Days with evening peaks vs morning peaks form two clusters."""
-        axis = TimeAxis(START, FIFTEEN_MINUTES, 96 * 8)
-        values = np.zeros(96 * 8)
-        for day in range(8):
-            peak = 76 if day % 2 == 0 else 30  # 19:00 vs 07:30
-            values[day * 96 + peak] = 5.0
-        series = TimeSeries(axis, values)
-        result = typical_daily_profiles(series, 2, np.random.default_rng(7))
-        even_labels = set(result.labels[0::2])
-        odd_labels = set(result.labels[1::2])
-        assert len(even_labels) == 1 and len(odd_labels) == 1
-        assert even_labels != odd_labels

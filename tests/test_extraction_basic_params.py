@@ -11,6 +11,8 @@ from repro.errors import ValidationError
 from repro.extraction.basic import BasicExtractor
 from repro.extraction.params import FlexOfferParams
 from repro.flexoffer.validate import PolicyLimits, check_all
+from repro.timeseries.axis import FIFTEEN_MINUTES, ONE_HOUR
+from repro.timeseries.resample import downsample_sum
 from repro.workloads.paper_day import figure5_day
 
 
@@ -31,6 +33,12 @@ class TestFlexOfferParams:
             FlexOfferParams(energy_min_pct=(0.9, 0.7))
         with pytest.raises(ValidationError):
             FlexOfferParams(energy_max_pct=(0.9, 1.2))
+        with pytest.raises(ValidationError, match="slices_max"):
+            FlexOfferParams(slices_max=8.0)
+        with pytest.raises(ValidationError, match="energy_min_pct"):
+            FlexOfferParams(energy_min_pct=(0.8, 0.9, 0.95))
+        with pytest.raises(ValidationError, match="creation_lead_max"):
+            FlexOfferParams(creation_lead_max=36 * 3600)
         with pytest.raises(ValidationError):
             FlexOfferParams(
                 time_flexibility_min=timedelta(hours=5),
@@ -45,10 +53,10 @@ class TestFlexOfferParams:
             low, high = params.draw_energy_band(rng)
             assert params.energy_min_pct[0] <= low <= params.energy_min_pct[1]
             assert params.energy_max_pct[0] <= high <= params.energy_max_pct[1]
-            flex = params.draw_time_flexibility(rng)
+            flex = params.draw_time_flexibility(rng, FIFTEEN_MINUTES)
             assert params.time_flexibility_min <= flex <= params.time_flexibility_max
             # Grid aligned:
-            assert flex % params.resolution == timedelta(0)
+            assert flex % FIFTEEN_MINUTES == timedelta(0)
 
     def test_deadline_lifecycle_order(self, rng):
         params = FlexOfferParams()
@@ -61,7 +69,7 @@ class TestFlexOfferParams:
         params = FlexOfferParams()
         earliest = figure5_day().series.axis.time_at(10)
         energies = np.array([0.5, 0.3, 0.2])
-        offer = params.build_offer(earliest, energies, rng, source="test")
+        offer = params.build_offer(earliest, energies, rng, "test", FIFTEEN_MINUTES)
         midpoint_sum = sum(s.midpoint for s in offer.slices)
         assert midpoint_sum == pytest.approx(1.0)
         # Band ordering retained.
@@ -76,6 +84,7 @@ class TestFlexOfferParams:
             np.array([1.0]),
             rng,
             source="test",
+            resolution=FIFTEEN_MINUTES,
             time_flexibility=timedelta(hours=3),
             energy_band=(0.5, 1.5),
         )
@@ -88,9 +97,9 @@ class TestFlexOfferParams:
         params = FlexOfferParams()
         earliest = figure5_day().series.axis.time_at(10)
         with pytest.raises(ValidationError):
-            params.build_offer(earliest, np.array([]), rng, source="t")
+            params.build_offer(earliest, np.array([]), rng, "t", FIFTEEN_MINUTES)
         with pytest.raises(ValidationError):
-            params.build_offer(earliest, np.array([-0.1]), rng, source="t")
+            params.build_offer(earliest, np.array([-0.1]), rng, "t", FIFTEEN_MINUTES)
 
 
 class TestBasicExtractor:
@@ -153,6 +162,14 @@ class TestBasicExtractor:
 
     def test_multiday(self, fleet, rng):
         extractor = BasicExtractor(params=FlexOfferParams(flexible_share=0.02))
-        result = extractor.extract(fleet.traces[0].metered(), rng)
-        assert len(result.offers) == pytest.approx(4 * 7, abs=3)
-        assert result.energy_conservation_error() < 1e-6
+        metered = fleet.traces[0].metered()
+        for grid in (FIFTEEN_MINUTES, timedelta(minutes=30), ONE_HOUR):
+            series = downsample_sum(metered, grid)
+            result = extractor.extract(series, rng)
+            assert len(result.offers) == pytest.approx(4 * 7, abs=3)
+            assert result.energy_conservation_error() < 1e-6
+            # Offers are sliced on the grid of the series they came from.
+            for offer in result.offers:
+                assert offer.resolution == grid
+                assert (offer.earliest_start - series.axis.start) % grid == timedelta(0)
+                assert offer.time_flexibility % grid == timedelta(0)

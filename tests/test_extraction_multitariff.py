@@ -15,7 +15,7 @@ from repro.extraction.multitariff import (
 from repro.extraction.params import FlexOfferParams
 from repro.timeseries.calendar import DayType
 from repro.timeseries.resample import downsample_sum
-from repro.timeseries.axis import FIFTEEN_MINUTES
+from repro.timeseries.axis import FIFTEEN_MINUTES, ONE_HOUR
 
 
 class TestTypicalProfiles:
@@ -82,6 +82,22 @@ class TestMultiTariffExtractor:
         flexes = [o.time_flexibility for o in extraction.offers]
         assert max(flexes) >= timedelta(hours=1)
 
+    @pytest.mark.parametrize("grid", [timedelta(minutes=30), ONE_HOUR], ids=["30min", "60min"])
+    def test_offers_sit_on_a_coarser_input_grid(self, tariff_pair, grid):
+        """Offers are sliced on the grid of the series they came from."""
+        observed = downsample_sum(tariff_pair.multi.metered(), grid)
+        extractor = MultiTariffExtractor(
+            reference=downsample_sum(tariff_pair.single.metered(), grid),
+            scheme=tariff_pair.scheme,
+        )
+        result = extractor.extract(observed, np.random.default_rng(0))
+        assert result.offers
+        assert result.energy_conservation_error() < 1e-6
+        for offer in result.offers:
+            assert offer.resolution == grid
+            assert (offer.earliest_start - observed.axis.start) % grid == timedelta(0)
+            assert offer.time_flexibility % grid == timedelta(0)
+
     def test_modified_series_nonnegative(self, extraction):
         assert extraction.modified.is_nonnegative()
 
@@ -99,8 +115,6 @@ class TestMultiTariffExtractor:
         assert result.extracted_energy < 0.5 * max(shifted.extracted_energy, 1e-9)
 
     def test_resolution_mismatch_rejected(self, tariff_pair):
-        from repro.timeseries.axis import ONE_HOUR
-
         hourly_ref = downsample_sum(tariff_pair.single.metered(), ONE_HOUR)
         extractor = MultiTariffExtractor(reference=hourly_ref, scheme=tariff_pair.scheme)
         with pytest.raises(ExtractionError):

@@ -19,7 +19,8 @@ from repro.extraction.peaks import (
     selection_probabilities,
 )
 from repro.flexoffer.validate import PolicyLimits, check_all
-from repro.timeseries.axis import TimeAxis
+from repro.timeseries.axis import FIFTEEN_MINUTES, ONE_HOUR, TimeAxis
+from repro.timeseries.resample import downsample_sum
 from repro.timeseries.series import TimeSeries
 from repro.workloads.paper_day import (
     FIGURE5_DAY_TOTAL,
@@ -258,10 +259,17 @@ class TestPeakBasedExtractor:
 
     def test_multi_day_extraction(self, fleet, rng):
         extractor = PeakBasedExtractor(params=FlexOfferParams(flexible_share=0.05))
-        trace = fleet.traces[0]
-        result = extractor.extract(trace.metered(), rng)
-        assert len(result.offers) <= 7  # at most one per day
-        assert result.energy_conservation_error() < 1e-6
+        metered = fleet.traces[0].metered()
+        for grid in (FIFTEEN_MINUTES, timedelta(minutes=30), ONE_HOUR):
+            series = downsample_sum(metered, grid)
+            result = extractor.extract(series, rng)
+            assert 0 < len(result.offers) <= 7  # at most one per day
+            assert result.energy_conservation_error() < 1e-6
+            # Offers are sliced on the grid of the series they came from.
+            for offer in result.offers:
+                assert offer.resolution == grid
+                assert (offer.earliest_start - series.axis.start) % grid == timedelta(0)
+                assert offer.time_flexibility % grid == timedelta(0)
 
     def test_tiny_day_no_offer_without_fallback(self, day_axis, rng):
         from repro.timeseries.series import TimeSeries

@@ -30,7 +30,6 @@ from repro.extraction import (
 from repro.extraction.multitariff import MultiTariffExtractor
 from repro.simulation.tariff import night_tariff
 from repro.timeseries.axis import ONE_MINUTE, TimeAxis, axis_for_days
-from repro.timeseries.clean import clip_outliers, fill_missing, validate_meter_series
 from repro.timeseries.series import TimeSeries
 from repro.workloads.scenarios import small_fleet
 
@@ -70,39 +69,6 @@ class TestDeadMeter:
         appliance, base = remove_baseline(TimeSeries.zeros(axis))
         assert appliance.total() == 0.0
         assert base.total() == 0.0
-
-
-class TestSpikesAndGaps:
-    def test_extraction_after_outlier_repair(self, rng):
-        axis = axis_for_days(START, 1)
-        values = np.random.default_rng(0).uniform(0.2, 0.5, axis.length)
-        values[40] = 500.0  # meter glitch
-        dirty = TimeSeries(axis, values)
-        repaired, clipped = clip_outliers(dirty)
-        assert clipped == 1
-        result = PeakBasedExtractor(params=PARAMS).extract(repaired, rng)
-        # Extraction budget must not be dominated by the glitch.
-        assert result.extracted_energy < 0.1 * dirty.total()
-
-    def test_extraction_after_gap_fill(self, rng):
-        axis = axis_for_days(START, 3)
-        base = np.tile(np.sin(np.linspace(0, 2 * np.pi, 96)) + 1.5, 3)
-        missing = np.zeros(axis.length, dtype=bool)
-        missing[100:120] = True
-        damaged = base.copy()
-        damaged[missing] = 0.0
-        filled = fill_missing(TimeSeries(axis, damaged), missing)
-        result = BasicExtractor(params=PARAMS).extract(filled, rng)
-        assert result.energy_conservation_error() < 1e-9
-        report = validate_meter_series(filled)
-        assert report.negative == 0
-
-    def test_quality_gate_for_hopeless_series(self):
-        axis = axis_for_days(START, 10)
-        missing = np.zeros(axis.length, dtype=bool)
-        missing[: 96 * 8] = True
-        report = validate_meter_series(TimeSeries.zeros(axis), missing)
-        assert not report.usable
 
 
 class TestConstantLoad:

@@ -21,7 +21,7 @@ from repro.flexoffer.io import (
 )
 from repro.flexoffer.model import FlexOffer, ProfileSlice, figure1_flexoffer
 from repro.flexoffer.schedule import default_schedule
-from repro.flexoffer.validate import PolicyLimits, check_all, is_compliant
+from repro.flexoffer.validate import PolicyLimits, check_all
 
 START = datetime(2012, 3, 5, 18, 0)
 
@@ -41,7 +41,7 @@ def offer(**overrides) -> FlexOffer:
 
 class TestPolicyLimits:
     def test_compliant_offer(self):
-        assert is_compliant(offer())
+        assert not PolicyLimits().check(offer())
 
     def test_slice_count_limits(self):
         limits = PolicyLimits(min_slices=3)
@@ -71,7 +71,7 @@ class TestPolicyLimits:
         assert any("creation_time" in p for p in problems)
 
     def test_deadline_order_ignores_missing(self):
-        assert is_compliant(offer(creation_time=None, acceptance_deadline=None))
+        assert not PolicyLimits().check(offer(creation_time=None, acceptance_deadline=None))
 
     def test_check_all_flags_duplicates(self):
         fo = offer()

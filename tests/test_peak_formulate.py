@@ -46,20 +46,20 @@ START = datetime(2012, 3, 5)
 HOURLY = timedelta(hours=1)
 
 
-def slice_built_offer(params, earliest, energies, rng, source, consumer_id):
+def slice_built_offer(params, earliest, resolution, energies, rng, source, consumer_id):
     """``FlexOfferParams.build_offer`` as it built offers slice by slice."""
     if (energies < 0).any():
         raise ValidationError("slice energies must be non-negative")
     low, high = params.draw_energy_band(rng)
     centre = 0.5 * (low + high)
     low, high = low / centre, high / centre
-    flexibility = params.draw_time_flexibility(rng)
+    flexibility = params.draw_time_flexibility(rng, resolution)
     creation, acceptance, assignment = params.draw_deadlines(earliest, rng)
     return FlexOffer(
         earliest_start=earliest,
         latest_start=earliest + flexibility,
         slices=tuple(ProfileSlice(float(low * e), float(high * e)) for e in energies),
-        resolution=params.resolution,
+        resolution=resolution,
         offer_id=next_offer_id(source),
         consumer_id=consumer_id,
         source=source,
@@ -112,6 +112,7 @@ def per_day(extractor, series, detected, rng, checkpoint=None):
             slice_built_offer(
                 params,
                 axis.time_at(day.first + chosen.first + offset),
+                axis.resolution,
                 energies,
                 rng,
                 extractor.name,

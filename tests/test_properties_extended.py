@@ -1,8 +1,8 @@
-"""Extended property-based tests: scheduling, cleaning, bucketing, hierarchy.
+"""Extended property-based tests: scheduling, bucketing, hierarchy.
 
 Complements ``test_properties.py`` with invariants on the newer substrates:
-water-filling stays within bounds and tracks the target, imputation never
-invents negative load, per-minute→grid bucketing conserves energy, and
+water-filling stays within bounds and tracks the target, per-minute→grid
+bucketing conserves energy, and
 aggregation composes hierarchically (aggregates of aggregates still
 disaggregate exactly — the multi-level aggregation MIRABEL [4] performs).
 """
@@ -23,7 +23,6 @@ from repro.flexoffer.model import FlexOffer, ProfileSlice
 from repro.flexoffer.schedule import ScheduledFlexOffer, default_schedule
 from repro.scheduling.greedy import _water_fill, greedy_schedule
 from repro.timeseries.axis import FIFTEEN_MINUTES, TimeAxis, axis_for_days
-from repro.timeseries.clean import clip_outliers, fill_missing
 from repro.timeseries.series import TimeSeries
 
 START = datetime(2012, 3, 5)
@@ -64,40 +63,6 @@ class TestWaterFillProperties:
         # here means the greedy placement was feasible.
         sched = result.schedules[0]
         assert offer.earliest_start <= sched.start <= offer.latest_start
-
-
-class TestCleaningProperties:
-    @given(
-        values=arrays(np.float64, 96, elements=st.floats(0.0, 2.0, allow_nan=False)),
-        gap_start=st.integers(0, 80),
-        gap_len=st.integers(1, 15),
-    )
-    @settings(deadline=None, max_examples=50)
-    def test_fill_missing_never_negative_and_preserves_present(
-        self, values, gap_start, gap_len
-    ):
-        axis = TimeAxis(START, FIFTEEN_MINUTES, 96)
-        missing = np.zeros(96, dtype=bool)
-        missing[gap_start : gap_start + gap_len] = True
-        if missing.all():
-            return
-        damaged = values.copy()
-        damaged[missing] = 0.0
-        series = TimeSeries(axis, damaged)
-        for method in ("interpolate", "daily-profile"):
-            filled = fill_missing(series, missing, method=method)
-            assert filled.is_nonnegative()
-            # Present intervals are untouched.
-            assert np.allclose(filled.values[~missing], damaged[~missing])
-
-    @given(values=arrays(np.float64, 96, elements=st.floats(0.0, 1.0, allow_nan=False)))
-    @settings(deadline=None, max_examples=50)
-    def test_clip_outliers_never_raises_values(self, values):
-        axis = TimeAxis(START, FIFTEEN_MINUTES, 96)
-        series = TimeSeries(axis, values)
-        repaired, clipped = clip_outliers(series)
-        assert (repaired.values <= series.values + 1e-12).all()
-        assert clipped >= 0
 
 
 class TestBucketingProperties:

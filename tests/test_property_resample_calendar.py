@@ -4,8 +4,7 @@ The conformance matrix runs whole fleets across the 2012 European DST
 spring-forward week; these hypothesis properties pin the substrate that
 makes that safe: resampling round-trips are exact on *any* anchor date
 (transition weeks included, since the library's naive standard-time axes
-never jump), axes stay strictly monotonic, and irregular/gap-ridden
-readings reassemble onto the grid losslessly.
+never jump), and axes stay strictly monotonic.
 """
 
 from __future__ import annotations
@@ -28,13 +27,7 @@ from repro.timeseries.calendar import (
     minutes_since_midnight,
     season,
 )
-from repro.timeseries.clean import assemble_regular, fill_missing, find_gaps
-from repro.timeseries.resample import (
-    downsample_mean,
-    downsample_sum,
-    upsample_repeat,
-    upsample_spread,
-)
+from repro.timeseries.resample import downsample_sum, upsample_spread
 from repro.timeseries.series import TimeSeries
 
 #: The 2012 European spring-forward instant falls inside this week.
@@ -84,22 +77,6 @@ class TestResampleRoundTrips:
         assert coarse.axis.start == series.axis.start
         assert coarse.axis.length * 15 == series.axis.length
 
-    @settings(deadline=None, max_examples=40)
-    @given(start=anchor_dates, data=st.data())
-    def test_mean_repeat_roundtrip(self, start, data):
-        axis = TimeAxis(start, FIFTEEN_MINUTES, 96)
-        values = data.draw(
-            arrays(np.float64, axis.length, elements=energy_values)
-        )
-        series = TimeSeries(axis, values)
-        fine = upsample_repeat(series, ONE_MINUTE)
-        back = downsample_mean(fine, FIFTEEN_MINUTES)
-        np.testing.assert_allclose(back.values, series.values, atol=1e-9)
-        # Repeating preserves per-interval *power*, so the fine series mean
-        # equals the coarse series mean.
-        assert fine.mean() == pytest.approx(series.mean(), abs=1e-9)
-
-
 class TestMonotonicAxes:
     @settings(deadline=None, max_examples=60)
     @given(start=anchor_dates, length=st.integers(1, 4 * 96))
@@ -122,64 +99,6 @@ class TestMonotonicAxes:
         assert sum(length for _, length in slices) == axis.length
         firsts = [first for first, _ in slices]
         assert firsts == sorted(firsts)
-
-
-class TestGapReassembly:
-    @settings(deadline=None, max_examples=60)
-    @given(
-        start=anchor_dates,
-        length=st.integers(4, 192),
-        data=st.data(),
-    )
-    def test_find_gaps_reports_exactly_the_dropped_intervals(
-        self, start, length, data
-    ):
-        axis = TimeAxis(start, FIFTEEN_MINUTES, length)
-        # Drop a strict subset of the interior (endpoints anchor the grid).
-        interior = list(range(1, length - 1))
-        dropped = set(
-            data.draw(
-                st.lists(st.sampled_from(interior), unique=True, max_size=len(interior))
-            )
-            if interior
-            else []
-        )
-        kept = [axis.time_at(i) for i in range(length) if i not in dropped]
-        gaps = find_gaps(kept, FIFTEEN_MINUTES)
-        covered: set[int] = set()
-        for gap_start, gap_end in gaps:
-            assert gap_start < gap_end
-            index = axis.index_of(gap_start)
-            while axis.time_at(index) < gap_end:
-                covered.add(index)
-                index += 1
-        assert covered == dropped
-
-    @settings(deadline=None, max_examples=40)
-    @given(start=anchor_dates, data=st.data())
-    def test_assemble_and_fill_restores_grid(self, start, data):
-        axis = TimeAxis(start, FIFTEEN_MINUTES, 96)
-        values = data.draw(
-            arrays(np.float64, axis.length, elements=energy_values)
-        )
-        dropped = set(
-            data.draw(st.lists(st.integers(1, 94), unique=True, max_size=40))
-        )
-        readings = [
-            (axis.time_at(i), float(values[i]))
-            for i in range(axis.length)
-            if i not in dropped
-        ]
-        series, missing = assemble_regular(readings, FIFTEEN_MINUTES)
-        assert series.axis == axis
-        assert set(np.flatnonzero(missing)) == dropped
-        filled = fill_missing(series, missing, method="interpolate")
-        assert filled.axis == axis
-        assert np.isfinite(filled.values).all()
-        present = ~missing
-        np.testing.assert_allclose(
-            filled.values[present], values[present], atol=1e-9
-        )
 
 
 class TestCalendarProperties:

@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from repro.errors import SchedulingError
 from repro.flexoffer.model import FlexOffer, ProfileSlice
 from repro.scheduling.greedy import ScheduleConfig, greedy_schedule, naive_schedule
-from repro.scheduling.objective import (
-    absolute_imbalance,
-    overshoot,
-    squared_imbalance,
-    unmet_target,
-)
+from repro.scheduling.objective import squared_imbalance
 from repro.scheduling.stochastic import improve_schedule
 from repro.timeseries.axis import axis_for_days
 from repro.timeseries.series import TimeSeries
@@ -36,19 +31,11 @@ def offer(start_h: float, flex_h: float, e: float = 1.0, slices: int = 2) -> Fle
 
 
 class TestObjectives:
-    def test_squared_and_absolute(self):
+    def test_squared(self):
         axis = axis_for_days(START, 1)
         demand = TimeSeries.full(axis, 1.0)
         target = TimeSeries.full(axis, 2.0)
         assert squared_imbalance(demand, target) == pytest.approx(96.0)
-        assert absolute_imbalance(demand, target) == pytest.approx(96.0)
-
-    def test_unmet_and_overshoot(self):
-        axis = axis_for_days(START, 1)
-        demand = TimeSeries(axis, np.r_[np.zeros(48), np.full(48, 2.0)])
-        target = TimeSeries.full(axis, 1.0)
-        assert unmet_target(demand, target) == pytest.approx(48.0)
-        assert overshoot(demand, target) == pytest.approx(48.0)
 
 
 class TestGreedy:

@@ -13,7 +13,6 @@ from repro.simulation import activations
 from repro.simulation.activations import (
     Activation,
     draw_daily_activations,
-    flexible_energy_series,
     materialise,
     total_energy,
 )
@@ -102,18 +101,14 @@ class TestMaterialise:
         with pytest.raises(DataError):
             materialise([], {}, axis)
 
-    def test_flexible_energy_series_filters(self):
+    def test_total_energy_sums_every_run(self):
         db = default_database()
         wm = db.get("washing-machine-y")   # flexible
         oven = db.get("oven")              # not flexible
-        axis = TimeAxis(START, ONE_MINUTE, 24 * 60)
         acts = [
             Activation(wm.name, START + timedelta(hours=10), 2.0, wm.cycle_duration, wm.flexible),
             Activation(oven.name, START + timedelta(hours=18), 1.5, oven.cycle_duration, oven.flexible),
         ]
-        specs = {wm.name: wm, oven.name: oven}
-        flexible = flexible_energy_series(acts, specs, axis)
-        assert flexible.total() == pytest.approx(2.0)
         assert total_energy(acts) == pytest.approx(3.5)
 
 

@@ -14,7 +14,6 @@ from repro.simulation.dataset import generate_fleet, random_household_config
 from repro.simulation.household import HouseholdConfig
 from repro.simulation.tariff import (
     TariffScheme,
-    flat_tariff,
     night_tariff,
     shift_into_low_window,
     simulate_tariff_pair,
@@ -26,7 +25,7 @@ START = datetime(2012, 3, 5)
 
 class TestTariffScheme:
     def test_flat(self):
-        scheme = flat_tariff()
+        scheme = TariffScheme(name="flat")
         assert scheme.is_flat
         assert not scheme.is_low(START.replace(hour=23))
         assert scheme.price_at(START) == scheme.high_price
@@ -57,7 +56,7 @@ class TestShifting:
 
     def test_flat_scheme_no_shift(self):
         act = Activation("x", START, 1.0, timedelta(hours=1), True)
-        assert shift_into_low_window(act, flat_tariff(), np.random.default_rng(0)) is act
+        assert shift_into_low_window(act, TariffScheme(name="flat"), np.random.default_rng(0)) is act
 
 
 class TestTariffPair:

@@ -8,49 +8,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.simulation.res import WindFarm, simulate_wind_production, surplus_series
-from repro.simulation.weather import TemperatureModel, WindModel
+from repro.simulation.res import WindFarm, simulate_wind_production
+from repro.simulation.weather import WindModel
 from repro.timeseries.axis import axis_for_days
 from repro.timeseries.series import TimeSeries
 
 START = datetime(2012, 3, 5)
-
-
-class TestTemperature:
-    def test_generate_reasonable_range(self):
-        axis = axis_for_days(START, 7)
-        series = TemperatureModel().generate(axis, np.random.default_rng(0))
-        assert -25 < series.min() and series.max() < 40
-
-    def test_seasonal_difference(self):
-        winter = axis_for_days(datetime(2012, 1, 15), 5)
-        summer = axis_for_days(datetime(2012, 7, 15), 5)
-        model = TemperatureModel(noise_std_c=0.0)
-        rng = np.random.default_rng(0)
-        t_winter = model.generate(winter, rng).mean()
-        t_summer = model.generate(summer, rng).mean()
-        assert t_summer - t_winter > 8.0
-
-    def test_diurnal_cycle(self):
-        axis = axis_for_days(START, 2)
-        model = TemperatureModel(noise_std_c=0.0)
-        series = model.generate(axis, np.random.default_rng(0))
-        profile = series.daily_profile()
-        afternoon = profile[int(15 * 4)]  # 15:00
-        predawn = profile[int(4 * 4)]     # 04:00
-        assert afternoon > predawn
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            TemperatureModel(noise_persistence=1.0)
-        with pytest.raises(ValidationError):
-            TemperatureModel(noise_std_c=-1.0)
-
-    def test_deterministic(self):
-        axis = axis_for_days(START, 2)
-        a = TemperatureModel().generate(axis, np.random.default_rng(5))
-        b = TemperatureModel().generate(axis, np.random.default_rng(5))
-        assert a == b
 
 
 class TestWind:
@@ -110,14 +73,3 @@ class TestWindFarm:
         production = simulate_wind_production(axis, np.random.default_rng(2))
         assert production.is_nonnegative()
         assert production.total() > 0
-
-
-class TestSurplus:
-    def test_surplus_nonnegative_and_correct(self):
-        axis = axis_for_days(START, 1)
-        production = TimeSeries.full(axis, 2.0)
-        demand = TimeSeries(axis, np.linspace(0, 4, axis.length))
-        surplus = surplus_series(production, demand)
-        assert surplus.is_nonnegative()
-        assert surplus.values[0] == pytest.approx(2.0)
-        assert surplus.values[-1] == pytest.approx(0.0)

@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ResolutionError
-from repro.timeseries.axis import FIFTEEN_MINUTES, ONE_MINUTE, TimeAxis
-from repro.timeseries.resample import (
-    downsample_mean,
-    downsample_sum,
-    upsample_repeat,
-    upsample_spread,
-)
+from repro.timeseries.axis import FIFTEEN_MINUTES, ONE_DAY, ONE_HOUR, ONE_MINUTE, TimeAxis
+from repro.timeseries.resample import downsample_sum, upsample_spread
 from repro.timeseries.series import TimeSeries
 
 START = datetime(2012, 3, 5)
@@ -34,11 +29,19 @@ class TestDownsample:
         coarse = downsample_sum(series, FIFTEEN_MINUTES)
         assert list(coarse.values) == [15.0, 15.0]
 
-    def test_mean_values(self):
-        axis = TimeAxis(START, ONE_MINUTE, 30)
-        series = TimeSeries(axis, np.ones(30) * 3.0)
-        coarse = downsample_mean(series, FIFTEEN_MINUTES)
-        assert list(coarse.values) == [3.0, 3.0]
+    def test_same_resolution_is_identity(self):
+        axis = TimeAxis(START, FIFTEEN_MINUTES, 8)
+        series = TimeSeries(axis, np.random.default_rng(2).uniform(0, 1, 8), "load")
+        same = downsample_sum(series, FIFTEEN_MINUTES)
+        assert same == series
+        assert same.name == "load"
+
+    def test_coarse_axis_keeps_start_and_name(self):
+        axis = TimeAxis(START, FIFTEEN_MINUTES, 96)
+        coarse = downsample_sum(TimeSeries(axis, np.ones(96), "load"), ONE_HOUR)
+        assert coarse.axis == TimeAxis(START, ONE_HOUR, 24)
+        assert coarse.name == "load"
+        assert list(coarse.values) == [4.0] * 24
 
     def test_non_integer_ratio_rejected(self):
         axis = TimeAxis(START, FIFTEEN_MINUTES, 8)
@@ -62,13 +65,6 @@ class TestUpsample:
         assert fine.total() == pytest.approx(series.total())
         assert fine.values[0] == pytest.approx(1.0)
 
-    def test_repeat_preserves_level(self):
-        axis = TimeAxis(START, FIFTEEN_MINUTES, 2)
-        series = TimeSeries(axis, [2.0, 4.0])
-        fine = upsample_repeat(series, ONE_MINUTE)
-        assert fine.values[0] == 2.0
-        assert fine.values[29] == 4.0
-
     def test_roundtrip_identity(self):
         axis = TimeAxis(START, FIFTEEN_MINUTES, 8)
         series = TimeSeries(axis, np.random.default_rng(1).uniform(0, 2, 8))
@@ -79,3 +75,25 @@ class TestUpsample:
         axis = TimeAxis(START, ONE_MINUTE, 60)
         with pytest.raises(ResolutionError):
             upsample_spread(TimeSeries.zeros(axis), FIFTEEN_MINUTES)
+
+    @pytest.mark.parametrize(
+        "fine, coarse",
+        [
+            (ONE_MINUTE, FIFTEEN_MINUTES),
+            (ONE_MINUTE, ONE_HOUR),
+            (FIFTEEN_MINUTES, ONE_HOUR),
+            (FIFTEEN_MINUTES, ONE_DAY),
+            (ONE_HOUR, ONE_DAY),
+        ],
+        ids=["1min-15min", "1min-1h", "15min-1h", "15min-1d", "1h-1d"],
+    )
+    def test_roundtrip_across_grids(self, fine, coarse):
+        axis = TimeAxis(START, coarse, 6)
+        series = TimeSeries(axis, np.random.default_rng(3).uniform(0, 5, 6), "load")
+        spread = upsample_spread(series, fine)
+        assert spread.axis == TimeAxis(START, fine, 6 * (coarse // fine))
+        assert spread.total() == pytest.approx(series.total())
+        back = downsample_sum(spread, coarse)
+        assert back.axis == axis
+        assert back.name == "load"
+        np.testing.assert_allclose(back.values, series.values, rtol=1e-12)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import AxisMismatchError, DataError
 from repro.timeseries.axis import FIFTEEN_MINUTES, TimeAxis, axis_for_days
-from repro.timeseries.series import TimeSeries, concat, stack
+from repro.timeseries.series import TimeSeries, stack
 
 START = datetime(2012, 3, 5)
 
@@ -182,14 +182,3 @@ class TestCombinators:
     def test_stack_empty_raises(self):
         with pytest.raises(DataError):
             stack([])
-
-    def test_concat(self, axis):
-        nxt = TimeAxis(axis.end, FIFTEEN_MINUTES, 4)
-        joined = concat([TimeSeries.full(axis, 1.0), TimeSeries.full(nxt, 2.0)])
-        assert len(joined) == 12
-        assert joined.total() == 16.0
-
-    def test_concat_gap_raises(self, axis):
-        gap = TimeAxis(axis.end + timedelta(minutes=15), FIFTEEN_MINUTES, 4)
-        with pytest.raises(AxisMismatchError):
-            concat([TimeSeries.zeros(axis), TimeSeries.zeros(gap)])

@@ -263,3 +263,9 @@ class TestTotalSessionDecoding:
             return
         encoded = encode_state(restored)
         assert encode_state(_restored(stream, json.loads(encoded), 2)) == encoded
+
+    def test_a_committed_member_that_is_no_offer_id_is_refused(self, stream):
+        state = golden("compat/session_snapshot_v2.json")["state"]
+        state["committed_members"][0] = None
+        with pytest.raises(ReproError, match="committed_members"):
+            _restored(stream, state, 2)

@@ -20,7 +20,6 @@ from repro.workloads.scenarios import (
     small_fleet,
     tariff_study,
     weekend_skewed_household,
-    wind_target,
 )
 
 
@@ -69,11 +68,6 @@ class TestScenarios:
         study = tariff_study(days=7, seed=6)
         assert study.scheme.name == "night"
         assert len(study.single.activations) > 0
-
-    def test_wind_target_scaling(self):
-        target = wind_target(days=2, seed=1, scale_kwh=100.0)
-        assert target.total() == pytest.approx(100.0)
-        assert target.is_nonnegative()
 
     def test_metering_axis(self):
         axis = metering_axis(days=3)
