@@ -13,10 +13,9 @@ routes by spec kind:
     The evaluation harness (:func:`repro.evaluation.comparison
     .compare_on_traces`): every approach on every household, scored
     against simulation ground truth.
-``bench``
-    The fleet benchmark (the ``fleet`` preset of :mod:`repro.bench`):
-    batched engine vs the sequential reference loop, speedup and
-    equivalence checks included.
+
+Benchmarks are not a run kind: ``repro bench --suite fleet`` runs the
+fleet benchmark.
 
 :class:`RunReport` serialises through the extended :mod:`repro.flexoffer.io`
 wire format (offers + aggregates + stage timings + summaries) and
@@ -138,9 +137,7 @@ class FlexibilityService:
         """Execute a run spec end to end and return its report."""
         if spec.kind == "fleet":
             return self._run_fleet(spec)
-        if spec.kind == "compare":
-            return self._run_compare(spec)
-        return self._run_bench(spec)
+        return self._run_compare(spec)
 
     def run_file(self, path: str | Path) -> RunReport:
         """Load a spec JSON file and execute it."""
@@ -202,40 +199,20 @@ class FlexibilityService:
             series = series * (target_kwh / series.total())
         return series
 
-    def _build_scenarios(
-        self, spec: RunSpec, target: "TimeSeries | ZonedTarget"
-    ) -> "list[TimeSeries] | None":
-        """Synthesise the robust mode's quantile scenario fan, if any.
-
-        A spec with ``schedule.robust`` set gets one scenario series per
-        configured quantile level — the deterministic symmetric fan of
-        :func:`repro.scheduling.robust.synthetic_fan` around the point
-        target (spec validation already rejected zoned targets, so
-        ``target`` is a plain series here).  Returns ``None`` for point
-        scheduling, which keeps pre-robust runs byte-identical.
-        """
-        schedule = spec.pipeline.schedule
-        if schedule is None or schedule.robust is None:
-            return None
-        from repro.scheduling.robust import synthetic_fan
-
-        return synthetic_fan(target, schedule.robust.config())
-
     @staticmethod
-    def _uncertainty_summary(
-        schedule: "ScheduleResult",
-        scenarios: "list[TimeSeries]",
-        robust_spec,
-    ) -> dict[str, Any]:
+    def _uncertainty_summary(schedule: "ScheduleResult", robust_spec) -> dict[str, Any]:
         """Per-quantile realized costs of the robust schedule (run summary).
 
-        Scores the placed schedule against every scenario in the fan with
-        :func:`repro.scheduling.robust.evaluate_realized`; the low/median/
-        high rows bound the schedule's imbalance across the forecast
-        uncertainty band.
+        Scores the placed schedule with
+        :func:`repro.scheduling.robust.evaluate_realized` against every
+        scenario of the fan it was placed against: the deterministic
+        :func:`~repro.scheduling.robust.synthetic_fan` around its target.
+        The low/median/high rows bound the schedule's imbalance across
+        that band.
         """
-        from repro.scheduling.robust import evaluate_realized
+        from repro.scheduling.robust import evaluate_realized, synthetic_fan
 
+        scenarios = synthetic_fan(schedule.target, robust_spec.config())
         costs = [
             evaluate_realized(schedule, scenario).realized_cost
             for scenario in scenarios
@@ -276,9 +253,6 @@ class FlexibilityService:
         fleet = self._simulate(spec)
         schedule_spec = spec.pipeline.schedule
         target = self._build_target(spec) if schedule_spec is not None else None
-        scenarios = (
-            self._build_scenarios(spec, target) if target is not None else None
-        )
         results = []
         for extractor_spec in spec.extractors:
             pipeline = FleetPipeline(
@@ -289,7 +263,7 @@ class FlexibilityService:
                 seed=spec.scenario.seed,
                 schedule=None if schedule_spec is None else schedule_spec.config(),
             )
-            fleet_result = pipeline.run(fleet, target=target, scenarios=scenarios)
+            fleet_result = pipeline.run(fleet, target=target)
             summary = {
                 "offers": float(len(fleet_result.offers)),
                 "aggregates": float(len(fleet_result.aggregates)),
@@ -297,10 +271,10 @@ class FlexibilityService:
             }
             if fleet_result.schedule is not None:
                 summary.update(fleet_result.schedule.summary())
-                if scenarios is not None:
+                if schedule_spec.robust is not None:
                     summary.update(
                         self._uncertainty_summary(
-                            fleet_result.schedule, scenarios, schedule_spec.robust
+                            fleet_result.schedule, schedule_spec.robust
                         )
                     )
             results.append(
@@ -336,43 +310,6 @@ class FlexibilityService:
             for extractor_spec, extractor in zip(spec.extractors, extractors)
         )
         return RunReport(spec=spec, results=results)
-
-    def _run_bench(self, spec: RunSpec) -> RunReport:
-        from repro.errors import SpecError
-        from repro.bench import run_preset
-
-        # The benchmark pins its own extractor pair (vectorized-vs-reference
-        # frequency-based); a spec naming anything else would be recorded as
-        # run when it never was — reject it instead of silently ignoring it.
-        names = [e.name for e in spec.extractors]
-        if names != ["frequency-based"] or dict(spec.extractors[0].params):
-            raise SpecError(
-                "kind='bench' runs the pinned frequency-based benchmark; the "
-                "spec must name exactly one parameterless 'frequency-based' "
-                f"extractor (got: {', '.join(names)})"
-            )
-        report, timed_result = run_preset(
-            "fleet",
-            households=spec.scenario.households,
-            days=spec.scenario.days,
-            seed=spec.scenario.seed,
-            workers=spec.pipeline.workers,
-            chunk_size=spec.pipeline.chunk_size,
-        )
-        result = ExtractorRunReport(
-            extractor=report["workload"]["extractor"],
-            households=spec.scenario.households,
-            offers=tuple(timed_result.offers),
-            aggregates=timed_result.aggregates,
-            stage_seconds=timed_result.timings.seconds,
-            summary={
-                "offers": float(len(timed_result.offers)),
-                "aggregates": float(len(timed_result.aggregates)),
-                "extracted_kwh": timed_result.total_extracted_kwh,
-                "speedup": float(report["speedup"]),
-            },
-        )
-        return RunReport(spec=spec, results=(result,), extras={"bench": report})
 
     # ------------------------------------------------------------------ #
     # Conformance (the `repro conformance` backend)

@@ -58,7 +58,7 @@ from repro.wire import OMIT, Encodable, format_of, hints, wire_format
 SPEC_VERSION = 1
 
 #: Run kinds the service knows how to route (see repro.api.service).
-RUN_KINDS: tuple[str, ...] = ("fleet", "compare", "bench")
+RUN_KINDS: tuple[str, ...] = ("fleet", "compare")
 
 #: Default scenario anchor — Monday 2012-03-05, the paper-week start shared
 #: with repro.workloads.scenarios.SCENARIO_START (duplicated here so the
@@ -251,10 +251,10 @@ class RobustSpec(_Spec):
     instead of the point target alone.  ``quantiles`` are the fan's levels
     (strictly increasing, in ``(0, 1)``), ``risk`` aggregates the
     per-scenario gains (``"expected"`` weights them by level mass,
-    ``"cvar"`` plans for the worst ``alpha`` tail), and ``sigma`` is the
-    relative spread of the fan the service synthesises around the target
-    when no explicit forecast fan is supplied.  Plain (non-zoned) targets
-    only.
+    ``"cvar"`` plans for the worst ``alpha`` tail), and ``sigma`` (finite,
+    >= 0) is the relative spread of the fan synthesised around the target
+    (:func:`repro.scheduling.robust.synthetic_fan`), the one fan a spec
+    run scores.  Plain (non-zoned) targets only.
     """
 
     quantiles: tuple[float, ...] = field(default=(0.1, 0.5, 0.9), metadata=_STAGE)
@@ -337,10 +337,9 @@ class ScheduleSpec(_Spec):
     runs merit-order clearing before placement (zoned runs only; the key
     is likewise omitted when absent).  A non-null ``robust``
     (:class:`RobustSpec`) scores placements against a quantile scenario
-    fan — the service synthesises the fan from a quantile forecast of the
-    target (plain targets only; the key is omitted when absent).  The
-    remaining fields mirror :class:`repro.scheduling.greedy.ScheduleConfig`,
-    which checks them.  The legacy engine names ``"incremental"`` and
+    fan synthesised around the target (plain targets only; the key is
+    omitted when absent).  The remaining fields mirror
+    :class:`repro.scheduling.greedy.ScheduleConfig`, which checks them.  The legacy engine names ``"incremental"`` and
     ``"auto"`` stay on the wire as given; only the config resolves them.
     """
 
@@ -519,8 +518,9 @@ class RunSpec(_Spec):
                 f"(this build reads version {SPEC_VERSION})"
             )
         if self.kind not in RUN_KINDS:
+            hint = "; run `repro bench --suite fleet` instead" if self.kind == "bench" else ""
             raise SpecError(
-                f"kind must be one of {', '.join(RUN_KINDS)}, got {self.kind!r}"
+                f"kind must be one of {', '.join(RUN_KINDS)}, got {self.kind!r}{hint}"
             )
         if not self.extractors:
             raise SpecError("a run spec needs at least one extractor")

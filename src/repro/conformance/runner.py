@@ -247,7 +247,7 @@ def _run_per_household(
                 summary=result.summary(),
             )
         )
-    return _finish(outputs, StageTimings(), None, target, cell_schedule_config(scenario), None)
+    return _finish(outputs, StageTimings(), None, target, cell_schedule_config(scenario))
 
 
 def run_cell(

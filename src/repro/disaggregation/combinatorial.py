@@ -97,14 +97,6 @@ def _day_candidates(
     return candidates[: config.max_candidates_per_day]
 
 
-def _apply(day_values: np.ndarray, cand: _Candidate, database_specs: list) -> np.ndarray:
-    spec = database_specs[cand.appliance_index]
-    out = day_values.copy()
-    m = spec.cycle_minutes
-    out[cand.start : cand.start + m] -= spec.shape * cand.energy
-    return out
-
-
 def _subset_sse(
     day_values: np.ndarray, subset: tuple[_Candidate, ...], database_specs: list
 ) -> float:

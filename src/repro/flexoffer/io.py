@@ -12,8 +12,7 @@ format is described where its class lives, as field and class data:
 * schedule results (:class:`~repro.scheduling.greedy.ScheduleResult`: the
   target's axis stored once, the demand rebuilt on load) and zoned ones
   (:class:`~repro.scheduling.zones.ZonedScheduleResult`, told apart by
-  their ``"zones"`` key, with an optional market ``"clearing"``);
-* quantile forecasts (:class:`~repro.forecasting.quantiles.QuantileForecast`).
+  their ``"zones"`` key, with an optional market ``"clearing"``).
 
 Malformed input raises :class:`~repro.errors.DataError` naming the format,
 never a bare exception.  The report deltas below diff and patch already
@@ -33,7 +32,6 @@ from repro.wire import decode, encode, guard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.aggregation.aggregate import AggregatedFlexOffer
-    from repro.forecasting.quantiles import QuantileForecast
     from repro.scheduling.greedy import ScheduleResult
     from repro.scheduling.zones import ZonedScheduleResult
 
@@ -110,18 +108,6 @@ def any_schedule_from_dict(
     from repro.scheduling.zones import ZonedScheduleResult
 
     return decode(ScheduleResult | ZonedScheduleResult, data)
-
-
-def quantile_forecast_to_dict(forecast: "QuantileForecast") -> dict[str, Any]:
-    """Encode a quantile forecast (axis + point + per-level curves)."""
-    return encode(forecast)
-
-
-def quantile_forecast_from_dict(data: dict[str, Any]) -> "QuantileForecast":
-    """Decode a quantile forecast from its dict encoding."""
-    from repro.forecasting.quantiles import QuantileForecast
-
-    return decode(QuantileForecast, data)
 
 
 # ---------------------------------------------------------------------- #

@@ -10,10 +10,9 @@ Subsystem contract:
   window; the backtest is a pure fold over the series.
 * **Uniform interface** — all forecasters share one signature and live in
   the :data:`FORECASTERS` table, so evaluation code never special-cases.
-* **Quantile fans** — :mod:`repro.forecasting.quantiles` lifts any point
-  forecaster to a :class:`QuantileForecast` (monotone per-level curves
-  derived from rolling-backtest residual blocks), the scenario input of
-  robust scheduling (:mod:`repro.scheduling.robust`).
+
+Point forecasts only: robust scheduling (:mod:`repro.scheduling.robust`)
+scores a synthetic fan around its target, or a fan its caller passes in.
 """
 
 from repro.forecasting.evaluate import BacktestReport, mae, mape, rmse, rolling_backtest
@@ -24,15 +23,6 @@ from repro.forecasting.models import (
     holt_winters,
     persistence,
     seasonal_naive,
-)
-from repro.forecasting.quantiles import (
-    DEFAULT_LEVELS,
-    QuantileForecast,
-    drift_quantiles,
-    quantile_forecast,
-    quantile_forecast_from_residuals,
-    residual_blocks,
-    seasonal_naive_quantiles,
 )
 
 __all__ = [
@@ -47,11 +37,4 @@ __all__ = [
     "holt_winters",
     "persistence",
     "seasonal_naive",
-    "DEFAULT_LEVELS",
-    "QuantileForecast",
-    "drift_quantiles",
-    "quantile_forecast",
-    "quantile_forecast_from_residuals",
-    "residual_blocks",
-    "seasonal_naive_quantiles",
 ]

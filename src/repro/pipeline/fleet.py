@@ -31,7 +31,7 @@ import numpy as np
 from repro.aggregation.aggregate import AggregatedFlexOffer, aggregate_all
 from repro.aggregation.grouping import GroupingParams, group_offers
 from repro.api.registry import create_extractor
-from repro.errors import SchedulingError, ValidationError
+from repro.errors import ValidationError
 from repro.pipeline.dispatch import check_count, dispatch_chunks
 from repro.testing import faults
 from repro.evaluation.comparison import SEED_STRIDE, input_series_for
@@ -328,7 +328,6 @@ def schedule_aggregates(
     aggregates: tuple[AggregatedFlexOffer, ...] | list[AggregatedFlexOffer],
     target: TimeSeries | ZonedTarget,
     config: ScheduleConfig | None = None,
-    scenarios: list[TimeSeries] | None = None,
 ) -> ScheduleResult | ZonedScheduleResult:
     """The pipeline's schedule stage: place fleet aggregates on a target.
 
@@ -339,23 +338,12 @@ def schedule_aggregates(
     :class:`~repro.scheduling.zones.ZonedTarget` routes through
     :func:`~repro.scheduling.zones.schedule_zones` instead: aggregates are
     sharded into zones and each zone is scheduled independently.
-    ``scenarios`` is robust mode's explicit quantile fan, handed through to
-    :func:`~repro.scheduling.greedy.greedy_schedule` (plain targets only;
-    zoned targets keep point scheduling).
     """
     if isinstance(target, ZonedTarget):
-        if scenarios is not None:
-            raise SchedulingError(
-                "scenario fans apply to plain targets only; zoned targets "
-                "keep point scheduling"
-            )
         return schedule_zones(aggregates, target, config)
     config = config if config is not None else ScheduleConfig()
     result = greedy_schedule(
-        [aggregate.offer for aggregate in aggregates],
-        target,
-        config=config,
-        scenarios=scenarios,
+        [aggregate.offer for aggregate in aggregates], target, config=config
     )
     if config.improve_iterations > 0:
         result = improve_schedule(
@@ -574,7 +562,6 @@ class FleetPipeline:
         self,
         fleet: SimulatedDataset | list[HouseholdTrace],
         target: TimeSeries | ZonedTarget | None = None,
-        scenarios: list[TimeSeries] | None = None,
     ) -> FleetResult:
         """Run the full batched pipeline over a fleet.
 
@@ -585,8 +572,7 @@ class FleetPipeline:
         aggregates against it and the result carries a
         :class:`~repro.scheduling.greedy.ScheduleResult` — or a
         :class:`~repro.scheduling.zones.ZonedScheduleResult` when the
-        target is a zoned market.  ``scenarios`` is robust mode's explicit
-        quantile fan, forwarded to the schedule stage.
+        target is a zoned market.
         """
         traces = list(fleet)
         if not traces:
@@ -606,7 +592,7 @@ class FleetPipeline:
             t0 = time.perf_counter()
             outputs = self._fan_out(jobs, timings)
             timings.add("fanout_wall", time.perf_counter() - t0)
-        return _finish(outputs, timings, self.grouping, target, self.schedule, scenarios)
+        return _finish(outputs, timings, self.grouping, target, self.schedule)
 
     def _fan_out(
         self, jobs: list[tuple[int, str, TimeSeries]], timings: StageTimings
@@ -650,7 +636,6 @@ def _finish(
     grouping: GroupingParams | None,
     target: TimeSeries | ZonedTarget | None,
     schedule_config: ScheduleConfig | None,
-    scenarios: list[TimeSeries] | None,
 ) -> FleetResult:
     """Group, aggregate and (given a target) schedule the fleet's offers."""
     all_offers = [offer for household in outputs for offer in household.offers]
@@ -666,9 +651,7 @@ def _finish(
     schedule: ScheduleResult | ZonedScheduleResult | None = None
     if target is not None:
         t0 = time.perf_counter()
-        schedule = schedule_aggregates(
-            aggregates, target, schedule_config, scenarios=scenarios
-        )
+        schedule = schedule_aggregates(aggregates, target, schedule_config)
         timings.add("schedule", time.perf_counter() - t0)
 
     return FleetResult(
@@ -686,7 +669,6 @@ def run_sequential(
     seed: int = 0,
     target: TimeSeries | ZonedTarget | None = None,
     schedule_config: ScheduleConfig | None = None,
-    scenarios: list[TimeSeries] | None = None,
 ) -> FleetResult:
     """The plain per-household loop the batched engine must reproduce.
 
@@ -715,4 +697,4 @@ def run_sequential(
             )
         )
     timings.add("extract", time.perf_counter() - t0)
-    return _finish(outputs, timings, grouping, target, schedule_config, scenarios)
+    return _finish(outputs, timings, grouping, target, schedule_config)

@@ -377,8 +377,10 @@ def _residual_and_fan(
 
     Row 0 is the point target; a robust run appends its scenario fan
     (:func:`~repro.scheduling.robust.resolve_fan`) as the rows after it.
-    A non-finite entry anywhere would poison every gain it touches, so
-    it is refused here, naming the row it sits in.
+    A non-finite entry anywhere would poison every gain it touches, and
+    so would a row whose squared errors overflow: the gains compare
+    squared norms of windows before and after a placement, which may
+    double an entry.  Both are refused here, naming the row.
     """
     if robust is None:
         residual, fan = target.values[None, :].copy(), _POINT
@@ -386,7 +388,9 @@ def _residual_and_fan(
         scenario_rows, weights = resolve_fan(target, robust, scenarios)
         residual = np.vstack([target.values, scenario_rows])
         fan = _Fan(slice(1, None), weights, robust.risk, robust.alpha)
-    bad_rows = np.flatnonzero(~np.isfinite(residual).all(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = 4.0 * np.einsum("ij,ij->i", residual, residual)
+    bad_rows = np.flatnonzero(~np.isfinite(squares))
     if bad_rows.size:
         row = int(bad_rows[0])
         name = (
@@ -394,7 +398,12 @@ def _residual_and_fan(
             if row == 0
             else f"scenario {row - 1} (q{robust.quantiles[row - 1]:g})"
         )
-        raise SchedulingError(f"{name} holds non-finite values; cannot place against it")
+        problem = (
+            "holds non-finite values"
+            if not np.isfinite(residual[row]).all()
+            else "is too large: its squared errors overflow"
+        )
+        raise SchedulingError(f"{name} {problem}; cannot place against it")
     return residual, fan
 
 
@@ -415,7 +424,8 @@ def greedy_schedule(
         window does not intersect the target axis are returned unplaced.
     target:
         The series to track (e.g. RES surplus), energy per interval.
-        Every value must be finite.
+        Every value must be finite, and small enough that its squared
+        errors stay finite too.
     order:
         ``"least-flexible-first"`` (default, the paper's heuristic),
         ``"largest-first"`` (by expected energy) or ``"as-given"``.
@@ -430,11 +440,12 @@ def greedy_schedule(
         — is bitwise-identical to the pre-session behaviour.
     scenarios:
         Robust mode's explicit scenario fan — one target series per
-        ``config.robust.quantiles`` level, all on the target axis (e.g. a
-        rescaled quantile-forecast fan).  Requires ``config.robust``;
-        when robust mode is on and ``scenarios`` is ``None``, a
-        deterministic synthetic fan is derived from the point target
-        (:func:`repro.scheduling.robust.synthetic_fan`).
+        ``config.robust.quantiles`` level, all on the target axis, each
+        held to the same rules as ``target``.  Requires
+        ``config.robust``; when robust mode is on and ``scenarios`` is
+        ``None``, a deterministic synthetic fan is derived from the point
+        target (:func:`repro.scheduling.robust.synthetic_fan`), the fan
+        every pipeline and spec run scores.
     """
     config = config if config is not None else ScheduleConfig()
     if order is not None:

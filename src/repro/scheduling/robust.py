@@ -4,11 +4,11 @@ The greedy scheduler trusts its target; this module makes that trust
 optional.  A :class:`RobustConfig` on
 :class:`~repro.scheduling.greedy.ScheduleConfig` turns the single point
 target into a *scenario fan* — one target series per quantile level,
-either supplied explicitly (a
-:class:`~repro.forecasting.quantiles.QuantileForecast` fan) or
 synthesised deterministically from the point target
-(:func:`synthetic_fan`) — and scores every candidate placement against
-all scenarios at once, aggregated by a risk measure:
+(:func:`synthetic_fan`) unless the caller of
+:func:`~repro.scheduling.greedy.greedy_schedule` passes its own — and
+scores every candidate placement against all scenarios at once,
+aggregated by a risk measure:
 
 * ``risk="expected"`` — the probability-weighted mean gain over the fan,
   with weights read off the quantile levels (:func:`quantile_weights`);
@@ -56,8 +56,8 @@ class RobustConfig:
     ``quantiles`` are the fan's levels (strictly increasing, in ``(0,1)``);
     ``risk`` picks the aggregation (:data:`RISK_MEASURES`); ``alpha`` is
     the CVaR tail mass (ignored for ``"expected"``); ``sigma`` is the
-    relative spread used when the fan is synthesised from a point target
-    rather than supplied (:func:`synthetic_fan`).
+    finite relative spread used when the fan is synthesised from a point
+    target rather than supplied (:func:`synthetic_fan`).
     """
 
     quantiles: tuple[float, ...] = DEFAULT_ROBUST_QUANTILES
@@ -90,8 +90,10 @@ class RobustConfig:
             )
         if not _is_number(self.alpha) or not 0.0 < self.alpha <= 1.0:
             raise SchedulingError(f"alpha must be in (0, 1], got {self.alpha!r}")
-        if not _is_number(self.sigma) or not self.sigma >= 0.0:
-            raise SchedulingError(f"sigma must be a number >= 0, got {self.sigma!r}")
+        if not _is_number(self.sigma) or not 0.0 <= self.sigma < math.inf:
+            raise SchedulingError(
+                f"sigma must be a finite number >= 0, got {self.sigma!r}"
+            )
 
 
 def _is_number(value: Any) -> bool:
@@ -136,9 +138,8 @@ def resolve_fan(
     """The ``(scenario matrix, weights)`` robust placement scores against.
 
     ``scenarios`` may be an explicit sequence of per-level target series
-    (e.g. a rescaled :class:`~repro.forecasting.quantiles.QuantileForecast`
-    fan, one series per ``robust.quantiles`` entry, all on the target's
-    axis); when absent, :func:`synthetic_fan` supplies them.  Returns the
+    (one series per ``robust.quantiles`` entry, all on the target's axis);
+    when absent, :func:`synthetic_fan` supplies them.  Returns the
     stacked ``(levels, axis)`` float matrix plus the matching
     :func:`quantile_weights`.
     """

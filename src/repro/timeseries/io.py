@@ -27,7 +27,7 @@ def _values(series: TimeSeries) -> list[float]:
 
 class Curve(NamedTuple):
     """A series read without its axis: the enclosing format stores the axis
-    once (a schedule result's target, a quantile forecast's curves)."""
+    once (a schedule result's target)."""
 
     name: str
     values: tuple[float, ...]

@@ -1,8 +1,8 @@
 """One field-driven codec for every wire format of the package.
 
 Run specs, flex-offers with their schedules and aggregates, plain and zoned
-schedule results, market clearings, quantile forecasts, series, run and
-conformance reports and fault plans are JSON objects described by data:
+schedule results, market clearings, series, run and conformance reports
+and fault plans are JSON objects described by data:
 :func:`wire_format` registers a :class:`Format` beside each class, and
 :func:`encode`/:func:`decode` do the rest.  A format's keys are its
 dataclass fields, typed by their annotations, unless it lists explicit

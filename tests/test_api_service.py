@@ -253,6 +253,41 @@ class TestScheduleStageReports:
         assert rerun.results[0].schedule == result.schedule
         assert rerun.results[0].summary == result.summary
 
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_robust_run_scores_the_synthetic_fan(self, engine):
+        """A robust spec places as `greedy_schedule` does over the explicit
+        synthetic fan, and its summary's realized costs are that fan's."""
+        from repro.api.spec import RobustSpec, ScheduleSpec
+        from repro.scheduling import evaluate_realized, greedy_schedule, synthetic_fan
+
+        schedule = ScheduleSpec(
+            engine=engine, target_kwh=25.0, robust=RobustSpec(risk="cvar")
+        )
+        spec = RunSpec(
+            kind="fleet",
+            scenario=ScenarioSpec(households=2, days=2, seed=7),
+            extractors=(ExtractorSpec("peak-based", {"flexible_share": 0.05}),),
+            pipeline=PipelineSpec(chunk_size=4, schedule=schedule),
+        )
+        (result,) = FlexibilityService().run(spec).results
+        config = schedule.config()
+        target = result.schedule.target
+        fan = synthetic_fan(target, config.robust)
+        explicit = greedy_schedule(
+            [aggregate.offer for aggregate in result.aggregates],
+            target,
+            config=config,
+            scenarios=list(fan),
+        )
+        assert result.schedule.schedules
+        assert result.schedule == explicit
+        costs = [evaluate_realized(result.schedule, s).realized_cost for s in fan]
+        assert result.summary["robust_risk"] == "cvar"
+        assert result.summary["robust_scenarios"] == 3.0
+        assert result.summary["realized_cost_low_q"] == costs[0]
+        assert result.summary["realized_cost_median_q"] == costs[1]
+        assert result.summary["realized_cost_high_q"] == costs[2]
+
     def test_flat_target_kind(self):
         from repro.api import ScheduleSpec
 
@@ -284,34 +319,14 @@ class TestOtherKinds:
             assert "extracted_kwh" in result.summary or result.summary
         assert RunReport.from_json(report.to_json()) == report
 
-    def test_bench_kind_embeds_the_benchmark_report(self):
-        spec = RunSpec(
-            kind="bench",
-            scenario=ScenarioSpec(households=2, days=1, seed=13),
-            extractors=(ExtractorSpec("frequency-based"),),
-            pipeline=PipelineSpec(chunk_size=2),
-        )
-        report = FlexibilityService().run(spec)
-        bench = report.extras["bench"]
-        assert bench["equivalence"]["batched_equals_sequential"] is True
-        assert report.results[0].summary["speedup"] == float(bench["speedup"])
-        assert RunReport.from_json(report.to_json()) == report
-
-    def test_bench_kind_rejects_extractors_it_would_not_run(self):
+    def test_bench_kind_is_refused_naming_kind(self):
+        """Benchmarks run through `repro bench`; a spec cannot ask for one."""
         from repro.errors import SpecError
 
-        spec = RunSpec(
-            kind="bench",
-            scenario=ScenarioSpec(households=2, days=1),
-            extractors=(ExtractorSpec("peak-based"),),
-        )
-        with pytest.raises(SpecError, match="pinned frequency-based benchmark"):
-            FlexibilityService().run(spec)
-        with_params = spec.with_overrides(
-            extractors=(ExtractorSpec("frequency-based", {"min_detections": 3}),)
-        )
-        with pytest.raises(SpecError, match="parameterless"):
-            FlexibilityService().run(with_params)
+        with pytest.raises(SpecError, match=r"kind .*'bench'.*repro bench --suite fleet"):
+            RunSpec.from_dict({"kind": "bench"})
+        with pytest.raises(SpecError, match="kind must be one of fleet, compare"):
+            RunSpec(kind="bench")
 
 
 class TestGridValidation:

@@ -223,6 +223,20 @@ class TestScheduleSpec:
         robust = ScheduleSpec(engine=engine, robust=RobustSpec())
         assert robust.config().engine == "vectorized"
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -0.5])
+    def test_robust_sigma_must_be_finite_and_non_negative(self, sigma):
+        # The fan's spread is checked at load, by its full path, so a bad
+        # sigma never reaches the scheduler as NaN scenario values.
+        document = {
+            "kind": "fleet",
+            "extractors": [{"name": "peak-based"}],
+            "pipeline": {"schedule": {"robust": {"sigma": sigma}}},
+        }
+        with pytest.raises(
+            SpecError, match=r"pipeline\.schedule\.robust\.sigma must be a finite number >= 0"
+        ):
+            RunSpec.from_dict(document)
+
     def test_config_maps_onto_schedule_config(self):
         spec = ScheduleSpec(
             order="largest-first", engine="reference", improve_iterations=7,
@@ -254,7 +268,7 @@ class TestStrictValidation:
             RunSpec.from_dict({"version": 99})
 
     def test_bad_kind(self):
-        with pytest.raises(SpecError, match="kind must be one of fleet, compare, bench"):
+        with pytest.raises(SpecError, match="kind must be one of fleet, compare, got 'party'$"):
             RunSpec.from_dict({"kind": "party"})
 
     def test_wrong_type_reports_path_and_types(self):

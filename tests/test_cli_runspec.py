@@ -206,6 +206,38 @@ class TestRun:
         assert main(["run", "--spec", str(spec_path)]) == 1
         assert "kind must be one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            pytest.param(lambda spec: dict(spec, kind="bench"), "kind", id="bench-kind"),
+            pytest.param(
+                lambda spec: {"robust": {"sigma": float("inf")}},
+                "pipeline.schedule.robust.sigma",
+                id="infinite-sigma",
+            ),
+            pytest.param(lambda spec: {"target_kwh": 1e160}, "target", id="huge-target"),
+        ],
+    )
+    def test_malformed_run_spec_fails_cleanly(self, edit, field, tmp_path, capsys):
+        # The smoke spec with one bad run setting: a retired kind, or a
+        # schedule stage (on a peak-based copy) whose fan or target cannot
+        # be scored.  Each is an error line naming the field or the target.
+        spec = json.loads(SMOKE_SPEC.read_text())
+        edited = edit(spec)
+        if "kind" not in edited:
+            peak = [e for e in spec["extractors"] if e["name"] == "peak-based"]
+            edited = dict(
+                spec, extractors=peak, pipeline={**spec["pipeline"], "schedule": edited}
+            )
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps(edited))
+        assert main(["run", "--spec", str(spec_path)]) == 1
+        err = capsys.readouterr().err
+        assert any(
+            line.startswith("error: ") and field in line for line in err.splitlines()
+        ), err
+        assert "Traceback" not in err
+
     def test_missing_spec_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", "--spec", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err

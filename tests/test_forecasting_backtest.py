@@ -1,8 +1,7 @@
 """Window-boundary audit of the rolling backtest (golden-pinned).
 
-``rolling_backtest`` and ``residual_blocks`` walk the same rolling-origin
-folds, and the quantile-fan machinery (and through it robust scheduling)
-trusts their exact boundary behaviour: where the first fold starts, how
+``rolling_backtest`` walks rolling-origin folds, and forecast evaluation
+trusts its exact boundary behaviour: where the first fold starts, how
 origins slide, that a trailing remainder shorter than one horizon is
 dropped, and that degenerate windows are rejected instead of looping
 forever.  These tests pin all of that, plus a golden regression of the
@@ -23,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DataError
-from repro.forecasting import residual_blocks, rolling_backtest
+from repro.forecasting import rolling_backtest
 from repro.forecasting.models import persistence, seasonal_naive
 from repro.timeseries.axis import axis_for_days
 from repro.timeseries.series import TimeSeries
@@ -106,15 +105,6 @@ class TestFoldBoundaries:
                 persistence, noisy_seasonal(149), train_intervals=100, horizon=50
             )
 
-    def test_residual_blocks_walk_identical_folds(self):
-        series = noisy_seasonal(300)
-        probe = FoldProbe()
-        rolling_backtest(probe, series, train_intervals=100, horizon=50, step=25)
-        blocks = residual_blocks(
-            series, persistence, horizon=50, train_intervals=100, step=25
-        )
-        assert blocks.shape == (len(probe.calls), 50)
-
 
 class TestDegenerateWindows:
     """Windows that once slipped through and looped forever must raise."""
@@ -130,15 +120,6 @@ class TestDegenerateWindows:
     def test_zero_train_raises(self):
         with pytest.raises(DataError):
             rolling_backtest(persistence, noisy_seasonal(200), 0, 50)
-
-    def test_residual_blocks_reject_the_same_windows(self):
-        series = noisy_seasonal(200)
-        with pytest.raises(DataError):
-            residual_blocks(series, persistence, horizon=0)
-        with pytest.raises(DataError):
-            residual_blocks(series, persistence, horizon=50, step=0)
-        with pytest.raises(DataError):
-            residual_blocks(series, persistence, horizon=50, train_intervals=0)
 
 
 def golden_payload() -> dict:

@@ -80,6 +80,8 @@ class TestRobustConfig:
             {"alpha": 0.0},
             {"alpha": 1.5},
             {"sigma": -0.1},
+            {"sigma": float("inf")},
+            {"sigma": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -228,24 +230,52 @@ class TestEngineEquivalence:
         assert axis.index_of(steered.schedules[0].start) == 60
 
 
+def _spike(values):
+    values = values.copy()
+    values[30] = np.inf
+    return values
+
+
 class TestNonFiniteTargets:
-    """A non-finite target or scenario is refused by name, by both engines."""
+    """A target or scenario whose squared errors are not finite is refused
+    by name, by both engines, before any search."""
 
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
-    def test_infinite_point_target(self, workload, engine):
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [
+            pytest.param(_spike, "non-finite", id="inf"),
+            pytest.param(lambda values: values * 1e160, "too large", id="1e160"),
+            pytest.param(lambda values: values * 1e200, "too large", id="1e200"),
+        ],
+    )
+    def test_point_target_refused(self, workload, engine, corrupt, problem):
         offers, target = workload
-        values = target.values.copy()
-        values[30] = np.inf
-        bad = TimeSeries(target.axis, values, "wind")
-        with pytest.raises(SchedulingError, match="target 'wind' .*non-finite"):
+        bad = TimeSeries(target.axis, corrupt(target.values), "wind")
+        with pytest.raises(SchedulingError, match=f"target 'wind' .*{problem}"):
             greedy_schedule(offers, bad, config=ScheduleConfig(engine=engine))
 
     @pytest.mark.parametrize("engine", ["vectorized", "reference"])
-    def test_infinite_fan_scenario(self, workload, engine):
+    @pytest.mark.parametrize(
+        "storm, robust, match",
+        [
+            pytest.param(
+                -np.inf, RobustConfig(), "scenario 1 .*q0.5.*non-finite", id="inf-scenario"
+            ),
+            pytest.param(
+                None, RobustConfig(sigma=1e308), "scenario 0 .*q0.1.*too large", id="huge-sigma"
+            ),
+        ],
+    )
+    def test_fan_scenario_refused(self, workload, engine, storm, robust, match):
         offers, target = workload
-        fan = [target, TimeSeries.full(target.axis, -np.inf, name="storm"), target]
-        config = ScheduleConfig(engine=engine, robust=RobustConfig())
-        with pytest.raises(SchedulingError, match="scenario 1 .*q0.5.*non-finite"):
+        fan = (
+            None
+            if storm is None
+            else [target, TimeSeries.full(target.axis, storm, name="storm"), target]
+        )
+        config = ScheduleConfig(engine=engine, robust=robust)
+        with pytest.raises(SchedulingError, match=match):
             greedy_schedule(offers, target, config=config, scenarios=fan)
 
 

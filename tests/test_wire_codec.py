@@ -33,13 +33,10 @@ from repro.flexoffer.io import (
     apply_report_delta,
     flexoffer_from_dict,
     flexoffer_to_dict,
-    quantile_forecast_from_dict,
-    quantile_forecast_to_dict,
     report_delta,
     schedule_from_dict,
     schedule_to_dict,
 )
-from repro.forecasting.quantiles import quantile_forecast
 from repro.market.clearing import ClearingResult
 from repro.session.persistence import decode_state, encode_state
 from repro.session.replay import load_session_events, session_for_spec
@@ -116,13 +113,6 @@ def test_malformed_input_raises_the_formats_error(decoder, data):
 # --------------------------------------------------------------------- #
 
 
-def _quantile_document() -> dict:
-    axis = axis_for_days(datetime(2012, 3, 5), 3)
-    values = 2.0 + np.sin(2 * np.pi * np.arange(axis.length) / 96)
-    forecast = quantile_forecast(TimeSeries(axis, values, "load"), horizon=8)
-    return quantile_forecast_to_dict(forecast)
-
-
 def _series_document() -> dict:
     axis = axis_for_days(datetime(2012, 3, 5), 1)
     return series_to_dict(TimeSeries(axis, np.linspace(0.0, 1.0, axis.length), "meter"))
@@ -130,8 +120,8 @@ def _series_document() -> dict:
 
 def _entry_points() -> dict[str, tuple]:
     """``name -> (decode, encode, seed documents)``.  The seeds are the
-    committed goldens, except for quantile forecasts and series, which no
-    golden stores: those are built here, deterministically."""
+    committed goldens, except for series, which no golden stores: those
+    are built here, deterministically."""
     zoned = golden("zoned_result_golden.json")
     market = golden("zoned_result_market_golden.json")
     report = json.loads((ROOT / "tests" / "data" / "run_report_golden.json").read_text())
@@ -153,9 +143,6 @@ def _entry_points() -> dict[str, tuple]:
         "zoned schedule result": (
             any_schedule_from_dict, any_schedule_to_dict,
             [zoned, market, golden("compat/zoned_result_v1.json")],
-        ),
-        "quantile forecast": (
-            quantile_forecast_from_dict, quantile_forecast_to_dict, [_quantile_document()]
         ),
         "clearing": (
             ClearingResult.from_dict, ClearingResult.to_dict, [market["clearing"]]
