@@ -14,31 +14,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.bench import PRESETS, equivalence_failures, run_preset
+from repro.bench import PRESETS, equivalence_failures, report_tables, run_preset
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 
 
 def test_fleet_pipeline_speedup_and_equivalence(report):
     preset = PRESETS["fleet"]
-    bench_report, result = run_preset("fleet", out_path=BENCH_JSON)
-    report(
-        "Fleet pipeline — 20 households x 7 days, per-stage wall clock",
-        preset.rows(bench_report, result),
-    )
-    report(
-        "Fleet pipeline — summary",
-        [
-            {
-                "offers": bench_report["pipeline"]["offers"],
-                "aggregates": bench_report["pipeline"]["aggregates"],
-                "extracted_kwh": bench_report["pipeline"]["extracted_kwh"],
-                "speedup": f"{bench_report['speedup']}x",
-                "baseline_s": bench_report["baseline"]["wall_seconds"],
-                "pipeline_s": bench_report["pipeline"]["wall_seconds"],
-            }
-        ],
-    )
+    bench_report = run_preset("fleet", out_path=BENCH_JSON)
+    for title, rows in report_tables(bench_report):
+        report(f"Fleet pipeline — 20 households x 7 days, {title}", rows)
 
     # Batching must never change results (bitwise identical offers), and
     # the reference engines must agree within the fidelity tolerance.
@@ -62,7 +47,7 @@ def test_fleet_pipeline_worker_fanout_equivalent(report):
     fanned = FleetPipeline(extractor, chunk_size=1, workers=2).run(fleet)
     sequential = run_sequential(fleet, extractor)
     assert offers_equivalent(fanned.offers, sequential.offers)
-    # Workers mint ids in pid-disjoint namespaces: no collisions.
+    # Every household mints its ids in its own offer_id_scope: no collisions.
     ids = [offer.offer_id for offer in fanned.offers]
     assert len(set(ids)) == len(ids)
     report(

@@ -15,16 +15,14 @@ ladder.
 
 from __future__ import annotations
 
-from repro.bench import PRESETS, equivalence_failures, run_preset
+from repro.bench import PRESETS, equivalence_failures, report_tables, run_preset
 
 
 def test_scale_ladder_extracts_and_scales(report):
     preset = PRESETS["scale"]
-    bench_report, _ = run_preset("scale", sizes=(100, 400))
-    report(
-        "Scale-out — simulate, then extract -> aggregate -> schedule",
-        preset.rows(bench_report, None),
-    )
+    bench_report = run_preset("scale", sizes=(100, 400))
+    for title, rows in report_tables(bench_report):
+        report(f"Scale-out — simulate, then extract->aggregate->schedule, {title}", rows)
 
     for rung in bench_report["ladder"]:
         assert rung["offers"] > 0

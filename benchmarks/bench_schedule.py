@@ -13,30 +13,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.bench import PRESETS, equivalence_failures, run_preset
+from repro.bench import PRESETS, equivalence_failures, report_tables, run_preset
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_schedule.json"
 
 
 def test_schedule_speedup_and_equivalence(report):
     preset = PRESETS["schedule"]
-    bench_report, result = run_preset("schedule", out_path=BENCH_JSON)
-    report(
-        "Schedule engine — 220 aggregates x 1 week target",
-        preset.rows(bench_report, result),
-    )
-    report(
-        "Schedule engine — summary",
-        [
-            {
-                "aggregates": bench_report["workload"]["aggregates"],
-                "target_kwh": bench_report["target"]["total_kwh"],
-                "greedy_speedup": f"{bench_report['greedy']['speedup']}x",
-                "improve_speedup": f"{bench_report['improve']['speedup']}x",
-                "improvement": bench_report["greedy"]["improvement"],
-            }
-        ],
-    )
+    bench_report = run_preset("schedule", out_path=BENCH_JSON)
+    for title, rows in report_tables(bench_report):
+        report(f"Schedule engine — 220 aggregates x 1 week target, {title}", rows)
 
     workload = bench_report["workload"]
     assert workload["aggregates"] >= 200
@@ -51,5 +37,5 @@ def test_schedule_speedup_and_equivalence(report):
     # Scheduling must actually track the target (the greedy win over
     # scheduling nothing is the BIOMA 2012 shape).
     assert bench_report["greedy"]["improvement"] > 0.3
-    assert result.cost < result.baseline_cost
+    assert bench_report["greedy"]["improvement"] > 0
     assert BENCH_JSON.exists()

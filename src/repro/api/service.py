@@ -156,49 +156,6 @@ class FlexibilityService:
             scenario.households, scenario.start, scenario.days, seed=scenario.seed
         )
 
-    def _build_target(self, spec: RunSpec) -> "TimeSeries | ZonedTarget":
-        """Synthesise the schedule stage's target from the spec.
-
-        A spec with zones yields a
-        :class:`~repro.scheduling.zones.ZonedTarget` — one deterministic
-        series per zone (the zone's own ``target_seed``/``target_kwh``)
-        plus the explicit household→zone assignment; otherwise one plain
-        target series.
-        """
-        schedule = spec.pipeline.schedule
-        if schedule.zones:
-            return self._build_zoned_target(spec)
-        return self._synthesise_series(
-            spec, schedule.target_seed, schedule.target_kwh
-        )
-
-    def _synthesise_series(
-        self,
-        spec: RunSpec,
-        seed: int,
-        target_kwh: float | None,
-        name: str | None = None,
-    ) -> "TimeSeries":
-        # ``name=None`` keeps the series' own name (the wind simulator's /
-        # "flat-target"), preserving pre-zone report content byte for byte.
-        import numpy as np
-
-        from repro.simulation.res import simulate_wind_production
-        from repro.timeseries.axis import axis_for_days
-        from repro.timeseries.series import TimeSeries
-
-        schedule = spec.pipeline.schedule
-        axis = axis_for_days(spec.scenario.start, spec.scenario.days)
-        if schedule.target == "wind":
-            series = simulate_wind_production(axis, np.random.default_rng(seed))
-            if name is not None:
-                series = series.with_name(name)
-        else:
-            series = TimeSeries.full(axis, 1.0, name=name or "flat-target")
-        if target_kwh is not None and series.total() > 0:
-            series = series * (target_kwh / series.total())
-        return series
-
     @staticmethod
     def _uncertainty_summary(schedule: "ScheduleResult", robust_spec) -> dict[str, Any]:
         """Per-quantile realized costs of the robust schedule (run summary).
@@ -225,34 +182,17 @@ class FlexibilityService:
             "realized_cost_high_q": costs[-1],
         }
 
-    def _build_zoned_target(self, spec: RunSpec) -> "ZonedTarget":
-        from repro.scheduling.zones import MarketZone, ZonedTarget
-
-        schedule = spec.pipeline.schedule
-        zones = tuple(
-            MarketZone(
-                name=zone.name,
-                target=self._synthesise_series(
-                    spec, zone.target_seed, zone.target_kwh, f"{zone.name}-target"
-                ),
-                price_floor=zone.price_floor,
-                price_cap=zone.price_cap,
-            )
-            for zone in schedule.zones
-        )
-        assignment = {
-            household: zone.name
-            for zone in schedule.zones
-            for household in zone.households
-        }
-        return ZonedTarget(zones=zones, assignment=assignment)
-
     def _run_fleet(self, spec: RunSpec) -> RunReport:
         from repro.pipeline.fleet import FleetPipeline
 
-        fleet = self._simulate(spec)
+        # The target comes first: it needs only the scenario axis and draws
+        # from its own generator, so a target the schedule stage would
+        # refuse fails before any household is simulated.
         schedule_spec = spec.pipeline.schedule
-        target = self._build_target(spec) if schedule_spec is not None else None
+        target = build_schedule_target(spec)
+        if target is not None:
+            _check_placeable(target, schedule_spec)
+        fleet = self._simulate(spec)
         results = []
         for extractor_spec in spec.extractors:
             pipeline = FleetPipeline(
@@ -312,34 +252,6 @@ class FlexibilityService:
         return RunReport(spec=spec, results=results)
 
     # ------------------------------------------------------------------ #
-    # Conformance (the `repro conformance` backend)
-    # ------------------------------------------------------------------ #
-
-    def conformance(
-        self,
-        scenarios: tuple[str, ...] | list[str] | None = None,
-        extractors: tuple[str, ...] | list[str] | None = None,
-        invariants: tuple[str, ...] | list[str] | None = None,
-        workers: int | None = None,
-    ):
-        """Run the scenario-matrix invariant harness (repro.conformance).
-
-        Crosses every registered extractor with every compatible scenario
-        of the conformance matrix (optionally restricted by name) and
-        returns the :class:`~repro.conformance.runner.ConformanceReport`.
-        ``workers`` > 1 fans cells out over a process pool; the report is
-        identical to the in-process run.
-        """
-        from repro.conformance import run_conformance
-
-        return run_conformance(
-            scenarios=scenarios,
-            extractors=extractors,
-            invariants=invariants,
-            workers=workers,
-        )
-
-    # ------------------------------------------------------------------ #
     # Single-series extraction (the `repro extract` backend)
     # ------------------------------------------------------------------ #
 
@@ -385,15 +297,72 @@ class FlexibilityService:
 
 
 def build_schedule_target(spec: RunSpec) -> "TimeSeries | ZonedTarget | None":
-    """Synthesise a spec's schedule-stage target outside a service run.
+    """Synthesise a spec's schedule-stage target.
 
-    The public face of the target builders above, for drivers that execute
-    specs without going through :meth:`FlexibilityService.run` — the
-    session replay driver (``repro session --replay``) being the one that
-    must build the *same* target a one-shot run would, or its equivalence
-    oracle means nothing.  Returns ``None`` when the spec has no schedule
-    stage.
+    A spec with zones yields a :class:`~repro.scheduling.zones.ZonedTarget`
+    — one deterministic series per zone (the zone's own
+    ``target_seed``/``target_kwh``) plus the explicit household→zone
+    assignment; otherwise one plain target series.  Returns ``None`` when
+    the spec has no schedule stage.  Service runs and the session replay
+    driver (``repro session --replay``) both build their target here, so
+    a replay places against the *same* target a one-shot run would, or
+    its equivalence oracle would mean nothing.
     """
-    if spec.pipeline.schedule is None:
+    schedule = spec.pipeline.schedule
+    if schedule is None:
         return None
-    return FlexibilityService()._build_target(spec)
+    if not schedule.zones:
+        return _synthesise_series(spec, schedule.target_seed, schedule.target_kwh)
+    from repro.scheduling.zones import MarketZone, ZonedTarget
+
+    zones = tuple(
+        MarketZone(
+            name=zone.name,
+            target=_synthesise_series(
+                spec, zone.target_seed, zone.target_kwh, f"{zone.name}-target"
+            ),
+            price_floor=zone.price_floor,
+            price_cap=zone.price_cap,
+        )
+        for zone in schedule.zones
+    )
+    assignment = {
+        household: zone.name for zone in schedule.zones for household in zone.households
+    }
+    return ZonedTarget(zones=zones, assignment=assignment)
+
+
+def _synthesise_series(
+    spec: RunSpec, seed: int, target_kwh: float | None, name: str | None = None
+) -> "TimeSeries":
+    # ``name=None`` keeps the series' own name (the wind simulator's /
+    # "flat-target"), preserving pre-zone report content byte for byte.
+    import numpy as np
+
+    from repro.simulation.res import simulate_wind_production
+    from repro.timeseries.axis import axis_for_days
+    from repro.timeseries.series import TimeSeries
+
+    axis = axis_for_days(spec.scenario.start, spec.scenario.days)
+    if spec.pipeline.schedule.target == "wind":
+        series = simulate_wind_production(axis, np.random.default_rng(seed))
+        if name is not None:
+            series = series.with_name(name)
+    else:
+        series = TimeSeries.full(axis, 1.0, name=name or "flat-target")
+    if target_kwh is not None and series.total() > 0:
+        series = series * (target_kwh / series.total())
+    return series
+
+
+def _check_placeable(target: "TimeSeries | ZonedTarget", schedule_spec) -> None:
+    """Refuse a target the schedule stage would refuse, by the scheduler's
+    own rule (:func:`~repro.scheduling.greedy.placement_rows`): each
+    zone's target, or the plain target with a robust stage's synthetic fan."""
+    from repro.scheduling.greedy import placement_rows
+
+    if schedule_spec.zones:
+        for zone in target.zones:
+            placement_rows(zone.target)
+    else:
+        placement_rows(target, schedule_spec.config().robust)

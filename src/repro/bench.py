@@ -1,12 +1,13 @@
 """The ``repro bench`` harness: six benchmark suites as one preset table.
 
 Each suite is a :class:`Preset` in :data:`PRESETS`: its name, description,
-``BENCH_*.json`` artefact, canonical defaults, run function, table rows,
-summary line and speedup gates.  :func:`run_preset` runs one at its
-defaults (overridable per parameter), stamps the shared ``environment``
-block and optionally writes the report.  Every report carries an
-``equivalence`` section of booleans; :func:`equivalence_failures` names
-the false ones, and ``repro bench`` exits 1 on any.
+``BENCH_*.json`` artefact, canonical defaults, run function and speedup
+gates.  :func:`run_preset` runs one at its defaults (overridable per
+parameter), stamps the shared ``environment`` block and optionally writes
+the report; :func:`report_tables` renders any report as console tables.
+Every report carries an ``equivalence`` section of booleans;
+:func:`equivalence_failures` names the false ones, and ``repro bench``
+exits 1 on any.
 
 * ``fleet`` — the extract→aggregate→schedule loop on a simulated fleet:
   :class:`~repro.pipeline.FleetPipeline` on the vectorized engines against
@@ -266,7 +267,7 @@ def _wind_target(target: TimeSeries) -> dict:
 
 
 def run_fleet(households: int, days: int, seed: int, workers: int | None, chunk_size: int):
-    """The fleet suite; returns the report and the timed batched result."""
+    """The fleet suite's report."""
     from repro.api.registry import create_extractor
     from repro.pipeline.fleet import (
         FleetPipeline,
@@ -356,37 +357,8 @@ def run_fleet(households: int, days: int, seed: int, workers: int | None, chunk_
             "fidelity_rtol": FIDELITY_RTOL,
         },
     }
-    return report, timed_result
+    return report
 
-
-def _fleet_rows(report: dict, result) -> list[dict]:
-    return [
-        *result.timings.rows(),
-        {
-            "stage": "TOTAL (pipeline wall)",
-            "seconds": report["pipeline"]["wall_seconds"],
-            "share": "100%",
-        },
-        {
-            "stage": "sequential reference loop",
-            "seconds": report["baseline"]["wall_seconds"],
-            "share": f"{report['speedup']}x slower",
-        },
-    ]
-
-
-def _fleet_summary(report: dict) -> str:
-    schedule = report["schedule"]
-    equivalence = report["equivalence"]
-    return (
-        f"schedule stage: {schedule['placed']} aggregates placed on a "
-        f"{schedule['target_kwh']:.1f} kWh target "
-        f"({schedule['improvement']:.1%} imbalance reduction)\n"
-        f"speedup: {report['speedup']}x over the sequential reference loop; "
-        f"batched == sequential: {equivalence['batched_equals_sequential']}; "
-        f"reference matches within {equivalence['fidelity_rtol']:g}: "
-        f"{equivalence['reference_matches_vectorized']}"
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -400,7 +372,7 @@ IMPROVE_ITERATIONS = 2000
 
 
 def run_schedule(aggregates: int, days: int, seed: int):
-    """The schedule suite; returns the report and the vectorized greedy result."""
+    """The schedule suite's report."""
     from repro.scheduling.stochastic import improve_schedule
 
     workload, target = build_schedule_workload(aggregates, days=days, seed=seed)
@@ -469,37 +441,8 @@ def run_schedule(aggregates: int, days: int, seed: int):
             "fidelity_rtol": FIDELITY_RTOL,
         },
     }
-    return report, vectorized_result
+    return report
 
-
-def _schedule_rows(report: dict, _result) -> list[dict]:
-    greedy = report["greedy"]
-    improve = report["improve"]
-    return [
-        {
-            "phase": "greedy placement",
-            "reference_s": greedy["reference_seconds"],
-            "vectorized_s": greedy["vectorized_seconds"],
-            "speedup": f"{greedy['speedup']}x",
-            "detail": f"{greedy['placed']} placed / {greedy['unplaced']} unplaced",
-        },
-        {
-            "phase": f"stochastic improve ({improve['iterations']} it)",
-            "reference_s": improve["reference_seconds"],
-            "vectorized_s": improve["vectorized_seconds"],
-            "speedup": f"{improve['speedup']}x",
-            "detail": f"cost {improve['cost']:.2f} (greedy {greedy['cost']:.2f})",
-        },
-    ]
-
-
-def _schedule_summary(report: dict) -> str:
-    equivalence = report["equivalence"]
-    return (
-        f"greedy speedup: {report['greedy']['speedup']}x; placements "
-        f"identical: {equivalence['placements_identical']}; cost within "
-        f"{equivalence['fidelity_rtol']:g}: {equivalence['cost_match']}"
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -508,7 +451,7 @@ def _schedule_summary(report: dict) -> str:
 
 
 def run_zones(aggregates: int, days: int, seed: int, zones: int):
-    """The zones suite; returns the report and the vectorized zoned result."""
+    """The zones suite's report."""
     from repro.scheduling.stochastic import improve_many, improve_schedule
     from repro.scheduling.zones import assign_zones, schedule_zones
 
@@ -598,43 +541,8 @@ def run_zones(aggregates: int, days: int, seed: int, zones: int):
             "fidelity_rtol": FIDELITY_RTOL,
         },
     }
-    return report, vectorized_result
+    return report
 
-
-def _zones_rows(report: dict, _result) -> list[dict]:
-    """One row per zone plus a TOTAL row; engine timings go in the summary."""
-    return [
-        *(
-            {
-                "zone": zone["name"],
-                "offers": zone["offers"],
-                "target_kwh": round(zone["target_kwh"], 1),
-                "price_band": f"{zone['price_floor']}-{zone['price_cap']}",
-            }
-            for zone in report["zones"]
-        ),
-        {
-            "zone": "TOTAL",
-            "offers": report["workload"]["aggregates"],
-            "target_kwh": round(sum(z["target_kwh"] for z in report["zones"]), 1),
-            "price_band": "—",
-        },
-    ]
-
-
-def _zones_summary(report: dict) -> str:
-    greedy = report["greedy"]
-    improve = report["improve"]
-    equivalence = report["equivalence"]
-    return (
-        f"vectorized engine: {greedy['vectorized_seconds']}s "
-        f"({greedy['speedup_vs_reference']}x vs reference); placements "
-        f"identical to reference: "
-        f"{equivalence['reference_identical_placements']}; lockstep improve "
-        f"({improve['iterations']} it per zone): {improve['lockstep_seconds']}s "
-        f"({improve['speedup']}x vs reference), identical: "
-        f"{equivalence['improve_identical']}"
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -649,7 +557,7 @@ COUPLING_KWH = 25.0
 
 
 def run_market(aggregates: int, days: int, seed: int, zones: int):
-    """The market suite; returns the report and the vectorized clearing."""
+    """The market suite's report."""
     from repro.market.clearing import clear_zones
     from repro.market.model import MarketConfig
 
@@ -727,45 +635,8 @@ def run_market(aggregates: int, days: int, seed: int, zones: int):
             "fidelity_rtol": FIDELITY_RTOL,
         },
     }
-    return report, result
+    return report
 
-
-def _market_rows(report: dict, _result) -> list[dict]:
-    clearing = report["clearing"]
-    return [
-        *(
-            {
-                "zone": zone["zone"],
-                "bids": zone["bids"],
-                "cleared": zone["accepted"] + zone["partial"],
-                "migrated_in": zone["migrated_in"],
-                "price_eur": zone["price_eur"],
-                "cleared_kwh": zone["cleared_kwh"],
-                "welfare_eur": zone["welfare_eur"],
-            }
-            for zone in report["zones"]
-        ),
-        {
-            "zone": "TOTAL",
-            "bids": clearing["accepted"] + clearing["partial"] + clearing["rejected"],
-            "cleared": clearing["accepted"] + clearing["partial"],
-            "migrated_in": clearing["migrated"],
-            "price_eur": "—",
-            "cleared_kwh": round(clearing["cleared_kwh"], 4),
-            "welfare_eur": round(clearing["welfare_eur"], 4),
-        },
-    ]
-
-
-def _market_summary(report: dict) -> str:
-    equivalence = report["equivalence"]
-    return (
-        f"clearing speedup: {report['clearing']['speedup']}x over the reference "
-        f"scalar loops; acceptance sets identical: "
-        f"{equivalence['acceptance_identical']}; prices bitwise: "
-        f"{equivalence['prices_identical']}; welfare within "
-        f"{equivalence['fidelity_rtol']:g}: {equivalence['welfare_match']}"
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -785,7 +656,7 @@ SCALING_GATE = Gate(("scaling", "ratio"), 0.5)
 
 
 def run_scale(sizes: tuple[int, ...], days: int, seed: int):
-    """The scale suite; returns the report and None (no result object).
+    """The scale suite's report.
 
     Each rung simulates a fleet (set-up, timed apart) and runs it in
     process through :class:`~repro.pipeline.FleetPipeline`: ``peak-based``
@@ -855,38 +726,8 @@ def run_scale(sizes: tuple[int, ...], days: int, seed: int):
         "scaling": {"ratio": round(_ratio(rates[-1], rates[0]), 2), "gate": SCALING_GATE.bound},
         "equivalence": {"workers_match_in_process": identical},
     }
-    return report, None
+    return report
 
-
-def _scale_rows(report: dict, _result) -> list[dict]:
-    workers = report["workers"]
-    return [
-        *(
-            {
-                "stage": f"{rung['households']} households, {SCALE_PATH}",
-                "setup_seconds": rung["simulate_seconds"],
-                "seconds": rung["pipeline_seconds"],
-                "rate": f"{rung['household_weeks_per_second']} household-weeks/s",
-            }
-            for rung in report["ladder"]
-        ),
-        {
-            "stage": f"{workers['households']} households, workers={workers['workers']}",
-            "setup_seconds": "—",
-            "seconds": workers["workers_seconds"],
-            "rate": f"{workers['in_process_seconds']} s in process",
-        },
-    ]
-
-
-def _scale_summary(report: dict) -> str:
-    scaling = report["scaling"]
-    sizes = report["workload"]["sizes"]
-    return (
-        f"household-weeks/s at {sizes[-1]} households: {scaling['ratio']}x the "
-        f"{sizes[0]}-household rung's (gate >= {scaling['gate']:g}x); workers=2 "
-        f"results identical: {report['equivalence']['workers_match_in_process']}"
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -895,7 +736,7 @@ def _scale_summary(report: dict) -> str:
 
 
 def run_uncertainty(aggregates: int, days: int, seed: int):
-    """The uncertainty suite; returns the report and the robust result.
+    """The uncertainty suite's report.
 
     The robust schedule should not be beaten on the risk-weighted average
     of realized costs it optimises; the ``realized`` block scores both
@@ -975,41 +816,7 @@ def run_uncertainty(aggregates: int, days: int, seed: int):
             "fidelity_rtol": FIDELITY_RTOL,
         },
     }
-    return report, robust_result
-
-
-def _uncertainty_rows(report: dict, _result) -> list[dict]:
-    """One row per quantile level plus a risk-weighted EXPECTED row."""
-    realized = report["realized"]
-    scenarios = [
-        *(
-            (f"q{level:g}", point, robust)
-            for level, point, robust in zip(
-                realized["levels"], realized["point_costs"], realized["robust_costs"]
-            )
-        ),
-        ("EXPECTED", realized["point_expected"], realized["robust_expected"]),
-    ]
-    return [
-        {
-            "scenario": name,
-            "point_cost": round(point, 2),
-            "robust_cost": round(robust, 2),
-            "delta": round(robust - point, 2),
-        }
-        for name, point, robust in scenarios
-    ]
-
-
-def _uncertainty_summary(report: dict) -> str:
-    greedy = report["greedy"]
-    equivalence = report["equivalence"]
-    return (
-        f"robust overhead: {greedy['overhead']}x point scheduling "
-        f"(gate <= {greedy['overhead_gate']:g}x: {greedy['meets_overhead_gate']}); "
-        f"reference identical: {equivalence['robust_reference_identical']}; "
-        f"deterministic: {equivalence['deterministic_across_runs']}"
-    )
+    return report
 
 
 # ---------------------------------------------------------------------- #
@@ -1022,19 +829,15 @@ class Preset:
     """One ``repro bench`` suite.
 
     ``defaults`` are the canonical parameters of the committed
-    ``artefact``; ``run(**params)`` returns ``(report, result)`` where
-    ``result`` feeds ``rows`` (the fleet stage table needs it).  ``header``
-    is printed before the run, ``rows`` and ``summary`` after it.
+    ``artefact``; ``run(**params)`` returns the suite's report, which
+    :func:`report_tables` renders.
     """
 
     name: str
     description: str
     artefact: str
     defaults: Mapping[str, object]
-    run: Callable[..., tuple[dict, object]]
-    header: Callable[[Mapping[str, object]], str]
-    rows: Callable[[dict, object], list[dict]]
-    summary: Callable[[dict], str]
+    run: Callable[..., dict]
     gates: tuple[Gate, ...]
 
     def gate_failures(self, report: Mapping) -> list[str]:
@@ -1059,10 +862,6 @@ PRESETS: Mapping[str, Preset] = MappingProxyType(
                     {"households": 20, "days": 7, "seed": 13, "workers": None, "chunk_size": 8}
                 ),
                 run=run_fleet,
-                header=lambda p: f"Fleet benchmark: {p['households']} households x "
-                f"{p['days']} days (seed {p['seed']}, workers {p['workers'] or 1}) ...",
-                rows=_fleet_rows,
-                summary=_fleet_summary,
                 gates=(Gate(("speedup",), 5.0),),
             ),
             Preset(
@@ -1072,10 +871,6 @@ PRESETS: Mapping[str, Preset] = MappingProxyType(
                 artefact="BENCH_schedule.json",
                 defaults=_aggregate_defaults(),
                 run=run_schedule,
-                header=lambda p: f"Schedule benchmark: {p['aggregates']} aggregated "
-                f"offers x {p['days']} day target (seed {p['seed']}) ...",
-                rows=_schedule_rows,
-                summary=_schedule_summary,
                 gates=(Gate(("greedy", "speedup"), 5.0),),
             ),
             Preset(
@@ -1085,11 +880,6 @@ PRESETS: Mapping[str, Preset] = MappingProxyType(
                 artefact="BENCH_zones.json",
                 defaults=_aggregate_defaults(zones=4),
                 run=run_zones,
-                header=lambda p: f"Zones benchmark: {p['aggregates']} aggregated offers "
-                f"sharded into {p['zones']} market zones x {p['days']} day targets "
-                f"(seed {p['seed']}) ...",
-                rows=_zones_rows,
-                summary=_zones_summary,
                 gates=(Gate(("greedy", "speedup_vs_reference"), 2.0),),
             ),
             Preset(
@@ -1099,11 +889,6 @@ PRESETS: Mapping[str, Preset] = MappingProxyType(
                 artefact="BENCH_market.json",
                 defaults=_aggregate_defaults(zones=4),
                 run=run_market,
-                header=lambda p: f"Market benchmark: {p['aggregates']} priced aggregates "
-                f"cleared over {p['zones']} zone markets x {p['days']} day targets "
-                f"(seed {p['seed']}) ...",
-                rows=_market_rows,
-                summary=_market_summary,
                 gates=(Gate(("clearing", "speedup"), 3.0),),
             ),
             Preset(
@@ -1116,10 +901,6 @@ PRESETS: Mapping[str, Preset] = MappingProxyType(
                     {"sizes": (100, 1_000, 3_000), "days": 7, "seed": 23}
                 ),
                 run=run_scale,
-                header=lambda p: f"Scale benchmark: {', '.join(map(str, p['sizes']))} "
-                f"households x {p['days']} days (seed {p['seed']}) ...",
-                rows=_scale_rows,
-                summary=_scale_summary,
                 gates=(SCALING_GATE,),
             ),
             Preset(
@@ -1130,11 +911,6 @@ PRESETS: Mapping[str, Preset] = MappingProxyType(
                 artefact="BENCH_uncertainty.json",
                 defaults=_aggregate_defaults(),
                 run=run_uncertainty,
-                header=lambda p: f"Uncertainty benchmark: {p['aggregates']} aggregated "
-                f"offers x {p['days']} day target, robust quantile fan vs point "
-                f"scheduling (seed {p['seed']}) ...",
-                rows=_uncertainty_rows,
-                summary=_uncertainty_summary,
                 gates=(OVERHEAD_GATE,),
             ),
         )
@@ -1142,16 +918,46 @@ PRESETS: Mapping[str, Preset] = MappingProxyType(
 )
 
 
-def run_preset(name: str, out_path: Path | str | None = None, **params) -> tuple[dict, object]:
+def run_preset(name: str, out_path: Path | str | None = None, **params) -> dict:
     """Run preset ``name`` at its defaults overridden by ``params``.
 
-    Returns ``(report, result)``; the report ends with the
-    :func:`environment` block and, when ``out_path`` is given, is also
-    written there as JSON (the repository's ``BENCH_*.json`` baselines).
+    Returns the report, which ends with the :func:`environment` block and,
+    when ``out_path`` is given, is also written there as JSON (the
+    repository's ``BENCH_*.json`` baselines).
     """
     preset = PRESETS[name]
-    report, result = preset.run(**{**preset.defaults, **params})
+    report = preset.run(**{**preset.defaults, **params})
     report["environment"] = environment()
     if out_path is not None:
         Path(out_path).write_text(json.dumps(report, indent=2) + "\n")
-    return report, result
+    return report
+
+
+def _flatten(node: Mapping, prefix: str = "") -> dict:
+    """``node``'s leaves keyed by dotted path; lists count as leaves."""
+    flat: dict = {}
+    for key, value in node.items():
+        if isinstance(value, Mapping):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
+    return flat
+
+
+def report_tables(report: Mapping) -> list[tuple[str, list[dict]]]:
+    """A report as titled console tables, read from the report alone.
+
+    Each list-of-records section (``zones``, ``ladder``) is its own table
+    with nested dicts flattened to dotted columns; every other leaf outside
+    ``environment``, the equivalence booleans among them, is one
+    ``metric | value`` row of the closing ``metrics`` table.
+    """
+    tables: list[tuple[str, list[dict]]] = []
+    metrics: list[dict] = []
+    body = {key: value for key, value in report.items() if key != "environment"}
+    for path, value in _flatten(body).items():
+        if isinstance(value, list) and value and all(isinstance(r, Mapping) for r in value):
+            tables.append((path, [_flatten(record) for record in value]))
+        else:
+            metrics.append({"metric": path, "value": value})
+    return [*tables, ("metrics", metrics)]

@@ -38,7 +38,7 @@ from repro.api import (
     load_run_spec,
     registry_rows,
 )
-from repro.bench import PRESETS, equivalence_failures, run_preset
+from repro.bench import PRESETS, equivalence_failures, report_tables, run_preset
 from repro.errors import ReproError
 from repro.evaluation.comparison import DEFAULT_SUITE
 from repro.evaluation.realism import format_table
@@ -421,10 +421,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     preset = PRESETS[args.suite]
     given = {_bench_dest(flag): getattr(args, _bench_dest(flag)) for flag, _, _ in BENCH_FLAGS}
     params = {**preset.defaults, **{k: v for k, v in given.items() if v is not None}}
-    print(preset.header(params))
-    report, result = run_preset(preset.name, out_path=args.out, **params)
-    print(format_table(preset.rows(report, result)))
-    print(f"\n{preset.summary(report)}")
+    settings = ", ".join(f"{name}={value}" for name, value in params.items())
+    print(f"{preset.name} benchmark: {preset.description} ({settings}) ...")
+    report = run_preset(preset.name, out_path=args.out, **params)
+    for title, rows in report_tables(report):
+        print(f"\n{title}:\n{format_table(rows)}")
     # Gates hold at the canonical sizes only, so a miss is a note and
     # the exit status follows equivalence alone.
     for failure in preset.gate_failures(report):
@@ -439,7 +440,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
-    from repro.conformance import INVARIANTS, scenario_matrix
+    from repro.conformance import INVARIANTS, run_conformance, scenario_matrix
 
     if args.list:
         rows = [
@@ -453,7 +454,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         print(format_table(rows))
         print(f"\ninvariants: {', '.join(INVARIANTS)}")
         return 0
-    report = _SERVICE.conformance(
+    report = run_conformance(
         scenarios=args.scenario,
         extractors=args.extractor,
         invariants=args.invariant,
@@ -477,30 +478,13 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(_args: argparse.Namespace) -> int:
-    # The renderers ship inside the wheel (repro.examples); imported lazily
-    # to keep CLI start fast, with a library-only fallback for stripped
-    # installs (e.g. a vendored copy without the examples subpackage).
-    import importlib
+    # The renderers ship inside the package (repro.examples); imported
+    # lazily to keep CLI start fast.
+    from repro.examples import paper_figures
 
-    try:
-        module = importlib.import_module("repro.examples.paper_figures")
-    except ImportError:
-        module = None
-    if module is not None:
-        module.show_figure1()
-        module.show_figure4()
-        module.show_figure5()
-        return 0
-    # Examples absent: print the core Figure 5 walkthrough from the library.
-    from repro.extraction.peaks import detect_peaks, filter_peaks, selection_probabilities
-    from repro.workloads.paper_day import figure5_day
-
-    day = figure5_day()
-    peaks = detect_peaks(day.series.values)
-    print(f"Figure 5 day: total {day.series.total():.2f} kWh, {len(peaks)} peaks")
-    survivors = filter_peaks(peaks, day.filter_threshold)
-    for peak, prob in zip(survivors, selection_probabilities(survivors)):
-        print(f"  surviving peak size {peak.size:.2f} kWh, P={prob:.0%}")
+    paper_figures.show_figure1()
+    paper_figures.show_figure4()
+    paper_figures.show_figure5()
     return 0
 
 

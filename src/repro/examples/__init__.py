@@ -1,14 +1,12 @@
 """Packaged, wheel-installable examples.
 
 Unlike the repository's top-level ``examples/`` scripts (which need a
-checkout), these modules ship inside the ``repro`` package so CLI
-subcommands — ``repro figures`` — can load them with a plain
-:func:`importlib.import_module` from any install.
+checkout), these modules ship inside the ``repro`` package, so CLI
+subcommands — ``repro figures`` — import them from any install.
 
 Subsystem contract: renderers print the paper's pinned numbers (Figure 1,
 Figure 4, Figure 5) deterministically — they are smoke-tested output, not
-illustrative pseudo-code — and the CLI degrades gracefully when this
-subpackage is stripped from a vendored install.
+illustrative pseudo-code.
 """
 
 from repro.examples.paper_figures import show_figure1, show_figure4, show_figure5

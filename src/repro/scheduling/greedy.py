@@ -370,24 +370,27 @@ def _best_start_batched(
     return start, energies[best]
 
 
-def _residual_and_fan(
-    target: TimeSeries, robust: RobustConfig | None, scenarios
-) -> tuple[np.ndarray, _Fan]:
-    """The residual matrix placement starts from, and the fan it scores.
+def placement_rows(
+    target: TimeSeries,
+    robust: RobustConfig | None = None,
+    scenarios: list[TimeSeries] | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The residual rows placement scores against, and the fan's weights.
 
     Row 0 is the point target; a robust run appends its scenario fan
-    (:func:`~repro.scheduling.robust.resolve_fan`) as the rows after it.
-    A non-finite entry anywhere would poison every gain it touches, and
-    so would a row whose squared errors overflow: the gains compare
-    squared norms of windows before and after a placement, which may
-    double an entry.  Both are refused here, naming the row.
+    (:func:`~repro.scheduling.robust.resolve_fan`) as the rows after it
+    and returns its weights (``None`` for a point run).  A non-finite
+    entry anywhere would poison every gain it touches, and so would a row
+    whose squared errors overflow: the gains compare squared norms of
+    windows before and after a placement, which may double an entry.
+    Both are refused here, naming the row, so a caller can check a target
+    before any offer exists.
     """
     if robust is None:
-        residual, fan = target.values[None, :].copy(), _POINT
+        residual, weights = target.values[None, :].copy(), None
     else:
         scenario_rows, weights = resolve_fan(target, robust, scenarios)
         residual = np.vstack([target.values, scenario_rows])
-        fan = _Fan(slice(1, None), weights, robust.risk, robust.alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         squares = 4.0 * np.einsum("ij,ij->i", residual, residual)
     bad_rows = np.flatnonzero(~np.isfinite(squares))
@@ -404,7 +407,7 @@ def _residual_and_fan(
             else "is too large: its squared errors overflow"
         )
         raise SchedulingError(f"{name} {problem}; cannot place against it")
-    return residual, fan
+    return residual, weights
 
 
 def greedy_schedule(
@@ -462,7 +465,12 @@ def greedy_schedule(
     else:
         queue = list(offers)
 
-    residual, fan = _residual_and_fan(target, config.robust, scenarios)
+    robust = config.robust
+    residual, weights = placement_rows(target, robust, scenarios)
+    if robust is None:
+        fan = _POINT
+    else:
+        fan = _Fan(slice(1, None), weights, robust.risk, robust.alpha)
     vectorized = config.engine != "reference"
     if vectorized:
         # Hoist every offer's bounds/starts once; offers sharing a profile

@@ -503,8 +503,14 @@ def decode_state(
         axis = session.target.axis
         demand = np.zeros(axis.length)
         for placement in state.committed:
-            first = axis.index_of(placement.start)
             energies = placement.interval_energies()
+            first = int((placement.start - axis.start) // axis.resolution)
+            if first < 0 or first + energies.size > axis.length:
+                raise PersistenceError(
+                    f"a committed placement at {placement.start} spanning "
+                    f"{energies.size} interval(s) does not fit the session's "
+                    "target axis"
+                )
             demand[first : first + energies.size] += energies
         state.committed_demand = demand
 

@@ -12,13 +12,17 @@ import inspect
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.bench import (
     PRESETS,
     Gate,
     build_schedule_workload,
     build_zoned_workload,
     equivalence_failures,
+    report_tables,
 )
+from repro.evaluation.realism import format_table
 from repro.scheduling.zones import assign_zones
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -107,12 +111,34 @@ class TestPresets:
         assert equivalence_failures(report) == ["b"]
         assert equivalence_failures({}) == []
 
-    def test_the_scale_ladder_rows_name_the_extracting_path(self):
-        report = json.loads((REPO_ROOT / "BENCH_scale.json").read_text())
-        rows = PRESETS["scale"].rows(report, None)
-        ladder = rows[: len(report["ladder"])]
-        assert all("extract->aggregate->schedule" in row["stage"] for row in ladder)
-        description = PRESETS["scale"].description
-        assert "simulate" in description
-        assert "peak-based extract->aggregate->schedule" in description
-        assert "synthetic" not in description
+
+def _numbers(node) -> list:
+    """Every number and boolean under ``node``, in document order."""
+    if isinstance(node, dict):
+        return [n for value in node.values() for n in _numbers(value)]
+    if isinstance(node, list):
+        return [n for value in node for n in _numbers(value)]
+    return [node] if isinstance(node, (bool, int, float)) else []
+
+
+class TestReportTables:
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_every_number_of_a_committed_report_is_rendered(self, name):
+        report = json.loads((REPO_ROOT / PRESETS[name].artefact).read_text())
+        tables = report_tables(report)
+        rendered = [list(row.values()) for _, rows in tables for row in rows]
+        body = {key: value for key, value in report.items() if key != "environment"}
+        assert sorted(map(repr, _numbers(rendered))) == sorted(map(repr, _numbers(body)))
+        title, metrics = tables[-1]
+        assert title == "metrics"
+        values = {row["metric"]: row["value"] for row in metrics}
+        for key, value in report["equivalence"].items():
+            assert values[f"equivalence.{key}"] == value
+        text = "\n".join(format_table(rows) for _, rows in tables)
+        if name == "scale":
+            assert [title for title, _ in tables] == ["ladder", "metrics"]
+            assert "extract->aggregate->schedule" in text
+            description = PRESETS["scale"].description
+            assert "simulate" in description
+            assert "peak-based extract->aggregate->schedule" in description
+            assert "synthetic" not in description

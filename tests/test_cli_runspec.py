@@ -9,6 +9,7 @@ declarative spec end to end (including the shipped smoke spec used by CI).
 from __future__ import annotations
 
 import json
+import re
 from datetime import timedelta
 from pathlib import Path
 
@@ -216,12 +217,31 @@ class TestRun:
                 id="infinite-sigma",
             ),
             pytest.param(lambda spec: {"target_kwh": 1e160}, "target", id="huge-target"),
+            pytest.param(
+                lambda spec: {
+                    "zones": [{"name": "north", "target_kwh": 1e160}, {"name": "south"}]
+                },
+                "target 'north-target'",
+                id="huge-zone-target",
+            ),
+            pytest.param(
+                lambda spec: {"robust": {"sigma": 1e300}}, "scenario 0", id="huge-robust-fan"
+            ),
         ],
     )
-    def test_malformed_run_spec_fails_cleanly(self, edit, field, tmp_path, capsys):
+    def test_malformed_run_spec_fails_cleanly(
+        self, edit, field, tmp_path, capsys, monkeypatch
+    ):
         # The smoke spec with one bad run setting: a retired kind, or a
         # schedule stage (on a peak-based copy) whose fan or target cannot
-        # be scored.  Each is an error line naming the field or the target.
+        # be scored.  Each is an error line naming the field or the target,
+        # raised before a single household is simulated: the scheduler's
+        # own rule checks the target (each zone's, or the robust stage's
+        # synthetic fan) up front.
+        def simulate(*args, **kwargs):
+            raise AssertionError("the fleet was simulated")
+
+        monkeypatch.setattr("repro.simulation.dataset.generate_fleet", simulate)
         spec = json.loads(SMOKE_SPEC.read_text())
         edited = edit(spec)
         if "kind" not in edited:
@@ -309,14 +329,14 @@ BENCH_PARAMETER_FLAGS = set().union(*BENCH_ACCEPTS.values())
 
 @pytest.fixture(scope="module")
 def tiny_run():
-    """``tiny_run(suite)``: the suite's ``(report, result)`` at its tiny size,
-    run once per module through the CLI."""
+    """``tiny_run(suite)``: the suite's report at its tiny size, run once per
+    module through the CLI."""
     import repro.cli
 
-    runs: dict[str, tuple] = {}
+    runs: dict[str, dict] = {}
     real = repro.cli.run_preset
 
-    def run(suite: str) -> tuple:
+    def run(suite: str) -> dict:
         if suite not in runs:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(
@@ -330,23 +350,31 @@ def tiny_run():
     return run
 
 
+def _metric_row(out: str, metric: str, value: object) -> bool:
+    """Whether ``out`` prints ``metric | value`` as one table row."""
+    row = rf"^{re.escape(metric)}\s+{re.escape(str(value))}\s*$"
+    return re.search(row, out, re.MULTILINE) is not None
+
+
 class TestBench:
     def test_fleet_suite_exits_zero_when_equivalent(self, capsys):
         assert main(["bench", "--households", "2", "--days", "1"]) == 0
-        assert "batched == sequential: True" in capsys.readouterr().out
+        assert _metric_row(
+            capsys.readouterr().out, "equivalence.batched_equals_sequential", True
+        )
 
     def test_a_false_equivalence_check_fails_the_run(self, monkeypatch, capsys):
         monkeypatch.setattr("repro.pipeline.fleet.results_identical", lambda a, b: False)
         assert main(["bench", "--households", "2", "--days", "1"]) == 1
         captured = capsys.readouterr()
-        assert "batched == sequential: False" in captured.out
+        assert _metric_row(captured.out, "equivalence.batched_equals_sequential", False)
         assert "equivalence check failed: batched_equals_sequential" in captured.err
 
     def test_a_false_fanout_identity_fails_the_scale_suite(self, monkeypatch, capsys):
         monkeypatch.setattr("repro.pipeline.fleet.results_identical", lambda a, b: False)
         assert main(["bench", "--suite", "scale", *BENCH_SMOKES["scale"]]) == 1
         captured = capsys.readouterr()
-        assert "workers=2 results identical: False" in captured.out
+        assert _metric_row(captured.out, "equivalence.workers_match_in_process", False)
         assert "equivalence check failed: workers_match_in_process" in captured.err
 
     def test_a_disagreeing_improver_fails_the_schedule_suite(self, monkeypatch, capsys):
@@ -390,7 +418,10 @@ class TestBench:
         captured = capsys.readouterr()
         assert f"wrote {out}" in captured.out
         assert "equivalence check failed" not in captured.err
-        assert json.loads(out.read_text())["equivalence"]
+        equivalence = json.loads(out.read_text())["equivalence"]
+        assert equivalence
+        for key, value in equivalence.items():
+            assert _metric_row(captured.out, f"equivalence.{key}", value), key
 
     @pytest.mark.parametrize(
         "suite, check",
@@ -427,11 +458,11 @@ class TestBench:
     ):
         import copy
 
-        report, result = tiny_run(suite)
+        report = tiny_run(suite)
         assert report["equivalence"][check] is True
         forced = copy.deepcopy(report)
         forced["equivalence"][check] = False
-        monkeypatch.setattr("repro.cli.run_preset", lambda *a, **k: (forced, result))
+        monkeypatch.setattr("repro.cli.run_preset", lambda *a, **k: forced)
         assert main(["bench", "--suite", suite, *BENCH_SMOKES[suite]]) == 1
         assert f"equivalence check failed: {check}" in capsys.readouterr().err
 

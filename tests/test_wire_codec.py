@@ -256,3 +256,9 @@ class TestTotalSessionDecoding:
         state["committed_members"][0] = None
         with pytest.raises(ReproError, match="committed_members"):
             _restored(stream, state, 2)
+
+    def test_a_committed_placement_past_the_target_axis_is_refused(self, stream):
+        state = golden("compat/session_snapshot_v2.json")["state"]
+        state["committed"][0]["offer"]["slices"][0]["duration"] = 81
+        with pytest.raises(ReproError, match="does not fit the session's target axis"):
+            _restored(stream, state, 2)
